@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .ambient import ModelParams, Point
+from .ambient import ModelParams, Point, curvature_operator, vertical_component
 from .curvature import (
     assemble_corrected_shape,
     corrected_shape,
@@ -41,15 +41,14 @@ from .foliation import (
     vertical_label_bound,
 )
 from .isoperimetry import deficit_report, jacobi_residual, make_competitor
-from .meridians import (
-    integrate_meridian,
-    meridian_geodesic_residual,
-    pansu_meridian_field,
-)
+from .meridians import _pansu_field, integrate_meridian, meridian_geodesic_residual
 from .sphere import (
     SphereSpec,
+    _f,
+    _radius_of,
     euclidean_profile,
     graph_mean_curvature_fd,
+    outer_normal,
     pansu_profile,
     profile_height,
     profile_height_R,
@@ -57,9 +56,6 @@ from .sphere import (
     sphere_area,
     sphere_volume,
 )
-from .sphere import _f
-from .ambient import curvature_operator, vertical_component
-from .sphere import outer_normal
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -346,22 +342,20 @@ def cmd_meridian(args: argparse.Namespace) -> int:
     start = Point(r0, 0.0, float(profile_height(spec, r0)))
     curve = integrate_meridian(spec, start, step=float(args.step_frac) * spec.R)
 
-    drift = 0.0
-    for px, py, pt in curve.points:
-        r = math.hypot(px, py)
-        drift = max(drift, abs(abs(pt) - float(profile_height(spec, min(r, spec.R)))))
+    r = _radius_of(curve.points[:, 0], curve.points[:, 1])
+    t = curve.points[:, 2]
+    drift = float(np.max(np.abs(np.abs(t) - profile_height(spec, np.minimum(r, spec.R)))))
     resid = meridian_geodesic_residual(spec, curve)
 
-    dev = 0.0
-    e = spec.params.epsilon
-    for (px, py, pt), m in zip(curve.points[:: max(1, len(curve) // 200)],
-                               curve.velocities[:: max(1, len(curve) // 200)]):
-        r = math.hypot(px, py)
-        if not 0.1 * spec.R < r < 0.95 * spec.R:
-            continue
-        bar = pansu_meridian_field(spec.params.sigma, Point(px, py, pt))
-        scaled = np.array([m[0], m[1], e**3 * m[2]])
-        dev = max(dev, float(np.linalg.norm(scaled - bar.as_array())))
+    # the sub-Riemannian limit sphere exists for sigma > 0 only
+    dev = None
+    if spec.params.sigma > 0.0:
+        every = max(1, len(curve) // 200)
+        pts, vel, rs = curve.points[::every], curve.velocities[::every], r[::every]
+        keep = (0.1 * spec.R < rs) & (rs < 0.95 * spec.R)
+        bar = _pansu_field(spec.params.sigma, *pts[keep].T)
+        scaled = vel[keep] * np.array([1.0, 1.0, spec.params.epsilon**3])
+        dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))
 
     if args.out_prefix:
         _write_csv(

@@ -40,8 +40,11 @@ from .sphere import (
     _ell,
     _f,
     _f_over_sqrt,
+    _gap,
+    _normal_components,
     _omega,
     _p_north,
+    _radius_of,
     _radius_solve,
     foliation_normal,
     pansu_radius,
@@ -316,7 +319,9 @@ def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
     The derivative of the velocity's frame components is taken by
     4th-order finite differences in arclength and corrected with the
     connection table; samples with r < r_min_frac * R are skipped because
-    the polar frame coefficients degenerate there.
+    the polar frame coefficients degenerate there.  Each sample's normal N
+    is the foliation normal of its own leaf, not of the sphere R, so
+    samples off the sphere raise the residual.
     """
     params, R = spec.params, spec.R
     h = curve.s[1] - curve.s[0]
@@ -324,20 +329,17 @@ def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
     n = len(curve.s)
     if n < 6:
         raise DomainError("curve too short for the residual stencil")
-    gamma = christoffel_frame(params)
-    worst = 0.0
-    for i in range(2, n - 3):
-        px, py, pt = curve.points[i]
-        r = math.hypot(px, py)
-        if r < r_min_frac * R:
-            continue
-        dm = (m[i - 2] - 8.0 * m[i - 1] + 8.0 * m[i + 1] - m[i + 2]) / (12.0 * h)
-        conv = dm + np.einsum("i,j,ijk->k", m[i], m[i], gamma)
-        w2 = 1.0 + (params.tau * params.epsilon * r) ** 2
-        nvec = foliation_normal(params, Point(px, py, pt)).as_array()
-        resid = conv + (spec.H / w2) * nvec
-        worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+    i = np.arange(2, n - 3)
+    x, y, t = curve.points[i].T
+    r = _radius_of(x, y)
+    keep = r >= r_min_frac * R
+    i, x, y, t, r = i[keep], x[keep], y[keep], t[keep], r[keep]
+    dm = (m[i - 2] - 8.0 * m[i - 1] + 8.0 * m[i + 1] - m[i + 2]) / (12.0 * h)
+    conv = dm + np.einsum("ni,nj,ijk->nk", m[i], m[i], christoffel_frame(params))
+    w2 = 1.0 + (params.tau * params.epsilon * r) ** 2
+    normals = _normal_components(params, x, y, t, _radius_solve(params, r, t))
+    resid = conv + (spec.H / w2)[:, None] * normals
+    return float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
 
 
 # ------------------------------------------------------------- limit fields
@@ -356,6 +358,18 @@ def euclidean_meridian_field(point: Point) -> TangentVector:
     return TangentVector(point.x * lam, point.y * lam, -point.r / R)
 
 
+def _pansu_field(sigma: float, x, y, t) -> np.ndarray:
+    """Array core of pansu_meridian_field: coefficients (..., 3) at points off the axis."""
+    x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, t)))
+    r = _radius_of(x, y)
+    if np.any(r == 0.0):
+        raise DomainError("operation undefined on the center axis z = 0")
+    R = pansu_radius(sigma, r, t)
+    lam = np.sign(t) * np.sqrt(_gap(r, R)) / (r * R)
+    mu = 1.0 / R
+    return np.stack([x * lam - y * mu, y * lam + x * mu, np.zeros_like(lam)], axis=-1)
+
+
 def pansu_meridian_field(sigma: float, point: Point) -> TangentVector:
     """Scaled limit of the meridian field: horizontal, tangent to the
     sub-Riemannian limit sphere through the point.
@@ -363,13 +377,7 @@ def pansu_meridian_field(sigma: float, point: Point) -> TangentVector:
     Coefficients are on the eps-independent horizontal frame
     (eps X, eps Y); the vertical coefficient is exactly zero.
     """
-    _require_off_axis(point)
-    r = point.r
-    R = pansu_radius(sigma, r, point.t)
-    sg = 1.0 if point.t > 0.0 else (-1.0 if point.t < 0.0 else 0.0)
-    lam = sg * math.sqrt(max(R * R - r * r, 0.0)) / (r * R)
-    mu = 1.0 / R
-    return TangentVector(point.x * lam - point.y * mu, point.y * lam + point.x * mu, 0.0)
+    return TangentVector.from_array(_pansu_field(sigma, point.x, point.y, point.t))
 
 
 def limit_fields(params: ModelParams, point: Point) -> tuple[TangentVector, TangentVector]:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .ambient import ModelParams, Point, TangentVector
 from .errors import ContractError, DomainError, NumericsError
@@ -282,18 +281,32 @@ def sphere_through(params: ModelParams, point: Point) -> SphereSpec:
 # ------------------------------------------------------------------- normals
 
 
-def _normal_components(params: ModelParams, point: Point, R: float) -> TangentVector:
-    sg = float(np.sign(point.t))
-    r = point.r
-    gap = math.sqrt(max(R * R - r * r, 0.0))
-    w = float(_omega(params, r))
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _radius_of(x, y):
+    """|z| elementwise by math.hypot, as Point.r and the meridian integrator
+    compute it (np.hypot differs from it in the last bit)."""
+    return np.asarray(_hypot(x, y), dtype=float)
+
+
+def _normal_components(params: ModelParams, x, y, t, R) -> np.ndarray:
+    """Outward unit normal at (x, y, t) on the leaf R, vectorized.
+
+    Arrays (or scalars) in, frame coefficients (..., 3) out.
+    """
+    x, y, t, R = (np.asarray(v, dtype=float) for v in (x, y, t, R))
+    r = _radius_of(x, y)
+    sg = np.sign(t)
+    gap = np.sqrt(_gap(r, R))
+    w = _omega(params, r)
     p = sg * params.tau * params.epsilon * gap / w
     q = sg * gap / w  # p / (tau * eps), finite for all tau
-    return TangentVector(
-        (point.x + point.y * p) / R,
-        (point.y - point.x * p) / R,
-        q / R,
-    )
+    out = np.empty(p.shape + (3,))
+    out[..., 0] = (x + y * p) / R
+    out[..., 1] = (y - x * p) / R
+    out[..., 2] = q / R
+    return out
 
 
 def outer_normal(spec: SphereSpec, point: Point, tol: float = 1e-8) -> TangentVector:
@@ -312,15 +325,16 @@ def outer_normal(spec: SphereSpec, point: Point, tol: float = 1e-8) -> TangentVe
         raise ContractError(
             f"point is off the sphere: | |t| - f | = {abs(abs(point.t) - f):.3e}"
         )
-    return _normal_components(spec.params, point, spec.R)
+    return TangentVector.from_array(
+        _normal_components(spec.params, point.x, point.y, point.t, spec.R))
 
 
 def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
     """Outward unit normal of the sphere family at any point except the origin."""
     if point.r == 0.0 and point.t == 0.0:
         raise DomainError("the foliation normal is undefined at the origin")
-    R = float(_radius_solve(params, point.r, point.t))
-    return _normal_components(params, point, R)
+    R = _radius_solve(params, point.r, point.t)
+    return TangentVector.from_array(_normal_components(params, point.x, point.y, point.t, R))
 
 
 # ------------------------------------------------------------- area / volume
@@ -382,24 +396,54 @@ def pansu_profile(sigma: float, R: float, r):
     return _scalar_or_array(r, val)
 
 
-def pansu_radius(sigma: float, r: float, t: float) -> float:
-    """Radius of the limit-profile sphere through (r, t); inverse of pansu_profile."""
+def _pansu_radius_solve(sigma: float, r, t, max_iter: int = 60):
+    """Solve pansu_profile(sigma, R, r) = |t| for R >= r, vectorized.
+
+    Newton in g = sqrt(R^2 - r^2) on F(g) = (sigma/2)[R^2 arccos(r/R) + r g],
+    with F'(g) = sigma (g arccos(r/R) + r), smooth up to g = 0.  F is
+    increasing and convex, and F(g) >= sigma r g and F(g) >= (pi/4) sigma g^2,
+    so the start min(|t|/(sigma r), sqrt(4|t|/(pi sigma))) lies above the
+    root and the iterates descend onto it; a step that would reach g <= 0
+    halves g instead.  arccos(r/R) is taken as arctan2(g, r), which stays
+    accurate near the rim.
+    """
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    shape = r.shape
+    r = np.atleast_1d(r).ravel()
+    t = np.abs(np.atleast_1d(t).ravel())
+    with np.errstate(divide="ignore"):
+        g = np.minimum(t / (sigma * r), np.sqrt(4.0 * t / (math.pi * sigma)))
+    done = t == 0.0
+    g[done] = 0.0
+    for _ in range(max_iter):
+        if np.all(done):
+            break
+        a = np.arctan2(g, r)
+        F = 0.5 * sigma * ((r * r + g * g) * a + r * g)
+        step = (F - t) / (sigma * (g * a + r))
+        g = np.where(done, g, np.where(step < g, g - step, 0.5 * g))
+        done = done | (np.abs(step) <= 16.0 * np.finfo(float).eps * g)
+    else:
+        if not np.all(done):
+            raise NumericsError("pansu radius solve did not converge")
+    R = np.where(t == 0.0, r, np.sqrt(r * r + g * g))
+    return R.reshape(shape)
+
+
+def pansu_radius(sigma: float, r, t):
+    """Radius of the limit-profile sphere through (r, t); inverse of pansu_profile.
+
+    Broadcasts over arrays of r and t; R = r on the plane t = 0.
+    """
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    if r < 0.0 or (r == 0.0 and t == 0.0):
+    rr = np.asarray(r, dtype=float)
+    tt = np.asarray(t, dtype=float)
+    if (np.any(rr < 0.0) or np.any((rr == 0.0) & (tt == 0.0))
+            or not (np.all(np.isfinite(rr)) and np.all(np.isfinite(tt)))):
         raise DomainError(f"invalid point (r, t) = ({r}, {t})")
-    ta = abs(t)
-    if ta == 0.0:
-        return r
-    hi = max(2.0 * r, math.sqrt(4.0 * ta / sigma), 1e-12)
-    for _ in range(200):
-        if float(pansu_profile(sigma, hi, min(r, hi))) >= ta and hi >= r:
-            break
-        hi *= 2.0
-    else:
-        raise NumericsError("pansu_radius bracket expansion failed")
-    return brentq(lambda R: float(pansu_profile(sigma, R, r)) - ta, max(r, 1e-300), hi,
-                  xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    R = _pansu_radius_solve(sigma, rr, tt)
+    return float(R) if R.ndim == 0 else R
 
 
 # ----------------------------------------------------- finite-difference CMC

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -96,6 +98,16 @@ def test_meridian_reports_pansu_deviation():
     assert res.returncode == 0
     summary = json.loads(res.stdout)
     assert 0.0 < summary["pansu_deviation"] < 0.5
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1"])
+def test_meridian_without_limit_sphere_reports_null_deviation(sigma):
+    res = run_cli("meridian", "--sigma", sigma, "--step-frac", "2e-3")
+    assert res.returncode == 0
+    summary = json.loads(res.stdout)
+    assert summary["sigma"] == float(sigma)
+    assert summary["pansu_deviation"] is None
+    assert summary["max_leaf_drift"] <= 1e-8
 
 
 def test_isoperim_report(tmp_path):

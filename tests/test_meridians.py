@@ -169,6 +169,50 @@ def test_meridian_geodesic_identity():
     assert meridian_geodesic_residual(spec, curve) <= 1e-6
 
 
+def reference_geodesic_residual(spec, curve, r_min_frac=0.1):
+    """The geodesic residual sample by sample, with the public scalar normal."""
+    params = spec.params
+    h = curve.s[1] - curve.s[0]
+    m = curve.velocities
+    gamma = christoffel_frame(params)
+    worst = 0.0
+    for i in range(2, len(curve) - 3):
+        q = curve.point(i)
+        if q.r < r_min_frac * spec.R:
+            continue
+        dm = (m[i - 2] - 8.0 * m[i - 1] + 8.0 * m[i + 1] - m[i + 2]) / (12.0 * h)
+        conv = dm + np.einsum("i,j,ijk->k", m[i], m[i], gamma)
+        w2 = 1.0 + (params.tau * params.epsilon * q.r) ** 2
+        resid = conv + (spec.H / w2) * foliation_normal(params, q).as_array()
+        worst = max(worst, float(np.linalg.norm(resid)))
+    return worst
+
+
+@pytest.mark.parametrize("eps, sigma, R, step_frac", [
+    (0.5, 0.5, 2.0, 4e-3),  # the --figure1 preset
+    (1.0, 1.0, 1.0, 2e-3),
+    (0.25, 2.0, 0.7, 1e-2),
+])
+def test_geodesic_residual_matches_scalar_loop(eps, sigma, R, step_frac):
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    curve = integrate_meridian(spec, start_point(spec), step=step_frac * R)
+    expected = reference_geodesic_residual(spec, curve)
+    assert meridian_geodesic_residual(spec, curve) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_geodesic_residual_flags_an_off_sphere_curve():
+    """At eps = 0.02 some samples near the equator stay off the sphere (a
+    known projection fault); the residual must show it."""
+    spec = SphereSpec(ModelParams(0.02, 1.0), 1.0)
+    curve = integrate_meridian(spec, start_point(spec))
+    r = np.minimum(np.hypot(curve.points[:, 0], curve.points[:, 1]), spec.R)
+    drift = np.max(np.abs(np.abs(curve.points[:, 2]) - profile_height(spec, r)))
+    assert drift > 1e-4, "the curve is on the sphere: pick another off-sphere curve"
+    resid = meridian_geodesic_residual(spec, curve)
+    assert resid > 1.0
+    assert resid == pytest.approx(reference_geodesic_residual(spec, curve), rel=1e-12, abs=0.0)
+
+
 def test_meridian_rotational_symmetry(spec):
     theta = 1.1
     c0 = integrate_meridian(spec, start_point(spec, theta=0.0), step=1e-3)

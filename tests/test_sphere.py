@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -234,13 +235,70 @@ def test_pansu_profile_values():
         pansu_profile(1.0, 1.0, 1.2)
 
 
+def pansu_sample(rng, n=300):
+    """(sigma, R, r, t) on limit spheres: sigma and R log-uniform in
+    [1e-3, 1e3], r = 0 and r -> R included, both hemispheres."""
+    sigma = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    R = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    u = rng.uniform(0.0, 1.0, n)
+    u[:15] = 0.0
+    u[15:30] = 1.0 - 10.0 ** rng.uniform(-12.0, -2.0, 15)
+    r = u * R
+    side = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    t = side * np.array([pansu_profile(*a) for a in zip(sigma, R, r)])
+    return sigma, R, r, t
+
+
+def test_pansu_radius_array_matches_scalar_bitwise(rng):
+    _, R, r, t = pansu_sample(rng)
+    # pansu_radius takes one sigma per call: put the points on that sigma's spheres
+    for sigma in (1e-3, 0.7, 40.0):
+        ts = np.array([pansu_profile(sigma, *a) for a in zip(R, r)]) * np.sign(t)
+        radii = pansu_radius(sigma, r, ts)
+        scalar = [pansu_radius(sigma, float(a), float(b)) for a, b in zip(r, ts)]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(radii, np.array(scalar))
+    assert pansu_radius(1.0, r.reshape(30, 10), t.reshape(30, 10)).shape == (30, 10)
+
+
 def test_pansu_radius_roundtrip(rng):
-    for _ in range(20):
-        sig = rng.uniform(0.3, 2.0)
-        R0 = rng.uniform(0.3, 2.0)
-        r = rng.uniform(0.0, 0.99) * R0
-        t = float(pansu_profile(sig, R0, r))
-        assert pansu_radius(sig, r, t) == pytest.approx(R0, rel=1e-10)
+    for sigma, R, r, t in zip(*pansu_sample(rng)):
+        R_back = pansu_radius(sigma, r, t)
+        assert abs(R_back - R) <= 1e-13 * R
+        assert abs(pansu_profile(sigma, R_back, r) - abs(t)) <= 1e-13 * abs(t)
+
+
+def test_pansu_radius_matches_mpmath_oracle():
+    points = [(1.0, 0.0, 0.8), (1e-3, 0.5, 0.3), (1e3, 2.0, 1e-4), (0.3, 7.0, 1.5e3),
+              (2.0, 1.0 - 1e-9, 1e-8), (5.0, 0.02, 30.0)]
+    with mpmath.workdps(50):
+        for sigma, r, t in points:
+            s, rm, tm = mpmath.mpf(sigma), mpmath.mpf(r), mpmath.mpf(t)
+
+            def F(R):
+                return s / 2 * (R**2 * mpmath.acos(rm / R) + rm * mpmath.sqrt(R**2 - rm**2)) - tm
+
+            lo = rm + mpmath.mpf(10) ** -40
+            hi = rm + mpmath.sqrt(4 * tm / (mpmath.pi * s)) + 1
+            exact = mpmath.findroot(F, (lo, hi), solver="anderson")
+            assert abs(pansu_radius(sigma, r, t) - exact) <= 1e-15 * exact
+
+
+def test_pansu_radius_domain():
+    assert pansu_radius(1.0, 0.7, 0.0) == 0.7
+    for sigma in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            pansu_radius(sigma, 0.5, 0.2)
+    with pytest.raises(DomainError):
+        pansu_radius(1.0, -0.1, 0.2)
+    with pytest.raises(DomainError):
+        pansu_radius(1.0, np.array([0.5, -0.1]), 0.2)
+    with pytest.raises(DomainError):
+        pansu_radius(1.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        pansu_radius(1.0, np.array([0.3, 0.0]), np.array([0.1, 0.0]))
+    with pytest.raises(DomainError):
+        pansu_radius(1.0, 0.5, math.nan)
 
 
 def test_profile_converges_to_pansu_as_eps_shrinks():
