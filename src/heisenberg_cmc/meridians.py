@@ -337,7 +337,7 @@ def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
     dm = (m[i - 2] - 8.0 * m[i - 1] + 8.0 * m[i + 1] - m[i + 2]) / (12.0 * h)
     conv = dm + np.einsum("ni,nj,ijk->nk", m[i], m[i], christoffel_frame(params))
     w2 = 1.0 + (params.tau * params.epsilon * r) ** 2
-    normals = _normal_components(params, x, y, t, _radius_solve(params, r, t))
+    normals = _normal_components(params, x, y, r, t, _radius_solve(params, r, t))
     resid = conv + (spec.H / w2)[:, None] * normals
     return float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
 

@@ -290,13 +290,12 @@ def _radius_of(x, y):
     return np.asarray(_hypot(x, y), dtype=float)
 
 
-def _normal_components(params: ModelParams, x, y, t, R) -> np.ndarray:
-    """Outward unit normal at (x, y, t) on the leaf R, vectorized.
+def _normal_components(params: ModelParams, x, y, r, t, R) -> np.ndarray:
+    """Outward unit normal at (x, y, t), with r = |z|, on the leaf R, vectorized.
 
     Arrays (or scalars) in, frame coefficients (..., 3) out.
     """
-    x, y, t, R = (np.asarray(v, dtype=float) for v in (x, y, t, R))
-    r = _radius_of(x, y)
+    x, y, r, t, R = (np.asarray(v, dtype=float) for v in (x, y, r, t, R))
     sg = np.sign(t)
     gap = np.sqrt(_gap(r, R))
     w = _omega(params, r)
@@ -326,15 +325,16 @@ def outer_normal(spec: SphereSpec, point: Point, tol: float = 1e-8) -> TangentVe
             f"point is off the sphere: | |t| - f | = {abs(abs(point.t) - f):.3e}"
         )
     return TangentVector.from_array(
-        _normal_components(spec.params, point.x, point.y, point.t, spec.R))
+        _normal_components(spec.params, point.x, point.y, r, point.t, spec.R))
 
 
 def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
     """Outward unit normal of the sphere family at any point except the origin."""
     if point.r == 0.0 and point.t == 0.0:
         raise DomainError("the foliation normal is undefined at the origin")
-    R = _radius_solve(params, point.r, point.t)
-    return TangentVector.from_array(_normal_components(params, point.x, point.y, point.t, R))
+    r = point.r
+    R = _radius_solve(params, r, point.t)
+    return TangentVector.from_array(_normal_components(params, point.x, point.y, r, point.t, R))
 
 
 # ------------------------------------------------------------- area / volume
@@ -396,7 +396,7 @@ def pansu_profile(sigma: float, R: float, r):
     return _scalar_or_array(r, val)
 
 
-def _pansu_radius_solve(sigma: float, r, t, max_iter: int = 60):
+def _pansu_radius_solve(sigma: float, r, t):
     """Solve pansu_profile(sigma, R, r) = |t| for R >= r, vectorized.
 
     Newton in g = sqrt(R^2 - r^2) on F(g) = (sigma/2)[R^2 arccos(r/R) + r g],
@@ -415,7 +415,7 @@ def _pansu_radius_solve(sigma: float, r, t, max_iter: int = 60):
         g = np.minimum(t / (sigma * r), np.sqrt(4.0 * t / (math.pi * sigma)))
     done = t == 0.0
     g[done] = 0.0
-    for _ in range(max_iter):
+    for _ in range(60):
         if np.all(done):
             break
         a = np.arctan2(g, r)
