@@ -36,7 +36,7 @@ from .errors import ContractError, DomainError, NumericsError
 from .foliation import (
     CylinderSpec,
     calibration_divergence,
-    foliation_constants,
+    label_floor,
     leaf_label_grid,
     vertical_label_bound,
 )
@@ -44,7 +44,6 @@ from .isoperimetry import deficit_report, jacobi_residual, make_competitor
 from .meridians import _pansu_field, integrate_meridian, meridian_geodesic_residual
 from .sphere import (
     SphereSpec,
-    _f,
     _radius_of,
     euclidean_profile,
     graph_mean_curvature_fd,
@@ -117,40 +116,27 @@ def cmd_sphere(args: argparse.Namespace) -> int:
     n = int(args.n)
     # open grid: the radial derivative diverges at the rim r = R
     rs = spec.R * np.arange(n) / n
-    rows = [
-        (r, profile_height(spec, r), profile_height_r(spec, r), profile_height_R(spec, r))
-        for r in rs
-    ]
+    f = profile_height(spec, rs)
     if args.out:
-        _write_csv(args.out, ["r", "f", "f_r", "f_R"], rows)
+        _write_csv(args.out, ["r", "f", "f_r", "f_R"],
+                   zip(rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs)))
     if args.limits_out:
-        lim_rows = [
-            (
-                r,
-                profile_height(spec, r),
-                euclidean_profile(spec.R, r),
-                pansu_profile(args.sigma, spec.R, r),
-            )
-            for r in rs
-        ]
-        _write_csv(args.limits_out, ["r", "f", "euclidean", "pansu"], lim_rows)
+        _write_csv(args.limits_out, ["r", "f", "euclidean", "pansu"],
+                   zip(rs, f, euclidean_profile(spec.R, rs), pansu_profile(args.sigma, spec.R, rs)))
     if args.curvature_out:
         curv_rows = []
-        for r in rs:
-            t = float(profile_height(spec, r))
-            q = Point(r, 0.0, t)
+        for q in (Point(r, 0.0, t) for r, t in zip(rs, f)):
             sd = second_fundamental_form(spec, q)
-            k0 = corrected_shape(spec, q).k0_norm if r > 0.0 else 0.0
-            curv_rows.append((r, sd.kappa1, sd.kappa2, k0))
+            k0 = corrected_shape(spec, q).k0_norm if q.x > 0.0 else 0.0
+            curv_rows.append((q.x, sd.kappa1, sd.kappa2, k0))
         _write_csv(args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"], curv_rows)
     if args.sweep_out:
         r_lo = args.sweep_min if args.sweep_min is not None else 0.5 * spec.R
         r_hi = args.sweep_max if args.sweep_max is not None else 2.0 * spec.R
-        sweep = []
-        for R in np.linspace(r_lo, r_hi, int(args.sweep_n)):
-            s = SphereSpec(spec.params, float(R))
-            sweep.append((R, sphere_area(s), sphere_volume(s)))
-        _write_csv(args.sweep_out, ["R", "area", "volume"], sweep)
+        radii = np.linspace(r_lo, r_hi, int(args.sweep_n))
+        sweep = [SphereSpec(spec.params, float(R)) for R in radii]
+        _write_csv(args.sweep_out, ["R", "area", "volume"],
+                   ((s.R, sphere_area(s), sphere_volume(s)) for s in sweep))
     summary = {
         "epsilon": args.epsilon,
         "sigma": args.sigma,
@@ -180,7 +166,7 @@ def _sample_sphere_points(spec: SphereSpec, rng: np.random.Generator, n: int,
 def _check_cmc(spec: SphereSpec, rng: np.random.Generator, n: int = 30) -> float:
     rs = rng.uniform(0.05, 0.9, size=n) * spec.R
     h_fd = graph_mean_curvature_fd(
-        spec.params, lambda x: _f(spec.params, x, spec.R), rs, 1e-3 * spec.R
+        spec.params, lambda x: profile_height(spec, x), rs, 1e-3 * spec.R
     )
     return float(np.max(np.abs(h_fd - spec.H) / spec.H))
 
@@ -235,18 +221,12 @@ def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> floa
         if not delta < spec.R:
             continue
         cyl = CylinderSpec(spec, delta)
-        consts = foliation_constants(spec)
-        f0 = float(profile_height(spec, 0.0))
         rs = np.linspace(0.0, cyl.r_cut * 0.995, n)
-        f_rs = np.array([float(profile_height(spec, r)) for r in rs])
+        f_rs = profile_height(spec, rs)
         depths = np.linspace(0.0, 0.999, n)[None, :] * (f_rs[:, None] - cyl.t_cut)
         ts = f_rs[:, None] - depths
         labels = leaf_label_grid(cyl, np.broadcast_to(rs[:, None], ts.shape), ts)
-        if delta < 1e-14:
-            floor = depths**2 / (4.0 * spec.R * consts.k**2 + f0 * f0)
-        else:
-            floor = math.sqrt(delta) * depths / (spec.R * consts.k + f0)
-        margin = (1.0 - spec.R / labels) - floor
+        margin = (1.0 - spec.R / labels) - label_floor(cyl, depths)
         worst_violation = max(worst_violation, float(-margin.min()))
     return worst_violation
 

@@ -34,7 +34,7 @@ from .ambient import (
     vector_to_coordinates,
 )
 from .errors import ContractError, DomainError
-from .sphere import SphereSpec, _f, _omega, foliation_normal, outer_normal
+from .sphere import SphereSpec, _omega, _on_sphere_or_raise, _pieces, foliation_normal, outer_normal
 
 __all__ = [
     "TangentFrame",
@@ -94,17 +94,6 @@ def principal_angle(H: float, tau: float) -> float:
     return math.atan(tau / (H + math.hypot(H, tau)))
 
 
-def _on_sphere_or_raise(spec: SphereSpec, point: Point, tol: float = 1e-8) -> None:
-    r = point.r
-    if r > spec.R * (1.0 + 1e-12) + tol:
-        raise ContractError(f"point with |z| = {r} is not on the sphere R = {spec.R}")
-    f = float(_f(spec.params, min(r, spec.R), spec.R))
-    if abs(abs(point.t) - f) > tol * max(1.0, spec.R):
-        raise ContractError(
-            f"point is off the sphere: | |t| - f | = {abs(abs(point.t) - f):.3e}"
-        )
-
-
 def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
     """The adapted orthonormal frame (X1 horizontal, X2) at a sphere point.
 
@@ -118,13 +107,12 @@ def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
         raise DomainError("the adapted tangent frame is undefined at the poles")
     params, R = spec.params, spec.R
     sg = 1.0 if point.t >= 0.0 else -1.0
-    w_r = float(_omega(params, r))
+    gap, w_r, p = (float(v) for v in _pieces(params, r, R))
     w_R = float(_omega(params, R))
-    gap = math.sqrt(max(R * R - r * r, 0.0))
     a = w_r / (r * w_R)
     b = sg * gap / (r * R * w_R)
     c = r * w_R / (R * w_r)
-    p = sg * params.tau * params.epsilon * gap / w_r
+    p *= sg
     x, y = point.x, point.y
     x1 = TangentVector(-a * (y - x * p), a * (x + y * p), 0.0)
     x2 = TangentVector(-b * (x + y * p), -b * (y - x * p), c)

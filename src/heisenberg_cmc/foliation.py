@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ambient import ModelParams, Point, TangentVector, vector_to_coordinates
 from .errors import DomainError, NumericsError
@@ -44,6 +43,7 @@ __all__ = [
     "point_on_leaf",
     "calibration_field",
     "calibration_divergence",
+    "label_floor",
     "vertical_label_bound",
 ]
 
@@ -106,11 +106,6 @@ def foliation_constants(spec: SphereSpec) -> FoliationConstants:
     return FoliationConstants(k=k, C=c, D=d)
 
 
-def _leaf_equation_raw(cyl: CylinderSpec, r, t, lam):
-    params = cyl.params
-    return _f(params, r, lam) - _f(params, cyl.r_cut, lam) + cyl.t_cut - np.asarray(t, dtype=float)
-
-
 def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
     """F(r, t, lam) whose zero in lam > R labels the leaf through (r, t).
 
@@ -123,48 +118,74 @@ def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
         raise DomainError(f"t = {t!r} outside (t_cut, f(r; R))")
     if not lam > cyl.R:
         raise DomainError(f"need lam > R = {cyl.R}, got {lam!r}")
-    return float(_leaf_equation_raw(cyl, r, t, lam))
+    return float(_f(cyl.params, r, lam) - _f(cyl.params, cyl.r_cut, lam) + cyl.t_cut - t)
 
 
-def _label_below_grid(cyl: CylinderSpec, r, t, n_iter: int = 100) -> np.ndarray:
-    """Vectorized bisection for the below-graph label; F is monotone in lam."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    r, t = np.broadcast_arrays(r, t)
-    R = cyl.R
-    lo = np.full(r.shape, R, dtype=float)
-    hi = np.full(r.shape, 2.0 * R, dtype=float)
+def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Root lam > R of the leaf equation below the graph; `depth` = f(r; R) - t = F(R).
+
+    The bracket doubles from [R, 2R] until F(hi) < 0.  Newton, with
+    F_lam = f_R(r; lam) - f_R(r_cut; lam), starts where F is linear in
+    sqrt(lam - lo), as it is near lam = R when delta = 0, and bisects where a
+    step would leave the bracket.  A point is done when |F| is at the
+    rounding level of its terms (far above one ulp of lam at deep points) or
+    its step is below a few ulps of lam, whatever the other points do.
+    """
+    params, ulp = cyl.params, np.finfo(float).eps
+    rr = np.stack((r, np.full_like(r, cyl.r_cut)))  # f at r and at r_cut in one call
+    lo, F_lo = np.full_like(r, cyl.R), depth
+    hi = 2.0 * lo
     for _ in range(200):
-        bad = _leaf_equation_raw(cyl, r, t, hi) > 0.0
-        if not np.any(bad):
+        f = _f(params, rr, hi)
+        F_hi = f[0] - f[1] + cyl.t_cut - t
+        up = F_hi >= 0.0
+        if not np.any(up):
             break
-        hi = np.where(bad, 2.0 * hi, hi)
+        lo, F_lo, hi = np.where(up, hi, lo), np.where(up, F_hi, F_lo), np.where(up, 2.0 * hi, hi)
     else:
         raise NumericsError("leaf bracket expansion failed")
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        pos = _leaf_equation_raw(cyl, r, t, mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
+    lam = lo + (hi - lo) * (F_lo / (F_lo - F_hi)) ** 2
+    t_size = abs(cyl.t_cut) + np.abs(t)
+    done = np.zeros(r.shape, dtype=bool)
+    # F_lam = -inf at lam = R if delta = 0, reached by roots that round to R: step 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            f = _f(params, rr, lam)
+            F = f[0] - f[1] + cyl.t_cut - t
+            done |= np.abs(F) <= 16.0 * ulp * (np.abs(f[0]) + np.abs(f[1]) + t_size)
+            if done.all():
+                return lam
+            f_lam = _f_R(params, rr, lam)
+            step = F / (f_lam[0] - f_lam[1])
+            lo, hi = np.where(F > 0.0, lam, lo), np.where(F > 0.0, hi, lam)
+            small = np.abs(step) <= 4.0 * ulp * lam
+            new = lam - step
+            new = np.where(small | ((lo < new) & (new < hi)), new, 0.5 * (lo + hi))
+            lam = np.where(done, lam, new)
+            done |= small | (hi - lo <= 4.0 * ulp * hi)
+    if not done.all():
+        raise NumericsError("leaf label solve did not converge")
+    return lam
+
+
+def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Leaf labels of 1-d arrays of cylinder points, both branches."""
+    depth = _f(cyl.params, r, cyl.R) - t
+    out = depth + cyl.R
+    below = depth > 0.0
+    if np.any(below):
+        out[below] = _label_below(cyl, r[below], t[below], depth[below])
+    return out
 
 
 def leaf_label_grid(cyl: CylinderSpec, r, t) -> np.ndarray:
     """Leaf label u on arrays of cylinder points (vectorized)."""
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(r.shape, t.shape)
-    r, t = np.broadcast_arrays(r, t)
-    r = np.atleast_1d(r)
-    t = np.atleast_1d(t)
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    shape = r.shape
+    r, t = r.ravel(), t.ravel()
     if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
         raise DomainError("points must lie inside the half-cylinder")
-    f_here = _f(cyl.params, r, cyl.R)
-    out = np.where(t >= f_here, f_here - t + cyl.R, np.nan)
-    below = t < f_here
-    if np.any(below):
-        out[below] = _label_below_grid(cyl, r[below], t[below])
-    return out.reshape(shape)
+    return _labels(cyl, r, t).reshape(shape)
 
 
 def leaf_label(cyl: CylinderSpec, point: Point) -> float:
@@ -173,20 +194,7 @@ def leaf_label(cyl: CylinderSpec, point: Point) -> float:
     r = point.r
     if not cyl.contains(r, point.t):
         raise DomainError(f"point (r, t) = ({r}, {point.t}) is outside the half-cylinder")
-    f_here = float(_f(cyl.params, r, cyl.R))
-    if point.t >= f_here:
-        return f_here - point.t + cyl.R
-    lo, hi = cyl.R, 2.0 * cyl.R
-    for _ in range(200):
-        if _leaf_equation_raw(cyl, r, point.t, hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericsError("leaf bracket expansion failed")
-    return brentq(
-        lambda lam: float(_leaf_equation_raw(cyl, r, point.t, lam)),
-        lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200,
-    )
+    return float(_labels(cyl, np.array([r]), np.array([point.t]))[0])
 
 
 def point_on_leaf(cyl: CylinderSpec, r: float, lam: float) -> Point:
@@ -283,13 +291,22 @@ def calibration_divergence(
     return div, h_lam
 
 
-def vertical_label_bound(cyl: CylinderSpec, r: float, depth: float) -> VerticalBound:
-    """Label g(depth) = u(r, f(r;R) - depth) with its explicit lower bound.
+def label_floor(cyl: CylinderSpec, depth):
+    """Lower bound on 1 - R/label at `depth` below the graph (broadcasts).
 
-    For delta = 0 the bound on 1 - R/g is quadratic in the depth,
-    depth^2 / (4 R k^2 + f(0;R)^2); for delta > 0 it is linear,
-    sqrt(delta) * depth / (R k + f(0;R)).
+    Quadratic for delta = 0, depth^2 / (4 R k^2 + f(0;R)^2); linear for
+    delta > 0, sqrt(delta) * depth / (R k + f(0;R)).
     """
+    k = foliation_constants(cyl.spec).k
+    f0 = float(profile_height(cyl.spec, 0.0))
+    if cyl.delta < 1e-14:
+        return depth * depth / (4.0 * cyl.R * k**2 + f0 * f0)
+    return math.sqrt(cyl.delta) * depth / (cyl.R * k + f0)
+
+
+def vertical_label_bound(cyl: CylinderSpec, r: float, depth: float) -> VerticalBound:
+    """Label g(depth) = u(r, f(r;R) - depth) with its explicit lower bound
+    `label_floor`."""
     f_here = float(_f(cyl.params, r, cyl.R))
     if not (0.0 <= depth < f_here - cyl.t_cut):
         raise DomainError(f"depth must lie in [0, f(r;R) - t_cut), got {depth!r}")
@@ -297,12 +314,7 @@ def vertical_label_bound(cyl: CylinderSpec, r: float, depth: float) -> VerticalB
         raise DomainError(f"need 0 <= r < r_cut, got {r!r}")
     t = f_here - depth
     g = leaf_label(cyl, Point(r, 0.0, t)) if depth > 0.0 else cyl.R
-    consts = foliation_constants(cyl.spec)
-    f0 = float(profile_height(cyl.spec, 0.0))
-    if cyl.delta < 1e-14:
-        floor = depth * depth / (4.0 * cyl.R * consts.k**2 + f0 * f0)
-    else:
-        floor = math.sqrt(cyl.delta) * depth / (cyl.R * consts.k + f0)
+    floor = label_floor(cyl, depth)
     deficit = 1.0 - cyl.R / g
     return VerticalBound(
         label=g,

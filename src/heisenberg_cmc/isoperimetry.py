@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad, quad
-from scipy.optimize import brentq
 
 from .ambient import ModelParams, Point
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
-from .sphere import SphereSpec, _f, _f_r, _omega, profile_height, sphere_area, sphere_volume
+from .sphere import (_QUAD_RTOL, SphereSpec, _f, _f_r, _gauss_legendre, _pieces, _quad,
+                     profile_height, sphere_area, sphere_volume)
 
 __all__ = [
     "graph_area",
@@ -54,13 +53,6 @@ __all__ = [
 # ---------------------------------------------------------------- graph area
 
 
-def _quad(fun, a, b, what, epsabs=1e-13, epsrel=1e-11, points=None):
-    val, err = quad(fun, a, b, epsabs=epsabs, epsrel=epsrel, limit=300, points=points)
-    if not math.isfinite(val):
-        raise NumericsError(f"quadrature for {what} diverged")
-    return val
-
-
 def graph_area(
     params: ModelParams,
     radius: float,
@@ -74,38 +66,44 @@ def graph_area(
     (2 pi / eps) sqrt(eps^6 + f'^2 + sigma^2 r^2) r dr with the substitution
     r = radius * sin(phi), which removes the square-root rim singularity of
     the sphere profile.  General path (`gradient` = callable
-    (x, y) -> (f_x, f_y)): 2D quadrature of
+    (x, y) -> (f_x, f_y) on scalars): 2D quadrature of
     (1/eps) sqrt(eps^6 + |grad f|^2 + sigma^2 |z|^2 + 2 sigma (x f_y - y f_x))
     in polar coordinates about `center`, which includes the rotational
-    cross term that vanishes for radial graphs.
+    cross term that vanishes for radial graphs.  It is Gauss-Legendre in
+    the radius times the periodic trapezoid rule in the angle, n nodes
+    each; the n = 128 value must lie within _QUAD_RTOL of the n = 64 one.
     """
     if (slope is None) == (gradient is None):
         raise ContractError("provide exactly one of slope= or gradient=")
     e, s = params.epsilon, params.sigma
+    rad = float(radius)
     if slope is not None:
-        rad = float(radius)
 
         def integrand(phi):
-            r = rad * math.sin(phi)
-            fp = float(slope(r))
-            return math.sqrt(e**6 + fp * fp + s * s * r * r) * r * rad * math.cos(phi)
+            r = rad * np.sin(phi)
+            fp = np.asarray(slope(r), dtype=float)
+            return np.sqrt(e**6 + fp * fp + s * s * r * r) * r * rad * np.cos(phi)
 
         return (2.0 * math.pi / e) * _quad(integrand, 0.0, 0.5 * math.pi, "radial graph area")
 
     cx, cy = center
+    grad = np.frompyfunc(gradient, 2, 2)
 
-    def integrand(rho, ang):
-        x = cx + rho * math.cos(ang)
-        y = cy + rho * math.sin(ang)
-        fx, fy = gradient(x, y)
-        val = e**6 + fx * fx + fy * fy + s * s * (x * x + y * y) + 2.0 * s * (x * fy - y * fx)
-        return math.sqrt(val) * rho
+    def polar_rule(n: int) -> float:
+        x, w = _gauss_legendre(n)
+        rho = (0.5 * rad * (1.0 + x))[:, None]
+        ang = (2.0 * math.pi / n) * np.arange(n)
+        xs = cx + rho * np.cos(ang)
+        ys = cy + rho * np.sin(ang)
+        fx, fy = (np.asarray(g, dtype=float) for g in grad(xs, ys))
+        val = e**6 + fx * fx + fy * fy + s * s * (xs * xs + ys * ys) + 2.0 * s * (xs * fy - ys * fx)
+        ring = np.sum(np.sqrt(val) * rho, axis=1)
+        return 0.5 * rad * (2.0 * math.pi / n) * float(w @ ring)
 
-    val, err = dblquad(integrand, 0.0, 2.0 * math.pi, 0.0, float(radius),
-                       epsabs=1e-11, epsrel=1e-9)
-    if not math.isfinite(val):
-        raise NumericsError("2D graph-area quadrature diverged")
-    return val / e
+    fine, coarse = polar_rule(128), polar_rule(64)
+    if not (math.isfinite(fine) and abs(fine - coarse) <= _QUAD_RTOL * fine):
+        raise NumericsError(f"2D graph-area quadrature did not converge ({fine} vs {coarse})")
+    return fine / e
 
 
 def subriemannian_hemisphere_area(sigma: float, R: float) -> float:
@@ -118,9 +116,8 @@ def subriemannian_hemisphere_area(sigma: float, R: float) -> float:
     """
 
     def integrand(phi):
-        sn, cs = math.sin(phi), math.cos(phi)
-        r = R * sn
-        return sigma * r * r * math.sqrt(r * r + (R * cs) ** 2)
+        r = R * np.sin(phi)
+        return sigma * r * r * np.sqrt(r * r + (R * np.cos(phi)) ** 2)
 
     return 2.0 * math.pi * _quad(integrand, 0.0, 0.5 * math.pi, "sub-Riemannian area")
 
@@ -189,8 +186,12 @@ class Competitor:
 
 
 def _bump_mass(bump: RadialBump) -> float:
-    lo, hi = bump.support
-    return _quad(lambda r: float(bump(r)) * r, lo, hi, "bump mass", epsabs=1e-14, epsrel=1e-12)
+    return _quad(lambda r: bump(r) * r, *bump.support, "bump mass")
+
+
+def _over_bumps(comp: Competitor, integrand, what: str) -> float:
+    """Sum of the integrals of a vectorized integrand over the two bump supports."""
+    return sum(_quad(integrand, *bump.support, what) for bump in (comp.add, comp.sub))
 
 
 def make_competitor(
@@ -203,9 +204,11 @@ def make_competitor(
 
     Two disjoint radial bumps inside (0.06, 0.94) * r_cut; the added bump
     gets `amplitude` (or a random small multiple of the cylinder head
-    room) and the removed bump's amplitude is solved so the enclosed
-    volume matches the sphere's exactly.  Raises DomainError when the
-    requested amplitude would push the graph out of the cylinder.
+    room) and the removed bump's amplitude is amplitude * m_add / m_sub,
+    with m the bumps' radial masses, so the enclosed volume matches the
+    sphere's exactly: the volume is linear in the amplitudes and the bumps
+    are disjoint.  Raises DomainError when the requested amplitude would
+    push the graph out of the cylinder.
     """
     if cyl.spec != spec:
         raise ContractError("cylinder was built for a different sphere")
@@ -225,20 +228,7 @@ def make_competitor(
     if amplitude is None:
         amplitude = float(rng.uniform(0.01, 0.05)) * max(head, 0.1 * spec.R)
 
-    m_add, m_sub = _bump_mass(add), _bump_mass(sub)
-    hi = 4.0 * amplitude * m_add / m_sub
-
-    def volume_mismatch(a_sub: float) -> float:
-        comp = Competitor(spec, cyl, add, amplitude, sub, a_sub)
-        lo1, hi1 = add.support
-        lo2, hi2 = sub.support
-        v1 = _quad(lambda r: float(comp.height_change(r)) * r, lo1, hi1, "dv1",
-                   epsabs=1e-15, epsrel=1e-13)
-        v2 = _quad(lambda r: float(comp.height_change(r)) * r, lo2, hi2, "dv2",
-                   epsabs=1e-15, epsrel=1e-13)
-        return v1 + v2
-
-    amp_sub = brentq(volume_mismatch, 0.0, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+    amp_sub = amplitude * _bump_mass(add) / _bump_mass(sub)
     comp = Competitor(spec, cyl, add, amplitude, sub, amp_sub)
 
     margin = 0.1 * head
@@ -247,9 +237,8 @@ def make_competitor(
             f"competitor rejected: removing amplitude {amp_sub:.3e} exceeds the "
             f"cylinder head room {head:.3e} at the bump support"
         )
-    vol = sphere_volume(spec)
-    dv = 2.0 * math.pi * volume_mismatch(amp_sub)
-    if abs(dv) > 1e-10 * vol:
+    dv = 2.0 * math.pi * _over_bumps(comp, lambda r: comp.height_change(r) * r, "volume change")
+    if abs(dv) > 1e-10 * sphere_volume(spec):
         raise NumericsError(f"volume compensation failed: residual {dv:.3e}")
     return comp
 
@@ -276,31 +265,20 @@ def _area_excess(comp: Competitor) -> float:
     e, s = params.epsilon, params.sigma
     R = comp.spec.R
 
-    def piece(lo: float, hi: float) -> float:
-        def integrand(r):
-            fr = float(_f_r(params, r, R))
-            dfr = float(comp.slope_change(r))
-            w2 = e**6 + fr * fr + s * s * r * r
-            wt2 = e**6 + (fr + dfr) ** 2 + s * s * r * r
-            num = 2.0 * fr * dfr + dfr * dfr
-            return num / (math.sqrt(wt2) + math.sqrt(w2)) * r
+    def integrand(r):
+        fr = _f_r(params, r, R)
+        dfr = comp.slope_change(r)
+        w2 = e**6 + fr * fr + s * s * r * r
+        wt2 = e**6 + (fr + dfr) ** 2 + s * s * r * r
+        num = 2.0 * fr * dfr + dfr * dfr
+        return num / (np.sqrt(wt2) + np.sqrt(w2)) * r
 
-        return _quad(integrand, lo, hi, "area excess", epsabs=1e-15, epsrel=1e-13)
-
-    total = 0.0
-    for bump in (comp.add, comp.sub):
-        lo, hi = bump.support
-        total += piece(lo, hi)
-    return (2.0 * math.pi / e) * total
+    return (2.0 * math.pi / e) * _over_bumps(comp, integrand, "area excess")
 
 
 def _symdiff_volume(comp: Competitor) -> float:
-    total = 0.0
-    for bump in (comp.add, comp.sub):
-        lo, hi = bump.support
-        total += _quad(lambda r: abs(float(comp.height_change(r))) * r, lo, hi,
-                       "symmetric difference", epsabs=1e-15, epsrel=1e-13)
-    return 2.0 * math.pi * total
+    return 2.0 * math.pi * _over_bumps(
+        comp, lambda r: np.abs(comp.height_change(r)) * r, "symmetric difference")
 
 
 def deficit_report(comp: Competitor) -> DeficitReport:
@@ -361,8 +339,8 @@ def calibration_gain(comp: Competitor, n_r: int = 48, n_t: int = 24) -> tuple[fl
     params = comp.spec.params
     R = comp.spec.R
     lo, hi = comp.sub.support
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
-    xt, wt = np.polynomial.legendre.leggauss(n_t)
+    xr, wr = _gauss_legendre(n_r)
+    xt, wt = _gauss_legendre(n_t)
     rs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xr
     wr = 0.5 * (hi - lo) * wr
     f_here = _f(params, rs, R)
@@ -388,12 +366,10 @@ def normal_component(spec: SphereSpec, which: str, point: Point) -> float:
     sgn(t) sqrt(R^2-r^2) / (w(r) R); each solves the Jacobi equation on the
     sphere.
     """
-    params, R = spec.params, spec.R
-    r = point.r
+    R = spec.R
     sg = float(np.sign(point.t))
-    gap = math.sqrt(max(R * R - r * r, 0.0))
-    w = float(_omega(params, r))
-    p = sg * params.tau * params.epsilon * gap / w
+    gap, w, p = (float(v) for v in _pieces(spec.params, point.r, R))
+    p *= sg
     if which == "x":
         return (point.x - point.y * p) / R
     if which == "y":

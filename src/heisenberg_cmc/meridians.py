@@ -34,7 +34,7 @@ from .ambient import (
     christoffel_frame,
     vector_to_coordinates,
 )
-from .errors import ContractError, DomainError, NumericsError
+from .errors import DomainError, NumericsError
 from .sphere import (
     SphereSpec,
     _ell,
@@ -43,6 +43,7 @@ from .sphere import (
     _gap,
     _normal_components,
     _omega,
+    _on_sphere_or_raise,
     _p_north,
     _radius_of,
     _radius_solve,
@@ -98,6 +99,13 @@ def _require_off_axis(point: Point) -> None:
         raise DomainError("operation undefined on the center axis z = 0")
 
 
+def _leaf_terms(params: ModelParams, point: Point) -> tuple[float, float, float, float, float]:
+    """R, p signed by the hemisphere, ell(p), w(r) and w(R) of the leaf through the point."""
+    R = float(_radius_solve(params, point.r, point.t))
+    p = float(np.sign(point.t)) * float(_p_north(params, point.r, R))
+    return R, p, float(_ell(p)), float(_omega(params, point.r)), float(_omega(params, R))
+
+
 def normal_derivatives(params: ModelParams, point: Point) -> tuple[float, float]:
     """Derivatives along the foliation normal of the leaf radius R and of p.
 
@@ -109,15 +117,10 @@ def normal_derivatives(params: ModelParams, point: Point) -> tuple[float, float]
     if point.r == 0.0 and point.t == 0.0:
         raise DomainError("normal derivatives are undefined at the origin")
     e, tau = params.epsilon, params.tau
-    R = float(_radius_solve(params, point.r, point.t))
-    sg = float(np.sign(point.t))
-    p = sg * float(_p_north(params, point.r, R))
-    ell = float(_ell(p))
+    R, p, ell, w, wR = _leaf_terms(params, point)
     nr = ell / e
     if point.t == 0.0 or tau == 0.0:
         return nr, 0.0
-    w = float(_omega(params, point.r))
-    wR = float(_omega(params, R))
     npv = e * tau * tau * (R * R * w * w * ell - point.r**2 * wR * wR) / (R * w**4 * p)
     return nr, npv
 
@@ -135,12 +138,7 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
     if point.t == 0.0 or tau == 0.0:
         return TangentVector(0.0, 0.0, 0.0)
     r = point.r
-    R = float(_radius_solve(params, r, point.t))
-    sg = float(np.sign(point.t))
-    p = sg * float(_p_north(params, r, R))
-    ell = float(_ell(p))
-    w = float(_omega(params, r))
-    wR = float(_omega(params, R))
+    R, p, ell, w, wR = _leaf_terms(params, point)
     # D = N(p/R) = (R Np - p NR)/R^2
     d = -e * tau * tau * r * r * (wR * wR - ell * w * w) / (R * R * w**4 * p)
     phi = -(w * w * p) / (tau * e * r) ** 2
@@ -151,15 +149,16 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
     )
 
 
-def _lam_mu(params: ModelParams, r: float, t: float, R: float) -> tuple[float, float, float]:
-    """lam, mu, and m = mu/(tau eps); m stays finite through tau = 0."""
+def _lam_mu(params: ModelParams, r: float, t: float, R: float) -> tuple[float, float, float, float]:
+    """lam, mu, m = mu/(tau eps) and w(r); m stays finite through tau = 0."""
     sg = 1.0 if t > 0.0 else (-1.0 if t < 0.0 else 0.0)
     gap = math.sqrt(max(R * R - r * r, 0.0))
-    w = float(_omega(params, r))
+    rho = params.tau * params.epsilon * r  # rho * rho, as np.square in _omega
+    w = math.sqrt(1.0 + rho * rho)
     lam = sg * gap / (r * R)
     m = r / (R * w)
     mu = params.tau * params.epsilon * m
-    return lam, mu, m
+    return lam, mu, m, w
 
 
 def meridian_field(params: ModelParams, point: Point) -> TangentVector:
@@ -170,7 +169,7 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     """
     _require_off_axis(point)
     R = float(_radius_solve(params, point.r, point.t))
-    lam, mu, m = _lam_mu(params, point.r, point.t, R)
+    lam, mu, m, _ = _lam_mu(params, point.r, point.t, R)
     return TangentVector(
         point.x * lam - point.y * mu,
         point.y * lam + point.x * mu,
@@ -204,8 +203,7 @@ def _field_on_sphere(params: ModelParams, R: float, x: float, y: float, t: float
     """
     e = params.epsilon
     r = math.hypot(x, y)
-    lam, mu, _ = _lam_mu(params, r, t, R)
-    w = math.sqrt(1.0 + (params.tau * e * r) ** 2)
+    lam, mu, _, w = _lam_mu(params, r, t, R)
     vx = (x * lam - y * mu) / e
     vy = (y * lam + x * mu) / e
     vt = -e * e * r * w / R
@@ -263,9 +261,7 @@ def integrate_meridian(
     pole (then one exact pole sample is appended) or after `max_len`.
     """
     params, R = spec.params, spec.R
-    f_start = float(_f(params, min(start.r, R), R))
-    if abs(abs(start.t) - f_start) > 1e-8 * max(1.0, R):
-        raise ContractError("start point is not on the sphere")
+    _on_sphere_or_raise(spec, start)
     if start.r <= 1e-6 * R:
         raise DomainError("start must be off the poles")
     h = step if step is not None else R / 2000.0
@@ -302,7 +298,7 @@ def integrate_meridian(
     vels = np.empty_like(points)
     for i, (px, py, pt) in enumerate(points):
         r = math.hypot(px, py)
-        lam, mu, m = _lam_mu(params, r, pt, R)
+        lam, mu, m, _ = _lam_mu(params, r, pt, R)
         vels[i] = (px * lam - py * mu, py * lam + px * mu, -m)
     if math.hypot(points[-1, 0], points[-1, 1]) < pole_r and points[-1, 2] < 0.0:
         f0 = float(_f(params, 0.0, R))

@@ -145,3 +145,24 @@ def test_config_file_precedence(tmp_path):
     # a flag overrides the file
     res2 = run_cli("sphere", "--R", "1", "--epsilon", "1.0", "--config", str(cfg))
     assert json.loads(res2.stdout)["epsilon"] == 1.0
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The library needs scipy only for the tests: with every scipy import
+    blocked, the CLI still runs the subcommands that integrate and solve."""
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from heisenberg_cmc import cli
+out = {str(tmp_path)!r}
+codes = [
+    cli.main(["sphere", "--R", "1", "--sweep-out", out + "/sweep.csv"]),
+    cli.main(["verify", "--foliation-out", out + "/fol.csv", "--json", out + "/report.json"]),
+    cli.main(["isoperim", "--n", "2"]),
+]
+sys.exit(max(codes))
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 10
+    assert len((tmp_path / "fol.csv").read_text().splitlines()) > 1

@@ -231,6 +231,14 @@ def test_meridian_requires_on_sphere_start(spec):
         integrate_meridian(spec, Point(0.3, 0.0, 1.5))
 
 
+def test_meridian_rejects_start_outside_the_rim():
+    """|z| > R is off the sphere even though |t| = 0 = f(R; R) there."""
+    from heisenberg_cmc import ContractError
+
+    with pytest.raises(ContractError):
+        integrate_meridian(SphereSpec(ModelParams(1.0, 1.0), 1.0), Point(1.5, 0.0, 0.0))
+
+
 def test_euclidean_field_meridian_plane_and_tangency(rng):
     for _ in range(20):
         q = random_point(rng)
