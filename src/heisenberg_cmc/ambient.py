@@ -190,7 +190,7 @@ def christoffel_frame(params: ModelParams) -> np.ndarray:
 
 
 def _connect(gamma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", u, v, gamma)
+    return np.einsum("...i,...j,ijk->...k", u, v, gamma)
 
 
 def covariant_derivative(
@@ -221,6 +221,15 @@ def lie_bracket(params: ModelParams, u: TangentVector, v: TangentVector) -> Tang
     return TangentVector(0.0, 0.0, -2.0 * params.tau * c)
 
 
+def _curvature_operator(params: ModelParams, u, v, w) -> np.ndarray:
+    """R(u, v)w on frame coefficients (..., 3), broadcasting; the connection
+    is torsion-free, so [u, v] = nabla_u v - nabla_v u."""
+    g = christoffel_frame(params)
+    bracket = _connect(g, u, v) - _connect(g, v, u)
+    return (_connect(g, u, _connect(g, v, w)) - _connect(g, v, _connect(g, u, w))
+            - _connect(g, bracket, w))
+
+
 def curvature_operator(
     params: ModelParams,
     u: TangentVector,
@@ -232,13 +241,8 @@ def curvature_operator(
     u, v, w are treated as constant-coefficient frame fields, which is
     sufficient because curvature is tensorial.
     """
-    gamma = christoffel_frame(params)
-    ua, va, wa = u.as_array(), v.as_array(), w.as_array()
-    dvw = _connect(gamma, va, wa)
-    duw = _connect(gamma, ua, wa)
-    br = lie_bracket(params, u, v).as_array()
-    out = _connect(gamma, ua, dvw) - _connect(gamma, va, duw) - _connect(gamma, br, wa)
-    return TangentVector.from_array(out)
+    return TangentVector.from_array(
+        _curvature_operator(params, u.as_array(), v.as_array(), w.as_array()))
 
 
 def ricci(params: ModelParams, n: TangentVector, tol: float = 1e-12) -> float:

@@ -24,30 +24,19 @@ import sys
 
 import numpy as np
 
-from .ambient import ModelParams, Point, curvature_operator, vertical_component
-from .curvature import (
-    assemble_corrected_shape,
-    corrected_shape,
-    principal_angle,
-    second_fundamental_form,
-    tangent_frame,
-)
+from .ambient import ModelParams, Point, _curvature_operator
+from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
+                        principal_angle)
 from .errors import ContractError, DomainError, NumericsError
-from .foliation import (
-    CylinderSpec,
-    calibration_divergence,
-    label_floor,
-    leaf_label_grid,
-    vertical_label_bound,
-)
+from .foliation import CylinderSpec, _divergence, label_floor, leaf_label_grid
 from .isoperimetry import deficit_report, jacobi_residual, make_competitor
 from .meridians import _pansu_field, integrate_meridian, meridian_geodesic_residual
 from .sphere import (
     SphereSpec,
+    _normal_components,
     _radius_of,
     euclidean_profile,
     graph_mean_curvature_fd,
-    outer_normal,
     pansu_profile,
     profile_height,
     profile_height_R,
@@ -124,12 +113,11 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         _write_csv(args.limits_out, ["r", "f", "euclidean", "pansu"],
                    zip(rs, f, euclidean_profile(spec.R, rs), pansu_profile(args.sigma, spec.R, rs)))
     if args.curvature_out:
-        curv_rows = []
-        for q in (Point(r, 0.0, t) for r, t in zip(rs, f)):
-            sd = second_fundamental_form(spec, q)
-            k0 = corrected_shape(spec, q).k0_norm if q.x > 0.0 else 0.0
-            curv_rows.append((q.x, sd.kappa1, sd.kappa2, k0))
-        _write_csv(args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"], curv_rows)
+        h, kappa1, kappa2 = _shape(spec, rs)
+        c = _frame_coefficients(spec, rs, f)[2]
+        k0 = assemble_corrected_shape(spec.H, spec.params.tau, h, c)
+        _write_csv(args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"],
+                   zip(rs, kappa1, kappa2, k0.k0_norm))
     if args.sweep_out:
         r_lo = args.sweep_min if args.sweep_min is not None else 0.5 * spec.R
         r_hi = args.sweep_max if args.sweep_max is not None else 2.0 * spec.R
@@ -153,14 +141,16 @@ def cmd_sphere(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 
-def _sample_sphere_points(spec: SphereSpec, rng: np.random.Generator, n: int,
+def _sample_sphere_points(spec: SphereSpec, rng: np.random.Generator, n: int, extra=(),
                           lo: float = 0.02, hi: float = 0.98):
-    for _ in range(n):
-        r = rng.uniform(lo, hi) * spec.R
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        sg = 1.0 if rng.uniform() < 0.5 else -1.0
-        t = sg * float(profile_height(spec, r))
-        yield Point(r * math.cos(th), r * math.sin(th), t)
+    """x, y, r, t of n sphere points, then one column per (low, high) in `extra`;
+    each row draws the radius fraction, the angle, the hemisphere and then the
+    extras, one uniform each, as one draw at a time would."""
+    lows, highs = zip((lo, hi), (0.0, 2.0 * math.pi), (0.0, 1.0), *extra)
+    u = rng.uniform(lows, highs, size=(n, len(lows)))
+    r = u[:, 0] * spec.R
+    t = np.where(u[:, 2] < 0.5, 1.0, -1.0) * profile_height(spec, r)
+    return r * np.cos(u[:, 1]), r * np.sin(u[:, 1]), r, t, u[:, 3:].T
 
 
 def _check_cmc(spec: SphereSpec, rng: np.random.Generator, n: int = 30) -> float:
@@ -172,47 +162,37 @@ def _check_cmc(spec: SphereSpec, rng: np.random.Generator, n: int = 30) -> float
 
 
 def _check_k0(spec: SphereSpec, rng: np.random.Generator, perturb: float, n: int = 40) -> float:
-    worst = 0.0
-    for q in _sample_sphere_points(spec, rng, n):
-        shape = second_fundamental_form(spec, q)
-        frame = tangent_frame(spec, q)
-        h = shape.h.copy()
-        h[0, 0] += perturb
-        data = assemble_corrected_shape(spec.H, spec.params.tau, h, frame.c)
-        worst = max(worst, data.k0_norm)
-    return worst
+    _, _, r, t, _ = _sample_sphere_points(spec, rng, n)
+    h = _shape(spec, r)[0]
+    h[:, 0, 0] += perturb
+    c = _frame_coefficients(spec, r, t)[2]
+    return float(np.max(assemble_corrected_shape(spec.H, spec.params.tau, h, c).k0_norm))
 
 
 def _check_principal(spec: SphereSpec, rng: np.random.Generator, n: int = 40) -> float:
-    worst = 0.0
-    beta_ref = principal_angle(spec.H, spec.params.tau)
-    for q in _sample_sphere_points(spec, rng, n):
-        shape = second_fundamental_form(spec, q)
-        cb, sb = math.cos(shape.beta), math.sin(shape.beta)
-        for kvec, kap in (((cb, sb), shape.kappa1), ((-sb, cb), shape.kappa2)):
-            res = shape.h @ np.array(kvec) - kap * np.array(kvec)
-            worst = max(worst, float(np.max(np.abs(res))))
-        worst = max(worst, abs(shape.beta - beta_ref))
-    return worst
+    _, _, r, _, _ = _sample_sphere_points(spec, rng, n)
+    h, kappa1, kappa2 = _shape(spec, r)
+    beta = principal_angle(spec.H, spec.params.tau)
+    k = np.array([[math.cos(beta), -math.sin(beta)], [math.sin(beta), math.cos(beta)]])
+    # column j of k is the j-th principal direction
+    res = h @ k - k * np.stack((kappa1, kappa2), axis=-1)[:, None, :]
+    return float(np.max(np.abs(res)))
 
 
 def _check_curvature_identity(spec: SphereSpec, rng: np.random.Generator, n: int = 40) -> float:
-    params = spec.params
-    tau = params.tau
-    worst = 0.0
-    for q in _sample_sphere_points(spec, rng, n):
-        frame = tangent_frame(spec, q)
-        nvec = outer_normal(spec, q)
-        psi = rng.uniform(0.0, 2.0 * math.pi)
-        scale = math.sqrt(rng.uniform(0.5, 2.0))
-        v1 = scale * (math.cos(psi) * frame.X1 + math.sin(psi) * frame.X2)
-        v2 = scale * (-math.sin(psi) * frame.X1 + math.cos(psi) * frame.X2)
-        energy = scale * scale
-        lhs = curvature_operator(params, v2, v1, nvec).dot(v2)
-        rhs = 4.0 * tau * tau * energy * vertical_component(v1) * vertical_component(nvec)
-        den = max(abs(rhs), 0.01 * (1.0 + tau * tau) * energy)
-        worst = max(worst, abs(lhs - rhs) / den)
-    return worst
+    params, tau = spec.params, spec.params.tau
+    x, y, r, t, (psi, scale2) = _sample_sphere_points(
+        spec, rng, n, ((0.0, 2.0 * math.pi), (0.5, 2.0)))
+    x1, x2 = _frame_vectors(x, y, *_frame_coefficients(spec, r, t))
+    nvec = _normal_components(params, x, y, r, t, spec.R)
+    scale, cs, sn = np.sqrt(scale2)[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None]
+    v1 = scale * (cs * x1 + sn * x2)
+    v2 = scale * (-sn * x1 + cs * x2)
+    energy = scale[:, 0] * scale[:, 0]
+    lhs = np.sum(_curvature_operator(params, v2, v1, nvec) * v2, axis=-1)
+    rhs = 4.0 * tau * tau * energy * v1[:, 2] * nvec[:, 2]
+    den = np.maximum(np.abs(rhs), 0.01 * (1.0 + tau * tau) * energy)
+    return float(np.max(np.abs(lhs - rhs) / den))
 
 
 def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> float:
@@ -274,21 +254,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fol_rows = []
         for delta in (0.0, float(args.delta)):
             cyl = CylinderSpec(spec0, delta)
-            for r in np.linspace(0.05, 0.9, 10) * cyl.r_cut:
-                f_here = float(profile_height(spec0, r))
-                for frac in np.linspace(0.15, 0.85, 8):
-                    depth = frac * (f_here - cyl.t_cut)
-                    q = Point(r, 0.0, f_here - depth)
-                    try:
-                        div, _ = calibration_divergence(cyl, q)
-                        vb = vertical_label_bound(cyl, r, depth)
-                    except DomainError:
-                        continue
-                    fol_rows.append(
-                        (delta, r, q.t, vb.label, 0.5 * div, vb.deficit - vb.floor)
-                    )
+            r = np.repeat(np.linspace(0.05, 0.9, 10) * cyl.r_cut, 8)
+            f_here = profile_height(spec0, r)
+            depth = np.tile(np.linspace(0.15, 0.85, 8), 10) * (f_here - cyl.t_cut)
+            t = f_here - depth
+            div, u, ok = _divergence(cyl, r, np.zeros_like(r), t, 1e-5 * cyl.R)
+            rows = np.column_stack((np.full(r.shape, delta), r, t, u, 0.5 * div,
+                                    (1.0 - cyl.R / u) - label_floor(cyl, depth)))
+            fol_rows.append(rows[ok])
         _write_csv(args.foliation_out,
-                   ["delta", "r", "t", "u", "half_div_V", "bound_slack"], fol_rows)
+                   ["delta", "r", "t", "u", "half_div_V", "bound_slack"], np.concatenate(fol_rows))
 
     report = {
         "grid": bool(args.grid),

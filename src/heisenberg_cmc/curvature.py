@@ -80,7 +80,7 @@ class CorrectedShapeData:
     k: np.ndarray
     k0: np.ndarray
     alpha: float
-    k0_norm: float
+    k0_norm: float | np.ndarray  # an array when h holds several points
 
 
 def principal_angle(H: float, tau: float) -> float:
@@ -94,6 +94,28 @@ def principal_angle(H: float, tau: float) -> float:
     return math.atan(tau / (H + math.hypot(H, tau)))
 
 
+def _frame_coefficients(spec: SphereSpec, r, t):
+    """a, b, c and the hemisphere-signed p of the adapted frame at radii r and
+    heights t on the sphere, broadcasting.  a and b are infinite at the
+    poles, where the frame is undefined; c vanishes there."""
+    params, R = spec.params, spec.R
+    r = np.asarray(r, dtype=float)
+    sg = np.where(np.asarray(t) >= 0.0, 1.0, -1.0)
+    gap, w_r, p = _pieces(params, r, R)
+    w_R = _omega(params, R)
+    with np.errstate(divide="ignore"):
+        a = w_r / (r * w_R)
+        b = sg * gap / (r * R * w_R)
+    return a, b, r * w_R / (R * w_r), sg * p
+
+
+def _frame_vectors(x, y, a, b, c, p):
+    """X1 and X2 as frame coefficients (..., 3) from the frame coefficients."""
+    u, v = y - x * p, x + y * p
+    return (np.stack((-a * u, a * v, np.zeros_like(u)), axis=-1),
+            np.stack((-b * v, -b * u, c * np.ones_like(u)), axis=-1))
+
+
 def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
     """The adapted orthonormal frame (X1 horizontal, X2) at a sphere point.
 
@@ -102,21 +124,24 @@ def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
     positively oriented.
     """
     _on_sphere_or_raise(spec, point)
-    r = point.r
-    if r <= 1e-12 * spec.R:
+    if point.r <= 1e-12 * spec.R:
         raise DomainError("the adapted tangent frame is undefined at the poles")
-    params, R = spec.params, spec.R
-    sg = 1.0 if point.t >= 0.0 else -1.0
-    gap, w_r, p = (float(v) for v in _pieces(params, r, R))
-    w_R = float(_omega(params, R))
-    a = w_r / (r * w_R)
-    b = sg * gap / (r * R * w_R)
-    c = r * w_R / (R * w_r)
-    p *= sg
-    x, y = point.x, point.y
-    x1 = TangentVector(-a * (y - x * p), a * (x + y * p), 0.0)
-    x2 = TangentVector(-b * (x + y * p), -b * (y - x * p), c)
+    a, b, c, p = (float(v) for v in _frame_coefficients(spec, point.r, point.t))
+    x1, x2 = map(TangentVector.from_array, _frame_vectors(point.x, point.y, a, b, c, p))
     return TangentFrame(X1=x1, X2=x2, a=a, b=b, c=c, p=p)
+
+
+def _shape(spec: SphereSpec, r):
+    """h (..., 2, 2) in the adapted frame and the principal curvatures
+    kappa1, kappa2 at radii r, broadcasting."""
+    H, tau = spec.H, spec.params.tau
+    rho = tau * spec.params.epsilon * np.asarray(r, dtype=float)
+    den = 1.0 + rho * rho
+    off = tau * rho * rho / den
+    h = np.stack((np.stack((H * (1.0 + 2.0 * rho * rho) / den, off), axis=-1),
+                  np.stack((off, H / den), axis=-1)), axis=-2)
+    spread = (rho * rho / den) * math.hypot(H, tau)
+    return h, H + spread, H - spread
 
 
 def second_fundamental_form(spec: SphereSpec, point: Point) -> ShapeData:
@@ -126,26 +151,15 @@ def second_fundamental_form(spec: SphereSpec, point: Point) -> ShapeData:
     directions are undefined (K1 = K2 = None).
     """
     _on_sphere_or_raise(spec, point)
-    params, R, H = spec.params, spec.R, spec.H
-    tau = params.tau
-    rho = tau * params.epsilon * point.r
-    den = 1.0 + rho * rho
-    h = np.array(
-        [
-            [H * (1.0 + 2.0 * rho * rho) / den, tau * rho * rho / den],
-            [tau * rho * rho / den, H / den],
-        ]
-    )
-    spread = (rho * rho / den) * math.hypot(H, tau)
-    kappa1, kappa2 = H + spread, H - spread
-    beta = principal_angle(H, tau)
-    if point.r <= 1e-12 * R:
-        return ShapeData(h=h, kappa1=kappa1, kappa2=kappa2, beta=beta, K1=None, K2=None)
-    fr = tangent_frame(spec, point)
-    cb, sb = math.cos(beta), math.sin(beta)
-    k1 = cb * fr.X1 + sb * fr.X2
-    k2 = -sb * fr.X1 + cb * fr.X2
-    return ShapeData(h=h, kappa1=kappa1, kappa2=kappa2, beta=beta, K1=k1, K2=k2)
+    h, kappa1, kappa2 = _shape(spec, point.r)
+    beta = principal_angle(spec.H, spec.params.tau)
+    k1 = k2 = None
+    if point.r > 1e-12 * spec.R:
+        fr = tangent_frame(spec, point)
+        cb, sb = math.cos(beta), math.sin(beta)
+        k1 = cb * fr.X1 + sb * fr.X2
+        k2 = -sb * fr.X1 + cb * fr.X2
+    return ShapeData(h=h, kappa1=float(kappa1), kappa2=float(kappa2), beta=beta, K1=k1, K2=k2)
 
 
 def shape_operator_fd(
@@ -185,25 +199,27 @@ def shape_operator_fd(
     return vn * res
 
 
-def assemble_corrected_shape(H: float, tau: float, h: np.ndarray, theta2: float) -> CorrectedShapeData:
+def assemble_corrected_shape(H: float, tau: float, h, theta2) -> CorrectedShapeData:
     """Assemble k = h + (2 tau^2/sqrt(H^2+tau^2)) q (theta x theta) q^{-1}.
 
     `h` is the 2x2 second fundamental form in the adapted frame and
     `theta2` the vertical component of X2 (that of X1 vanishes by
-    construction).  Exposed separately so negative controls can inject a
-    perturbed h.
+    construction); both broadcast, h over (..., 2, 2) and theta2 over
+    (...), and k0_norm is a float for one point.  Exposed separately so
+    negative controls can inject a perturbed h.
     """
     alpha = principal_angle(H, tau)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    q = np.array([[ca, -sa], [sa, ca]])
-    vert = np.array([[0.0, 0.0], [0.0, theta2 * theta2]])
-    k = np.asarray(h, dtype=float) + (2.0 * tau * tau / math.hypot(H, tau)) * (q @ vert @ q.T)
-    k0 = k - 0.5 * np.trace(k) * np.eye(2)
-    return CorrectedShapeData(k=k, k0=k0, alpha=alpha, k0_norm=float(np.linalg.norm(k0)))
+    q2 = np.array([-math.sin(alpha), math.cos(alpha)])  # q applied to the second axis
+    theta2 = np.asarray(theta2, dtype=float)[..., None, None]
+    vert = (2.0 * tau * tau / math.hypot(H, tau)) * theta2 * theta2 * np.outer(q2, q2)
+    k = np.asarray(h, dtype=float) + vert
+    k0 = k - 0.5 * np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
+    k0_norm = np.sqrt(np.sum(k0 * k0, axis=(-2, -1)))
+    return CorrectedShapeData(k=k, k0=k0, alpha=alpha,
+                              k0_norm=float(k0_norm) if k0_norm.ndim == 0 else k0_norm)
 
 
 def corrected_shape(spec: SphereSpec, point: Point) -> CorrectedShapeData:
     """The corrected operator at a non-pole sphere point (trace-free part ~ 0)."""
-    shape = second_fundamental_form(spec, point)
     frame = tangent_frame(spec, point)
-    return assemble_corrected_shape(spec.H, spec.params.tau, shape.h, frame.c)
+    return assemble_corrected_shape(spec.H, spec.params.tau, _shape(spec, point.r)[0], frame.c)

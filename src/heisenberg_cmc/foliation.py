@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import ModelParams, Point, TangentVector, vector_to_coordinates
+from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
-from .sphere import SphereSpec, _f, _f_R, _f_r, _omega, profile_height
+from .sphere import SphereSpec, _f, _f_R, _f_r, _omega, _radius_of, profile_height
 
 __all__ = [
     "CylinderSpec",
@@ -209,45 +209,73 @@ def point_on_leaf(cyl: CylinderSpec, r: float, lam: float) -> Point:
     return Point(r, 0.0, t)
 
 
-def _gradient_components(cyl: CylinderSpec, point: Point) -> tuple[float, float]:
-    """(u_r, u_t) of the label in coordinates, by branch."""
-    params = cyl.params
-    r = point.r
-    f_here = float(_f(params, r, cyl.R))
-    if point.t >= f_here:
-        u_r = float(_f_r(params, r, cyl.R)) if r > 0.0 else 0.0
-        return u_r, -1.0
-    lam = leaf_label(cyl, point)
-    f_lam = float(_f_R(params, r, lam)) - float(_f_R(params, cyl.r_cut, lam))
-    u_t = 1.0 / f_lam
-    u_r = -float(_f_r(params, r, lam)) / f_lam if r > 0.0 else 0.0
-    return u_r, u_t
+def _field(cyl: CylinderSpec, x, y, t, above=None):
+    """V as frame coefficients (n, 3) at 1-d arrays of points, and the mask of
+    the points where it is taken: inside the half-cylinder and, where
+    `above` is given, on its side of the sphere (t >= f(|z|; R) is above).
+    Rows outside the mask are NaN.
+
+    The gradient of the label is analytic above the graph and comes from
+    implicit differentiation of the leaf equation below it.
+    """
+    params, R = cyl.params, cyl.R
+    e, s = params.epsilon, params.sigma
+    r = _radius_of(x, y)
+    ok = (r < R) & (t > cyl.t_cut)
+    depth = np.zeros_like(r)
+    depth[ok] = _f(params, r[ok], R) - t[ok]
+    if above is not None:
+        ok &= (depth <= 0.0) == above
+    up, down = ok & (depth <= 0.0), ok & (depth > 0.0)
+    u_r, u_t = np.zeros_like(r), np.full_like(r, -1.0)
+    u_r[up] = _f_r(params, r[up], R)
+    lam = _label_below(cyl, r[down], t[down], depth[down])
+    f_lam = _f_R(params, r[down], lam) - _f_R(params, cyl.r_cut, lam)
+    u_t[down] = 1.0 / f_lam
+    u_r[down] = -_f_r(params, r[down], lam) / f_lam
+    r_safe = np.where(r > 0.0, r, 1.0)  # x = y = 0 where r = 0
+    g = np.stack(((u_r * x / r_safe + s * y * u_t) / e,
+                  (u_r * y / r_safe - s * x * u_t) / e,
+                  e * e * u_t), axis=-1)
+    nrm = np.sqrt(np.sum(g * g, axis=-1))
+    if np.any(nrm[ok] == 0.0):
+        raise NumericsError("vanishing gradient of the leaf label")
+    v = -g / nrm[:, None]
+    v[~ok] = np.nan
+    return v, ok
 
 
 def calibration_field(cyl: CylinderSpec, point: Point) -> TangentVector:
-    """Unit field V = -grad(u)/|grad(u)|, continuous on the half-cylinder.
-
-    The gradient is analytic above the graph and comes from implicit
-    differentiation of the leaf equation below it; on the sphere V equals
-    the outward normal.
-    """
-    if not cyl.contains(point.r, point.t):
+    """Unit field V = -grad(u)/|grad(u)|, continuous on the half-cylinder;
+    on the sphere V equals the outward normal."""
+    v, ok = _field(cyl, *point.as_array()[:, None])
+    if not ok[0]:
         raise DomainError("point is outside the half-cylinder")
-    params = cyl.params
+    return TangentVector.from_array(v[0])
+
+
+def _divergence(cyl: CylinderSpec, x, y, t, h: float):
+    """(div V, label, mask) at 1-d arrays of points, by central differences
+    of V's coordinate components with step h.  The mask keeps the points
+    farther than 3h from the sphere whose stencil stays inside the
+    half-cylinder on their own side of the sphere; the rest are NaN.
+    """
+    params, R = cyl.params, cyl.R
     e, s = params.epsilon, params.sigma
-    u_r, u_t = _gradient_components(cyl, point)
-    r = point.r
-    if r > 0.0:
-        u_x, u_y = u_r * point.x / r, u_r * point.y / r
-    else:
-        u_x = u_y = 0.0
-    gx = (u_x + s * point.y * u_t) / e
-    gy = (u_y - s * point.x * u_t) / e
-    gt = e * e * u_t
-    nrm = math.sqrt(gx * gx + gy * gy + gt * gt)
-    if nrm == 0.0:
-        raise NumericsError("vanishing gradient of the leaf label")
-    return TangentVector(-gx / nrm, -gy / nrm, -gt / nrm)
+    r = _radius_of(x, y)
+    f_here = _f(params, np.minimum(r, R), R)
+    steps = h * np.concatenate((np.eye(3), -np.eye(3)))
+    px, py, pt = (np.stack((x, y, t), axis=-1)[:, None, :] + steps).reshape(-1, 3).T
+    v, ok = _field(cyl, px, py, pt, np.repeat(t >= f_here, 6))
+    ok = ok.reshape(-1, 6).all(axis=1) & (np.abs(t - f_here) > 3.0 * h)
+    # coordinate components of V; the i-th is differenced along the i-th axis
+    coords = np.stack((v[:, 0] / e, v[:, 1] / e,
+                       s * (py * v[:, 0] - px * v[:, 1]) / e + e * e * v[:, 2]), axis=-1)
+    coords = coords.reshape(-1, 6, 3)
+    div = sum((coords[:, i, i] - coords[:, i + 3, i]) / (2.0 * h) for i in range(3))
+    lam = np.full_like(r, np.nan)
+    lam[ok] = _labels(cyl, r[ok], t[ok])
+    return np.where(ok, div, np.nan), lam, ok
 
 
 def calibration_divergence(
@@ -264,31 +292,10 @@ def calibration_divergence(
     sphere.  The stencil must not cross the sphere or leave the cylinder.
     """
     h = step if step is not None else 1e-5 * cyl.R
-    r = point.r
-    f_here = float(_f(cyl.params, min(r, cyl.R), cyl.R))
-    if abs(point.t - f_here) <= 3.0 * h:
-        raise DomainError("stencil would straddle the sphere; pick a point farther away")
-
-    def v_coords(pa: np.ndarray) -> np.ndarray:
-        q = Point.from_array(pa)
-        if not cyl.contains(q.r, q.t):
-            raise DomainError("stencil leaves the half-cylinder")
-        side_now = q.t >= float(_f(cyl.params, min(q.r, cyl.R), cyl.R))
-        side_ref = point.t >= f_here
-        if side_now != side_ref:
-            raise DomainError("stencil crosses the sphere")
-        return vector_to_coordinates(cyl.params, q, calibration_field(cyl, q))
-
-    pa = point.as_array()
-    div = 0.0
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = h
-        div += (v_coords(pa + ei)[i] - v_coords(pa - ei)[i]) / (2.0 * h)
-    lam = leaf_label(cyl, point)
-    e = cyl.params.epsilon
-    h_lam = 1.0 / (e * lam) if lam > cyl.R else 1.0 / (e * cyl.R)
-    return div, h_lam
+    div, lam, ok = _divergence(cyl, *point.as_array()[:, None], h)
+    if not ok[0]:
+        raise DomainError("stencil meets the sphere or leaves the half-cylinder")
+    return float(div[0]), 1.0 / (cyl.params.epsilon * max(float(lam[0]), cyl.R))
 
 
 def label_floor(cyl: CylinderSpec, depth):

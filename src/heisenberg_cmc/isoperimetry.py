@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import ModelParams, Point
+from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
 from .sphere import (_QUAD_RTOL, SphereSpec, _f, _f_r, _gauss_legendre, _pieces, _quad,
@@ -359,24 +360,28 @@ def calibration_gain(comp: Competitor, n_r: int = 48, n_t: int = 24) -> tuple[fl
 # ----------------------------------------------------------------- stability
 
 
-def normal_component(spec: SphereSpec, which: str, point: Point) -> float:
+def normal_component(spec: SphereSpec, which: str, point):
     """Inner product of a right-invariant frame field with the sphere normal.
 
     which = 'x', 'y', or 't'.  Closed forms (x - y p)/R, (y + x p)/R, and
     sgn(t) sqrt(R^2-r^2) / (w(r) R); each solves the Jacobi equation on the
-    sphere.
+    sphere.  `point` is a Point, which gives a float, or a triple (x, y, t)
+    of broadcastable arrays, which gives an array.
     """
+    if isinstance(point, Point):
+        return float(normal_component(spec, which, (point.x, point.y, point.t)))
+    if which not in ("x", "y", "t"):
+        raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
+    x, y, t = (np.asarray(v, dtype=float) for v in point)
     R = spec.R
-    sg = float(np.sign(point.t))
-    gap, w, p = (float(v) for v in _pieces(spec.params, point.r, R))
-    p *= sg
+    sg = np.sign(t)
+    gap, w, p = _pieces(spec.params, np.hypot(x, y), R)
+    p = p * sg
     if which == "x":
-        return (point.x - point.y * p) / R
+        return (x - y * p) / R
     if which == "y":
-        return (point.y + point.x * p) / R
-    if which == "t":
-        return sg * gap / (w * R)
-    raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
+        return (y + x * p) / R
+    return sg * gap / (w * R)
 
 
 @dataclass(frozen=True)
@@ -402,17 +407,9 @@ def jacobi_potential(spec: SphereSpec, r):
     -2 tau^2 + 4 tau^2 <N, T>^2 (cross-checked against the curvature
     contraction in the tests).
     """
-    params, R, H = spec.params, spec.R, spec.H
-    tau = params.tau
-    r = np.asarray(r, dtype=float)
-    rho2 = (tau * params.epsilon * r) ** 2
-    den = (1.0 + rho2) ** 2
-    h_sq = (H * H * (1.0 + 2.0 * rho2) ** 2 + 2.0 * tau * tau * rho2 * rho2 + H * H) / den
-    gap2 = np.maximum(R * R - r * r, 0.0)
-    w2 = 1.0 + rho2
-    theta_n_sq = gap2 / (w2 * R * R)
-    ric = -2.0 * tau * tau + 4.0 * tau * tau * theta_n_sq
-    return h_sq + ric
+    h = _shape(spec, r)[0]
+    theta_n = normal_component(spec, "t", (r, 0.0, _f(spec.params, r, spec.R)))  # <N, T>
+    return np.sum(h * h, axis=(-2, -1)) + (4.0 * theta_n * theta_n - 2.0) * spec.params.tau ** 2
 
 
 def jacobi_residual(
@@ -433,7 +430,7 @@ def jacobi_residual(
     if which not in ("x", "y", "t"):
         raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
     params, R = spec.params, spec.R
-    e, s, tau = params.epsilon, params.sigma, params.tau
+    e, s = params.epsilon, params.sigma
     h = R / n
     r = np.arange(band * R, R * (1.0 - band) + 0.5 * h, h)
     if len(r) < 5:
@@ -453,17 +450,15 @@ def jacobi_residual(
     a, b, c, sq = metric_coeffs(r)
     ah, bh, _, _ = metric_coeffs(r + 0.5 * h)
 
-    rr = r[:, None]
-    tt = th[None, :]
-    gap = np.sqrt(np.maximum(R * R - rr * rr, 0.0))
-    w = np.sqrt(1.0 + (tau * e * rr) ** 2)
-    p = tau * e * gap / w
+    # g at theta = 0, turned by the rotations about the t-axis, which preserve
+    # the sphere: g_x + i g_y turns with e^{i theta}, g_t does not
+    pt = (r[:, None], 0.0, _f(params, r, R)[:, None])
     if which == "t":
-        g = np.broadcast_to(gap / (w * R), (len(r), n)).copy()
-    elif which == "x":
-        g = (rr * np.cos(tt) - p * rr * np.sin(tt)) / R
+        g = np.broadcast_to(normal_component(spec, "t", pt), (len(r), n))
     else:
-        g = (rr * np.sin(tt) + p * rr * np.cos(tt)) / R
+        gx, gy = (normal_component(spec, w, pt) for w in "xy")
+        cs, sn = np.cos(th), np.sin(th)
+        g = gx * cs - gy * sn if which == "x" else gx * sn + gy * cs
 
     def dtheta(arr):
         return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * dth)

@@ -131,21 +131,20 @@ def _p_north(params: ModelParams, r, R):
     return _pieces(params, r, R)[2]
 
 
-def _sqrt_gap_and_fos(params: ModelParams, r, R):
-    """sqrt(R^2 - r^2) and f / sqrt(R^2 - r^2), smooth and positive up to r = R and tau = 0."""
-    sq, w, p = _pieces(params, r, R)
+def _fos(params: ModelParams, R, w, p):
+    """f / sqrt(R^2 - r^2) from w(r) and p(r; R), smooth and positive up to r = R and tau = 0."""
     e = params.epsilon
     wR2 = 1.0 + np.square(params.tau * e * np.asarray(R, dtype=float))
-    return sq, (e**3 / (2.0 * w)) * (wR2 * _atanc(p) + w * w)
+    return (e**3 / (2.0 * w)) * (wR2 * _atanc(p) + w * w)
 
 
 def _f_over_sqrt(params: ModelParams, r, R):
-    return _sqrt_gap_and_fos(params, r, R)[1]
+    return _fos(params, R, *_pieces(params, r, R)[1:])
 
 
 def _f(params: ModelParams, r, R):
-    sq, fos = _sqrt_gap_and_fos(params, r, R)
-    return sq * fos
+    sq, w, p = _pieces(params, r, R)
+    return sq * _fos(params, R, w, p)
 
 
 def _f_r(params: ModelParams, r, R):
@@ -238,7 +237,8 @@ def _radius_solve(params: ModelParams, r, t, max_iter: int = 120):
         if np.all(done):
             break
         R = np.sqrt(r * r + w)
-        fos = _f_over_sqrt(params, r, R)
+        _, w_r, p = _pieces(params, r, R)
+        fos = _fos(params, R, w_r, p)
         f = np.sqrt(w) * fos
         g = w * fos * fos - t2
         resid = np.abs(g) / (f + t + 1e-300)
@@ -247,8 +247,7 @@ def _radius_solve(params: ModelParams, r, t, max_iter: int = 120):
         above = g > 0.0
         hi = np.where(~done & above, w, hi)
         lo = np.where(~done & ~above, w, lo)
-        p = _p_north(params, r, R)
-        dg = e**3 * _omega(params, r) * fos / _ell(p)
+        dg = e**3 * w_r * fos / _ell(p)
         step = np.where(done, 0.0, g / np.where(dg > 0, dg, 1.0))
         w_new = w - step
         bad = ~done & ((w_new <= lo) | (w_new >= hi) | ~np.isfinite(w_new))

@@ -226,6 +226,18 @@ def test_divergence_rejects_stencil_near_sphere(cyl, spec):
         calibration_divergence(cyl, Point(r, 0.0, t))
 
 
+def test_divergence_rejects_stencil_crossing_the_sphere(spec):
+    # near the rim |f_r| ~ 100, so the outward stencil point of a point 4 steps
+    # below the sphere lies above it
+    cyl = CylinderSpec(spec, 0.0)
+    h = 1e-5 * spec.R
+    r = 0.9999 * spec.R
+    q = Point(r, 0.0, float(profile_height(spec, r)) - 4.0 * h)
+    assert float(profile_height(spec, r + h)) < q.t
+    with pytest.raises(DomainError):
+        calibration_divergence(cyl, q)
+
+
 def test_vertical_bound_base_cases(cyl, spec):
     vb = vertical_label_bound(cyl, 0.3, 0.0)
     assert vb.label == spec.R and vb.deficit == 0.0 and vb.floor == 0.0 and vb.satisfied

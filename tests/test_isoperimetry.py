@@ -214,6 +214,16 @@ def test_normal_components_closed_forms(spec, rng):
         assert normal_component(spec, "t", q) == pytest.approx(float(that @ n.as_array()), abs=1e-12)
 
 
+def test_normal_component_broadcasts_over_point_arrays(spec, rng):
+    pts = [sphere_point(spec, rng) for _ in range(20)]
+    xyt = tuple(np.array([getattr(q, a) for q in pts]) for a in "xyt")
+    for which in ("x", "y", "t"):
+        ref = [normal_component(spec, which, q) for q in pts]
+        assert np.max(np.abs(normal_component(spec, which, xyt) - ref)) <= 1e-15
+    with pytest.raises(ContractError):
+        normal_component(spec, "z", xyt)
+
+
 def test_vertical_hemisphere_is_northern(spec, rng):
     hemi = stable_hemispheres(spec)
     for _ in range(50):
