@@ -249,6 +249,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     })
     checks[-1]["passed"] = bool(checks[-1]["measured"] <= checks[-1]["tolerance"])
 
+    report = {
+        "grid": bool(args.grid),
+        "n_specs": len(specs),
+        "seed": int(args.seed),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }
     if args.foliation_out:
         spec0 = specs[0]
         fol_rows = []
@@ -264,14 +271,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             fol_rows.append(rows[ok])
         _write_csv(args.foliation_out,
                    ["delta", "r", "t", "u", "half_div_V", "bound_slack"], np.concatenate(fol_rows))
+        # grid points whose stencil meets the sphere or leaves the cylinder have no row
+        report["foliation_rows"] = {"kept": sum(map(len, fol_rows)), "grid": 2 * r.size}
 
-    report = {
-        "grid": bool(args.grid),
-        "n_specs": len(specs),
-        "seed": int(args.seed),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
     text = json.dumps(report, indent=2)
     if args.json == "-" or args.json is None:
         print(text)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _ULP, _newton
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
 from .sphere import SphereSpec, _f, _f_R, _f_r, _omega, _radius_of, profile_height
@@ -126,12 +127,11 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, depth: np.ndar
 
     The bracket doubles from [R, 2R] until F(hi) < 0.  Newton, with
     F_lam = f_R(r; lam) - f_R(r_cut; lam), starts where F is linear in
-    sqrt(lam - lo), as it is near lam = R when delta = 0, and bisects where a
-    step would leave the bracket.  A point is done when |F| is at the
-    rounding level of its terms (far above one ulp of lam at deep points) or
-    its step is below a few ulps of lam, whatever the other points do.
+    sqrt(lam - lo), as it is near lam = R when delta = 0.  A point has
+    converged when |F| is at the rounding level of its terms (far above one
+    ulp of lam at deep points).
     """
-    params, ulp = cyl.params, np.finfo(float).eps
+    params = cyl.params
     rr = np.stack((r, np.full_like(r, cyl.r_cut)))  # f at r and at r_cut in one call
     lo, F_lo = np.full_like(r, cyl.R), depth
     hi = 2.0 * lo
@@ -144,28 +144,16 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, depth: np.ndar
         lo, F_lo, hi = np.where(up, hi, lo), np.where(up, F_hi, F_lo), np.where(up, 2.0 * hi, hi)
     else:
         raise NumericsError("leaf bracket expansion failed")
-    lam = lo + (hi - lo) * (F_lo / (F_lo - F_hi)) ** 2
     t_size = abs(cyl.t_cut) + np.abs(t)
-    done = np.zeros(r.shape, dtype=bool)
-    # F_lam = -inf at lam = R if delta = 0, reached by roots that round to R: step 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            f = _f(params, rr, lam)
-            F = f[0] - f[1] + cyl.t_cut - t
-            done |= np.abs(F) <= 16.0 * ulp * (np.abs(f[0]) + np.abs(f[1]) + t_size)
-            if done.all():
-                return lam
-            f_lam = _f_R(params, rr, lam)
-            step = F / (f_lam[0] - f_lam[1])
-            lo, hi = np.where(F > 0.0, lam, lo), np.where(F > 0.0, hi, lam)
-            small = np.abs(step) <= 4.0 * ulp * lam
-            new = lam - step
-            new = np.where(small | ((lo < new) & (new < hi)), new, 0.5 * (lo + hi))
-            lam = np.where(done, lam, new)
-            done |= small | (hi - lo <= 4.0 * ulp * hi)
-    if not done.all():
-        raise NumericsError("leaf label solve did not converge")
-    return lam
+
+    def residual(lam):
+        f, f_lam = _f(params, rr, lam), _f_R(params, rr, lam)
+        F = f[0] - f[1] + cyl.t_cut - t
+        scale = np.abs(f[0]) + np.abs(f[1]) + t_size
+        return F, f_lam[0] - f_lam[1], np.abs(F) <= 16.0 * _ULP * scale
+
+    lam = lo + (hi - lo) * (F_lo / (F_lo - F_hi)) ** 2
+    return _newton(residual, lam, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _QUAD_RTOL, _gauss_legendre, _quad
 from .ambient import ModelParams, Point
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
-from .sphere import (_QUAD_RTOL, SphereSpec, _f, _f_r, _gauss_legendre, _pieces, _quad,
-                     profile_height, sphere_area, sphere_volume)
+from .sphere import SphereSpec, _f, _f_r, _pieces, profile_height, sphere_area, sphere_volume
 
 __all__ = [
     "graph_area",

@@ -23,14 +23,14 @@ helpers broadcast over numpy arrays.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _newton, _quad
 from .ambient import ModelParams, Point, TangentVector
-from .errors import ContractError, DomainError, NumericsError
+from .errors import ContractError, DomainError
 
 __all__ = [
     "SphereSpec",
@@ -210,7 +210,7 @@ def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> Prof
 # -------------------------------------------------------------- radius field
 
 
-def _radius_solve(params: ModelParams, r, t, max_iter: int = 120):
+def _radius_solve(params: ModelParams, r, t):
     """Solve f(r; R) = |t| for R >= r, vectorized.
 
     Safeguarded Newton in w = R^2 - r^2 on g(w) = f^2 - t^2, which is
@@ -218,45 +218,21 @@ def _radius_solve(params: ModelParams, r, t, max_iter: int = 120):
     away from 0; the bracket [0, (|t|/eps^3)^2] comes from f >= eps^3 sqrt(w).
     """
     e = params.epsilon
-    r0 = np.asarray(r, dtype=float)
-    t0 = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(r0.shape, t0.shape)
-    r, t = np.broadcast_arrays(r0, t0)
-    r = np.atleast_1d(r).astype(float)
-    t = np.abs(np.atleast_1d(t).astype(float))
-    t2 = t * t
-
-    lo = np.zeros_like(r)
+    shape = np.broadcast_shapes(np.shape(r), np.shape(t))
+    r, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (r, t))
+    t = np.abs(t)
     hi = (t / e**3) ** 2
-    w = hi.copy()
     tol = 1e-12 * np.maximum(1.0, t)
 
-    done = t == 0.0
-    w[done] = 0.0
-    for _ in range(max_iter):
-        if np.all(done):
-            break
+    def residual(w):
         R = np.sqrt(r * r + w)
         _, w_r, p = _pieces(params, r, R)
         fos = _fos(params, R, w_r, p)
-        f = np.sqrt(w) * fos
-        g = w * fos * fos - t2
-        resid = np.abs(g) / (f + t + 1e-300)
-        newly = resid <= tol
-        done = done | newly
-        above = g > 0.0
-        hi = np.where(~done & above, w, hi)
-        lo = np.where(~done & ~above, w, lo)
-        dg = e**3 * w_r * fos / _ell(p)
-        step = np.where(done, 0.0, g / np.where(dg > 0, dg, 1.0))
-        w_new = w - step
-        bad = ~done & ((w_new <= lo) | (w_new >= hi) | ~np.isfinite(w_new))
-        w_new = np.where(bad, 0.5 * (lo + hi), w_new)
-        w = np.where(done, w, w_new)
-        done = done | (hi - lo <= 4.0 * np.finfo(float).eps * np.maximum(hi, 1e-300))
-    else:
-        if not np.all(done):
-            raise NumericsError("radius solve did not converge")
+        g = w * fos * fos - t * t
+        converged = np.abs(g) / (np.sqrt(w) * fos + t + 1e-300) <= tol
+        return g, e**3 * w_r * fos / _ell(p), converged
+
+    w = _newton(residual, np.where(t == 0.0, 0.0, hi), 0.0, hi, t == 0.0, "radius solve")
     return np.sqrt(r * r + w).reshape(shape)
 
 
@@ -346,54 +322,6 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
 # ------------------------------------------------------------- area / volume
 
 
-# On one panel the sphere-area, volume and bump integrands estimate at 2e-11
-# or less; the area excess of a steep competitor takes a few halvings.
-_QUAD_RTOL = 1e-9
-_QUAD_MAX_PANELS = 1024
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _quad(fun, a: float, b: float, what: str) -> float:
-    """Integral of the vectorized `fun` over [a, b] by 128-node Gauss-Legendre.
-
-    A panel passes when its 128- and 64-node values differ by at most
-    _QUAD_RTOL * S times its share of [a, b], S the 128-node integral of
-    |fun| over [a, b]; a panel that fails is halved.  Smooth integrands pass
-    on [a, b] itself.  NumericsError when the integrand is not finite or
-    more than _QUAD_MAX_PANELS panels are spent.
-    """
-    x64, w64 = _gauss_legendre(64)
-    x128, w128 = _gauss_legendre(128)
-    nodes = np.concatenate((x64, x128))
-    lo, hi = np.array([float(a)]), np.array([float(b)])
-    total, scale, spent = 0.0, None, 0
-    while lo.size:
-        spent += lo.size
-        if spent > _QUAD_MAX_PANELS:
-            raise NumericsError(f"quadrature for {what} did not converge in {spent} panels")
-        half = 0.5 * (hi - lo)
-        mid = lo + half
-        x = mid[:, None] + half[:, None] * nodes
-        vals = np.asarray(fun(x.ravel()), dtype=float).reshape(x.shape)
-        if not np.all(np.isfinite(vals)):
-            raise NumericsError(f"integrand for {what} is not finite")
-        fine = half * (vals[:, 64:] @ w128)
-        coarse = half * (vals[:, :64] @ w64)
-        if scale is None:
-            scale = float(half[0] * (np.abs(vals[0, 64:]) @ w128))
-        ok = np.abs(fine - coarse) <= _QUAD_RTOL * scale * (hi - lo) / (b - a)
-        total += float(np.sum(fine[ok]))
-        lo, hi = np.concatenate((lo[~ok], mid[~ok])), np.concatenate((mid[~ok], hi[~ok]))
-    return total
-
-
 def sphere_area(spec: SphereSpec) -> float:
     """Riemannian area of the full sphere (both hemisphere graphs).
 
@@ -449,29 +377,21 @@ def _pansu_radius_solve(sigma: float, r, t):
     with F'(g) = sigma (g arccos(r/R) + r), smooth up to g = 0.  F is
     increasing and convex, and F(g) >= sigma r g and F(g) >= (pi/4) sigma g^2,
     so the start min(|t|/(sigma r), sqrt(4|t|/(pi sigma))) lies above the
-    root and the iterates descend onto it; a step that would reach g <= 0
-    halves g instead.  arccos(r/R) is taken as arctan2(g, r), which stays
-    accurate near the rim.
+    root and brackets it with g = 0; the iterates descend onto the root, and a
+    step that would reach g <= 0 halves g instead.  arccos(r/R) is taken as
+    arctan2(g, r), which stays accurate near the rim.
     """
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    shape = r.shape
-    r = np.atleast_1d(r).ravel()
-    t = np.abs(np.atleast_1d(t).ravel())
+    shape = np.broadcast_shapes(np.shape(r), np.shape(t))
+    r, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (r, t))
+    t = np.abs(t)
     with np.errstate(divide="ignore"):
         g = np.minimum(t / (sigma * r), np.sqrt(4.0 * t / (math.pi * sigma)))
-    done = t == 0.0
-    g[done] = 0.0
-    for _ in range(60):
-        if np.all(done):
-            break
+
+    def residual(g):
         a = np.arctan2(g, r)
-        F = 0.5 * sigma * ((r * r + g * g) * a + r * g)
-        step = (F - t) / (sigma * (g * a + r))
-        g = np.where(done, g, np.where(step < g, g - step, 0.5 * g))
-        done = done | (np.abs(step) <= 16.0 * np.finfo(float).eps * g)
-    else:
-        if not np.all(done):
-            raise NumericsError("pansu radius solve did not converge")
+        return 0.5 * sigma * ((r * r + g * g) * a + r * g) - t, sigma * (g * a + r), False
+
+    g = _newton(residual, g, 0.0, g, t == 0.0, "pansu radius solve")
     R = np.where(t == 0.0, r, np.sqrt(r * r + g * g))
     return R.reshape(shape)
 

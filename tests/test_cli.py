@@ -78,6 +78,7 @@ def test_verify_default_passes(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert {"cmc_constancy", "traceless_correction", "principal_directions",
             "curvature_identity", "calibration_bounds", "jacobi_residual"} <= names
+    assert "foliation_rows" not in report  # only --foliation-out adds it
 
 
 def test_verify_streams_json_to_stdout():
@@ -296,6 +297,9 @@ def test_foliation_rows_match_scalar_loop(tmp_path, eps, sigma, R, delta, kept):
     got = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     ref = _scalar_foliation_rows(SphereSpec(ModelParams(eps, sigma), R), delta)
     assert got.shape == ref.shape == (kept, 6)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["foliation_rows"] == {"kept": kept, "grid": 160}
+    assert len(report["checks"]) == 6
     for col in (0, 1, 2, 3, 5):  # delta, r, t, u, bound_slack
         assert np.array_equal(got[:, col], ref[:, col])
     assert np.max(np.abs(got[:, 4] - ref[:, 4]) / np.abs(ref[:, 4])) <= 1e-9

@@ -163,6 +163,15 @@ def test_meridian_stays_on_sphere_and_reaches_south_pole():
     assert np.all(np.abs(np.linalg.norm(curve.velocities, axis=1) - 1.0) <= 1e-8)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="F1: a projection that does not converge returns the point unprojected")
+def test_meridian_stays_on_its_leaf_at_small_eps():
+    spec = SphereSpec(ModelParams(0.02, 1.0), 1.0)
+    curve = integrate_meridian(spec, Point(0.02, 0.0, float(profile_height(spec, 0.02))), step=5e-4)
+    r = np.minimum(np.hypot(curve.points[:, 0], curve.points[:, 1]), spec.R)
+    assert np.max(np.abs(np.abs(curve.points[:, 2]) - profile_height(spec, r))) <= 1e-9
+
+
 def test_meridian_geodesic_identity():
     spec = figure1_spec()
     curve = integrate_meridian(spec, start_point(spec))

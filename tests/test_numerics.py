@@ -1,7 +1,9 @@
 """The library's quadrature and leaf-label solver against independent oracles:
-closed forms evaluated in mpmath, and scipy's quad and brentq."""
+closed forms evaluated in mpmath, and scipy's quad and brentq; and the Newton
+core's contract on residuals with known roots."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from heisenberg_cmc import ModelParams, NumericsError, Point, SphereSpec, profile_height
+from heisenberg_cmc._numerics import _newton
 from heisenberg_cmc.foliation import CylinderSpec, leaf_equation, leaf_label, leaf_label_grid
 from heisenberg_cmc.isoperimetry import make_competitor
 from heisenberg_cmc.sphere import _f, _f_R, _f_over_sqrt, _quad, sphere_area, sphere_volume
@@ -141,3 +144,53 @@ def test_leaf_label_matches_brentq(frac):
         size = abs(_f(params, ri, x)) + abs(_f(params, cyl.r_cut, x)) + abs(cyl.t_cut) + abs(ti)
         slope = _f_R(params, ri, x) - _f_R(params, cyl.r_cut, x)
         assert abs(lam - ref) <= 64.0 * np.finfo(float).eps * (size / abs(slope) + ref)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+def test_newton_finds_cube_roots_whichever_way_the_residual_runs(sign):
+    a = np.array([1e-3, 0.5, 2.0, 27.0, 1e3])
+    x = _newton(lambda x: (sign * (x**3 - a), sign * 3.0 * x * x, False),
+                np.full(a.shape, 15.0), 0.0, 20.0, np.zeros(a.shape, dtype=bool), "cube root")
+    assert np.all(np.abs(x - np.cbrt(a)) <= 4.0 * np.finfo(float).eps * np.cbrt(a))
+
+
+def test_newton_bisects_where_a_step_leaves_the_bracket():
+    """From x = 50 a Newton step on arctan(x) - c lands near -2500, far
+    outside (-100, 100); the core takes the midpoint of (-100, 50) instead."""
+    c = np.array([-1.2, 0.3, 1.0, 1.4])
+    seen = []
+
+    def fun(x):
+        seen.append(x)
+        return np.arctan(x) - c, 1.0 / (1.0 + x * x), False
+
+    x = _newton(fun, np.full(c.shape, 50.0), -100.0, 100.0, np.zeros(c.shape, dtype=bool), "arctan")
+    assert np.all(seen[1] == -25.0)
+    assert x == pytest.approx(np.tan(c), rel=1e-14)
+
+
+def test_newton_keeps_points_done_on_entry_bit_for_bit():
+    start = np.array([0.1 + 0.2, 1.0, 0.7 / 3.0])
+    done = np.array([True, False, True])
+    x = _newton(lambda x: (x * x - 2.0, 2.0 * x, False), start, 0.0, 2.0, done, "sqrt 2")
+    assert np.array_equal(x[done], start[done])
+    assert x[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_newton_raises_when_the_budget_runs_out():
+    # a residual with no root: every pass bisects toward lo and the bracket never closes
+    with pytest.raises(NumericsError, match="flat residual did not converge"):
+        _newton(lambda x: (np.ones_like(x), np.ones_like(x), False),
+                np.array([0.5]), 0.0, 1.0, np.zeros(1, dtype=bool), "flat residual")
+
+
+def test_newton_takes_an_infinite_derivative_as_a_zero_step():
+    """As F_lam = -inf at lam = R on the delta = 0 leaf: the point stays put,
+    and the division by zero that makes the derivative does not warn."""
+    def fun(x):
+        return x - 1.0, -1.0 / np.zeros_like(x), False
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _newton(fun, np.array([1.5]), 1.0, 2.0, np.zeros(1, dtype=bool), "leaf label")
+    assert x[0] == 1.5

@@ -10,6 +10,7 @@ from heisenberg_cmc import (
     ContractError,
     DomainError,
     ModelParams,
+    NumericsError,
     Point,
     SphereSpec,
     euclidean_profile,
@@ -145,6 +146,16 @@ def test_radius_roundtrip(rng):
         if r == 0.0 and t == 0.0:
             continue
         assert abs(radius_field(params, r, t).value - R0) <= 1e-10 * max(1.0, R0)
+
+
+@pytest.mark.xfail(raises=NumericsError, strict=True,
+                   reason="F3: from its start the radius solve spends its passes bisecting")
+def test_radius_roundtrip_at_eps_1e_6():
+    params = ModelParams(1e-6, 1.0)
+    spec = SphereSpec(params, 1.0)
+    for r in np.linspace(0.1, 0.9, 5):
+        t = float(profile_height(spec, r))
+        assert abs(radius_field(params, float(r), t).value - 1.0) <= 1e-10
 
 
 def test_radius_partials_match_finite_differences(params, rng):
