@@ -51,16 +51,12 @@ EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """One row per row of the 2-D float table; csv writes each float by repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(table.tolist())
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -108,23 +104,23 @@ def cmd_sphere(args: argparse.Namespace) -> int:
     f = profile_height(spec, rs)
     if args.out:
         _write_csv(args.out, ["r", "f", "f_r", "f_R"],
-                   zip(rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs)))
+                   np.column_stack((rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs))))
     if args.limits_out:
-        _write_csv(args.limits_out, ["r", "f", "euclidean", "pansu"],
-                   zip(rs, f, euclidean_profile(spec.R, rs), pansu_profile(args.sigma, spec.R, rs)))
+        _write_csv(args.limits_out, ["r", "f", "euclidean", "pansu"], np.column_stack(
+            (rs, f, euclidean_profile(spec.R, rs), pansu_profile(args.sigma, spec.R, rs))))
     if args.curvature_out:
         h, kappa1, kappa2 = _shape(spec, rs)
         c = _frame_coefficients(spec, rs, f)[2]
         k0 = assemble_corrected_shape(spec.H, spec.params.tau, h, c)
         _write_csv(args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"],
-                   zip(rs, kappa1, kappa2, k0.k0_norm))
+                   np.column_stack((rs, kappa1, kappa2, k0.k0_norm)))
     if args.sweep_out:
         r_lo = args.sweep_min if args.sweep_min is not None else 0.5 * spec.R
         r_hi = args.sweep_max if args.sweep_max is not None else 2.0 * spec.R
         radii = np.linspace(r_lo, r_hi, int(args.sweep_n))
         sweep = [SphereSpec(spec.params, float(R)) for R in radii]
         _write_csv(args.sweep_out, ["R", "area", "volume"],
-                   ((s.R, sphere_area(s), sphere_volume(s)) for s in sweep))
+                   np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep]))
     summary = {
         "epsilon": args.epsilon,
         "sigma": args.sigma,
@@ -315,30 +311,15 @@ def cmd_meridian(args: argparse.Namespace) -> int:
         dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))
 
     if args.out_prefix:
-        _write_csv(
-            args.out_prefix + ".csv",
-            ["s", "x", "y", "t", "vX", "vY", "vT"],
-            (
-                (curve.s[i], *curve.points[i], *curve.velocities[i])
-                for i in range(len(curve))
-            ),
-        )
+        _write_csv(args.out_prefix + ".csv", ["s", "x", "y", "t", "vX", "vY", "vT"],
+                   np.column_stack((curve.s, curve.points, curve.velocities)))
         with open(args.out_prefix + ".obj", "w") as fh:
-            for px, py, pt in curve.points:
-                fh.write(f"v {_fmt(px)} {_fmt(py)} {_fmt(pt)}\n")
-            indices = " ".join(str(i + 1) for i in range(len(curve)))
-            fh.write(f"l {indices}\n")
+            fh.writelines(f"v {x!r} {y!r} {t!r}\n" for x, y, t in curve.points.tolist())
+            fh.write("l " + " ".join(map(str, range(1, len(curve) + 1))) + "\n")
         with open(args.out_prefix + ".json", "w") as fh:
-            json.dump(
-                {
-                    "R": curve.R,
-                    "s": [float(v) for v in curve.s],
-                    "points": curve.points.tolist(),
-                    "velocities": curve.velocities.tolist(),
-                },
-                fh,
-            )
-            fh.write("\n")
+            fh.write(json.dumps({"R": curve.R, "s": curve.s.tolist(),
+                                 "points": curve.points.tolist(),
+                                 "velocities": curve.velocities.tolist()}) + "\n")
 
     summary = {
         "epsilon": args.epsilon,
@@ -381,7 +362,7 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
 
     if args.out_prefix:
         _write_csv(args.out_prefix + ".csv",
-                   ["index", "symdiff", "deficit", "bound", "slack"], rows)
+                   ["index", "symdiff", "deficit", "bound", "slack"], np.array(rows, dtype=float))
     report = {
         "params": {"epsilon": args.epsilon, "sigma": args.sigma, "R": args.R},
         "delta": float(args.delta),
@@ -463,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_meridian.add_argument("--step-frac", dest="step_frac", type=float, default=None,
                             help="arclength step as a fraction of R")
     p_meridian.add_argument("--out-prefix", dest="out_prefix", default=None,
-                            help="write <prefix>.csv (samples) and <prefix>.obj (polyline)")
+                            help="write <prefix>.csv (samples), <prefix>.obj (polyline) "
+                                 "and <prefix>.json (R, s, points, velocities)")
     p_meridian.set_defaults(func=cmd_meridian)
 
     p_iso = sub.add_parser("isoperim", help="random competitor suite")

@@ -39,7 +39,6 @@ from .sphere import (
     SphereSpec,
     _ell,
     _f,
-    _f_over_sqrt,
     _gap,
     _normal_components,
     _omega,
@@ -149,16 +148,15 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
     )
 
 
-def _lam_mu(params: ModelParams, r: float, t: float, R: float) -> tuple[float, float, float, float]:
-    """lam, mu, m = mu/(tau eps) and w(r); m stays finite through tau = 0."""
-    sg = 1.0 if t > 0.0 else (-1.0 if t < 0.0 else 0.0)
-    gap = math.sqrt(max(R * R - r * r, 0.0))
-    rho = params.tau * params.epsilon * r  # rho * rho, as np.square in _omega
-    w = math.sqrt(1.0 + rho * rho)
-    lam = sg * gap / (r * R)
+def _lam_mu(params: ModelParams, r, t, R):
+    """lam, mu, m = mu/(tau eps) and w(r), broadcasting; m stays finite through tau = 0."""
+    te = params.tau * params.epsilon
+    gap = np.sqrt(np.maximum(R * R - r * r, 0.0))
+    rho = te * r  # rho * rho, as np.square in _omega
+    w = np.sqrt(1.0 + rho * rho)
+    lam = np.sign(t) * gap / (r * R)
     m = r / (R * w)
-    mu = params.tau * params.epsilon * m
-    return lam, mu, m, w
+    return lam, te * m, m, w
 
 
 def meridian_field(params: ModelParams, point: Point) -> TangentVector:
@@ -169,7 +167,7 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     """
     _require_off_axis(point)
     R = float(_radius_solve(params, point.r, point.t))
-    lam, mu, m, _ = _lam_mu(params, point.r, point.t, R)
+    lam, mu, m, _ = (float(v) for v in _lam_mu(params, point.r, point.t, R))
     return TangentVector(
         point.x * lam - point.y * mu,
         point.y * lam + point.x * mu,
@@ -195,54 +193,74 @@ def sample_field(params: ModelParams, point: Point) -> FieldSample:
 # ------------------------------------------------------------- integration
 
 
-def _field_on_sphere(params: ModelParams, R: float, x: float, y: float, t: float):
-    """Coordinate velocity of the meridian field frozen on the sphere R.
+def _sphere_kernels(params: ModelParams, R: float):
+    """The integrator's scalar kernels on the sphere R, over per-sphere constants.
 
-    Scalar fast path used by the integrator; the t-component
-    -eps^2 r w(r) / R is tau-free.
+    `velocity(x, y, t)` is the coordinate velocity of the meridian field
+    frozen on the sphere (its t-component -eps^2 r w(r) / R is tau-free),
+    `profile(r)` gives sqrt(R^2 - r^2) and f / sqrt(R^2 - r^2), and
+    `project` is the on-sphere projection.  They run in Python floats, with
+    the operations of _lam_mu and sphere._f_over_sqrt in the same order, so
+    they agree with those array cores bit for bit; np.arctan stays, since
+    math.atan differs from it in the last bit on some inputs.
     """
     e = params.epsilon
-    r = math.hypot(x, y)
-    lam, mu, _, w = _lam_mu(params, r, t, R)
-    vx = (x * lam - y * mu) / e
-    vy = (y * lam + x * mu) / e
-    vt = -e * e * r * w / R
-    return vx, vy, vt
+    te = params.tau * e
+    RR, eR, ee, e3 = R * R, e * R, e * e, e**3
+    wR2 = 1.0 + (te * R) * (te * R)
+    tol_R = 1e-11 * max(1.0, R)
 
-
-def _project_to_sphere(params: ModelParams, R: float, x: float, y: float, t: float,
-                       tol: float) -> tuple[float, float, float]:
-    """Move along the (frozen-R) normal until f(r; R)^2 = t^2.
-
-    Newton on s with the stable products f*f' and f/sqrt(gap); quadratic
-    and well conditioned across the equator.
-    """
-    e = params.epsilon
-    for _ in range(12):
+    def velocity(x, y, t):
         r = math.hypot(x, y)
-        gap2 = max(R * R - r * r, 0.0)
-        gap = math.sqrt(gap2)
-        w = math.sqrt(1.0 + (params.tau * e * r) ** 2)
-        fos = float(_f_over_sqrt(params, r, R))
-        f = gap * fos
-        phi = f * f - t * t
-        if abs(phi) <= tol * max(1.0, R) * (f + abs(t) + 1e-300):
+        sg = 1.0 if t > 0.0 else (-1.0 if t < 0.0 else 0.0)
+        gap = math.sqrt(max(RR - r * r, 0.0))
+        rho = te * r
+        w = math.sqrt(1.0 + rho * rho)
+        lam = sg * gap / (r * R)
+        mu = te * (r / (R * w))
+        return (x * lam - y * mu) / e, (y * lam + x * mu) / e, -ee * r * w / R
+
+    def profile(r):
+        gap = math.sqrt(max(RR - r * r, 0.0))
+        rho = te * r
+        w = math.sqrt(1.0 + rho * rho)
+        p = te * gap / w
+        atanc = 1.0 - p * p / 3.0 if abs(p) < 1e-8 else float(np.arctan(p)) / p
+        return gap, (e3 / (2.0 * w)) * (wR2 * atanc + w * w)
+
+    def _project_to_sphere(x, y, t):
+        """Move along the (frozen-R) normal until f(r; R)^2 = t^2.
+
+        Newton on s with the stable products f*f' and f/sqrt(gap); quadratic
+        and well conditioned across the equator.
+        """
+        for _ in range(12):
+            r = math.hypot(x, y)
+            gap, fos = profile(r)
+            # libm pow, as the curves have always been made: it differs from
+            # rho * rho in the last bit on about 0.1% of inputs
+            w = math.sqrt(1.0 + (te * r) ** 2)
+            f = gap * fos
+            phi = f * f - t * t
+            if abs(phi) <= tol_R * (f + abs(t) + 1e-300):
+                return x, y, t
+            sg = 1.0 if t >= 0.0 else -1.0
+            p = sg * te * gap / w
+            q3 = sg * ee * w * gap / R
+            nx = (x + y * p) / eR
+            ny = (y - x * p) / eR
+            ffr = -e3 * r * w * fos  # f * f_r, finite at the equator
+            drds = (x * nx + y * ny) / r if r > 0.0 else 0.0
+            dphi = 2.0 * (ffr * drds - t * q3)
+            if dphi == 0.0:
+                break
+            s = -phi / dphi
+            x, y, t = x + s * nx, y + s * ny, t + s * q3
+        else:
             return x, y, t
-        sg = 1.0 if t >= 0.0 else -1.0
-        p = sg * params.tau * e * gap / w
-        q3 = sg * e * e * w * gap / R
-        nx = (x + y * p) / (e * R)
-        ny = (y - x * p) / (e * R)
-        ffr = -(e**3) * r * w * fos  # f * f_r, finite at the equator
-        drds = (x * nx + y * ny) / r if r > 0.0 else 0.0
-        dphi = 2.0 * (ffr * drds - t * q3)
-        if dphi == 0.0:
-            break
-        s = -phi / dphi
-        x, y, t = x + s * nx, y + s * ny, t + s * q3
-    else:
-        return x, y, t
-    raise NumericsError("meridian projection failed")
+        raise NumericsError("meridian projection failed")
+
+    return velocity, profile, _project_to_sphere
 
 
 def integrate_meridian(
@@ -258,9 +276,15 @@ def integrate_meridian(
     an on-sphere projection after every step, so leaf error stays at the
     projection tolerance instead of accumulating with the ODE error.
     Integration stops once the curve is within `pole_radius` of the south
-    pole (then one exact pole sample is appended) or after `max_len`.
+    pole, and one exact pole sample is appended.  A step that leaves the
+    finite numbers, or a curve that has not reached the pole after
+    `max_len` (by default 2 pi eps R, twice the pole-to-pole length),
+    raises NumericsError.
     """
     params, R = spec.params, spec.R
+    for name, value in (("step", step), ("max_len", max_len), ("pole_radius", pole_radius)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
     _on_sphere_or_raise(spec, start)
     if start.r <= 1e-6 * R:
         raise DomainError("start must be off the poles")
@@ -270,17 +294,12 @@ def integrate_meridian(
     # disk must not be smaller than one step's radial travel
     pole_r = pole_radius if pole_radius is not None else max(1e-3 * R, 3.0 * h / e)
     if max_len is None:
-        w_R = float(_omega(params, R))
-        max_len = 20.0 * (R / e + e * w_R * R)
-    tol = 1e-11
-
-    def vel(x, y, t):
-        return _field_on_sphere(params, R, x, y, t)
+        max_len = 2.0 * math.pi * e * R
+    vel, _, project = _sphere_kernels(params, R)
 
     x, y, t = start.x, start.y, start.t
     pts = [(x, y, t)]
-    n_max = int(max_len / h) + 1
-    for _ in range(n_max):
+    for _ in range(int(max_len / h) + 1):
         k1 = vel(x, y, t)
         k2 = vel(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], t + 0.5 * h * k1[2])
         k3 = vel(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], t + 0.5 * h * k2[2])
@@ -288,24 +307,25 @@ def integrate_meridian(
         x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         y = y + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         t = t + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        x, y, t = _project_to_sphere(params, R, x, y, t, tol)
+        if not math.isfinite(x + y + t):
+            raise NumericsError(f"meridian step {len(pts)} left the finite numbers "
+                                f"at eps = {e!r}, step = {h!r}")
+        x, y, t = project(x, y, t)
         pts.append((x, y, t))
         if math.hypot(x, y) < pole_r and t < 0.0:
             break
+    else:
+        raise NumericsError(f"meridian did not reach the south pole within max_len = "
+                            f"{max_len!r} at eps = {e!r}, step = {h!r}")
 
     points = np.array(pts)
-    s = h * np.arange(len(points))
-    vels = np.empty_like(points)
-    for i, (px, py, pt) in enumerate(points):
-        r = math.hypot(px, py)
-        lam, mu, m, _ = _lam_mu(params, r, pt, R)
-        vels[i] = (px * lam - py * mu, py * lam + px * mu, -m)
-    if math.hypot(points[-1, 0], points[-1, 1]) < pole_r and points[-1, 2] < 0.0:
-        f0 = float(_f(params, 0.0, R))
-        points = np.vstack([points, [0.0, 0.0, -f0]])
-        vels = np.vstack([vels, vels[-1]])
-        s = np.append(s, s[-1] + h)
-    return MeridianCurve(R=R, s=s, points=points, velocities=vels)
+    px, py, pt = points.T
+    lam, mu, m, _ = _lam_mu(params, _radius_of(px, py), pt, R)
+    vels = np.column_stack((px * lam - py * mu, py * lam + px * mu, -m))
+    points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
+    vels = np.vstack([vels, vels[-1]])
+    s = h * np.arange(len(pts))
+    return MeridianCurve(R=R, s=np.append(s, s[-1] + h), points=points, velocities=vels)
 
 
 def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,

@@ -110,6 +110,22 @@ def test_meridian_figure1_preset(tmp_path):
     assert csv_lines[0] == "s,x,y,t,vX,vY,vT"
     obj_lines = (tmp_path / "fig1.obj").read_text().splitlines()
     assert obj_lines[0].startswith("v ") and obj_lines[-1].startswith("l ")
+    table = np.loadtxt(tmp_path / "fig1.csv", delimiter=",", skiprows=1)
+    sidecar = json.loads((tmp_path / "fig1.json").read_text())
+    assert np.array_equal(np.column_stack((sidecar["s"], sidecar["points"],
+                                           sidecar["velocities"])), table)
+
+
+@pytest.mark.parametrize("step_frac", ["0", "-0.01", "nan"])
+def test_meridian_rejects_bad_step(capsys, step_frac):
+    assert cli.main(["meridian", "--step-frac", step_frac]) == cli.EXIT_BAD_INPUT
+    assert "step must be positive and finite" in capsys.readouterr().err
+
+
+def test_meridian_fails_typed_where_the_step_outruns_the_curve(capsys):
+    """At eps = 1e-6 the default step is far longer than the curve (pi eps R)."""
+    assert cli.main(["meridian", "--epsilon", "1e-6"]) == cli.EXIT_NUMERIC
+    assert "did not reach the south pole" in capsys.readouterr().err
 
 
 def test_meridian_reports_pansu_deviation():
@@ -311,7 +327,10 @@ def test_foliation_rows_match_scalar_loop(tmp_path, eps, sigma, R, delta, kept):
      ["fol.csv", "report.json"]),
     (["sphere", "--epsilon", "0.7", "--sigma", "1.3", "--R", "1.1",
       "--curvature-out", "{d}/curv.csv"], ["curv.csv"]),
-], ids=["verify-grid", "verify-foliation", "sphere-curvature"])
+    (["meridian", "--epsilon", "0.7", "--sigma", "1.3", "--R", "1.1", "--step-frac", "1e-2",
+      "--out-prefix", "{d}/m"], ["m.csv", "m.obj", "m.json"]),
+    (["isoperim", "--n", "3", "--out-prefix", "{d}/iso"], ["iso.csv"]),
+], ids=["verify-grid", "verify-foliation", "sphere-curvature", "meridian", "isoperim"])
 def test_outputs_are_byte_stable_from_run_to_run(tmp_path, argv, outputs):
     runs = []
     for name in ("a", "b"):

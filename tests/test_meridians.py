@@ -6,6 +6,7 @@ import pytest
 from heisenberg_cmc import (
     DomainError,
     ModelParams,
+    NumericsError,
     Point,
     SphereSpec,
     foliation_normal,
@@ -16,6 +17,8 @@ from heisenberg_cmc import (
 )
 from heisenberg_cmc.ambient import christoffel_frame
 from heisenberg_cmc.meridians import (
+    _lam_mu,
+    _sphere_kernels,
     euclidean_meridian_field,
     integrate_meridian,
     limit_fields,
@@ -28,7 +31,7 @@ from heisenberg_cmc.meridians import (
     pansu_meridian_field,
     sample_field,
 )
-from heisenberg_cmc.sphere import _p_north, _radius_solve
+from heisenberg_cmc.sphere import _f_over_sqrt, _gap, _p_north, _radius_of, _radius_solve
 
 
 def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
@@ -246,6 +249,62 @@ def test_meridian_rejects_start_outside_the_rim():
 
     with pytest.raises(ContractError):
         integrate_meridian(SphereSpec(ModelParams(1.0, 1.0), 1.0), Point(1.5, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("name", ["step", "max_len", "pole_radius"])
+@pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
+def test_meridian_rejects_lengths_that_are_not_positive_and_finite(spec, name, value):
+    with pytest.raises(DomainError, match=name):
+        integrate_meridian(spec, start_point(spec), **{name: value})
+
+
+def test_meridian_step_that_leaves_the_finite_numbers_raises():
+    """At eps = 1e-6 the step 5e-4 R is far longer than the curve (pi eps R):
+    the state runs off to inf within a few steps, and must not run on."""
+    spec = SphereSpec(ModelParams(1e-6, 1.0), 1.0)
+    with pytest.raises(NumericsError, match=r"finite numbers at eps = 1e-06, step = 0\.0005"):
+        integrate_meridian(spec, start_point(spec), step=5e-4, max_len=1.0)
+
+
+def test_meridian_that_misses_the_pole_raises():
+    spec = SphereSpec(ModelParams(1e-6, 1.0), 1.0)
+    with pytest.raises(NumericsError, match="did not reach the south pole"):
+        integrate_meridian(spec, start_point(spec), step=5e-4)
+
+
+# sigma = 0 and sigma < 0, a twist so small that 0 < |p| < 1e-8 takes the
+# series branch of atanc, and large twists
+KERNEL_SPECS = [(1.0, 1.0, 1.0), (0.5, 0.5, 2.0), (1.0, 0.0, 1.0), (0.7, -1.3, 0.8),
+                (1.0, 1e-9, 1.0), (0.02, 1.0, 1.0), (2.0, 4.0, 3.0), (1e-3, 1.0, 0.5)]
+
+
+def kernel_points(rng, R, n=250):
+    """x, y, t at random radii in (0, R), radii within a few ulps of the rim
+    and a few just past it (where sqrt(R^2 - r^2) clamps to 0), with t = 0
+    and both signs of t."""
+    r = np.concatenate([rng.uniform(1e-3, 1.0, n - 40) * R,
+                        R * (1.0 - np.arange(20) * 2.0**-52), R * (1.0 + np.arange(1, 21) * 1e-12)])
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    t = rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.0, 2.0, n)
+    return r * np.cos(theta), r * np.sin(theta), t
+
+
+@pytest.mark.parametrize("eps, sigma, R", KERNEL_SPECS)
+def test_scalar_kernels_match_the_array_cores_bitwise(rng, eps, sigma, R):
+    """The integrator's float kernels repeat _lam_mu and sphere._f_over_sqrt
+    operation for operation: any drift shows as a last-bit difference."""
+    params = ModelParams(eps, sigma)
+    velocity, profile, _ = _sphere_kernels(params, R)
+    x, y, t = kernel_points(rng, R)
+    r = _radius_of(x, y)
+    lam, mu, _, w = _lam_mu(params, r, t, R)
+    expected = np.column_stack(((x * lam - y * mu) / eps, (y * lam + x * mu) / eps,
+                                -eps * eps * r * w / R))
+    got = np.array([velocity(*q) for q in zip(x.tolist(), y.tolist(), t.tolist())])
+    assert np.array_equal(got, expected)
+    gap, fos = np.array([profile(v) for v in r.tolist()]).T
+    assert np.array_equal(gap, np.sqrt(_gap(r, R)))
+    assert np.array_equal(fos, _f_over_sqrt(params, r, R))
 
 
 def test_euclidean_field_meridian_plane_and_tangency(rng):
