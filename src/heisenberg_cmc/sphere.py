@@ -215,24 +215,32 @@ def _radius_solve(params: ModelParams, r, t):
 
     Safeguarded Newton in w = R^2 - r^2 on g(w) = f^2 - t^2, which is
     increasing and smooth with g'(w) = eps^3 w(r) fos(w) / ell(p) bounded
-    away from 0; the bracket [0, (|t|/eps^3)^2] comes from f >= eps^3 sqrt(w).
+    away from 0.  The root stays bracketed by [0, hi], hi = (|t|/eps^3)^2,
+    because f >= eps^3 sqrt(w); at sigma = 0 that bound is an equality and
+    hi is the root.  The iteration starts from Pansu's sphere, the eps -> 0
+    limit: at min(hi, R_P^2 - r^2) with R_P = pansu_radius(|sigma|, r, |t|)
+    (the profile is even in sigma), or at hi where sigma = 0 or the Pansu gap
+    is not positive.  It stops when |g| <= 1e-13 t^2, a relative test on f.
     """
     e = params.epsilon
     shape = np.broadcast_shapes(np.shape(r), np.shape(t))
     r, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (r, t))
     t = np.abs(t)
     hi = (t / e**3) ** 2
-    tol = 1e-12 * np.maximum(1.0, t)
+    start = hi
+    if params.sigma != 0.0:
+        gap = _pansu_radius_solve(abs(params.sigma), r, t) ** 2 - r * r
+        start = np.where(gap > 0.0, np.minimum(hi, gap), hi)
+    tol = 1e-13 * t * t
 
     def residual(w):
         R = np.sqrt(r * r + w)
         _, w_r, p = _pieces(params, r, R)
         fos = _fos(params, R, w_r, p)
         g = w * fos * fos - t * t
-        converged = np.abs(g) / (np.sqrt(w) * fos + t + 1e-300) <= tol
-        return g, e**3 * w_r * fos / _ell(p), converged
+        return g, e**3 * w_r * fos / _ell(p), np.abs(g) <= tol
 
-    w = _newton(residual, np.where(t == 0.0, 0.0, hi), 0.0, hi, t == 0.0, "radius solve")
+    w = _newton(residual, start, 0.0, hi, t == 0.0, "radius solve")
     return np.sqrt(r * r + w).reshape(shape)
 
 
@@ -384,7 +392,7 @@ def _pansu_radius_solve(sigma: float, r, t):
     shape = np.broadcast_shapes(np.shape(r), np.shape(t))
     r, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (r, t))
     t = np.abs(t)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # r = 0 or tiny: the other bound holds
         g = np.minimum(t / (sigma * r), np.sqrt(4.0 * t / (math.pi * sigma)))
 
     def residual(g):
