@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -90,6 +91,12 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, float]) -> None:
 
 def _spec_from(args: argparse.Namespace) -> SphereSpec:
     return SphereSpec(ModelParams(args.epsilon, args.sigma), args.R)
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 # ------------------------------------------------------------------- sphere
@@ -210,7 +217,7 @@ def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> floa
 def cmd_verify(args: argparse.Namespace) -> int:
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0, "seed": 12345,
                     "perturb_h": 0.0, "delta": 0.3})
-    rng = np.random.default_rng(int(args.seed))
+    rng = _rng(int(args.seed))
     if args.grid:
         specs = [
             SphereSpec(ModelParams(e, s), R)
@@ -223,8 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     checks = []
 
-    def run(name: str, fun, tol: float) -> None:
-        measured = max(fun(spec) for spec in specs)
+    def run(name: str, fun, tol: float, over=specs) -> None:
+        measured = max(fun(spec) for spec in over)
         checks.append(
             {"name": name, "measured": measured, "tolerance": tol, "passed": bool(measured <= tol)}
         )
@@ -237,13 +244,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # mesh-convergence check: its absolute tolerance is calibrated at the
     # base parameters (the truncation error scales with tau^2), so it does
     # not sweep the grid
-    base = _spec_from(args)
-    checks.append({
-        "name": "jacobi_residual",
-        "measured": max(jacobi_residual(base, w, n=400) for w in ("x", "y", "t")),
-        "tolerance": 1e-3,
-    })
-    checks[-1]["passed"] = bool(checks[-1]["measured"] <= checks[-1]["tolerance"])
+    run("jacobi_residual", lambda sp: max(jacobi_residual(sp, w, n=400) for w in "xyt"), 1e-3,
+        over=[_spec_from(args)])
 
     report = {
         "grid": bool(args.grid),
@@ -344,8 +346,10 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0, "delta": 0.3,
                     "n": 20, "seed": 7})
     spec = _spec_from(args)
+    if int(args.n) < 1:
+        raise DomainError(f"the competitor count must be at least 1, got {args.n}")
     cyl = CylinderSpec(spec, float(args.delta))
-    rng = np.random.default_rng(int(args.seed))
+    rng = _rng(int(args.seed))
     rows = []
     reports = []
     for i in range(int(args.n)):
@@ -379,6 +383,7 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heisenberg-cmc",

@@ -16,7 +16,8 @@ The same module carries the stability machinery: the squared norm of the
 second fundamental form plus the ambient Ricci term form the potential of
 the Jacobi operator L = Lap + (|h|^2 + Ric(N)), and the normal components
 of the right-invariant frame fields are discrete solutions of L g = 0,
-verified on a finite-difference mesh of the upper graph.
+verified on a finite-difference mesh of the upper graph, which the
+rotational symmetry reduces to one radial line.
 """
 
 from __future__ import annotations
@@ -426,6 +427,14 @@ def jacobi_residual(
     and second-order central differences of g; n sets both the radial
     spacing R/n and the angular spacing 2 pi / n.  Bands of width
     `band`*R around the poles and the equator are excluded.
+
+    The rotations about the t-axis preserve the sphere, so the
+    coefficients depend on r alone and g = Re(G(r) e^{i k theta}) is one
+    rotational mode: k = 0 and G = g_t for 't', k = 1 and G = g_x + i g_y
+    for 'x', -i times that for 'y'.  Each theta difference, average and
+    shift of the mesh stencil multiplies e^{i k theta} by a symbol in
+    z = e^{i k dtheta}, so the stencil runs on one radial line and the
+    residual at the n mesh angles is Re(rho(r) e^{i k theta}).
     """
     if which not in ("x", "y", "t"):
         raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
@@ -436,53 +445,39 @@ def jacobi_residual(
     if len(r) < 5:
         raise DomainError("mesh too coarse for the interior stencil")
     dth = 2.0 * math.pi / n
-    th = np.arange(n) * dth
 
     def metric_coeffs(rv):
         fr = _f_r(params, rv, R)
         g_rr = e * e + fr * fr / e**4
         g_tt = e * e * rv * rv + s * s * rv**4 / e**4
         g_rt = s * rv * rv * fr / e**4
-        det = g_rr * g_tt - g_rt * g_rt
-        sq = np.sqrt(det)
+        # sqrt(g_rr g_tt - g_rt^2) with the cancelling sigma^2 r^4 f_r^2 / e^8 terms taken out
+        sq = rv * np.sqrt(e**4 + (s * s * rv * rv + fr * fr) / (e * e))
         return g_tt / sq, -g_rt / sq, g_rr / sq, sq  # a, b, c, sqrt(det)
 
-    a, b, c, sq = metric_coeffs(r)
+    _, b, c, sq = metric_coeffs(r)
     ah, bh, _, _ = metric_coeffs(r + 0.5 * h)
 
-    # g at theta = 0, turned by the rotations about the t-axis, which preserve
-    # the sphere: g_x + i g_y turns with e^{i theta}, g_t does not
-    pt = (r[:, None], 0.0, _f(params, r, R)[:, None])
+    pt = (r, 0.0, _f(params, r, R))
     if which == "t":
-        g = np.broadcast_to(normal_component(spec, "t", pt), (len(r), n))
+        k, g = 0, normal_component(spec, "t", pt)
     else:
-        gx, gy = (normal_component(spec, w, pt) for w in "xy")
-        cs, sn = np.cos(th), np.sin(th)
-        g = gx * cs - gy * sn if which == "x" else gx * sn + gy * cs
+        k, g = 1, normal_component(spec, "x", pt) + 1j * normal_component(spec, "y", pt)
+        if which == "y":
+            g = -1j * g
+    z = complex(math.cos(k * dth), math.sin(k * dth))
 
-    def dtheta(arr):
-        return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * dth)
+    # radial fluxes at half nodes i+1/2; the central theta difference is (z - 1/z) / (2 dtheta)
+    g_r_half = (g[1:] - g[:-1]) / h
+    g_t = ((z - 1.0 / z) / (2.0 * dth)) * g
+    flux_r = ah[:-1] * g_r_half + bh[:-1] * (0.5 * (g_t[1:] + g_t[:-1]))
 
-    # radial fluxes at half nodes i+1/2
-    g_r_half = (g[1:, :] - g[:-1, :]) / h
-    g_t = dtheta(g)
-    g_t_half = 0.5 * (g_t[1:, :] + g_t[:-1, :])
-    flux_r = ah[:-1, None] * g_r_half + bh[:-1, None] * g_t_half
+    # angular fluxes at half nodes j+1/2 on the interior rows: the forward
+    # average is (1 + z) / 2, the forward difference (z - 1) / dtheta
+    g_r_cent = (g[2:] - g[:-2]) / (2.0 * h)
+    flux_t = b[1:-1] * (0.5 * (1.0 + z) * g_r_cent) + c[1:-1] * ((z - 1.0) / dth * g[1:-1])
 
-    # angular fluxes at half nodes j+1/2
-    g_r_cent = np.empty_like(g)
-    g_r_cent[1:-1, :] = (g[2:, :] - g[:-2, :]) / (2.0 * h)
-    g_r_cent[0, :] = g_r_cent[1, :]
-    g_r_cent[-1, :] = g_r_cent[-2, :]
-    g_t_half_ang = (np.roll(g, -1, axis=1) - g) / dth
-    g_r_half_ang = 0.5 * (np.roll(g_r_cent, -1, axis=1) + g_r_cent)
-    flux_t = b[:, None] * g_r_half_ang + c[:, None] * g_t_half_ang
-
-    lap = np.full_like(g, np.nan)
-    lap[1:-1, :] = (flux_r[1:, :] - flux_r[:-1, :]) / h
-    lap[1:-1, :] += (flux_t[1:-1, :] - np.roll(flux_t, 1, axis=1)[1:-1, :]) / dth
-    lap[1:-1, :] /= sq[1:-1, None]
-
-    pot = jacobi_potential(spec, r)[:, None]
-    resid = lap + pot * g
-    return float(np.nanmax(np.abs(resid[1:-1, :])))
+    # the backward shift is 1/z
+    lap = (flux_r[1:] - flux_r[:-1]) / h + flux_t * ((1.0 - 1.0 / z) / dth)
+    rho = lap / sq[1:-1] + jacobi_potential(spec, r[1:-1]) * g[1:-1]
+    return float(np.max(np.abs(np.outer(rho, np.exp(1j * k * dth * np.arange(n))).real)))

@@ -96,6 +96,25 @@ def test_verify_negative_control_fails():
     assert failed == {"traceless_correction"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["isoperim", "--n", "0"], "competitor count must be at least 1"),
+    (["isoperim", "--n", "-1"], "competitor count must be at least 1"),
+    (["isoperim", "--n", "2", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["verify", "--seed", "-1"], "seed must be a non-negative integer"),
+])
+def test_bad_counts_and_seeds_exit_2(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_parser_is_shared_without_leaking_options(tmp_path):
+    grid, plain = tmp_path / "grid.json", tmp_path / "plain.json"
+    assert cli.main(["verify", "--grid", "--json", str(grid)]) == cli.EXIT_OK
+    assert cli.main(["verify", "--json", str(plain)]) == cli.EXIT_OK
+    assert json.loads(grid.read_text())["n_specs"] == 27
+    assert json.loads(plain.read_text())["n_specs"] == 1
+
+
 def test_meridian_figure1_preset(tmp_path):
     prefix = tmp_path / "fig1"
     res = run_cli("meridian", "--figure1", "--step-frac", "1e-3",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,3 +274,111 @@ def test_jacobi_euclidean_degeneration():
 def test_jacobi_rejects_bad_field(spec):
     with pytest.raises(ContractError):
         jacobi_residual(spec, "z")
+
+
+# The full (r, theta) mesh that `jacobi_residual` reduces to one radial line,
+# kept as it was (the subtracted metric determinant included) as the oracle
+# for the mode reduction.
+def _jacobi_residual_mesh(
+    spec: SphereSpec,
+    which: str,
+    n: int = 400,
+    band: float = 0.05,
+) -> float:
+    """Max |L g| on a mesh of the upper graph for a right-invariant
+    normal component g.
+
+    The Laplace-Beltrami operator is discretized in graph polar
+    coordinates (r, theta) in flux form with analytic metric coefficients
+    and second-order central differences of g; n sets both the radial
+    spacing R/n and the angular spacing 2 pi / n.  Bands of width
+    `band`*R around the poles and the equator are excluded.
+    """
+    if which not in ("x", "y", "t"):
+        raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
+    params, R = spec.params, spec.R
+    e, s = params.epsilon, params.sigma
+    h = R / n
+    r = np.arange(band * R, R * (1.0 - band) + 0.5 * h, h)
+    if len(r) < 5:
+        raise DomainError("mesh too coarse for the interior stencil")
+    dth = 2.0 * math.pi / n
+    th = np.arange(n) * dth
+
+    def metric_coeffs(rv):
+        fr = _f_r(params, rv, R)
+        g_rr = e * e + fr * fr / e**4
+        g_tt = e * e * rv * rv + s * s * rv**4 / e**4
+        g_rt = s * rv * rv * fr / e**4
+        det = g_rr * g_tt - g_rt * g_rt
+        sq = np.sqrt(det)
+        return g_tt / sq, -g_rt / sq, g_rr / sq, sq  # a, b, c, sqrt(det)
+
+    a, b, c, sq = metric_coeffs(r)
+    ah, bh, _, _ = metric_coeffs(r + 0.5 * h)
+
+    # g at theta = 0, turned by the rotations about the t-axis, which preserve
+    # the sphere: g_x + i g_y turns with e^{i theta}, g_t does not
+    pt = (r[:, None], 0.0, _f(params, r, R)[:, None])
+    if which == "t":
+        g = np.broadcast_to(normal_component(spec, "t", pt), (len(r), n))
+    else:
+        gx, gy = (normal_component(spec, w, pt) for w in "xy")
+        cs, sn = np.cos(th), np.sin(th)
+        g = gx * cs - gy * sn if which == "x" else gx * sn + gy * cs
+
+    def dtheta(arr):
+        return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * dth)
+
+    # radial fluxes at half nodes i+1/2
+    g_r_half = (g[1:, :] - g[:-1, :]) / h
+    g_t = dtheta(g)
+    g_t_half = 0.5 * (g_t[1:, :] + g_t[:-1, :])
+    flux_r = ah[:-1, None] * g_r_half + bh[:-1, None] * g_t_half
+
+    # angular fluxes at half nodes j+1/2
+    g_r_cent = np.empty_like(g)
+    g_r_cent[1:-1, :] = (g[2:, :] - g[:-2, :]) / (2.0 * h)
+    g_r_cent[0, :] = g_r_cent[1, :]
+    g_r_cent[-1, :] = g_r_cent[-2, :]
+    g_t_half_ang = (np.roll(g, -1, axis=1) - g) / dth
+    g_r_half_ang = 0.5 * (np.roll(g_r_cent, -1, axis=1) + g_r_cent)
+    flux_t = b[:, None] * g_r_half_ang + c[:, None] * g_t_half_ang
+
+    lap = np.full_like(g, np.nan)
+    lap[1:-1, :] = (flux_r[1:, :] - flux_r[:-1, :]) / h
+    lap[1:-1, :] += (flux_t[1:-1, :] - np.roll(flux_t, 1, axis=1)[1:-1, :]) / dth
+    lap[1:-1, :] /= sq[1:-1, None]
+
+    pot = jacobi_potential(spec, r)[:, None]
+    resid = lap + pot * g
+    return float(np.nanmax(np.abs(resid[1:-1, :])))
+
+
+# The oracle's own roundoff in g, magnified by 1/h^2, reaches 1.7e-7 of 'x' at
+# n = 800 against an extended-precision run of the same mesh (the reduction
+# stays within 7.4e-9 of that run).  For 't' the two determinant forms differ
+# in the last bit, which moves the discrete value by up to 6e-10 at n = 800.
+_MESH_RTOL = {("x", 400): 1e-7, ("x", 800): 4e-7, ("t", 400): 1e-10, ("t", 800): 1e-9}
+
+
+@pytest.mark.parametrize("n", [400, 800])
+@pytest.mark.parametrize("which", ["x", "y", "t"])
+@pytest.mark.parametrize("eps, sigma, R", [
+    (1.0, 1.0, 1.0), (0.7, 1.0, 1.0), (0.3, 1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 1.0, 0.5),
+    (1.0, 1.0, 2.0), (1.0, -0.8, 2.0), (1.0, 0.0, 1.0), (3.0, -2.0, 0.7),
+])
+def test_jacobi_mode_reduction_matches_mesh(eps, sigma, R, which, n):
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    got = jacobi_residual(spec, which, n=n)
+    ref = _jacobi_residual_mesh(spec, which, n=n)
+    assert abs(got - ref) <= _MESH_RTOL["t" if which == "t" else "x", n] * ref
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_jacobi_residual_finite_at_small_eps(eps):
+    # the subtracted determinant g_rr g_tt - g_rt^2 went negative here
+    spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(math.isfinite(jacobi_residual(spec, w)) for w in "xyt")
