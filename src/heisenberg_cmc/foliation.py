@@ -12,7 +12,10 @@ region) the label is the unique lam > R with
 
     F(|z|, t, lam) = f(|z|; lam) - f(r_cut; lam) + t_cut - t = 0,
 
-whose leaves are vertical translates of the larger spheres' graphs.  The
+whose leaves are vertical translates of the larger spheres' graphs.  F
+falls from f(|z|; R) - t > 0 at lam = R to t_cut - t < 0 as lam -> inf,
+so in mu = R/lam the root lies in the a-priori bracket (0, 1), where it
+is solved without a bracket search.  The
 downhill unit gradient V = -grad(u)/|grad(u)| is continuous on C, equals
 the outward sphere normal on the sphere itself, and has
 (1/2) div V = H_lam <= 1/(eps R) with H_lam = 1/(eps lam) for lam > R.
@@ -31,7 +34,8 @@ import numpy as np
 from ._numerics import _ULP, _newton
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
-from .sphere import SphereSpec, _f, _f_R, _f_r, _omega, _radius_of, profile_height
+from .sphere import (SphereSpec, _f, _f_and_f_R, _f_r, _f_R, _omega, _radius_of,
+                     profile_height)
 
 __all__ = [
     "CylinderSpec",
@@ -125,35 +129,32 @@ def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
 def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, depth: np.ndarray) -> np.ndarray:
     """Root lam > R of the leaf equation below the graph; `depth` = f(r; R) - t = F(R).
 
-    The bracket doubles from [R, 2R] until F(hi) < 0.  Newton, with
-    F_lam = f_R(r; lam) - f_R(r_cut; lam), starts where F is linear in
-    sqrt(lam - lo), as it is near lam = R when delta = 0.  A point has
-    converged when |F| is at the rounding level of its terms (far above one
-    ulp of lam at deep points).
+    Newton in mu = R/lam, which maps lam in (R, inf) onto the a-priori
+    bracket (0, 1): F rises from t_cut - t < 0 at mu = 0 to depth > 0 at
+    mu = 1, with dF/dmu = -F_lam lam^2 / R and F_lam = f_R(r; lam) -
+    f_R(r_cut; lam).  The start mu = 1 - d^2, d = depth / (f(r; R) - t_cut),
+    costs no profile pass and follows F's sqrt(lam - R) growth near lam = R
+    when delta = 0; each pass takes f and f_R from one fused profile
+    evaluation.  A point has converged when |F| is at the rounding level of
+    its terms (far above one ulp of lam at deep points).  Labels are at
+    least the float after R, within one ulp of the root when the point sits
+    a rounding error below the graph.
     """
-    params = cyl.params
+    R = cyl.R
     rr = np.stack((r, np.full_like(r, cyl.r_cut)))  # f at r and at r_cut in one call
-    lo, F_lo = np.full_like(r, cyl.R), depth
-    hi = 2.0 * lo
-    for _ in range(200):
-        f = _f(params, rr, hi)
-        F_hi = f[0] - f[1] + cyl.t_cut - t
-        up = F_hi >= 0.0
-        if not np.any(up):
-            break
-        lo, F_lo, hi = np.where(up, hi, lo), np.where(up, F_hi, F_lo), np.where(up, 2.0 * hi, hi)
-    else:
-        raise NumericsError("leaf bracket expansion failed")
     t_size = abs(cyl.t_cut) + np.abs(t)
 
-    def residual(lam):
-        f, f_lam = _f(params, rr, lam), _f_R(params, rr, lam)
+    def residual(mu):
+        lam = R / mu
+        f, f_lam = _f_and_f_R(cyl.params, rr, lam)
         F = f[0] - f[1] + cyl.t_cut - t
         scale = np.abs(f[0]) + np.abs(f[1]) + t_size
-        return F, f_lam[0] - f_lam[1], np.abs(F) <= 16.0 * _ULP * scale
+        return F, (f_lam[1] - f_lam[0]) * lam * lam / R, np.abs(F) <= 16.0 * _ULP * scale
 
-    lam = lo + (hi - lo) * (F_lo / (F_lo - F_hi)) ** 2
-    return _newton(residual, lam, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
+    d = depth / (depth + t - cyl.t_cut)
+    start = np.maximum(1.0 - d * d, _ULP)  # 1 - d^2 rounds to 0 when t - t_cut << depth
+    mu = _newton(residual, start, 0.0, 1.0, np.zeros(r.shape, dtype=bool), "leaf label solve")
+    return np.maximum(R / mu, np.nextafter(R, np.inf))
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -99,18 +99,19 @@ def _omega(params: ModelParams, r):
     return np.sqrt(1.0 + np.square(te * np.asarray(r, dtype=float)))
 
 
-def _atanc(p):
-    """arctan(p)/p, continuous with value 1 at p = 0."""
+def _atanc(p, atan_p=None):
+    """arctan(p)/p, continuous with value 1 at p = 0; `atan_p` is arctan(p)
+    when the caller has it already."""
     p = np.asarray(p, dtype=float)
     small = np.abs(p) < 1e-8
     safe = np.where(small, 1.0, p)
-    out = np.where(small, 1.0 - p * p / 3.0, np.arctan(safe) / safe)
-    return out
+    atan_safe = np.arctan(safe) if atan_p is None else atan_p  # masked where small
+    return np.where(small, 1.0 - p * p / 3.0, atan_safe / safe)
 
 
-def _ell(p):
+def _ell(p, atan_p=None):
     p = np.asarray(p, dtype=float)
-    return 1.0 / (1.0 + p * np.arctan(p))
+    return 1.0 / (1.0 + p * (np.arctan(p) if atan_p is None else atan_p))
 
 
 def _gap(r, R):
@@ -131,11 +132,11 @@ def _p_north(params: ModelParams, r, R):
     return _pieces(params, r, R)[2]
 
 
-def _fos(params: ModelParams, R, w, p):
+def _fos(params: ModelParams, R, w, p, atan_p=None):
     """f / sqrt(R^2 - r^2) from w(r) and p(r; R), smooth and positive up to r = R and tau = 0."""
     e = params.epsilon
     wR2 = 1.0 + np.square(params.tau * e * np.asarray(R, dtype=float))
-    return (e**3 / (2.0 * w)) * (wR2 * _atanc(p) + w * w)
+    return (e**3 / (2.0 * w)) * (wR2 * _atanc(p, atan_p) + w * w)
 
 
 def _f_over_sqrt(params: ModelParams, r, R):
@@ -155,6 +156,14 @@ def _f_r(params: ModelParams, r, R):
 def _f_R(params: ModelParams, r, R):
     sq, w, p = _pieces(params, r, R)
     return params.epsilon**3 * np.asarray(R, dtype=float) * w / (sq * _ell(p))
+
+
+def _f_and_f_R(params: ModelParams, r, R):
+    """(_f, _f_R) bit for bit, from one _pieces call and one arctan."""
+    sq, w, p = _pieces(params, r, R)
+    atan_p = np.arctan(p)
+    f = sq * _fos(params, R, w, p, atan_p)
+    return f, params.epsilon**3 * np.asarray(R, dtype=float) * w / (sq * _ell(p, atan_p))
 
 
 def _check_profile_domain(R: float, r, *, closed: bool) -> np.ndarray:
@@ -297,12 +306,14 @@ def _normal_components(params: ModelParams, x, y, r, t, R) -> np.ndarray:
 
 
 def _on_sphere_or_raise(spec: SphereSpec, point: Point, tol: float = 1e-8) -> None:
-    """ContractError unless the point lies within `tol` of the sphere."""
+    """ContractError unless |t| is within tol * max(1, R, f(r)) of f(r), so
+    relative in t where the profile is tall."""
     r = point.r
     if r > spec.R * (1.0 + _DOMAIN_RTOL) + tol:
         raise ContractError(f"point with |z| = {r} is not on the sphere R = {spec.R}")
-    miss = abs(abs(point.t) - float(_f(spec.params, min(r, spec.R), spec.R)))
-    if miss > tol * max(1.0, spec.R):
+    f_here = float(_f(spec.params, min(r, spec.R), spec.R))
+    miss = abs(abs(point.t) - f_here)
+    if miss > tol * max(1.0, spec.R, f_here):
         raise ContractError(f"point is off the sphere: | |t| - f | = {miss:.3e}")
 
 

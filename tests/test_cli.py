@@ -101,10 +101,22 @@ def test_verify_negative_control_fails():
     (["isoperim", "--n", "-1"], "competitor count must be at least 1"),
     (["isoperim", "--n", "2", "--seed", "-1"], "seed must be a non-negative integer"),
     (["verify", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["sphere", "--R", "1", "--n", "0"], "profile row count must be at least 1"),
+    (["sphere", "--R", "1", "--n", "-1"], "profile row count must be at least 1"),
+    (["sphere", "--R", "1", "--sweep-n", "0"], "sweep count must be at least 1"),
+    (["sphere", "--R", "1", "--sweep-n", "-2"], "sweep count must be at least 1"),
 ])
 def test_bad_counts_and_seeds_exit_2(capsys, argv, message):
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [["--n", "0"], ["--sweep-n", "-2"]])
+def test_sphere_bad_count_writes_no_csv(tmp_path, count):
+    out, sweep = tmp_path / "profile.csv", tmp_path / "sweep.csv"
+    argv = ["sphere", "--R", "1", "--out", str(out), "--sweep-out", str(sweep)] + count
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    assert not out.exists() and not sweep.exists()
 
 
 def test_parser_is_shared_without_leaking_options(tmp_path):

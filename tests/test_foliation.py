@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from heisenberg_cmc import (
     DomainError,
@@ -23,7 +24,7 @@ from heisenberg_cmc.foliation import (
     point_on_leaf,
     vertical_label_bound,
 )
-from heisenberg_cmc.sphere import _f
+from heisenberg_cmc.sphere import _f, _f_and_f_R, _f_R
 
 from conftest import GRID
 
@@ -135,6 +136,79 @@ def test_label_partition(spec, cyl, rng):
             assert leaf_label(cyl, Point(r, 0.0, t)) <= spec.R
         else:
             assert leaf_label(cyl, Point(r, 0.0, t)) > spec.R
+
+
+def test_label_just_below_the_graph_exceeds_R():
+    # depth fraction 1.3e-8 at delta = 0: the root is within an ulp of R
+    cyl = CylinderSpec(SphereSpec(ModelParams(0.016141342024463937, 0.0), 82.7941657495076), 0.0)
+    u = leaf_label(cyl, Point(35.45024430093878, 0.0, 0.0003146598544533442))
+    assert u == np.nextafter(cyl.R, np.inf)
+
+
+def test_label_one_ulp_above_the_cut_is_finite():
+    # the depth fraction d rounds to 1 here, so mu = 1 - d^2 would start at 0
+    cyl = CylinderSpec(SphereSpec(ModelParams(1.0, 1.0), 1.0), 1e-10)
+    u = leaf_label(cyl, Point(0.3, 0.0, float(np.nextafter(cyl.t_cut, np.inf))))
+    assert math.isfinite(u) and u > cyl.R
+
+
+_ULP = np.finfo(float).eps
+
+
+def _brentq_label(cyl, r, t):
+    """Root of `leaf_equation` by scipy's brentq; the float after R when F
+    has already changed sign there."""
+    lo = float(np.nextafter(cyl.R, np.inf))
+    if leaf_equation(cyl, r, t, lo) <= 0.0:
+        return lo
+    hi = 2.0 * cyl.R
+    while leaf_equation(cyl, r, t, hi) >= 0.0:
+        hi *= 2.0
+    return brentq(lambda lam: leaf_equation(cyl, r, t, lam), lo, hi,
+                  xtol=1e-300, rtol=4.0 * _ULP, maxiter=500)
+
+
+def test_labels_match_brentq_oracle():
+    """eps, |sigma|, R over [1e-3, 1e3] with sigma of either sign or 0,
+    delta = 0 and delta > 0, depth fractions 1e-8 to 0.9999: each label is
+    within max(16 ulp lam, 32 ulp scale / |F_lam|) of brentq's root."""
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for k in range(36):
+        eps, sigma, R = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=3))
+        sigma *= (-1.0, 0.0, 1.0)[k % 3]
+        delta = 0.0 if k % 2 == 0 else rng.uniform(0.01, 0.9) * R
+        cyl = CylinderSpec(SphereSpec(ModelParams(eps, sigma), R), delta)
+        r = rng.uniform(0.0, 0.999, size=12) * cyl.r_cut
+        frac = np.concatenate(([1e-8, 0.9999], np.exp(rng.uniform(math.log(1e-8), 0.0, size=10))))
+        frac = np.minimum(frac, 0.9999)
+        f_r = _f(cyl.params, r, R)
+        t = f_r - frac * (f_r - cyl.t_cut)
+        keep = (cyl.t_cut < t) & (t < f_r)
+        labels = leaf_label_grid(cyl, r[keep], t[keep])
+        for ri, ti, lam in zip(r[keep], t[keep], labels):
+            ref = _brentq_label(cyl, ri, ti)
+            rr = np.array([ri, cyl.r_cut])
+            f, f_lam = _f(cyl.params, rr, ref), _f_R(cyl.params, rr, ref)
+            scale = abs(f[0]) + abs(f[1]) + abs(cyl.t_cut) + abs(ti)
+            bound = max(16.0 * _ULP * ref, 32.0 * _ULP * scale / abs(f_lam[0] - f_lam[1]))
+            assert lam > R and abs(lam - ref) <= bound, (eps, sigma, R, delta, ri, ti)
+            checked += 1
+    assert checked >= 400
+
+
+@pytest.mark.parametrize("eps, sigma", [(1.0, 1.0), (0.3, -2.0), (1.0, 0.0), (50.0, 1e-9)])
+def test_fused_profile_kernel_is_bitwise(eps, sigma):
+    # r -> R and tau = 0 take p below 1e-8, the series branch of atanc
+    params = ModelParams(eps, sigma)
+    R = np.array([0.5, 1.0, 2.0, 7.0])
+    frac = np.array([0.0, 0.3, 0.9, 1.0 - 1e-12, 1.0 - 1e-15])
+    r = np.minimum(frac[:, None] * R, np.nextafter(R, 0.0))
+    f, f_R = _f_and_f_R(params, r, R)
+    assert np.array_equal(f, _f(params, r, R)) and np.array_equal(f_R, _f_R(params, r, R))
+    rr = np.stack((r[1], np.full(4, 0.25)))  # the label solve's (2, n) layout
+    f, f_R = _f_and_f_R(params, rr, R)
+    assert np.array_equal(f, _f(params, rr, R)) and np.array_equal(f_R, _f_R(params, rr, R))
 
 
 def test_label_grid_matches_scalar(cyl):

@@ -271,6 +271,28 @@ def test_jacobi_euclidean_degeneration():
     assert jacobi_residual(spec, "x", n=400) <= 1e-3
 
 
+@pytest.mark.parametrize("eps, sigma, R", [
+    (1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.0, 1.0, 2.0), (0.7, 1.0, 1.0), (1.0, 4.0, 1.0),
+])
+def test_jacobi_y_repeats_x_when_n_divisible_by_4(eps, sigma, R):
+    # g_y's mode is -i times g_x's, and a quarter turn maps the n angles onto
+    # themselves, so `verify` runs 'x' and 't' only; at the specs of `verify`
+    # and its grid base the two are equal bit for bit
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    assert jacobi_residual(spec, "x", n=400) == jacobi_residual(spec, "y", n=400)
+
+
+def test_jacobi_y_matches_x_to_rounding(rng):
+    # elsewhere the angle table's rounding (cos of theta_j - pi/2 against
+    # sin of theta_j) can split them in the last digits, negative sigma included
+    for _ in range(20):
+        eps, R = np.exp(rng.uniform(math.log(0.3), math.log(3.0), size=2))
+        sigma = rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
+        spec = SphereSpec(ModelParams(eps, sigma), R)
+        x, y = (jacobi_residual(spec, w, n=400) for w in "xy")
+        assert abs(x - y) <= 1e-10 * x
+
+
 def test_jacobi_rejects_bad_field(spec):
     with pytest.raises(ContractError):
         jacobi_residual(spec, "z")

@@ -210,6 +210,17 @@ def test_outer_normal_rejects_off_sphere(spec):
         outer_normal(spec, Point(0.5, 0.0, 2.0))
 
 
+def test_on_sphere_bound_is_relative_where_the_profile_is_tall():
+    # f ~ 3.2e9 here, and `profile_height`'s own point misses f at the
+    # rotated radius by 8.5e-5, far above 1e-8 * max(1, R)
+    spec = SphereSpec(ModelParams(1525.5, 0.0), 9.94)
+    t = float(profile_height(spec, 9.9))
+    q = Point(9.9 * math.cos(1.1), 9.9 * math.sin(1.1), t)
+    assert abs(outer_normal(spec, q).norm() - 1.0) <= 1e-12
+    with pytest.raises(ContractError):
+        outer_normal(spec, Point(q.x, q.y, 1.001 * t))
+
+
 def test_foliation_normal_agrees_on_sphere(rng, spec):
     for _ in range(10):
         r = rng.uniform(0.05, 0.95)
