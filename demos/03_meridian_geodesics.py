@@ -2,17 +2,22 @@
 
 The normal field of the sphere family is not geodesic: its self-derivative
 is a tangent field whose normalization M sweeps each sphere from the north
-pole to the south pole.  Its integral curves are intrinsic geodesics; we
-integrate one for the parameters R=2, eps=0.5, sigma=0.5 and write it out
-as an OBJ polyline (twisted meridians replacing the great circles of the
-round sphere).
+pole to the south pole.  Its integral curves are intrinsic geodesics, and
+they have a closed form: with r = R sin(phi) the arclength is eps R phi and
+the twist about the axis is 2 arctan(tau eps R) from pole to pole.  We
+sample one for the parameters R=2, eps=0.5, sigma=0.5, compare it with the
+Runge-Kutta integral of the field, and write it out as an OBJ polyline
+(twisted meridians replacing the great circles of the round sphere).
 """
 
 import math
 
+import numpy as np
+
 from heisenberg_cmc import ModelParams, Point, SphereSpec, profile_height
 from heisenberg_cmc.meridians import (
     integrate_meridian,
+    meridian_curve,
     meridian_geodesic_residual,
     pansu_geodesic_residual,
     pansu_meridian_field,
@@ -21,19 +26,28 @@ from heisenberg_cmc.meridians import (
 spec = SphereSpec(ModelParams(0.5, 0.5), R=2.0)
 r0 = 0.04
 start = Point(r0, 0.0, float(profile_height(spec, r0)))
-curve = integrate_meridian(spec, start)
+curve = meridian_curve(spec, start, step=spec.R / 2000.0)
 
 drift = max(
     abs(abs(pt) - float(profile_height(spec, min(math.hypot(px, py), spec.R))))
     for px, py, pt in curve.points
 )
-print(f"integrated {len(curve)} samples, arclength {curve.s[-1]:.4f}")
+print(f"sampled {len(curve)} points, arclength {curve.s[-1]:.4f} "
+      f"(pole to pole pi eps R = {math.pi * 0.5 * spec.R:.4f})")
 print(f"stays on the sphere to {drift:.2e}")
 print(f"geodesic-equation residual along the curve: "
       f"{meridian_geodesic_residual(spec, curve):.2e}")
 print(f"endpoint: r = {math.hypot(curve.points[-1,0], curve.points[-1,1]):.2e}, "
       f"t = {curve.points[-1,2]:+.6f} (south pole at t = "
       f"{-float(profile_height(spec, 0.0)):+.6f})")
+
+print("\n== the closed form against the Runge-Kutta integral of the field ==")
+for step in (spec.R / 250.0, spec.R / 500.0, spec.R / 1000.0):
+    exact = meridian_curve(spec, start, step)
+    rk4 = integrate_meridian(spec, start, step)
+    n = min(len(exact), len(rk4)) - 1  # the two end at the pole a sample apart
+    gap = float(np.max(np.linalg.norm(exact.points[:n] - rk4.points[:n], axis=1)))
+    print(f"step R/{spec.R / step:.0f}: largest distance {gap:.2e}")
 
 with open("meridian.obj", "w") as fh:
     for px, py, pt in curve.points:

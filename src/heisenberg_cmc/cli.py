@@ -4,7 +4,7 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
 
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report
-    meridian  integrate a pole-to-pole geodesic, export polyline
+    meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
 Floats are written with repr (shortest round-trip decimal), so outputs
@@ -31,7 +31,7 @@ from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_co
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, _divergence, label_floor, leaf_label_grid
 from .isoperimetry import deficit_report, jacobi_residual, make_competitor
-from .meridians import _pansu_field, integrate_meridian, meridian_geodesic_residual
+from .meridians import MeridianCurve, _pansu_field, meridian_curve, meridian_geodesic_residual
 from .sphere import (
     SphereSpec,
     _normal_components,
@@ -58,6 +58,31 @@ def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(table.tolist())
+
+
+def _json_rows(cells: np.ndarray) -> str:
+    """A 2-D array of float strings as json.dumps writes the list of its rows."""
+    n, k = cells.shape
+    row = "[" + ", ".join(["%s"] * k) + "]"
+    return "[" + (", ".join([row] * n) % tuple(cells.ravel())) + "]"
+
+
+def _write_curve(prefix: str, curve: MeridianCurve) -> None:
+    """<prefix>.csv, .obj and .json from one repr per float; for finite floats
+    the bytes are those csv.writer and json.dumps would write."""
+    table = np.column_stack((curve.s, curve.points, curve.velocities))
+    n = len(table)
+    cells = np.array(list(map(repr, table.ravel().tolist())), dtype=object).reshape(table.shape)
+    with open(prefix + ".csv", "w", newline="") as fh:
+        fh.write("s,x,y,t,vX,vY,vT\r\n")
+        fh.write("%s,%s,%s,%s,%s,%s,%s\r\n" * n % tuple(cells.ravel()))
+    with open(prefix + ".obj", "w") as fh:
+        fh.write("v %s %s %s\n" * n % tuple(cells[:, 1:4].ravel()))
+        fh.write("l " + " ".join(map(str, range(1, n + 1))) + "\n")
+    with open(prefix + ".json", "w") as fh:
+        fh.write('{"R": %s, "s": [%s], "points": %s, "velocities": %s}\n' % (
+            json.dumps(curve.R), ", ".join(cells[:, 0]), _json_rows(cells[:, 1:4]),
+            _json_rows(cells[:, 4:])))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -296,6 +321,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ meridian
 
+# samples of the curve behind geodesic_residual and pansu_deviation, over pi eps R
+_CHECK_SAMPLES = 512
+
 
 def cmd_meridian(args: argparse.Namespace) -> int:
     if args.figure1:
@@ -303,35 +331,28 @@ def cmd_meridian(args: argparse.Namespace) -> int:
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0,
                     "start_radius_frac": 0.02, "step_frac": 5e-4})
     spec = _spec_from(args)
-    r0 = float(args.start_radius_frac) * spec.R
+    R = spec.R
+    r0 = float(args.start_radius_frac) * R
     start = Point(r0, 0.0, float(profile_height(spec, r0)))
-    curve = integrate_meridian(spec, start, step=float(args.step_frac) * spec.R)
+    curve = meridian_curve(spec, start, float(args.step_frac) * R)
 
-    r = _radius_of(curve.points[:, 0], curve.points[:, 1])
-    t = curve.points[:, 2]
-    drift = float(np.max(np.abs(np.abs(t) - profile_height(spec, np.minimum(r, spec.R)))))
-    resid = meridian_geodesic_residual(spec, curve)
+    x, y, t = curve.points.T
+    drift = float(np.max(np.abs(np.abs(t) - profile_height(spec, np.minimum(_radius_of(x, y), R)))))
 
+    # the checks run on their own curve, so they do not depend on --step-frac
+    check = meridian_curve(spec, start, math.pi * spec.params.epsilon * R / _CHECK_SAMPLES)
+    resid = meridian_geodesic_residual(spec, check)
     # the sub-Riemannian limit sphere exists for sigma > 0 only
     dev = None
     if spec.params.sigma > 0.0:
-        every = max(1, len(curve) // 200)
-        pts, vel, rs = curve.points[::every], curve.velocities[::every], r[::every]
-        keep = (0.1 * spec.R < rs) & (rs < 0.95 * spec.R)
-        bar = _pansu_field(spec.params.sigma, *pts[keep].T)
-        scaled = vel[keep] * np.array([1.0, 1.0, spec.params.epsilon**3])
+        rs = _radius_of(check.points[:, 0], check.points[:, 1])
+        keep = (0.1 * R < rs) & (rs < 0.95 * R)
+        bar = _pansu_field(spec.params.sigma, *check.points[keep].T)
+        scaled = check.velocities[keep] * np.array([1.0, 1.0, spec.params.epsilon**3])
         dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))
 
     if args.out_prefix:
-        _write_csv(args.out_prefix + ".csv", ["s", "x", "y", "t", "vX", "vY", "vT"],
-                   np.column_stack((curve.s, curve.points, curve.velocities)))
-        with open(args.out_prefix + ".obj", "w") as fh:
-            fh.writelines(f"v {x!r} {y!r} {t!r}\n" for x, y, t in curve.points.tolist())
-            fh.write("l " + " ".join(map(str, range(1, len(curve) + 1))) + "\n")
-        with open(args.out_prefix + ".json", "w") as fh:
-            fh.write(json.dumps({"R": curve.R, "s": curve.s.tolist(),
-                                 "points": curve.points.tolist(),
-                                 "velocities": curve.velocities.tolist()}) + "\n")
+        _write_curve(args.out_prefix, curve)
 
     summary = {
         "epsilon": args.epsilon,
@@ -448,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "bound slack) grid below the sphere")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_meridian = sub.add_parser("meridian", help="integrate a pole-to-pole geodesic")
+    p_meridian = sub.add_parser("meridian", help="sample a pole-to-pole geodesic")
     common(p_meridian)
     p_meridian.add_argument("--figure1", action="store_true",
                             help="use the preset R=2, epsilon=0.5, sigma=0.5")

@@ -11,7 +11,10 @@ equatorial plane; the normalized, sign-corrected field
 
 extends smoothly across the equator and satisfies
 nabla_M M = -(H / w(r)^2) N, so its integral curves are intrinsic
-geodesics of the sphere running from the north to the south pole.
+geodesics of the sphere running from the north to the south pole.  They
+have a closed form in the angle phi with r = R sin(phi), which
+`meridian_curve` samples; `integrate_meridian` integrates the field by
+Runge-Kutta as its independent oracle.
 
 Two limit fields are provided: the Euclidean meridian field (sigma -> 0
 at eps = 1) and the horizontal field tangent to the sub-Riemannian limit
@@ -39,6 +42,7 @@ from .sphere import (
     SphereSpec,
     _ell,
     _f,
+    _f_over_sqrt,
     _gap,
     _normal_components,
     _omega,
@@ -58,6 +62,7 @@ __all__ = [
     "meridian_field",
     "meridian_field_coordinates",
     "sample_field",
+    "meridian_curve",
     "integrate_meridian",
     "meridian_geodesic_residual",
     "euclidean_meridian_field",
@@ -79,7 +84,7 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class MeridianCurve:
-    """An integrated meridian: arclength grid, points, unit velocities."""
+    """A sampled meridian: arclength grid, points, unit velocities."""
 
     R: float
     s: np.ndarray
@@ -190,6 +195,54 @@ def sample_field(params: ModelParams, point: Point) -> FieldSample:
     )
 
 
+# ------------------------------------------------------------- closed form
+
+
+def _check_meridian_input(spec: SphereSpec, start: Point, **lengths) -> None:
+    """DomainError unless each length given is positive and finite and the
+    start is off the poles; ContractError unless the start is on the sphere."""
+    for name, value in lengths.items():
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    _on_sphere_or_raise(spec, start)
+    if start.r <= 1e-6 * spec.R:
+        raise DomainError("start must be off the poles")
+
+
+def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve:
+    """The meridian through `start`, sampled in closed form every `step` of arclength.
+
+    With r = R sin(phi) the meridian field gives dphi/ds = 1/(eps R) and
+    dtheta/dphi = tau eps r / w(r), so the samples are phi_k = phi0 + k step/(eps R)
+    while phi_k < pi, at r = R sin(phi), t = sgn(cos(phi)) f(r; R) and
+    theta = theta0 + sgn(tau) [Theta(phi) - Theta(phi0)] with
+    Theta = atan2(w(r), |tau eps| R cos(phi)).  On the north hemisphere that is
+    arcsin(w(r)/w(R)) up to a constant, and the twist from pole to pole is
+    2 arctan(tau eps R).  The velocities are the meridian field at the samples,
+    and one exact south-pole sample is appended one step after the last.
+    """
+    params, R = spec.params, spec.R
+    _check_meridian_input(spec, start, step=step)
+    te = params.tau * params.epsilon
+    phi0 = math.atan2(start.r, start.t / float(_f_over_sqrt(params, start.r, R)))
+    dphi = step / (params.epsilon * R)
+    phi = phi0 + dphi * np.arange(int((math.pi - phi0) / dphi) + 1)
+    phi = phi[phi < math.pi]
+    c, r = R * np.cos(phi), R * np.sin(phi)
+    # t = f(r) at the rounded r, not R cos(phi) f/sqrt(R^2 - r^2): the two agree to
+    # rounding, but near the rim, where f is steep, only f(r) keeps |t| = f(r)
+    t = np.sign(c) * _f(params, r, R)
+    lam, mu, m, w = _lam_mu(params, r, t, R)
+    twist = np.arctan2(w, abs(te) * c)
+    theta = math.atan2(start.y, start.x) + math.copysign(1.0, te) * (twist - twist[0])
+    x, y = r * np.cos(theta), r * np.sin(theta)
+    points = np.column_stack((x, y, t))
+    vels = np.column_stack((x * lam - y * mu, y * lam + x * mu, -m))
+    points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
+    vels = np.vstack([vels, vels[-1]])
+    return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
+
+
 # ------------------------------------------------------------- integration
 
 
@@ -234,12 +287,14 @@ def _sphere_kernels(params: ModelParams, R: float):
         Newton on s with the stable products f*f' and f/sqrt(gap); quadratic
         and well conditioned across the equator.
         """
+        r = math.hypot(x, y)
+        if r > R:  # outside the rim f is clamped at 0 and Newton steps fall short
+            x, y = x * (R / r), y * (R / r)
         for _ in range(12):
             r = math.hypot(x, y)
             gap, fos = profile(r)
-            # libm pow, as the curves have always been made: it differs from
-            # rho * rho in the last bit on about 0.1% of inputs
-            w = math.sqrt(1.0 + (te * r) ** 2)
+            rho = te * r
+            w = math.sqrt(1.0 + rho * rho)
             f = gap * fos
             phi = f * f - t * t
             if abs(phi) <= tol_R * (f + abs(t) + 1e-300):
@@ -282,12 +337,7 @@ def integrate_meridian(
     raises NumericsError.
     """
     params, R = spec.params, spec.R
-    for name, value in (("step", step), ("max_len", max_len), ("pole_radius", pole_radius)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    _on_sphere_or_raise(spec, start)
-    if start.r <= 1e-6 * R:
-        raise DomainError("start must be off the poles")
+    _check_meridian_input(spec, start, step=step, max_len=max_len, pole_radius=pole_radius)
     h = step if step is not None else R / 2000.0
     e = params.epsilon
     # the radial approach speed near the poles is 1/eps, so the capture

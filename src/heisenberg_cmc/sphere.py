@@ -245,9 +245,10 @@ def _radius_solve(params: ModelParams, r, t):
     def residual(w):
         R = np.sqrt(r * r + w)
         _, w_r, p = _pieces(params, r, R)
-        fos = _fos(params, R, w_r, p)
+        atan_p = np.arctan(p)
+        fos = _fos(params, R, w_r, p, atan_p)
         g = w * fos * fos - t * t
-        return g, e**3 * w_r * fos / _ell(p), np.abs(g) <= tol
+        return g, e**3 * w_r * fos / _ell(p, atan_p), np.abs(g) <= tol
 
     w = _newton(residual, start, 0.0, hi, t == 0.0, "radius solve")
     return np.sqrt(r * r + w).reshape(shape)

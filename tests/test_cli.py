@@ -153,10 +153,45 @@ def test_meridian_rejects_bad_step(capsys, step_frac):
     assert "step must be positive and finite" in capsys.readouterr().err
 
 
-def test_meridian_fails_typed_where_the_step_outruns_the_curve(capsys):
-    """At eps = 1e-6 the default step is far longer than the curve (pi eps R)."""
-    assert cli.main(["meridian", "--epsilon", "1e-6"]) == cli.EXIT_NUMERIC
-    assert "did not reach the south pole" in capsys.readouterr().err
+@pytest.mark.parametrize("eps", ["1e-6", "1e-3"])
+def test_meridian_runs_in_the_subriemannian_limit(tmp_path, eps):
+    """The default step, 5e-4 R, is long against the whole curve (pi eps R):
+    at eps = 1e-6 the output is the start and the pole.  The checks run on
+    their own curve."""
+    prefix = tmp_path / "m"
+    res = run_cli("meridian", "--epsilon", eps, "--out-prefix", str(prefix))
+    assert res.returncode == 0, res.stderr
+    summary = json.loads(res.stdout)
+    assert summary["max_leaf_drift"] <= 1e-12
+    assert summary["final_r"] == 0.0 and summary["final_t"] < 0.0
+    # geodesic_residual is a curvature-sized quantity: it scales with 1/(eps R)
+    assert 0.0 <= summary["geodesic_residual"] * float(eps) <= 1e-8
+    assert 0.0 <= summary["pansu_deviation"] <= 1e-8
+    table = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(table) == summary["samples"] and np.all(np.isfinite(table))
+
+
+def test_curve_files_have_the_bytes_of_csv_and_json_writers(tmp_path):
+    """One repr per float makes the three files; the CSV and the JSON sidecar
+    are what csv.writer and json.dumps write for the same floats."""
+    import csv
+    from heisenberg_cmc.meridians import MeridianCurve
+
+    values = np.array([-0.0, 5e-324, 1e300, 2.0, -1.5e-7, 0.1, 1 / 3, -2.2250738585072014e-308,
+                       1.7976931348623157e308, 123456789.0, 1e16, 1e-5, 3.0, -7.25])
+    table = np.resize(values, (6, 7))
+    curve = MeridianCurve(R=2.0, s=table[:, 0], points=table[:, 1:4], velocities=table[:, 4:])
+    cli._write_curve(str(tmp_path / "m"), curve)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s", "x", "y", "t", "vX", "vY", "vT"])
+        writer.writerows(table.tolist())
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    sidecar = json.dumps({"R": 2.0, "s": curve.s.tolist(), "points": curve.points.tolist(),
+                          "velocities": curve.velocities.tolist()}) + "\n"
+    assert (tmp_path / "m.json").read_text() == sidecar
+    obj = "".join(f"v {x!r} {y!r} {t!r}\n" for x, y, t in curve.points.tolist()) + "l 1 2 3 4 5 6\n"
+    assert (tmp_path / "m.obj").read_text() == obj
 
 
 def test_meridian_reports_pansu_deviation():
@@ -360,8 +395,11 @@ def test_foliation_rows_match_scalar_loop(tmp_path, eps, sigma, R, delta, kept):
       "--curvature-out", "{d}/curv.csv"], ["curv.csv"]),
     (["meridian", "--epsilon", "0.7", "--sigma", "1.3", "--R", "1.1", "--step-frac", "1e-2",
       "--out-prefix", "{d}/m"], ["m.csv", "m.obj", "m.json"]),
+    (["meridian", "--epsilon", "1e-6", "--step-frac", "1e-8", "--out-prefix", "{d}/m"],
+     ["m.csv", "m.obj", "m.json"]),
     (["isoperim", "--n", "3", "--out-prefix", "{d}/iso"], ["iso.csv"]),
-], ids=["verify-grid", "verify-foliation", "sphere-curvature", "meridian", "isoperim"])
+], ids=["verify-grid", "verify-foliation", "sphere-curvature", "meridian", "meridian-eps-1e-6",
+        "isoperim"])
 def test_outputs_are_byte_stable_from_run_to_run(tmp_path, argv, outputs):
     runs = []
     for name in ("a", "b"):

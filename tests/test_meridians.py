@@ -17,12 +17,14 @@ from heisenberg_cmc import (
 )
 from heisenberg_cmc.ambient import christoffel_frame
 from heisenberg_cmc.meridians import (
+    MeridianCurve,
     _lam_mu,
     _sphere_kernels,
     euclidean_meridian_field,
     integrate_meridian,
     limit_fields,
     meridian_field,
+    meridian_curve,
     meridian_field_coordinates,
     meridian_geodesic_residual,
     normal_acceleration,
@@ -166,8 +168,6 @@ def test_meridian_stays_on_sphere_and_reaches_south_pole():
     assert np.all(np.abs(np.linalg.norm(curve.velocities, axis=1) - 1.0) <= 1e-8)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="F1: a projection that does not converge returns the point unprojected")
 def test_meridian_stays_on_its_leaf_at_small_eps():
     spec = SphereSpec(ModelParams(0.02, 1.0), 1.0)
     curve = integrate_meridian(spec, Point(0.02, 0.0, float(profile_height(spec, 0.02))), step=5e-4)
@@ -213,10 +213,18 @@ def test_geodesic_residual_matches_scalar_loop(eps, sigma, R, step_frac):
 
 
 def test_geodesic_residual_flags_an_off_sphere_curve():
-    """At eps = 0.02 some samples near the equator stay off the sphere (a
-    known projection fault); the residual must show it."""
+    """The sample nearest the equator moved past the rim, with the field's
+    velocities taken at the moved points, as a projection that failed to
+    converge would leave them; the residual must show it."""
     spec = SphereSpec(ModelParams(0.02, 1.0), 1.0)
     curve = integrate_meridian(spec, start_point(spec))
+    points = curve.points.copy()
+    points[np.argmin(np.abs(points[:-1, 2])), :2] *= 1.0 + 1e-3
+    x, y, t = points[:-1].T
+    lam, mu, m, _ = _lam_mu(spec.params, _radius_of(x, y), t, spec.R)
+    velocities = np.vstack([np.column_stack((x * lam - y * mu, y * lam + x * mu, -m)),
+                            curve.velocities[-1]])
+    curve = MeridianCurve(spec.R, curve.s, points, velocities)
     r = np.minimum(np.hypot(curve.points[:, 0], curve.points[:, 1]), spec.R)
     drift = np.max(np.abs(np.abs(curve.points[:, 2]) - profile_height(spec, r)))
     assert drift > 1e-4, "the curve is on the sphere: pick another off-sphere curve"
@@ -270,6 +278,104 @@ def test_meridian_that_misses_the_pole_raises():
     spec = SphereSpec(ModelParams(1e-6, 1.0), 1.0)
     with pytest.raises(NumericsError, match="did not reach the south pole"):
         integrate_meridian(spec, start_point(spec), step=5e-4)
+
+
+# ------------------------------------------------------------ closed form
+
+
+@pytest.mark.parametrize("eps, sigma, R", [(0.5, 0.5, 2.0), (0.7, -1.3, 0.8), (1.0, 0.0, 1.0)])
+def test_closed_form_meridian_is_the_limit_of_rk4_at_fourth_order(eps, sigma, R):
+    """Halving the RK4 step divides its distance from the closed form by about
+    16.  Only the north hemisphere up to r = 0.9 R is compared: near the
+    equator the RK4 stages step over the rim, where the frozen field has a
+    kink, and its order drops from there on."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    start = start_point(spec, frac=0.2)
+    errors = []
+    for n in (100, 200, 400):
+        step = math.pi * eps * R / n
+        exact = meridian_curve(spec, start, step)
+        rk4 = integrate_meridian(spec, start, step=step)
+        r = np.hypot(exact.points[:, 0], exact.points[:, 1])
+        north = np.flatnonzero((exact.points[:, 2] > 0.0) & (r < 0.9 * R))
+        errors.append(np.max(np.abs(exact.points[north] - rk4.points[north])))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((3.7 <= orders) & (orders <= 4.3)), orders
+
+
+@pytest.mark.parametrize("eps, sigma, R", [(0.5, 0.5, 2.0), (0.7, -1.3, 0.8), (1.0, 0.0, 1.0),
+                                           (0.02, 1.0, 1.0), (3.0, 0.2, 0.4), (1e-6, 1.0, 1.0)])
+def test_closed_form_meridian_twists_by_twice_arctan_tau_eps_R(eps, sigma, R):
+    """From pole to pole theta grows by 2 arctan(tau eps R), and from a pole to
+    radius r by arcsin(w(r)/w(R)) - arcsin(1/w(R)) (the north-hemisphere form,
+    mirrored on the south), so between the first and the last sample before
+    the pole it grows by the total less those two pieces."""
+    params = ModelParams(eps, sigma)
+    spec = SphereSpec(params, R)
+    curve = meridian_curve(spec, start_point(spec, frac=0.05, theta=0.3),
+                           math.pi * eps * R / 300)
+    te = params.tau * eps
+    w_R = math.sqrt(1.0 + (te * R) ** 2)
+
+    def from_pole(r):
+        return math.asin(math.sqrt(1.0 + (te * r) ** 2) / w_R) - math.asin(1.0 / w_R)
+
+    r_first, r_last = (math.hypot(*curve.points[k, :2]) for k in (0, -2))
+    expected = math.copysign(1.0, te) * (2.0 * math.atan(abs(te) * R)
+                                         - from_pole(r_first) - from_pole(r_last))
+    theta = np.unwrap(np.arctan2(curve.points[:-1, 1], curve.points[:-1, 0]))
+    assert theta[-1] - theta[0] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.3, 1.0, 10.0])
+@pytest.mark.parametrize("sigma, R", [(1.0, 1.0), (-2.5, 0.3), (0.0, 3.0), (0.4, 40.0)])
+def test_closed_form_samples_are_on_the_sphere_at_unit_speed(eps, sigma, R):
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    curve = meridian_curve(spec, start_point(spec), math.pi * eps * R / 777)
+    r = np.minimum(_radius_of(curve.points[:, 0], curve.points[:, 1]), R)
+    scale = max(1.0, R, float(profile_height(spec, 0.0)))
+    assert np.max(np.abs(np.abs(curve.points[:, 2]) - profile_height(spec, r))) <= 1e-12 * scale
+    assert np.max(np.abs(np.linalg.norm(curve.velocities, axis=1) - 1.0)) <= 1e-12
+    assert np.array_equal(curve.s, curve.s[1] * np.arange(len(curve)))
+    assert np.array_equal(curve.points[-1], [0.0, 0.0, -float(profile_height(spec, 0.0))])
+
+
+def test_closed_form_meridian_rotates_with_its_start(spec):
+    theta = 1.1
+    c0 = meridian_curve(spec, start_point(spec, theta=0.0), 1e-3)
+    c1 = meridian_curve(spec, start_point(spec, theta=theta), 1e-3)
+    cs, sn = math.cos(theta), math.sin(theta)
+    rot = np.array([[cs, -sn, 0.0], [sn, cs, 0.0], [0.0, 0.0, 1.0]])
+    assert len(c0) == len(c1)
+    assert np.max(np.linalg.norm(c0.points @ rot.T - c1.points, axis=1)) <= 1e-13
+    assert np.max(np.linalg.norm(c0.velocities @ rot.T - c1.velocities, axis=1)) <= 1e-13
+
+
+def test_twist_angle_has_the_meridian_derivative():
+    """Theta = atan2(w(r), |tau eps| R cos(phi)) at r = R sin(phi) has
+    dTheta/dphi = |tau eps| r / w(r), the meridian's dtheta/dphi."""
+    import sympy as sp
+
+    a, R, phi = sp.symbols("a R phi", positive=True)
+    r = R * sp.sin(phi)
+    w = sp.sqrt(1 + a**2 * r**2)
+    theta = sp.atan2(w, a * R * sp.cos(phi))
+    assert sp.simplify(sp.diff(theta, phi) - a * r / w) == 0
+
+
+@pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
+def test_closed_form_meridian_rejects_a_step_that_is_not_positive_and_finite(spec, value):
+    with pytest.raises(DomainError, match="step must be positive and finite"):
+        meridian_curve(spec, start_point(spec), value)
+
+
+def test_closed_form_meridian_rejects_starts_off_the_sphere_or_at_a_pole(spec):
+    from heisenberg_cmc import ContractError
+
+    with pytest.raises(ContractError):
+        meridian_curve(spec, Point(0.3, 0.0, 1.5), 1e-2)
+    with pytest.raises(DomainError, match="off the poles"):
+        meridian_curve(spec, Point(0.0, 0.0, float(profile_height(spec, 0.0))), 1e-2)
 
 
 # sigma = 0 and sigma < 0, a twist so small that 0 < |p| < 1e-8 takes the

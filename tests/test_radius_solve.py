@@ -114,3 +114,20 @@ def test_profile_partials_are_derivatives_of_the_profile():
                                             mpmath.mpf(rv), mpmath.mpf(Rv))]
         got = [float(k(params, rv, Rv)) for k in (_f, _f_r, _f_R)]
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("eps, sigma", [(1.0, 1.0), (1e-5, 2.0), (0.3, -0.7), (2.0, 0.0), (1.0, 1e-9)])
+def test_radius_solve_with_one_shared_arctan_is_bit_identical(eps, sigma):
+    """Each Newton pass takes arctan(p) once for both _fos and _ell; letting
+    each take its own, as they do when given none, changes no bit of the radii."""
+    params = ModelParams(eps, sigma)
+    rng = np.random.default_rng(20)
+    R0 = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 400))
+    r = np.concatenate([rng.uniform(0.0, 1.0, 390), 1.0 - 2.0**-40 * np.arange(10)]) * R0
+    t = rng.choice([-1.0, 1.0], 400) * _f(params, r, R0)
+    fos, ell = sphere._fos, sphere._ell
+    shared = _radius_solve(params, r, t)
+    with mock.patch.object(sphere, "_fos", lambda prm, R, w, p, atan_p=None: fos(prm, R, w, p)), \
+            mock.patch.object(sphere, "_ell", lambda p, atan_p=None: ell(p)):
+        separate = _radius_solve(params, r, t)
+    assert np.array_equal(shared, separate)
