@@ -55,35 +55,52 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _quad(fun, a: float, b: float, what: str) -> float:
-    """Integral of the vectorized `fun` over [a, b] by 128-node Gauss-Legendre.
+def _quad(fun, a, b, what: str):
+    """Integrals of the vectorized `fun` over intervals [a, b] by 128-node Gauss-Legendre.
 
-    A panel passes when its 128- and 64-node values differ by at most
-    _QUAD_RTOL * S times its share of [a, b], S the 128-node integral of
-    |fun| over [a, b]; a panel that fails is halved.  Smooth integrands pass
-    on [a, b] itself.  NumericsError when the integrand is not finite or
-    more than _QUAD_MAX_PANELS panels are spent.
+    `a` and `b` are floats, and the result is a float, or 1-d arrays of k
+    intervals, and the result is the k integrals.  For floats `fun(x)` gets
+    the nodes as a 1-d array; for arrays `fun(x, owner)` gets the node
+    block x, one row of 64 + 128 nodes per panel, and the index of each
+    row's interval.  Each interval is integrated as if alone.  A panel
+    passes when its 128- and 64-node values differ by at most
+    _QUAD_RTOL * S times its share of its interval, S the 128-node integral
+    of |fun| over the whole interval; a panel that fails is halved.  Smooth
+    integrands pass on [a, b] itself.  NumericsError when the integrand is
+    not finite or an interval spends more than _QUAD_MAX_PANELS panels.
     """
     x64, w64 = _gauss_legendre(64)
     x128, w128 = _gauss_legendre(128)
     nodes = np.concatenate((x64, x128))
-    lo, hi = np.array([float(a)]), np.array([float(b)])
-    total, scale, spent = 0.0, None, 0
+    batched = np.ndim(a) > 0
+    lo = np.array(a, dtype=float, ndmin=1)
+    hi = np.array(b, dtype=float, ndmin=1)
+    k = lo.size
+    length = hi - lo
+    owner = np.arange(k)
+    spent = [owner]  # the interval of every panel spent so far
+    total, scale = np.zeros(k), None
     while lo.size:
-        spent += lo.size
-        if spent > _QUAD_MAX_PANELS:
-            raise NumericsError(f"quadrature for {what} did not converge in {spent} panels")
         half = 0.5 * (hi - lo)
         mid = lo + half
         x = mid[:, None] + half[:, None] * nodes
-        vals = np.asarray(fun(x.ravel()), dtype=float).reshape(x.shape)
+        vals = np.asarray(fun(x, owner) if batched else fun(x.ravel()), dtype=float).reshape(x.shape)
         if not np.all(np.isfinite(vals)):
             raise NumericsError(f"integrand for {what} is not finite")
         fine = half * (vals[:, 64:] @ w128)
         coarse = half * (vals[:, :64] @ w64)
-        if scale is None:
-            scale = float(half[0] * (np.abs(vals[0, 64:]) @ w128))
-        ok = np.abs(fine - coarse) <= _QUAD_RTOL * scale * (hi - lo) / (b - a)
-        total += float(np.sum(fine[ok]))
-        lo, hi = np.concatenate((lo[~ok], mid[~ok])), np.concatenate((mid[~ok], hi[~ok]))
-    return total
+        if scale is None:  # the first pass has one panel per interval, in order
+            scale = half * (np.abs(vals[:, 64:]) @ w128)
+        ok = np.abs(fine - coarse) <= _QUAD_RTOL * scale[owner] * (hi - lo) / length[owner]
+        total += np.bincount(owner[ok], weights=fine[ok], minlength=k)
+        if ok.all():
+            break
+        bad = ~ok
+        lo, hi = np.concatenate((lo[bad], mid[bad])), np.concatenate((mid[bad], hi[bad]))
+        owner = np.concatenate((owner[bad], owner[bad]))
+        spent.append(owner)
+        if sum(map(len, spent)) > _QUAD_MAX_PANELS:  # then one interval may be over its budget
+            most = int(np.bincount(np.concatenate(spent)).max())
+            if most > _QUAD_MAX_PANELS:
+                raise NumericsError(f"quadrature for {what} did not converge in {most} panels")
+    return total if batched else float(total[0])

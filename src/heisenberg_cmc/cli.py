@@ -30,7 +30,7 @@ from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_co
                         principal_angle)
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, _divergence, label_floor, leaf_label_grid
-from .isoperimetry import deficit_report, jacobi_residual, make_competitor
+from .isoperimetry import deficit_reports, jacobi_residual, make_competitors
 from .meridians import MeridianCurve, _pansu_field, meridian_curve, meridian_geodesic_residual
 from .sphere import (
     SphereSpec,
@@ -379,19 +379,13 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     n = _count(args.n, "competitor count")
     cyl = CylinderSpec(spec, float(args.delta))
-    rng = _rng(int(args.seed))
-    rows = []
-    reports = []
-    for i in range(n):
-        comp = make_competitor(spec, cyl, rng)
-        rep = deficit_report(comp)
-        reports.append((comp, rep))
-        rows.append((i, rep.symdiff, rep.deficit, rep.bound, rep.slack))
-    min_slack = min(r.slack for _, r in reports)
-
-    base = reports[0][0]
+    comps = make_competitors(spec, cyl, _rng(int(args.seed)), n)
+    base = comps[0]
     scales = np.geomspace(2e-4, 2e-3, 6)
-    defs = [deficit_report(base.scaled(s / base.amp_add)).deficit for s in scales]
+    reports = deficit_reports(comps + [base.scaled(s / base.amp_add) for s in scales])
+    rows = [(i, rep.symdiff, rep.deficit, rep.bound, rep.slack) for i, rep in enumerate(reports[:n])]
+    min_slack = min(rep.slack for rep in reports[:n])
+    defs = [rep.deficit for rep in reports[n:]]
     exponent = float(np.polyfit(np.log(scales), np.log(defs), 1)[0])
 
     if args.out_prefix:

@@ -220,6 +220,12 @@ def _field(cyl: CylinderSpec, x, y, t, above=None):
     u_r[up] = _f_r(params, r[up], R)
     lam = _label_below(cyl, r[down], t[down], depth[down])
     f_lam = _f_R(params, r[down], lam) - _f_R(params, cyl.r_cut, lam)
+    if not np.all(f_lam < 0.0):  # F falls in lam, unless rounding swallowed F_lam
+        i = np.flatnonzero(down)[~(f_lam < 0.0)][0]
+        raise NumericsError(
+            f"the leaf equation's lam-derivative is lost to rounding at (x, y, t) = "
+            f"({float(x[i])!r}, {float(y[i])!r}, {float(t[i])!r}) "
+            f"with eps = {e!r}, sigma = {s!r}, R = {R!r}")
     u_t[down] = 1.0 / f_lam
     u_r[down] = -_f_r(params, r[down], lam) / f_lam
     r_safe = np.where(r > 0.0, r, 1.0)  # x = y = 0 where r = 0
@@ -279,9 +285,14 @@ def calibration_divergence(
     Lebesgue measure, so the two divergences agree); H_label is
     1/(eps*label) on the inside leaves and 1/(eps*R) on and above the
     sphere.  The stencil must not cross the sphere or leave the cylinder.
+    NumericsError where the leaf equation is lost to rounding, as deep
+    inside a sphere with eps^3 R far above the depth.
     """
     h = step if step is not None else 1e-5 * cyl.R
-    div, lam, ok = _divergence(cyl, *point.as_array()[:, None], h)
+    try:
+        div, lam, ok = _divergence(cyl, *point.as_array()[:, None], h)
+    except NumericsError as exc:
+        raise NumericsError(f"calibration divergence at {point}: {exc}") from None
     if not ok[0]:
         raise DomainError("stencil meets the sphere or leaves the half-cylinder")
     return float(div[0]), 1.0 / (cyl.params.epsilon * max(float(lam[0]), cyl.R))

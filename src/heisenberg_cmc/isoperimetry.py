@@ -40,8 +40,10 @@ __all__ = [
     "RadialBump",
     "Competitor",
     "make_competitor",
+    "make_competitors",
     "DeficitReport",
     "deficit_report",
+    "deficit_reports",
     "symdiff_monte_carlo",
     "calibration_gain",
     "normal_component",
@@ -127,6 +129,21 @@ def subriemannian_hemisphere_area(sigma: float, R: float) -> float:
 # --------------------------------------------------------------- competitors
 
 
+def _bump(r, center, width):
+    """The bump exp(1 - 1/(1 - s^2)) at s = (r - center)/width, zero for
+    |s| >= 1, with s (zero there too) and q = 1 - s^2 for `_bump_slope`."""
+    s = (r - center) / width
+    inside = np.abs(s) < 1.0
+    s = np.where(inside, s, 0.0)
+    q = 1.0 - s * s
+    return np.where(inside, np.exp(1.0 - 1.0 / q), 0.0), s, q
+
+
+def _bump_slope(val, s, q, width):
+    """d/dr of the bump from the parts `_bump` returns."""
+    return val * (-2.0 * s / (q * q)) / width
+
+
 @dataclass(frozen=True)
 class RadialBump:
     """Smooth compactly supported radial bump exp(1 - 1/(1 - s^2)), s = (r-c)/w."""
@@ -135,25 +152,10 @@ class RadialBump:
     width: float
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        s = (r - self.center) / self.width
-        inside = np.abs(s) < 1.0
-        s2 = np.where(inside, s * s, 0.0)
-        out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - s2)), 0.0)
-        return out
+        return _bump(np.asarray(r, dtype=float), self.center, self.width)[0]
 
     def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        s = (r - self.center) / self.width
-        inside = np.abs(s) < 1.0
-        s_in = np.where(inside, s, 0.0)
-        den = np.square(1.0 - s_in * s_in)
-        out = np.where(
-            inside,
-            np.exp(1.0 - 1.0 / (1.0 - s_in * s_in)) * (-2.0 * s_in / den) / self.width,
-            0.0,
-        )
-        return out
+        return _bump_slope(*_bump(np.asarray(r, dtype=float), self.center, self.width), self.width)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -187,13 +189,88 @@ class Competitor:
                           self.sub, factor * self.amp_sub)
 
 
-def _bump_mass(bump: RadialBump) -> float:
-    return _quad(lambda r: bump(r) * r, *bump.support, "bump mass")
+def _over_bumps(comps: list[Competitor], integrand, what: str) -> np.ndarray:
+    """Per-competitor sums of the integrals of `integrand(r, amp, bump, width)`
+    over the two bump supports, for a whole suite in one batched quadrature.
+
+    The supports are stacked, the added then the removed bump of each
+    competitor; `bump` is `_bump` of the node row's own bump, `width` its
+    width and `amp` its signed amplitude.  The bumps of a competitor are
+    disjoint, so on each support the height change is amp * bump[0].
+    """
+    center = np.array([(c.add.center, c.sub.center) for c in comps]).ravel()
+    width = np.array([(c.add.width, c.sub.width) for c in comps]).ravel()
+    amp = np.array([(c.amp_add, -c.amp_sub) for c in comps]).ravel()
+
+    def fun(x, row):
+        w = width[row, None]
+        return integrand(x, amp[row, None], _bump(x, center[row, None], w), w)
+
+    return _quad(fun, center - width, center + width, what).reshape(-1, 2).sum(axis=1)
 
 
-def _over_bumps(comp: Competitor, integrand, what: str) -> float:
-    """Sum of the integrals of a vectorized integrand over the two bump supports."""
-    return sum(_quad(integrand, *bump.support, what) for bump in (comp.add, comp.sub))
+def make_competitors(
+    spec: SphereSpec,
+    cyl: CylinderSpec,
+    rng: np.random.Generator,
+    n: int,
+    amplitude: float | None = None,
+) -> list[Competitor]:
+    """Draw n random admissible competitors, with batched quadratures.
+
+    Each has two disjoint radial bumps inside (0.06, 0.94) * r_cut; the
+    added bump gets `amplitude` (or a random small multiple of the cylinder
+    head room) and the removed bump's amplitude is amplitude * m_add / m_sub,
+    with m the bumps' radial masses, so the enclosed volume matches the
+    sphere's exactly: the volume is linear in the amplitudes and the bumps
+    are disjoint.  One batched quadrature of the volume change checks it.
+    The draws per competitor, in order, are the two centres, the two
+    widths, the swap and the amplitude, so n draws here equal n calls of
+    `make_competitor`.  Raises DomainError when an amplitude would push the
+    graph out of the cylinder.
+    """
+    if cyl.spec != spec:
+        raise ContractError("cylinder was built for a different sphere")
+    rc = cyl.r_cut
+    shapes, draws = [], []
+    for _ in range(n):
+        c1 = rng.uniform(0.16, 0.40) * rc
+        c2 = rng.uniform(0.60, 0.84) * rc
+        w1 = rng.uniform(0.05, 0.09) * rc
+        w2 = rng.uniform(0.05, 0.09) * rc
+        if rng.uniform() < 0.5:
+            c1, c2 = c2, c1
+        shapes.append((c1, c2, w1, w2))
+        if amplitude is None:
+            draws.append(float(rng.uniform(0.01, 0.05)))
+    c1, c2, w1, w2 = np.array(shapes, dtype=float).reshape(n, 4).T
+
+    # head room: how far the graph may move down before leaving the cylinder
+    head = np.asarray(profile_height(spec, np.minimum(c2 + w2, rc))) - cyl.t_cut
+    if amplitude is None:
+        amp_add = np.array(draws) * np.maximum(head, 0.1 * spec.R)
+    else:
+        amp_add = np.full(n, float(amplitude))
+    # a bump's radial mass is centre * width * (the integral of the bump over
+    # -1 < s < 1), since the bump is even in s, so the masses need no quadrature
+    amp_sub = amp_add * (c1 * w1) / (c2 * w2)
+    for a_sub, room in zip(amp_sub, head):
+        if a_sub > room - 0.1 * room:
+            raise DomainError(
+                f"competitor rejected: removing amplitude {a_sub:.3e} exceeds the "
+                f"cylinder head room {room:.3e} at the bump support"
+            )
+
+    rows = zip(c1.tolist(), w1.tolist(), amp_add.tolist(), c2.tolist(), w2.tolist(), amp_sub.tolist())
+    comps = [Competitor(spec, cyl, RadialBump(ca, wa), aa, RadialBump(cs, ws), a_s)
+             for ca, wa, aa, cs, ws, a_s in rows]
+    dv = 2.0 * math.pi * _over_bumps(comps, lambda r, amp, bump, w: amp * bump[0] * r,
+                                     "volume change")
+    tol = 1e-10 * sphere_volume(spec)
+    for residual in dv:
+        if abs(residual) > tol:
+            raise NumericsError(f"volume compensation failed: residual {residual:.3e}")
+    return comps
 
 
 def make_competitor(
@@ -202,47 +279,8 @@ def make_competitor(
     rng: np.random.Generator,
     amplitude: float | None = None,
 ) -> Competitor:
-    """Draw a random admissible competitor.
-
-    Two disjoint radial bumps inside (0.06, 0.94) * r_cut; the added bump
-    gets `amplitude` (or a random small multiple of the cylinder head
-    room) and the removed bump's amplitude is amplitude * m_add / m_sub,
-    with m the bumps' radial masses, so the enclosed volume matches the
-    sphere's exactly: the volume is linear in the amplitudes and the bumps
-    are disjoint.  Raises DomainError when the requested amplitude would
-    push the graph out of the cylinder.
-    """
-    if cyl.spec != spec:
-        raise ContractError("cylinder was built for a different sphere")
-    rc = cyl.r_cut
-    c1 = rng.uniform(0.16, 0.40) * rc
-    c2 = rng.uniform(0.60, 0.84) * rc
-    w1 = rng.uniform(0.05, 0.09) * rc
-    w2 = rng.uniform(0.05, 0.09) * rc
-    if rng.uniform() < 0.5:
-        c1, c2 = c2, c1
-    add, sub = RadialBump(c1, w1), RadialBump(c2, w2)
-
-    # head room: how far the graph may move down before leaving the cylinder
-    sub_lo, sub_hi = sub.support
-    f_edge = float(profile_height(spec, min(max(sub_lo, sub_hi), rc)))
-    head = f_edge - cyl.t_cut
-    if amplitude is None:
-        amplitude = float(rng.uniform(0.01, 0.05)) * max(head, 0.1 * spec.R)
-
-    amp_sub = amplitude * _bump_mass(add) / _bump_mass(sub)
-    comp = Competitor(spec, cyl, add, amplitude, sub, amp_sub)
-
-    margin = 0.1 * head
-    if amp_sub > head - margin:
-        raise DomainError(
-            f"competitor rejected: removing amplitude {amp_sub:.3e} exceeds the "
-            f"cylinder head room {head:.3e} at the bump support"
-        )
-    dv = 2.0 * math.pi * _over_bumps(comp, lambda r: comp.height_change(r) * r, "volume change")
-    if abs(dv) > 1e-10 * sphere_volume(spec):
-        raise NumericsError(f"volume compensation failed: residual {dv:.3e}")
-    return comp
+    """Draw one random admissible competitor; see `make_competitors`."""
+    return make_competitors(spec, cyl, rng, 1, amplitude)[0]
 
 
 @dataclass(frozen=True)
@@ -257,50 +295,53 @@ class DeficitReport:
     slack: float
 
 
-def _area_excess(comp: Competitor) -> float:
-    """Area difference of the perturbed and unperturbed upper graphs.
+def deficit_reports(comps) -> list[DeficitReport]:
+    """Excess, symmetric difference and the applicable bound of each
+    competitor of a suite, which must share one sphere and one cylinder.
 
-    Written as a stabilized difference of the two integrands so that the
-    value stays accurate for tiny amplitudes (quadratic in the amplitude).
+    The area excess is the area difference of the perturbed and unperturbed
+    upper graphs, written as a stabilized difference of the two integrands
+    so that it stays accurate for tiny amplitudes (quadratic in the
+    amplitude).  Each quantity is one batched quadrature over the stacked
+    bump supports of the suite.
     """
-    params = comp.spec.params
+    comps = list(comps)
+    if not comps:
+        return []
+    spec, cyl = comps[0].spec, comps[0].cyl
+    if any(c.spec != spec or c.cyl != cyl for c in comps[1:]):
+        raise ContractError("the competitors of a suite must share their sphere and cylinder")
+    params, R = spec.params, spec.R
     e, s = params.epsilon, params.sigma
-    R = comp.spec.R
 
-    def integrand(r):
+    def excess_integrand(r, amp, bump, width):
         fr = _f_r(params, r, R)
-        dfr = comp.slope_change(r)
+        dfr = amp * _bump_slope(*bump, width)
         w2 = e**6 + fr * fr + s * s * r * r
         wt2 = e**6 + (fr + dfr) ** 2 + s * s * r * r
         num = 2.0 * fr * dfr + dfr * dfr
         return num / (np.sqrt(wt2) + np.sqrt(w2)) * r
 
-    return (2.0 * math.pi / e) * _over_bumps(comp, integrand, "area excess")
-
-
-def _symdiff_volume(comp: Competitor) -> float:
-    return 2.0 * math.pi * _over_bumps(
-        comp, lambda r: np.abs(comp.height_change(r)) * r, "symmetric difference")
+    excess = (2.0 * math.pi / e) * _over_bumps(comps, excess_integrand, "area excess")
+    symdiff = 2.0 * math.pi * _over_bumps(
+        comps, lambda r, amp, bump, width: np.abs(amp * bump[0]) * r, "symmetric difference")
+    consts = foliation_constants(spec)
+    a_r = sphere_area(spec)
+    reports = []
+    for ex, sd in zip(excess.tolist(), symdiff.tolist()):
+        if cyl.delta < 1e-14:
+            bound = consts.D * sd**3
+        else:
+            bound = math.sqrt(cyl.delta) * consts.C * sd**2
+        reports.append(DeficitReport(area_sphere=a_r, area_competitor=a_r + ex, symdiff=sd,
+                                     deficit=ex, bound=bound, slack=ex - bound))
+    return reports
 
 
 def deficit_report(comp: Competitor) -> DeficitReport:
-    """Compute excess, symmetric difference, and the applicable bound."""
-    consts = foliation_constants(comp.spec)
-    excess = _area_excess(comp)
-    sd = _symdiff_volume(comp)
-    if comp.cyl.delta < 1e-14:
-        bound = consts.D * sd**3
-    else:
-        bound = math.sqrt(comp.cyl.delta) * consts.C * sd**2
-    a_r = sphere_area(comp.spec)
-    return DeficitReport(
-        area_sphere=a_r,
-        area_competitor=a_r + excess,
-        symdiff=sd,
-        deficit=excess,
-        bound=bound,
-        slack=excess - bound,
-    )
+    """Excess, symmetric difference and the applicable bound of one
+    competitor; see `deficit_reports`."""
+    return deficit_reports([comp])[0]
 
 
 def symdiff_monte_carlo(comp: Competitor, n: int = 1_000_000, seed: int = 20240501) -> float:

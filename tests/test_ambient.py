@@ -17,6 +17,8 @@ from heisenberg_cmc import (
     lie_bracket,
     outer_normal,
     ricci,
+    vector_from_coordinates,
+    vector_to_coordinates,
     vertical_component,
 )
 from heisenberg_cmc.curvature import tangent_frame
@@ -224,3 +226,22 @@ def test_orthogonal_pair_curvature_identity(rng):
             rhs = 4.0 * tau**2 * energy * vertical_component(v1) * vertical_component(n)
             den = max(abs(rhs), 0.01 * (1.0 + tau**2) * energy)
             assert abs(lhs - rhs) <= 1e-10 * den
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+def test_coordinates_round_trip(sign):
+    """vector_from_coordinates inverts vector_to_coordinates, both ways."""
+    rng = np.random.default_rng(int(2 + sign))
+    worst = 0.0
+    for _ in range(200):
+        eps = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+        params = ModelParams(eps, sign * float(np.exp(rng.uniform(np.log(0.1), np.log(5.0)))))
+        p = Point(*rng.uniform(-2.0, 2.0, 3))
+        v = TangentVector(*rng.normal(size=3))
+        coords = vector_to_coordinates(params, p, v)
+        back = vector_from_coordinates(params, p, coords).as_array()
+        worst = max(worst, np.linalg.norm(back - v.as_array()) / np.linalg.norm(v.as_array()))
+        c = rng.normal(size=3)
+        again = vector_to_coordinates(params, p, vector_from_coordinates(params, p, c))
+        worst = max(worst, np.linalg.norm(again - c) / np.linalg.norm(c))
+    assert worst <= 1e-13

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.optimize import brentq
 from heisenberg_cmc import (
     DomainError,
     ModelParams,
+    NumericsError,
     Point,
     SphereSpec,
     graph_mean_curvature_fd,
@@ -355,3 +357,20 @@ def test_vertical_bound_domain(cyl, spec):
         vertical_label_bound(cyl, cyl.r_cut + 0.05, 0.1)
     with pytest.raises(DomainError):
         vertical_label_bound(cyl, 0.3, 10.0)
+
+
+def test_divergence_raises_where_the_leaf_equation_is_lost_to_rounding():
+    """At eps = 3042.9 and R = 0.0895 the profile is about 2.3e9 at r = 0.04,
+    and the leaf through t = 0.5 has lam about 2e8: f_R(r; lam) and
+    f_R(r_cut; lam) agree in every bit, so F_lam rounds to 0.  That point
+    raises instead of giving NaN; far above it the divergence stays finite."""
+    cyl = CylinderSpec(SphereSpec(ModelParams(3042.9, 0.0), 0.0895), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError) as info:
+            calibration_divergence(cyl, Point(0.04, 0.0, 0.5))
+        div, h_lam = calibration_divergence(cyl, Point(0.04, 0.0, 1e6))
+    message = str(info.value)
+    for part in ("Point(x=0.04, y=0.0, t=0.5)", "eps = 3042.9", "sigma = 0.0", "R = 0.0895"):
+        assert part in message
+    assert math.isfinite(div) and math.isfinite(h_lam)

@@ -20,10 +20,12 @@ from heisenberg_cmc.foliation import CylinderSpec
 from heisenberg_cmc.isoperimetry import (
     calibration_gain,
     deficit_report,
+    deficit_reports,
     graph_area,
     jacobi_potential,
     jacobi_residual,
     make_competitor,
+    make_competitors,
     normal_component,
     stable_hemispheres,
     subriemannian_hemisphere_area,
@@ -186,6 +188,99 @@ def test_deficit_scales_quadratically(spec, cyl):
     defs = [deficit_report(comp.scaled(s / comp.amp_add)).deficit for s in scales]
     exponent = float(np.polyfit(np.log(scales), np.log(defs), 1)[0])
     assert abs(exponent - 2.0) <= 0.1
+
+
+# ------------------------------------------------------- competitor suites
+
+SUITE_SPECS = [(1.0, 1.0, 1.0, 0.3), (1.0, 1.0, 1.0, 0.0), (0.7, 1.5, 1.5, 0.45),
+               (1.5, 0.5, 0.8, 0.0), (0.3, -1.0, 2.0, 0.5)]
+
+
+def _draw_shape(rng, rc):
+    """A competitor's draws in the documented order: the two centres, the two
+    widths and the swap, ahead of its amplitude."""
+    c1, c2, w1, w2 = (rng.uniform(*span) * rc for span in
+                      ((0.16, 0.40), (0.60, 0.84), (0.05, 0.09), (0.05, 0.09)))
+    if rng.uniform() < 0.5:
+        c1, c2 = c2, c1
+    return c1, c2, w1, w2
+
+
+@pytest.mark.parametrize("eps,sigma,R,delta", SUITE_SPECS)
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_suite_draws_equal_sequential_draws(eps, sigma, R, delta, n):
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    cyl = CylinderSpec(spec, delta)
+    batch = make_competitors(spec, cyl, np.random.default_rng(n), n)
+    rng = np.random.default_rng(n)
+    one_by_one = [make_competitor(spec, cyl, rng) for _ in range(n)]
+    assert len(batch) == n
+    for got, want in zip(batch, one_by_one):
+        assert (got.add, got.sub, got.amp_add) == (want.add, want.sub, want.amp_add)
+        assert abs(got.amp_sub - want.amp_sub) <= 1e-15 * abs(want.amp_sub)
+    # the stream, replayed by hand
+    rng = np.random.default_rng(n)
+    for got in batch:
+        c1, c2, w1, w2 = _draw_shape(rng, cyl.r_cut)
+        head = float(profile_height(spec, min(c2 + w2, cyl.r_cut))) - cyl.t_cut
+        amp = float(rng.uniform(0.01, 0.05)) * max(head, 0.1 * spec.R)
+        assert (got.add.center, got.add.width, got.sub.center, got.sub.width, got.amp_add) == (
+            c1, w1, c2, w2, amp)
+
+
+@pytest.mark.parametrize("eps,sigma,R,delta", SUITE_SPECS)
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_suite_reports_equal_single_reports(eps, sigma, R, delta, n):
+    """The suite also carries the exponent fit's tiny scaled copies."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    cyl = CylinderSpec(spec, delta)
+    comps = make_competitors(spec, cyl, np.random.default_rng(3), n)
+    comps += [comps[0].scaled(s) for s in (1e-2, 1e-3)]
+    for got, comp in zip(deficit_reports(comps), comps):
+        want = deficit_report(comp)
+        for field in ("area_sphere", "area_competitor", "symdiff", "deficit", "bound", "slack"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert abs(g - w) <= 1e-13 * abs(w), field
+
+
+def test_suite_rejects_an_oversized_amplitude_with_the_single_message(spec, cyl):
+    from scipy.integrate import quad
+
+    with pytest.raises(DomainError) as single:
+        make_competitor(spec, cyl, np.random.default_rng(8), amplitude=5.0)
+    with pytest.raises(DomainError) as suite:
+        make_competitors(spec, cyl, np.random.default_rng(8), 3, amplitude=5.0)
+    assert str(suite.value) == str(single.value)
+
+    # the message, rebuilt from the draws with scipy's masses
+    rc = cyl.r_cut
+    c1, c2, w1, w2 = _draw_shape(np.random.default_rng(8), rc)
+    masses = [quad(lambda r: math.exp(1.0 - 1.0 / (1.0 - ((r - c) / w) ** 2)) * r, c - w, c + w,
+                   epsabs=0.0, epsrel=1e-13)[0] for c, w in ((c1, w1), (c2, w2))]
+    head = float(profile_height(spec, min(c2 + w2, rc))) - cyl.t_cut
+    assert str(single.value) == (
+        f"competitor rejected: removing amplitude {5.0 * masses[0] / masses[1]:.3e} exceeds the "
+        f"cylinder head room {head:.3e} at the bump support")
+
+
+def test_a_suite_shares_one_sphere_and_cylinder(spec, cyl, rng):
+    comps = make_competitors(spec, cyl, rng, 2)
+    other = CylinderSpec(spec, 0.0)
+    comps.append(make_competitor(spec, other, rng))
+    with pytest.raises(ContractError):
+        deficit_reports(comps)
+    assert deficit_reports([]) == [] and make_competitors(spec, cyl, rng, 0) == []
+
+
+def test_bump_derivative_matches_the_value_by_differences():
+    from heisenberg_cmc.isoperimetry import RadialBump
+
+    bump = RadialBump(0.4, 0.1)
+    r = np.linspace(0.31, 0.49, 37)
+    h = 1e-6
+    fd = (bump(r + h) - bump(r - h)) / (2.0 * h)
+    assert np.allclose(bump.derivative(r), fd, rtol=1e-7, atol=1e-9)
+    assert bump(0.2) == 0.0 and bump.derivative(0.6) == 0.0
 
 
 def test_calibration_chain(spec, cyl):

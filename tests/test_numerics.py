@@ -12,7 +12,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from heisenberg_cmc import ModelParams, NumericsError, Point, SphereSpec, profile_height
-from heisenberg_cmc._numerics import _newton
+from heisenberg_cmc import sphere
+from heisenberg_cmc._numerics import _QUAD_MAX_PANELS, _QUAD_RTOL, _gauss_legendre, _newton
 from heisenberg_cmc.foliation import CylinderSpec, leaf_equation, leaf_label, leaf_label_grid
 from heisenberg_cmc.isoperimetry import make_competitor
 from heisenberg_cmc.sphere import _f, _f_R, _f_over_sqrt, _quad, sphere_area, sphere_volume
@@ -70,6 +71,119 @@ def test_quad_halves_panels_across_a_kink():
 def test_quad_raises_where_it_cannot_certify(fun):
     with pytest.raises(NumericsError):
         _quad(fun, 0.0, 1.0, "test integrand")
+
+
+# ------------------------------------------------------- batched quadrature
+
+
+def _single_interval_quad(fun, a, b, what):
+    """The one-interval quadrature before intervals were batched, kept as the
+    bitwise reference of the k = 1 path."""
+    x64, w64 = _gauss_legendre(64)
+    x128, w128 = _gauss_legendre(128)
+    nodes = np.concatenate((x64, x128))
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    total, scale, spent = 0.0, None, 0
+    while lo.size:
+        spent += lo.size
+        if spent > _QUAD_MAX_PANELS:
+            raise NumericsError(f"quadrature for {what} did not converge in {spent} panels")
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        x = mid[:, None] + half[:, None] * nodes
+        vals = np.asarray(fun(x.ravel()), dtype=float).reshape(x.shape)
+        if not np.all(np.isfinite(vals)):
+            raise NumericsError(f"integrand for {what} is not finite")
+        fine = half * (vals[:, 64:] @ w128)
+        coarse = half * (vals[:, :64] @ w64)
+        if scale is None:
+            scale = float(half[0] * (np.abs(vals[0, 64:]) @ w128))
+        ok = np.abs(fine - coarse) <= _QUAD_RTOL * scale * (hi - lo) / (b - a)
+        total += float(np.sum(fine[ok]))
+        lo, hi = np.concatenate((lo[~ok], mid[~ok])), np.concatenate((mid[~ok], hi[~ok]))
+    return total
+
+
+def _family(k, seed=4):
+    """k intervals with their own integrand exp(-p x) cos(q x) + |x - c|."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, k)
+    b = a + 10.0 ** rng.uniform(-3.0, 1.0, k)
+    p, q = rng.uniform(-1.0, 3.0, k), rng.uniform(0.0, 20.0, k)
+    c = np.where(rng.uniform(size=k) < 0.3, 0.5 * (a + b), b + 1.0)  # a kink in some
+
+    def one(i):
+        return lambda x: np.exp(-p[i] * x) * np.cos(q[i] * x) + np.abs(x - c[i])
+
+    def batch(x, row):
+        return np.exp(-p[row, None] * x) * np.cos(q[row, None] * x) + np.abs(x - c[row, None])
+
+    return a, b, one, batch
+
+
+def test_batched_quad_equals_the_single_interval_quad():
+    a, b, one, batch = _family(30)
+    got = _quad(batch, a, b, "family")
+    for i in range(len(a)):
+        alone = _quad(one(i), a[i], b[i], "one")
+        scale = _quad(lambda x: np.abs(one(i)(x)), a[i], b[i], "scale")
+        assert abs(got[i] - alone) <= 1e-15 * scale
+
+
+def test_a_kinked_interval_halves_alone():
+    """The kink needs 33 panels; its smooth neighbours pass on one panel, in
+    the first pass, with the values they have without it."""
+    seen = []
+
+    def fun(x, row):
+        seen.append(row.copy())
+        return np.where(row[:, None] == 1, np.abs(x - 0.3), np.exp(x) * np.sin(3.0 * x))
+
+    a, b = np.array([-1.0, 0.0, 0.5]), np.array([0.7, 1.0, 2.0])
+    got = _quad(fun, a, b, "kink")
+    assert got[1] == pytest.approx(0.29, rel=1e-13)
+    assert sorted(seen[0]) == [0, 1, 2] and all(set(rows) == {1} for rows in seen[1:])
+    assert sum(map(len, seen)) == 2 + 33
+    smooth = _quad(lambda x, row: np.exp(x) * np.sin(3.0 * x), a[[0, 2]], b[[0, 2]], "smooth")
+    for i, j in ((0, 0), (2, 1)):
+        alone = _quad(lambda x: np.exp(x) * np.sin(3.0 * x), a[i], b[i], "alone")
+        assert abs(got[i] - smooth[j]) <= 1e-15 * abs(alone)
+        assert abs(got[i] - alone) <= 1e-15 * abs(alone)
+
+
+def test_the_panel_budget_is_per_interval():
+    """40 kinks spend 33 panels each, 1,320 in all, over the budget of one
+    interval; an interval that no panel size resolves still raises."""
+    kink = lambda x, row: np.abs(x - 0.3)  # noqa: E731
+    assert np.allclose(_quad(kink, np.zeros(40), np.ones(40), "kinks"), 0.29, rtol=1e-13, atol=0.0)
+    with pytest.raises(NumericsError, match="quadrature for pole did not converge"):
+        _quad(lambda x, row: np.where(row[:, None] == 1, 1.0 / np.sqrt(np.abs(x - 0.3)), x),
+              np.zeros(3), np.ones(3), "pole")
+
+
+def test_a_non_finite_interval_raises_naming_what():
+    with pytest.raises(NumericsError, match="integrand for the batch is not finite"):
+        _quad(lambda x, row: np.where((row[:, None] == 2) & (x > 0.5), np.nan, x),
+              np.zeros(4), np.ones(4), "the batch")
+
+
+def test_no_intervals_give_no_integrals():
+    out = _quad(lambda x, row: x, np.zeros(0), np.zeros(0), "none")
+    assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("eps,sigma,R", [
+    (1.0, 1.0, 1.0), (0.05, 2.0, 1.5), (3.0, 0.0, 0.2), (0.7, -1.3, 4.0), (1e-3, 1.0, 1e3),
+    (1e3, 1e-3, 1e-3),
+])
+def test_one_interval_is_bit_identical_to_the_single_interval_quad(monkeypatch, eps, sigma, R):
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    area, volume = sphere_area(spec), sphere_volume(spec)
+    kink = _quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "kink")
+    batched = _quad(lambda x, row: np.abs(x - 0.3), np.array([0.0]), np.array([1.0]), "kink")
+    monkeypatch.setattr(sphere, "_quad", _single_interval_quad)
+    assert area == sphere_area(spec) and volume == sphere_volume(spec)
+    assert kink == batched[0] == _single_interval_quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "k")
 
 
 @pytest.mark.parametrize("eps,sigma,R,frac", [
