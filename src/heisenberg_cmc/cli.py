@@ -86,8 +86,12 @@ def _write_curve(prefix: str, curve: MeridianCurve) -> None:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise DomainError(f"cannot read the config file {path!r}: {exc.strerror}") from None
     out: dict[str, str] = {}
-    with open(path) as fh:
+    with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -109,7 +113,11 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, float]) -> None:
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
             if key in cfg:
-                setattr(args, key, type(default)(cfg[key]))
+                try:
+                    setattr(args, key, type(default)(cfg[key]))
+                except ValueError:
+                    kind = "an integer" if isinstance(default, int) else "a number"
+                    raise DomainError(f"config value {key} = {cfg[key]!r} is not {kind}") from None
             else:
                 setattr(args, key, default)
 

@@ -14,7 +14,9 @@ nabla_M M = -(H / w(r)^2) N, so its integral curves are intrinsic
 geodesics of the sphere running from the north to the south pole.  They
 have a closed form in the angle phi with r = R sin(phi), which
 `meridian_curve` samples; `integrate_meridian` integrates the field by
-Runge-Kutta as its independent oracle.
+Runge-Kutta as its independent oracle.  Both evaluate the field through
+the one array core `_lam_mu`, and the integrator's on-sphere projection
+takes the profile from `sphere._pieces` and `sphere._fos`.
 
 Two limit fields are provided: the Euclidean meridian field (sigma -> 0
 at eps = 1) and the horizontal field tangent to the sub-Riemannian limit
@@ -30,56 +32,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import (
-    ModelParams,
-    Point,
-    TangentVector,
-    christoffel_frame,
-    vector_to_coordinates,
-)
+from .ambient import ModelParams, Point, TangentVector, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
     SphereSpec,
     _ell,
     _f,
     _f_over_sqrt,
+    _fos,
     _gap,
     _normal_components,
     _omega,
     _on_sphere_or_raise,
     _p_north,
+    _pieces,
     _radius_of,
     _radius_solve,
-    foliation_normal,
     pansu_radius,
 )
 
 __all__ = [
-    "FieldSample",
     "MeridianCurve",
     "normal_derivatives",
     "normal_acceleration",
     "meridian_field",
-    "meridian_field_coordinates",
-    "sample_field",
     "meridian_curve",
     "integrate_meridian",
     "meridian_geodesic_residual",
     "euclidean_meridian_field",
     "pansu_meridian_field",
-    "limit_fields",
     "pansu_geodesic_residual",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Foliation data at one point: normal, its acceleration, meridian field."""
-
-    point: Point
-    N: TangentVector
-    dNN: TangentVector
-    M: TangentVector
 
 
 @dataclass(frozen=True)
@@ -155,13 +138,10 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
 
 def _lam_mu(params: ModelParams, r, t, R):
     """lam, mu, m = mu/(tau eps) and w(r), broadcasting; m stays finite through tau = 0."""
-    te = params.tau * params.epsilon
-    gap = np.sqrt(np.maximum(R * R - r * r, 0.0))
-    rho = te * r  # rho * rho, as np.square in _omega
-    w = np.sqrt(1.0 + rho * rho)
+    gap, w, _ = _pieces(params, r, R)
     lam = np.sign(t) * gap / (r * R)
     m = r / (R * w)
-    return lam, te * m, m, w
+    return lam, params.tau * params.epsilon * m, m, w
 
 
 def meridian_field(params: ModelParams, point: Point) -> TangentVector:
@@ -180,21 +160,6 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     )
 
 
-def meridian_field_coordinates(params: ModelParams, point: Point) -> np.ndarray:
-    """Coordinate components of the meridian field (for integration/limits)."""
-    return vector_to_coordinates(params, point, meridian_field(params, point))
-
-
-def sample_field(params: ModelParams, point: Point) -> FieldSample:
-    """Normal, normal acceleration, and meridian field at one point."""
-    return FieldSample(
-        point=point,
-        N=foliation_normal(params, point),
-        dNN=normal_acceleration(params, point),
-        M=meridian_field(params, point),
-    )
-
-
 # ------------------------------------------------------------- closed form
 
 
@@ -207,6 +172,18 @@ def _check_meridian_input(spec: SphereSpec, start: Point, **lengths) -> None:
     _on_sphere_or_raise(spec, start)
     if start.r <= 1e-6 * spec.R:
         raise DomainError("start must be off the poles")
+
+
+def _curve(params: ModelParams, R: float, points: np.ndarray, r, step: float) -> MeridianCurve:
+    """The curve through `points` (n, 3) at radii r, `step` apart: velocities
+    are the meridian field there, and one exact south-pole sample is appended
+    one step after the last."""
+    x, y, t = points.T
+    lam, mu, m, _ = _lam_mu(params, r, t, R)
+    vels = np.column_stack((x * lam - y * mu, y * lam + x * mu, -m))
+    points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
+    vels = np.vstack([vels, vels[-1]])
+    return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
 
 
 def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve:
@@ -232,90 +209,61 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
     # t = f(r) at the rounded r, not R cos(phi) f/sqrt(R^2 - r^2): the two agree to
     # rounding, but near the rim, where f is steep, only f(r) keeps |t| = f(r)
     t = np.sign(c) * _f(params, r, R)
-    lam, mu, m, w = _lam_mu(params, r, t, R)
-    twist = np.arctan2(w, abs(te) * c)
+    twist = np.arctan2(_omega(params, r), abs(te) * c)
     theta = math.atan2(start.y, start.x) + math.copysign(1.0, te) * (twist - twist[0])
-    x, y = r * np.cos(theta), r * np.sin(theta)
-    points = np.column_stack((x, y, t))
-    vels = np.column_stack((x * lam - y * mu, y * lam + x * mu, -m))
-    points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
-    vels = np.vstack([vels, vels[-1]])
-    return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
+    points = np.column_stack((r * np.cos(theta), r * np.sin(theta), t))
+    return _curve(params, R, points, r, step)
 
 
 # ------------------------------------------------------------- integration
 
 
-def _sphere_kernels(params: ModelParams, R: float):
-    """The integrator's scalar kernels on the sphere R, over per-sphere constants.
+def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
+    """Coordinate velocity of the meridian field frozen on the sphere R at the
+    point q = (x, y, t): the X and Y coefficients of _lam_mu over eps, and the
+    t-component -eps^2 r w(r) / R, in which the tau terms cancel."""
+    x, y, t = q.tolist()
+    r = math.hypot(x, y)
+    lam, mu, _, w = _lam_mu(params, r, t, R)
+    e = params.epsilon
+    return np.array([(x * lam - y * mu) / e, (y * lam + x * mu) / e, -e * e * r * w / R])
 
-    `velocity(x, y, t)` is the coordinate velocity of the meridian field
-    frozen on the sphere (its t-component -eps^2 r w(r) / R is tau-free),
-    `profile(r)` gives sqrt(R^2 - r^2) and f / sqrt(R^2 - r^2), and
-    `project` is the on-sphere projection.  They run in Python floats, with
-    the operations of _lam_mu and sphere._f_over_sqrt in the same order, so
-    they agree with those array cores bit for bit; np.arctan stays, since
-    math.atan differs from it in the last bit on some inputs.
+
+def _project_to_sphere(params: ModelParams, R: float, x: float, y: float, t: float):
+    """Move (x, y, t) along the (frozen-R) normal until f(r; R)^2 = t^2.
+
+    Newton on s with the stable products f*f' and f/sqrt(gap); quadratic
+    and well conditioned across the equator.
     """
     e = params.epsilon
-    te = params.tau * e
-    RR, eR, ee, e3 = R * R, e * R, e * e, e**3
-    wR2 = 1.0 + (te * R) * (te * R)
+    ee, e3, eR = e * e, e**3, e * R
     tol_R = 1e-11 * max(1.0, R)
-
-    def velocity(x, y, t):
+    r = math.hypot(x, y)
+    if r > R:  # outside the rim f is clamped at 0 and Newton steps fall short
+        x, y = x * (R / r), y * (R / r)
+    for _ in range(12):
         r = math.hypot(x, y)
-        sg = 1.0 if t > 0.0 else (-1.0 if t < 0.0 else 0.0)
-        gap = math.sqrt(max(RR - r * r, 0.0))
-        rho = te * r
-        w = math.sqrt(1.0 + rho * rho)
-        lam = sg * gap / (r * R)
-        mu = te * (r / (R * w))
-        return (x * lam - y * mu) / e, (y * lam + x * mu) / e, -ee * r * w / R
-
-    def profile(r):
-        gap = math.sqrt(max(RR - r * r, 0.0))
-        rho = te * r
-        w = math.sqrt(1.0 + rho * rho)
-        p = te * gap / w
-        atanc = 1.0 - p * p / 3.0 if abs(p) < 1e-8 else float(np.arctan(p)) / p
-        return gap, (e3 / (2.0 * w)) * (wR2 * atanc + w * w)
-
-    def _project_to_sphere(x, y, t):
-        """Move along the (frozen-R) normal until f(r; R)^2 = t^2.
-
-        Newton on s with the stable products f*f' and f/sqrt(gap); quadratic
-        and well conditioned across the equator.
-        """
-        r = math.hypot(x, y)
-        if r > R:  # outside the rim f is clamped at 0 and Newton steps fall short
-            x, y = x * (R / r), y * (R / r)
-        for _ in range(12):
-            r = math.hypot(x, y)
-            gap, fos = profile(r)
-            rho = te * r
-            w = math.sqrt(1.0 + rho * rho)
-            f = gap * fos
-            phi = f * f - t * t
-            if abs(phi) <= tol_R * (f + abs(t) + 1e-300):
-                return x, y, t
-            sg = 1.0 if t >= 0.0 else -1.0
-            p = sg * te * gap / w
-            q3 = sg * ee * w * gap / R
-            nx = (x + y * p) / eR
-            ny = (y - x * p) / eR
-            ffr = -e3 * r * w * fos  # f * f_r, finite at the equator
-            drds = (x * nx + y * ny) / r if r > 0.0 else 0.0
-            dphi = 2.0 * (ffr * drds - t * q3)
-            if dphi == 0.0:
-                break
-            s = -phi / dphi
-            x, y, t = x + s * nx, y + s * ny, t + s * q3
-        else:
+        gap, w, p = _pieces(params, r, R)
+        fos = _fos(params, R, w, p)
+        f = gap * fos
+        phi = f * f - t * t
+        if abs(phi) <= tol_R * (f + abs(t) + 1e-300):
             return x, y, t
-        raise NumericsError("meridian projection failed")
-
-    return velocity, profile, _project_to_sphere
+        sg = 1.0 if t >= 0.0 else -1.0
+        p = sg * p
+        q3 = sg * ee * w * gap / R
+        nx = (x + y * p) / eR
+        ny = (y - x * p) / eR
+        ffr = -e3 * r * w * fos  # f * f_r, finite at the equator
+        drds = (x * nx + y * ny) / r if r > 0.0 else 0.0
+        dphi = 2.0 * (ffr * drds - t * q3)
+        if dphi == 0.0:
+            break
+        s = -phi / dphi
+        x, y, t = x + s * nx, y + s * ny, t + s * q3
+    else:
+        return x, y, t
+    raise NumericsError("meridian projection failed")
 
 
 def integrate_meridian(
@@ -329,7 +277,8 @@ def integrate_meridian(
 
     Fixed-step classical Runge-Kutta in arclength (the field is unit) with
     an on-sphere projection after every step, so leaf error stays at the
-    projection tolerance instead of accumulating with the ODE error.
+    projection tolerance instead of accumulating with the ODE error.  The
+    default step is pi eps R / 4096, a 4096th of the pole-to-pole length.
     Integration stops once the curve is within `pole_radius` of the south
     pole, and one exact pole sample is appended.  A step that leaves the
     finite numbers, or a curve that has not reached the pole after
@@ -338,44 +287,36 @@ def integrate_meridian(
     """
     params, R = spec.params, spec.R
     _check_meridian_input(spec, start, step=step, max_len=max_len, pole_radius=pole_radius)
-    h = step if step is not None else R / 2000.0
     e = params.epsilon
+    h = step if step is not None else math.pi * e * R / 4096.0
     # the radial approach speed near the poles is 1/eps, so the capture
     # disk must not be smaller than one step's radial travel
     pole_r = pole_radius if pole_radius is not None else max(1e-3 * R, 3.0 * h / e)
     if max_len is None:
         max_len = 2.0 * math.pi * e * R
-    vel, _, project = _sphere_kernels(params, R)
-
-    x, y, t = start.x, start.y, start.t
-    pts = [(x, y, t)]
-    for _ in range(int(max_len / h) + 1):
-        k1 = vel(x, y, t)
-        k2 = vel(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], t + 0.5 * h * k1[2])
-        k3 = vel(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], t + 0.5 * h * k2[2])
-        k4 = vel(x + h * k3[0], y + h * k3[1], t + h * k3[2])
-        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y = y + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        t = t + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not math.isfinite(x + y + t):
-            raise NumericsError(f"meridian step {len(pts)} left the finite numbers "
-                                f"at eps = {e!r}, step = {h!r}")
-        x, y, t = project(x, y, t)
-        pts.append((x, y, t))
-        if math.hypot(x, y) < pole_r and t < 0.0:
-            break
-    else:
-        raise NumericsError(f"meridian did not reach the south pole within max_len = "
-                            f"{max_len!r} at eps = {e!r}, step = {h!r}")
+    q = np.array([start.x, start.y, start.t])
+    pts = [q]
+    # a state that runs away turns non-finite quietly, and the check below stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(max_len / h) + 1):
+            k1 = _rk4_velocity(params, R, q)
+            k2 = _rk4_velocity(params, R, q + 0.5 * h * k1)
+            k3 = _rk4_velocity(params, R, q + 0.5 * h * k2)
+            k4 = _rk4_velocity(params, R, q + h * k3)
+            q = q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not math.isfinite(q.sum()):
+                raise NumericsError(f"meridian step {len(pts)} left the finite numbers "
+                                    f"at eps = {e!r}, step = {h!r}")
+            q = np.array(_project_to_sphere(params, R, *q.tolist()))
+            pts.append(q)
+            if math.hypot(q[0], q[1]) < pole_r and q[2] < 0.0:
+                break
+        else:
+            raise NumericsError(f"meridian did not reach the south pole within max_len = "
+                                f"{max_len!r} at eps = {e!r}, step = {h!r}")
 
     points = np.array(pts)
-    px, py, pt = points.T
-    lam, mu, m, _ = _lam_mu(params, _radius_of(px, py), pt, R)
-    vels = np.column_stack((px * lam - py * mu, py * lam + px * mu, -m))
-    points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
-    vels = np.vstack([vels, vels[-1]])
-    s = h * np.arange(len(pts))
-    return MeridianCurve(R=R, s=np.append(s, s[-1] + h), points=points, velocities=vels)
+    return _curve(params, R, points, _radius_of(points[:, 0], points[:, 1]), h)
 
 
 def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
@@ -444,11 +385,6 @@ def pansu_meridian_field(sigma: float, point: Point) -> TangentVector:
     (eps X, eps Y); the vertical coefficient is exactly zero.
     """
     return TangentVector.from_array(_pansu_field(sigma, point.x, point.y, point.t))
-
-
-def limit_fields(params: ModelParams, point: Point) -> tuple[TangentVector, TangentVector]:
-    """Both limit fields at a point: (Euclidean meridian, scaled horizontal)."""
-    return euclidean_meridian_field(point), pansu_meridian_field(params.sigma, point)
 
 
 def pansu_geodesic_residual(sigma: float, R: float, r: float, theta: float = 0.7) -> float:

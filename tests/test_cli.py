@@ -249,6 +249,27 @@ def test_config_file_precedence(tmp_path):
     assert json.loads(res2.stdout)["epsilon"] == 1.0
 
 
+@pytest.mark.parametrize("command, line, message", [
+    (("isoperim", "--n", "1"), "seed = 2.5", "config value seed = '2.5' is not an integer"),
+    (("sphere", "--R", "1"), "epsilon = abc", "config value epsilon = 'abc' is not a number"),
+])
+def test_malformed_config_value_exits_2(tmp_path, command, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    res = run_cli(*command, "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_missing_config_file_exits_2(tmp_path):
+    path = str(tmp_path / "nonexist.cfg")
+    res = run_cli("sphere", "--R", "1", "--config", path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and repr(path) in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_runs_without_scipy(tmp_path):
     """The library needs scipy only for the tests: with every scipy import
     blocked, the CLI still runs the subcommands that integrate and solve."""

@@ -19,21 +19,18 @@ from heisenberg_cmc.ambient import christoffel_frame
 from heisenberg_cmc.meridians import (
     MeridianCurve,
     _lam_mu,
-    _sphere_kernels,
+    _rk4_velocity,
     euclidean_meridian_field,
     integrate_meridian,
-    limit_fields,
     meridian_field,
     meridian_curve,
-    meridian_field_coordinates,
     meridian_geodesic_residual,
     normal_acceleration,
     normal_derivatives,
     pansu_geodesic_residual,
     pansu_meridian_field,
-    sample_field,
 )
-from heisenberg_cmc.sphere import _f_over_sqrt, _gap, _p_north, _radius_of, _radius_solve
+from heisenberg_cmc.sphere import _p_north, _radius_of, _radius_solve
 
 
 def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
@@ -138,11 +135,11 @@ def test_meridian_field_continuous_at_equator(params):
     assert (up - down).norm() <= 1e-5
 
 
-def test_sample_field_consistency(params, rng):
+def test_foliation_fields_consistency(params, rng):
     q = random_point(rng)
-    fs = sample_field(params, q)
-    assert fs.N.dot(fs.M) == pytest.approx(0.0, abs=1e-10)
-    assert fs.dNN.dot(fs.N) == pytest.approx(0.0, abs=1e-10)
+    n = foliation_normal(params, q)
+    assert n.dot(meridian_field(params, q)) == pytest.approx(0.0, abs=1e-10)
+    assert normal_acceleration(params, q).dot(n) == pytest.approx(0.0, abs=1e-10)
 
 
 def figure1_spec():
@@ -217,7 +214,7 @@ def test_geodesic_residual_flags_an_off_sphere_curve():
     velocities taken at the moved points, as a projection that failed to
     converge would leave them; the residual must show it."""
     spec = SphereSpec(ModelParams(0.02, 1.0), 1.0)
-    curve = integrate_meridian(spec, start_point(spec))
+    curve = integrate_meridian(spec, start_point(spec), step=spec.R / 2000)
     points = curve.points.copy()
     points[np.argmin(np.abs(points[:-1, 2])), :2] *= 1.0 + 1e-3
     x, y, t = points[:-1].T
@@ -303,6 +300,39 @@ def test_closed_form_meridian_is_the_limit_of_rk4_at_fourth_order(eps, sigma, R)
     assert np.all((3.7 <= orders) & (orders <= 4.3)), orders
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_rk4_default_step_reaches_the_pole_on_the_closed_form(eps):
+    """The default step pi eps R / 4096 scales with the curve, so RK4 reaches
+    the south pole at any eps and stays on the closed-form samples."""
+    spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
+    start = start_point(spec)
+    rk4 = integrate_meridian(spec, start)
+    step = math.pi * eps * spec.R / 4096
+    assert rk4.s[1] == step
+    assert math.hypot(*rk4.points[-2, :2]) <= 3.0 * step / eps and rk4.points[-2, 2] < 0.0
+    exact = meridian_curve(spec, start, step)
+    n = min(len(exact), len(rk4)) - 1  # the two end at the pole a sample apart
+    assert np.max(np.abs(exact.points[:n] - rk4.points[:n])) <= 1e-8 * max(1.0, spec.R)
+
+
+@pytest.mark.parametrize("eps, sigma, R", [(0.5, 0.5, 2.0), (0.7, -1.3, 0.8), (1.0, 0.0, 1.0),
+                                           (0.02, 1.0, 1.0), (2.0, -4.0, 3.0), (1e-3, 1.0, 0.5),
+                                           (3.0, 0.2, 0.4)])
+def test_rk4_velocity_is_the_meridian_field_in_coordinates(rng, eps, sigma, R):
+    """The integrator's velocity, with its tau-free t-component, is the frame
+    field M in coordinates at sphere points of both hemispheres."""
+    params = ModelParams(eps, sigma)
+    spec = SphereSpec(params, R)
+    r = rng.uniform(0.02, 0.99, 50) * R
+    theta = rng.uniform(0.0, 2.0 * math.pi, 50)
+    t = rng.choice([-1.0, 1.0], 50) * profile_height(spec, r)
+    for q in np.column_stack((r * np.cos(theta), r * np.sin(theta), t)):
+        got = _rk4_velocity(params, R, q)
+        p = Point.from_array(q)
+        expected = vector_to_coordinates(params, p, meridian_field(params, p))
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("eps, sigma, R", [(0.5, 0.5, 2.0), (0.7, -1.3, 0.8), (1.0, 0.0, 1.0),
                                            (0.02, 1.0, 1.0), (3.0, 0.2, 0.4), (1e-6, 1.0, 1.0)])
 def test_closed_form_meridian_twists_by_twice_arctan_tau_eps_R(eps, sigma, R):
@@ -378,41 +408,6 @@ def test_closed_form_meridian_rejects_starts_off_the_sphere_or_at_a_pole(spec):
         meridian_curve(spec, Point(0.0, 0.0, float(profile_height(spec, 0.0))), 1e-2)
 
 
-# sigma = 0 and sigma < 0, a twist so small that 0 < |p| < 1e-8 takes the
-# series branch of atanc, and large twists
-KERNEL_SPECS = [(1.0, 1.0, 1.0), (0.5, 0.5, 2.0), (1.0, 0.0, 1.0), (0.7, -1.3, 0.8),
-                (1.0, 1e-9, 1.0), (0.02, 1.0, 1.0), (2.0, 4.0, 3.0), (1e-3, 1.0, 0.5)]
-
-
-def kernel_points(rng, R, n=250):
-    """x, y, t at random radii in (0, R), radii within a few ulps of the rim
-    and a few just past it (where sqrt(R^2 - r^2) clamps to 0), with t = 0
-    and both signs of t."""
-    r = np.concatenate([rng.uniform(1e-3, 1.0, n - 40) * R,
-                        R * (1.0 - np.arange(20) * 2.0**-52), R * (1.0 + np.arange(1, 21) * 1e-12)])
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    t = rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.0, 2.0, n)
-    return r * np.cos(theta), r * np.sin(theta), t
-
-
-@pytest.mark.parametrize("eps, sigma, R", KERNEL_SPECS)
-def test_scalar_kernels_match_the_array_cores_bitwise(rng, eps, sigma, R):
-    """The integrator's float kernels repeat _lam_mu and sphere._f_over_sqrt
-    operation for operation: any drift shows as a last-bit difference."""
-    params = ModelParams(eps, sigma)
-    velocity, profile, _ = _sphere_kernels(params, R)
-    x, y, t = kernel_points(rng, R)
-    r = _radius_of(x, y)
-    lam, mu, _, w = _lam_mu(params, r, t, R)
-    expected = np.column_stack(((x * lam - y * mu) / eps, (y * lam + x * mu) / eps,
-                                -eps * eps * r * w / R))
-    got = np.array([velocity(*q) for q in zip(x.tolist(), y.tolist(), t.tolist())])
-    assert np.array_equal(got, expected)
-    gap, fos = np.array([profile(v) for v in r.tolist()]).T
-    assert np.array_equal(gap, np.sqrt(_gap(r, R)))
-    assert np.array_equal(fos, _f_over_sqrt(params, r, R))
-
-
 def test_euclidean_field_meridian_plane_and_tangency(rng):
     for _ in range(20):
         q = random_point(rng)
@@ -438,7 +433,7 @@ def test_field_converges_to_euclidean_as_twist_shrinks():
         dists = []
         for sig in (1e-1, 1e-2, 1e-3):
             params = ModelParams(1.0, sig)
-            mc = meridian_field_coordinates(params, q)
+            mc = vector_to_coordinates(params, q, meridian_field(params, q))
             target = vector_to_coordinates(
                 ModelParams(1.0, 0.0), q, euclidean_meridian_field(q)
             )
@@ -505,8 +500,8 @@ def test_scaled_normal_defect_limit():
     assert diffs[1] / diffs[2] >= 1.8
 
 
-def test_limit_fields_pair(params, rng):
+def test_limit_field_pair(params, rng):
     q = random_point(rng)
-    mh, mb = limit_fields(params, q)
+    mh, mb = euclidean_meridian_field(q), pansu_meridian_field(params.sigma, q)
     assert mh.norm() == pytest.approx(1.0, rel=1e-10)
     assert vertical_component(mb) == 0.0
