@@ -87,23 +87,25 @@ def _write_curve(prefix: str, curve: MeridianCurve) -> None:
 
 def _load_config(path: str) -> dict[str, str]:
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise DomainError(f"cannot read the config file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"the config file {path!r} is not UTF-8 text") from None
     out: dict[str, str] = {}
-    with fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, val = line.split("=", 1)
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise DomainError(f"malformed config line: {line!r}")
-                key, val = parts
-            out[key.strip()] = val.strip()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line:
+            key, val = line.split("=", 1)
+        else:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise DomainError(f"malformed config line: {line!r}")
+            key, val = parts
+        out[key.strip()] = val.strip()
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _QUAD_RTOL, _gauss_legendre, _quad
+from ._numerics import _gauss_legendre, _quad
 from .ambient import ModelParams, Point
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
@@ -48,7 +48,6 @@ __all__ = [
     "calibration_gain",
     "normal_component",
     "stable_hemispheres",
-    "Hemispheres",
     "jacobi_potential",
     "jacobi_residual",
 ]
@@ -73,9 +72,9 @@ def graph_area(
     (x, y) -> (f_x, f_y) on scalars): 2D quadrature of
     (1/eps) sqrt(eps^6 + |grad f|^2 + sigma^2 |z|^2 + 2 sigma (x f_y - y f_x))
     in polar coordinates about `center`, which includes the rotational
-    cross term that vanishes for radial graphs.  It is Gauss-Legendre in
-    the radius times the periodic trapezoid rule in the angle, n nodes
-    each; the n = 128 value must lie within _QUAD_RTOL of the n = 64 one.
+    cross term that vanishes for radial graphs: `_quad` in the polar radius
+    of the ring integrals, each of them one interval of a batched `_quad`
+    in the angle over [0, 2 pi].
     """
     if (slope is None) == (gradient is None):
         raise ContractError("provide exactly one of slope= or gradient=")
@@ -93,21 +92,19 @@ def graph_area(
     cx, cy = center
     grad = np.frompyfunc(gradient, 2, 2)
 
-    def polar_rule(n: int) -> float:
-        x, w = _gauss_legendre(n)
-        rho = (0.5 * rad * (1.0 + x))[:, None]
-        ang = (2.0 * math.pi / n) * np.arange(n)
-        xs = cx + rho * np.cos(ang)
-        ys = cy + rho * np.sin(ang)
-        fx, fy = (np.asarray(g, dtype=float) for g in grad(xs, ys))
-        val = e**6 + fx * fx + fy * fy + s * s * (xs * xs + ys * ys) + 2.0 * s * (xs * fy - ys * fx)
-        ring = np.sum(np.sqrt(val) * rho, axis=1)
-        return 0.5 * rad * (2.0 * math.pi / n) * float(w @ ring)
+    def ring(rho):
+        def density(ang, row):
+            rr = rho[row, None]
+            xs, ys = cx + rr * np.cos(ang), cy + rr * np.sin(ang)
+            fx, fy = (np.asarray(g, dtype=float) for g in grad(xs, ys))
+            val = (e**6 + fx * fx + fy * fy + s * s * (xs * xs + ys * ys)
+                   + 2.0 * s * (xs * fy - ys * fx))
+            return np.sqrt(val) * rr
 
-    fine, coarse = polar_rule(128), polar_rule(64)
-    if not (math.isfinite(fine) and abs(fine - coarse) <= _QUAD_RTOL * fine):
-        raise NumericsError(f"2D graph-area quadrature did not converge ({fine} vs {coarse})")
-    return fine / e
+        n = rho.size
+        return _quad(density, np.zeros(n), np.full(n, 2.0 * math.pi), "graph-area ring")
+
+    return _quad(ring, 0.0, rad, "2D graph area") / e
 
 
 def subriemannian_hemisphere_area(sigma: float, R: float) -> float:
@@ -372,7 +369,11 @@ def symdiff_monte_carlo(comp: Competitor, n: int = 1_000_000, seed: int = 202405
     return box * float(np.count_nonzero(hit)) / n
 
 
-def calibration_gain(comp: Competitor, n_r: int = 48, n_t: int = 24) -> tuple[float, float]:
+# Gauss-Legendre nodes of `calibration_gain` in the radius and in the depth
+_GAIN_NODES_R, _GAIN_NODES_T = 48, 24
+
+
+def calibration_gain(comp: Competitor) -> tuple[float, float]:
     """(G, (2/eps R) G): the calibration integral over the removed region.
 
     G integrates 1 - R/u over the set between the perturbed and original
@@ -382,8 +383,8 @@ def calibration_gain(comp: Competitor, n_r: int = 48, n_t: int = 24) -> tuple[fl
     params = comp.spec.params
     R = comp.spec.R
     lo, hi = comp.sub.support
-    xr, wr = _gauss_legendre(n_r)
-    xt, wt = _gauss_legendre(n_t)
+    xr, wr = _gauss_legendre(_GAIN_NODES_R)
+    xt, wt = _gauss_legendre(_GAIN_NODES_T)
     rs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xr
     wr = 0.5 * (hi - lo) * wr
     f_here = _f(params, rs, R)
@@ -426,20 +427,11 @@ def normal_component(spec: SphereSpec, which: str, point):
     return sg * gap / (w * R)
 
 
-@dataclass(frozen=True)
-class Hemispheres:
-    """Sign domains of the three right-invariant normal components."""
-
-    spec: SphereSpec
-
-    def contains(self, which: str, point: Point) -> bool:
-        return normal_component(self.spec, which, point) > 0.0
-
-
-def stable_hemispheres(spec: SphereSpec) -> Hemispheres:
-    """The three hemispheres on which the sphere is stable; the one for the
-    vertical field is exactly the northern hemisphere {t > 0}."""
-    return Hemispheres(spec)
+def stable_hemispheres(spec: SphereSpec) -> dict:
+    """The three hemispheres on which the sphere is stable, as predicates
+    point -> normal_component(spec, w, point) > 0 keyed by w = 'x', 'y', 't';
+    the one for the vertical field is exactly the northern hemisphere {t > 0}."""
+    return {w: (lambda point, w=w: normal_component(spec, w, point) > 0.0) for w in ("x", "y", "t")}
 
 
 def jacobi_potential(spec: SphereSpec, r):

@@ -15,8 +15,9 @@ geodesics of the sphere running from the north to the south pole.  They
 have a closed form in the angle phi with r = R sin(phi), which
 `meridian_curve` samples; `integrate_meridian` integrates the field by
 Runge-Kutta as its independent oracle.  Both evaluate the field through
-the one array core `_lam_mu`, and the integrator's on-sphere projection
-takes the profile from `sphere._pieces` and `sphere._fos`.
+the one array core `_lam_mu`, and both place points on the sphere through
+the one chart `_chart`, in which the sphere is a circle and phi is the
+polar angle: the integrator retracts each step onto the sphere there.
 
 Two limit fields are provided: the Euclidean meridian field (sigma -> 0
 at eps = 1) and the horizontal field tangent to the sub-Riemannian limit
@@ -39,7 +40,6 @@ from .sphere import (
     _ell,
     _f,
     _f_over_sqrt,
-    _fos,
     _gap,
     _normal_components,
     _omega,
@@ -186,6 +186,14 @@ def _curve(params: ModelParams, R: float, points: np.ndarray, r, step: float) ->
     return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
 
 
+def _chart(params: ModelParams, R: float, r: float, t: float) -> tuple[float, float]:
+    """Polar angle and radius of (r, t) in the chart (r, t / fos(min(r, R))),
+    fos = f / sqrt(R^2 - r^2), in which the sphere R is the circle of radius R
+    and the meridian angle phi (r = R sin(phi)) is the polar angle."""
+    u = t / float(_f_over_sqrt(params, min(r, R), R))
+    return math.atan2(r, u), math.hypot(r, u)
+
+
 def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve:
     """The meridian through `start`, sampled in closed form every `step` of arclength.
 
@@ -201,7 +209,7 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
     params, R = spec.params, spec.R
     _check_meridian_input(spec, start, step=step)
     te = params.tau * params.epsilon
-    phi0 = math.atan2(start.r, start.t / float(_f_over_sqrt(params, start.r, R)))
+    phi0 = _chart(params, R, start.r, start.t)[0]
     dphi = step / (params.epsilon * R)
     phi = phi0 + dphi * np.arange(int((math.pi - phi0) / dphi) + 1)
     phi = phi[phi < math.pi]
@@ -229,43 +237,6 @@ def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     return np.array([(x * lam - y * mu) / e, (y * lam + x * mu) / e, -e * e * r * w / R])
 
 
-def _project_to_sphere(params: ModelParams, R: float, x: float, y: float, t: float):
-    """Move (x, y, t) along the (frozen-R) normal until f(r; R)^2 = t^2.
-
-    Newton on s with the stable products f*f' and f/sqrt(gap); quadratic
-    and well conditioned across the equator.
-    """
-    e = params.epsilon
-    ee, e3, eR = e * e, e**3, e * R
-    tol_R = 1e-11 * max(1.0, R)
-    r = math.hypot(x, y)
-    if r > R:  # outside the rim f is clamped at 0 and Newton steps fall short
-        x, y = x * (R / r), y * (R / r)
-    for _ in range(12):
-        r = math.hypot(x, y)
-        gap, w, p = _pieces(params, r, R)
-        fos = _fos(params, R, w, p)
-        f = gap * fos
-        phi = f * f - t * t
-        if abs(phi) <= tol_R * (f + abs(t) + 1e-300):
-            return x, y, t
-        sg = 1.0 if t >= 0.0 else -1.0
-        p = sg * p
-        q3 = sg * ee * w * gap / R
-        nx = (x + y * p) / eR
-        ny = (y - x * p) / eR
-        ffr = -e3 * r * w * fos  # f * f_r, finite at the equator
-        drds = (x * nx + y * ny) / r if r > 0.0 else 0.0
-        dphi = 2.0 * (ffr * drds - t * q3)
-        if dphi == 0.0:
-            break
-        s = -phi / dphi
-        x, y, t = x + s * nx, y + s * ny, t + s * q3
-    else:
-        return x, y, t
-    raise NumericsError("meridian projection failed")
-
-
 def integrate_meridian(
     spec: SphereSpec,
     start: Point,
@@ -275,15 +246,19 @@ def integrate_meridian(
 ) -> MeridianCurve:
     """Integrate the meridian field on the sphere from `start` to the south pole.
 
-    Fixed-step classical Runge-Kutta in arclength (the field is unit) with
-    an on-sphere projection after every step, so leaf error stays at the
-    projection tolerance instead of accumulating with the ODE error.  The
-    default step is pi eps R / 4096, a 4096th of the pole-to-pole length.
-    Integration stops once the curve is within `pole_radius` of the south
-    pole, and one exact pole sample is appended.  A step that leaves the
-    finite numbers, or a curve that has not reached the pole after
-    `max_len` (by default 2 pi eps R, twice the pole-to-pole length),
-    raises NumericsError.
+    Fixed-step classical Runge-Kutta in arclength (the field is unit).  After
+    every step the state is put back on the sphere in closed form, in the
+    chart of `meridian_curve`: phi = atan2(r, t / fos(min(r, R))) with
+    fos = f / sqrt(R^2 - r^2), then r = R sin(phi), t = sgn(cos phi) f(r)
+    and (x, y) scaled to that r.  This is a smooth retraction, so the
+    method keeps its fourth order and the samples stay on the sphere to
+    rounding at any scale.  The default step is pi eps R / 4096, a 4096th
+    of the pole-to-pole length.  Integration stops once the curve is within
+    `pole_radius` of the south pole, and one exact pole sample is appended.
+    A step that lands farther from the sphere, measured in the chart, than
+    a unit-speed step travels there (step / eps) or that leaves the finite
+    numbers, and a curve that has not reached the pole after `max_len` (by
+    default 2 pi eps R, twice the pole-to-pole length), raise NumericsError.
     """
     params, R = spec.params, spec.R
     _check_meridian_input(spec, start, step=step, max_len=max_len, pole_radius=pole_radius)
@@ -296,18 +271,24 @@ def integrate_meridian(
         max_len = 2.0 * math.pi * e * R
     q = np.array([start.x, start.y, start.t])
     pts = [q]
-    # a state that runs away turns non-finite quietly, and the check below stops it
+    # a state that runs away turns non-finite quietly, and the step guard stops it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(int(max_len / h) + 1):
             k1 = _rk4_velocity(params, R, q)
             k2 = _rk4_velocity(params, R, q + 0.5 * h * k1)
             k3 = _rk4_velocity(params, R, q + 0.5 * h * k2)
             k4 = _rk4_velocity(params, R, q + h * k3)
-            q = q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not math.isfinite(q.sum()):
-                raise NumericsError(f"meridian step {len(pts)} left the finite numbers "
-                                    f"at eps = {e!r}, step = {h!r}")
-            q = np.array(_project_to_sphere(params, R, *q.tolist()))
+            x, y, t = (q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).tolist()
+            r = math.hypot(x, y)
+            phi, rho = _chart(params, R, r, t)
+            if not abs(rho - R) <= h / e:  # NaN fails too
+                raise NumericsError(f"meridian step {len(pts)} strayed more than step/eps from "
+                                    f"the sphere or left the finite numbers at eps = {e!r}, "
+                                    f"step = {h!r}")
+            r_new = R * math.sin(phi)
+            t_new = math.copysign(float(_f(params, r_new, R)), math.cos(phi))
+            scale = r_new / r if r > 0.0 else 0.0
+            q = np.array([x * scale, y * scale, t_new])
             pts.append(q)
             if math.hypot(q[0], q[1]) < pole_r and q[2] < 0.0:
                 break

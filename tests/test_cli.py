@@ -270,6 +270,15 @@ def test_missing_config_file_exits_2(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_config_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"\xff\xfe")
+    res = run_cli("sphere", "--R", "1", "--config", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and repr(str(path)) in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_runs_without_scipy(tmp_path):
     """The library needs scipy only for the tests: with every scipy import
     blocked, the CLI still runs the subcommands that integrate and solve."""

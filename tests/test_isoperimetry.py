@@ -8,6 +8,7 @@ from heisenberg_cmc import (
     ContractError,
     DomainError,
     ModelParams,
+    NumericsError,
     Point,
     SphereSpec,
     profile_height,
@@ -99,7 +100,12 @@ def test_radial_2d_paths_agree(params):
 
     a_radial = graph_area(params, 0.6, slope=lambda r: _f_r(params, r, 1.0))
     a_2d = graph_area(params, 0.6, gradient=grad0)
-    assert a_2d == pytest.approx(a_radial, rel=1e-8)
+    assert a_2d == pytest.approx(a_radial, rel=1e-13)
+
+
+def test_2d_graph_area_of_a_non_finite_gradient_raises(params):
+    with pytest.raises(NumericsError, match="not finite"):
+        graph_area(params, 0.6, gradient=lambda x, y: (math.nan, 0.0))
 
 
 def test_scaled_area_converges_to_subriemannian_integral():
@@ -324,7 +330,7 @@ def test_vertical_hemisphere_is_northern(spec, rng):
     hemi = stable_hemispheres(spec)
     for _ in range(50):
         q = sphere_point(spec, rng)
-        assert hemi.contains("t", q) == (q.t > 0.0)
+        assert hemi["t"](q) == (q.t > 0.0)
     # vanishes exactly on the equator
     assert normal_component(spec, "t", Point(spec.R, 0.0, 0.0)) == 0.0
 
@@ -335,7 +341,7 @@ def test_hemispheres_have_positive_area(spec, rng):
     for _ in range(200):
         q = sphere_point(spec, rng)
         for w in counts:
-            counts[w] += hemi.contains(w, q)
+            counts[w] += hemi[w](q)
     assert all(0 < c < 200 for c in counts.values())
 
 

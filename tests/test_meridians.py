@@ -272,9 +272,10 @@ def test_meridian_step_that_leaves_the_finite_numbers_raises():
 
 
 def test_meridian_that_misses_the_pole_raises():
+    """Half the pole-to-pole length pi eps R only reaches the equator."""
     spec = SphereSpec(ModelParams(1e-6, 1.0), 1.0)
     with pytest.raises(NumericsError, match="did not reach the south pole"):
-        integrate_meridian(spec, start_point(spec), step=5e-4)
+        integrate_meridian(spec, start_point(spec), max_len=0.5 * math.pi * 1e-6 * spec.R)
 
 
 # ------------------------------------------------------------ closed form
@@ -313,6 +314,21 @@ def test_rk4_default_step_reaches_the_pole_on_the_closed_form(eps):
     exact = meridian_curve(spec, start, step)
     n = min(len(exact), len(rk4)) - 1  # the two end at the pole a sample apart
     assert np.max(np.abs(exact.points[:n] - rk4.points[:n])) <= 1e-8 * max(1.0, spec.R)
+
+
+@pytest.mark.parametrize("eps, sigma, R", [(1e-3, 0.0, 1e-3), (1e-4, 0.0, 1e-4), (1e-4, 1.0, 1e-4),
+                                           (0.01, 0.0, 1.0)])
+def test_rk4_retraction_holds_tiny_spheres_on_the_closed_form(eps, sigma, R):
+    """The sphere is about eps^3 R tall, so an on-sphere test absolute in t
+    never fires there; the chart retraction keeps RK4 on the closed form."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    start = start_point(spec)
+    rk4 = integrate_meridian(spec, start)
+    step = math.pi * eps * R / 4096
+    assert math.hypot(*rk4.points[-2, :2]) <= 3.0 * step / eps and rk4.points[-2, 2] < 0.0
+    exact = meridian_curve(spec, start, step)
+    n = min(len(exact), len(rk4)) - 1
+    assert np.max(np.abs(exact.points[:n] - rk4.points[:n])) <= 1e-8 * R
 
 
 @pytest.mark.parametrize("eps, sigma, R", [(0.5, 0.5, 2.0), (0.7, -1.3, 0.8), (1.0, 0.0, 1.0),
