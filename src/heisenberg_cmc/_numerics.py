@@ -29,7 +29,7 @@ def _newton(fun, x, lo, hi, done, what: str) -> np.ndarray:
             F, dF, converged = fun(x)
             done = done | converged
             above = (F > 0.0) == (dF > 0.0)
-            hi, lo = np.where(~done & above, x, hi), np.where(~done & ~above, x, lo)
+            hi, lo = np.where(above, x, hi), np.where(above, lo, x)
             step = F / dF
             new = x - step
             small = np.abs(step) <= 4.0 * _ULP * np.abs(x)

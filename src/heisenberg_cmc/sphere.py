@@ -19,6 +19,10 @@ tau = 0 (Euclidean degeneration):
 
 with atanc(p) = arctan(p)/p and ell(p) = 1/(1 + p arctan p).  All profile
 helpers broadcast over numpy arrays.
+
+For sigma != 0 the profile is Pansu's at a shifted radius: with c = eps^3/|sigma|,
+r' = hypot(r, c) and R' = hypot(R, c), so that R'^2 - r'^2 = R^2 - r^2 and |sigma| r' = eps^3 w(r),
+f(r; R) = (|sigma|/2)[R'^2 arccos(r'/R') + r' sqrt(R'^2 - r'^2)] = pansu_profile(|sigma|, R', r').
 """
 
 from __future__ import annotations
@@ -222,36 +226,32 @@ def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> Prof
 def _radius_solve(params: ModelParams, r, t):
     """Solve f(r; R) = |t| for R >= r, vectorized.
 
-    Safeguarded Newton in w = R^2 - r^2 on g(w) = f^2 - t^2, which is
-    increasing and smooth with g'(w) = eps^3 w(r) fos(w) / ell(p) bounded
-    away from 0.  The root stays bracketed by [0, hi], hi = (|t|/eps^3)^2,
-    because f >= eps^3 sqrt(w); at sigma = 0 that bound is an equality and
-    hi is the root.  The iteration starts from Pansu's sphere, the eps -> 0
-    limit: at min(hi, R_P^2 - r^2) with R_P = pansu_radius(|sigma|, r, |t|)
-    (the profile is even in sigma), or at hi where sigma = 0 or the Pansu gap
-    is not positive.  It stops when |g| <= 1e-13 t^2, a relative test on f.
+    Newton in g = sqrt(R^2 - r^2) on the shifted Pansu form of f (module docstring): with
+    m = eps^3 w(r) and q = |sigma| g / m (= |p|), the residual is
+    F(g) = (g/2)[m (1 + atanc q) + |sigma| g arctan q] - |t|, F'(g) = m + |sigma| g arctan q.
+    F is increasing and convex, F >= m g and F >= (pi/4) |sigma| g^2, so the start
+    g0 = min(|t|/m, sqrt(4|t|/(pi |sigma|))) is above the root (the root itself at sigma = 0),
+    and the iterates descend onto the root inside the bracket [0, g0].  A point stops on
+    `_newton`'s 4-ulp step or bracket rule; there is no residual test.
     """
-    e = params.epsilon
+    s = abs(params.sigma)
     shape = np.broadcast_shapes(np.shape(r), np.shape(t))
     r, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (r, t))
     t = np.abs(t)
-    hi = (t / e**3) ** 2
-    start = hi
-    if params.sigma != 0.0:
-        gap = _pansu_radius_solve(abs(params.sigma), r, t) ** 2 - r * r
-        start = np.where(gap > 0.0, np.minimum(hi, gap), hi)
-    tol = 1e-13 * t * t
+    m = params.epsilon**3 * _omega(params, r)
+    g = t / m
+    if s > 0.0:
+        with np.errstate(over="ignore"):  # sigma near the least float: the first bound holds
+            g = np.minimum(g, np.sqrt(4.0 * t / (math.pi * s)))
 
-    def residual(w):
-        R = np.sqrt(r * r + w)
-        _, w_r, p = _pieces(params, r, R)
-        atan_p = np.arctan(p)
-        fos = _fos(params, R, w_r, p, atan_p)
-        g = w * fos * fos - t * t
-        return g, e**3 * w_r * fos / _ell(p, atan_p), np.abs(g) <= tol
+    def residual(g):
+        q = s * g / m
+        a = np.arctan(q)
+        sga = s * g * a
+        return 0.5 * g * (m * (1.0 + _atanc(q, a)) + sga) - t, m + sga, False
 
-    w = _newton(residual, start, 0.0, hi, t == 0.0, "radius solve")
-    return np.sqrt(r * r + w).reshape(shape)
+    g = _newton(residual, g, 0.0, g, t == 0.0, "radius solve")
+    return np.hypot(r, g).reshape(shape)
 
 
 def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -24,11 +26,22 @@ from heisenberg_cmc.foliation import CylinderSpec, calibration_divergence, verti
 from conftest import sphere_point
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "heisenberg_cmc.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
-    )
+def run_cli(*args):
+    """cli.main(args) in this process, its stdout, stderr and exit code
+    captured as subprocess.run captures them; argparse's usage errors exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args):
+    """`python -m heisenberg_cmc.cli args` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "heisenberg_cmc.cli", *args],
+                          capture_output=True, text=True)
 
 
 def test_sphere_writes_profile_csv(tmp_path):
@@ -56,7 +69,8 @@ def test_sphere_missing_R_exits_2():
 
 
 def test_sphere_bad_value_exits_2():
-    res = run_cli("sphere", "--epsilon", "-1", "--R", "1")
+    """The module entry point hands main's exit code to the interpreter."""
+    res = run_cli_process("sphere", "--epsilon", "-1", "--R", "1")
     assert res.returncode == 2
 
 
@@ -434,7 +448,7 @@ def test_outputs_are_byte_stable_from_run_to_run(tmp_path, argv, outputs):
     runs = []
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
-        res = run_cli(*(arg.format(d=tmp_path / name) for arg in argv))
+        res = run_cli_process(*(arg.format(d=tmp_path / name) for arg in argv))
         assert res.returncode == 0, res.stderr
         runs.append([res.stdout] + [(tmp_path / name / f).read_bytes() for f in outputs])
     assert runs[0] == runs[1]

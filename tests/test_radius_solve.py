@@ -1,7 +1,9 @@
 """The radius solve R(r, t) over the whole documented domain: a hypothesis
 property test of the round trip f <-> R, its Newton passes and its warnings;
-a 50-digit mpmath oracle for the root; and a sympy check that the closed-form
-partials f_r and f_R are the derivatives of the profile f."""
+a 50-digit mpmath oracle for the root and for its starting bound; a sympy
+proof that the profile is Pansu's profile at a shifted radius; and a sympy
+check that the closed-form partials f_r and f_R are the derivatives of the
+profile f."""
 
 import math
 from unittest import mock
@@ -83,6 +85,9 @@ def mp_profile(eps, sigma, r, R):
     (2.0, 0.5, 1e-4, 0.0),
     (1e-3, 3.0, 4.0, 1e-6),
     (0.1, 1.0, 1e3, 0.6),
+    # |sigma| down to the least float, where sqrt(4|t|/(pi |sigma|)) overflows
+    *[(eps, sigma, 1.3, 0.4 / 1.3) for sigma in (5e-324, -1e-300, 1e-160)
+      for eps in (1e-8, 1.0, 1e6)],
 ])
 def test_radius_solve_matches_50_digit_root(eps, sigma, R, frac):
     params = ModelParams(eps, sigma)
@@ -118,16 +123,55 @@ def test_profile_partials_are_derivatives_of_the_profile():
 
 @pytest.mark.parametrize("eps, sigma", [(1.0, 1.0), (1e-5, 2.0), (0.3, -0.7), (2.0, 0.0), (1.0, 1e-9)])
 def test_radius_solve_with_one_shared_arctan_is_bit_identical(eps, sigma):
-    """Each Newton pass takes arctan(p) once for both _fos and _ell; letting
-    each take its own, as they do when given none, changes no bit of the radii."""
+    """Each Newton pass takes arctan(q) once for both atanc(q) and F'; letting
+    atanc take its own, as it does when given none, changes no bit of the radii."""
     params = ModelParams(eps, sigma)
     rng = np.random.default_rng(20)
     R0 = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 400))
     r = np.concatenate([rng.uniform(0.0, 1.0, 390), 1.0 - 2.0**-40 * np.arange(10)]) * R0
     t = rng.choice([-1.0, 1.0], 400) * _f(params, r, R0)
-    fos, ell = sphere._fos, sphere._ell
+    atanc = sphere._atanc
     shared = _radius_solve(params, r, t)
-    with mock.patch.object(sphere, "_fos", lambda prm, R, w, p, atan_p=None: fos(prm, R, w, p)), \
-            mock.patch.object(sphere, "_ell", lambda p, atan_p=None: ell(p)):
+    with mock.patch.object(sphere, "_atanc", lambda p, atan_p=None: atanc(p)):
         separate = _radius_solve(params, r, t)
     assert np.array_equal(shared, separate)
+
+
+def test_profile_is_pansu_profile_at_a_shifted_radius():
+    """f(r; R) = (sigma/2)[R'^2 arccos(r'/R') + r' sqrt(R'^2 - r'^2)] with
+    r' = hypot(r, c), R' = hypot(R, c) and c = eps^3/sigma: their difference D
+    and dD/dR vanish at R = r, and dD/dR over R is constant in R, so D = 0 for
+    all R >= r.  The profile is even in sigma, so |sigma| serves both signs."""
+    e, s, r, R = sp.symbols("epsilon sigma r R", positive=True)
+    tau = s / e**4
+    w = lambda x: sp.sqrt(1 + tau**2 * e**2 * x**2)
+    p = tau * e * sp.sqrt(R**2 - r**2) / w(r)
+    f = e**2 / (2 * tau) * (w(R)**2 * sp.atan(p) + w(r)**2 * p)
+    c = e**3 / s
+    rs, Rs = sp.sqrt(r**2 + c**2), sp.sqrt(R**2 + c**2)
+    D = f - s / 2 * (Rs**2 * sp.acos(rs / Rs) + rs * sp.sqrt(Rs**2 - rs**2))
+    dD = sp.simplify(sp.diff(D, R))
+    assert sp.simplify(D.subs(R, r)) == 0
+    assert dD.subs(R, r) == 0
+    assert sp.simplify(sp.diff(dD / R, R)) == 0
+    assert sp.simplify(f.subs(s, -s) - f) == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(eps=log_uniform, size=log_uniform, sign=st.sampled_from([1.0, -1.0, 0.0]),
+       R0=log_uniform, u=st.floats(0.0, 1.0))
+def test_radius_solve_starts_above_the_root(eps, size, sign, R0, u):
+    """F(g0) >= 0 in 50 digits for g0 = min(|t|/m, sqrt(4|t|/(pi |sigma|))),
+    m = eps^3 w(r), with F(g) = f(r; hypot(r, g)) - |t| in the paper's form,
+    over the domain of test_radius_solve_over_the_domain.  At sigma = 0 g0 is
+    the root, so F(g0) is 0 up to the 50-digit roundoff."""
+    sigma = sign * size
+    r = u * R0
+    t = float(_f(ModelParams(eps, sigma), r, R0))
+    with mpmath.workdps(50):
+        e, s, rm, tm = (mpmath.mpf(v) for v in (eps, abs(sigma), r, t))
+        g0 = tm / (e**3 * mpmath.sqrt(1 + (s * rm / e**3) ** 2))
+        if s > 0:
+            g0 = min(g0, mpmath.sqrt(4 * tm / (mpmath.pi * s)))
+        F = mp_profile(eps, sigma, r, mpmath.sqrt(rm * rm + g0 * g0)) - tm
+        assert F >= -mpmath.mpf(10) ** -45 * tm
