@@ -13,11 +13,11 @@ region) the label is the unique lam > R with
     F(|z|, t, lam) = f(|z|; lam) - f(r_cut; lam) + t_cut - t = 0,
 
 whose leaves are vertical translates of the larger spheres' graphs.  F
-falls from f(|z|; R) - t > 0 at lam = R to t_cut - t < 0 as lam -> inf,
-so in mu = R/lam the root lies in the a-priori bracket (0, 1), where it
-is solved without a bracket search.  The
-downhill unit gradient V = -grad(u)/|grad(u)| is continuous on C, equals
-the outward sphere normal on the sphere itself, and has
+falls from f(|z|; R) - t > 0 at lam = R to t_cut - t < 0 as lam -> inf.
+It is solved in the chord y = sqrt(lam^2 - |z|^2) - sqrt(lam^2 - r_cut^2),
+where the root has an a-priori bracket (`_label_below`).  The downhill
+unit gradient V = -grad(u)/|grad(u)| is continuous on C, equals the
+outward sphere normal on the sphere itself, and has
 (1/2) div V = H_lam <= 1/(eps R) with H_lam = 1/(eps lam) for lam > R.
 The growth of the label along vertical segments below the graph carries
 the explicit lower bounds used by the quantitative isoperimetric
@@ -34,8 +34,7 @@ import numpy as np
 from ._numerics import _ULP, _newton
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
-from .sphere import (SphereSpec, _f, _f_and_f_R, _f_r, _f_R, _omega, _radius_of,
-                     profile_height)
+from .sphere import SphereSpec, _f, _f_r, _fos, _omega, _radius_of, profile_height
 
 __all__ = [
     "CylinderSpec",
@@ -126,35 +125,58 @@ def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
     return float(_f(cyl.params, r, lam) - _f(cyl.params, cyl.r_cut, lam) + cyl.t_cut - t)
 
 
-def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Root lam > R of the leaf equation below the graph; `depth` = f(r; R) - t = F(R).
+def _chord(cyl: CylinderSpec, r: np.ndarray, y):
+    """(s_r, s_cut) and lam at the chord y = s_r - s_cut, s_rho = sqrt(lam^2 - rho^2), from
+    Delta = (r_cut - r)(r_cut + r) = y (s_r + s_cut); lam^2 - rho^2 is never formed."""
+    k = (cyl.r_cut - r) * (cyl.r_cut + r) / y
+    s = np.stack((0.5 * (k + y), np.maximum(0.5 * (k - y), 0.0)))
+    return s, np.sqrt(s[0] * s[0] + r * r)
 
-    Newton in mu = R/lam, which maps lam in (R, inf) onto the a-priori
-    bracket (0, 1): F rises from t_cut - t < 0 at mu = 0 to depth > 0 at
-    mu = 1, with dF/dmu = -F_lam lam^2 / R and F_lam = f_R(r; lam) -
-    f_R(r_cut; lam).  The start mu = 1 - d^2, d = depth / (f(r; R) - t_cut),
-    costs no profile pass and follows F's sqrt(lam - R) growth near lam = R
-    when delta = 0; each pass takes f and f_R from one fused profile
-    evaluation.  A point has converged when |F| is at the rounding level of
-    its terms (far above one ulp of lam at deep points).  Labels are at
-    least the float after R, within one ulp of the root when the point sits
-    a rounding error below the graph.
+
+def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, w: np.ndarray, y):
+    """(s_r, s_cut), (f(r; lam), f(r_cut; lam)) and dF/dy at the chord y; `w` stacks w(r), w(r_cut).
+    f(rho; lam) = s_rho fos(lam, w, p_rho) with p_rho = tau eps s_rho / w, and dF/dy =
+    (eps^3/y)[w_cut s_r/ell(p_cut) - w_r s_cut/ell(p_r)], finite as s_cut -> 0; F_lam =
+    -lam y dF/dy / (s_r s_cut)."""
+    params = cyl.params
+    s, lam = _chord(cyl, r, y)
+    p = params.tau * params.epsilon * s / w
+    atan_p = np.arctan(p)
+    inv_ell = 1.0 + p * atan_p
+    dF = params.epsilon**3 / y * (w[1] * s[0] * inv_ell[1] - w[0] * s[1] * inv_ell[0])
+    return s, s * _fos(params, lam, w, p, atan_p), dF
+
+
+def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
+    """Root lam > R of the leaf equation below the graph; also its chord and w(r), w(r_cut).
+
+    Newton in the chord y (`_chord`), which falls from y_max at lam = R to 0 as lam -> inf.
+    D(y) = f(r; lam) - f(r_cut; lam) is eps^3 times the integral of w over [s_cut, s_r] and
+    w rises, so the root of D(y) = t - t_cut lies in [(t - t_cut)/(eps^3 w(r_cut)),
+    (t - t_cut)/(eps^3 w(r))] and below y_max; at sigma = 0 that bracket is the root.  D is
+    convex in y, so its slope at y = 0, eps^3 (2/3)(w_r^2 + w_r w_cut + w_cut^2)/(w_r + w_cut),
+    gives a start above the root, and Newton descends without overshooting.  A point has
+    converged when |F| is at the rounding level of its terms (far above one ulp of lam at
+    deep points).  Labels are at least the float after R, within one ulp of the root when
+    the point sits a rounding error below the graph.
     """
-    R = cyl.R
-    rr = np.stack((r, np.full_like(r, cyl.r_cut)))  # f at r and at r_cut in one call
+    R, r_cut = cyl.R, cyl.r_cut
+    w = _omega(cyl.params, np.stack((r, np.full_like(r, r_cut))))
+    rise = (t - cyl.t_cut) / cyl.params.epsilon**3
+    both_R = np.sqrt((R - r) * (R + r)) + math.sqrt((R - r_cut) * (R + r_cut))  # s_r + s_cut at R
+    hi = np.minimum(rise / w[0], (r_cut - r) * (r_cut + r) / both_R)  # and below y at lam = R
+    lo = np.minimum(rise / w[1], hi)
+    start = np.clip(1.5 * rise * (w[0] + w[1]) / (w[0] * w[0] + w[0] * w[1] + w[1] * w[1]), lo, hi)
     t_size = abs(cyl.t_cut) + np.abs(t)
 
-    def residual(mu):
-        lam = R / mu
-        f, f_lam = _f_and_f_R(cyl.params, rr, lam)
+    def residual(y):
+        _, f, dF = _leaf_terms(cyl, r, w, y)
         F = f[0] - f[1] + cyl.t_cut - t
         scale = np.abs(f[0]) + np.abs(f[1]) + t_size
-        return F, (f_lam[1] - f_lam[0]) * lam * lam / R, np.abs(F) <= 16.0 * _ULP * scale
+        return F, dF, np.abs(F) <= 16.0 * _ULP * scale
 
-    d = depth / (depth + t - cyl.t_cut)
-    start = np.maximum(1.0 - d * d, _ULP)  # 1 - d^2 rounds to 0 when t - t_cut << depth
-    mu = _newton(residual, start, 0.0, 1.0, np.zeros(r.shape, dtype=bool), "leaf label solve")
-    return np.maximum(R / mu, np.nextafter(R, np.inf))
+    y = _newton(residual, start, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
+    return np.maximum(_chord(cyl, r, y)[1], np.nextafter(R, np.inf)), y, w
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -163,7 +185,7 @@ def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = depth + cyl.R
     below = depth > 0.0
     if np.any(below):
-        out[below] = _label_below(cyl, r[below], t[below], depth[below])
+        out[below] = _label_below(cyl, r[below], t[below])[0]
     return out
 
 
@@ -204,8 +226,8 @@ def _field(cyl: CylinderSpec, x, y, t, above=None):
     `above` is given, on its side of the sphere (t >= f(|z|; R) is above).
     Rows outside the mask are NaN.
 
-    The gradient of the label is analytic above the graph and comes from
-    implicit differentiation of the leaf equation below it.
+    The label's gradient (u_r, u_t) is (f_r(r; R), -1) above the graph and, by the leaf
+    equation, the leaf normal (f_r(r; lam), -1) over |F_lam| below it; V drops the length.
     """
     params, R = cyl.params, cyl.R
     e, s = params.epsilon, params.sigma
@@ -218,24 +240,20 @@ def _field(cyl: CylinderSpec, x, y, t, above=None):
     up, down = ok & (depth <= 0.0), ok & (depth > 0.0)
     u_r, u_t = np.zeros_like(r), np.full_like(r, -1.0)
     u_r[up] = _f_r(params, r[up], R)
-    lam = _label_below(cyl, r[down], t[down], depth[down])
-    f_lam = _f_R(params, r[down], lam) - _f_R(params, cyl.r_cut, lam)
-    if not np.all(f_lam < 0.0):  # F falls in lam, unless rounding swallowed F_lam
-        i = np.flatnonzero(down)[~(f_lam < 0.0)][0]
+    _, chord, w = _label_below(cyl, r[down], t[down])
+    (s_r, _), _, dF = _leaf_terms(cyl, r[down], w, chord)
+    if not np.all(dF > 0.0):  # F_lam = -lam y dF/dy / (s_r s_cut) < 0, unless rounding swallowed it
+        i = np.flatnonzero(down)[~(dF > 0.0)][0]
         raise NumericsError(
             f"the leaf equation's lam-derivative is lost to rounding at (x, y, t) = "
             f"({float(x[i])!r}, {float(y[i])!r}, {float(t[i])!r}) "
             f"with eps = {e!r}, sigma = {s!r}, R = {R!r}")
-    u_t[down] = 1.0 / f_lam
-    u_r[down] = -_f_r(params, r[down], lam) / f_lam
+    u_r[down] = -(e**3) * r[down] * w[0] / s_r  # f_r(r; lam)
     r_safe = np.where(r > 0.0, r, 1.0)  # x = y = 0 where r = 0
     g = np.stack(((u_r * x / r_safe + s * y * u_t) / e,
                   (u_r * y / r_safe - s * x * u_t) / e,
                   e * e * u_t), axis=-1)
-    nrm = np.sqrt(np.sum(g * g, axis=-1))
-    if np.any(nrm[ok] == 0.0):
-        raise NumericsError("vanishing gradient of the leaf label")
-    v = -g / nrm[:, None]
+    v = -g / np.sqrt(np.sum(g * g, axis=-1))[:, None]
     v[~ok] = np.nan
     return v, ok
 

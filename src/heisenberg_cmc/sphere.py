@@ -162,14 +162,6 @@ def _f_R(params: ModelParams, r, R):
     return params.epsilon**3 * np.asarray(R, dtype=float) * w / (sq * _ell(p))
 
 
-def _f_and_f_R(params: ModelParams, r, R):
-    """(_f, _f_R) bit for bit, from one _pieces call and one arctan."""
-    sq, w, p = _pieces(params, r, R)
-    atan_p = np.arctan(p)
-    f = sq * _fos(params, R, w, p, atan_p)
-    return f, params.epsilon**3 * np.asarray(R, dtype=float) * w / (sq * _ell(p, atan_p))
-
-
 def _check_profile_domain(R: float, r, *, closed: bool) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     hi = R * (1.0 + _DOMAIN_RTOL) if closed else R * (1.0 - 1e-15)
@@ -223,11 +215,12 @@ def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> Prof
 # -------------------------------------------------------------- radius field
 
 
-def _radius_solve(params: ModelParams, r, t):
-    """Solve f(r; R) = |t| for R >= r, vectorized.
+def _radius_gap(params: ModelParams, r, t):
+    """Solve f(r; R) = |t| for g = sqrt(R^2 - r^2), broadcasting r and t; returns g and
+    m = eps^3 w(r).
 
-    Newton in g = sqrt(R^2 - r^2) on the shifted Pansu form of f (module docstring): with
-    m = eps^3 w(r) and q = |sigma| g / m (= |p|), the residual is
+    Newton in g on the shifted Pansu form of f (module docstring): with q = |sigma| g / m
+    (= |p|), the residual is
     F(g) = (g/2)[m (1 + atanc q) + |sigma| g arctan q] - |t|, F'(g) = m + |sigma| g arctan q.
     F is increasing and convex, F >= m g and F >= (pi/4) |sigma| g^2, so the start
     g0 = min(|t|/m, sqrt(4|t|/(pi |sigma|))) is above the root (the root itself at sigma = 0),
@@ -250,8 +243,12 @@ def _radius_solve(params: ModelParams, r, t):
         sga = s * g * a
         return 0.5 * g * (m * (1.0 + _atanc(q, a)) + sga) - t, m + sga, False
 
-    g = _newton(residual, g, 0.0, g, t == 0.0, "radius solve")
-    return np.hypot(r, g).reshape(shape)
+    return _newton(residual, g, 0.0, g, t == 0.0, "radius solve").reshape(shape), m.reshape(shape)
+
+
+def _radius_solve(params: ModelParams, r, t):
+    """R >= r with f(r; R) = |t|, broadcasting r and t (`_radius_gap`)."""
+    return np.hypot(r, _radius_gap(params, r, t)[0])
 
 
 def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
@@ -259,17 +256,17 @@ def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
 
     R_r = r ell(p) / R and R_t = sgn(t) sqrt(R^2-r^2) ell(p) / (eps^3 R w(r)),
     both continuous across the equator plane t = 0 (where R = r, R_r = 1,
-    R_t = 0).
+    R_t = 0); sqrt(R^2 - r^2), eps^3 w(r) and |p| come from the solve.
     """
     if r == 0.0 and t == 0.0:
         raise DomainError("the radius field is undefined at the origin")
     if r < 0.0:
         raise DomainError(f"r must be nonnegative, got {r!r}")
-    R = float(_radius_solve(params, r, t))
-    gap, w, p = (float(v) for v in _pieces(params, r, R))
-    ell = float(_ell(p))
+    g, m = (float(v) for v in _radius_gap(params, r, t))
+    R = float(np.hypot(r, g))
+    ell = float(_ell(abs(params.sigma) * g / m))
     R_r = r * ell / R
-    R_t = math.copysign(1.0, t) * gap * ell / (params.epsilon**3 * R * w) if t != 0.0 else 0.0
+    R_t = math.copysign(1.0, t) * g * ell / (m * R) if t != 0.0 else 0.0
     return RadiusField(value=R, R_r=R_r, R_t=R_t)
 
 

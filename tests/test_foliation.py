@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -26,9 +27,11 @@ from heisenberg_cmc.foliation import (
     point_on_leaf,
     vertical_label_bound,
 )
-from heisenberg_cmc.sphere import _f, _f_and_f_R, _f_R
+from heisenberg_cmc import cli, foliation
+from heisenberg_cmc.foliation import _chord, _leaf_terms
+from heisenberg_cmc.sphere import _f, _f_R, _omega
 
-from conftest import GRID
+from conftest import GRID, counting_newton_passes, mp_profile
 
 
 @pytest.fixture
@@ -148,7 +151,7 @@ def test_label_just_below_the_graph_exceeds_R():
 
 
 def test_label_one_ulp_above_the_cut_is_finite():
-    # the depth fraction d rounds to 1 here, so mu = 1 - d^2 would start at 0
+    # t - t_cut is one ulp here: the smallest chord, where lam is largest
     cyl = CylinderSpec(SphereSpec(ModelParams(1.0, 1.0), 1.0), 1e-10)
     u = leaf_label(cyl, Point(0.3, 0.0, float(np.nextafter(cyl.t_cut, np.inf))))
     assert math.isfinite(u) and u > cyl.R
@@ -199,18 +202,116 @@ def test_labels_match_brentq_oracle():
     assert checked >= 400
 
 
+def test_label_solves_take_at_most_6_passes():
+    """Over the 54 solves of `verify --grid` (27 spheres, delta = 0 and 0.3)
+    and over the domain of test_labels_match_brentq_oracle, which it reruns."""
+    grid, oracle = [], []
+    with counting_newton_passes(foliation, "leaf label solve", grid):
+        for spec in GRID:
+            cli._check_calibration(spec)
+    with counting_newton_passes(foliation, "leaf label solve", oracle):
+        test_labels_match_brentq_oracle()
+    assert len(grid) == 54 and len(oracle) == 36
+    assert max(grid) <= 6 and max(oracle) <= 6
+    assert sum(grid) / len(grid) <= 4.5
+
+
+def _mp_label(cyl, r, t, guess):
+    """50-digit root of the leaf equation in lam, from a bracket of +-1e-6 around `guess`."""
+    e, s = cyl.params.epsilon, cyl.params.sigma
+    with mpmath.workdps(50):
+        def F(lam):
+            return mp_profile(e, s, r, lam) - mp_profile(e, s, cyl.r_cut, lam) + cyl.t_cut - t
+        lo = max(mpmath.mpf(cyl.R), mpmath.mpf(guess) * (1 - mpmath.mpf(1e-6)))
+        return mpmath.findroot(F, (lo, mpmath.mpf(guess) * (1 + mpmath.mpf(1e-6))), solver="anderson")
+
+
+def test_labels_at_the_rim_match_50_digit_roots():
+    """The rows r = 0.995 r_cut at delta = 0 of `verify --grid` (every 4th
+    sphere), where the leaf equation grows like sqrt(lam - R) and the old
+    solve took 14 passes: each label within test_labels_match_brentq_oracle's
+    bound of its 50-digit root, which is 16 ulp of lam but where f - f cancels
+    deep in the sphere."""
+    for spec in GRID[::4]:
+        cyl = CylinderSpec(spec, 0.0)
+        r = 0.995 * cyl.r_cut
+        f_r = float(_f(cyl.params, r, spec.R))
+        t = f_r - np.linspace(0.0, 0.999, 40)[1:] * (f_r - cyl.t_cut)
+        for ti, lam in zip(t, leaf_label_grid(cyl, r, t)):
+            exact = float(_mp_label(cyl, r, ti, lam))
+            rr = np.array([r, cyl.r_cut])
+            f, f_lam = _f(cyl.params, rr, exact), _f_R(cyl.params, rr, exact)
+            scale = abs(f[0]) + abs(f[1]) + abs(cyl.t_cut) + abs(ti)
+            bound = max(16.0 * _ULP * exact, 32.0 * _ULP * scale / abs(f_lam[0] - f_lam[1]))
+            assert abs(lam - exact) <= bound, (spec, ti)
+
+
+@pytest.mark.parametrize("delta_frac", [0.0, 0.3])
+def test_chord_bracket_holds_in_50_digits(delta_frac):
+    """eps^3 w(r) y <= D(y) <= eps^3 w(r_cut) y for D(y) = f(r; lam) - f(r_cut; lam)
+    at the chord y = s_r - s_cut (the bracket of the label solve), and D is
+    convex in y, so that D(y) >= y D'(0) = y eps^3 (2/3)(w_r^2 + w_r w_cut +
+    w_cut^2)/(w_r + w_cut) (the label solve's start is above the root), at
+    random points with eps, |sigma| and R log-uniform in [1e-3, 1e3]."""
+    rng = np.random.default_rng(31)
+    with mpmath.workdps(50):
+        for k in range(40):
+            eps, sigma, R = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=3))
+            sigma *= (-1.0, 0.0, 1.0)[k % 3]
+            r_cut = R * (1.0 - delta_frac)
+            r = rng.uniform(0.0, 0.999) * r_cut
+            e, Rm, rc, rm = (mpmath.mpf(v) for v in (eps, R, r_cut, r))
+            gap = (rc - rm) * (rc + rm)
+            y_max = gap / (mpmath.sqrt(Rm * Rm - rm * rm) + mpmath.sqrt(Rm * Rm - rc * rc))
+
+            def D(y):
+                s_r = (gap / y + y) / 2
+                lam = mpmath.sqrt(s_r * s_r + rm * rm)
+                return mp_profile(eps, sigma, rm, lam) - mp_profile(eps, sigma, rc, lam)
+
+            def w(rho):
+                return mpmath.sqrt(1 + (mpmath.mpf(sigma) * rho / e**3) ** 2)
+
+            ys = sorted(y_max * mpmath.mpf(v) for v in np.exp(rng.uniform(math.log(1e-6), 0.0, size=3)))
+            ds = [D(y) for y in ys]
+            slack = mpmath.mpf(10) ** -30  # D - D cancels up to 12 digits at y = 1e-6 y_max
+            w_r, w_cut = w(rm), w(rc)
+            w_mean = mpmath.mpf(2) / 3 * (w_r**2 + w_r * w_cut + w_cut**2) / (w_r + w_cut)
+            for y, d in zip(ys, ds):
+                assert e**3 * w_r * y * (1 - slack) <= d <= e**3 * w_cut * y * (1 + slack)
+                assert e**3 * w_mean * y * (1 - slack) <= d
+            slopes = [(ds[1] - ds[0]) / (ys[1] - ys[0]), (ds[2] - ds[1]) / (ys[2] - ys[1])]
+            assert slopes[0] <= slopes[1] * (1 + slack)
+
+
 @pytest.mark.parametrize("eps, sigma", [(1.0, 1.0), (0.3, -2.0), (1.0, 0.0), (50.0, 1e-9)])
-def test_fused_profile_kernel_is_bitwise(eps, sigma):
-    # r -> R and tau = 0 take p below 1e-8, the series branch of atanc
+def test_chord_residual_matches_leaf_equation(eps, sigma):
+    """The label solve's residual, taken from the chord y = s_r - s_cut, is
+    `leaf_equation` up to rounding, and its F_lam = -lam y dF/dy / (s_r s_cut)
+    is f_R(r; lam) - f_R(r_cut; lam).  delta = 0 and r -> r_cut take s_cut and
+    the chord toward 0; tau = 0 takes p into the series branch of atanc.  The
+    rounding allowed includes that of leaf_equation's own lam^2 - rho^2, which
+    moves f(rho; lam) by about f ulp lam^2 / s_rho^2."""
     params = ModelParams(eps, sigma)
-    R = np.array([0.5, 1.0, 2.0, 7.0])
-    frac = np.array([0.0, 0.3, 0.9, 1.0 - 1e-12, 1.0 - 1e-15])
-    r = np.minimum(frac[:, None] * R, np.nextafter(R, 0.0))
-    f, f_R = _f_and_f_R(params, r, R)
-    assert np.array_equal(f, _f(params, r, R)) and np.array_equal(f_R, _f_R(params, r, R))
-    rr = np.stack((r[1], np.full(4, 0.25)))  # the label solve's (2, n) layout
-    f, f_R = _f_and_f_R(params, rr, R)
-    assert np.array_equal(f, _f(params, rr, R)) and np.array_equal(f_R, _f_R(params, rr, R))
+    for R, delta in [(0.5, 0.0), (1.0, 0.3), (2.0, 0.0), (7.0, 3.5)]:
+        cyl = CylinderSpec(SphereSpec(params, R), delta)
+        r = np.array([0.0, 0.3, 0.9, 0.999]) * cyl.r_cut
+        for lam in (R * (1.0 + 1e-9), 1.3 * R, 40.0 * R):
+            s_r, s_cut = np.sqrt((lam - r) * (lam + r)), math.sqrt((lam - cyl.r_cut) * (lam + cyl.r_cut))
+            w = _omega(params, np.stack((r, np.full_like(r, cyl.r_cut))))
+            y = (cyl.r_cut - r) * (cyl.r_cut + r) / (s_r + s_cut)
+            (sr, sc), f, dF = _leaf_terms(cyl, r, w, y)
+            lam_chord = _chord(cyl, r, y)[1]
+            assert np.allclose(lam_chord, lam, rtol=8 * _ULP, atol=0.0)
+            for i, ri in enumerate(r):
+                t = 0.5 * (float(_f(params, ri, R)) + cyl.t_cut)
+                F = f[0, i] - f[1, i] + cyl.t_cut - t
+                scale = (abs(f[0, i]) * (1.0 + (lam / sr[i]) ** 2) + abs(f[1, i]) * (1.0 + (lam / sc[i]) ** 2)
+                         + abs(cyl.t_cut) + abs(t))
+                assert abs(F - leaf_equation(cyl, ri, t, lam_chord[i])) <= 8 * _ULP * scale
+                f_lam = -lam_chord[i] * y[i] * dF[i] / (sr[i] * sc[i])
+                want = _f_R(params, ri, lam_chord[i]) - _f_R(params, cyl.r_cut, lam_chord[i])
+                assert f_lam == pytest.approx(float(want), rel=1e-6)
 
 
 def test_label_grid_matches_scalar(cyl):

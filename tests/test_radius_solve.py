@@ -17,29 +17,9 @@ from hypothesis import given, settings, strategies as st
 from heisenberg_cmc import ModelParams, radius_field, sphere
 from heisenberg_cmc.sphere import _f, _f_R, _f_r, _radius_solve
 
+from conftest import counting_newton_passes, mp_profile
+
 log_uniform = st.floats(math.log(1e-8), math.log(1e6)).map(math.exp)
-
-
-def counting_radius_passes(passes):
-    """A stand-in for the Newton core that appends the number of residual
-    passes of each radius solve to `passes`."""
-    newton = sphere._newton
-
-    def wrapper(fun, x, lo, hi, done, what):
-        calls = 0
-
-        def counted(w):
-            nonlocal calls
-            calls += 1
-            return fun(w)
-
-        try:
-            return newton(counted, x, lo, hi, done, what)
-        finally:
-            if what == "radius solve":
-                passes.append(calls)
-
-    return mock.patch.object(sphere, "_newton", wrapper)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -53,22 +33,10 @@ def test_radius_solve_over_the_domain(eps, size, sign, R0, u, side):
     r = u * R0
     t = side * float(_f(params, r, R0))
     passes = []
-    with counting_radius_passes(passes):
+    with counting_newton_passes(sphere, "radius solve", passes):
         R = radius_field(params, r, t).value
     assert abs(R - R0) <= 1e-12 * R0
     assert max(passes) <= 12
-
-
-def mp_profile(eps, sigma, r, R):
-    """The paper's f(r; R) = (eps^2 / 2 tau)[w(R)^2 arctan(p) + w(r)^2 p] in mpmath;
-    eps^3 sqrt(R^2 - r^2) at sigma = 0."""
-    e, s, r = mpmath.mpf(eps), mpmath.mpf(sigma), mpmath.mpf(r)
-    if s == 0:
-        return e**3 * mpmath.sqrt(R * R - r * r)
-    tau = s / e**4
-    w2 = lambda x: 1 + tau**2 * e**2 * x**2
-    p = tau * e * mpmath.sqrt(R * R - r * r) / mpmath.sqrt(w2(r))
-    return e**2 / (2 * tau) * (w2(R) * mpmath.atan(p) + w2(r) * p)
 
 
 @pytest.mark.parametrize("eps,sigma,R,frac", [
