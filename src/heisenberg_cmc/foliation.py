@@ -34,7 +34,7 @@ import numpy as np
 from ._numerics import _ULP, _newton
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
-from .sphere import SphereSpec, _f, _f_r, _fos, _omega, _radius_of, profile_height
+from .sphere import SphereSpec, _f, _f_r, _kernel, _omega, _radius_of, profile_height
 
 __all__ = [
     "CylinderSpec",
@@ -135,16 +135,13 @@ def _chord(cyl: CylinderSpec, r: np.ndarray, y):
 
 def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, w: np.ndarray, y):
     """(s_r, s_cut), (f(r; lam), f(r_cut; lam)) and dF/dy at the chord y; `w` stacks w(r), w(r_cut).
-    f(rho; lam) = s_rho fos(lam, w, p_rho) with p_rho = tau eps s_rho / w, and dF/dy =
-    (eps^3/y)[w_cut s_r/ell(p_cut) - w_r s_cut/ell(p_r)], finite as s_cut -> 0; F_lam =
-    -lam y dF/dy / (s_r s_cut)."""
+    f(rho; lam) = s_rho F/g and F' from `sphere._kernel` at g = s_rho, m = eps^3 w, q = p_rho;
+    dF/dy = (s_r F'_cut - s_cut F'_r)/y, finite as s_cut -> 0; F_lam = -lam y dF/dy/(s_r s_cut)."""
     params = cyl.params
-    s, lam = _chord(cyl, r, y)
+    s = _chord(cyl, r, y)[0]
     p = params.tau * params.epsilon * s / w
-    atan_p = np.arctan(p)
-    inv_ell = 1.0 + p * atan_p
-    dF = params.epsilon**3 / y * (w[1] * s[0] * inv_ell[1] - w[0] * s[1] * inv_ell[0])
-    return s, s * _fos(params, lam, w, p, atan_p), dF
+    f_over_s, dF = _kernel(s, params.epsilon**3 * w, params.sigma, p)
+    return s, s * f_over_s, (s[0] * dF[1] - s[1] * dF[0]) / y
 
 
 def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
@@ -158,7 +155,7 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
     gives a start above the root, and Newton descends without overshooting.  A point has
     converged when |F| is at the rounding level of its terms (far above one ulp of lam at
     deep points).  Labels are at least the float after R, within one ulp of the root when
-    the point sits a rounding error below the graph.
+    the point sits a rounding error below the graph.  NumericsError where lam^2 overflows.
     """
     R, r_cut = cyl.R, cyl.r_cut
     w = _omega(cyl.params, np.stack((r, np.full_like(r, r_cut))))
@@ -175,8 +172,15 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
         scale = np.abs(f[0]) + np.abs(f[1]) + t_size
         return F, dF, np.abs(F) <= 16.0 * _ULP * scale
 
-    y = _newton(residual, start, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
-    return np.maximum(_chord(cyl, r, y)[1], np.nextafter(R, np.inf)), y, w
+    with np.errstate(over="ignore"):  # lam^2 = s_r^2 + r^2 out of range: raised on below
+        y = _newton(residual, start, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
+        lam = _chord(cyl, r, y)[1]
+    if not np.all(np.isfinite(lam)):
+        i = np.flatnonzero(~np.isfinite(lam))[0]
+        raise NumericsError(
+            f"the leaf label's square overflows at (r, t) = {float(r[i]), float(t[i])} with "
+            f"eps = {cyl.params.epsilon!r}, sigma = {cyl.params.sigma!r}, R = {R!r}")
+    return np.maximum(lam, np.nextafter(R, np.inf)), y, w
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -10,19 +10,16 @@ mean curvature H = 1/(eps R), and eps*H*R = 1.  The family foliates
 R^3 minus the origin, which defines the radius field R(r, t) and the
 outward foliation normal used throughout the package.
 
-Numerically everything is written in forms that stay finite through
-tau = 0 (Euclidean degeneration):
+The profile formula: in g = sqrt(R^2 - r^2), f and Pansu's sub-Riemannian profile
+(sigma/2)[R^2 acos(r/R) + r g] are one function, evaluated by `_kernel` alone,
 
-    f   = sqrt(R^2-r^2) * (eps^3 / 2 w(r)) [ w(R)^2 atanc(p) + w(r)^2 ],
-    f_r = -eps^3 r w(r) / sqrt(R^2 - r^2),
-    f_R =  eps^3 R w(r) / (sqrt(R^2 - r^2) * ell(p)),
+    F(g; m, s, q) = (g/2) [ m (1 + atanc q) + s g arctan q ],  s g = m q,  F'(g) = m + s g arctan q,
 
-with atanc(p) = arctan(p)/p and ell(p) = 1/(1 + p arctan p).  All profile
-helpers broadcast over numpy arrays.
-
-For sigma != 0 the profile is Pansu's at a shifted radius: with c = eps^3/|sigma|,
-r' = hypot(r, c) and R' = hypot(R, c), so that R'^2 - r'^2 = R^2 - r^2 and |sigma| r' = eps^3 w(r),
-f(r; R) = (|sigma|/2)[R'^2 arccos(r'/R') + r' sqrt(R'^2 - r'^2)] = pansu_profile(|sigma|, R', r').
+f at m = eps^3 w(r), s = sigma, q = p and Pansu's at m = sigma r, s = sigma, q = g/r
+(atanc q = arctan(q)/q; so f is Pansu's profile at radii hypot(r, c), hypot(R, c),
+c = eps^3/|sigma|).  F is finite through tau = 0 (F = m g) and on Pansu's axis (q = inf);
+f_r = -eps^3 r w(r)/g and f_R = R F'/g.  Both radius solves are one Newton in g on
+F(g) = |t| (`_gap_solve`).  All profile helpers broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -105,17 +102,16 @@ def _omega(params: ModelParams, r):
 
 def _atanc(p, atan_p=None):
     """arctan(p)/p, continuous with value 1 at p = 0; `atan_p` is arctan(p)
-    when the caller has it already."""
+    when the caller has it already.  Below |p| = 1e-8 the series 1 - p^2/3 rounds to 1."""
     p = np.asarray(p, dtype=float)
     small = np.abs(p) < 1e-8
     safe = np.where(small, 1.0, p)
     atan_safe = np.arctan(safe) if atan_p is None else atan_p  # masked where small
-    return np.where(small, 1.0 - p * p / 3.0, atan_safe / safe)
+    return np.where(small, 1.0, atan_safe / safe)
 
 
-def _ell(p, atan_p=None):
-    p = np.asarray(p, dtype=float)
-    return 1.0 / (1.0 + p * (np.arctan(p) if atan_p is None else atan_p))
+def _ell(p):
+    return 1.0 / (1.0 + p * np.arctan(p))
 
 
 def _gap(r, R):
@@ -136,20 +132,27 @@ def _p_north(params: ModelParams, r, R):
     return _pieces(params, r, R)[2]
 
 
-def _fos(params: ModelParams, R, w, p, atan_p=None):
-    """f / sqrt(R^2 - r^2) from w(r) and p(r; R), smooth and positive up to r = R and tau = 0."""
-    e = params.epsilon
-    wR2 = 1.0 + np.square(params.tau * e * np.asarray(R, dtype=float))
-    return (e**3 / (2.0 * w)) * (wR2 * _atanc(p, atan_p) + w * w)
+def _kernel(g, m, s, q):
+    """F/g and F'(g) of the profile formula F(g; m, s, q) (module docstring)."""
+    a = np.arctan(q)
+    sga = s * g * a
+    return 0.5 * (m * (1.0 + _atanc(q, a)) + sga), m + sga
+
+
+def _profile(params: ModelParams, r, R):
+    """sqrt(R^2 - r^2) and the kernel's F/g and F' for f(r; R): m = eps^3 w(r), q = p(r; R)."""
+    g, w, p = _pieces(params, r, R)
+    return (g, *_kernel(g, params.epsilon**3 * w, params.sigma, p))
 
 
 def _f_over_sqrt(params: ModelParams, r, R):
-    return _fos(params, R, *_pieces(params, r, R)[1:])
+    """f / sqrt(R^2 - r^2), smooth and positive up to r = R and tau = 0."""
+    return _profile(params, r, R)[1]
 
 
 def _f(params: ModelParams, r, R):
-    sq, w, p = _pieces(params, r, R)
-    return sq * _fos(params, R, w, p)
+    g, f_over_g, _ = _profile(params, r, R)
+    return g * f_over_g
 
 
 def _f_r(params: ModelParams, r, R):
@@ -158,8 +161,8 @@ def _f_r(params: ModelParams, r, R):
 
 
 def _f_R(params: ModelParams, r, R):
-    sq, w, p = _pieces(params, r, R)
-    return params.epsilon**3 * np.asarray(R, dtype=float) * w / (sq * _ell(p))
+    g, _, dF = _profile(params, r, R)
+    return np.asarray(R, dtype=float) * dF / g
 
 
 def _check_profile_domain(R: float, r, *, closed: bool) -> np.ndarray:
@@ -215,35 +218,33 @@ def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> Prof
 # -------------------------------------------------------------- radius field
 
 
-def _radius_gap(params: ModelParams, r, t):
-    """Solve f(r; R) = |t| for g = sqrt(R^2 - r^2), broadcasting r and t; returns g and
-    m = eps^3 w(r).
+def _gap_solve(m, s: float, t, what: str):
+    """g >= 0 with F(g; m, s, s g/m) = |t| (module docstring), broadcasting m and t.
 
-    Newton in g on the shifted Pansu form of f (module docstring): with q = |sigma| g / m
-    (= |p|), the residual is
-    F(g) = (g/2)[m (1 + atanc q) + |sigma| g arctan q] - |t|, F'(g) = m + |sigma| g arctan q.
-    F is increasing and convex, F >= m g and F >= (pi/4) |sigma| g^2, so the start
-    g0 = min(|t|/m, sqrt(4|t|/(pi |sigma|))) is above the root (the root itself at sigma = 0),
-    and the iterates descend onto the root inside the bracket [0, g0].  A point stops on
-    `_newton`'s 4-ulp step or bracket rule; there is no residual test.
+    Newton in g: F is increasing and convex, F >= m g and F >= (pi/4) s g^2, so the start
+    g0 = min(|t|/m, sqrt(4|t|/(pi s))) is above the root (the root itself at s = 0), and the
+    iterates descend onto it inside [0, g0], stopping on `_newton`'s 4-ulp step or bracket
+    rule.  m = 0 (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2.
     """
-    s = abs(params.sigma)
-    shape = np.broadcast_shapes(np.shape(r), np.shape(t))
-    r, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (r, t))
+    shape = np.broadcast_shapes(np.shape(m), np.shape(t))
+    m, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (m, t))
     t = np.abs(t)
-    m = params.epsilon**3 * _omega(params, r)
-    g = t / m
-    if s > 0.0:
-        with np.errstate(over="ignore"):  # sigma near the least float: the first bound holds
-            g = np.minimum(g, np.sqrt(4.0 * t / (math.pi * s)))
 
     def residual(g):
-        q = s * g / m
-        a = np.arctan(q)
-        sga = s * g * a
-        return 0.5 * g * (m * (1.0 + _atanc(q, a)) + sga) - t, m + sga, False
+        f_over_g, dF = _kernel(g, m, s, s * g / m)
+        return g * f_over_g - t, dF, False
 
-    return _newton(residual, g, 0.0, g, t == 0.0, "radius solve").reshape(shape), m.reshape(shape)
+    with np.errstate(divide="ignore", over="ignore"):  # m = 0 or tiny, or s tiny: g0 or q = inf
+        g = t / m
+        if s > 0.0:  # at s = 0 the second bound is 0/0 where t = 0
+            g = np.minimum(g, np.sqrt(4.0 * t / (math.pi * s)))
+        return _newton(residual, g, 0.0, g, t == 0.0, what).reshape(shape)
+
+
+def _radius_gap(params: ModelParams, r, t):
+    """g with f(r; R) = |t| and m = eps^3 w(r), broadcasting r and t; f is even in sigma."""
+    m = params.epsilon**3 * _omega(params, r)
+    return _gap_solve(m, abs(params.sigma), t, "radius solve"), m
 
 
 def _radius_solve(params: ModelParams, r, t):
@@ -380,41 +381,16 @@ def euclidean_profile(R: float, r):
 
 
 def pansu_profile(sigma: float, R: float, r):
-    """Sub-Riemannian limit profile (sigma/2)[R^2 arccos(r/R) + r sqrt(R^2-r^2)]."""
+    """Sub-Riemannian limit profile (sigma/2)[R^2 acos(r/R) + r sqrt(R^2-r^2)] (`_kernel`)."""
     rr = _check_profile_domain(R, r, closed=True)
-    ratio = np.clip(np.asarray(rr, dtype=float) / R, 0.0, 1.0)
-    val = 0.5 * sigma * (R * R * np.arccos(ratio) + rr * np.sqrt(_gap(rr, R)))
-    return _scalar_or_array(r, val)
-
-
-def _pansu_radius_solve(sigma: float, r, t):
-    """Solve pansu_profile(sigma, R, r) = |t| for R >= r, vectorized.
-
-    Newton in g = sqrt(R^2 - r^2) on F(g) = (sigma/2)[R^2 arccos(r/R) + r g],
-    with F'(g) = sigma (g arccos(r/R) + r), smooth up to g = 0.  F is
-    increasing and convex, and F(g) >= sigma r g and F(g) >= (pi/4) sigma g^2,
-    so the start min(|t|/(sigma r), sqrt(4|t|/(pi sigma))) lies above the
-    root and brackets it with g = 0; the iterates descend onto the root, and a
-    step that would reach g <= 0 halves g instead.  arccos(r/R) is taken as
-    arctan2(g, r), which stays accurate near the rim.
-    """
-    shape = np.broadcast_shapes(np.shape(r), np.shape(t))
-    r, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (r, t))
-    t = np.abs(t)
-    with np.errstate(divide="ignore", over="ignore"):  # r = 0 or tiny: the other bound holds
-        g = np.minimum(t / (sigma * r), np.sqrt(4.0 * t / (math.pi * sigma)))
-
-    def residual(g):
-        a = np.arctan2(g, r)
-        return 0.5 * sigma * ((r * r + g * g) * a + r * g) - t, sigma * (g * a + r), False
-
-    g = _newton(residual, g, 0.0, g, t == 0.0, "pansu radius solve")
-    R = np.where(t == 0.0, r, np.sqrt(r * r + g * g))
-    return R.reshape(shape)
+    g = np.sqrt(_gap(rr, R))
+    with np.errstate(divide="ignore", over="ignore"):  # r = 0 or near the least float: q = inf
+        q = g / rr
+    return _scalar_or_array(r, g * _kernel(g, sigma * rr, sigma, q)[0])
 
 
 def pansu_radius(sigma: float, r, t):
-    """Radius of the limit-profile sphere through (r, t); inverse of pansu_profile.
+    """Radius of the limit-profile sphere through (r, t); inverse of pansu_profile by `_gap_solve`.
 
     Broadcasts over arrays of r and t; R = r on the plane t = 0.
     """
@@ -425,7 +401,7 @@ def pansu_radius(sigma: float, r, t):
     if (np.any(rr < 0.0) or np.any((rr == 0.0) & (tt == 0.0))
             or not (np.all(np.isfinite(rr)) and np.all(np.isfinite(tt)))):
         raise DomainError(f"invalid point (r, t) = ({r}, {t})")
-    R = _pansu_radius_solve(sigma, rr, tt)
+    R = np.hypot(rr, _gap_solve(sigma * rr, sigma, tt, "pansu radius solve"))
     return float(R) if R.ndim == 0 else R
 
 

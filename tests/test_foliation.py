@@ -216,6 +216,22 @@ def test_label_solves_take_at_most_6_passes():
     assert sum(grid) / len(grid) <= 4.5
 
 
+def test_labels_whose_square_overflows_raise():
+    """A point within 1e-300 of t_cut = 0 lies on a leaf whose lam^2 overflows: NumericsError
+    naming the point and the sphere, with no RuntimeWarning.  At t = 1e-100 the label is
+    finite, Delta D'(0)/(2 t) to first order in the chord, D'(0) the chord slope at y = 0."""
+    cyl = CylinderSpec(SphereSpec(ModelParams(1e-3, 1.0), 1.0), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (5e-324, 1e-300):
+            with pytest.raises(NumericsError, match=rf"\(0\.5, {t!r}\) with eps = 0\.001, "
+                                                    r"sigma = 1\.0, R = 1\.0"):
+                leaf_label(cyl, Point(0.5, 0.0, t))
+        w_r, w_cut = (math.hypot(1.0, 1e9 * x) for x in (0.5, 1.0))  # tau eps = sigma / eps^3
+        slope = 1e-9 * (2.0 / 3.0) * (w_r**2 + w_r * w_cut + w_cut**2) / (w_r + w_cut)
+        assert leaf_label(cyl, Point(0.5, 0.0, 1e-100)) == pytest.approx(0.75 * slope / 2e-100, rel=1e-14)
+
+
 def _mp_label(cyl, r, t, guess):
     """50-digit root of the leaf equation in lam, from a bracket of +-1e-6 around `guess`."""
     e, s = cyl.params.epsilon, cyl.params.sigma

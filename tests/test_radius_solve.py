@@ -1,9 +1,9 @@
 """The radius solve R(r, t) over the whole documented domain: a hypothesis
-property test of the round trip f <-> R, its Newton passes and its warnings;
-a 50-digit mpmath oracle for the root and for its starting bound; a sympy
-proof that the profile is Pansu's profile at a shifted radius; and a sympy
-check that the closed-form partials f_r and f_R are the derivatives of the
-profile f."""
+property test of the round trip f <-> R, its Newton passes and its warnings,
+and the same for Pansu's radius; a 50-digit mpmath oracle for the root and
+for its starting bound; a sympy proof that the profile is Pansu's profile at
+a shifted radius and that one kernel evaluates both; and a sympy check that
+the closed-form partials f_r and f_R are the derivatives of the profile f."""
 
 import math
 from unittest import mock
@@ -14,8 +14,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from heisenberg_cmc import ModelParams, radius_field, sphere
-from heisenberg_cmc.sphere import _f, _f_R, _f_r, _radius_solve
+from heisenberg_cmc import ModelParams, pansu_profile, pansu_radius, radius_field, sphere
+from heisenberg_cmc.sphere import _f, _f_R, _f_r, _kernel, _radius_solve
 
 from conftest import counting_newton_passes, mp_profile
 
@@ -123,6 +123,53 @@ def test_profile_is_pansu_profile_at_a_shifted_radius():
     assert dD.subs(R, r) == 0
     assert sp.simplify(sp.diff(dD / R, R)) == 0
     assert sp.simplify(f.subs(s, -s) - f) == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(sigma=log_uniform, R0=log_uniform, side=st.sampled_from([1.0, -1.0]),
+       u=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1.0)))
+def test_pansu_radius_over_the_domain(sigma, R0, side, u):
+    """Round trip to 1e-13, at most 12 Newton passes and (through the suite's
+    filterwarnings setting) no RuntimeWarning, for log-uniform sigma and R in
+    [1e-8, 1e6], the axis r = 0 and r/R = the least float included."""
+    r = u * R0
+    t = side * pansu_profile(sigma, R0, r)
+    passes = []
+    with counting_newton_passes(sphere, "pansu radius solve", passes):
+        R = pansu_radius(sigma, r, t)
+    assert abs(R - R0) <= 1e-13 * R0
+    assert max(passes) <= 12
+
+
+def test_one_kernel_is_both_profiles():
+    """F(g; m, s, q) = (g/2)[m (1 + atanc q) + s g arctan q], g = sqrt(R^2 - r^2), is the
+    paper's f at m = eps^3 w(r), s = sigma, q = p and Pansu's profile
+    (sigma/2)[R^2 arccos(r/R) + r g] at m = sigma r, s = sigma, q = g/r; F' = m + s g arctan q
+    is dF/dg where s g = m q; and `sphere._kernel` evaluates F/g and F'."""
+    e, s, r, g, m, q, u = sp.symbols("epsilon sigma r g m q u", positive=True)
+    F = g / 2 * (m * (1 + sp.atan(q) / q) + s * g * sp.atan(q))
+    dF = m + s * g * sp.atan(q)
+    assert sp.simplify(sp.diff(F.subs(q, s * g / m), g) - dF.subs(q, s * g / m)) == 0
+    tau = s / e**4
+    w = lambda x: sp.sqrt(1 + tau**2 * e**2 * x**2)
+    p = tau * e * g / w(r)
+    f = e**2 / (2 * tau) * (w(sp.sqrt(r**2 + g**2))**2 * sp.atan(p) + w(r)**2 * p)
+    assert sp.simplify(F.subs({m: e**3 * w(r), q: p}) - f) == 0
+    # Pansu's profile at g = u r, where arccos(r/R) = arccos(1/sqrt(1 + u^2)) = arctan(u)
+    acos = sp.acos(1 / sp.sqrt(1 + u**2))
+    assert sp.simplify(sp.diff(acos - sp.atan(u), u)) == 0 and acos.subs(u, 0) == 0
+    R = r * sp.sqrt(1 + u**2)
+    pansu = s / 2 * (R**2 * sp.acos(r / R) + r * u * r)
+    assert sp.simplify(F.subs({m: s * r, q: u, g: u * r}) - pansu.subs(acos, sp.atan(u))) == 0
+    exprs = sp.lambdify((g, m, s, q), (F / g, dF), "mpmath")
+    for gv, mv, sv in [(0.3, 1.0, 1.0), (2.0, 1e-3, 0.5), (1e-4, 2.0, -1.5), (7.0, 1e6, 1e-9)]:
+        qv = sv * gv / mv
+        with mpmath.workdps(50):
+            want = [float(v) for v in exprs(*map(mpmath.mpf, (gv, mv, sv, qv)))]
+        assert np.allclose(_kernel(gv, mv, sv, qv), want, rtol=4e-16, atol=0.0)
+    # sigma = 0 gives F = m g, and Pansu's axis m = 0, q = inf gives F = (pi/4) s g^2
+    assert np.array_equal(_kernel(0.3, 1.5, 0.0, 0.0), (1.5, 1.5))
+    assert np.allclose(_kernel(2.0, 0.0, 1.5, np.inf), (0.75 * math.pi, 1.5 * math.pi), rtol=4e-16)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -253,6 +254,21 @@ def test_pansu_profile_values():
     assert pansu_profile(1.0, 1.5, 1.5) == 0.0
     with pytest.raises(DomainError):
         pansu_profile(1.0, 1.0, 1.2)
+
+
+@pytest.mark.parametrize("sigma", [2.5, -0.7, 0.0])
+def test_pansu_profile_matches_mpmath_oracle(sigma):
+    """(sigma/2)[R^2 arccos(r/R) + r sqrt(R^2 - r^2)] in 50 digits to 1e-14, at r = 0, inside
+    and at r -> R.  The radii are dyadic, so that R^2 - r^2 is exact in floats and only the
+    profile's own rounding shows, not that of R^2 - r^2 at the rim."""
+    for R in (1.0, 0.75, 1536.0, 3.0 * 2.0**-20):
+        top = math.frexp(R)[1]  # R < 2^top
+        for r in (0.0, 0.5 * R, 0.25 * R, R - math.ldexp(1.0, top - 10), R - math.ldexp(1.0, top - 24), R):
+            assert Fraction(R) ** 2 - Fraction(r) ** 2 == Fraction(R * R - r * r)
+            with mpmath.workdps(50):
+                s, Rm, rm = mpmath.mpf(sigma), mpmath.mpf(R), mpmath.mpf(r)
+                exact = s / 2 * (Rm**2 * mpmath.acos(rm / Rm) + rm * mpmath.sqrt(Rm**2 - rm**2))
+            assert abs(pansu_profile(sigma, R, r) - exact) <= 1e-14 * abs(exact)
 
 
 def pansu_sample(rng, n=300):
