@@ -12,7 +12,7 @@ _ULP = np.finfo(float).eps
 _NEWTON_PASSES = 120
 
 
-def _newton(fun, x, lo, hi, done, what: str) -> np.ndarray:
+def _newton(fun, x, lo, hi, done, what: str):
     """Root of `fun` in the open bracket (lo, hi) for each point, vectorized.
 
     `fun(x)` returns the residual F, its derivative dF and the caller's mask
@@ -21,22 +21,38 @@ def _newton(fun, x, lo, hi, done, what: str) -> np.ndarray:
     under 4 ulp of x.  A point is done when it has converged, its step is
     that small or its bracket (which must be finite) is 4 ulp wide.  An
     infinite dF, as F_lam at lam = R on the delta = 0 leaf, is a zero step.
+    A 0-d start is one point: the same rule runs on float64 scalars, with
+    Python control flow in place of the masks, and returns a float64.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_PASSES):
-            if done.all():
-                return x
-            F, dF, converged = fun(x)
-            done = done | converged
-            above = (F > 0.0) == (dF > 0.0)
-            hi, lo = np.where(above, x, hi), np.where(above, lo, x)
-            step = F / dF
-            new = x - step
-            small = np.abs(step) <= 4.0 * _ULP * np.abs(x)
-            new = np.where(small | ((lo < new) & (new < hi)), new, 0.5 * (lo + hi))
-            x = np.where(done, x, new)
-            done = done | small | (hi - lo <= 4.0 * _ULP * np.abs(hi))
-    if not done.all():
+        if np.ndim(x) == 0:
+            x = np.float64(x)
+            for _ in range(_NEWTON_PASSES):
+                if done:
+                    return x
+                F, dF, done = fun(x)
+                hi, lo = (x, lo) if (F > 0.0) == (dF > 0.0) else (hi, x)
+                step = F / dF
+                new = x - step
+                small = abs(step) <= 4.0 * _ULP * abs(x)
+                if not done:
+                    x = new if small or lo < new < hi else 0.5 * (lo + hi)
+                done = done or small or hi - lo <= 4.0 * _ULP * abs(hi)
+        else:
+            for _ in range(_NEWTON_PASSES):
+                if done.all():
+                    return x
+                F, dF, converged = fun(x)
+                done = done | converged
+                above = (F > 0.0) == (dF > 0.0)
+                hi, lo = np.where(above, x, hi), np.where(above, lo, x)
+                step = F / dF
+                new = x - step
+                small = np.abs(step) <= 4.0 * _ULP * np.abs(x)
+                new = np.where(small | ((lo < new) & (new < hi)), new, 0.5 * (lo + hi))
+                x = np.where(done, x, new)
+                done = done | small | (hi - lo <= 4.0 * _ULP * np.abs(hi))
+    if not np.all(done):
         raise NumericsError(f"{what} did not converge")
     return x
 

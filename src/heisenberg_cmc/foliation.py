@@ -122,7 +122,7 @@ def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
         raise DomainError(f"t = {t!r} outside (t_cut, f(r; R))")
     if not lam > cyl.R:
         raise DomainError(f"need lam > R = {cyl.R}, got {lam!r}")
-    return float(_f(cyl.params, r, lam) - _f(cyl.params, cyl.r_cut, lam) + cyl.t_cut - t)
+    return point_on_leaf(cyl, r, lam).t - t
 
 
 def _chord(cyl: CylinderSpec, r: np.ndarray, y):
@@ -213,12 +213,17 @@ def leaf_label(cyl: CylinderSpec, point: Point) -> float:
 
 
 def point_on_leaf(cyl: CylinderSpec, r: float, lam: float) -> Point:
-    """A point of the leaf with label lam on the vertical line at radius r."""
+    """A point of the leaf with label lam on the vertical line at radius r;
+    NumericsError where its height is not finite, as where lam^2 overflows."""
     if not (0.0 <= r < cyl.r_cut):
         raise DomainError(f"need 0 <= r < r_cut, got {r!r}")
     params = cyl.params
     if lam > cyl.R:
-        t = float(_f(params, r, lam) - _f(params, cyl.r_cut, lam) + cyl.t_cut)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = float(_f(params, r, lam) - _f(params, cyl.r_cut, lam) + cyl.t_cut)
+        if not math.isfinite(t):
+            raise NumericsError(f"the leaf lam = {lam!r} overflows at r = {r!r} with eps = "
+                                f"{params.epsilon!r}, sigma = {params.sigma!r}, R = {cyl.R!r}")
     else:
         t = float(_f(params, r, cyl.R)) + (cyl.R - lam)
     return Point(r, 0.0, t)

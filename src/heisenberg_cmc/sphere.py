@@ -97,12 +97,14 @@ class RadiusField:
 
 def _omega(params: ModelParams, r):
     te = params.tau * params.epsilon
-    return np.sqrt(1.0 + np.square(te * np.asarray(r, dtype=float)))
+    return np.sqrt(1.0 + np.square(te * r))
 
 
 def _atanc(p, atan_p=None):
     """arctan(p)/p, continuous with value 1 at p = 0; `atan_p` is arctan(p)
     when the caller has it already.  Below |p| = 1e-8 the series 1 - p^2/3 rounds to 1."""
+    if np.ndim(p) == 0:
+        return 1.0 if abs(p) < 1e-8 else (np.arctan(p) if atan_p is None else atan_p) / p
     p = np.asarray(p, dtype=float)
     small = np.abs(p) < 1e-8
     safe = np.where(small, 1.0, p)
@@ -116,8 +118,6 @@ def _ell(p):
 
 def _gap(r, R):
     """R^2 - r^2 clamped at 0 (tiny negatives from roundoff are clipped)."""
-    r = np.asarray(r, dtype=float)
-    R = np.asarray(R, dtype=float)
     return np.maximum(R * R - r * r, 0.0)
 
 
@@ -225,9 +225,11 @@ def _gap_solve(m, s: float, t, what: str):
     g0 = min(|t|/m, sqrt(4|t|/(pi s))) is above the root (the root itself at s = 0), and the
     iterates descend onto it inside [0, g0], stopping on `_newton`'s 4-ulp step or bracket
     rule.  m = 0 (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2.
+    One point (m and t both 0-d) stays 0-d, and `_newton` solves it on float64 scalars.
     """
     shape = np.broadcast_shapes(np.shape(m), np.shape(t))
-    m, t = (np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (m, t))
+    m, t = (np.broadcast_to(np.asarray(v, dtype=float), shape) if shape else np.float64(v)
+            for v in (m, t))
     t = np.abs(t)
 
     def residual(g):

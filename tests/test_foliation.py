@@ -232,6 +232,20 @@ def test_labels_whose_square_overflows_raise():
         assert leaf_label(cyl, Point(0.5, 0.0, 1e-100)) == pytest.approx(0.75 * slope / 2e-100, rel=1e-14)
 
 
+def test_leaf_heights_whose_square_overflows_raise():
+    """point_on_leaf and leaf_equation on a leaf whose lam^2 overflows: NumericsError
+    naming the point and the sphere, with no RuntimeWarning, where both gave NaN."""
+    cyl = CylinderSpec(SphereSpec(ModelParams(1e-3, 1), 1), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"lam = 1e\+160 overflows at r = 0\.5 with "
+                                                r"eps = 0\.001, sigma = 1, R = 1$"):
+            point_on_leaf(cyl, 0.5, 1e160)
+        with pytest.raises(NumericsError, match=r"lam = 1e\+200 overflows at r = 0\.5 with "
+                                                r"eps = 0\.001, sigma = 1, R = 1$"):
+            leaf_equation(cyl, 0.5, 1e-3, 1e200)
+
+
 def _mp_label(cyl, r, t, guess):
     """50-digit root of the leaf equation in lam, from a bracket of +-1e-6 around `guess`."""
     e, s = cyl.params.epsilon, cyl.params.sigma

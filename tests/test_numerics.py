@@ -260,51 +260,74 @@ def test_leaf_label_matches_brentq(frac):
         assert abs(lam - ref) <= 64.0 * np.finfo(float).eps * (size / abs(slope) + ref)
 
 
+def newton(fun, c, start, lo, hi, done, what, point):
+    """`_newton` on the residual fun(x, c) from the array `start`, or, when `point`, on each
+    entry from its own 0-d start, where the core runs on float64 scalars and returns one.
+    Each test below runs both, so one rule is checked on both paths."""
+    if not point:
+        return _newton(lambda x: fun(x, c), start, lo, hi, done, what)
+    roots = [_newton(lambda x, ci=ci: fun(x, ci), np.float64(x0), lo, hi, bool(d), what)
+             for ci, x0, d in zip(c, start, done)]
+    assert all(type(x) is np.float64 for x in roots)
+    return np.array(roots)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
 def test_newton_finds_cube_roots_whichever_way_the_residual_runs(sign):
     a = np.array([1e-3, 0.5, 2.0, 27.0, 1e3])
-    x = _newton(lambda x: (sign * (x**3 - a), sign * 3.0 * x * x, False),
-                np.full(a.shape, 15.0), 0.0, 20.0, np.zeros(a.shape, dtype=bool), "cube root")
-    assert np.all(np.abs(x - np.cbrt(a)) <= 4.0 * np.finfo(float).eps * np.cbrt(a))
+    for point in (False, True):
+        x = newton(lambda x, a: (sign * (x**3 - a), sign * 3.0 * x * x, False), a,
+                   np.full(a.shape, 15.0), 0.0, 20.0, np.zeros(a.shape, dtype=bool), "cube root",
+                   point)
+        assert np.all(np.abs(x - np.cbrt(a)) <= 4.0 * np.finfo(float).eps * np.cbrt(a))
 
 
 def test_newton_bisects_where_a_step_leaves_the_bracket():
     """From x = 50 a Newton step on arctan(x) - c lands near -2500, far
     outside (-100, 100); the core takes the midpoint of (-100, 50) instead."""
     c = np.array([-1.2, 0.3, 1.0, 1.4])
-    seen = []
+    for point in (False, True):
+        seen = []
 
-    def fun(x):
-        seen.append(x)
-        return np.arctan(x) - c, 1.0 / (1.0 + x * x), False
+        def fun(x, c):
+            seen.append(x)
+            return np.arctan(x) - c, 1.0 / (1.0 + x * x), False
 
-    x = _newton(fun, np.full(c.shape, 50.0), -100.0, 100.0, np.zeros(c.shape, dtype=bool), "arctan")
-    assert np.all(seen[1] == -25.0)
-    assert x == pytest.approx(np.tan(c), rel=1e-14)
+        x = newton(fun, c, np.full(c.shape, 50.0), -100.0, 100.0, np.zeros(c.shape, dtype=bool),
+                   "arctan", point)
+        after_50 = [b for a, b in zip(seen, seen[1:]) if np.all(a == 50.0)]
+        assert len(after_50) == (c.size if point else 1)
+        assert all(np.all(b == -25.0) for b in after_50)
+        assert x == pytest.approx(np.tan(c), rel=1e-14)
 
 
 def test_newton_keeps_points_done_on_entry_bit_for_bit():
     start = np.array([0.1 + 0.2, 1.0, 0.7 / 3.0])
     done = np.array([True, False, True])
-    x = _newton(lambda x: (x * x - 2.0, 2.0 * x, False), start, 0.0, 2.0, done, "sqrt 2")
-    assert np.array_equal(x[done], start[done])
-    assert x[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    for point in (False, True):
+        x = newton(lambda x, c: (x * x - 2.0, 2.0 * x, False), start, start, 0.0, 2.0, done,
+                   "sqrt 2", point)
+        assert np.array_equal(x[done], start[done])
+        assert x[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_newton_raises_when_the_budget_runs_out():
     # a residual with no root: every pass bisects toward lo and the bracket never closes
-    with pytest.raises(NumericsError, match="flat residual did not converge"):
-        _newton(lambda x: (np.ones_like(x), np.ones_like(x), False),
-                np.array([0.5]), 0.0, 1.0, np.zeros(1, dtype=bool), "flat residual")
+    for point in (False, True):
+        with pytest.raises(NumericsError, match="flat residual did not converge"):
+            newton(lambda x, c: (np.ones_like(x), np.ones_like(x), False), [None],
+                   np.array([0.5]), 0.0, 1.0, np.zeros(1, dtype=bool), "flat residual", point)
 
 
 def test_newton_takes_an_infinite_derivative_as_a_zero_step():
     """As F_lam = -inf at lam = R on the delta = 0 leaf: the point stays put,
     and the division by zero that makes the derivative does not warn."""
-    def fun(x):
+    def fun(x, c):
         return x - 1.0, -1.0 / np.zeros_like(x), False
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        x = _newton(fun, np.array([1.5]), 1.0, 2.0, np.zeros(1, dtype=bool), "leaf label")
-    assert x[0] == 1.5
+    for point in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = newton(fun, [None], np.array([1.5]), 1.0, 2.0, np.zeros(1, dtype=bool),
+                       "leaf label", point)
+        assert x[0] == 1.5

@@ -28,15 +28,19 @@ log_uniform = st.floats(math.log(1e-8), math.log(1e6)).map(math.exp)
 def test_radius_solve_over_the_domain(eps, size, sign, R0, u, side):
     """Round trip to 1e-12, at most 12 Newton passes and (through the
     suite's filterwarnings setting) no RuntimeWarning, for log-uniform
-    eps, |sigma| and R in [1e-8, 1e6], sigma of both signs and 0."""
+    eps, |sigma| and R in [1e-8, 1e6], sigma of both signs and 0.  The
+    single-point solve, on float64 scalars, gives the one-element array
+    solve's root bit for bit in as many passes."""
     params = ModelParams(eps, sign * size)
     r = u * R0
     t = side * float(_f(params, r, R0))
     passes = []
     with counting_newton_passes(sphere, "radius solve", passes):
         R = radius_field(params, r, t).value
+        R_array = _radius_solve(params, np.array([r]), np.array([t]))
     assert abs(R - R0) <= 1e-12 * R0
-    assert max(passes) <= 12
+    assert R_array.shape == (1,) and R_array[0] == R
+    assert passes[0] == passes[1] <= 12
 
 
 @pytest.mark.parametrize("eps,sigma,R,frac", [
@@ -131,14 +135,18 @@ def test_profile_is_pansu_profile_at_a_shifted_radius():
 def test_pansu_radius_over_the_domain(sigma, R0, side, u):
     """Round trip to 1e-13, at most 12 Newton passes and (through the suite's
     filterwarnings setting) no RuntimeWarning, for log-uniform sigma and R in
-    [1e-8, 1e6], the axis r = 0 and r/R = the least float included."""
+    [1e-8, 1e6], the axis r = 0 and r/R = the least float included.  The
+    single-point solve gives the one-element array solve's root bit for bit
+    in as many passes."""
     r = u * R0
     t = side * pansu_profile(sigma, R0, r)
     passes = []
     with counting_newton_passes(sphere, "pansu radius solve", passes):
         R = pansu_radius(sigma, r, t)
+        R_array = pansu_radius(sigma, np.array([r]), np.array([t]))
     assert abs(R - R0) <= 1e-13 * R0
-    assert max(passes) <= 12
+    assert R_array.shape == (1,) and R_array[0] == R
+    assert passes[0] == passes[1] <= 12
 
 
 def test_one_kernel_is_both_profiles():
