@@ -20,12 +20,13 @@ def _newton(fun, x, lo, hi, done, what: str):
     way F runs; a step that would leave the bracket bisects it, unless it is
     under 4 ulp of x.  A point is done when it has converged, its step is
     that small or its bracket (which must be finite) is 4 ulp wide.  An
-    infinite dF, as F_lam at lam = R on the delta = 0 leaf, is a zero step.
-    A 0-d start is one point: the same rule runs on float64 scalars, with
-    Python control flow in place of the masks, and returns a float64.
+    infinite dF, as F_lam at lam = R on the delta = 0 leaf, is a zero step;
+    `fun` runs with division by zero, invalid values and overflow ignored.
+    A start that is not an array is one point: the same rule runs on float64
+    scalars, with Python control flow in place of the masks, and returns a float64.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if np.ndim(x) == 0:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not isinstance(x, np.ndarray):
             x = np.float64(x)
             for _ in range(_NEWTON_PASSES):
                 if done:

@@ -108,19 +108,15 @@ def graph_area(
 
 
 def subriemannian_hemisphere_area(sigma: float, R: float) -> float:
-    """The sigma-only area integral of the limit-profile hemisphere.
+    """The sigma-only area integral of the limit-profile hemisphere, pi^2 sigma R^3 / 2.
 
-    Integrates sqrt(f'^2 + sigma^2 r^2) over the disk for the limit
+    The integral of sqrt(f'^2 + sigma^2 r^2) over the disk for the limit
     profile (f' = -sigma r^2 / sqrt(R^2 - r^2)); this is the limit of
-    eps * (Riemannian hemisphere area) as eps -> 0 and evaluates in closed
-    form to pi^2 sigma R^3 / 2, which the tests pin.
+    eps * (Riemannian hemisphere area) as eps -> 0.  On r = R sin(phi) its
+    density sigma r^2 sqrt(r^2 + R^2 cos^2 phi) is sigma R^3 sin^2(phi), whose
+    integral over [0, pi/2] is pi/4; the tests hold the quadrature to it.
     """
-
-    def integrand(phi):
-        r = R * np.sin(phi)
-        return sigma * r * r * np.sqrt(r * r + (R * np.cos(phi)) ** 2)
-
-    return 2.0 * math.pi * _quad(integrand, 0.0, 0.5 * math.pi, "sub-Riemannian area")
+    return 0.5 * math.pi**2 * sigma * R**3
 
 
 # --------------------------------------------------------------- competitors

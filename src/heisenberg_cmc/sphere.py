@@ -31,7 +31,7 @@ import numpy as np
 
 from ._numerics import _newton, _quad
 from .ambient import ModelParams, Point, TangentVector
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, NumericsError
 
 __all__ = [
     "SphereSpec",
@@ -103,9 +103,8 @@ def _omega(params: ModelParams, r):
 def _atanc(p, atan_p=None):
     """arctan(p)/p, continuous with value 1 at p = 0; `atan_p` is arctan(p)
     when the caller has it already.  Below |p| = 1e-8 the series 1 - p^2/3 rounds to 1."""
-    if np.ndim(p) == 0:
+    if not isinstance(p, np.ndarray):
         return 1.0 if abs(p) < 1e-8 else (np.arctan(p) if atan_p is None else atan_p) / p
-    p = np.asarray(p, dtype=float)
     small = np.abs(p) < 1e-8
     safe = np.where(small, 1.0, p)
     atan_safe = np.arctan(safe) if atan_p is None else atan_p  # masked where small
@@ -174,6 +173,23 @@ def _check_profile_domain(R: float, r, *, closed: bool) -> np.ndarray:
     return r
 
 
+def _check_point(r, t, what: str) -> None:
+    """DomainError unless (r, t) is finite, with r >= 0, and not the origin.  Arrays are checked
+    by one mask, and their first bad point alone by Python comparisons, so both raise alike."""
+    if isinstance(r, np.ndarray) or isinstance(t, np.ndarray):
+        r, t = np.broadcast_arrays(r, t)
+        bad = ~(np.isfinite(r) & np.isfinite(t) & (r >= 0.0) & ((r != 0.0) | (t != 0.0)))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            _check_point(float(r.flat[i]), float(t.flat[i]), what)
+    elif not (math.isfinite(r) and math.isfinite(t)):
+        raise DomainError(f"{what} needs a finite point, got (r, t) = ({r!r}, {t!r})")
+    elif r < 0.0:
+        raise DomainError(f"{what} needs r >= 0, got (r, t) = ({r!r}, {t!r})")
+    elif r == 0.0 and t == 0.0:
+        raise DomainError(f"{what} is undefined at the origin")
+
+
 def _scalar_or_array(r_in, value):
     if np.isscalar(r_in) or (isinstance(r_in, np.ndarray) and r_in.ndim == 0):
         return float(value)
@@ -225,22 +241,25 @@ def _gap_solve(m, s: float, t, what: str):
     g0 = min(|t|/m, sqrt(4|t|/(pi s))) is above the root (the root itself at s = 0), and the
     iterates descend onto it inside [0, g0], stopping on `_newton`'s 4-ulp step or bracket
     rule.  m = 0 (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2.
-    One point (m and t both 0-d) stays 0-d, and `_newton` solves it on float64 scalars.
+    One point (neither m nor t an array) takes g0 in Python floats, which make no numpy call
+    and overflow without a warning, and `_newton` solves it on float64 scalars.
     """
-    shape = np.broadcast_shapes(np.shape(m), np.shape(t))
-    m, t = (np.broadcast_to(np.asarray(v, dtype=float), shape) if shape else np.float64(v)
-            for v in (m, t))
-    t = np.abs(t)
-
     def residual(g):
         f_over_g, dF = _kernel(g, m, s, s * g / m)
         return g * f_over_g - t, dF, False
 
-    with np.errstate(divide="ignore", over="ignore"):  # m = 0 or tiny, or s tiny: g0 or q = inf
-        g = t / m
-        if s > 0.0:  # at s = 0 the second bound is 0/0 where t = 0
-            g = np.minimum(g, np.sqrt(4.0 * t / (math.pi * s)))
-        return _newton(residual, g, 0.0, g, t == 0.0, what).reshape(shape)
+    if isinstance(m, np.ndarray) or isinstance(t, np.ndarray):
+        m, t = np.broadcast_arrays(np.asarray(m, dtype=float), np.abs(t, dtype=float))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = t / m  # inf where m = 0 or tiny, 0/0 where t = 0 too, which fmin drops
+            if s > 0.0:  # at s = 0 the second bound is 0/0 where t = 0
+                g = np.fmin(g, np.sqrt(4.0 * t / (math.pi * s)))
+    else:
+        m, t = float(m), abs(float(t))
+        g = t / m if m else math.inf
+        if s > 0.0:
+            g = min(g, math.sqrt(4.0 * t / (math.pi * s)))
+    return _newton(residual, g, 0.0, g, t == 0.0, what)
 
 
 def _radius_gap(params: ModelParams, r, t):
@@ -261,15 +280,15 @@ def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
     both continuous across the equator plane t = 0 (where R = r, R_r = 1,
     R_t = 0); sqrt(R^2 - r^2), eps^3 w(r) and |p| come from the solve.
     """
-    if r == 0.0 and t == 0.0:
-        raise DomainError("the radius field is undefined at the origin")
-    if r < 0.0:
-        raise DomainError(f"r must be nonnegative, got {r!r}")
+    _check_point(r, t, "the radius field")
     g, m = (float(v) for v in _radius_gap(params, r, t))
     R = float(np.hypot(r, g))
     ell = float(_ell(abs(params.sigma) * g / m))
     R_r = r * ell / R
     R_t = math.copysign(1.0, t) * g * ell / (m * R) if t != 0.0 else 0.0
+    if not (math.isfinite(R_r) and math.isfinite(R_t)):
+        raise NumericsError(f"the radius field at (r, t) = ({r!r}, {t!r}) is not finite with "
+                            f"eps = {params.epsilon!r}, sigma = {params.sigma!r}")
     return RadiusField(value=R, R_r=R_r, R_t=R_t)
 
 
@@ -293,13 +312,12 @@ def _radius_of(x, y):
 def _normal_components(params: ModelParams, x, y, r, t, R) -> np.ndarray:
     """Outward unit normal at (x, y, t), with r = |z|, on the leaf R, vectorized.
 
-    Arrays (or scalars) in, frame coefficients (..., 3) out.
+    Arrays or floats in, frame coefficients (..., 3) out.
     """
-    x, y, r, t, R = (np.asarray(v, dtype=float) for v in (x, y, r, t, R))
     sg = np.sign(t)
     gap, w, p = _pieces(params, r, R)
     p, q = sg * p, sg * gap / w  # q = p / (tau * eps), finite for all tau
-    out = np.empty(p.shape + (3,))
+    out = np.empty(p.shape + (3,))  # np.stack costs more on one point
     out[..., 0] = (x + y * p) / R
     out[..., 1] = (y - x * p) / R
     out[..., 2] = q / R
@@ -332,11 +350,14 @@ def outer_normal(spec: SphereSpec, point: Point, tol: float = 1e-8) -> TangentVe
 
 def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
     """Outward unit normal of the sphere family at any point except the origin."""
-    if point.r == 0.0 and point.t == 0.0:
-        raise DomainError("the foliation normal is undefined at the origin")
-    r = point.r
-    R = _radius_solve(params, r, point.t)
-    return TangentVector.from_array(_normal_components(params, point.x, point.y, r, point.t, R))
+    r, t = point.r, point.t
+    _check_point(r, t, "the foliation normal")
+    R = float(_radius_solve(params, r, t))  # a float R*R overflows without a warning
+    n = TangentVector.from_array(_normal_components(params, point.x, point.y, r, t, R))
+    if not (math.isfinite(n.aX) and math.isfinite(n.aY) and math.isfinite(n.aT)):
+        raise NumericsError(f"the foliation normal at {point} is not finite with "
+                            f"eps = {params.epsilon!r}, sigma = {params.sigma!r}")
+    return n
 
 
 # ------------------------------------------------------------- area / volume
@@ -398,12 +419,10 @@ def pansu_radius(sigma: float, r, t):
     """
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    rr = np.asarray(r, dtype=float)
-    tt = np.asarray(t, dtype=float)
-    if (np.any(rr < 0.0) or np.any((rr == 0.0) & (tt == 0.0))
-            or not (np.all(np.isfinite(rr)) and np.all(np.isfinite(tt)))):
-        raise DomainError(f"invalid point (r, t) = ({r}, {t})")
-    R = np.hypot(rr, _gap_solve(sigma * rr, sigma, tt, "pansu radius solve"))
+    if not (isinstance(r, (float, int)) and isinstance(t, (float, int))):
+        r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    _check_point(r, t, "pansu_radius")
+    R = np.hypot(r, _gap_solve(sigma * r, sigma, t, "pansu radius solve"))
     return float(R) if R.ndim == 0 else R
 
 

@@ -32,6 +32,7 @@ from heisenberg_cmc.isoperimetry import (
     subriemannian_hemisphere_area,
     symdiff_monte_carlo,
 )
+from heisenberg_cmc._numerics import _quad
 from heisenberg_cmc.curvature import second_fundamental_form
 from heisenberg_cmc.sphere import _f, _f_r
 
@@ -119,6 +120,19 @@ def test_scaled_area_converges_to_subriemannian_integral():
         dists.append(abs(eps * area - target))
     assert dists[0] > dists[1] > dists[2]
     assert dists[0] / dists[1] >= 2.0 and dists[1] / dists[2] >= 2.0
+
+
+@pytest.mark.parametrize("sigma, R", [(1.0, 1.0), (0.3, 0.6), (2.6, 2.2), (-0.7, 1.5),
+                                      (1e-3, 40.0), (50.0, 1e-2)])
+def test_subriemannian_hemisphere_area_matches_quadrature(sigma, R):
+    """The closed form pi^2 sigma R^3 / 2 against the quadrature of its density
+    sigma r^2 sqrt(r^2 + R^2 cos^2 phi) on r = R sin(phi)."""
+    def density(phi):
+        r = R * np.sin(phi)
+        return sigma * r * r * np.sqrt(r * r + (R * np.cos(phi)) ** 2)
+
+    oracle = 2.0 * math.pi * _quad(density, 0.0, 0.5 * math.pi, "sub-Riemannian area")
+    assert subriemannian_hemisphere_area(sigma, R) == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------- competitors

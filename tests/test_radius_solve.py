@@ -2,8 +2,10 @@
 property test of the round trip f <-> R, its Newton passes and its warnings,
 and the same for Pansu's radius; a 50-digit mpmath oracle for the root and
 for its starting bound; a sympy proof that the profile is Pansu's profile at
-a shifted radius and that one kernel evaluates both; and a sympy check that
-the closed-form partials f_r and f_R are the derivatives of the profile f."""
+a shifted radius and that one kernel evaluates both; a sympy check that
+the closed-form partials f_r and f_R are the derivatives of the profile f;
+and the parity of the single-point wrappers with the array cores, in their
+values and in the errors they raise."""
 
 import math
 from unittest import mock
@@ -14,8 +16,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from heisenberg_cmc import ModelParams, pansu_profile, pansu_radius, radius_field, sphere
-from heisenberg_cmc.sphere import _f, _f_R, _f_r, _kernel, _radius_solve
+from heisenberg_cmc import (DomainError, ModelParams, Point, foliation_normal, pansu_profile,
+                            pansu_radius, radius_field, sphere)
+from heisenberg_cmc.sphere import _f, _f_R, _f_r, _kernel, _normal_components, _radius_solve
 
 from conftest import counting_newton_passes, mp_profile
 
@@ -41,6 +44,43 @@ def test_radius_solve_over_the_domain(eps, size, sign, R0, u, side):
     assert abs(R - R0) <= 1e-12 * R0
     assert R_array.shape == (1,) and R_array[0] == R
     assert passes[0] == passes[1] <= 12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(eps=log_uniform, size=log_uniform, sign=st.sampled_from([1.0, -1.0, 0.0]),
+       R0=log_uniform, u=st.floats(0.0, 1.0), side=st.sampled_from([1.0, -1.0]),
+       theta=st.floats(0.0, 2.0 * math.pi))
+def test_foliation_normal_is_the_row_of_the_array_core(eps, size, sign, R0, u, side, theta):
+    """foliation_normal on one point, which runs on floats, equals the row of
+    `_normal_components` on one-element arrays bit for bit, over the domain of
+    test_radius_solve_over_the_domain."""
+    params = ModelParams(eps, sign * size)
+    r = u * R0
+    point = Point(r * math.cos(theta), r * math.sin(theta), side * float(_f(params, r, R0)))
+    x, y, r, t = (np.array([v]) for v in (point.x, point.y, point.r, point.t))
+    row = _normal_components(params, x, y, r, t, _radius_solve(params, r, t))[0]
+    assert np.array_equal(foliation_normal(params, point).as_array(), row)
+
+
+finite = st.floats(-1e6, 1e6)
+not_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(sigma=log_uniform, point=st.one_of(
+    st.tuples(log_uniform.map(lambda v: -v), finite),  # r < 0
+    st.sampled_from([(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)]),  # the origin
+    st.tuples(not_finite, finite | not_finite),
+    st.tuples(st.floats(0.0, 1e6) | log_uniform.map(lambda v: -v), not_finite)))
+def test_pansu_radius_rejects_a_bad_point_alike_on_both_paths(sigma, point):
+    """The single point, checked by Python comparisons, and the same point as the
+    second entry of an array, checked by one mask, raise the same DomainError."""
+    r, t = point
+    with pytest.raises(DomainError) as one:
+        pansu_radius(sigma, r, t)
+    with pytest.raises(DomainError) as many:
+        pansu_radius(sigma, np.array([1.0, r]), np.array([0.5, t]))
+    assert str(many.value) == str(one.value)
 
 
 @pytest.mark.parametrize("eps,sigma,R,frac", [

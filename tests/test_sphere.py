@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from heisenberg_cmc import (
     ContractError,
     DomainError,
     ModelParams,
+    NumericsError,
     Point,
     SphereSpec,
     euclidean_profile,
@@ -28,6 +30,7 @@ from heisenberg_cmc import (
     sphere_through,
     sphere_volume,
 )
+from heisenberg_cmc import sphere
 from heisenberg_cmc.sphere import _f
 
 from conftest import GRID
@@ -183,6 +186,33 @@ def test_radius_domain_error(params):
         radius_field(params, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("r, t", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                                  (0.5, -math.inf)])
+def test_radius_field_of_a_non_finite_point_raises(params, r, t):
+    with pytest.raises(DomainError, match="needs a finite point"):
+        radius_field(params, r, t)
+
+
+def test_radius_field_raises_where_its_partials_are_not_finite(params):
+    with mock.patch.object(sphere, "_ell", lambda p: math.inf):
+        with pytest.raises(NumericsError, match=r"radius field at \(r, t\) = \(0\.3, 0\.2\)"):
+            radius_field(params, 0.3, 0.2)
+
+
+def test_foliation_normal_of_a_non_finite_point_raises(params):
+    with pytest.raises(DomainError, match="needs a finite point"):
+        foliation_normal(params, Point(math.inf, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-200, -1e-200])
+def test_foliation_normal_where_R_squared_overflows_raises(sigma):
+    """At |z| = 1e155 the leaf radius is finite, but R*R overflows in the normal's
+    sqrt(R^2 - r^2), which used to return a NaN vector.  (At sigma = 1, w(r) overflows
+    first, with a RuntimeWarning: tau eps r is past 1.3e154.)"""
+    with pytest.raises(NumericsError, match=r"not finite with eps = 1\.0, sigma = "):
+        foliation_normal(ModelParams(1.0, sigma), Point(1e155, 0.0, 1.0))
+
+
 def test_sphere_through(params):
     spec = SphereSpec(params, 1.3)
     q = Point(0.5, 0.2, float(profile_height(spec, math.hypot(0.5, 0.2))))
@@ -336,6 +366,13 @@ def test_pansu_radius_domain():
         pansu_radius(1.0, np.array([0.3, 0.0]), np.array([0.1, 0.0]))
     with pytest.raises(DomainError):
         pansu_radius(1.0, 0.5, math.nan)
+
+
+def test_pansu_radius_on_the_plane_where_sigma_r_underflows():
+    """m = sigma r = 0 and t = 0: the start is 0 on both paths, not 0/0 (NaN with a warning)."""
+    r = 1e-320
+    assert pansu_radius(1e-8, r, 0.0) == r
+    assert pansu_radius(1e-8, np.array([r, 0.5]), np.array([0.0, -0.0])).tolist() == [r, 0.5]
 
 
 def test_profile_converges_to_pansu_as_eps_shrinks():
