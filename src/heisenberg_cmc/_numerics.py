@@ -1,39 +1,50 @@
-"""The package's one root finder and one quadrature, each with one error policy."""
+"""The package's one root finder and one quadrature, each with one error policy.  A Python
+float start is solved on Python floats: numpy only divides by a zero derivative (`_divide`)."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
 
 from .errors import NumericsError
 
-_ULP = np.finfo(float).eps
+_ULP = float(np.finfo(float).eps)
 _NEWTON_PASSES = 120
+_FLOATS = contextlib.nullcontext()  # a Python float start's `np.errstate`: floats do not warn
+
+
+def _divide(a, b):
+    """a / b, by numpy without a warning only where b = 0 (+-inf, nan at a = 0): floats raise."""
+    if isinstance(b, np.ndarray) or b:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.divide(a, b)
+    return q if isinstance(q, np.ndarray) else float(q)
 
 
 def _newton(fun, x, lo, hi, done, what: str):
     """Root of `fun` in the open bracket (lo, hi) for each point, vectorized.
 
-    `fun(x)` returns the residual F, its derivative dF and the caller's mask
-    of converged points.  The bracket end on F's side moves to x whichever
-    way F runs; a step that would leave the bracket bisects it, unless it is
-    under 4 ulp of x.  A point is done when it has converged, its step is
-    that small or its bracket (which must be finite) is 4 ulp wide.  An
-    infinite dF, as F_lam at lam = R on the delta = 0 leaf, is a zero step;
-    `fun` runs with division by zero, invalid values and overflow ignored.
-    A start that is not an array is one point: the same rule runs on float64
-    scalars, with Python control flow in place of the masks, and returns a float64.
+    `fun(x)` returns the residual F, its derivative dF and the caller's mask of converged
+    points.  The bracket end on F's side moves to x whichever way F runs; a step that would
+    leave the bracket bisects it, unless it is under 4 ulp of x.  A point is done when it has
+    converged, its step is that small or its bracket (which must be finite) is 4 ulp wide.
+    An infinite dF, as F_lam at lam = R on the delta = 0 leaf, is a zero step.  `fun` runs
+    with numpy's floating-point errors ignored, except on a Python float start, which does
+    not warn.  A start that is not an array is one point: the same rule runs in its type (a
+    float stays a float, else a float64), with Python control flow in place of the masks.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _FLOATS if type(x) is float else np.errstate(all="ignore"):
         if not isinstance(x, np.ndarray):
-            x = np.float64(x)
+            x = x if type(x) is float else np.float64(x)
             for _ in range(_NEWTON_PASSES):
                 if done:
                     return x
                 F, dF, done = fun(x)
                 hi, lo = (x, lo) if (F > 0.0) == (dF > 0.0) else (hi, x)
-                step = F / dF
+                step = F / dF if dF else _divide(F, dF)
                 new = x - step
                 small = abs(step) <= 4.0 * _ULP * abs(x)
                 if not done:

@@ -59,10 +59,20 @@ class ModelParams:
             raise DomainError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not math.isfinite(self.sigma):
             raise DomainError(f"sigma must be finite, got {self.sigma!r}")
+        try:
+            finite = abs(self.tau) < math.inf  # checked once here, not in the hot property
+        except OverflowError:  # eps**4
+            finite = False
+        if not finite:
+            raise DomainError(f"tau = sigma/eps^4 is not a finite float with "
+                              f"eps = {self.epsilon!r}, sigma = {self.sigma!r}")
 
     @property
     def tau(self) -> float:
-        return self.sigma / self.epsilon**4
+        try:
+            return self.sigma / self.epsilon**4
+        except ZeroDivisionError:  # eps**4 underflows: tau is 0 at sigma = 0, else inf
+            return math.inf if self.sigma else 0.0
 
     @classmethod
     def from_tau(cls, epsilon: float, tau: float) -> "ModelParams":

@@ -353,7 +353,7 @@ def _pansu_field(sigma: float, x, y, t) -> np.ndarray:
     if np.any(r == 0.0):
         raise DomainError("operation undefined on the center axis z = 0")
     R = pansu_radius(sigma, r, t)
-    lam = np.sign(t) * np.sqrt(_gap(r, R)) / (r * R)
+    lam = np.sign(t) * _gap(r, R) / (r * R)
     mu = 1.0 / R
     return np.stack([x * lam - y * mu, y * lam + x * mu, np.zeros_like(lam)], axis=-1)
 

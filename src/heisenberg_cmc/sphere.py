@@ -20,6 +20,11 @@ f at m = eps^3 w(r), s = sigma, q = p and Pansu's at m = sigma r, s = sigma, q =
 c = eps^3/|sigma|).  F is finite through tau = 0 (F = m g) and on Pansu's axis (q = inf);
 f_r = -eps^3 r w(r)/g and f_R = R F'/g.  Both radius solves are one Newton in g on
 F(g) = |t| (`_gap_solve`).  All profile helpers broadcast over numpy arrays.
+
+One point stays on Python floats, by the same expressions.  numpy stays where a float raises
+or rounds differently: `_numerics._divide` where a divisor can be 0 (q = s g/m at m = 0), and
+np.arctan and np.hypot (math.atan and math.hypot miss the last bit on 0.08% of inputs).  A
+float w(r) that overflows raises NumericsError, where numpy would only warn.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _newton, _quad
+from ._numerics import _divide, _newton, _quad
 from .ambient import ModelParams, Point, TangentVector
 from .errors import ContractError, DomainError, NumericsError
 
@@ -54,6 +59,7 @@ __all__ = [
 ]
 
 _DOMAIN_RTOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -95,16 +101,29 @@ class RadiusField:
 # ----------------------------------------------------------------- internals
 
 
+def _arctan(q):
+    """np.arctan, a float on a float (math.atan differs from it in the last bit)."""
+    a = np.arctan(q)
+    return a if isinstance(a, np.ndarray) else float(a)
+
+
 def _omega(params: ModelParams, r):
-    te = params.tau * params.epsilon
-    return np.sqrt(1.0 + np.square(te * r))
+    """w(r); NumericsError where it overflows on a float, which numpy would only warn of."""
+    u = params.tau * params.epsilon * r
+    w2 = 1.0 + u * u
+    if isinstance(w2, np.ndarray):
+        return np.sqrt(w2)
+    if w2 == math.inf:
+        raise NumericsError(f"w(r) overflows at r = {r!r} with eps = {params.epsilon!r}, "
+                            f"sigma = {params.sigma!r}")
+    return math.sqrt(w2)
 
 
 def _atanc(p, atan_p=None):
     """arctan(p)/p, continuous with value 1 at p = 0; `atan_p` is arctan(p)
     when the caller has it already.  Below |p| = 1e-8 the series 1 - p^2/3 rounds to 1."""
     if not isinstance(p, np.ndarray):
-        return 1.0 if abs(p) < 1e-8 else (np.arctan(p) if atan_p is None else atan_p) / p
+        return 1.0 if abs(p) < 1e-8 else (_arctan(p) if atan_p is None else atan_p) / p
     small = np.abs(p) < 1e-8
     safe = np.where(small, 1.0, p)
     atan_safe = np.arctan(safe) if atan_p is None else atan_p  # masked where small
@@ -112,17 +131,18 @@ def _atanc(p, atan_p=None):
 
 
 def _ell(p):
-    return 1.0 / (1.0 + p * np.arctan(p))
+    return 1.0 / (1.0 + p * _arctan(p))
 
 
 def _gap(r, R):
-    """R^2 - r^2 clamped at 0 (tiny negatives from roundoff are clipped)."""
-    return np.maximum(R * R - r * r, 0.0)
+    """g = sqrt(R^2 - r^2), R^2 - r^2 clamped at 0 (tiny negatives from roundoff are clipped)."""
+    d = R * R - r * r
+    return np.sqrt(np.maximum(d, 0.0)) if isinstance(d, np.ndarray) else math.sqrt(max(d, 0.0))
 
 
 def _pieces(params: ModelParams, r, R):
     """sqrt(R^2 - r^2), w(r) and p(r; R), which the profile kernels share."""
-    sq = np.sqrt(_gap(r, R))
+    sq = _gap(r, R)
     w = _omega(params, r)
     return sq, w, params.tau * params.epsilon * sq / w
 
@@ -133,7 +153,7 @@ def _p_north(params: ModelParams, r, R):
 
 def _kernel(g, m, s, q):
     """F/g and F'(g) of the profile formula F(g; m, s, q) (module docstring)."""
-    a = np.arctan(q)
+    a = _arctan(q)
     sga = s * g * a
     return 0.5 * (m * (1.0 + _atanc(q, a)) + sga), m + sga
 
@@ -156,7 +176,7 @@ def _f(params: ModelParams, r, R):
 
 def _f_r(params: ModelParams, r, R):
     e = params.epsilon
-    return -(e**3) * np.asarray(r, dtype=float) * _omega(params, r) / np.sqrt(_gap(r, R))
+    return -(e**3) * np.asarray(r, dtype=float) * _omega(params, r) / _gap(r, R)
 
 
 def _f_R(params: ModelParams, r, R):
@@ -166,8 +186,9 @@ def _f_R(params: ModelParams, r, R):
 
 def _check_profile_domain(R: float, r, *, closed: bool) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    hi = R * (1.0 + _DOMAIN_RTOL) if closed else R * (1.0 - 1e-15)
-    if np.any(r < 0.0) or np.any(r > hi) or not np.all(np.isfinite(r)):
+    # the largest float where R (1 + 1e-12) overflows, or R is NaN (min keeps its first argument)
+    hi = min(_FLOAT_MAX, R * (1.0 + _DOMAIN_RTOL) if closed else R * (1.0 - 1e-15))
+    if not ((r >= 0.0) & (r <= hi)).all():  # one mask: NaN and +-inf fail both ways
         kind = "[0, R]" if closed else "[0, R)"
         raise DomainError(f"radius must lie in {kind} with R = {R}, got {r!r}")
     return r
@@ -222,13 +243,10 @@ def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> Prof
     rr = float(_check_profile_domain(spec.R, r, closed=True))
     if hemisphere not in (+1, -1):
         raise ContractError(f"hemisphere must be +1 or -1, got {hemisphere!r}")
-    p = hemisphere * float(_p_north(spec.params, rr, spec.R))
-    return ProfileQuantities(
-        omega_r=float(_omega(spec.params, rr)),
-        p=p,
-        ell=float(_ell(p)),
-        rho=spec.params.tau * spec.params.epsilon * rr,
-    )
+    _, w, p = _pieces(spec.params, rr, spec.R)
+    p = hemisphere * float(p)
+    return ProfileQuantities(omega_r=w, p=p, ell=_ell(p),
+                             rho=spec.params.tau * spec.params.epsilon * rr)
 
 
 # -------------------------------------------------------------- radius field
@@ -240,25 +258,30 @@ def _gap_solve(m, s: float, t, what: str):
     Newton in g: F is increasing and convex, F >= m g and F >= (pi/4) s g^2, so the start
     g0 = min(|t|/m, sqrt(4|t|/(pi s))) is above the root (the root itself at s = 0), and the
     iterates descend onto it inside [0, g0], stopping on `_newton`'s 4-ulp step or bracket
-    rule.  m = 0 (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2.
-    One point (neither m nor t an array) takes g0 in Python floats, which make no numpy call
-    and overflow without a warning, and `_newton` solves it on float64 scalars.
+    rule.  m = 0 (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2
+    (a float m = 0 divides by `_divide`).  Where 4|t|/(pi s) overflows, the second bound is
+    sqrt(|t|) sqrt(4/(pi s)).  One point (neither m nor t an array) stays on Python floats,
+    start and residual, which overflow without a warning, and `_newton` solves it on them.
     """
     def residual(g):
-        f_over_g, dF = _kernel(g, m, s, s * g / m)
+        f_over_g, dF = _kernel(g, m, s, s * g / m if divides else _divide(s * g, m))
         return g * f_over_g - t, dF, False
 
+    divides = True  # arrays divide by 0 under the Newton core's errstate, floats only by numpy's
     if isinstance(m, np.ndarray) or isinstance(t, np.ndarray):
         m, t = np.broadcast_arrays(np.asarray(m, dtype=float), np.abs(t, dtype=float))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             g = t / m  # inf where m = 0 or tiny, 0/0 where t = 0 too, which fmin drops
             if s > 0.0:  # at s = 0 the second bound is 0/0 where t = 0
-                g = np.fmin(g, np.sqrt(4.0 * t / (math.pi * s)))
+                b = 4.0 * t / (c := math.pi * s)
+                g = np.fmin(g, np.where(b < np.inf, np.sqrt(b), np.sqrt(t) * math.sqrt(4.0 / c)))
     else:
-        m, t = float(m), abs(float(t))
-        g = t / m if m else math.inf
+        m, s, t = float(m), float(s), abs(float(t))
+        divides = m != 0.0
+        g = t / m if divides else math.inf
         if s > 0.0:
-            g = min(g, math.sqrt(4.0 * t / (math.pi * s)))
+            b = 4.0 * t / (c := math.pi * s)
+            g = min(g, math.sqrt(b) if b < math.inf else math.sqrt(t) * math.sqrt(4.0 / c))
     return _newton(residual, g, 0.0, g, t == 0.0, what)
 
 
@@ -281,11 +304,11 @@ def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
     R_t = 0); sqrt(R^2 - r^2), eps^3 w(r) and |p| come from the solve.
     """
     _check_point(r, t, "the radius field")
-    g, m = (float(v) for v in _radius_gap(params, r, t))
+    g, m = _radius_gap(params, r, t)
     R = float(np.hypot(r, g))
     ell = float(_ell(abs(params.sigma) * g / m))
-    R_r = r * ell / R
-    R_t = math.copysign(1.0, t) * g * ell / (m * R) if t != 0.0 else 0.0
+    R_r = _divide(r * ell, R)  # R is 0 where it underflows next to the origin
+    R_t = _divide(math.copysign(1.0, t) * g * ell, float(m) * R) if t != 0.0 else 0.0
     if not (math.isfinite(R_r) and math.isfinite(R_t)):
         raise NumericsError(f"the radius field at (r, t) = ({r!r}, {t!r}) is not finite with "
                             f"eps = {params.epsilon!r}, sigma = {params.sigma!r}")
@@ -309,19 +332,14 @@ def _radius_of(x, y):
     return np.asarray(_hypot(x, y), dtype=float)
 
 
-def _normal_components(params: ModelParams, x, y, r, t, R) -> np.ndarray:
-    """Outward unit normal at (x, y, t), with r = |z|, on the leaf R, vectorized.
-
-    Arrays or floats in, frame coefficients (..., 3) out.
-    """
-    sg = np.sign(t)
+def _normal_components(params: ModelParams, x, y, r, t, R):
+    """Outward unit normal at (x, y, t), with r = |z|, on the leaf R: frame coefficients stacked
+    (..., 3) for arrays, a tuple of three floats for floats (signed as np.sign signs t)."""
+    sg = np.sign(t) if isinstance(t, np.ndarray) else 1.0 if t > 0.0 else -1.0 if t < 0.0 else t - t
     gap, w, p = _pieces(params, r, R)
     p, q = sg * p, sg * gap / w  # q = p / (tau * eps), finite for all tau
-    out = np.empty(p.shape + (3,))  # np.stack costs more on one point
-    out[..., 0] = (x + y * p) / R
-    out[..., 1] = (y - x * p) / R
-    out[..., 2] = q / R
-    return out
+    n = ((x + y * p) / R, (y - x * p) / R, q / R)
+    return np.stack(n, axis=-1) if isinstance(p, np.ndarray) else n
 
 
 def _on_sphere_or_raise(spec: SphereSpec, point: Point, tol: float = 1e-8) -> None:
@@ -352,12 +370,12 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
     """Outward unit normal of the sphere family at any point except the origin."""
     r, t = point.r, point.t
     _check_point(r, t, "the foliation normal")
-    R = float(_radius_solve(params, r, t))  # a float R*R overflows without a warning
-    n = TangentVector.from_array(_normal_components(params, point.x, point.y, r, t, R))
-    if not (math.isfinite(n.aX) and math.isfinite(n.aY) and math.isfinite(n.aT)):
+    R = float(_radius_solve(params, r, t))  # 0 where it underflows next to the origin
+    n = _normal_components(params, point.x, point.y, r, t, R) if R else (math.nan,) * 3
+    if not (math.isfinite(n[0]) and math.isfinite(n[1]) and math.isfinite(n[2])):
         raise NumericsError(f"the foliation normal at {point} is not finite with "
                             f"eps = {params.epsilon!r}, sigma = {params.sigma!r}")
-    return n
+    return TangentVector.from_array(n)
 
 
 # ------------------------------------------------------------- area / volume
@@ -400,13 +418,13 @@ def sphere_volume(spec: SphereSpec) -> float:
 def euclidean_profile(R: float, r):
     """Limit profile sqrt(R^2 - r^2) (tau -> 0 at eps = 1)."""
     rr = _check_profile_domain(R, r, closed=True)
-    return _scalar_or_array(r, np.sqrt(_gap(rr, R)))
+    return _scalar_or_array(r, _gap(rr, R))
 
 
 def pansu_profile(sigma: float, R: float, r):
     """Sub-Riemannian limit profile (sigma/2)[R^2 acos(r/R) + r sqrt(R^2-r^2)] (`_kernel`)."""
     rr = _check_profile_domain(R, r, closed=True)
-    g = np.sqrt(_gap(rr, R))
+    g = _gap(rr, R)
     with np.errstate(divide="ignore", over="ignore"):  # r = 0 or near the least float: q = inf
         q = g / rr
     return _scalar_or_array(r, g * _kernel(g, sigma * rr, sigma, q)[0])

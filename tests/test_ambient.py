@@ -50,6 +50,18 @@ def test_tau_is_derived():
     assert abs(p.tau * p.epsilon**4 - p.sigma) <= 1e-15 * abs(p.sigma)
 
 
+@pytest.mark.parametrize("eps", [1e-78, 1e-90])
+def test_tau_that_is_not_a_finite_float_raises(eps):
+    """sigma/eps^4 is inf at eps = 1e-78 and 1/0 at 1e-90, where eps**4 underflows: a
+    DomainError naming eps and sigma, where the first gave R = r silently and the second
+    an untyped ZeroDivisionError.  At sigma = 0 tau is 0 for every eps."""
+    with pytest.raises(DomainError, match=rf"not a finite float with eps = {eps!r}, sigma = 1\.0"):
+        ModelParams(eps, 1.0)
+    with pytest.raises(DomainError, match=rf"eps = {eps!r}, sigma = -2\.0"):
+        ModelParams(eps, -2.0)
+    assert ModelParams(eps, 0.0).tau == 0.0
+
+
 def test_frame_euclidean_degeneration():
     p = ModelParams(1.0, 0.0)
     A = frame_in_coordinates(p, Point(0.3, -0.7, 2.0))

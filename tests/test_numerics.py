@@ -13,7 +13,8 @@ from scipy.optimize import brentq
 
 from heisenberg_cmc import ModelParams, NumericsError, Point, SphereSpec, profile_height
 from heisenberg_cmc import sphere
-from heisenberg_cmc._numerics import _QUAD_MAX_PANELS, _QUAD_RTOL, _gauss_legendre, _newton
+from heisenberg_cmc._numerics import (_QUAD_MAX_PANELS, _QUAD_RTOL, _divide, _gauss_legendre,
+                                      _newton)
 from heisenberg_cmc.foliation import CylinderSpec, leaf_equation, leaf_label, leaf_label_grid
 from heisenberg_cmc.isoperimetry import make_competitor
 from heisenberg_cmc.sphere import _f, _f_R, _f_over_sqrt, _quad, sphere_area, sphere_volume
@@ -331,3 +332,40 @@ def test_newton_takes_an_infinite_derivative_as_a_zero_step():
             x = newton(fun, [None], np.array([1.5]), 1.0, 2.0, np.zeros(1, dtype=bool),
                        "leaf label", point)
         assert x[0] == 1.5
+
+
+def test_newton_on_a_python_float_stays_on_floats():
+    """A Python float start runs the rule on Python floats, with no numpy scalar in its
+    bookkeeping, and returns a float: the np.float64 start's root bit for bit in as many
+    passes.  Under an error filter for every warning, since floats do not warn."""
+    for a in (1e-3, 0.5, 2.0, 27.0, 1e3):
+        roots, passes = [], []
+        for start in (15.0, np.float64(15.0)):
+            seen = []
+
+            def fun(x):
+                seen.append(type(x))
+                return x * x * x - a, 3.0 * x * x, False
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                roots.append(_newton(fun, start, 0.0, 20.0, False, "cube root"))
+            passes.append(len(seen))
+            assert set(seen) == {type(start)}
+        assert type(roots[0]) is float and type(roots[1]) is np.float64
+        assert roots[0] == roots[1] and passes[0] == passes[1]
+
+
+def test_divide_by_zero_is_numpy_division_without_a_warning():
+    """`_divide` gives numpy's quotient where a Python float raises, with no warning, and a
+    float for floats; elsewhere it is the plain quotient."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = [(1.0, 0.0, math.inf), (-2.0, 0.0, -math.inf), (1.0, -0.0, -math.inf),
+                 (3.0, 2.0, 1.5), (1.0, math.inf, 0.0)]
+        for a, b, want in cases:
+            q = _divide(a, b)
+            assert type(q) is float and q == want
+        assert math.isnan(_divide(0.0, 0.0))
+        q = _divide(np.array([1.0, 0.0, 6.0]), 0.0)
+        assert q[0] == math.inf and math.isnan(q[1]) and q[2] == math.inf

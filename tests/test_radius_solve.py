@@ -4,8 +4,9 @@ and the same for Pansu's radius; a 50-digit mpmath oracle for the root and
 for its starting bound; a sympy proof that the profile is Pansu's profile at
 a shifted radius and that one kernel evaluates both; a sympy check that
 the closed-form partials f_r and f_R are the derivatives of the profile f;
-and the parity of the single-point wrappers with the array cores, in their
-values and in the errors they raise."""
+the parity of the single-point wrappers with the array cores, in their
+values, their float types and the errors they raise; and the typed errors
+and starts where w(r) or the start's quotient overflows."""
 
 import math
 from unittest import mock
@@ -16,8 +17,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from heisenberg_cmc import (DomainError, ModelParams, Point, foliation_normal, pansu_profile,
-                            pansu_radius, radius_field, sphere)
+from heisenberg_cmc import (DomainError, ModelParams, NumericsError, Point, SphereSpec,
+                            foliation_normal, pansu_profile, pansu_radius, profile_quantities,
+                            radius_field, sphere)
 from heisenberg_cmc.sphere import _f, _f_R, _f_r, _kernel, _normal_components, _radius_solve
 
 from conftest import counting_newton_passes, mp_profile
@@ -32,15 +34,17 @@ def test_radius_solve_over_the_domain(eps, size, sign, R0, u, side):
     """Round trip to 1e-12, at most 12 Newton passes and (through the
     suite's filterwarnings setting) no RuntimeWarning, for log-uniform
     eps, |sigma| and R in [1e-8, 1e6], sigma of both signs and 0.  The
-    single-point solve, on float64 scalars, gives the one-element array
-    solve's root bit for bit in as many passes."""
+    single-point solve, on Python floats, gives the one-element array
+    solve's root bit for bit in as many passes, and every field is a float."""
     params = ModelParams(eps, sign * size)
     r = u * R0
     t = side * float(_f(params, r, R0))
     passes = []
     with counting_newton_passes(sphere, "radius solve", passes):
-        R = radius_field(params, r, t).value
+        field = radius_field(params, r, t)
         R_array = _radius_solve(params, np.array([r]), np.array([t]))
+    R = field.value
+    assert all(type(v) is float for v in (field.value, field.R_r, field.R_t))
     assert abs(R - R0) <= 1e-12 * R0
     assert R_array.shape == (1,) and R_array[0] == R
     assert passes[0] == passes[1] <= 12
@@ -53,13 +57,15 @@ def test_radius_solve_over_the_domain(eps, size, sign, R0, u, side):
 def test_foliation_normal_is_the_row_of_the_array_core(eps, size, sign, R0, u, side, theta):
     """foliation_normal on one point, which runs on floats, equals the row of
     `_normal_components` on one-element arrays bit for bit, over the domain of
-    test_radius_solve_over_the_domain."""
+    test_radius_solve_over_the_domain, and its components are floats."""
     params = ModelParams(eps, sign * size)
     r = u * R0
     point = Point(r * math.cos(theta), r * math.sin(theta), side * float(_f(params, r, R0)))
     x, y, r, t = (np.array([v]) for v in (point.x, point.y, point.r, point.t))
     row = _normal_components(params, x, y, r, t, _radius_solve(params, r, t))[0]
-    assert np.array_equal(foliation_normal(params, point).as_array(), row)
+    n = foliation_normal(params, point)
+    assert all(type(v) is float for v in (n.aX, n.aY, n.aT))
+    assert np.array_equal(n.as_array(), row)
 
 
 finite = st.floats(-1e6, 1e6)
@@ -108,6 +114,54 @@ def test_radius_solve_matches_50_digit_root(eps, sigma, R, frac):
     with mpmath.workdps(50):
         exact = mpmath.findroot(lambda x: mp_profile(eps, sigma, r, x) - t, mpmath.mpf(R))
         assert abs(float(_radius_solve(params, r, t)) - exact) <= 1e-13 * exact
+
+
+def test_numpy_scalar_parameters_give_float_fields():
+    """eps and sigma given as np.float64 give the fields of Python float parameters bit for
+    bit, and as floats: the single-point solve converts them, so no numpy scalar leaks."""
+    point = Point(0.18, 0.24, 0.2)
+    for params in (ModelParams(1e-3, 1.3), ModelParams(np.float64(1e-3), np.float64(1.3))):
+        field = radius_field(params, 0.3, 0.2)
+        n = foliation_normal(params, point)
+        assert all(type(v) is float for v in (field.value, field.R_r, field.R_t, n.aX, n.aY, n.aT))
+    assert field == radius_field(ModelParams(1e-3, 1.3), 0.3, 0.2)
+
+
+@pytest.mark.parametrize("eps", [1e-60, 1e-70])
+def test_single_points_where_w_overflows_raise(eps):
+    """Past tau eps r of about 1.3e154, w(r) overflows.  On floats that gives no warning, and
+    the solve would start at |t|/inf = 0 and return R = r (Pansu's radius is 0.5352 here), so
+    each single-point function raises NumericsError naming r, eps and sigma instead."""
+    params = ModelParams(eps, 1.0)
+    message = rf"w\(r\) overflows at r = 0\.5 with eps = {eps!r}, sigma = 1\.0"
+    with pytest.raises(NumericsError, match=message):
+        radius_field(params, 0.5, 0.1)
+    with pytest.raises(NumericsError, match=message):
+        foliation_normal(params, Point(0.5, 0.0, 0.1))
+    with pytest.raises(NumericsError, match=message):
+        profile_quantities(SphereSpec(params, 1.0), 0.5)
+
+
+def test_radius_solves_whose_start_quotient_overflows():
+    """4|t|/(pi s) overflows at these points, so sqrt(|t|) sqrt(4/(pi s)) bounds the start.
+    The radius field's root is g = 1.13e200, 332 halvings below |t|/m = 1e300, where its solve
+    ran out of passes; Pansu's radius returned inf.  Both paths give the root."""
+    params = ModelParams(1.0, 1e-100)
+    with mpmath.workdps(50):  # in units of the root's scale, as findroot's tolerance is absolute
+        t = mpmath.mpf(1e300)
+        exact = 1e200 * mpmath.findroot(lambda u: mp_profile(1.0, 1e-100, 1.0, 1e200 * u) / t - 1,
+                                        mpmath.mpf(1.13))
+    field = radius_field(params, 1.0, 1e300)
+    assert abs(field.value - exact) <= 1e-14 * exact
+    assert _radius_solve(params, np.array([1.0]), np.array([1e300]))[0] == field.value
+    with mpmath.workdps(50):
+        s = mpmath.mpf(1e-200)
+        exact = 1e250 * mpmath.findroot(
+            lambda u: s / 2 * ((1e250 * u) ** 2 * mpmath.acos(1 / (1e250 * u))
+                               + mpmath.sqrt((1e250 * u) ** 2 - 1)) / t - 1, mpmath.mpf(1.13))
+    R = pansu_radius(1e-200, 1.0, 1e300)
+    assert abs(R - exact) <= 1e-14 * exact
+    assert pansu_radius(1e-200, np.array([1.0]), np.array([1e300]))[0] == R
 
 
 def test_profile_partials_are_derivatives_of_the_profile():

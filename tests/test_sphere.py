@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -82,6 +83,27 @@ def test_profile_domain_errors(spec):
         profile_height_r(spec, spec.R)
     with pytest.raises(DomainError):
         profile_height_R(spec, spec.R)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("R", [1.0, 0.3, sys.float_info.max, -1.0, math.nan])
+def test_profile_domain_is_one_mask_for_three_conditions(R, closed):
+    """The one mask of `_check_profile_domain` raises where r < 0, r > R (1 + 1e-12) (R (1 - 1e-15)
+    on [0, R)) or r is not finite, with the same message, for floats and arrays, NaN and
+    +-inf included, also where R (1 + 1e-12) overflows and where R is negative or NaN, which
+    `euclidean_profile` and `pansu_profile` admit."""
+    hi = R * (1.0 + 1e-12) if closed else R * (1.0 - 1e-15)
+    values = [0.0, -0.0, 0.5 * R, R, hi, float(np.nextafter(hi, np.inf)), -1e-300, -abs(R),
+              sys.float_info.max, math.nan, math.inf, -math.inf]
+    kind = "[0, R]" if closed else "[0, R)"
+    for r in values + [np.array(values[:3])] + [np.array([0.1, v]) for v in values]:
+        a = np.asarray(r, dtype=float)
+        if np.any(a < 0.0) or np.any(a > hi) or not np.all(np.isfinite(a)):
+            with pytest.raises(DomainError) as err:
+                sphere._check_profile_domain(R, r, closed=closed)
+            assert str(err.value) == f"radius must lie in {kind} with R = {R}, got {a!r}"
+        else:
+            assert np.array_equal(sphere._check_profile_domain(R, r, closed=closed), a)
 
 
 def test_slope_at_center_and_sign(spec):
@@ -208,9 +230,42 @@ def test_foliation_normal_of_a_non_finite_point_raises(params):
 def test_foliation_normal_where_R_squared_overflows_raises(sigma):
     """At |z| = 1e155 the leaf radius is finite, but R*R overflows in the normal's
     sqrt(R^2 - r^2), which used to return a NaN vector.  (At sigma = 1, w(r) overflows
-    first, with a RuntimeWarning: tau eps r is past 1.3e154.)"""
+    first, since tau eps r is past 1.3e154: test_w_overflow_in_a_normal_raises.)"""
     with pytest.raises(NumericsError, match=r"not finite with eps = 1\.0, sigma = "):
         foliation_normal(ModelParams(1.0, sigma), Point(1e155, 0.0, 1.0))
+
+
+def test_foliation_normal_where_R_squared_overflows_on_the_axis_warns_of_nothing():
+    """At sigma = 0 and |t| = 1e300, R*R overflows and p = tau eps sqrt(R^2 - r^2) is 0 inf.
+    On floats that is a NaN with no `invalid value` warning, and the NumericsError for the NaN
+    normal is the only signal, under every warning filter."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"not finite with eps = 1, sigma = 0"):
+            foliation_normal(ModelParams(1, 0), Point(1, 0, 1e300))
+
+
+def test_single_points_whose_radius_underflows_raise():
+    """Next to the origin, R = hypot(0, |t|/eps^3) underflows to 0 at eps = 10: NumericsError
+    for the radius field and the normal, with no warning, where dividing a float by R = 0
+    raises ZeroDivisionError."""
+    params = ModelParams(10.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"radius field at \(r, t\) = \(0\.0, 5e-324\)"):
+            radius_field(params, 0.0, 5e-324)
+        with pytest.raises(NumericsError, match=r"normal at Point\(x=0\.0, y=0\.0, t=5e-324\)"):
+            foliation_normal(params, Point(0.0, 0.0, 5e-324))
+
+
+def test_w_overflow_in_a_normal_raises():
+    """At sigma = 1, |z| = 1e155, w(r) overflows: NumericsError for both normals, which
+    numpy only warned of before the normal came out radial."""
+    params = ModelParams(1.0, 1.0)
+    with pytest.raises(NumericsError, match=r"w\(r\) overflows at r = 1e\+155 with eps = 1\.0"):
+        foliation_normal(params, Point(1e155, 0.0, 1.0))
+    with pytest.raises(NumericsError, match=r"w\(r\) overflows at r = 0\.5 with eps = 1e-60"):
+        outer_normal(SphereSpec(ModelParams(1e-60, 1.0), 1.0), Point(0.5, 0.0, 0.1), tol=1.0)
 
 
 def test_sphere_through(params):
