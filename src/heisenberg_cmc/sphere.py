@@ -8,7 +8,9 @@ For each R > 0 the sphere is the set |t| = f(|z|; R) with profile
 
 mean curvature H = 1/(eps R), and eps*H*R = 1.  The family foliates
 R^3 minus the origin, which defines the radius field R(r, t) and the
-outward foliation normal used throughout the package.
+outward foliation normal used throughout the package.  With b = tau eps R, the area is
+2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps) arctan b] and the volume 2 pi eps^3 R^3 J(|b|),
+J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b - 1/b^3)/8, or its series below |b| = 0.1.
 
 The profile formula: in g = sqrt(R^2 - r^2), f and Pansu's sub-Riemannian profile
 (sigma/2)[R^2 acos(r/R) + r g] are one function, evaluated by `_kernel` alone,
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _divide, _newton, _quad
+from ._numerics import _divide, _newton
 from .ambient import ModelParams, Point, TangentVector
 from .errors import ContractError, DomainError, NumericsError
 
@@ -59,7 +61,9 @@ __all__ = [
 ]
 
 _DOMAIN_RTOL = 1e-12
-_FLOAT_MAX = float(np.finfo(float).max)
+_TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
+# J(b) = int_0^(pi/2) sin^3 sqrt(1 + b^2 sin^2) dphi = 2/3 + 4b^2/15 - ...: b^16 to b^0 terms
+_J_SERIES = (-6 / 1615, 16 / 3315, -14 / 2145, 4 / 429, -10 / 693, 8 / 315, -2 / 35, 4 / 15, 2 / 3)
 
 
 @dataclass(frozen=True)
@@ -259,9 +263,10 @@ def _gap_solve(m, s: float, t, what: str):
     g0 = min(|t|/m, sqrt(4|t|/(pi s))) is above the root (the root itself at s = 0), and the
     iterates descend onto it inside [0, g0], stopping on `_newton`'s 4-ulp step or bracket
     rule.  m = 0 (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2
-    (a float m = 0 divides by `_divide`).  Where 4|t|/(pi s) overflows, the second bound is
-    sqrt(|t|) sqrt(4/(pi s)).  One point (neither m nor t an array) stays on Python floats,
-    start and residual, which overflow without a warning, and `_newton` solves it on them.
+    (a float m = 0 divides by `_divide`).  Where 4|t|/(pi s) is not a normal float (it overflows
+    or underflows), the second bound is sqrt(|t|) sqrt(4/(pi s)).  One point (neither m nor t an
+    array) stays on Python floats, start and residual, which overflow without a warning, and
+    `_newton` solves it on them.
     """
     def residual(g):
         f_over_g, dF = _kernel(g, m, s, s * g / m if divides else _divide(s * g, m))
@@ -274,14 +279,15 @@ def _gap_solve(m, s: float, t, what: str):
             g = t / m  # inf where m = 0 or tiny, 0/0 where t = 0 too, which fmin drops
             if s > 0.0:  # at s = 0 the second bound is 0/0 where t = 0
                 b = 4.0 * t / (c := math.pi * s)
-                g = np.fmin(g, np.where(b < np.inf, np.sqrt(b), np.sqrt(t) * math.sqrt(4.0 / c)))
+                normal = (b >= _TINY) & (b < np.inf)
+                g = np.fmin(g, np.where(normal, np.sqrt(b), np.sqrt(t) * math.sqrt(4.0 / c)))
     else:
         m, s, t = float(m), float(s), abs(float(t))
         divides = m != 0.0
         g = t / m if divides else math.inf
         if s > 0.0:
             b = 4.0 * t / (c := math.pi * s)
-            g = min(g, math.sqrt(b) if b < math.inf else math.sqrt(t) * math.sqrt(4.0 / c))
+            g = min(g, math.sqrt(b) if _TINY <= b < math.inf else math.sqrt(t) * math.sqrt(4.0 / c))
     return _newton(residual, g, 0.0, g, t == 0.0, what)
 
 
@@ -382,34 +388,28 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
 
 
 def sphere_area(spec: SphereSpec) -> float:
-    """Riemannian area of the full sphere (both hemisphere graphs).
-
-    Integrates (1/eps) sqrt(eps^6 + f_r^2 + sigma^2 r^2) over the disk; the
-    square-root rim singularity of f_r is removed exactly by r = R sin(phi),
-    under which the integrand density becomes
-    r * sqrt(eps^6 R^2 cos^2(phi) + eps^6 r^2 w(r)^2 + sigma^2 r^2 R^2 cos^2(phi)).
-    """
-    e, s = spec.params.epsilon, spec.params.sigma
-    R = spec.R
-
-    def integrand(phi):
-        r = R * np.sin(phi)
-        w2 = 1.0 + (spec.params.tau * e * r) ** 2
-        c2 = (R * np.cos(phi)) ** 2
-        return r * np.sqrt(e**6 * c2 + e**6 * r * r * w2 + s * s * r * r * c2)
-
-    return (4.0 * math.pi / e) * _quad(integrand, 0.0, 0.5 * math.pi, "sphere area")
+    """Riemannian area of the full sphere, 2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps) arctan b]
+    with b = tau eps R = sigma R/eps^3, which is 2 pi eps^2 R^2 [1 + w(R)^2 atanc b] without
+    forming w(R)^2 (it overflows where eps is tiny)."""
+    e, R = spec.params.epsilon, float(spec.R)
+    b = float(spec.params.tau * e * R)
+    a = _arctan(b)
+    return 2.0 * math.pi * R * R * (e * e * (1.0 + _atanc(b, a)) + spec.params.sigma * R / e * a)
 
 
 def sphere_volume(spec: SphereSpec) -> float:
-    """Lebesgue volume enclosed by the sphere."""
-    R = spec.R
-
-    def integrand(phi):
-        r = R * np.sin(phi)
-        return _f(spec.params, r, R) * r * R * np.cos(phi)
-
-    return 4.0 * math.pi * _quad(integrand, 0.0, 0.5 * math.pi, "sphere volume")
+    """Lebesgue volume enclosed by the sphere, 2 pi eps^3 R^3 J(|b|), b = tau eps R, with
+    J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b - 1/b^3)/8, and below |b| = 0.1 (where that
+    cancels, by up to 6e-13 near b = 0.01) its even series through b^16 (`_J_SERIES`)."""
+    e, R = spec.params.epsilon, float(spec.R)
+    b = abs(float(spec.params.tau * e * R))
+    if b < 0.1:
+        J, b2 = 0.0, b * b
+        for c in _J_SERIES:
+            J = J * b2 + c
+    else:
+        J = (3.0 + 1.0 / (b * b) + _arctan(b) * (3.0 * b + (2.0 - 1.0 / (b * b)) / b)) / 8.0
+    return 2.0 * math.pi * (e * R) * (e * R) * (e * R) * J
 
 
 # ------------------------------------------------------------ limit profiles
@@ -425,8 +425,8 @@ def pansu_profile(sigma: float, R: float, r):
     """Sub-Riemannian limit profile (sigma/2)[R^2 acos(r/R) + r sqrt(R^2-r^2)] (`_kernel`)."""
     rr = _check_profile_domain(R, r, closed=True)
     g = _gap(rr, R)
-    with np.errstate(divide="ignore", over="ignore"):  # r = 0 or near the least float: q = inf
-        q = g / rr
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.fmax(g / rr, 0.0)  # inf at r = 0 or near the least float; 0 for 0/0 (F = 0 at g = 0)
     return _scalar_or_array(r, g * _kernel(g, sigma * rr, sigma, q)[0])
 
 

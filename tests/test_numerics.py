@@ -1,6 +1,7 @@
-"""The library's quadrature and leaf-label solver against independent oracles:
-closed forms evaluated in mpmath, and scipy's quad and brentq; and the Newton
-core's contract on residuals with known roots."""
+"""The library's quadrature, sphere area and volume and leaf-label solver against
+independent oracles: closed forms evaluated in mpmath, the area and volume integrals
+by the package's quadrature and by scipy's quad, and brentq; a sympy check of the
+first variation dA = 2H dV; and the Newton core's contract on residuals with known roots."""
 
 import math
 import warnings
@@ -8,18 +9,19 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from heisenberg_cmc import ModelParams, NumericsError, Point, SphereSpec, profile_height
-from heisenberg_cmc import sphere
 from heisenberg_cmc._numerics import (_QUAD_MAX_PANELS, _QUAD_RTOL, _divide, _gauss_legendre,
-                                      _newton)
+                                      _newton, _quad)
 from heisenberg_cmc.foliation import CylinderSpec, leaf_equation, leaf_label, leaf_label_grid
 from heisenberg_cmc.isoperimetry import make_competitor
-from heisenberg_cmc.sphere import _f, _f_R, _f_over_sqrt, _quad, sphere_area, sphere_volume
+from heisenberg_cmc.sphere import (_J_SERIES, _f, _f_R, _f_over_sqrt, sphere_area,
+                                   sphere_volume)
 
-from conftest import GRID
+from conftest import GRID, mp_profile
 
 
 def closed_form_area(eps, sigma, R):
@@ -34,19 +36,119 @@ def closed_form_area(eps, sigma, R):
         return float((2 * mpmath.pi / e) * R * R * (e**3 + q * ratio))
 
 
-def test_sphere_area_matches_closed_form():
+def closed_form_volume(eps, sigma, R):
+    """(pi/4) R^3 q [x sqrt(1 - x^2)(2x^2 + 1) + (4x^2 - 1) asin(x)] / x^3, with q and x as
+    in `closed_form_area` (the volume integral in u = cos(phi), which sympy integrates), and
+    4 pi eps^3 R^3/3 at sigma = 0.  The bracket cancels to O(x^3), so the working precision
+    is 40 digits plus three times the digits of 1/|b|, b = sigma R/eps^3 (x = |b|/sqrt(1 + b^2))."""
+    if sigma == 0:
+        with mpmath.workdps(40):
+            return float(4 * mpmath.pi * mpmath.mpf(eps) ** 3 * mpmath.mpf(R) ** 3 / 3)
+    lost = max(0, math.ceil(-math.log10(abs(sigma) * R / eps**3)))
+    with mpmath.workdps(40 + 3 * lost):
+        e, s, R = mpmath.mpf(eps), mpmath.mpf(sigma), mpmath.mpf(R)
+        q = mpmath.sqrt(e**6 + s * s * R * R)
+        x = abs(s) * R / q
+        bracket = x * mpmath.sqrt(1 - x * x) * (2 * x * x + 1) + (4 * x * x - 1) * mpmath.asin(x)
+        return float(mpmath.pi / 4 * R**3 * q * bracket / x**3)
+
+
+def closed_form_specs():
+    """300 specs with eps, |sigma| and R log-uniform in [1e-3, 1e3], sigma of each sign and 0,
+    plus |b| = |tau eps R| = 0.0999, 0.1 and 0.1001 on both sides of the volume's series switch."""
     rng = np.random.default_rng(2026)
-    worst = 0.0
+    specs = []
     for k in range(300):
         eps, sigma, R = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 3))
         if k % 5 == 0:
             sigma = 0.0
         elif k % 2 == 0:
             sigma = -sigma
-        exact = closed_form_area(eps, sigma, R)
-        area = sphere_area(SphereSpec(ModelParams(float(eps), float(sigma)), float(R)))
-        worst = max(worst, abs(area - exact) / exact)
-    assert worst <= 1e-12
+        specs.append(SphereSpec(ModelParams(float(eps), float(sigma)), float(R)))
+    for b in (0.0999, 0.1, 0.1001, -0.0999, -0.1, -0.1001):
+        specs.append(SphereSpec(ModelParams(1.0, b), 1.0))
+        specs.append(SphereSpec(ModelParams(0.5, b * 0.125 / 3.0), 3.0))
+    return specs
+
+
+def quad_area(spec):
+    """The area integral: (1/eps) sqrt(eps^6 + f_r^2 + sigma^2 r^2) over the disk, by the
+    package's quadrature.  The square-root rim singularity of f_r is removed exactly by
+    r = R sin(phi), under which the integrand density becomes
+    r * sqrt(eps^6 R^2 cos^2(phi) + eps^6 r^2 w(r)^2 + sigma^2 r^2 R^2 cos^2(phi))."""
+    e, s = spec.params.epsilon, spec.params.sigma
+    R = spec.R
+
+    def integrand(phi):
+        r = R * np.sin(phi)
+        w2 = 1.0 + (spec.params.tau * e * r) ** 2
+        c2 = (R * np.cos(phi)) ** 2
+        return r * np.sqrt(e**6 * c2 + e**6 * r * r * w2 + s * s * r * r * c2)
+
+    return (4.0 * math.pi / e) * _quad(integrand, 0.0, 0.5 * math.pi, "sphere area")
+
+
+def quad_volume(spec):
+    """The volume integral 4 pi int_0^R f r dr at r = R sin(phi), by the package's quadrature."""
+    R = spec.R
+
+    def integrand(phi):
+        r = R * np.sin(phi)
+        return _f(spec.params, r, R) * r * R * np.cos(phi)
+
+    return 4.0 * math.pi * _quad(integrand, 0.0, 0.5 * math.pi, "sphere volume")
+
+
+def test_sphere_area_matches_closed_form():
+    worst = 0.0
+    for spec in closed_form_specs():
+        exact = closed_form_area(spec.params.epsilon, spec.params.sigma, spec.R)
+        worst = max(worst, abs(sphere_area(spec) - exact) / exact)
+    assert worst <= 1e-14
+
+
+def test_sphere_volume_matches_closed_form():
+    worst = 0.0
+    for spec in closed_form_specs():
+        exact = closed_form_volume(spec.params.epsilon, spec.params.sigma, spec.R)
+        worst = max(worst, abs(sphere_volume(spec) - exact) / exact)
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("eps,sigma,R", [(1.0, 1.0, 1.0), (0.05, 2.0, 1.5), (2.0, -0.3, 0.4),
+                                         (1e-3, 1e-3, 10.0), (1.0, 0.0, 2.0)])
+def test_volume_oracle_is_the_volume_integral(eps, sigma, R):
+    """`closed_form_volume` is 4 pi int_0^R f r dr of the paper's profile, in 30 digits."""
+    with mpmath.workdps(30):
+        val = 4 * mpmath.pi * mpmath.quad(lambda r: mp_profile(eps, sigma, r, R) * r, [0, R])
+    assert closed_form_volume(eps, sigma, R) == pytest.approx(float(val), rel=1e-15, abs=0.0)
+
+
+def test_area_and_volume_match_their_quadratures():
+    for spec in closed_form_specs():
+        assert sphere_area(spec) == pytest.approx(quad_area(spec), rel=1e-12, abs=0.0)
+        assert sphere_volume(spec) == pytest.approx(quad_volume(spec), rel=1e-12, abs=0.0)
+
+
+def test_area_and_volume_obey_the_first_variation():
+    """dA/dR = 2H dV/dR with H = 1/(eps R), for the closed forms of `sphere_area` and
+    `sphere_volume` in b = sigma R/eps^3, exactly."""
+    e, s, R, b = sp.symbols("epsilon sigma R b", positive=True)
+    J = sp.Rational(3, 8) + 1 / (8 * b**2) + sp.atan(b) * (3 * b + 2 / b - 1 / b**3) / 8
+    bR = s * R / e**3
+    A = 2 * sp.pi * R**2 * (e**2 * (1 + sp.atan(bR) / bR) + s * R / e * sp.atan(bR))
+    V = 2 * sp.pi * e**3 * R**3 * J.subs(b, bR)
+    assert sp.simplify(sp.diff(A, R) - 2 / (e * R) * sp.diff(V, R)) == 0
+
+
+def test_volume_series_is_the_closed_form_to_b16():
+    """`_J_SERIES` holds the Taylor coefficients of J(b) in b^2, highest first."""
+    b = sp.symbols("b", positive=True)
+    J = sp.Rational(3, 8) + 1 / (8 * b**2) + sp.atan(b) * (3 * b + 2 / b - 1 / b**3) / 8
+    series = sp.series(J, b, 0, 18).removeO()
+    coefficients = [series.coeff(b, 2 * k) for k in range(8, -1, -1)]
+    assert [float(c) for c in coefficients] == list(_J_SERIES)
+    assert all(series.coeff(b, 2 * k + 1) == 0 for k in range(9))
 
 
 def test_sphere_volume_matches_scipy_quad():
@@ -179,11 +281,11 @@ def test_no_intervals_give_no_integrals():
 ])
 def test_one_interval_is_bit_identical_to_the_single_interval_quad(monkeypatch, eps, sigma, R):
     spec = SphereSpec(ModelParams(eps, sigma), R)
-    area, volume = sphere_area(spec), sphere_volume(spec)
+    area, volume = quad_area(spec), quad_volume(spec)
     kink = _quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "kink")
     batched = _quad(lambda x, row: np.abs(x - 0.3), np.array([0.0]), np.array([1.0]), "kink")
-    monkeypatch.setattr(sphere, "_quad", _single_interval_quad)
-    assert area == sphere_area(spec) and volume == sphere_volume(spec)
+    monkeypatch.setitem(globals(), "_quad", _single_interval_quad)
+    assert area == quad_area(spec) and volume == quad_volume(spec)
     assert kink == batched[0] == _single_interval_quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "k")
 
 

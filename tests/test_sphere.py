@@ -322,6 +322,22 @@ def test_area_volume_euclidean_limit():
     assert abs(sphere_volume(spec) - 4.0 * math.pi / 3.0) <= 1e-4
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-20, 1e-40, 1e-60, 1e-76])
+def test_area_and_volume_tend_to_pansu_sphere(eps):
+    """The sub-Riemannian limit: eps A/2 -> pi^2 |sigma| R^3/2 and V -> 3 pi^2 |sigma| R^4/8,
+    the volume inside Pansu's profile; at these eps both are there to rounding, and no
+    intermediate overflows (w(R)^2 would from eps = 1e-60 on)."""
+    for sigma, R in ((1.0, 1.0), (2.5, 0.3), (-0.7, 4.0)):
+        spec = SphereSpec(ModelParams(eps, sigma), R)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            area, volume = sphere_area(spec), sphere_volume(spec)
+        half_area = math.pi**2 * abs(sigma) * R**3 / 2.0
+        pansu_volume = 3.0 * math.pi**2 * abs(sigma) * R**4 / 8.0
+        assert abs(eps * area / 2.0 - half_area) <= 1e-14 * half_area
+        assert abs(volume - pansu_volume) <= 1e-14 * pansu_volume
+
+
 def test_volume_strictly_increasing_in_R(params):
     Rs = np.linspace(0.4, 2.4, 9)
     vols = [sphere_volume(SphereSpec(params, R)) for R in Rs]
@@ -428,6 +444,28 @@ def test_pansu_radius_on_the_plane_where_sigma_r_underflows():
     r = 1e-320
     assert pansu_radius(1e-8, r, 0.0) == r
     assert pansu_radius(1e-8, np.array([r, 0.5]), np.array([0.0, -0.0])).tolist() == [r, 0.5]
+
+
+def test_pansu_radius_where_the_start_quotient_underflows():
+    """On the axis with |t| = 5e-324, 4|t|/(pi sigma) underflows to 0, so the start takes
+    sqrt(|t|) sqrt(4/(pi sigma)): R = sqrt(4|t|/(pi sigma)) = 2.5e-167 on both paths, not 0."""
+    with mpmath.workdps(50):
+        exact = float(mpmath.sqrt(4 * mpmath.mpf(5e-324) / (mpmath.pi * mpmath.mpf(1e10))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = pansu_radius(1e10, 0.0, 5e-324)
+        radii = pansu_radius(1e10, np.array([0.0, 0.0]), np.array([5e-324, -5e-324]))
+    assert abs(R - exact) <= 1e-15 * exact
+    assert radii.tolist() == [R, R]
+
+
+def test_pansu_profile_where_R_squared_underflows():
+    """R = 2.5e-167 on the axis: R^2 underflows, so g = 0 and q = g/r is 0/0; the profile is
+    0 (F = 0 at g = 0, where sigma pi R^2/4 = 4.9e-323 is below the least normal float)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pansu_profile(1e10, 2.5e-167, 0.0) == 0.0
+        assert pansu_profile(1e10, 2.5e-167, np.array([0.0, 2.5e-167])).tolist() == [0.0, 0.0]
 
 
 def test_profile_converges_to_pansu_as_eps_shrinks():
