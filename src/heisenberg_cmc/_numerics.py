@@ -16,10 +16,10 @@ _FLOATS = contextlib.nullcontext()  # a Python float start's `np.errstate`: floa
 
 
 def _divide(a, b):
-    """a / b, by numpy without a warning only where b = 0 (+-inf, nan at a = 0): floats raise."""
-    if isinstance(b, np.ndarray) or b:
+    """a / b; numpy's +-inf (nan at a = 0) where b = 0, and an array b, divide without a warning."""
+    if not isinstance(b, np.ndarray) and b:
         return a / b
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         q = np.divide(a, b)
     return q if isinstance(q, np.ndarray) else float(q)
 

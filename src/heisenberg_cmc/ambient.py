@@ -7,11 +7,12 @@ eps > 0 and sigma (twist), the orthonormal left-invariant frame is
     Y = (1/eps) (d_y - sigma*x d_t),
     T = eps^2 d_t,
 
-with tau = sigma / eps^4, so that [X, Y] = -2*tau*T and
-[X, T] = [Y, T] = 0.  The metric makes (X, Y, T) orthonormal; its volume
-is the Lebesgue measure of R^3 for every (eps, sigma).  sigma -> 0 at
-eps = 1 degenerates to flat Euclidean space; tau = 0 is admitted here even
-though the group is then abelian, so that limit regimes can be evaluated.
+with tau = sigma / eps^4, so that [X, Y] = -2*tau*T and [X, T] = [Y, T] = 0.  tau
+overflows as eps -> 0, so only curvature reads it (here, `curvature`, `jacobi_potential`,
+`meridian_geodesic_residual`); the profile layer (`sphere`) takes eps^3 and sigma alone.
+The metric makes (X, Y, T) orthonormal; its volume is the Lebesgue measure of R^3 for every
+(eps, sigma).  sigma -> 0 at eps = 1 degenerates to flat Euclidean space; tau = 0 is admitted
+here even though the group is then abelian, so that limit regimes can be evaluated.
 
 Tangent vectors are stored as coefficients on (X, Y, T); in that basis the
 metric is the identity and the Levi-Civita connection reduces to the
@@ -49,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Metric family (eps, sigma); the twist tau = sigma/eps^4 is derived."""
+    """Metric family (eps, sigma), eps > 0 and sigma finite; tau = sigma/eps^4 is derived."""
 
     epsilon: float
     sigma: float
@@ -59,20 +60,18 @@ class ModelParams:
             raise DomainError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not math.isfinite(self.sigma):
             raise DomainError(f"sigma must be finite, got {self.sigma!r}")
-        try:
-            finite = abs(self.tau) < math.inf  # checked once here, not in the hot property
-        except OverflowError:  # eps**4
-            finite = False
-        if not finite:
-            raise DomainError(f"tau = sigma/eps^4 is not a finite float with "
-                              f"eps = {self.epsilon!r}, sigma = {self.sigma!r}")
 
     @property
     def tau(self) -> float:
+        """sigma/eps^4 for curvature; 0 where eps^4 overflows, DomainError where not finite."""
         try:
-            return self.sigma / self.epsilon**4
-        except ZeroDivisionError:  # eps**4 underflows: tau is 0 at sigma = 0, else inf
-            return math.inf if self.sigma else 0.0
+            tau = self.sigma / self.epsilon**4
+        except (OverflowError, ZeroDivisionError):  # eps**4 overflows, or underflows to 0
+            tau = 0.0 if self.epsilon > 1.0 or not self.sigma else math.inf
+        if abs(tau) < math.inf:
+            return tau
+        raise DomainError(f"tau = sigma/eps^4 is not a finite float with "
+                          f"eps = {self.epsilon!r}, sigma = {self.sigma!r}")
 
     @classmethod
     def from_tau(cls, epsilon: float, tau: float) -> "ModelParams":

@@ -148,6 +148,15 @@ def _count(n, what: str) -> int:
 def cmd_sphere(args: argparse.Namespace) -> int:
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "n": 200})
     spec = _spec_from(args)
+    summary = {  # first: its tau, area and volume raise before any file is written
+        "epsilon": args.epsilon,
+        "sigma": args.sigma,
+        "tau": spec.params.tau,
+        "R": spec.R,
+        "H": spec.H,
+        "area": sphere_area(spec),
+        "volume": sphere_volume(spec),
+    }
     n = _count(args.n, "profile row count")
     sweep_n = _count(args.sweep_n, "sweep count")
     # open grid: the radial derivative diverges at the rim r = R
@@ -158,11 +167,11 @@ def cmd_sphere(args: argparse.Namespace) -> int:
                    np.column_stack((rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs))))
     if args.limits_out:
         _write_csv(args.limits_out, ["r", "f", "euclidean", "pansu"], np.column_stack(
-            (rs, f, euclidean_profile(spec.R, rs), pansu_profile(args.sigma, spec.R, rs))))
+            (rs, f, euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs))))
     if args.curvature_out:
         h, kappa1, kappa2 = _shape(spec, rs)
         c = _frame_coefficients(spec, rs, f)[2]
-        k0 = assemble_corrected_shape(spec.H, spec.params.tau, h, c)
+        k0 = assemble_corrected_shape(spec.H, summary["tau"], h, c)
         _write_csv(args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"],
                    np.column_stack((rs, kappa1, kappa2, k0.k0_norm)))
     if args.sweep_out:
@@ -172,15 +181,6 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         sweep = [SphereSpec(spec.params, float(R)) for R in radii]
         _write_csv(args.sweep_out, ["R", "area", "volume"],
                    np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep]))
-    summary = {
-        "epsilon": args.epsilon,
-        "sigma": args.sigma,
-        "tau": spec.params.tau,
-        "R": spec.R,
-        "H": spec.H,
-        "area": sphere_area(spec),
-        "volume": sphere_volume(spec),
-    }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

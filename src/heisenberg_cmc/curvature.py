@@ -34,7 +34,7 @@ from .ambient import (
     vector_to_coordinates,
 )
 from .errors import ContractError, DomainError
-from .sphere import SphereSpec, _omega, _on_sphere_or_raise, _pieces, foliation_normal, outer_normal
+from .sphere import SphereSpec, _mass, _on_sphere_or_raise, _pieces, foliation_normal, outer_normal
 
 __all__ = [
     "TangentFrame",
@@ -98,15 +98,15 @@ def _frame_coefficients(spec: SphereSpec, r, t):
     """a, b, c and the hemisphere-signed p of the adapted frame at radii r and
     heights t on the sphere, broadcasting.  a and b are infinite at the
     poles, where the frame is undefined; c vanishes there."""
-    params, R = spec.params, spec.R
+    params, R, e = spec.params, spec.R, spec.params.epsilon
     r = np.asarray(r, dtype=float)
     sg = np.where(np.asarray(t) >= 0.0, 1.0, -1.0)
-    gap, w_r, p = _pieces(params, r, R)
-    w_R = _omega(params, R)
+    gap, m_r, p = _pieces(params, r, R)
+    m_R = _mass(params, R)
     with np.errstate(divide="ignore"):
-        a = w_r / (r * w_R)
-        b = sg * gap / (r * R * w_R)
-    return a, b, r * w_R / (R * w_r), sg * p
+        a = m_r / (r * m_R)
+        b = sg * (e * e * e) * gap / (r * R * m_R)
+    return a, b, r * m_R / (R * m_r), sg * p
 
 
 def _frame_vectors(x, y, a, b, c, p):

@@ -34,7 +34,7 @@ import numpy as np
 from ._numerics import _ULP, _newton
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
-from .sphere import SphereSpec, _f, _f_r, _kernel, _omega, _radius_of, profile_height
+from .sphere import SphereSpec, _f, _f_r, _kernel, _mass, _radius_of, profile_height
 
 __all__ = [
     "CylinderSpec",
@@ -100,10 +100,10 @@ class VerticalBound:
 
 
 def foliation_constants(spec: SphereSpec) -> FoliationConstants:
-    """k = eps^3 w(R) sqrt(R) and the two deficit constants built from it."""
+    """k = m(R) sqrt(R) = eps^3 w(R) sqrt(R) and the two deficit constants built from it."""
     e = spec.params.epsilon
     R = spec.R
-    k = e**3 * float(_omega(spec.params, R)) * math.sqrt(R)
+    k = _mass(spec.params, R) * math.sqrt(R)
     f0 = float(profile_height(spec, 0.0))
     c = 1.0 / (4.0 * math.pi * e * R**3 * (R * k + f0))
     d = 1.0 / (12.0 * e * math.pi**2 * R**5 * (4.0 * R * k * k + f0 * f0))
@@ -133,41 +133,42 @@ def _chord(cyl: CylinderSpec, r: np.ndarray, y):
     return s, np.sqrt(s[0] * s[0] + r * r)
 
 
-def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, w: np.ndarray, y):
-    """(s_r, s_cut), (f(r; lam), f(r_cut; lam)) and dF/dy at the chord y; `w` stacks w(r), w(r_cut).
-    f(rho; lam) = s_rho F/g and F' from `sphere._kernel` at g = s_rho, m = eps^3 w, q = p_rho;
+def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, m: np.ndarray, y):
+    """(s_r, s_cut), (f(r; lam), f(r_cut; lam)) and dF/dy at the chord y; `m` stacks m(r), m(r_cut).
+    f(rho; lam) = s_rho F/g and F' from `sphere._kernel` at g = s_rho, m, q = p_rho = sigma s_rho/m;
     dF/dy = (s_r F'_cut - s_cut F'_r)/y, finite as s_cut -> 0; F_lam = -lam y dF/dy/(s_r s_cut)."""
-    params = cyl.params
+    sigma = cyl.params.sigma
     s = _chord(cyl, r, y)[0]
-    p = params.tau * params.epsilon * s / w
-    f_over_s, dF = _kernel(s, params.epsilon**3 * w, params.sigma, p)
+    f_over_s, dF = _kernel(s, m, sigma, sigma * s / m)
     return s, s * f_over_s, (s[0] * dF[1] - s[1] * dF[0]) / y
 
 
 def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
-    """Root lam > R of the leaf equation below the graph; also its chord and w(r), w(r_cut).
+    """Root lam > R of the leaf equation below the graph; also its chord and m(r), m(r_cut).
 
     Newton in the chord y (`_chord`), which falls from y_max at lam = R to 0 as lam -> inf.
-    D(y) = f(r; lam) - f(r_cut; lam) is eps^3 times the integral of w over [s_cut, s_r] and
-    w rises, so the root of D(y) = t - t_cut lies in [(t - t_cut)/(eps^3 w(r_cut)),
-    (t - t_cut)/(eps^3 w(r))] and below y_max; at sigma = 0 that bracket is the root.  D is
-    convex in y, so its slope at y = 0, eps^3 (2/3)(w_r^2 + w_r w_cut + w_cut^2)/(w_r + w_cut),
-    gives a start above the root, and Newton descends without overshooting.  A point has
-    converged when |F| is at the rounding level of its terms (far above one ulp of lam at
-    deep points).  Labels are at least the float after R, within one ulp of the root when
-    the point sits a rounding error below the graph.  NumericsError where lam^2 overflows.
+    D(y) = f(r; lam) - f(r_cut; lam) is the integral of m over [s_cut, s_r] and m rises, so
+    the root of D(y) = t - t_cut lies in [(t - t_cut)/m(r_cut), (t - t_cut)/m(r)] and below
+    y_max; at sigma = 0 that bracket is the root.  D is convex in y, so its slope at y = 0,
+    (2/3)(m_r^2 + m_r m_cut + m_cut^2)/(m_r + m_cut), gives a start above the root, and Newton
+    descends without overshooting (in u = m_r/m_cut, so a rise of the least float rounds onto
+    the low end).  A point has converged when |F| is at the rounding level of its terms (far
+    above one ulp of lam at deep points).  Labels are at least the float after R, within one
+    ulp of the root when the point sits a rounding error below the graph.  NumericsError where
+    lam^2 overflows.
     """
     R, r_cut = cyl.R, cyl.r_cut
-    w = _omega(cyl.params, np.stack((r, np.full_like(r, r_cut))))
-    rise = (t - cyl.t_cut) / cyl.params.epsilon**3
+    m = _mass(cyl.params, np.stack((r, np.full_like(r, r_cut))))
+    u = m[0] / m[1]
+    rise = (t - cyl.t_cut) / m[1]
     both_R = np.sqrt((R - r) * (R + r)) + math.sqrt((R - r_cut) * (R + r_cut))  # s_r + s_cut at R
-    hi = np.minimum(rise / w[0], (r_cut - r) * (r_cut + r) / both_R)  # and below y at lam = R
-    lo = np.minimum(rise / w[1], hi)
-    start = np.clip(1.5 * rise * (w[0] + w[1]) / (w[0] * w[0] + w[0] * w[1] + w[1] * w[1]), lo, hi)
+    hi = np.minimum(rise / u, (r_cut - r) * (r_cut + r) / both_R)  # and below y at lam = R
+    lo = np.minimum(rise, hi)
+    start = np.clip(rise * (1.5 * (u + 1.0) / (u * u + u + 1.0)), lo, hi)
     t_size = abs(cyl.t_cut) + np.abs(t)
 
     def residual(y):
-        _, f, dF = _leaf_terms(cyl, r, w, y)
+        _, f, dF = _leaf_terms(cyl, r, m, y)
         F = f[0] - f[1] + cyl.t_cut - t
         scale = np.abs(f[0]) + np.abs(f[1]) + t_size
         return F, dF, np.abs(F) <= 16.0 * _ULP * scale
@@ -180,7 +181,7 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
         raise NumericsError(
             f"the leaf label's square overflows at (r, t) = {float(r[i]), float(t[i])} with "
             f"eps = {cyl.params.epsilon!r}, sigma = {cyl.params.sigma!r}, R = {R!r}")
-    return np.maximum(lam, np.nextafter(R, np.inf)), y, w
+    return np.maximum(lam, np.nextafter(R, np.inf)), y, m
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -249,15 +250,15 @@ def _field(cyl: CylinderSpec, x, y, t, above=None):
     up, down = ok & (depth <= 0.0), ok & (depth > 0.0)
     u_r, u_t = np.zeros_like(r), np.full_like(r, -1.0)
     u_r[up] = _f_r(params, r[up], R)
-    _, chord, w = _label_below(cyl, r[down], t[down])
-    (s_r, _), _, dF = _leaf_terms(cyl, r[down], w, chord)
+    _, chord, m = _label_below(cyl, r[down], t[down])
+    (s_r, _), _, dF = _leaf_terms(cyl, r[down], m, chord)
     if not np.all(dF > 0.0):  # F_lam = -lam y dF/dy / (s_r s_cut) < 0, unless rounding swallowed it
         i = np.flatnonzero(down)[~(dF > 0.0)][0]
         raise NumericsError(
             f"the leaf equation's lam-derivative is lost to rounding at (x, y, t) = "
             f"({float(x[i])!r}, {float(y[i])!r}, {float(t[i])!r}) "
             f"with eps = {e!r}, sigma = {s!r}, R = {R!r}")
-    u_r[down] = -(e**3) * r[down] * w[0] / s_r  # f_r(r; lam)
+    u_r[down] = -r[down] * m[0] / s_r  # f_r(r; lam)
     r_safe = np.where(r > 0.0, r, 1.0)  # x = y = 0 where r = 0
     g = np.stack(((u_r * x / r_safe + s * y * u_t) / e,
                   (u_r * y / r_safe - s * x * u_t) / e,

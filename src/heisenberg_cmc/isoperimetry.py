@@ -403,7 +403,7 @@ def normal_component(spec: SphereSpec, which: str, point):
     """Inner product of a right-invariant frame field with the sphere normal.
 
     which = 'x', 'y', or 't'.  Closed forms (x - y p)/R, (y + x p)/R, and
-    sgn(t) sqrt(R^2-r^2) / (w(r) R); each solves the Jacobi equation on the
+    sgn(t) eps^3 sqrt(R^2-r^2) / (m(r) R); each solves the Jacobi equation on the
     sphere.  `point` is a Point, which gives a float, or a triple (x, y, t)
     of broadcastable arrays, which gives an array.
     """
@@ -414,13 +414,13 @@ def normal_component(spec: SphereSpec, which: str, point):
     x, y, t = (np.asarray(v, dtype=float) for v in point)
     R = spec.R
     sg = np.sign(t)
-    gap, w, p = _pieces(spec.params, np.hypot(x, y), R)
+    gap, m, p = _pieces(spec.params, np.hypot(x, y), R)
     p = p * sg
     if which == "x":
         return (x - y * p) / R
     if which == "y":
         return (y + x * p) / R
-    return sg * gap / (w * R)
+    return sg * gap * (spec.params.epsilon**3 / m) / R
 
 
 def stable_hemispheres(spec: SphereSpec) -> dict:

@@ -6,18 +6,17 @@ tangent to each sphere and vanishes exactly on the center axis and the
 equatorial plane; the normalized, sign-corrected field
 
     M = sgn(t) * nabla_N N / |nabla_N N|
-      = (x lam - y mu) X + (y lam + x mu) Y - (mu / tau eps) T,
-    lam = sgn(t) sqrt(R^2-r^2) / (r R),   mu = tau eps r / (R w(r)),
+      = (x lam - y mu) X + (y lam + x mu) Y - nu T,
+    lam = sgn(t) sqrt(R^2-r^2) / (r R),   mu = sigma r / (R m(r)),   nu = eps^3 r / (R m(r)),
 
-extends smoothly across the equator and satisfies
-nabla_M M = -(H / w(r)^2) N, so its integral curves are intrinsic
-geodesics of the sphere running from the north to the south pole.  They
-have a closed form in the angle phi with r = R sin(phi), which
-`meridian_curve` samples; `integrate_meridian` integrates the field by
-Runge-Kutta as its independent oracle.  Both evaluate the field through
-the one array core `_lam_mu`, and both place points on the sphere through
-the one chart `_chart`, in which the sphere is a circle and phi is the
-polar angle: the integrator retracts each step onto the sphere there.
+with m(r) = hypot(eps^3, sigma r) = eps^3 w(r), extends smoothly across the equator and
+satisfies nabla_M M = -(H / w(r)^2) N, so its integral curves are intrinsic geodesics of the
+sphere running from the north to the south pole.  They have a closed form in the angle phi
+with r = R sin(phi), which `meridian_curve` samples; `integrate_meridian` integrates the field by
+Runge-Kutta as its independent oracle.  Both evaluate the field through the one array core
+`_lam_mu`, and both place points on the sphere through the one chart `_chart`, in which the
+sphere is a circle and phi is the polar angle: the integrator retracts each step onto the
+sphere there.
 
 Two limit fields are provided: the Euclidean meridian field (sigma -> 0
 at eps = 1) and the horizontal field tangent to the sub-Riemannian limit
@@ -33,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _divide
 from .ambient import ModelParams, Point, TangentVector, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
@@ -41,13 +41,14 @@ from .sphere import (
     _f,
     _f_over_sqrt,
     _gap,
+    _mass,
     _normal_components,
-    _omega,
     _on_sphere_or_raise,
     _p_north,
     _pieces,
     _radius_of,
     _radius_solve,
+    _require_finite,
     pansu_radius,
 )
 
@@ -86,62 +87,56 @@ def _require_off_axis(point: Point) -> None:
         raise DomainError("operation undefined on the center axis z = 0")
 
 
-def _leaf_terms(params: ModelParams, point: Point) -> tuple[float, float, float, float, float]:
-    """R, p signed by the hemisphere, ell(p), w(r) and w(R) of the leaf through the point."""
+def _leaf_terms(params: ModelParams, point: Point) -> tuple[float, float, float, float]:
+    """R, p signed by the hemisphere, ell(p) and m(r) of the leaf through the point."""
     R = float(_radius_solve(params, point.r, point.t))
     p = float(np.sign(point.t)) * float(_p_north(params, point.r, R))
-    return R, p, float(_ell(p)), float(_omega(params, point.r)), float(_omega(params, R))
+    return R, p, float(_ell(p)), _mass(params, point.r)
 
 
 def normal_derivatives(params: ModelParams, point: Point) -> tuple[float, float]:
     """Derivatives along the foliation normal of the leaf radius R and of p.
 
-    N R = ell(p) / eps and
-    N p = eps tau^2 (R^2 w(r)^2 ell(p) - r^2 w(R)^2) / (R w(r)^4 p),
-    the latter extended by 0 across the equatorial plane t = 0 where p
-    vanishes identically along the normal direction.
+    N R = ell(p) / eps and, by N p = R D + p N R / R with D = N(p/R) of
+    `normal_acceleration`, N p = (p ell - (sigma r/m(r))^2 (ell arctan p + p)) / (eps R),
+    which is 0 on the equatorial plane t = 0, where p vanishes identically along the
+    normal direction; NumericsError where either is not finite.
     """
     if point.r == 0.0 and point.t == 0.0:
         raise DomainError("normal derivatives are undefined at the origin")
-    e, tau = params.epsilon, params.tau
-    R, p, ell, w, wR = _leaf_terms(params, point)
-    nr = ell / e
-    if point.t == 0.0 or tau == 0.0:
-        return nr, 0.0
-    npv = e * tau * tau * (R * R * w * w * ell - point.r**2 * wR * wR) / (R * w**4 * p)
-    return nr, npv
+    e = params.epsilon
+    R, p, ell, m = _leaf_terms(params, point)
+    c = _divide(params.sigma * point.r, m)  # 0/0 on the axis only where eps^3 underflows
+    npv = (p * ell - c * c * (ell * math.atan(p) + p)) / (e * R)
+    return _require_finite((ell / e, npv), params, "the normal derivatives at {}", point)
 
 
 def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
     """nabla_N N: how far the normal lines are from ambient geodesics.
 
-    Closed form D * [(y + x Phi) X - (x - y Phi) Y + (1/tau eps) T] with
-    Phi = -w(r)^2 p / (tau eps r)^2 and D the normal derivative of p/R;
-    identically zero on the equatorial plane and in the Euclidean
-    degeneration tau = 0.
+    Closed form D * [(y + x Phi) X - (x - y Phi) Y + (eps^3/sigma) T] with
+    Phi = -m(r)^2 p / (sigma r)^2 and D = N(p/R) = -sigma^2 r^2 (ell arctan p + p) /
+    (eps R^2 m(r)^2), a sum of like-signed terms (m(R)^2 - ell m(r)^2 = m(r)^2 (ell p
+    arctan p + p^2)); identically zero on the equatorial plane and in the Euclidean
+    degeneration sigma = 0.  NumericsError where it is not finite.
     """
     _require_off_axis(point)
-    e, tau = params.epsilon, params.tau
-    if point.t == 0.0 or tau == 0.0:
+    e, s, r = params.epsilon, params.sigma, point.r
+    if point.t == 0.0 or s == 0.0:
         return TangentVector(0.0, 0.0, 0.0)
-    r = point.r
-    R, p, ell, w, wR = _leaf_terms(params, point)
-    # D = N(p/R) = (R Np - p NR)/R^2
-    d = -e * tau * tau * r * r * (wR * wR - ell * w * w) / (R * R * w**4 * p)
-    phi = -(w * w * p) / (tau * e * r) ** 2
-    return TangentVector(
-        d * (point.y + point.x * phi),
-        -d * (point.x - point.y * phi),
-        d / (tau * e),
-    )
+    R, p, ell, m = _leaf_terms(params, point)
+    d = -s * s * r * r * (ell * math.atan(p) + p) / (e * R * R * m * m)
+    phi = -(m * m * p) / ((s * r) * (s * r))
+    n = (d * (point.y + point.x * phi), -d * (point.x - point.y * phi), d * (e * e * e) / s)
+    return TangentVector(*_require_finite(n, params, "the normal acceleration at {}", point))
 
 
 def _lam_mu(params: ModelParams, r, t, R):
-    """lam, mu, m = mu/(tau eps) and w(r), broadcasting; m stays finite through tau = 0."""
-    gap, w, _ = _pieces(params, r, R)
+    """lam, mu, nu and m(r), broadcasting; nu = eps^3 r/(R m) stays finite through sigma = 0."""
+    gap, m, _ = _pieces(params, r, R)
+    e, c = params.epsilon, r / (R * m)
     lam = np.sign(t) * gap / (r * R)
-    m = r / (R * w)
-    return lam, params.tau * params.epsilon * m, m, w
+    return lam, params.sigma * c, e * e * e * c, m
 
 
 def meridian_field(params: ModelParams, point: Point) -> TangentVector:
@@ -152,11 +147,11 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     """
     _require_off_axis(point)
     R = float(_radius_solve(params, point.r, point.t))
-    lam, mu, m, _ = (float(v) for v in _lam_mu(params, point.r, point.t, R))
+    lam, mu, nu, _ = (float(v) for v in _lam_mu(params, point.r, point.t, R))
     return TangentVector(
         point.x * lam - point.y * mu,
         point.y * lam + point.x * mu,
-        -m,
+        -nu,
     )
 
 
@@ -179,8 +174,8 @@ def _curve(params: ModelParams, R: float, points: np.ndarray, r, step: float) ->
     are the meridian field there, and one exact south-pole sample is appended
     one step after the last."""
     x, y, t = points.T
-    lam, mu, m, _ = _lam_mu(params, r, t, R)
-    vels = np.column_stack((x * lam - y * mu, y * lam + x * mu, -m))
+    lam, mu, nu, _ = _lam_mu(params, r, t, R)
+    vels = np.column_stack((x * lam - y * mu, y * lam + x * mu, -nu))
     points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
     vels = np.vstack([vels, vels[-1]])
     return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
@@ -198,17 +193,16 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
     """The meridian through `start`, sampled in closed form every `step` of arclength.
 
     With r = R sin(phi) the meridian field gives dphi/ds = 1/(eps R) and
-    dtheta/dphi = tau eps r / w(r), so the samples are phi_k = phi0 + k step/(eps R)
+    dtheta/dphi = sigma r / m(r), so the samples are phi_k = phi0 + k step/(eps R)
     while phi_k < pi, at r = R sin(phi), t = sgn(cos(phi)) f(r; R) and
-    theta = theta0 + sgn(tau) [Theta(phi) - Theta(phi0)] with
-    Theta = atan2(w(r), |tau eps| R cos(phi)).  On the north hemisphere that is
-    arcsin(w(r)/w(R)) up to a constant, and the twist from pole to pole is
-    2 arctan(tau eps R).  The velocities are the meridian field at the samples,
+    theta = theta0 + sgn(sigma) [Theta(phi) - Theta(phi0)] with
+    Theta = atan2(m(r), |sigma| R cos(phi)).  On the north hemisphere that is
+    arcsin(m(r)/m(R)) up to a constant, and the twist from pole to pole is
+    2 arctan(sigma R/eps^3).  The velocities are the meridian field at the samples,
     and one exact south-pole sample is appended one step after the last.
     """
     params, R = spec.params, spec.R
     _check_meridian_input(spec, start, step=step)
-    te = params.tau * params.epsilon
     phi0 = _chart(params, R, start.r, start.t)[0]
     dphi = step / (params.epsilon * R)
     phi = phi0 + dphi * np.arange(int((math.pi - phi0) / dphi) + 1)
@@ -217,8 +211,8 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
     # t = f(r) at the rounded r, not R cos(phi) f/sqrt(R^2 - r^2): the two agree to
     # rounding, but near the rim, where f is steep, only f(r) keeps |t| = f(r)
     t = np.sign(c) * _f(params, r, R)
-    twist = np.arctan2(_omega(params, r), abs(te) * c)
-    theta = math.atan2(start.y, start.x) + math.copysign(1.0, te) * (twist - twist[0])
+    twist = np.arctan2(_mass(params, r), abs(params.sigma) * c)
+    theta = math.atan2(start.y, start.x) + math.copysign(1.0, params.sigma) * (twist - twist[0])
     points = np.column_stack((r * np.cos(theta), r * np.sin(theta), t))
     return _curve(params, R, points, r, step)
 
@@ -229,12 +223,12 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
 def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     """Coordinate velocity of the meridian field frozen on the sphere R at the
     point q = (x, y, t): the X and Y coefficients of _lam_mu over eps, and the
-    t-component -eps^2 r w(r) / R, in which the tau terms cancel."""
+    t-component -r m(r) / (eps R), in which the sigma terms cancel."""
     x, y, t = q.tolist()
     r = math.hypot(x, y)
-    lam, mu, _, w = _lam_mu(params, r, t, R)
+    lam, mu, _, m = _lam_mu(params, r, t, R)
     e = params.epsilon
-    return np.array([(x * lam - y * mu) / e, (y * lam + x * mu) / e, -e * e * r * w / R])
+    return np.array([(x * lam - y * mu) / e, (y * lam + x * mu) / e, -r * m / (e * R)])
 
 
 def integrate_meridian(

@@ -2,31 +2,32 @@
 
 For each R > 0 the sphere is the set |t| = f(|z|; R) with profile
 
-    f(r; R) = (eps^2 / 2 tau) [ w(R)^2 arctan(p) + w(r)^2 p ],
-    w(r)    = sqrt(1 + tau^2 eps^2 r^2),
-    p(r; R) = tau eps sqrt(R^2 - r^2) / w(r),
+    f(r; R) = (1 / 2 sigma) [ m(R)^2 arctan(p) + m(r)^2 p ],
+    m(r)    = hypot(eps^3, sigma r) = eps^3 w(r),   w(r) = sqrt(1 + tau^2 eps^2 r^2),
+    p(r; R) = sigma g / m(r),   g = sqrt(R^2 - r^2) = sqrt(R - r) sqrt(R + r),
 
-mean curvature H = 1/(eps R), and eps*H*R = 1.  The family foliates
-R^3 minus the origin, which defines the radius field R(r, t) and the
-outward foliation normal used throughout the package.  With b = tau eps R, the area is
-2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps) arctan b] and the volume 2 pi eps^3 R^3 J(|b|),
-J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b - 1/b^3)/8, or its series below |b| = 0.1.
+mean curvature H = 1/(eps R), and eps*H*R = 1.  w and tau = sigma/eps^4 overflow as eps -> 0,
+m and p do not: this layer takes (eps^3, sigma) alone.  The family foliates R^3 minus the
+origin, which defines the radius field R(r, t) and the outward foliation normal used throughout
+the package.  With b = sigma R/eps^3, the area is 2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps)
+arctan b] and the volume 2 pi eps^3 R^3 J(|b|), J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b -
+1/b^3)/8, or its series below |b| = 0.1.
 
-The profile formula: in g = sqrt(R^2 - r^2), f and Pansu's sub-Riemannian profile
-(sigma/2)[R^2 acos(r/R) + r g] are one function, evaluated by `_kernel` alone,
+The profile formula: in g, f and Pansu's sub-Riemannian profile (sigma/2)[R^2 acos(r/R) + r g]
+are one function, evaluated by `_kernel` alone,
 
     F(g; m, s, q) = (g/2) [ m (1 + atanc q) + s g arctan q ],  s g = m q,  F'(g) = m + s g arctan q,
 
-f at m = eps^3 w(r), s = sigma, q = p and Pansu's at m = sigma r, s = sigma, q = g/r
-(atanc q = arctan(q)/q; so f is Pansu's profile at radii hypot(r, c), hypot(R, c),
-c = eps^3/|sigma|).  F is finite through tau = 0 (F = m g) and on Pansu's axis (q = inf);
-f_r = -eps^3 r w(r)/g and f_R = R F'/g.  Both radius solves are one Newton in g on
-F(g) = |t| (`_gap_solve`).  All profile helpers broadcast over numpy arrays.
+f at m = m(r), s = sigma, q = p and Pansu's at m = sigma r, s = sigma, q = g/r (atanc q =
+arctan(q)/q; so f is Pansu's profile at radii hypot(r, c), hypot(R, c), c = eps^3/|sigma|).
+F is finite through sigma = 0 (F = m g) and on Pansu's axis (q = inf); f_r = -r m(r)/g and
+f_R = R F'/g.  Both radius solves are one Newton in g on F(g) = |t| (`_gap_solve`), and all
+profile helpers broadcast over numpy arrays.
 
 One point stays on Python floats, by the same expressions.  numpy stays where a float raises
-or rounds differently: `_numerics._divide` where a divisor can be 0 (q = s g/m at m = 0), and
-np.arctan and np.hypot (math.atan and math.hypot miss the last bit on 0.08% of inputs).  A
-float w(r) that overflows raises NumericsError, where numpy would only warn.
+or rounds differently: `_numerics._divide` where a divisor can be 0 (m = 0 on the axis where
+eps^3 underflows), np.arctan and np.hypot (math.atan and math.hypot miss the last bit on 0.08%
+of inputs).  eps^3 is e*e*e, which overflows to inf where eps**3 would raise.
 """
 
 from __future__ import annotations
@@ -111,16 +112,15 @@ def _arctan(q):
     return a if isinstance(a, np.ndarray) else float(a)
 
 
-def _omega(params: ModelParams, r):
-    """w(r); NumericsError where it overflows on a float, which numpy would only warn of."""
-    u = params.tau * params.epsilon * r
-    w2 = 1.0 + u * u
-    if isinstance(w2, np.ndarray):
-        return np.sqrt(w2)
-    if w2 == math.inf:
-        raise NumericsError(f"w(r) overflows at r = {r!r} with eps = {params.epsilon!r}, "
-                            f"sigma = {params.sigma!r}")
-    return math.sqrt(w2)
+def _mass(params: ModelParams, r):
+    """m(r) = eps^3 w(r) = hypot(eps^3, sigma r); NumericsError where eps^3 overflows (eps above
+    about 5.6e102).  On a float, abs(complex) is libm's hypot, as np.hypot is, at a tenth of its
+    cost (OverflowError only where eps^3 and |sigma r| are both near the largest float)."""
+    e = params.epsilon
+    e3, sr = e * e * e, params.sigma * r
+    if e3 == math.inf:
+        _require_finite((e3,), params, "eps^3")
+    return np.hypot(e3, sr) if isinstance(sr, np.ndarray) else abs(complex(e3, sr))
 
 
 def _atanc(p, atan_p=None):
@@ -139,16 +139,17 @@ def _ell(p):
 
 
 def _gap(r, R):
-    """g = sqrt(R^2 - r^2), R^2 - r^2 clamped at 0 (tiny negatives from roundoff are clipped)."""
-    d = R * R - r * r
-    return np.sqrt(np.maximum(d, 0.0)) if isinstance(d, np.ndarray) else math.sqrt(max(d, 0.0))
+    """g = sqrt(R^2 - r^2) as sqrt(R - r) sqrt(R + r), which squares neither; R - r is
+    clamped at 0 (tiny negatives from roundoff are clipped)."""
+    d = R - r
+    sq, d = (np.sqrt, np.maximum(d, 0.0)) if isinstance(d, np.ndarray) else (math.sqrt, max(d, 0.0))
+    return sq(d) * sq(R + r)
 
 
 def _pieces(params: ModelParams, r, R):
-    """sqrt(R^2 - r^2), w(r) and p(r; R), which the profile kernels share."""
-    sq = _gap(r, R)
-    w = _omega(params, r)
-    return sq, w, params.tau * params.epsilon * sq / w
+    """g, m(r) and p(r; R) = g (sigma/m), which the profile kernels share."""
+    g, m = _gap(r, R), _mass(params, r)
+    return g, m, g * _divide(params.sigma, m)
 
 
 def _p_north(params: ModelParams, r, R):
@@ -163,13 +164,13 @@ def _kernel(g, m, s, q):
 
 
 def _profile(params: ModelParams, r, R):
-    """sqrt(R^2 - r^2) and the kernel's F/g and F' for f(r; R): m = eps^3 w(r), q = p(r; R)."""
-    g, w, p = _pieces(params, r, R)
-    return (g, *_kernel(g, params.epsilon**3 * w, params.sigma, p))
+    """g and the kernel's F/g and F' for f(r; R): m = m(r), q = p(r; R)."""
+    g, m, p = _pieces(params, r, R)
+    return (g, *_kernel(g, m, params.sigma, p))
 
 
 def _f_over_sqrt(params: ModelParams, r, R):
-    """f / sqrt(R^2 - r^2), smooth and positive up to r = R and tau = 0."""
+    """f / sqrt(R^2 - r^2), smooth and positive up to r = R and sigma = 0."""
     return _profile(params, r, R)[1]
 
 
@@ -179,8 +180,7 @@ def _f(params: ModelParams, r, R):
 
 
 def _f_r(params: ModelParams, r, R):
-    e = params.epsilon
-    return -(e**3) * np.asarray(r, dtype=float) * _omega(params, r) / _gap(r, R)
+    return -np.asarray(r, dtype=float) * _mass(params, r) / _gap(r, R)
 
 
 def _f_R(params: ModelParams, r, R):
@@ -247,10 +247,10 @@ def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> Prof
     rr = float(_check_profile_domain(spec.R, r, closed=True))
     if hemisphere not in (+1, -1):
         raise ContractError(f"hemisphere must be +1 or -1, got {hemisphere!r}")
-    _, w, p = _pieces(spec.params, rr, spec.R)
-    p = hemisphere * float(p)
-    return ProfileQuantities(omega_r=w, p=p, ell=_ell(p),
-                             rho=spec.params.tau * spec.params.epsilon * rr)
+    _, m, p = _pieces(spec.params, rr, spec.R)
+    p, e = hemisphere * float(p), spec.params.epsilon
+    return ProfileQuantities(omega_r=_divide(m, e * e * e), p=p, ell=_ell(p),
+                             rho=_divide(spec.params.sigma * rr, e * e * e))
 
 
 # -------------------------------------------------------------- radius field
@@ -292,8 +292,8 @@ def _gap_solve(m, s: float, t, what: str):
 
 
 def _radius_gap(params: ModelParams, r, t):
-    """g with f(r; R) = |t| and m = eps^3 w(r), broadcasting r and t; f is even in sigma."""
-    m = params.epsilon**3 * _omega(params, r)
+    """g with f(r; R) = |t| and m(r), broadcasting r and t; f is even in sigma."""
+    m = _mass(params, r)
     return _gap_solve(m, abs(params.sigma), t, "radius solve"), m
 
 
@@ -305,19 +305,17 @@ def _radius_solve(params: ModelParams, r, t):
 def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
     """Radius of the sphere through (r, t) plus its partial derivatives.
 
-    R_r = r ell(p) / R and R_t = sgn(t) sqrt(R^2-r^2) ell(p) / (eps^3 R w(r)),
+    R_r = r ell(p) / R and R_t = sgn(t) g ell(p) / (R m(r)),
     both continuous across the equator plane t = 0 (where R = r, R_r = 1,
-    R_t = 0); sqrt(R^2 - r^2), eps^3 w(r) and |p| come from the solve.
+    R_t = 0); g = sqrt(R^2 - r^2), m(r) and |p| come from the solve.
     """
     _check_point(r, t, "the radius field")
     g, m = _radius_gap(params, r, t)
     R = float(np.hypot(r, g))
-    ell = float(_ell(abs(params.sigma) * g / m))
+    ell = float(_ell(_divide(abs(params.sigma) * g, m)))
     R_r = _divide(r * ell, R)  # R is 0 where it underflows next to the origin
-    R_t = _divide(math.copysign(1.0, t) * g * ell, float(m) * R) if t != 0.0 else 0.0
-    if not (math.isfinite(R_r) and math.isfinite(R_t)):
-        raise NumericsError(f"the radius field at (r, t) = ({r!r}, {t!r}) is not finite with "
-                            f"eps = {params.epsilon!r}, sigma = {params.sigma!r}")
+    R_t = _divide(math.copysign(1.0, t) * g * ell, m * R) if t != 0.0 else 0.0
+    _require_finite((R_r, R_t), params, "the radius field at (r, t) = ({!r}, {!r})", r, t)
     return RadiusField(value=R, R_r=R_r, R_t=R_t)
 
 
@@ -342,8 +340,9 @@ def _normal_components(params: ModelParams, x, y, r, t, R):
     """Outward unit normal at (x, y, t), with r = |z|, on the leaf R: frame coefficients stacked
     (..., 3) for arrays, a tuple of three floats for floats (signed as np.sign signs t)."""
     sg = np.sign(t) if isinstance(t, np.ndarray) else 1.0 if t > 0.0 else -1.0 if t < 0.0 else t - t
-    gap, w, p = _pieces(params, r, R)
-    p, q = sg * p, sg * gap / w  # q = p / (tau * eps), finite for all tau
+    gap, m, p = _pieces(params, r, R)
+    e = params.epsilon
+    p, q = sg * p, sg * gap * _divide(e * e * e, m)  # q = eps^3 g/m, finite for all sigma
     n = ((x + y * p) / R, (y - x * p) / R, q / R)
     return np.stack(n, axis=-1) if isinstance(p, np.ndarray) else n
 
@@ -378,10 +377,15 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
     _check_point(r, t, "the foliation normal")
     R = float(_radius_solve(params, r, t))  # 0 where it underflows next to the origin
     n = _normal_components(params, point.x, point.y, r, t, R) if R else (math.nan,) * 3
-    if not (math.isfinite(n[0]) and math.isfinite(n[1]) and math.isfinite(n[2])):
-        raise NumericsError(f"the foliation normal at {point} is not finite with "
-                            f"eps = {params.epsilon!r}, sigma = {params.sigma!r}")
-    return TangentVector.from_array(n)
+    return TangentVector.from_array(_require_finite(n, params, "the foliation normal at {}", point))
+
+
+def _require_finite(values, params: ModelParams, what: str, *args):
+    """`values` if all are finite, else NumericsError naming what.format(*args), eps and sigma."""
+    if not all(map(math.isfinite, values)):
+        raise NumericsError(f"{what.format(*args)} is not finite with eps = {params.epsilon!r}, "
+                            f"sigma = {params.sigma!r}")
+    return values
 
 
 # ------------------------------------------------------------- area / volume
@@ -389,34 +393,37 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
 
 def sphere_area(spec: SphereSpec) -> float:
     """Riemannian area of the full sphere, 2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps) arctan b]
-    with b = tau eps R = sigma R/eps^3, which is 2 pi eps^2 R^2 [1 + w(R)^2 atanc b] without
-    forming w(R)^2 (it overflows where eps is tiny)."""
-    e, R = spec.params.epsilon, float(spec.R)
-    b = float(spec.params.tau * e * R)
+    with b = sigma R/eps^3 (2 pi eps^2 R^2 [1 + w(R)^2 atanc b]); NumericsError where not finite."""
+    e, s, R = spec.params.epsilon, spec.params.sigma, float(spec.R)
+    b = _divide(s * R, e * e * e)
     a = _arctan(b)
-    return 2.0 * math.pi * R * R * (e * e * (1.0 + _atanc(b, a)) + spec.params.sigma * R / e * a)
+    area = 2.0 * math.pi * R * R * (e * e * (1.0 + _atanc(b, a)) + s * R / e * a)
+    return _require_finite((area,), spec.params, "the area with R = {!r}", R)[0]
 
 
 def sphere_volume(spec: SphereSpec) -> float:
-    """Lebesgue volume enclosed by the sphere, 2 pi eps^3 R^3 J(|b|), b = tau eps R, with
+    """Lebesgue volume enclosed by the sphere, 2 pi eps^3 R^3 J(|b|), b = sigma R/eps^3, with
     J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b - 1/b^3)/8, and below |b| = 0.1 (where that
-    cancels, by up to 6e-13 near b = 0.01) its even series through b^16 (`_J_SERIES`)."""
-    e, R = spec.params.epsilon, float(spec.R)
-    b = abs(float(spec.params.tau * e * R))
+    cancels, by up to 6e-13 near b = 0.01) its even series through b^16 (`_J_SERIES`); above,
+    2 pi |sigma| R^4 J(|b|)/|b|, finite at b = inf.  NumericsError where it is not finite."""
+    e, s, R = spec.params.epsilon, spec.params.sigma, float(spec.R)
+    b = abs(_divide(s * R, e * e * e))
+    J, b2 = 0.0, b * b
     if b < 0.1:
-        J, b2 = 0.0, b * b
         for c in _J_SERIES:
             J = J * b2 + c
+        volume = 2.0 * math.pi * (e * R) * (e * R) * (e * R) * J
     else:
-        J = (3.0 + 1.0 / (b * b) + _arctan(b) * (3.0 * b + (2.0 - 1.0 / (b * b)) / b)) / 8.0
-    return 2.0 * math.pi * (e * R) * (e * R) * (e * R) * J
+        J_b = (3.0 / b + 1.0 / (b2 * b) + _arctan(b) * (3.0 + (2.0 - 1.0 / b2) / b2)) / 8.0
+        volume = 2.0 * math.pi * abs(s) * R * R * R * R * J_b
+    return _require_finite((volume,), spec.params, "the volume with R = {!r}", R)[0]
 
 
 # ------------------------------------------------------------ limit profiles
 
 
 def euclidean_profile(R: float, r):
-    """Limit profile sqrt(R^2 - r^2) (tau -> 0 at eps = 1)."""
+    """Limit profile sqrt(R^2 - r^2) (sigma -> 0 at eps = 1)."""
     rr = _check_profile_domain(R, r, closed=True)
     return _scalar_or_array(r, _gap(rr, R))
 
@@ -424,10 +431,8 @@ def euclidean_profile(R: float, r):
 def pansu_profile(sigma: float, R: float, r):
     """Sub-Riemannian limit profile (sigma/2)[R^2 acos(r/R) + r sqrt(R^2-r^2)] (`_kernel`)."""
     rr = _check_profile_domain(R, r, closed=True)
-    g = _gap(rr, R)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = np.fmax(g / rr, 0.0)  # inf at r = 0 or near the least float; 0 for 0/0 (F = 0 at g = 0)
-    return _scalar_or_array(r, g * _kernel(g, sigma * rr, sigma, q)[0])
+    g = _gap(rr, R)  # > 0 at r = 0, so q = g/r is inf there, never 0/0
+    return _scalar_or_array(r, g * _kernel(g, sigma * rr, sigma, _divide(g, rr))[0])
 
 
 def pansu_radius(sigma: float, r, t):

@@ -52,14 +52,19 @@ def test_tau_is_derived():
 
 @pytest.mark.parametrize("eps", [1e-78, 1e-90])
 def test_tau_that_is_not_a_finite_float_raises(eps):
-    """sigma/eps^4 is inf at eps = 1e-78 and 1/0 at 1e-90, where eps**4 underflows: a
-    DomainError naming eps and sigma, where the first gave R = r silently and the second
-    an untyped ZeroDivisionError.  At sigma = 0 tau is 0 for every eps."""
-    with pytest.raises(DomainError, match=rf"not a finite float with eps = {eps!r}, sigma = 1\.0"):
-        ModelParams(eps, 1.0)
-    with pytest.raises(DomainError, match=rf"eps = {eps!r}, sigma = -2\.0"):
-        ModelParams(eps, -2.0)
+    """sigma/eps^4 is inf at eps = 1e-78 and 1/0 at 1e-90, where eps**4 underflows.  The
+    parameters construct, since the profile layer needs no tau, and reading `tau` raises a
+    DomainError naming eps and sigma, never ZeroDivisionError.  At sigma = 0 tau is 0 for
+    every eps, and where eps**4 overflows it is 0, never OverflowError."""
+    for sigma, shown in ((1.0, r"1\.0"), (-2.0, r"-2\.0")):
+        params = ModelParams(eps, sigma)
+        assert (params.epsilon, params.sigma) == (eps, sigma)
+        with pytest.raises(DomainError, match=rf"not a finite float with eps = {eps!r}, "
+                                              rf"sigma = {shown}"):
+            params.tau
     assert ModelParams(eps, 0.0).tau == 0.0
+    for sigma in (1.0, -2.0, 0.0):
+        assert ModelParams(1.0 / eps, sigma).tau == 0.0
 
 
 def test_frame_euclidean_degeneration():

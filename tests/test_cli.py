@@ -83,6 +83,31 @@ def test_sphere_limits_csv(tmp_path):
     assert len(lines) == 51
 
 
+def test_sphere_limits_csv_is_even_in_sigma(tmp_path):
+    """f is even in sigma, and so is the Pansu column it is compared with: the CSV at
+    sigma = -1 is the one at sigma = 1, where the Pansu column was negated."""
+    tables = []
+    for sigma in ("-1", "1"):
+        out = tmp_path / f"limits{sigma}.csv"
+        res = run_cli("sphere", "--sigma", sigma, "--R", "1", "--n", "4", "--limits-out", str(out))
+        assert res.returncode == 0
+        tables.append(out.read_text())
+    assert tables[0] == tables[1]
+    assert float(tables[0].splitlines()[1].split(",")[3]) == pytest.approx(math.pi / 4, rel=1e-15)
+
+
+def test_sphere_whose_tau_is_not_finite_writes_no_file(tmp_path):
+    """eps = 1e-90 builds parameters, but the summary's tau is not a finite float: exit 2
+    before any file is written."""
+    outs = [tmp_path / name for name in ("p.csv", "l.csv", "c.csv", "s.csv")]
+    res = run_cli("sphere", "--epsilon", "1e-90", "--R", "1", "--out", str(outs[0]),
+                  "--limits-out", str(outs[1]), "--curvature-out", str(outs[2]),
+                  "--sweep-out", str(outs[3]))
+    assert res.returncode == 2
+    assert "tau = sigma/eps^4 is not a finite float with eps = 1e-90" in res.stderr
+    assert not any(out.exists() for out in outs)
+
+
 def test_verify_default_passes(tmp_path):
     report_path = tmp_path / "report.json"
     res = run_cli("verify", "--json", str(report_path))

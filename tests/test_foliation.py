@@ -29,7 +29,7 @@ from heisenberg_cmc.foliation import (
 )
 from heisenberg_cmc import cli, foliation
 from heisenberg_cmc.foliation import _chord, _leaf_terms
-from heisenberg_cmc.sphere import _f, _f_R, _omega
+from heisenberg_cmc.sphere import _f, _f_R, _mass
 
 from conftest import GRID, counting_newton_passes, mp_profile
 
@@ -328,9 +328,9 @@ def test_chord_residual_matches_leaf_equation(eps, sigma):
         r = np.array([0.0, 0.3, 0.9, 0.999]) * cyl.r_cut
         for lam in (R * (1.0 + 1e-9), 1.3 * R, 40.0 * R):
             s_r, s_cut = np.sqrt((lam - r) * (lam + r)), math.sqrt((lam - cyl.r_cut) * (lam + cyl.r_cut))
-            w = _omega(params, np.stack((r, np.full_like(r, cyl.r_cut))))
+            m = _mass(params, np.stack((r, np.full_like(r, cyl.r_cut))))
             y = (cyl.r_cut - r) * (cyl.r_cut + r) / (s_r + s_cut)
-            (sr, sc), f, dF = _leaf_terms(cyl, r, w, y)
+            (sr, sc), f, dF = _leaf_terms(cyl, r, m, y)
             lam_chord = _chord(cyl, r, y)[1]
             assert np.allclose(lam_chord, lam, rtol=8 * _ULP, atol=0.0)
             for i, ri in enumerate(r):

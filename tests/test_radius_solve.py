@@ -9,6 +9,7 @@ values, their float types and the errors they raise; and the typed errors
 and starts where w(r) or the start's quotient overflows."""
 
 import math
+import warnings
 from unittest import mock
 
 import mpmath
@@ -17,7 +18,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from heisenberg_cmc import (DomainError, ModelParams, NumericsError, Point, SphereSpec,
+from heisenberg_cmc import (DomainError, ModelParams, Point, SphereSpec,
                             foliation_normal, pansu_profile, pansu_radius, profile_quantities,
                             radius_field, sphere)
 from heisenberg_cmc.sphere import _f, _f_R, _f_r, _kernel, _normal_components, _radius_solve
@@ -129,17 +130,29 @@ def test_numpy_scalar_parameters_give_float_fields():
 
 @pytest.mark.parametrize("eps", [1e-60, 1e-70])
 def test_single_points_where_w_overflows_raise(eps):
-    """Past tau eps r of about 1.3e154, w(r) overflows.  On floats that gives no warning, and
-    the solve would start at |t|/inf = 0 and return R = r (Pansu's radius is 0.5352 here), so
-    each single-point function raises NumericsError naming r, eps and sigma instead."""
+    """Past tau eps r of about 1.3e154, w(r) overflows, where the solve started at |t|/inf = 0
+    and returned R = r, and then raised NumericsError.  m(r) = eps^3 w(r) = hypot(eps^3, r)
+    is 0.5 here, Pansu's m = sigma r, so the single-point functions give Pansu's sphere:
+    its radius 0.5352 bit for bit, its horizontal unit normal and its p = g/r."""
     params = ModelParams(eps, 1.0)
-    message = rf"w\(r\) overflows at r = 0\.5 with eps = {eps!r}, sigma = 1\.0"
-    with pytest.raises(NumericsError, match=message):
-        radius_field(params, 0.5, 0.1)
-    with pytest.raises(NumericsError, match=message):
-        foliation_normal(params, Point(0.5, 0.0, 0.1))
-    with pytest.raises(NumericsError, match=message):
-        profile_quantities(SphereSpec(params, 1.0), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = radius_field(params, 0.5, 0.1)
+        n = foliation_normal(params, Point(0.3, 0.4, 0.1))
+        q = profile_quantities(SphereSpec(params, 1.0), 0.5)
+    R = pansu_radius(1.0, 0.5, 0.1)
+    assert field.value == R == pytest.approx(0.5352282214722702, rel=1e-15)
+    g = math.sqrt(R * R - 0.25)
+    ell = 1.0 / (1.0 + g / 0.5 * math.atan(g / 0.5))
+    assert field.R_r == pytest.approx(0.5 * ell / R, rel=1e-14)
+    assert field.R_t == pytest.approx(g * ell / (0.5 * R), rel=1e-14)
+    expected = ((0.3 + 0.4 * g / 0.5) / R, (0.4 - 0.3 * g / 0.5) / R, 0.0)
+    assert n.as_array() == pytest.approx(expected, rel=1e-14, abs=1e-15)
+    assert n.norm() == pytest.approx(1.0, abs=1e-15)
+    assert q.p == pytest.approx(math.sqrt(0.75) / 0.5, rel=1e-15)
+    assert q.ell == pytest.approx(1.0 / (1.0 + q.p * math.atan(q.p)), rel=1e-15)
+    assert q.omega_r == pytest.approx(0.5 / eps**3, rel=1e-15)
+    assert q.rho == pytest.approx(0.5 / eps**3, rel=1e-15)
 
 
 def test_radius_solves_whose_start_quotient_overflows():

@@ -32,6 +32,7 @@ from heisenberg_cmc import (
     sphere_volume,
 )
 from heisenberg_cmc import sphere
+from heisenberg_cmc.meridians import normal_acceleration, normal_derivatives
 from heisenberg_cmc.sphere import _f
 
 from conftest import GRID
@@ -228,21 +229,25 @@ def test_foliation_normal_of_a_non_finite_point_raises(params):
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-200, -1e-200])
 def test_foliation_normal_where_R_squared_overflows_raises(sigma):
-    """At |z| = 1e155 the leaf radius is finite, but R*R overflows in the normal's
-    sqrt(R^2 - r^2), which used to return a NaN vector.  (At sigma = 1, w(r) overflows
-    first, since tau eps r is past 1.3e154: test_w_overflow_in_a_normal_raises.)"""
-    with pytest.raises(NumericsError, match=r"not finite with eps = 1\.0, sigma = "):
-        foliation_normal(ModelParams(1.0, sigma), Point(1e155, 0.0, 1.0))
+    """At |z| = 1e155 the leaf radius is finite, but R*R overflows, where sqrt(R^2 - r^2) gave
+    a NaN vector and then NumericsError.  sqrt(R - r) sqrt(R + r) squares neither, and the
+    normal is radial to rounding: its t-coefficient is 1e-155.  (At sigma = 1, w(r) overflowed
+    first: test_w_overflow_in_a_normal_raises.)"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = foliation_normal(ModelParams(1.0, sigma), Point(1e155, 0.0, 1.0))
+    assert n.as_array() == pytest.approx([1.0, 0.0, 1e-155], rel=0.0, abs=1e-15)
+    assert n.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_foliation_normal_where_R_squared_overflows_on_the_axis_warns_of_nothing():
-    """At sigma = 0 and |t| = 1e300, R*R overflows and p = tau eps sqrt(R^2 - r^2) is 0 inf.
-    On floats that is a NaN with no `invalid value` warning, and the NumericsError for the NaN
-    normal is the only signal, under every warning filter."""
+    """At sigma = 0 and |t| = 1e300, R*R overflows, where sqrt(R^2 - r^2) made the normal NaN
+    and then NumericsError.  It is now the vertical unit normal of the round sphere, with no
+    warning under every warning filter."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match=r"not finite with eps = 1, sigma = 0"):
-            foliation_normal(ModelParams(1, 0), Point(1, 0, 1e300))
+        n = foliation_normal(ModelParams(1, 0), Point(1, 0, 1e300))
+    assert n.as_array() == pytest.approx([1e-300, 0.0, 1.0], rel=1e-15, abs=0.0)
 
 
 def test_single_points_whose_radius_underflows_raise():
@@ -259,13 +264,19 @@ def test_single_points_whose_radius_underflows_raise():
 
 
 def test_w_overflow_in_a_normal_raises():
-    """At sigma = 1, |z| = 1e155, w(r) overflows: NumericsError for both normals, which
-    numpy only warned of before the normal came out radial."""
-    params = ModelParams(1.0, 1.0)
-    with pytest.raises(NumericsError, match=r"w\(r\) overflows at r = 1e\+155 with eps = 1\.0"):
-        foliation_normal(params, Point(1e155, 0.0, 1.0))
-    with pytest.raises(NumericsError, match=r"w\(r\) overflows at r = 0\.5 with eps = 1e-60"):
-        outer_normal(SphereSpec(ModelParams(1e-60, 1.0), 1.0), Point(0.5, 0.0, 0.1), tol=1.0)
+    """At sigma = 1, |z| = 1e155 and at eps = 1e-60, w(r) overflows, where both normals raised
+    NumericsError.  m(r) = eps^3 w(r) does not: the first normal is radial to rounding, and
+    the second, at r = 0.5 on the sphere R = 1, is Pansu's horizontal normal
+    (x + y p, y - x p, 0)/R with p = sqrt(R^2 - r^2)/r."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = foliation_normal(ModelParams(1.0, 1.0), Point(1e155, 0.0, 1.0))
+        n2 = outer_normal(SphereSpec(ModelParams(1e-60, 1.0), 1.0), Point(0.5, 0.0, 0.1), tol=1.0)
+    assert n.as_array() == pytest.approx([1.0, 0.0, 0.0], rel=0.0, abs=1e-15)
+    p = math.sqrt(0.75) / 0.5
+    assert n2.as_array() == pytest.approx([0.5, -0.5 * p, 0.0], rel=1e-15, abs=1e-15)
+    for v in (n, n2):
+        assert v.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sphere_through(params):
@@ -460,12 +471,85 @@ def test_pansu_radius_where_the_start_quotient_underflows():
 
 
 def test_pansu_profile_where_R_squared_underflows():
-    """R = 2.5e-167 on the axis: R^2 underflows, so g = 0 and q = g/r is 0/0; the profile is
-    0 (F = 0 at g = 0, where sigma pi R^2/4 = 4.9e-323 is below the least normal float)."""
+    """R = 2.5e-167 on the axis: R^2 underflows, where g = sqrt(R^2 - r^2) was 0 and the
+    profile 0.  g = sqrt(R - r) sqrt(R + r) = R, and the profile is sigma pi R^2/4 = 4.9e-324,
+    the least subnormal float 5e-324 to rounding; at r = R it is 0."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert pansu_profile(1e10, 2.5e-167, 0.0) == 0.0
-        assert pansu_profile(1e10, 2.5e-167, np.array([0.0, 2.5e-167])).tolist() == [0.0, 0.0]
+        assert pansu_profile(1e10, 2.5e-167, 0.0) == 5e-324
+        assert pansu_profile(1e10, 2.5e-167, np.array([0.0, 2.5e-167])).tolist() == [5e-324, 0.0]
+
+
+def test_gap_squares_neither_radius():
+    """g = sqrt(R - r) sqrt(R + r): where R^2 overflows (R = 1e160) the profiles and the normal
+    are finite, where they were inf or a (nan, -inf, inf) normal, and where R^2 underflows
+    (R = 1e-170) the profiles are R-sized, where they were 0.  No warning on either path."""
+    spec = SphereSpec(ModelParams(1.0, 1e-300), 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert euclidean_profile(1e160, 0.5) == pytest.approx(1e160, rel=1e-15)
+        assert profile_height(spec, 0.5) == pytest.approx(1e160, rel=1e-15)
+        f = profile_height(spec, np.array([0.0, 0.5, 1e160]))
+        n = outer_normal(spec, Point(0.5, 0.0, 1e160))
+        assert profile_height(SphereSpec(ModelParams(1, 1), 1e-170), 0.0) == pytest.approx(
+            1e-170, rel=1e-15)
+        assert pansu_profile(1e300, 1e-170, 0.0) == pytest.approx(math.pi / 4 * 1e-40, rel=1e-15)
+    assert f.tolist() == pytest.approx([1e160, 1e160, 0.0], rel=1e-15)
+    assert n.as_array() == pytest.approx([5e-161, 0.0, 1.0], rel=1e-15, abs=1e-300)
+
+
+def finite_or_typed_error(call):
+    """True where call() gives finite floats (a float, a tuple of them or a TangentVector) or
+    raises DomainError or NumericsError; False for NaN or inf."""
+    try:
+        value = call()
+    except (DomainError, NumericsError):
+        return True
+    return bool(np.all(np.isfinite(value.as_array() if hasattr(value, "as_array") else value)))
+
+
+@pytest.mark.parametrize("eps", [1e-40, 1e-60, 1e-100, 1e-200, 1e-300])
+@pytest.mark.parametrize("sigma", [1.0, -1.0])
+def test_profile_layer_reaches_the_subriemannian_limit(eps, sigma):
+    """In (eps^3, sigma) the profile layer meets Pansu's sphere (R = 1) to rounding as eps
+    -> 0, eps^3 underflowing to 0 from eps = 1e-109 on: the radius field, the profile,
+    eps A/2 and V.  The normal (on the axis too) and its derivatives are finite or raise a
+    typed error.  No warning is raised."""
+    params, s = ModelParams(eps, sigma), abs(sigma)
+    spec = SphereSpec(params, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = radius_field(params, 0.5, 0.1).value
+        assert R == pytest.approx(pansu_radius(s, 0.5, 0.1), rel=1e-14)
+        for r in (0.0, 0.2, 0.5):
+            assert profile_height(spec, r) == pytest.approx(pansu_profile(s, 1.0, r), rel=1e-14)
+        assert eps * sphere_area(spec) / 2.0 == pytest.approx(math.pi**2 * s / 2.0, rel=1e-14)
+        assert sphere_volume(spec) == pytest.approx(3.0 * math.pi**2 * s / 8.0, rel=1e-14)
+        for point in (Point(0.3, 0.4, 0.1), Point(0.3, 0.4, -0.1)):
+            for call in (foliation_normal, normal_derivatives, normal_acceleration):
+                assert finite_or_typed_error(lambda: call(params, point)), (call, point)
+        axis = Point(0.0, 0.0, 0.1)
+        for call in (foliation_normal, normal_derivatives):
+            assert finite_or_typed_error(lambda: call(params, axis)), call
+
+
+@pytest.mark.parametrize("eps", [1e200, 1e-320])
+def test_profile_layer_at_extreme_eps_is_finite_or_raises_typed(eps):
+    """At eps = 1e200 eps**3 would raise OverflowError, and at the subnormal 1e-320 eps^3 is 0
+    and sigma R/eps overflows: each function gives a finite value or a typed error, never NaN,
+    inf or an untyped exception."""
+    params = ModelParams(eps, 1.0)
+    spec = SphereSpec(params, 1.0)
+    point, axis = Point(0.3, 0.4, 0.1), Point(0.0, 0.0, 0.1)
+    calls = [lambda: radius_field(params, 0.5, 0.1).value,
+             lambda: profile_height(spec, 0.5), lambda: profile_height(spec, 1.0),
+             lambda: sphere_area(spec), lambda: sphere_volume(spec),
+             lambda: foliation_normal(params, point), lambda: foliation_normal(params, axis),
+             lambda: normal_derivatives(params, point), lambda: normal_acceleration(params, point)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            assert finite_or_typed_error(call)
 
 
 def test_profile_converges_to_pansu_as_eps_shrinks():
