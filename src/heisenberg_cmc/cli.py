@@ -162,25 +162,28 @@ def cmd_sphere(args: argparse.Namespace) -> int:
     # open grid: the radial derivative diverges at the rim r = R
     rs = spec.R * np.arange(n) / n
     f = profile_height(spec, rs)
+    tables = []  # every table is built before any is written, so a failure writes no file
     if args.out:
-        _write_csv(args.out, ["r", "f", "f_r", "f_R"],
-                   np.column_stack((rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs))))
+        tables.append((args.out, ["r", "f", "f_r", "f_R"], np.column_stack(
+            (rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs)))))
     if args.limits_out:
-        _write_csv(args.limits_out, ["r", "f", "euclidean", "pansu"], np.column_stack(
-            (rs, f, euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs))))
+        tables.append((args.limits_out, ["r", "f", "euclidean", "pansu"], np.column_stack(
+            (rs, f, euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs)))))
     if args.curvature_out:
         h, kappa1, kappa2 = _shape(spec, rs)
         c = _frame_coefficients(spec, rs, f)[2]
         k0 = assemble_corrected_shape(spec.H, summary["tau"], h, c)
-        _write_csv(args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"],
-                   np.column_stack((rs, kappa1, kappa2, k0.k0_norm)))
+        tables.append((args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"],
+                       np.column_stack((rs, kappa1, kappa2, k0.k0_norm))))
     if args.sweep_out:
         r_lo = args.sweep_min if args.sweep_min is not None else 0.5 * spec.R
         r_hi = args.sweep_max if args.sweep_max is not None else 2.0 * spec.R
         radii = np.linspace(r_lo, r_hi, sweep_n)
         sweep = [SphereSpec(spec.params, float(R)) for R in radii]
-        _write_csv(args.sweep_out, ["R", "area", "volume"],
-                   np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep]))
+        tables.append((args.sweep_out, ["R", "area", "volume"],
+                       np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep])))
+    for path, header, rows in tables:
+        _write_csv(path, header, rows)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

@@ -33,7 +33,7 @@ from .ambient import (
     christoffel_frame,
     vector_to_coordinates,
 )
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, NumericsError
 from .sphere import SphereSpec, _mass, _on_sphere_or_raise, _pieces, foliation_normal, outer_normal
 
 __all__ = [
@@ -133,14 +133,19 @@ def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
 
 def _shape(spec: SphereSpec, r):
     """h (..., 2, 2) in the adapted frame and the principal curvatures
-    kappa1, kappa2 at radii r, broadcasting."""
-    H, tau = spec.H, spec.params.tau
-    rho = tau * spec.params.epsilon * np.asarray(r, dtype=float)
-    den = 1.0 + rho * rho
-    off = tau * rho * rho / den
-    h = np.stack((np.stack((H * (1.0 + 2.0 * rho * rho) / den, off), axis=-1),
-                  np.stack((off, H / den), axis=-1)), axis=-2)
-    spread = (rho * rho / den) * math.hypot(H, tau)
+    kappa1, kappa2 at radii r, broadcasting.  NumericsError where they are
+    not finite, as where tau rho^2 overflows at tiny eps."""
+    params, H, tau = spec.params, spec.H, spec.params.tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = tau * params.epsilon * np.asarray(r, dtype=float)
+        den = 1.0 + rho * rho
+        off = tau * rho * rho / den
+        h = np.stack((np.stack((H * (1.0 + 2.0 * rho * rho) / den, off), axis=-1),
+                      np.stack((off, H / den), axis=-1)), axis=-2)
+        spread = (rho * rho / den) * math.hypot(H, tau)
+    if not (np.isfinite(h).all() and np.isfinite(spread).all()):
+        raise NumericsError(f"the second fundamental form is not finite with eps = "
+                            f"{params.epsilon!r}, sigma = {params.sigma!r}, R = {spec.R!r}")
     return h, H + spread, H - spread
 
 

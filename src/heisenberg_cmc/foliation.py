@@ -99,12 +99,16 @@ class VerticalBound:
     satisfied: bool
 
 
+def _k_f0(spec: SphereSpec) -> tuple[float, float]:
+    """k = m(R) sqrt(R) = eps^3 w(R) sqrt(R) and f(0; R), which build every deficit constant."""
+    return _mass(spec.params, spec.R) * math.sqrt(spec.R), float(profile_height(spec, 0.0))
+
+
 def foliation_constants(spec: SphereSpec) -> FoliationConstants:
-    """k = m(R) sqrt(R) = eps^3 w(R) sqrt(R) and the two deficit constants built from it."""
+    """k = m(R) sqrt(R) and the two deficit constants built from it and f(0; R)."""
     e = spec.params.epsilon
     R = spec.R
-    k = _mass(spec.params, R) * math.sqrt(R)
-    f0 = float(profile_height(spec, 0.0))
+    k, f0 = _k_f0(spec)
     c = 1.0 / (4.0 * math.pi * e * R**3 * (R * k + f0))
     d = 1.0 / (12.0 * e * math.pi**2 * R**5 * (4.0 * R * k * k + f0 * f0))
     return FoliationConstants(k=k, C=c, D=d)
@@ -126,11 +130,11 @@ def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
 
 
 def _chord(cyl: CylinderSpec, r: np.ndarray, y):
-    """(s_r, s_cut) and lam at the chord y = s_r - s_cut, s_rho = sqrt(lam^2 - rho^2), from
-    Delta = (r_cut - r)(r_cut + r) = y (s_r + s_cut); lam^2 - rho^2 is never formed."""
+    """(s_r, s_cut) at the chord y = s_r - s_cut, s_rho = sqrt(lam^2 - rho^2), from
+    Delta = (r_cut - r)(r_cut + r) = y (s_r + s_cut); lam^2 - rho^2 is never formed, and
+    lam = sqrt(s_r^2 + r^2)."""
     k = (cyl.r_cut - r) * (cyl.r_cut + r) / y
-    s = np.stack((0.5 * (k + y), np.maximum(0.5 * (k - y), 0.0)))
-    return s, np.sqrt(s[0] * s[0] + r * r)
+    return np.stack((0.5 * (k + y), np.maximum(0.5 * (k - y), 0.0)))
 
 
 def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, m: np.ndarray, y):
@@ -138,7 +142,7 @@ def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, m: np.ndarray, y):
     f(rho; lam) = s_rho F/g and F' from `sphere._kernel` at g = s_rho, m, q = p_rho = sigma s_rho/m;
     dF/dy = (s_r F'_cut - s_cut F'_r)/y, finite as s_cut -> 0; F_lam = -lam y dF/dy/(s_r s_cut)."""
     sigma = cyl.params.sigma
-    s = _chord(cyl, r, y)[0]
+    s = _chord(cyl, r, y)
     f_over_s, dF = _kernel(s, m, sigma, sigma * s / m)
     return s, s * f_over_s, (s[0] * dF[1] - s[1] * dF[0]) / y
 
@@ -175,7 +179,8 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
 
     with np.errstate(over="ignore"):  # lam^2 = s_r^2 + r^2 out of range: raised on below
         y = _newton(residual, start, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
-        lam = _chord(cyl, r, y)[1]
+        s_r = _chord(cyl, r, y)[0]
+        lam = np.sqrt(s_r * s_r + r * r)
     if not np.all(np.isfinite(lam)):
         i = np.flatnonzero(~np.isfinite(lam))[0]
         raise NumericsError(
@@ -332,8 +337,7 @@ def label_floor(cyl: CylinderSpec, depth):
     Quadratic for delta = 0, depth^2 / (4 R k^2 + f(0;R)^2); linear for
     delta > 0, sqrt(delta) * depth / (R k + f(0;R)).
     """
-    k = foliation_constants(cyl.spec).k
-    f0 = float(profile_height(cyl.spec, 0.0))
+    k, f0 = _k_f0(cyl.spec)
     if cyl.delta < 1e-14:
         return depth * depth / (4.0 * cyl.R * k**2 + f0 * f0)
     return math.sqrt(cyl.delta) * depth / (cyl.R * k + f0)

@@ -463,7 +463,12 @@ def jacobi_residual(
     for 'x', -i times that for 'y'.  Each theta difference, average and
     shift of the mesh stencil multiplies e^{i k theta} by a symbol in
     z = e^{i k dtheta}, so the stencil runs on one radial line and the
-    residual at the n mesh angles is Re(rho(r) e^{i k theta}).
+    residual at the n mesh angles is Re(rho(r) e^{i k theta}).  The maximum
+    over the angles needs no mesh: for k = 0 every angle gives Re(rho); for
+    k = 1, |rho| |cos(arg rho + theta)| peaks at the mesh angles nearest
+    -arg rho and -arg rho + pi, and ten angles a radius, five around each,
+    give the mesh maximum bit for bit, since every other angle falls below
+    the peak by about dtheta^2 |rho|, far above rounding (`_max_over_angles`).
     """
     if which not in ("x", "y", "t"):
         raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
@@ -509,4 +514,21 @@ def jacobi_residual(
     # the backward shift is 1/z
     lap = (flux_r[1:] - flux_r[:-1]) / h + flux_t * ((1.0 - 1.0 / z) / dth)
     rho = lap / sq[1:-1] + jacobi_potential(spec, r[1:-1]) * g[1:-1]
-    return float(np.max(np.abs(np.outer(rho, np.exp(1j * k * dth * np.arange(n))).real)))
+    return _max_over_angles(rho, k, n)
+
+
+def _max_over_angles(rho: np.ndarray, k: int, n: int) -> float:
+    """max |Re(rho_i w_j)| over the rows i and the n mesh angles, w_j = e^{i k j dtheta}, bit
+    for bit, from the mesh's own w_j at the five indices around j0 = rint(-arg rho / dtheta)
+    and the five around j0 + n // 2 (mod n; every index for n <= 10), or w_0 = 1 at k = 0.
+    Any other angle is 3 dtheta / 2 or more from both peaks (see `jacobi_residual`)."""
+    dth = 2.0 * math.pi / n
+    w = np.exp(1j * k * dth * np.arange(n))  # the mesh's table of w_j
+    if k == 0:
+        j = np.zeros((1, 1), dtype=np.intp)
+    else:
+        # fmax sends the angle of a NaN rho, whose row is NaN at every angle, to an index
+        j0 = np.fmax(np.rint(-np.angle(rho) / dth), -n).astype(np.intp)
+        near = np.arange(-2, 3)
+        j = j0[:, None] + np.concatenate((near, near + n // 2))
+    return float(np.max(np.abs((rho[:, None] * np.take(w, j, mode="wrap")).real)))

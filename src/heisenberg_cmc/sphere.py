@@ -459,19 +459,16 @@ def graph_mean_curvature_fd(params: ModelParams, f, r, step: float):
     using only evaluations of `f` (4th-order central differences for both
     derivative levels).  This is the independent oracle for the constancy
     of the mean curvature on the sphere graphs, where the value must be
-    1/(eps R).
+    1/(eps R).  `f` is called once, on one 1-d array of the 16 len(r)
+    stencil points r + a step + b step, a and b in {-2, -1, 1, 2}.
     """
     e, s = params.epsilon, params.sigma
     r = np.asarray(r, dtype=float)
-    d = step
-
-    def fprime(x):
-        return (f(x - 2 * d) - 8.0 * f(x - d) + 8.0 * f(x + d) - f(x + 2 * d)) / (12.0 * d)
-
-    def flux(x):
-        fp = fprime(x)
-        return x * fp / np.sqrt(e**6 + fp * fp + s * s * x * x)
-
     h = step
-    div = (flux(r - 2 * h) - 8.0 * flux(r - h) + 8.0 * flux(r + h) - flux(r + 2 * h)) / (12.0 * h)
+    x = np.stack((r - 2 * h, r - h, r + h, r + 2 * h))  # where the flux is differenced
+    points = np.stack((x - 2 * h, x - h, x + h, x + 2 * h), axis=1)  # where f is differenced
+    fx = np.reshape(f(points.ravel()), points.shape)
+    fp = (fx[:, 0] - 8.0 * fx[:, 1] + 8.0 * fx[:, 2] - fx[:, 3]) / (12.0 * h)
+    flux = x * fp / np.sqrt(e**6 + fp * fp + s * s * x * x)
+    div = (flux[0] - 8.0 * flux[1] + 8.0 * flux[2] - flux[3]) / (12.0 * h)
     return -(0.5 / e) * div / r

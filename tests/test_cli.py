@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,31 @@ def test_verify_negative_control_fails():
     report = json.loads(res.stdout)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"traceless_correction"}
+
+
+@pytest.mark.parametrize("eps", ["1e-45", "1e-60"])
+def test_verify_where_the_second_fundamental_form_overflows_exits_3(eps):
+    """tau rho^2 overflows in the closed-form h at these eps: a typed numeric
+    failure, with no warning before it and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("verify", "--epsilon", eps, "--json", "-")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr.startswith("numeric failure: the second fundamental form is not finite "
+                                 f"with eps = {eps}, sigma = 1.0, R = 1.0")
+
+
+def test_sphere_whose_curvature_overflows_writes_no_file(tmp_path):
+    """The curvature table raises after the profile tables are built: exit 3 and no file."""
+    outs = [tmp_path / name for name in ("p.csv", "l.csv", "c.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("sphere", "--epsilon", "1e-40", "--R", "1", "--out", str(outs[0]),
+                      "--limits-out", str(outs[1]), "--curvature-out", str(outs[2]))
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert "second fundamental form is not finite" in res.stderr
+    assert not any(out.exists() for out in outs)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from heisenberg_cmc import (
     ContractError,
     DomainError,
     ModelParams,
+    NumericsError,
     Point,
     SphereSpec,
     outer_normal,
@@ -263,3 +265,14 @@ def test_assemble_with_perturbation_breaks_tracelessness(rng, spec):
     h[0, 0] += 1e-3
     data = assemble_corrected_shape(spec.H, spec.params.tau, h, fr.c)
     assert data.k0_norm > 1e-4
+
+
+@pytest.mark.parametrize("eps", [1e-38, 1e-45, 1e-60])
+def test_second_fundamental_form_that_overflows_raises_typed(eps):
+    """tau rho^2 (at 1e-38 and 1e-45) or rho^2 (at 1e-60) overflows: NumericsError, no warning."""
+    spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
+    q = Point(0.5, 0.0, float(profile_height(spec, 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="second fundamental form is not finite"):
+            second_fundamental_form(spec, q)

@@ -19,6 +19,7 @@ from heisenberg_cmc import (
 )
 from heisenberg_cmc.foliation import CylinderSpec
 from heisenberg_cmc.isoperimetry import (
+    _max_over_angles,
     calibration_gain,
     deficit_report,
     deficit_reports,
@@ -510,6 +511,38 @@ def test_jacobi_mode_reduction_matches_mesh(eps, sigma, R, which, n):
     got = jacobi_residual(spec, which, n=n)
     ref = _jacobi_residual_mesh(spec, which, n=n)
     assert abs(got - ref) <= _MESH_RTOL["t" if which == "t" else "x", n] * ref
+
+
+def _max_over_angles_mesh(rho, k, n):
+    """The maximum as `jacobi_residual` once took it, over the whole n-angle mesh."""
+    dth = 2.0 * math.pi / n
+    return float(np.max(np.abs(np.outer(rho, np.exp(1j * k * dth * np.arange(n))).real)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 400, 401, 800])
+@pytest.mark.parametrize("k", [0, 1])
+def test_max_over_angles_is_the_mesh_maximum_bit_for_bit(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    for trial in range(200):
+        m = int(rng.integers(1, 360))
+        rho = (rng.normal(size=m) + 1j * rng.normal(size=m)) * 10.0 ** rng.uniform(-300, 300)
+        kind = trial % 5
+        if kind == 1:
+            rho[rng.uniform(size=m) < 0.3] = 0.0
+        elif kind == 2:
+            rho = rho.real + 0j
+        elif kind == 3:
+            rho = 1j * rho.imag
+        elif kind == 4:
+            rho[rng.integers(m)] = complex(np.nan, 1.0) if trial % 2 else complex(1.0, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _max_over_angles(rho, k, n)
+        want = _max_over_angles_mesh(rho, k, n)
+        if kind == 4:
+            assert math.isnan(got) and math.isnan(want)
+        else:
+            assert got.hex() == want.hex(), (trial, kind)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])

@@ -605,6 +605,42 @@ def test_graph_mean_curvature_is_constant(rng):
         assert np.max(np.abs(h_fd - g.H) / g.H) <= 1e-6
 
 
+def _graph_mean_curvature_fd_by_calls(params, f, r, step):
+    """`graph_mean_curvature_fd` as it once was: 16 calls of `f` on len(r) points each."""
+    e, s = params.epsilon, params.sigma
+    r = np.asarray(r, dtype=float)
+    d = step
+
+    def fprime(x):
+        return (f(x - 2 * d) - 8.0 * f(x - d) + 8.0 * f(x + d) - f(x + 2 * d)) / (12.0 * d)
+
+    def flux(x):
+        fp = fprime(x)
+        return x * fp / np.sqrt(e**6 + fp * fp + s * s * x * x)
+
+    h = step
+    div = (flux(r - 2 * h) - 8.0 * flux(r - h) + 8.0 * flux(r + h) - flux(r + 2 * h)) / (12.0 * h)
+    return -(0.5 / e) * div / r
+
+
+def test_graph_mean_curvature_fd_is_one_call_of_the_16_call_stencil(rng):
+    specs = GRID + [SphereSpec(ModelParams(1.0, 1.0), 1.0), SphereSpec(ModelParams(0.5, 2.0), 2.0)]
+    for g in specs:
+        rs = rng.uniform(0.05, 0.9, size=30) * g.R
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return _f(g.params, x, g.R)
+
+        got = graph_mean_curvature_fd(g.params, f, rs, 1e-3 * g.R)
+        assert calls == [(16 * rs.size,)]
+        want = _graph_mean_curvature_fd_by_calls(g.params, lambda x: _f(g.params, x, g.R), rs,
+                                                 1e-3 * g.R)
+        assert got.shape == rs.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_mean_curvature_inverse_scaling(params):
     assert SphereSpec(params, 2.0).H == 0.5
     assert SphereSpec(ModelParams(0.5, 0.5), 2.0).H == 1.0
