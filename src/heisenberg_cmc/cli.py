@@ -36,6 +36,7 @@ from .sphere import (
     SphereSpec,
     _f,
     _normal_components,
+    _pieces,
     _radius_of,
     euclidean_profile,
     graph_mean_curvature_fd,
@@ -233,7 +234,7 @@ def _check_curvature_identity(spec: SphereSpec, rng: np.random.Generator, n: int
     x, y, r, t, (psi, scale2) = _sample_sphere_points(
         spec, rng, n, ((0.0, 2.0 * math.pi), (0.5, 2.0)))
     x1, x2 = _frame_vectors(x, y, *_frame_coefficients(spec, r, t))
-    nvec = _normal_components(params, x, y, r, t, spec.R)
+    nvec = _normal_components(params, x, y, t, spec.R, *_pieces(params, r, spec.R)[:2])
     scale, cs, sn = np.sqrt(scale2)[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None]
     v1 = scale * (cs * x1 + sn * x2)
     v2 = scale * (-sn * x1 + cs * x2)
@@ -399,6 +400,8 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
     rows = [(i, rep.symdiff, rep.deficit, rep.bound, rep.slack) for i, rep in enumerate(reports[:n])]
     min_slack = min(rep.slack for rep in reports[:n])
     defs = [rep.deficit for rep in reports[n:]]
+    if not all(0.0 < d < math.inf for d in defs):  # the excess is lost to rounding at large eps
+        raise NumericsError(f"a fit deficit is not positive and finite at eps = {args.epsilon!r}")
     exponent = float(np.polyfit(np.log(scales), np.log(defs), 1)[0])
 
     if args.out_prefix:

@@ -435,11 +435,17 @@ def jacobi_potential(spec: SphereSpec, r):
 
     |h|^2 from the closed-form second fundamental form; the Ricci term is
     -2 tau^2 + 4 tau^2 <N, T>^2 (cross-checked against the curvature
-    contraction in the tests).
+    contraction in the tests).  NumericsError where it is not finite, as
+    where tau^2 overflows at tiny eps and R.
     """
-    h = _shape(spec, r)[0]
-    theta_n = normal_component(spec, "t", (r, 0.0, _f(spec.params, r, spec.R)))  # <N, T>
-    return np.sum(h * h, axis=(-2, -1)) + (4.0 * theta_n * theta_n - 2.0) * spec.params.tau ** 2
+    params, h = spec.params, _shape(spec, r)[0]
+    theta_n = normal_component(spec, "t", (r, 0.0, _f(params, r, spec.R)))  # <N, T>
+    try:  # h * h and tau ** 2 (a float, which raises OverflowError)
+        with np.errstate(over="raise", invalid="raise"):
+            return np.sum(h * h, axis=(-2, -1)) + (4.0 * theta_n * theta_n - 2.0) * params.tau ** 2
+    except (FloatingPointError, OverflowError):
+        raise NumericsError(f"the Jacobi potential is not finite with eps = {params.epsilon!r}, "
+                            f"sigma = {params.sigma!r}, R = {spec.R!r}") from None
 
 
 def jacobi_residual(
@@ -479,6 +485,7 @@ def jacobi_residual(
     if len(r) < 5:
         raise DomainError("mesh too coarse for the interior stencil")
     dth = 2.0 * math.pi / n
+    potential = jacobi_potential(spec, r[1:-1])  # first: where it overflows, the stencil warns
 
     def metric_coeffs(rv):
         fr = _f_r(params, rv, R)
@@ -513,7 +520,7 @@ def jacobi_residual(
 
     # the backward shift is 1/z
     lap = (flux_r[1:] - flux_r[:-1]) / h + flux_t * ((1.0 - 1.0 / z) / dth)
-    rho = lap / sq[1:-1] + jacobi_potential(spec, r[1:-1]) * g[1:-1]
+    rho = lap / sq[1:-1] + potential * g[1:-1]
     return _max_over_angles(rho, k, n)
 
 

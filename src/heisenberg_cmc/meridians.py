@@ -40,16 +40,14 @@ from .sphere import (
     _ell,
     _f,
     _f_over_sqrt,
-    _gap,
+    _leaf,
     _mass,
     _normal_components,
     _on_sphere_or_raise,
-    _p_north,
+    _pansu_leaf,
     _pieces,
     _radius_of,
-    _radius_solve,
     _require_finite,
-    pansu_radius,
 )
 
 __all__ = [
@@ -88,10 +86,10 @@ def _require_off_axis(point: Point) -> None:
 
 
 def _leaf_terms(params: ModelParams, point: Point) -> tuple[float, float, float, float]:
-    """R, p signed by the hemisphere, ell(p) and m(r) of the leaf through the point."""
-    R = float(_radius_solve(params, point.r, point.t))
-    p = float(np.sign(point.t)) * float(_p_north(params, point.r, R))
-    return R, p, float(_ell(p)), _mass(params, point.r)
+    """R, p signed by the hemisphere, ell(p) and m(r) of the leaf through the point (`_leaf`)."""
+    R, g, m = _leaf(params, point.r, point.t)
+    p = float(np.sign(point.t)) * g * _divide(params.sigma, m)
+    return R, p, _ell(p), m
 
 
 def normal_derivatives(params: ModelParams, point: Point) -> tuple[float, float]:
@@ -131,12 +129,11 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
     return TangentVector(*_require_finite(n, params, "the normal acceleration at {}", point))
 
 
-def _lam_mu(params: ModelParams, r, t, R):
-    """lam, mu, nu and m(r), broadcasting; nu = eps^3 r/(R m) stays finite through sigma = 0."""
-    gap, m, _ = _pieces(params, r, R)
+def _lam_mu(params: ModelParams, r, t, R, g, m):
+    """lam, mu, nu on the leaf R, g, m(r), broadcasting; nu = eps^3 r/(R m), finite at sigma = 0."""
     e, c = params.epsilon, r / (R * m)
-    lam = np.sign(t) * gap / (r * R)
-    return lam, params.sigma * c, e * e * e * c, m
+    lam = np.sign(t) * g / (r * R)
+    return lam, params.sigma * c, e * e * e * c
 
 
 def meridian_field(params: ModelParams, point: Point) -> TangentVector:
@@ -146,8 +143,8 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     plane; the closed form below is regular there too.
     """
     _require_off_axis(point)
-    R = float(_radius_solve(params, point.r, point.t))
-    lam, mu, nu, _ = (float(v) for v in _lam_mu(params, point.r, point.t, R))
+    leaf = _leaf(params, point.r, point.t)
+    lam, mu, nu = (float(v) for v in _lam_mu(params, point.r, point.t, *leaf))
     return TangentVector(
         point.x * lam - point.y * mu,
         point.y * lam + point.x * mu,
@@ -174,7 +171,7 @@ def _curve(params: ModelParams, R: float, points: np.ndarray, r, step: float) ->
     are the meridian field there, and one exact south-pole sample is appended
     one step after the last."""
     x, y, t = points.T
-    lam, mu, nu, _ = _lam_mu(params, r, t, R)
+    lam, mu, nu = _lam_mu(params, r, t, R, *_pieces(params, r, R)[:2])
     vels = np.column_stack((x * lam - y * mu, y * lam + x * mu, -nu))
     points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
     vels = np.vstack([vels, vels[-1]])
@@ -226,7 +223,8 @@ def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     t-component -r m(r) / (eps R), in which the sigma terms cancel."""
     x, y, t = q.tolist()
     r = math.hypot(x, y)
-    lam, mu, _, m = _lam_mu(params, r, t, R)
+    g, m, _ = _pieces(params, r, R)
+    lam, mu, _ = _lam_mu(params, r, t, R, g, m)
     e = params.epsilon
     return np.array([(x * lam - y * mu) / e, (y * lam + x * mu) / e, -r * m / (e * R)])
 
@@ -319,7 +317,7 @@ def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
     dm = (m[i - 2] - 8.0 * m[i - 1] + 8.0 * m[i + 1] - m[i + 2]) / (12.0 * h)
     conv = dm + np.einsum("ni,nj,ijk->nk", m[i], m[i], christoffel_frame(params))
     w2 = 1.0 + (params.tau * params.epsilon * r) ** 2
-    normals = _normal_components(params, x, y, r, t, _radius_solve(params, r, t))
+    normals = _normal_components(params, x, y, t, *_leaf(params, r, t))
     resid = conv + (spec.H / w2)[:, None] * normals
     return float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
 
@@ -346,8 +344,8 @@ def _pansu_field(sigma: float, x, y, t) -> np.ndarray:
     r = _radius_of(x, y)
     if np.any(r == 0.0):
         raise DomainError("operation undefined on the center axis z = 0")
-    R = pansu_radius(sigma, r, t)
-    lam = np.sign(t) * _gap(r, R) / (r * R)
+    R, g = _pansu_leaf(sigma, r, t)
+    lam = np.sign(t) * g / (r * R)
     mu = 1.0 / R
     return np.stack([x * lam - y * mu, y * lam + x * mu, np.zeros_like(lam)], axis=-1)
 

@@ -152,10 +152,6 @@ def _pieces(params: ModelParams, r, R):
     return g, m, g * _divide(params.sigma, m)
 
 
-def _p_north(params: ModelParams, r, R):
-    return _pieces(params, r, R)[2]
-
-
 def _kernel(g, m, s, q):
     """F/g and F'(g) of the profile formula F(g; m, s, q) (module docstring)."""
     a = _arctan(q)
@@ -291,30 +287,33 @@ def _gap_solve(m, s: float, t, what: str):
     return _newton(residual, g, 0.0, g, t == 0.0, what)
 
 
-def _radius_gap(params: ModelParams, r, t):
-    """g with f(r; R) = |t| and m(r), broadcasting r and t; f is even in sigma."""
+def _leaf(params: ModelParams, r, t):
+    """R >= r with f(r; R) = |t|, g = sqrt(R^2 - r^2) and m(r), broadcasting r and t; f is even
+    in sigma.  The one source of g off a sphere: `_gap` of R loses it once g^2 < ulp(r^2)."""
     m = _mass(params, r)
-    return _gap_solve(m, abs(params.sigma), t, "radius solve"), m
+    g = _gap_solve(m, abs(params.sigma), t, "radius solve")
+    R = np.hypot(r, g)
+    return (R if isinstance(R, np.ndarray) else float(R)), g, m
 
 
 def _radius_solve(params: ModelParams, r, t):
-    """R >= r with f(r; R) = |t|, broadcasting r and t (`_radius_gap`)."""
-    return np.hypot(r, _radius_gap(params, r, t)[0])
+    """R >= r with f(r; R) = |t|, broadcasting r and t (`_leaf`)."""
+    return _leaf(params, r, t)[0]
 
 
 def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
     """Radius of the sphere through (r, t) plus its partial derivatives.
 
-    R_r = r ell(p) / R and R_t = sgn(t) g ell(p) / (R m(r)),
-    both continuous across the equator plane t = 0 (where R = r, R_r = 1,
-    R_t = 0); g = sqrt(R^2 - r^2), m(r) and |p| come from the solve.
+    R_r = r ell(p) / R and R_t = sgn(t) g / (R F'), F' = m(r)/ell(p) from `_kernel`, finite where
+    m(r) = 0 (the axis once eps^3 underflows), both continuous across the equator plane t = 0
+    (where R = r, R_r = 1, R_t = 0); g = sqrt(R^2 - r^2), m(r) and |p| come from the solve.
     """
     _check_point(r, t, "the radius field")
-    g, m = _radius_gap(params, r, t)
-    R = float(np.hypot(r, g))
-    ell = float(_ell(_divide(abs(params.sigma) * g, m)))
-    R_r = _divide(r * ell, R)  # R is 0 where it underflows next to the origin
-    R_t = _divide(math.copysign(1.0, t) * g * ell, m * R) if t != 0.0 else 0.0
+    R, g, m = _leaf(params, r, t)
+    s = abs(float(params.sigma))
+    p = _divide(s * g, m)
+    R_r = _divide(r * _ell(p), R)  # R is 0 where it underflows next to the origin
+    R_t = _divide(math.copysign(g, t), R * _kernel(g, m, s, p)[1]) if t != 0.0 else 0.0
     _require_finite((R_r, R_t), params, "the radius field at (r, t) = ({!r}, {!r})", r, t)
     return RadiusField(value=R, R_r=R_r, R_t=R_t)
 
@@ -336,13 +335,15 @@ def _radius_of(x, y):
     return np.asarray(_hypot(x, y), dtype=float)
 
 
-def _normal_components(params: ModelParams, x, y, r, t, R):
-    """Outward unit normal at (x, y, t), with r = |z|, on the leaf R: frame coefficients stacked
-    (..., 3) for arrays, a tuple of three floats for floats (signed as np.sign signs t)."""
+def _normal_components(params: ModelParams, x, y, t, R, g, m):
+    """Outward unit normal at (x, y, t) on the leaf R, g, m(r) (`_leaf`, or `_pieces` on a sphere):
+    frame coefficients (..., 3) for arrays, three floats for floats (signed as np.sign signs t), and
+    sgn(t) T for one point on the axis, where p and eps^3/m fail once eps^3 underflows."""
     sg = np.sign(t) if isinstance(t, np.ndarray) else 1.0 if t > 0.0 else -1.0 if t < 0.0 else t - t
-    gap, m, p = _pieces(params, r, R)
+    if not isinstance(x, np.ndarray) and x == 0.0 and y == 0.0:
+        return 0.0, 0.0, sg
     e = params.epsilon
-    p, q = sg * p, sg * gap * _divide(e * e * e, m)  # q = eps^3 g/m, finite for all sigma
+    p, q = sg * g * _divide(params.sigma, m), sg * g * _divide(e * e * e, m)  # q = eps^3 g/m
     n = ((x + y * p) / R, (y - x * p) / R, q / R)
     return np.stack(n, axis=-1) if isinstance(p, np.ndarray) else n
 
@@ -367,16 +368,17 @@ def outer_normal(spec: SphereSpec, point: Point, tol: float = 1e-8) -> TangentVe
     rejected.
     """
     _on_sphere_or_raise(spec, point, tol)
+    g, m, _ = _pieces(spec.params, point.r, spec.R)
     return TangentVector.from_array(
-        _normal_components(spec.params, point.x, point.y, point.r, point.t, spec.R))
+        _normal_components(spec.params, point.x, point.y, point.t, spec.R, g, m))
 
 
 def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
     """Outward unit normal of the sphere family at any point except the origin."""
     r, t = point.r, point.t
     _check_point(r, t, "the foliation normal")
-    R = float(_radius_solve(params, r, t))  # 0 where it underflows next to the origin
-    n = _normal_components(params, point.x, point.y, r, t, R) if R else (math.nan,) * 3
+    R, g, m = _leaf(params, r, t)  # R is 0 where it underflows next to the origin
+    n = _normal_components(params, point.x, point.y, t, R, g, m) if R else (math.nan,) * 3
     return TangentVector.from_array(_require_finite(n, params, "the foliation normal at {}", point))
 
 
@@ -435,17 +437,23 @@ def pansu_profile(sigma: float, R: float, r):
     return _scalar_or_array(r, g * _kernel(g, sigma * rr, sigma, _divide(g, rr))[0])
 
 
+def _pansu_leaf(sigma: float, r, t):
+    """R and g of the limit-profile sphere through (r, t); DomainError unless sigma > 0."""
+    if sigma <= 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma!r}")
+    _check_point(r, t, "pansu_radius")
+    g = _gap_solve(sigma * r, sigma, t, "pansu radius solve")
+    return np.hypot(r, g), g
+
+
 def pansu_radius(sigma: float, r, t):
     """Radius of the limit-profile sphere through (r, t); inverse of pansu_profile by `_gap_solve`.
 
     Broadcasts over arrays of r and t; R = r on the plane t = 0.
     """
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
     if not (isinstance(r, (float, int)) and isinstance(t, (float, int))):
         r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
-    _check_point(r, t, "pansu_radius")
-    R = np.hypot(r, _gap_solve(sigma * r, sigma, t, "pansu radius solve"))
+    R = _pansu_leaf(sigma, r, t)[0]
     return float(R) if R.ndim == 0 else R
 
 

@@ -290,6 +290,21 @@ def test_isoperim_report(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("eps", ["1e5", "1e6"])
+def test_isoperim_whose_fit_deficits_are_lost_to_rounding_exits_3(tmp_path, eps):
+    """From about eps = 1e5 the area excess of the scaled fit competitors is lost to rounding,
+    where the report held a NaN exponent, which is not JSON, and exited 1: a typed numeric
+    failure naming eps, with no warning, no report and no CSV."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("isoperim", "--epsilon", eps, "--out-prefix", str(tmp_path / "iso"))
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: a fit deficit is not positive and finite at "
+                          f"eps = {float(eps)!r}\n")
+    assert not (tmp_path / "iso.csv").exists()
+
+
 def test_isoperim_deterministic_output(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -552,3 +552,17 @@ def test_jacobi_residual_finite_at_small_eps(eps):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert all(math.isfinite(jacobi_residual(spec, w)) for w in "xyt")
+
+
+@pytest.mark.parametrize("which", ["x", "t"])
+def test_jacobi_residual_where_tau_squared_overflows_raises_typed(which):
+    """At eps = 1e-40 and R = 1e-200 the second fundamental form is finite, but tau = 1e160
+    squared overflows, and so does H^2 = 1e480: NumericsError and no warning, where tau ** 2
+    raised an untyped OverflowError after RuntimeWarnings from the stencil."""
+    spec = SphereSpec(ModelParams(1e-40, 1.0), 1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="Jacobi potential is not finite with eps = 1e-40, sigma = 1.0, R = 1e-200"):
+            jacobi_residual(spec, which)
+        with pytest.raises(NumericsError, match="Jacobi potential"):
+            jacobi_potential(spec, 0.5e-200)

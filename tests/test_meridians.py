@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +31,7 @@ from heisenberg_cmc.meridians import (
     pansu_geodesic_residual,
     pansu_meridian_field,
 )
-from heisenberg_cmc.sphere import _p_north, _radius_of, _radius_solve
+from heisenberg_cmc.sphere import _pieces, _radius_of, _radius_solve
 
 
 def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
@@ -44,7 +45,7 @@ def leaf_p(params, pt):
     """The signed tilt parameter of the leaf through pt (for the oracle)."""
     r = math.hypot(pt[0], pt[1])
     R = float(_radius_solve(params, r, pt[2]))
-    return float(np.sign(pt[2])) * float(_p_north(params, r, R))
+    return float(np.sign(pt[2])) * float(_pieces(params, r, R)[2])
 
 
 def test_normal_radius_derivative_at_equator(params):
@@ -218,7 +219,8 @@ def test_geodesic_residual_flags_an_off_sphere_curve():
     points = curve.points.copy()
     points[np.argmin(np.abs(points[:-1, 2])), :2] *= 1.0 + 1e-3
     x, y, t = points[:-1].T
-    lam, mu, m, _ = _lam_mu(spec.params, _radius_of(x, y), t, spec.R)
+    r = _radius_of(x, y)
+    lam, mu, m = _lam_mu(spec.params, r, t, spec.R, *_pieces(spec.params, r, spec.R)[:2])
     velocities = np.vstack([np.column_stack((x * lam - y * mu, y * lam + x * mu, -m)),
                             curve.velocities[-1]])
     curve = MeridianCurve(spec.R, curve.s, points, velocities)
@@ -433,6 +435,64 @@ def test_euclidean_field_meridian_plane_and_tangency(rng):
         # tangent to the round sphere through q
         assert q.x * mh.aX + q.y * mh.aY + q.t * mh.aT == pytest.approx(0.0, abs=1e-12)
         assert mh.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def mp_leaf_fields(eps, sigma, x, y, t):
+    """50-digit foliation normal, meridian field, normal derivatives, normal acceleration and
+    Pansu field (at |sigma|) at (x, y, t), from g = sqrt(R^2 - r^2) solved in g itself, where
+    f = [m(R)^2 arctan(p) + m(r)^2 p]/(2 sigma), p = sigma g/m(r), and Pansu's profile is
+    (sigma/2)[R^2 arctan(g/r) + r g]: the closed forms of the docstrings, in mpmath."""
+    e, s, x, y, t = (mpmath.mpf(v) for v in (eps, sigma, x, y, t))
+    r, a, sg = mpmath.sqrt(x * x + y * y), abs(s), mpmath.sign(t)
+    m = mpmath.sqrt(e**6 + s * s * r * r)
+    f = lambda g: ((e**6 + a * a * (r * r + g * g)) * mpmath.atan(a * g / m) + m * a * g) / (2 * a)
+    g = mpmath.findroot(lambda g: f(g) - abs(t), abs(t) / m)
+    R, p, c = mpmath.sqrt(r * r + g * g), sg * s * g / m, s * r / m
+    ell, atan_p = 1 / (1 + p * mpmath.atan(p)), mpmath.atan(p)
+    lam, mu, nu = sg * g / (r * R), s * r / (R * m), e**3 * r / (R * m)
+    d = -s * s * r * r * (ell * atan_p + p) / (e * R * R * m * m)
+    phi = -(m * m * p) / (s * r) ** 2
+    gb = mpmath.findroot(lambda g: a / 2 * ((r * r + g * g) * mpmath.atan(g / r) + r * g) - abs(t),
+                         mpmath.sqrt(abs(t) / a))
+    Rb = mpmath.sqrt(r * r + gb * gb)
+    return (((x + y * p) / R, (y - x * p) / R, sg * e**3 * g / (m * R)),
+            (x * lam - y * mu, y * lam + x * mu, -nu),
+            (ell / e, (p * ell - c * c * (ell * atan_p + p)) / (e * R)),
+            (d * (y + x * phi), -d * (x - y * phi), d * e**3 / s),
+            (x * sg * gb / (r * Rb) - y / Rb, y * sg * gb / (r * Rb) + x / Rb, 0))
+
+
+@pytest.mark.parametrize("eps, sigma", [(1.0, 1.0), (0.5, -2.0)])
+@pytest.mark.parametrize("t", [1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12])
+def test_fields_near_the_equator_plane_match_50_digit_leaves(eps, sigma, t):
+    """Off the sphere every field reads g = sqrt(R^2 - r^2) of its leaf from the radius solve.
+    Worked out again from R, g was lost once g^2 fell below an ulp of r^2: the normal was
+    (0.6, 0.8, 0) at |t| = 1e-9.  Each nonzero component is within 1e-14 relative."""
+    params, point = ModelParams(eps, sigma), Point(0.42, 0.56, t)
+    got = (foliation_normal(params, point).as_array(), meridian_field(params, point).as_array(),
+           normal_derivatives(params, point), normal_acceleration(params, point).as_array(),
+           pansu_meridian_field(abs(sigma), point).as_array())
+    with mpmath.workdps(50):
+        for name, values, exact in zip(("normal", "field", "derivatives", "acceleration", "pansu"),
+                                       got, mp_leaf_fields(eps, sigma, *point.as_array())):
+            for value, want in zip(values, exact):
+                if want == 0:
+                    assert value == 0.0, name
+                else:
+                    assert abs(value - want) <= 1e-14 * abs(want), (name, value, want)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_pansu_field_needs_a_positive_sigma(sigma):
+    with pytest.raises(DomainError, match="sigma must be positive"):
+        pansu_meridian_field(sigma, Point(0.3, 0.4, 0.1))
+
+
+@pytest.mark.parametrize("point", [Point(math.inf, 0.4, 0.1), Point(0.3, 0.4, math.nan),
+                                   Point(0.3, 0.4, -math.inf)])
+def test_pansu_field_needs_a_finite_point(point):
+    with pytest.raises(DomainError, match="needs a finite point"):
+        pansu_meridian_field(1.0, point)
 
 
 def test_pansu_field_horizontal_unit(rng):

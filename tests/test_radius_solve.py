@@ -63,7 +63,7 @@ def test_foliation_normal_is_the_row_of_the_array_core(eps, size, sign, R0, u, s
     r = u * R0
     point = Point(r * math.cos(theta), r * math.sin(theta), side * float(_f(params, r, R0)))
     x, y, r, t = (np.array([v]) for v in (point.x, point.y, point.r, point.t))
-    row = _normal_components(params, x, y, r, t, _radius_solve(params, r, t))[0]
+    row = _normal_components(params, x, y, t, *sphere._leaf(params, r, t))[0]
     n = foliation_normal(params, point)
     assert all(type(v) is float for v in (n.aX, n.aY, n.aT))
     assert np.array_equal(n.as_array(), row)

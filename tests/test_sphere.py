@@ -533,6 +533,29 @@ def test_profile_layer_reaches_the_subriemannian_limit(eps, sigma):
             assert finite_or_typed_error(lambda: call(params, axis)), call
 
 
+@pytest.mark.parametrize("eps", [1e-100, 1e-104, 1e-200, 1e-300])
+@pytest.mark.parametrize("sigma", [1.0, -2.0])
+@pytest.mark.parametrize("t", [0.3, -0.3])
+def test_axis_where_eps_cubed_underflows(eps, sigma, t):
+    """On the axis the normal is sgn(t) T, and R_t = sgn(t) g/(R F') with F' = m(r)/ell(p) =
+    m + |sigma| g arctan|p|, which is |sigma| R pi/2 where m(0) = eps^3 underflows to 0 (eps
+    below about 5.5e-109).  p = sigma g/eps^3 overflows from about eps = 1e-103, where the
+    normal raised NumericsError and R_t came out 0; once eps^3 = 0, eps^3/m = 0/0 made R_t
+    raise too and the outer normal at the poles NaN.  R is Pansu's, sqrt(4|t|/(pi |sigma|))."""
+    params, s = ModelParams(eps, sigma), abs(sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = radius_field(params, 0.0, t)
+        normal = foliation_normal(params, Point(0.0, 0.0, t))
+        spec = SphereSpec(params, field.value)
+        pole = outer_normal(spec, Point(0.0, 0.0, math.copysign(profile_height(spec, 0.0), t)))
+    R = math.sqrt(4.0 * abs(t) / (math.pi * s))
+    assert field.value == pytest.approx(R, rel=1e-15)
+    assert field.R_r == 0.0
+    assert field.R_t == pytest.approx(math.copysign(2.0, t) / (math.pi * s * R), rel=1e-15)
+    assert normal.as_array().tolist() == pole.as_array().tolist() == [0.0, 0.0, math.copysign(1.0, t)]
+
+
 @pytest.mark.parametrize("eps", [1e200, 1e-320])
 def test_profile_layer_at_extreme_eps_is_finite_or_raises_typed(eps):
     """At eps = 1e200 eps**3 would raise OverflowError, and at the subnormal 1e-320 eps^3 is 0
