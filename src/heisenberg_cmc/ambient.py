@@ -89,7 +89,7 @@ class Point:
 
     @property
     def r(self) -> float:
-        return math.hypot(self.x, self.y)
+        return abs(complex(self.x, self.y))  # libm's hypot, as np.hypot (math.hypot is not)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.t], dtype=float)

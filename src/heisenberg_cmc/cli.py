@@ -31,7 +31,7 @@ from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_co
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, _divergence, label_floor, leaf_label_grid
 from .isoperimetry import deficit_reports, jacobi_residual, make_competitors
-from .meridians import MeridianCurve, _pansu_field, meridian_curve, meridian_geodesic_residual
+from .meridians import MeridianCurve, _geodesic_residual, _pansu_field, meridian_curve
 from .sphere import (
     SphereSpec,
     _f,
@@ -353,13 +353,16 @@ def cmd_meridian(args: argparse.Namespace) -> int:
     x, y, t = curve.points.T
     drift = float(np.max(np.abs(np.abs(t) - profile_height(spec, np.minimum(_radius_of(x, y), R)))))
 
-    # the checks run on their own curve, so they do not depend on --step-frac
+    # the checks run on their own curve, so they do not depend on --step-frac; the polar
+    # frame coefficients degenerate at the poles, so both skip r < 0.1 R
     check = meridian_curve(spec, start, math.pi * spec.params.epsilon * R / _CHECK_SAMPLES)
-    resid = meridian_geodesic_residual(spec, check)
+    rs = _radius_of(check.points[:, 0], check.points[:, 1])
+    off_poles = rs >= 0.1 * R
+    resid = _geodesic_residual(spec, check.points[off_poles], check.velocities[off_poles])
+    resid = float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
     # the sub-Riemannian limit sphere exists for sigma > 0 only
     dev = None
     if spec.params.sigma > 0.0:
-        rs = _radius_of(check.points[:, 0], check.points[:, 1])
         keep = (0.1 * R < rs) & (rs < 0.95 * R)
         bar = _pansu_field(spec.params.sigma, *check.points[keep].T)
         scaled = check.velocities[keep] * np.array([1.0, 1.0, spec.params.epsilon**3])
@@ -376,7 +379,7 @@ def cmd_meridian(args: argparse.Namespace) -> int:
         "length": float(curve.s[-1]),
         "max_leaf_drift": drift,
         "geodesic_residual": resid,
-        "final_r": math.hypot(curve.points[-1, 0], curve.points[-1, 1]),
+        "final_r": abs(complex(curve.points[-1, 0], curve.points[-1, 1])),
         "final_t": float(curve.points[-1, 2]),
         "pansu_deviation": dev,
     }

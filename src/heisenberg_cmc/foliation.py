@@ -109,8 +109,11 @@ def foliation_constants(spec: SphereSpec) -> FoliationConstants:
     e = spec.params.epsilon
     R = spec.R
     k, f0 = _k_f0(spec)
-    c = 1.0 / (4.0 * math.pi * e * R**3 * (R * k + f0))
-    d = 1.0 / (12.0 * e * math.pi**2 * R**5 * (4.0 * R * k * k + f0 * f0))
+    try:  # R**3 and R**5 raise OverflowError, above R of about 5.6e102 and 1.4e61
+        c = 1.0 / (4.0 * math.pi * e * R**3 * (R * k + f0))
+        d = 1.0 / (12.0 * e * math.pi**2 * R**5 * (4.0 * R * k * k + f0 * f0))
+    except OverflowError:
+        raise NumericsError(f"the deficit constants are not finite with R = {R!r}") from None
     return FoliationConstants(k=k, C=c, D=d)
 
 

@@ -79,13 +79,17 @@ def graph_area(
     if (slope is None) == (gradient is None):
         raise ContractError("provide exactly one of slope= or gradient=")
     e, s = params.epsilon, params.sigma
+    try:
+        e6 = e**6
+    except OverflowError:  # eps above about 1.4e51
+        raise NumericsError(f"eps^6 is not a finite float with eps = {e!r}") from None
     rad = float(radius)
     if slope is not None:
 
         def integrand(phi):
             r = rad * np.sin(phi)
             fp = np.asarray(slope(r), dtype=float)
-            return np.sqrt(e**6 + fp * fp + s * s * r * r) * r * rad * np.cos(phi)
+            return np.sqrt(e6 + fp * fp + s * s * r * r) * r * rad * np.cos(phi)
 
         return (2.0 * math.pi / e) * _quad(integrand, 0.0, 0.5 * math.pi, "radial graph area")
 
@@ -97,7 +101,7 @@ def graph_area(
             rr = rho[row, None]
             xs, ys = cx + rr * np.cos(ang), cy + rr * np.sin(ang)
             fx, fy = (np.asarray(g, dtype=float) for g in grad(xs, ys))
-            val = (e**6 + fx * fx + fy * fy + s * s * (xs * xs + ys * ys)
+            val = (e6 + fx * fx + fy * fy + s * s * (xs * xs + ys * ys)
                    + 2.0 * s * (xs * fy - ys * fx))
             return np.sqrt(val) * rr
 
@@ -306,12 +310,16 @@ def deficit_reports(comps) -> list[DeficitReport]:
         raise ContractError("the competitors of a suite must share their sphere and cylinder")
     params, R = spec.params, spec.R
     e, s = params.epsilon, params.sigma
+    try:
+        e6 = e**6
+    except OverflowError:  # eps above about 1.4e51
+        raise NumericsError(f"eps^6 is not a finite float with eps = {e!r}") from None
 
     def excess_integrand(r, amp, bump, width):
         fr = _f_r(params, r, R)
         dfr = amp * _bump_slope(*bump, width)
-        w2 = e**6 + fr * fr + s * s * r * r
-        wt2 = e**6 + (fr + dfr) ** 2 + s * s * r * r
+        w2 = e6 + fr * fr + s * s * r * r
+        wt2 = e6 + (fr + dfr) ** 2 + s * s * r * r
         num = 2.0 * fr * dfr + dfr * dfr
         return num / (np.sqrt(wt2) + np.sqrt(w2)) * r
 

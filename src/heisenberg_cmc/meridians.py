@@ -202,7 +202,10 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
     _check_meridian_input(spec, start, step=step)
     phi0 = _chart(params, R, start.r, start.t)[0]
     dphi = step / (params.epsilon * R)
-    phi = phi0 + dphi * np.arange(int((math.pi - phi0) / dphi) + 1)
+    n = int((math.pi - phi0) / dphi) + 1
+    if n > np.iinfo(np.intp).max:  # where np.arange would raise before allocating
+        raise DomainError(f"step = {step!r} asks for {n:.3g} samples, more than an array holds")
+    phi = phi0 + dphi * np.arange(n)
     phi = phi[phi < math.pi]
     c, r = R * np.cos(phi), R * np.sin(phi)
     # t = f(r) at the rounded r, not R cos(phi) f/sqrt(R^2 - r^2): the two agree to
@@ -222,7 +225,7 @@ def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     point q = (x, y, t): the X and Y coefficients of _lam_mu over eps, and the
     t-component -r m(r) / (eps R), in which the sigma terms cancel."""
     x, y, t = q.tolist()
-    r = math.hypot(x, y)
+    r = abs(complex(x, y))
     g, m, _ = _pieces(params, r, R)
     lam, mu, _ = _lam_mu(params, r, t, R, g, m)
     e = params.epsilon
@@ -271,7 +274,7 @@ def integrate_meridian(
             k3 = _rk4_velocity(params, R, q + 0.5 * h * k2)
             k4 = _rk4_velocity(params, R, q + h * k3)
             x, y, t = (q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).tolist()
-            r = math.hypot(x, y)
+            r = abs(complex(x, y))
             phi, rho = _chart(params, R, r, t)
             if not abs(rho - R) <= h / e:  # NaN fails too
                 raise NumericsError(f"meridian step {len(pts)} strayed more than step/eps from "
@@ -282,7 +285,7 @@ def integrate_meridian(
             scale = r_new / r if r > 0.0 else 0.0
             q = np.array([x * scale, y * scale, t_new])
             pts.append(q)
-            if math.hypot(q[0], q[1]) < pole_r and q[2] < 0.0:
+            if abs(complex(q[0], q[1])) < pole_r and q[2] < 0.0:
                 break
         else:
             raise NumericsError(f"meridian did not reach the south pole within max_len = "
@@ -292,16 +295,37 @@ def integrate_meridian(
     return _curve(params, R, points, _radius_of(points[:, 0], points[:, 1]), h)
 
 
+def _geodesic_residual(spec: SphereSpec, points: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    """eps R (nabla_M M + (H / w^2) N) in closed form at (k, 3) sphere points off the axis, where
+    the meridian field is `velocities` (k, 3); the stencil `meridian_geodesic_residual` is its
+    oracle.  In phi (r = R sin phi): r' = sgn(t) g, theta' = sigma r/m, lam' = -R/r^2, and
+    c = r/(R m) = mu/sigma = nu/eps^3 has c' = (eps^3/m)^2 r'/(R m).  eps R Gamma(v, v) =
+    2 theta' (v_Y, -v_X, 0) and eps R H/w^2 = (eps^3/m)^2, so the residual is, with each term in
+    (eps^3, sigma) and of size 1 off the poles, (r'/r) (v_X, v_Y, 0) + theta' (v_Y, -v_X, 0) +
+    (x lam' - y mu', y lam' + x mu', -nu') + (eps^3/m)^2 N, N the sphere's normal.
+    """
+    params, R, e = spec.params, spec.R, spec.params.epsilon
+    x, y, t = points.T
+    r = _radius_of(x, y)
+    g, m, _ = _pieces(params, r, R)
+    k2, dr = (e * e * e / m) ** 2, np.sign(t) * g
+    a, dtheta, dlam, dc = dr / r, params.sigma * r / m, -R / (r * r), k2 * dr / (R * m)
+    vx, vy, dmu = velocities[:, 0], velocities[:, 1], params.sigma * dc
+    dv = np.column_stack((a * vx + dtheta * vy + x * dlam - y * dmu,
+                          a * vy - dtheta * vx + y * dlam + x * dmu, -e * e * e * dc))
+    return dv + k2[:, None] * _normal_components(params, x, y, t, R, g, m)
+
+
 def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
                                r_min_frac: float = 0.1) -> float:
-    """Max residual of nabla_M M + (H / w(r)^2) N along the curve.
+    """Max residual of nabla_M M + (H / w(r)^2) N along a sampled curve, as integrate_meridian's;
+    the oracle of the closed form `_geodesic_residual`, which the CLI reports.
 
-    The derivative of the velocity's frame components is taken by
-    4th-order finite differences in arclength and corrected with the
-    connection table; samples with r < r_min_frac * R are skipped because
-    the polar frame coefficients degenerate there.  Each sample's normal N
-    is the foliation normal of its own leaf, not of the sphere R, so
-    samples off the sphere raise the residual.
+    The derivative of the velocity's frame components is taken by 4th-order finite
+    differences in arclength and corrected with the connection table; samples with
+    r < r_min_frac * R are skipped because the polar frame coefficients degenerate there.
+    Each sample's normal N is the foliation normal of its own leaf, not of the sphere R,
+    so samples off the sphere raise the residual.
     """
     params, R = spec.params, spec.R
     h = curve.s[1] - curve.s[0]

@@ -326,13 +326,7 @@ def sphere_through(params: ModelParams, point: Point) -> SphereSpec:
 # ------------------------------------------------------------------- normals
 
 
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-
-
-def _radius_of(x, y):
-    """|z| elementwise by math.hypot, as Point.r and the meridian integrator
-    compute it (np.hypot differs from it in the last bit)."""
-    return np.asarray(_hypot(x, y), dtype=float)
+_radius_of = np.hypot  # |z| elementwise by libm's hypot, as Point.r and the integrator take it
 
 
 def _normal_components(params: ModelParams, x, y, t, R, g, m):
@@ -471,12 +465,16 @@ def graph_mean_curvature_fd(params: ModelParams, f, r, step: float):
     stencil points r + a step + b step, a and b in {-2, -1, 1, 2}.
     """
     e, s = params.epsilon, params.sigma
+    try:
+        e6 = e**6
+    except OverflowError:  # eps above about 1.4e51
+        raise NumericsError(f"eps^6 is not a finite float with eps = {e!r}") from None
     r = np.asarray(r, dtype=float)
     h = step
     x = np.stack((r - 2 * h, r - h, r + h, r + 2 * h))  # where the flux is differenced
     points = np.stack((x - 2 * h, x - h, x + h, x + 2 * h), axis=1)  # where f is differenced
     fx = np.reshape(f(points.ravel()), points.shape)
     fp = (fx[:, 0] - 8.0 * fx[:, 1] + 8.0 * fx[:, 2] - fx[:, 3]) / (12.0 * h)
-    flux = x * fp / np.sqrt(e**6 + fp * fp + s * s * x * x)
+    flux = x * fp / np.sqrt(e6 + fp * fp + s * s * x * x)
     div = (flux[0] - 8.0 * flux[1] + 8.0 * flux[2] - flux[3]) / (12.0 * h)
     return -(0.5 / e) * div / r

@@ -229,11 +229,54 @@ def test_meridian_runs_in_the_subriemannian_limit(tmp_path, eps):
     summary = json.loads(res.stdout)
     assert summary["max_leaf_drift"] <= 1e-12
     assert summary["final_r"] == 0.0 and summary["final_t"] < 0.0
-    # geodesic_residual is a curvature-sized quantity: it scales with 1/(eps R)
-    assert 0.0 <= summary["geodesic_residual"] * float(eps) <= 1e-8
+    # geodesic_residual is eps R times a curvature-sized quantity, so it is scale-free
+    assert 0.0 <= summary["geodesic_residual"] <= 1e-10
     assert 0.0 <= summary["pansu_deviation"] <= 1e-8
     table = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(table) == summary["samples"] and np.all(np.isfinite(table))
+
+
+@pytest.mark.parametrize("eps", ["1e-60", "1e-200", "1e-300"])
+def test_meridian_at_tiny_eps_runs_under_warnings_as_errors(eps):
+    """The geodesic residual is formed in (eps^3, sigma), so nothing in it overflows where
+    tau = sigma/eps^4 and w(r)^2 would: exit 0 with finite JSON and a rounding-sized residual."""
+    def not_finite(name):
+        raise AssertionError(f"the summary holds {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--epsilon", eps)
+    assert res.returncode == 0, res.stderr
+    summary = json.loads(res.stdout, parse_constant=not_finite)
+    assert 0.0 <= summary["geodesic_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv, step, count", [
+    (["--epsilon", "1e100"], "0.0005", "6.24e+103"),
+    (["--epsilon", "1e20", "--step-frac", "1"], "1.0", "3.12e+20"),
+])
+def test_meridian_step_that_asks_for_more_samples_than_an_array_holds_exits_2(argv, step, count):
+    """np.arange raised an untyped ValueError here, before allocating anything."""
+    res = run_cli("meridian", *argv)
+    assert res.returncode == cli.EXIT_BAD_INPUT
+    assert res.stdout == ""
+    assert res.stderr == (f"error: step = {step} asks for {count} samples, "
+                          "more than an array holds\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["isoperim", "--epsilon", "1e60"], "eps^6 is not a finite float with eps = 1e+60"),
+    (["verify", "--epsilon", "1e60"], "eps^6 is not a finite float with eps = 1e+60"),
+    (["isoperim", "--R", "1e62"], "the deficit constants are not finite with R = 1e+62"),
+])
+def test_float_power_past_the_largest_float_exits_3(argv, message):
+    """eps**6 and R**5 raised an untyped OverflowError, a traceback and exit 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli(*argv)
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == f"numeric failure: {message}\n"
 
 
 def test_curve_files_have_the_bytes_of_csv_and_json_writers(tmp_path):

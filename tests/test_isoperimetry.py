@@ -17,7 +17,7 @@ from heisenberg_cmc import (
     sphere_area,
     sphere_volume,
 )
-from heisenberg_cmc.foliation import CylinderSpec
+from heisenberg_cmc.foliation import CylinderSpec, foliation_constants
 from heisenberg_cmc.isoperimetry import (
     _max_over_angles,
     calibration_gain,
@@ -35,7 +35,7 @@ from heisenberg_cmc.isoperimetry import (
 )
 from heisenberg_cmc._numerics import _quad
 from heisenberg_cmc.curvature import second_fundamental_form
-from heisenberg_cmc.sphere import _f, _f_r
+from heisenberg_cmc.sphere import _f, _f_r, graph_mean_curvature_fd
 
 from conftest import sphere_point
 
@@ -108,6 +108,21 @@ def test_radial_2d_paths_agree(params):
 def test_2d_graph_area_of_a_non_finite_gradient_raises(params):
     with pytest.raises(NumericsError, match="not finite"):
         graph_area(params, 0.6, gradient=lambda x, y: (math.nan, 0.0))
+
+
+def test_float_powers_past_the_largest_float_raise_numerics_error():
+    """eps**6 and R**5 are Python float powers, which raise an untyped OverflowError past the
+    largest float (eps above about 1.4e51, R above about 1.4e61): a typed NumericsError from
+    each function that forms one, with no warning before it.  deficit_reports is the CLI's."""
+    huge = ModelParams(1e60, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"eps\^6 is not a finite float with eps = 1e\+60"):
+            graph_area(huge, 1.0, slope=lambda r: -r)
+        with pytest.raises(NumericsError, match=r"eps\^6 is not a finite float"):
+            graph_mean_curvature_fd(huge, lambda x: -x * x, np.array([0.5]), 1e-3)
+        with pytest.raises(NumericsError, match="deficit constants are not finite with R = 1e"):
+            foliation_constants(SphereSpec(ModelParams(1.0, 1.0), 1e62))
 
 
 def test_scaled_area_converges_to_subriemannian_integral():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from heisenberg_cmc import (
 from heisenberg_cmc.ambient import christoffel_frame
 from heisenberg_cmc.meridians import (
     MeridianCurve,
+    _geodesic_residual,
     _lam_mu,
     _rk4_velocity,
     euclidean_meridian_field,
@@ -31,7 +33,7 @@ from heisenberg_cmc.meridians import (
     pansu_geodesic_residual,
     pansu_meridian_field,
 )
-from heisenberg_cmc.sphere import _pieces, _radius_of, _radius_solve
+from heisenberg_cmc.sphere import _normal_components, _pieces, _radius_of, _radius_solve
 
 
 def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
@@ -230,6 +232,63 @@ def test_geodesic_residual_flags_an_off_sphere_curve():
     resid = meridian_geodesic_residual(spec, curve)
     assert resid > 1.0
     assert resid == pytest.approx(reference_geodesic_residual(spec, curve), rel=1e-12, abs=0.0)
+
+
+def stencil_and_closed_form_acceleration(spec, curve):
+    """nabla_M M at the stencil's samples (r >= 0.1 R, two from each end) by the stencil of
+    meridian_geodesic_residual and from the closed form, which gives it times eps R less the
+    normal term (eps^3/m)^2 N; keyed by sample index."""
+    params, R, e = spec.params, spec.R, spec.params.epsilon
+    h, v = curve.s[1] - curve.s[0], curve.velocities
+    i = np.arange(2, len(curve) - 3)
+    i = i[_radius_of(curve.points[i, 0], curve.points[i, 1]) >= 0.1 * R]
+    stencil = (v[i - 2] - 8.0 * v[i - 1] + 8.0 * v[i + 1] - v[i + 2]) / (12.0 * h)
+    stencil += np.einsum("ni,nj,ijk->nk", v[i], v[i], christoffel_frame(params))
+    x, y, t = curve.points[i].T
+    g, m, _ = _pieces(params, _radius_of(x, y), R)
+    normal_term = (e * e * e / m)[:, None] ** 2 * _normal_components(params, x, y, t, R, g, m)
+    closed = (_geodesic_residual(spec, curve.points[i], v[i]) - normal_term) / (e * R)
+    return dict(zip(i.tolist(), np.linalg.norm(stencil - closed, axis=1).tolist()))
+
+
+@pytest.mark.parametrize("eps, sigma, R", [
+    (1.0, 1.0, 1.0),
+    (0.5, 0.5, 2.0),  # the --figure1 preset
+    (0.7, -2.0, 1.3),
+])
+def test_closed_form_geodesic_residual_meets_its_stencil_oracle_at_fourth_order(eps, sigma, R):
+    """At each sample the stencil's nabla_M M less the closed form's falls 16-fold when the
+    step halves (sample k of the coarse curve is sample 2k of the fine one), while the closed
+    form's own residual stays at rounding."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    coarse, fine = (meridian_curve(spec, start_point(spec), math.pi * eps * R / n)
+                    for n in (256, 512))
+    gap_coarse = stencil_and_closed_form_acceleration(spec, coarse)
+    gap_fine = stencil_and_closed_form_acceleration(spec, fine)
+    ratios = [gap / gap_fine[2 * k] for k, gap in gap_coarse.items() if 2 * k in gap_fine]
+    assert len(ratios) >= 100
+    assert 15.0 <= min(ratios) and max(ratios) <= 17.0
+    r = _radius_of(fine.points[:, 0], fine.points[:, 1])
+    keep = r >= 0.1 * R
+    resid = _geodesic_residual(spec, fine.points[keep], fine.velocities[keep])
+    assert np.max(np.linalg.norm(resid, axis=1)) <= 1e-12
+
+
+def test_closed_form_geodesic_residual_is_rounding_sized_for_every_eps():
+    """Scale-free: eps R times the residual is formed in (eps^3, sigma), so it stays at
+    rounding, with no warning, from eps = 1e-300 to 1e3 at each sign and size of sigma."""
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in [*10.0 ** rng.uniform(-8.0, 3.0, 24), 1e-60, 1e-200, 1e-300]:
+            for sigma in (1.0, -2.0, 0.3):
+                spec = SphereSpec(ModelParams(float(eps), sigma), 1.0)
+                curve = meridian_curve(spec, start_point(spec), math.pi * eps / 512)
+                keep = _radius_of(curve.points[:, 0], curve.points[:, 1]) >= 0.1
+                resid = _geodesic_residual(spec, curve.points[keep], curve.velocities[keep])
+                worst = max(worst, float(np.max(np.linalg.norm(resid, axis=1))))
+    assert worst <= 1e-12
 
 
 def test_meridian_rotational_symmetry(spec):
@@ -493,6 +552,14 @@ def test_pansu_field_needs_a_positive_sigma(sigma):
 def test_pansu_field_needs_a_finite_point(point):
     with pytest.raises(DomainError, match="needs a finite point"):
         pansu_meridian_field(1.0, point)
+
+
+def test_pansu_field_rejects_a_nan_coordinate_without_a_warning():
+    """|z| is np.hypot, which passes NaN on quietly, so the DomainError is the only signal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="needs a finite point"):
+            pansu_meridian_field(1.0, Point(math.nan, 0.4, 0.1))
 
 
 def test_pansu_field_horizontal_unit(rng):
