@@ -255,6 +255,9 @@ def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> floa
         f_rs = profile_height(spec, rs)
         depths = np.linspace(0.0, 0.999, n)[None, :] * (f_rs[:, None] - cyl.t_cut)
         ts = f_rs[:, None] - depths
+        if not (ts >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
+            raise NumericsError(f"the calibration grid's heights are not normal floats with eps = "
+                                f"{spec.params.epsilon!r}, sigma = {spec.params.sigma!r}, R = {spec.R!r}")
         labels = leaf_label_grid(cyl, np.broadcast_to(rs[:, None], ts.shape), ts)
         margin = (1.0 - spec.R / labels) - label_floor(cyl, depths)
         worst_violation = max(worst_violation, float(-margin.min()))
@@ -288,11 +291,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run("principal_directions", lambda sp: _check_principal(sp, rng), 1e-12)
     run("curvature_identity", lambda sp: _check_curvature_identity(sp, rng), 1e-10)
     run("calibration_bounds", lambda sp: _check_calibration(sp), 1e-12)
-    # mesh-convergence check: its absolute tolerance is calibrated at the
-    # base parameters (the truncation error scales with tau^2), so it does
-    # not sweep the grid; 'y' is left out: with n divisible by 4 a quarter
-    # turn maps the mesh angles onto themselves, so it repeats 'x' up to the
-    # rounding of the angle table
+    # L g in closed form on the meridian chart, so the residual is rounding.  One spec runs
+    # every formula of it, so the grid's 27 are not swept; 'y' is -i times the 'x' mode and
+    # has the same maximum
     run("jacobi_residual", lambda sp: max(jacobi_residual(sp, w, n=400) for w in "xt"), 1e-3,
         over=[_spec_from(args)])
 

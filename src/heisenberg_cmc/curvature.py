@@ -216,7 +216,7 @@ def assemble_corrected_shape(H: float, tau: float, h, theta2) -> CorrectedShapeD
     alpha = principal_angle(H, tau)
     q2 = np.array([-math.sin(alpha), math.cos(alpha)])  # q applied to the second axis
     theta2 = np.asarray(theta2, dtype=float)[..., None, None]
-    vert = (2.0 * tau * tau / math.hypot(H, tau)) * theta2 * theta2 * np.outer(q2, q2)
+    vert = (2.0 * tau * (tau / math.hypot(H, tau))) * theta2 * theta2 * np.outer(q2, q2)
     k = np.asarray(h, dtype=float) + vert
     k0 = k - 0.5 * np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
     k0_norm = np.sqrt(np.sum(k0 * k0, axis=(-2, -1)))

@@ -15,9 +15,9 @@ where G integrates 1 - R/u over the removed region.
 The same module carries the stability machinery: the squared norm of the
 second fundamental form plus the ambient Ricci term form the potential of
 the Jacobi operator L = Lap + (|h|^2 + Ric(N)), and the normal components
-of the right-invariant frame fields are discrete solutions of L g = 0,
-verified on a finite-difference mesh of the upper graph, which the
-rotational symmetry reduces to one radial line.
+of the right-invariant frame fields are solutions of L g = 0, checked in
+closed form on the meridian chart, where the rotations about the t-axis
+split L into one ordinary differential operator per angular mode.
 """
 
 from __future__ import annotations
@@ -462,88 +462,47 @@ def jacobi_residual(
     n: int = 400,
     band: float = 0.05,
 ) -> float:
-    """Max |L g| on a mesh of the upper graph for a right-invariant
-    normal component g.
+    """Max |L g| over the sphere for a right-invariant normal component g, at the radii
+    band*R, band*R + R/n, ... up to (1 - band)*R and below R (0 < band < 1/2).
 
-    The Laplace-Beltrami operator is discretized in graph polar
-    coordinates (r, theta) in flux form with analytic metric coefficients
-    and second-order central differences of g; n sets both the radial
-    spacing R/n and the angular spacing 2 pi / n.  Bands of width
-    `band`*R around the poles and the equator are excluded.
-
-    The rotations about the t-axis preserve the sphere, so the
-    coefficients depend on r alone and g = Re(G(r) e^{i k theta}) is one
-    rotational mode: k = 0 and G = g_t for 't', k = 1 and G = g_x + i g_y
-    for 'x', -i times that for 'y'.  Each theta difference, average and
-    shift of the mesh stencil multiplies e^{i k theta} by a symbol in
-    z = e^{i k dtheta}, so the stencil runs on one radial line and the
-    residual at the n mesh angles is Re(rho(r) e^{i k theta}).  The maximum
-    over the angles needs no mesh: for k = 0 every angle gives Re(rho); for
-    k = 1, |rho| |cos(arg rho + theta)| peaks at the mesh angles nearest
-    -arg rho and -arg rho + pi, and ten angles a radius, five around each,
-    give the mesh maximum bit for bit, since every other angle falls below
-    the peak by about dtheta^2 |rho|, far above rounding (`_max_over_angles`).
+    L g is evaluated in closed form on the meridian chart (`_jacobi_modes`), where it
+    vanishes, so the value is rounding.  g = Re(G e^{i k theta}), so the maximum over the
+    angles is |L_k G|: k = 0 and G = g_t for 't', k = 1 for 'x', and 'y' is -i times 'x'.
     """
     if which not in ("x", "y", "t"):
         raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
     params, R = spec.params, spec.R
-    e, s = params.epsilon, params.sigma
     h = R / n
-    r = np.arange(band * R, R * (1.0 - band) + 0.5 * h, h)
-    if len(r) < 5:
-        raise DomainError("mesh too coarse for the interior stencil")
-    dth = 2.0 * math.pi / n
-    potential = jacobi_potential(spec, r[1:-1])  # first: where it overflows, the stencil warns
-
-    def metric_coeffs(rv):
-        fr = _f_r(params, rv, R)
-        g_rr = e * e + fr * fr / e**4
-        g_tt = e * e * rv * rv + s * s * rv**4 / e**4
-        g_rt = s * rv * rv * fr / e**4
-        # sqrt(g_rr g_tt - g_rt^2) with the cancelling sigma^2 r^4 f_r^2 / e^8 terms taken out
-        sq = rv * np.sqrt(e**4 + (s * s * rv * rv + fr * fr) / (e * e))
-        return g_tt / sq, -g_rt / sq, g_rr / sq, sq  # a, b, c, sqrt(det)
-
-    _, b, c, sq = metric_coeffs(r)
-    ah, bh, _, _ = metric_coeffs(r + 0.5 * h)
-
-    pt = (r, 0.0, _f(params, r, R))
-    if which == "t":
-        k, g = 0, normal_component(spec, "t", pt)
-    else:
-        k, g = 1, normal_component(spec, "x", pt) + 1j * normal_component(spec, "y", pt)
-        if which == "y":
-            g = -1j * g
-    z = complex(math.cos(k * dth), math.sin(k * dth))
-
-    # radial fluxes at half nodes i+1/2; the central theta difference is (z - 1/z) / (2 dtheta)
-    g_r_half = (g[1:] - g[:-1]) / h
-    g_t = ((z - 1.0 / z) / (2.0 * dth)) * g
-    flux_r = ah[:-1] * g_r_half + bh[:-1] * (0.5 * (g_t[1:] + g_t[:-1]))
-
-    # angular fluxes at half nodes j+1/2 on the interior rows: the forward
-    # average is (1 + z) / 2, the forward difference (z - 1) / dtheta
-    g_r_cent = (g[2:] - g[:-2]) / (2.0 * h)
-    flux_t = b[1:-1] * (0.5 * (1.0 + z) * g_r_cent) + c[1:-1] * ((z - 1.0) / dth * g[1:-1])
-
-    # the backward shift is 1/z
-    lap = (flux_r[1:] - flux_r[:-1]) / h + flux_t * ((1.0 - 1.0 / z) / dth)
-    rho = lap / sq[1:-1] + potential * g[1:-1]
-    return _max_over_angles(rho, k, n)
+    r = np.arange(band * R, min(R * (1.0 - band) + 0.5 * h, R), h)
+    potential = jacobi_potential(spec, r)
+    g, m, _ = _pieces(params, r, R)
+    res = _jacobi_modes(params.epsilon, params.sigma, R, r, g, m, potential)[which != "t"]
+    return float(np.max(np.abs(res)))
 
 
-def _max_over_angles(rho: np.ndarray, k: int, n: int) -> float:
-    """max |Re(rho_i w_j)| over the rows i and the n mesh angles, w_j = e^{i k j dtheta}, bit
-    for bit, from the mesh's own w_j at the five indices around j0 = rint(-arg rho / dtheta)
-    and the five around j0 + n // 2 (mod n; every index for n <= 10), or w_0 = 1 at k = 0.
-    Any other angle is 3 dtheta / 2 or more from both peaks (see `jacobi_residual`)."""
-    dth = 2.0 * math.pi / n
-    w = np.exp(1j * k * dth * np.arange(n))  # the mesh's table of w_j
-    if k == 0:
-        j = np.zeros((1, 1), dtype=np.intp)
-    else:
-        # fmax sends the angle of a NaN rho, whose row is NaN at every angle, to an index
-        j0 = np.fmax(np.rint(-np.angle(rho) / dth), -n).astype(np.intp)
-        near = np.arange(-2, 3)
-        j = j0[:, None] + np.concatenate((near, near + n // 2))
-    return float(np.max(np.abs((rho[:, None] * np.take(w, j, mode="wrap")).real)))
+def _jacobi_modes(e, s, R, r, g, m, potential):
+    """(L_0 g_t, L_1 G) at r = R sin(phi), g = R cos(phi), m = m(r) and P = `potential`, in plain
+    arithmetic, so any number type runs it.  The sphere's metric is (eps R)^2 dphi^2 + rho^2
+    dtheta^2, rho = r m / eps^2, so L(u e^{ik theta}) = e^{ik theta} L_k u with L_k u = (u'' +
+    (rho'/rho) u') / (eps R)^2 - k^2 u / rho^2 + P u, ' = d/dphi (Barbosa, do Carmo and
+    Eschenburg, Math. Z. 197, 1988).  g_t = eps^3 q with q = cos(phi)/m, and g_x + i g_y =
+    v e^{i (Theta + theta)} with v = sin(phi)(1 + i sigma R q), as the meridian turns by
+    Theta' = sigma r / m: G = v e^{i Theta}, and L_1 G is e^{i Theta} times the second value."""
+    cs, sn = g / R, r / R
+    m1 = s * s * r * g / m
+    m2 = (s * s * (g * g - r * r) - m1 * m1) / m
+    q = cs / m
+    q1 = -(sn + cs * m1 / m) / m
+    q2 = -(cs - 2.0 * sn * m1 / m + cs * (m2 - 2.0 * m1 * m1 / m) / m) / m
+    log_rho1 = g / r + m1 / m  # rho'/rho
+    h2 = 1.0 / (e * R * e * R)
+    l0 = e * e * e * ((q2 + log_rho1 * q1) * h2 + potential * q)
+    p, p1, p2 = s * R * q, s * R * q1, s * R * q2
+    v = sn * (1.0 + 1j * p)
+    v1 = cs * (1.0 + 1j * p) + 1j * sn * p1
+    v2 = -sn * (1.0 + 1j * p) + 2j * cs * p1 + 1j * sn * p2
+    th1, th2 = s * r / m, s * (g - r * m1 / m) / m  # Theta', Theta''
+    u1 = v1 + 1j * th1 * v
+    u2 = v2 + 2j * th1 * v1 + 1j * th2 * v - th1 * th1 * v
+    inv_rho = e * e / (r * m)
+    return l0, (u2 + log_rho1 * u1) * h2 - inv_rho * inv_rho * v + potential * v

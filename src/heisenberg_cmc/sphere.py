@@ -221,9 +221,15 @@ def _scalar_or_array(r_in, value):
 
 
 def profile_height(spec: SphereSpec, r):
-    """Height f(r; R) of the upper hemisphere graph; f(R; R) = 0."""
+    """Height f(r; R) of the upper hemisphere graph; f(R; R) = 0.  NumericsError where f
+    overflows, as where 2 eps^3 does (eps from about 4.5e102)."""
     rr = _check_profile_domain(spec.R, r, closed=True)
-    return _scalar_or_array(r, _f(spec.params, rr, spec.R))
+    with np.errstate(over="ignore"):
+        f = _f(spec.params, rr, spec.R)
+    if not np.isfinite(f).all():
+        raise NumericsError(f"the profile height is not finite with eps = {spec.params.epsilon!r}, "
+                            f"sigma = {spec.params.sigma!r}, R = {spec.R!r}")
+    return _scalar_or_array(r, f)
 
 
 def profile_height_r(spec: SphereSpec, r):
@@ -294,11 +300,6 @@ def _leaf(params: ModelParams, r, t):
     g = _gap_solve(m, abs(params.sigma), t, "radius solve")
     R = np.hypot(r, g)
     return (R if isinstance(R, np.ndarray) else float(R)), g, m
-
-
-def _radius_solve(params: ModelParams, r, t):
-    """R >= r with f(r; R) = |t|, broadcasting r and t (`_leaf`)."""
-    return _leaf(params, r, t)[0]
 
 
 def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:

@@ -51,7 +51,7 @@ from heisenberg_cmc.meridians import (
 )
 from heisenberg_cmc.sphere import _f, _f_r
 
-from conftest import GRID, sphere_point
+from conftest import GRID, _jacobi_residual_mesh, sphere_point
 
 BASIS = (TangentVector(1, 0, 0), TangentVector(0, 1, 0), TangentVector(0, 0, 1))
 
@@ -307,12 +307,14 @@ def test_criterion_09_jacobi_solutions():
     ok = True
     details = []
     for which in ("x", "y", "t"):
-        r400 = jacobi_residual(spec, which, n=400)
-        r800 = jacobi_residual(spec, which, n=800)
-        ok = ok and r400 <= 1e-3 and r400 / r800 >= 2.0
-        details.append(f"{which}: {r400:.3e} -> {r800:.3e}")
+        r400 = _jacobi_residual_mesh(spec, which, n=400)
+        r800 = _jacobi_residual_mesh(spec, which, n=800)
+        exact = jacobi_residual(spec, which)
+        ok = ok and r400 <= 1e-3 and r400 / r800 >= 2.0 and exact <= 1e-12
+        details.append(f"{which}: {r400:.3e} -> {r800:.3e}, closed form {exact:.3e}")
     report(9, "Jacobi solutions", ok,
-           "residuals at R/400 -> R/800 (tol 1e-3, ratio >= 2): " + "; ".join(details))
+           "mesh residuals at R/400 -> R/800 (tol 1e-3, ratio >= 2), closed form (tol 1e-12): "
+           + "; ".join(details))
 
 
 def test_criterion_10_subriemannian_area_limit():

@@ -149,6 +149,44 @@ def test_verify_where_the_second_fundamental_form_overflows_exits_3(eps):
                                  f"with eps = {eps}, sigma = 1.0, R = 1.0")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--epsilon", "0.7"], ["--epsilon", "0.3"], ["--sigma", "4"], ["--R", "0.5"],
+])
+def test_verify_passes_where_the_jacobi_mesh_failed(argv):
+    """The Jacobi mesh's O(h^2 tau^2) error failed these specs (2.0e-3, 0.68, 2.2e-3 and 3.2e-3
+    against 1e-3); the closed form leaves rounding, and every check passes."""
+    res = run_cli("verify", *argv, "--json", "-")
+    assert res.returncode == 0, res.stdout
+    jacobi = next(c for c in json.loads(res.stdout)["checks"] if c["name"] == "jacobi_residual")
+    assert jacobi["tolerance"] == 1e-3 and jacobi["measured"] <= 1e-10
+
+
+def test_verify_whose_calibration_heights_are_subnormal_exits_3():
+    """At eps = 1e-40 and R = 1e-200, f(r; R) is about 1e-320, so a height of the calibration
+    grid rounds onto t_cut: a typed numeric failure, with no warning before it, where the
+    corrected shape warned of an invalid value and the grid exited 2 as bad input."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("verify", "--epsilon", "1e-40", "--R", "1e-200", "--json", "-")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr.startswith("numeric failure: the calibration grid's heights are not normal "
+                                 "floats with eps = 1e-40, sigma = 1.0, R = 1e-200")
+
+
+@pytest.mark.parametrize("command", ["meridian", "isoperim"])
+def test_profile_overflow_exits_3(command):
+    """From eps about 4.5e102 to 5.6e102 eps^3 is finite but the profile is not: meridian
+    ended in a ValueError from the NaN start and isoperim in an overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli(command, "--epsilon", "5e102")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: the profile height is not finite with eps = 5e+102, "
+                          "sigma = 1.0, R = 1.0\n")
+
+
 def test_sphere_whose_curvature_overflows_writes_no_file(tmp_path):
     """The curvature table raises after the profile tables are built: exit 3 and no file."""
     outs = [tmp_path / name for name in ("p.csv", "l.csv", "c.csv")]

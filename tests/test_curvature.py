@@ -276,3 +276,15 @@ def test_second_fundamental_form_that_overflows_raises_typed(eps):
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="second fundamental form is not finite"):
             second_fundamental_form(spec, q)
+
+
+def test_corrected_shape_where_tau_squared_overflows():
+    """At eps = 1e-40 and R = 1e-200, tau = 1e160 and tau^2 overflows, where the vertical term's
+    2 tau^2 / hypot(H, tau) is 2e80: 2 tau (tau / hypot(H, tau)) keeps it finite, with no
+    warning, where inf times the zero entries of q (theta x theta) q^{-1} gave NaN."""
+    H, tau, theta2 = 1e240, 1e160, 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = assemble_corrected_shape(H, tau, np.zeros((2, 2)), theta2)
+    assert np.trace(data.k) == pytest.approx(2e80 * theta2**2, rel=1e-15)
+    assert math.isfinite(data.k0_norm)

@@ -33,7 +33,7 @@ from heisenberg_cmc.meridians import (
     pansu_geodesic_residual,
     pansu_meridian_field,
 )
-from heisenberg_cmc.sphere import _normal_components, _pieces, _radius_of, _radius_solve
+from heisenberg_cmc.sphere import _leaf, _normal_components, _pieces, _radius_of
 
 
 def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
@@ -46,7 +46,7 @@ def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
 def leaf_p(params, pt):
     """The signed tilt parameter of the leaf through pt (for the oracle)."""
     r = math.hypot(pt[0], pt[1])
-    R = float(_radius_solve(params, r, pt[2]))
+    R = float(_leaf(params, r, pt[2])[0])
     return float(np.sign(pt[2])) * float(_pieces(params, r, R)[2])
 
 
@@ -65,7 +65,7 @@ def test_normal_derivatives_match_finite_differences(params, rng):
         pa = q.as_array()
 
         def r_of(pt):
-            return float(_radius_solve(params, math.hypot(pt[0], pt[1]), pt[2]))
+            return float(_leaf(params, math.hypot(pt[0], pt[1]), pt[2])[0])
 
         fd_r = (r_of(pa + h * ncoords) - r_of(pa - h * ncoords)) / (2 * h)
         fd_p = (leaf_p(params, pa + h * ncoords) - leaf_p(params, pa - h * ncoords)) / (2 * h)

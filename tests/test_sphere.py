@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -667,3 +668,15 @@ def test_graph_mean_curvature_fd_is_one_call_of_the_16_call_stencil(rng):
 def test_mean_curvature_inverse_scaling(params):
     assert SphereSpec(params, 2.0).H == 0.5
     assert SphereSpec(ModelParams(0.5, 0.5), 2.0).H == 1.0
+
+
+@pytest.mark.parametrize("eps", [4.5e102, 5e102, 5.6e102])
+def test_profile_height_where_it_overflows_raises(eps):
+    """eps^3 is finite here, but m (1 + atanc p) passes the largest float: NumericsError for a
+    float and an array radius, with no warning, where a float gave inf silently."""
+    spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (0.02, np.array([0.0, 0.02, 0.5])):
+            with pytest.raises(NumericsError, match=re.escape(f"not finite with eps = {eps!r}")):
+                profile_height(spec, r)
