@@ -24,6 +24,14 @@ def _divide(a, b):
     return q if isinstance(q, np.ndarray) else float(q)
 
 
+def _each(fun, *args):
+    """fun(*args) on floats; on the (k, 1) columns of a stack of spheres, fun sphere by sphere, so
+    each value is its float's (np.arctan, np.hypot and np.power miss math's last bit)."""
+    if not isinstance(args[0], np.ndarray):
+        return fun(*args)
+    return np.reshape([fun(*a) for a in zip(*(np.ravel(x).tolist() for x in args))], args[0].shape)
+
+
 def _newton(fun, x, lo, hi, done, what: str):
     """Root of `fun` in the open bracket (lo, hi) for each point, vectorized.
 

@@ -186,20 +186,21 @@ def christoffel_frame(params: ModelParams) -> np.ndarray:
 
     Nonzero entries: nabla_X Y = -tau T, nabla_Y X = tau T,
     nabla_X T = nabla_T X = tau Y, nabla_Y T = nabla_T Y = -tau X.
+    A stack of spheres' (k, 1) column of tau gives the (k, 1, 3, 3, 3) tables.
     """
     t = params.tau
-    g = np.zeros((3, 3, 3))
-    g[0, 1, 2] = -t
-    g[1, 0, 2] = t
-    g[0, 2, 1] = t
-    g[2, 0, 1] = t
-    g[1, 2, 0] = -t
-    g[2, 1, 0] = -t
+    g = np.zeros(np.shape(t) + (3, 3, 3))
+    g[..., 0, 1, 2] = -t
+    g[..., 1, 0, 2] = t
+    g[..., 0, 2, 1] = t
+    g[..., 2, 0, 1] = t
+    g[..., 1, 2, 0] = -t
+    g[..., 2, 1, 0] = -t
     return g
 
 
 def _connect(gamma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...j,ijk->...k", u, v, gamma)
+    return np.einsum("...i,...j,...ijk->...k", u, v, gamma)
 
 
 def covariant_derivative(

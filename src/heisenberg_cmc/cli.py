@@ -3,7 +3,9 @@
 Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
 
     sphere    profile table, area/volume, limit-profile comparison
-    verify    invariant suite with a machine-readable pass/fail report
+    verify    invariant suite with a machine-readable pass/fail report; the
+              curvature checks run once over the stack of spheres (27 with
+              --grid), the calibration check one leaf-label solve a sphere
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
@@ -22,9 +24,11 @@ import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
+from ._numerics import _each
 from .ambient import ModelParams, Point, _curvature_operator
 from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
                         principal_angle)
@@ -35,6 +39,7 @@ from .meridians import MeridianCurve, _geodesic_residual, _pansu_field, meridian
 from .sphere import (
     SphereSpec,
     _f,
+    _height,
     _normal_components,
     _pieces,
     _radius_of,
@@ -192,65 +197,79 @@ def cmd_sphere(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 
-def _sample_sphere_points(spec: SphereSpec, rng: np.random.Generator, n: int, extra=(),
+class _Stack(SimpleNamespace):
+    """k spheres, `_Stack(members=specs)`, as one for the array kernels: an attribute is the (k, 1)
+    column of the members' own floats, each worked out once, and broadcasts over (k, n) points;
+    `params` is the stack of their ModelParams."""
+
+    def __getattr__(self, name: str):
+        values = [getattr(m, name) for m in self.members]
+        col = _Stack(members=values) if name == "params" else np.array(values)[:, None]
+        setattr(self, name, col)
+        return col
+
+
+def _sample_sphere_points(spheres, rng: np.random.Generator, n: int, extra=(),
                           lo: float = 0.02, hi: float = 0.98):
-    """x, y, r, t of n sphere points, then one column per (low, high) in `extra`;
-    each row draws the radius fraction, the angle, the hemisphere and then the
-    extras, one uniform each, as one draw at a time would."""
+    """x, y, r, t of n points on each of k stacked spheres (a `_Stack`), each (k, n), or of n
+    points on one SphereSpec, then one such array per (low, high) in `extra`; each row draws the
+    radius fraction, the angle, the hemisphere and then the extras, one uniform each, as one draw
+    at a time would."""
     lows, highs = zip((lo, hi), (0.0, 2.0 * math.pi), (0.0, 1.0), *extra)
-    u = rng.uniform(lows, highs, size=(n, len(lows)))
-    r = u[:, 0] * spec.R
-    t = np.where(u[:, 2] < 0.5, 1.0, -1.0) * profile_height(spec, r)
-    return r * np.cos(u[:, 1]), r * np.sin(u[:, 1]), r, t, u[:, 3:].T
+    u = rng.uniform(lows, highs, size=np.shape(spheres.R)[:1] + (n, len(lows)))  # k of (k, 1)
+    r = u[..., 0] * spheres.R
+    t = np.where(u[..., 2] < 0.5, 1.0, -1.0) * _height(spheres, r)  # r lies in [0, R]
+    return r * np.cos(u[..., 1]), r * np.sin(u[..., 1]), r, t, np.moveaxis(u[..., 3:], -1, 0)
 
 
-def _check_cmc(spec: SphereSpec, rng: np.random.Generator, n: int = 30) -> float:
-    rs = rng.uniform(0.05, 0.9, size=n) * spec.R
+def _check_cmc(spheres, rng: np.random.Generator, n: int = 30) -> float:
+    rs = rng.uniform(0.05, 0.9, size=np.shape(spheres.R)[:1] + (n,)) * spheres.R
     h_fd = graph_mean_curvature_fd(  # the stencil stays inside (0, R): no domain check
-        spec.params, lambda x: _f(spec.params, x, spec.R), rs, 1e-3 * spec.R)
-    return float(np.max(np.abs(h_fd - spec.H) / spec.H))
+        spheres.params, lambda x: _f(spheres.params, x.reshape((16,) + rs.shape), spheres.R),
+        rs, 1e-3 * spheres.R)
+    return float(np.max(np.abs(h_fd - spheres.H) / spheres.H))
 
 
-def _check_k0(spec: SphereSpec, rng: np.random.Generator, perturb: float, n: int = 40) -> float:
-    _, _, r, t, _ = _sample_sphere_points(spec, rng, n)
-    h = _shape(spec, r)[0]
-    h[:, 0, 0] += perturb
-    c = _frame_coefficients(spec, r, t)[2]
-    return float(np.max(assemble_corrected_shape(spec.H, spec.params.tau, h, c).k0_norm))
+def _check_k0(spheres, rng: np.random.Generator, perturb: float, n: int = 40) -> float:
+    _, _, r, t, _ = _sample_sphere_points(spheres, rng, n)
+    h = _shape(spheres, r)[0]
+    h[..., 0, 0] += perturb
+    c = _frame_coefficients(spheres, r, t)[2]
+    return float(np.max(assemble_corrected_shape(spheres.H, spheres.params.tau, h, c).k0_norm))
 
 
-def _check_principal(spec: SphereSpec, rng: np.random.Generator, n: int = 40) -> float:
-    _, _, r, _, _ = _sample_sphere_points(spec, rng, n)
-    h, kappa1, kappa2 = _shape(spec, r)
-    beta = principal_angle(spec.H, spec.params.tau)
-    k = np.array([[math.cos(beta), -math.sin(beta)], [math.sin(beta), math.cos(beta)]])
+def _check_principal(spheres, rng: np.random.Generator, n: int = 40) -> float:
+    _, _, r, _, _ = _sample_sphere_points(spheres, rng, n)
+    h, kappa1, kappa2 = _shape(spheres, r)
+    beta = _each(principal_angle, spheres.H, spheres.params.tau)
+    cs, sn = _each(math.cos, beta), _each(math.sin, beta)
+    k = np.stack((np.stack((cs, -sn), axis=-1), np.stack((sn, cs), axis=-1)), axis=-2)
     # column j of k is the j-th principal direction
-    res = h @ k - k * np.stack((kappa1, kappa2), axis=-1)[:, None, :]
+    res = h @ k - k * np.stack((kappa1, kappa2), axis=-1)[..., None, :]
     return float(np.max(np.abs(res)))
 
 
-def _check_curvature_identity(spec: SphereSpec, rng: np.random.Generator, n: int = 40) -> float:
-    params, tau = spec.params, spec.params.tau
+def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) -> float:
+    params, tau = spheres.params, spheres.params.tau
     x, y, r, t, (psi, scale2) = _sample_sphere_points(
-        spec, rng, n, ((0.0, 2.0 * math.pi), (0.5, 2.0)))
-    x1, x2 = _frame_vectors(x, y, *_frame_coefficients(spec, r, t))
-    nvec = _normal_components(params, x, y, t, spec.R, *_pieces(params, r, spec.R)[:2])
-    scale, cs, sn = np.sqrt(scale2)[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None]
+        spheres, rng, n, ((0.0, 2.0 * math.pi), (0.5, 2.0)))
+    x1, x2 = _frame_vectors(x, y, *_frame_coefficients(spheres, r, t))
+    nvec = _normal_components(params, x, y, t, spheres.R, *_pieces(params, r, spheres.R)[:2])
+    scale, cs, sn = np.sqrt(scale2)[..., None], np.cos(psi)[..., None], np.sin(psi)[..., None]
     v1 = scale * (cs * x1 + sn * x2)
     v2 = scale * (-sn * x1 + cs * x2)
-    energy = scale[:, 0] * scale[:, 0]
+    energy = scale[..., 0] * scale[..., 0]
     lhs = np.sum(_curvature_operator(params, v2, v1, nvec) * v2, axis=-1)
-    rhs = 4.0 * tau * tau * energy * v1[:, 2] * nvec[:, 2]
+    rhs = 4.0 * tau * tau * energy * v1[..., 2] * nvec[..., 2]
     den = np.maximum(np.abs(rhs), 0.01 * (1.0 + tau * tau) * energy)
     return float(np.max(np.abs(lhs - rhs) / den))
 
 
 def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> float:
-    worst_violation = -np.inf
-    for delta in deltas:
-        if not delta < spec.R:
-            continue
-        cyl = CylinderSpec(spec, delta)
+    """Worst shortfall of 1 - R/label below `label_floor` on an n x n grid under the sphere in
+    each cylinder; one leaf-label solve labels every grid, with r_cut and t_cut given per point."""
+    cyls, grids = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R], []
+    for cyl in cyls:
         rs = np.linspace(0.0, cyl.r_cut * 0.995, n)
         f_rs = profile_height(spec, rs)
         depths = np.linspace(0.0, 0.999, n)[None, :] * (f_rs[:, None] - cyl.t_cut)
@@ -258,10 +277,14 @@ def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> floa
         if not (ts >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
             raise NumericsError(f"the calibration grid's heights are not normal floats with eps = "
                                 f"{spec.params.epsilon!r}, sigma = {spec.params.sigma!r}, R = {spec.R!r}")
-        labels = leaf_label_grid(cyl, np.broadcast_to(rs[:, None], ts.shape), ts)
-        margin = (1.0 - spec.R / labels) - label_floor(cyl, depths)
-        worst_violation = max(worst_violation, float(-margin.min()))
-    return worst_violation
+        grids.append((np.repeat(rs, n), ts.ravel(), depths))
+    r, t, depth = zip(*grids)
+    cuts = {name: np.repeat([getattr(cyl, name) for cyl in cyls], n * n)
+            for name in ("r_cut", "t_cut")}
+    labels = leaf_label_grid(SimpleNamespace(params=spec.params, R=spec.R, **cuts),
+                             np.concatenate(r), np.concatenate(t))
+    return max(float(-((1.0 - spec.R / u) - label_floor(cyl, d)).min())
+               for cyl, u, d in zip(cyls, labels.reshape(-1, n, n), depth))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -280,22 +303,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     checks = []
 
-    def run(name: str, fun, tol: float, over=specs) -> None:
-        measured = max(fun(spec) for spec in over)
+    def run(name: str, measured: float, tol: float) -> None:
         checks.append(
             {"name": name, "measured": measured, "tolerance": tol, "passed": bool(measured <= tol)}
         )
 
-    run("cmc_constancy", lambda sp: _check_cmc(sp, rng), 1e-6)
-    run("traceless_correction", lambda sp: _check_k0(sp, rng, float(args.perturb_h)), 1e-10)
-    run("principal_directions", lambda sp: _check_principal(sp, rng), 1e-12)
-    run("curvature_identity", lambda sp: _check_curvature_identity(sp, rng), 1e-10)
-    run("calibration_bounds", lambda sp: _check_calibration(sp), 1e-12)
+    # the curvature checks run once over the stack of spheres, k draws in one; one sphere stays
+    # its SphereSpec, whose floats broadcast over n points as a (1, 1) column over (1, n) and
+    # whose errors name them
+    spheres = specs[0] if len(specs) == 1 else _Stack(members=specs)
+    run("cmc_constancy", _check_cmc(spheres, rng), 1e-6)
+    run("traceless_correction", _check_k0(spheres, rng, float(args.perturb_h)), 1e-10)
+    run("principal_directions", _check_principal(spheres, rng), 1e-12)
+    run("curvature_identity", _check_curvature_identity(spheres, rng), 1e-10)
+    run("calibration_bounds", max(map(_check_calibration, specs)), 1e-12)
     # L g in closed form on the meridian chart, so the residual is rounding.  One spec runs
     # every formula of it, so the grid's 27 are not swept; 'y' is -i times the 'x' mode and
     # has the same maximum
-    run("jacobi_residual", lambda sp: max(jacobi_residual(sp, w, n=400) for w in "xt"), 1e-3,
-        over=[_spec_from(args)])
+    run("jacobi_residual", max(jacobi_residual(_spec_from(args), w, n=400) for w in "xt"), 1e-3)
 
     report = {
         "grid": bool(args.grid),
@@ -367,7 +392,10 @@ def cmd_meridian(args: argparse.Namespace) -> int:
         keep = (0.1 * R < rs) & (rs < 0.95 * R)
         bar = _pansu_field(spec.params.sigma, *check.points[keep].T)
         scaled = check.velocities[keep] * np.array([1.0, 1.0, spec.params.epsilon**3])
-        dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))
+        with np.errstate(over="ignore"):  # eps^3 v_T squares past the largest float at huge eps
+            dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))
+        if not math.isfinite(dev):
+            raise NumericsError(f"the Pansu deviation is not finite with eps = {args.epsilon!r}")
 
     if args.out_prefix:
         _write_curve(args.out_prefix, curve)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _each
 from .ambient import (
     Point,
     TangentVector,
@@ -133,8 +134,9 @@ def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
 
 def _shape(spec: SphereSpec, r):
     """h (..., 2, 2) in the adapted frame and the principal curvatures
-    kappa1, kappa2 at radii r, broadcasting.  NumericsError where they are
-    not finite, as where tau rho^2 overflows at tiny eps."""
+    kappa1, kappa2 at radii r, broadcasting (a stack of spheres' (k, 1)
+    columns too).  NumericsError where they are not finite, as where
+    tau rho^2 overflows at tiny eps."""
     params, H, tau = spec.params, spec.H, spec.params.tau
     with np.errstate(over="ignore", invalid="ignore"):
         rho = tau * params.epsilon * np.asarray(r, dtype=float)
@@ -142,7 +144,7 @@ def _shape(spec: SphereSpec, r):
         off = tau * rho * rho / den
         h = np.stack((np.stack((H * (1.0 + 2.0 * rho * rho) / den, off), axis=-1),
                       np.stack((off, H / den), axis=-1)), axis=-2)
-        spread = (rho * rho / den) * math.hypot(H, tau)
+        spread = (rho * rho / den) * _each(math.hypot, H, tau)
     if not (np.isfinite(h).all() and np.isfinite(spread).all()):
         raise NumericsError(f"the second fundamental form is not finite with eps = "
                             f"{params.epsilon!r}, sigma = {params.sigma!r}, R = {spec.R!r}")
@@ -210,14 +212,15 @@ def assemble_corrected_shape(H: float, tau: float, h, theta2) -> CorrectedShapeD
     `h` is the 2x2 second fundamental form in the adapted frame and
     `theta2` the vertical component of X2 (that of X1 vanishes by
     construction); both broadcast, h over (..., 2, 2) and theta2 over
-    (...), and k0_norm is a float for one point.  Exposed separately so
-    negative controls can inject a perturbed h.
+    (...), and k0_norm is a float for one point.  H and tau may be a stack
+    of spheres' (k, 1) columns for theta2 of shape (k, n).  Exposed
+    separately so negative controls can inject a perturbed h.
     """
-    alpha = principal_angle(H, tau)
-    q2 = np.array([-math.sin(alpha), math.cos(alpha)])  # q applied to the second axis
-    theta2 = np.asarray(theta2, dtype=float)[..., None, None]
-    vert = (2.0 * tau * (tau / math.hypot(H, tau))) * theta2 * theta2 * np.outer(q2, q2)
-    k = np.asarray(h, dtype=float) + vert
+    alpha = _each(principal_angle, H, tau)
+    q2 = np.stack((-_each(math.sin, alpha), _each(math.cos, alpha)), axis=-1)  # q on the 2nd axis
+    theta2 = np.asarray(theta2, dtype=float)
+    vert = ((2.0 * tau * (tau / _each(math.hypot, H, tau))) * theta2 * theta2)[..., None, None]
+    k = np.asarray(h, dtype=float) + vert * (q2[..., :, None] * q2[..., None, :])
     k0 = k - 0.5 * np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
     k0_norm = np.sqrt(np.sum(k0 * k0, axis=(-2, -1)))
     return CorrectedShapeData(k=k, k0=k0, alpha=alpha,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -162,13 +163,13 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
     the low end).  A point has converged when |F| is at the rounding level of its terms (far
     above one ulp of lam at deep points).  Labels are at least the float after R, within one
     ulp of the root when the point sits a rounding error below the graph.  NumericsError where
-    lam^2 overflows.
+    lam^2 overflows.  `cyl`'s r_cut and t_cut may be arrays like r (`_labels`).
     """
     R, r_cut = cyl.R, cyl.r_cut
     m = _mass(cyl.params, np.stack((r, np.full_like(r, r_cut))))
     u = m[0] / m[1]
     rise = (t - cyl.t_cut) / m[1]
-    both_R = np.sqrt((R - r) * (R + r)) + math.sqrt((R - r_cut) * (R + r_cut))  # s_r + s_cut at R
+    both_R = np.sqrt((R - r) * (R + r)) + np.sqrt((R - r_cut) * (R + r_cut))  # s_r + s_cut at R
     hi = np.minimum(rise / u, (r_cut - r) * (r_cut + r) / both_R)  # and below y at lam = R
     lo = np.minimum(rise, hi)
     start = np.clip(rise * (1.5 * (u + 1.0) / (u * u + u + 1.0)), lo, hi)
@@ -193,12 +194,15 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Leaf labels of 1-d arrays of cylinder points, both branches."""
+    """Leaf labels of 1-d arrays of cylinder points, both branches; r_cut and t_cut are floats,
+    or arrays like r for cylinders of one sphere, so that one solve labels them all."""
     depth = _f(cyl.params, r, cyl.R) - t
     out = depth + cyl.R
     below = depth > 0.0
     if np.any(below):
-        out[below] = _label_below(cyl, r[below], t[below])[0]
+        cuts = {k: np.broadcast_to(getattr(cyl, k), r.shape)[below] for k in ("r_cut", "t_cut")}
+        cyl_below = SimpleNamespace(params=cyl.params, R=cyl.R, **cuts)
+        out[below] = _label_below(cyl_below, r[below], t[below])[0]
     return out
 
 

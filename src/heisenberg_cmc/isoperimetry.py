@@ -444,10 +444,10 @@ def jacobi_potential(spec: SphereSpec, r):
     |h|^2 from the closed-form second fundamental form; the Ricci term is
     -2 tau^2 + 4 tau^2 <N, T>^2 (cross-checked against the curvature
     contraction in the tests).  NumericsError where it is not finite, as
-    where tau^2 overflows at tiny eps and R.
+    where tau^2 overflows at tiny eps and R, or where the profile does.
     """
     params, h = spec.params, _shape(spec, r)[0]
-    theta_n = normal_component(spec, "t", (r, 0.0, _f(params, r, spec.R)))  # <N, T>
+    theta_n = normal_component(spec, "t", (r, 0.0, profile_height(spec, r)))  # <N, T>
     try:  # h * h and tau ** 2 (a float, which raises OverflowError)
         with np.errstate(over="raise", invalid="raise"):
             return np.sum(h * h, axis=(-2, -1)) + (4.0 * theta_n * theta_n - 2.0) * params.tau ** 2
@@ -468,9 +468,12 @@ def jacobi_residual(
     L g is evaluated in closed form on the meridian chart (`_jacobi_modes`), where it
     vanishes, so the value is rounding.  g = Re(G e^{i k theta}), so the maximum over the
     angles is |L_k G|: k = 0 and G = g_t for 't', k = 1 for 'x', and 'y' is -i times 'x'.
+    DomainError unless 0 < band < 1/2 and n >= 1.
     """
     if which not in ("x", "y", "t"):
         raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
+    if not (0.0 < band < 0.5 and n >= 1):
+        raise DomainError(f"jacobi_residual needs 0 < band < 1/2 and n >= 1, got {band!r}, {n!r}")
     params, R = spec.params, spec.R
     h = R / n
     r = np.arange(band * R, min(R * (1.0 - band) + 0.5 * h, R), h)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _divide, _newton
+from ._numerics import _divide, _each, _newton
 from .ambient import ModelParams, Point, TangentVector
 from .errors import ContractError, DomainError, NumericsError
 
@@ -118,8 +118,8 @@ def _mass(params: ModelParams, r):
     cost (OverflowError only where eps^3 and |sigma r| are both near the largest float)."""
     e = params.epsilon
     e3, sr = e * e * e, params.sigma * r
-    if e3 == math.inf:
-        _require_finite((e3,), params, "eps^3")
+    if (e3 == math.inf).any() if isinstance(e3, np.ndarray) else e3 == math.inf:  # stacked eps^3
+        _require_finite((math.inf,), params, "eps^3")
     return np.hypot(e3, sr) if isinstance(sr, np.ndarray) else abs(complex(e3, sr))
 
 
@@ -223,13 +223,17 @@ def _scalar_or_array(r_in, value):
 def profile_height(spec: SphereSpec, r):
     """Height f(r; R) of the upper hemisphere graph; f(R; R) = 0.  NumericsError where f
     overflows, as where 2 eps^3 does (eps from about 4.5e102)."""
-    rr = _check_profile_domain(spec.R, r, closed=True)
+    return _scalar_or_array(r, _height(spec, _check_profile_domain(spec.R, r, closed=True)))
+
+
+def _height(spec: SphereSpec, r):
+    """`profile_height` on radii in [0, R], which a stack of spheres' (k, 1) columns broadcast."""
     with np.errstate(over="ignore"):
-        f = _f(spec.params, rr, spec.R)
+        f = _f(spec.params, r, spec.R)
     if not np.isfinite(f).all():
         raise NumericsError(f"the profile height is not finite with eps = {spec.params.epsilon!r}, "
                             f"sigma = {spec.params.sigma!r}, R = {spec.R!r}")
-    return _scalar_or_array(r, f)
+    return f
 
 
 def profile_height_r(spec: SphereSpec, r):
@@ -239,9 +243,14 @@ def profile_height_r(spec: SphereSpec, r):
 
 
 def profile_height_R(spec: SphereSpec, r):
-    """Derivative of the profile in the sphere parameter R; positive on [0, R)."""
+    """Derivative of the profile in the sphere parameter R; positive on [0, R).  NumericsError
+    where it or the profile (`profile_height`) is not finite."""
     rr = _check_profile_domain(spec.R, r, closed=False)
-    return _scalar_or_array(r, _f_R(spec.params, rr, spec.R))
+    _height(spec, rr)  # its NumericsError where the profile overflows
+    with np.errstate(over="ignore"):
+        f_R = _f_R(spec.params, rr, spec.R)
+    _require_finite(np.ravel(f_R).tolist(), spec.params, "f_R at R = {!r}", spec.R)
+    return _scalar_or_array(r, f_R)
 
 
 def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> ProfileQuantities:
@@ -462,12 +471,14 @@ def graph_mean_curvature_fd(params: ModelParams, f, r, step: float):
     using only evaluations of `f` (4th-order central differences for both
     derivative levels).  This is the independent oracle for the constancy
     of the mean curvature on the sphere graphs, where the value must be
-    1/(eps R).  `f` is called once, on one 1-d array of the 16 len(r)
-    stencil points r + a step + b step, a and b in {-2, -1, 1, 2}.
+    1/(eps R).  `f` is called once, on one 1-d array of the 16 r.size
+    stencil points r + a step + b step, a and b in {-2, -1, 1, 2}, laid
+    out as an array of shape (4, 4) + r.shape.  params and step may be a
+    stack of spheres' (k, 1) columns for r of shape (k, n).
     """
     e, s = params.epsilon, params.sigma
     try:
-        e6 = e**6
+        e6 = _each(lambda x: x**6, e)
     except OverflowError:  # eps above about 1.4e51
         raise NumericsError(f"eps^6 is not a finite float with eps = {e!r}") from None
     r = np.asarray(r, dtype=float)

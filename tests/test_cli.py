@@ -24,7 +24,7 @@ from heisenberg_cmc.curvature import (assemble_corrected_shape, second_fundament
                                       tangent_frame)
 from heisenberg_cmc.foliation import CylinderSpec, calibration_divergence, vertical_label_bound
 
-from conftest import sphere_point
+from conftest import GRID, sphere_point
 
 
 def run_cli(*args):
@@ -340,6 +340,17 @@ def test_curve_files_have_the_bytes_of_csv_and_json_writers(tmp_path):
     assert (tmp_path / "m.obj").read_text() == obj
 
 
+def test_meridian_whose_pansu_deviation_overflows_exits_3():
+    """eps^3 v_T squares past the largest float in the deviation's norm: the report said
+    "pansu_deviation": Infinity, which is not JSON, and died under -W error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--epsilon", "1e100", "--step-frac", "1e103")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert "Infinity" not in res.stdout and res.stdout == ""
+    assert res.stderr == "numeric failure: the Pansu deviation is not finite with eps = 1e+100\n"
+
+
 def test_meridian_reports_pansu_deviation():
     res = run_cli("meridian", "--epsilon", "0.25", "--sigma", "1", "--R", "1",
                   "--step-frac", "2e-3")
@@ -520,6 +531,20 @@ def test_batched_check_matches_scalar_loop(eps, sigma, R, seed, batched, scalar)
     rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
     assert batched(spec, rng_b) == pytest.approx(scalar(spec, rng_s), abs=1e-13)
     assert rng_b.uniform() == rng_s.uniform()
+
+
+@pytest.mark.parametrize("seed", [1, 2024, 987654321])
+def test_stacked_checks_are_the_max_of_one_sphere_checks(seed):
+    """`verify --grid` runs each curvature check once over the stack of its 27 spheres: each
+    value is the max of the one-sphere calls bit for bit, and the stream ends where theirs does."""
+    checks = [cli._check_cmc, lambda sp, rng: cli._check_k0(sp, rng, 0.0),
+              lambda sp, rng: cli._check_k0(sp, rng, 1e-3), cli._check_principal,
+              cli._check_curvature_identity]
+    stack = cli._Stack(members=GRID)
+    rng_k, rng_1 = np.random.default_rng(seed), np.random.default_rng(seed)
+    for check in checks:
+        assert check(stack, rng_k).hex() == max(check(spec, rng_1) for spec in GRID).hex()
+    assert rng_k.bit_generator.state == rng_1.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [1, 2024, 987654321])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -203,17 +204,34 @@ def test_labels_match_brentq_oracle():
 
 
 def test_label_solves_take_at_most_6_passes():
-    """Over the 54 solves of `verify --grid` (27 spheres, delta = 0 and 0.3)
-    and over the domain of test_labels_match_brentq_oracle, which it reruns."""
+    """Over the 27 solves of `verify --grid` (one per sphere, over its grids at delta = 0
+    and 0.3) and over the domain of test_labels_match_brentq_oracle, which it reruns."""
     grid, oracle = [], []
     with counting_newton_passes(foliation, "leaf label solve", grid):
         for spec in GRID:
             cli._check_calibration(spec)
     with counting_newton_passes(foliation, "leaf label solve", oracle):
         test_labels_match_brentq_oracle()
-    assert len(grid) == 54 and len(oracle) == 36
+    assert len(grid) == 27 and len(oracle) == 36
     assert max(grid) <= 6 and max(oracle) <= 6
     assert sum(grid) / len(grid) <= 4.5
+
+
+def test_one_solve_over_the_cylinders_of_a_sphere_gives_each_cylinder_its_labels():
+    """`verify`'s calibration check labels the grids of delta = 0 and 0.3 in one solve, with
+    r_cut and t_cut given per point: the labels are those of one solve per cylinder, bit for bit."""
+    for spec in GRID:
+        cyls = [CylinderSpec(spec, d) for d in (0.0, 0.3) if d < spec.R]
+        grids = []
+        for cyl in cyls:
+            r = np.repeat(np.linspace(0.0, 0.995 * cyl.r_cut, 12), 9)
+            f = profile_height(spec, r)
+            grids.append((r, f - np.tile(np.linspace(0.0, 0.999, 9), 12) * (f - cyl.t_cut)))
+        cuts = {k: np.repeat([getattr(c, k) for c in cyls], 108) for k in ("r_cut", "t_cut")}
+        both = SimpleNamespace(params=spec.params, R=spec.R, **cuts)
+        joint = leaf_label_grid(both, *map(np.concatenate, zip(*grids)))
+        apart = np.concatenate([leaf_label_grid(cyl, r, t) for cyl, (r, t) in zip(cyls, grids)])
+        assert joint.tobytes() == apart.tobytes()
 
 
 def test_labels_whose_square_overflows_raise():

@@ -430,6 +430,18 @@ def test_jacobi_rejects_bad_field(spec):
         jacobi_residual(spec, "z")
 
 
+@pytest.mark.parametrize("band, n", [(0.0, 400), (0.5, 400), (0.6, 400), (-1.0, 400),
+                                     (math.nan, 400), (0.05, 0), (0.05, -3)])
+def test_jacobi_residual_outside_its_band_and_mesh_raises_domain_error(spec, band, n):
+    """band = 0 divided by zero (NaN), 0.6 left no radius (an untyped ValueError), -1 took
+    negative radii (2.7e-13) and n = 0 divided by zero (ZeroDivisionError)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="0 < band < 1/2 and n >= 1"):
+            jacobi_residual(spec, "x", n=n, band=band)
+    assert jacobi_residual(spec, "x", n=1, band=0.49) < 1e-12  # one radius, next to the edges
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_jacobi_residual_finite_at_small_eps(eps):
     # the mesh's subtracted determinant g_rr g_tt - g_rt^2 went negative here
@@ -512,3 +524,14 @@ def test_jacobi_residual_where_tau_squared_overflows_raises_typed(which):
             jacobi_residual(spec, which)
         with pytest.raises(NumericsError, match="Jacobi potential"):
             jacobi_potential(spec, 0.5e-200)
+
+
+@pytest.mark.parametrize("which", ["x", "t"])
+def test_jacobi_residual_where_the_profile_overflows_raises_typed(which):
+    """At eps = 5e102 eps^3 is finite but the profile is not: NumericsError as profile_height
+    raises it, where the potential's <N, T> warned of an overflow in multiply."""
+    spec = SphereSpec(ModelParams(5e102, 1.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="profile height is not finite with eps = 5e"):
+            jacobi_residual(spec, which)

@@ -680,3 +680,20 @@ def test_profile_height_where_it_overflows_raises(eps):
         for r in (0.02, np.array([0.0, 0.02, 0.5])):
             with pytest.raises(NumericsError, match=re.escape(f"not finite with eps = {eps!r}")):
                 profile_height(spec, r)
+
+
+@pytest.mark.parametrize("eps, r, what", [
+    (5e102, [0.02, 0.5], "the profile height"),
+    (5e102, 0.5, "the profile height"),
+    (4.4e102, [0.5, 0.99], "f_R at R = 1.0"),
+])
+def test_profile_height_R_where_it_or_the_profile_overflows_raises(eps, r, what):
+    """profile_height_R warned of an overflow in multiply where the profile overflows, and
+    returned inf with an overflow in divide where F'/g passes the largest float near the rim."""
+    spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape(f"{what} is not finite with eps = {eps!r}")
+        with pytest.raises(NumericsError, match=message):
+            profile_height_R(spec, r)
+        assert profile_height_R(SphereSpec(ModelParams(4.4e102, 1.0), 1.0), 0.5) > 9.8e307
