@@ -1,10 +1,13 @@
-"""The package's one root finder and one quadrature, each with one error policy.  A Python
-float start is solved on Python floats: numpy only divides by a zero derivative (`_divide`)."""
+"""The package's one root finder and one quadrature, each with one error policy, and its one
+policy for a value lost to the floats: a result that is not finite raises `_require_finite`'s
+NumericsError, float powers by `_power`.  A Python float start is solved on Python floats: numpy
+only divides by a zero derivative (`_divide`)."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 
 import numpy as np
 
@@ -30,6 +33,31 @@ def _each(fun, *args):
     if not isinstance(args[0], np.ndarray):
         return fun(*args)
     return np.reshape([fun(*a) for a in zip(*(np.ravel(x).tolist() for x in args))], args[0].shape)
+
+
+def _require_finite(x, params, what: str, *args, R=None):
+    """x (a float, a tuple of floats or an array) if it is all finite, else NumericsError
+    "<what> is not finite with eps = .., sigma = ..[, R = ..]", formatted only then, `what` by
+    what.format(*args).  `params` is anything with an epsilon and a sigma."""
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else
+            all(map(math.isfinite, x)) if isinstance(x, tuple) else math.isfinite(x)):
+        at = "" if R is None else f", R = {R!r}"
+        raise NumericsError(f"{what.format(*args)} is not finite with eps = {params.epsilon!r}, "
+                            f"sigma = {params.sigma!r}{at}")
+    return x
+
+
+def _pow(x: float, k: int) -> float:
+    """x**k of a Python float, inf where it overflows (x**k raises OverflowError there)."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
+def _power(x, k: int, params, what: str, R=None):
+    """x**k of a float, or sphere by sphere on a stack (`_each`), through `_require_finite`."""
+    return _require_finite(_each(lambda v: _pow(v, k), x), params, what, R=R)
 
 
 def _newton(fun, x, lo, hi, done, what: str):
@@ -114,7 +142,7 @@ def _quad(fun, a, b, what: str):
     k = lo.size
     length = hi - lo
     owner = np.arange(k)
-    spent = [owner]  # the interval of every panel spent so far
+    spent = np.ones(k, dtype=int)  # the panels each interval has spent so far
     total, scale = np.zeros(k), None
     while lo.size:
         half = 0.5 * (hi - lo)
@@ -134,9 +162,7 @@ def _quad(fun, a, b, what: str):
         bad = ~ok
         lo, hi = np.concatenate((lo[bad], mid[bad])), np.concatenate((mid[bad], hi[bad]))
         owner = np.concatenate((owner[bad], owner[bad]))
-        spent.append(owner)
-        if sum(map(len, spent)) > _QUAD_MAX_PANELS:  # then one interval may be over its budget
-            most = int(np.bincount(np.concatenate(spent)).max())
-            if most > _QUAD_MAX_PANELS:
-                raise NumericsError(f"quadrature for {what} did not converge in {most} panels")
+        spent += np.bincount(owner, minlength=k)
+        if (most := int(spent.max())) > _QUAD_MAX_PANELS:
+            raise NumericsError(f"quadrature for {what} did not converge in {most} panels")
     return total if batched else float(total[0])

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _pow
 from .errors import ContractError, DomainError
 
 __all__ = [
@@ -75,8 +76,9 @@ class ModelParams:
 
     @classmethod
     def from_tau(cls, epsilon: float, tau: float) -> "ModelParams":
-        """Alternate constructor from (eps, tau); stores sigma = tau*eps^4."""
-        return cls(epsilon, tau * epsilon**4)
+        """Alternate constructor from (eps, tau); stores sigma = tau*eps^4, DomainError (sigma must
+        be finite) where that is not a finite float."""
+        return cls(epsilon, tau * _pow(epsilon, 4))
 
 
 @dataclass(frozen=True)

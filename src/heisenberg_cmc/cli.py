@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _each
+from ._numerics import _each, _require_finite
 from .ambient import ModelParams, Point, _curvature_operator
 from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
                         principal_angle)
@@ -394,8 +394,7 @@ def cmd_meridian(args: argparse.Namespace) -> int:
         scaled = check.velocities[keep] * np.array([1.0, 1.0, spec.params.epsilon**3])
         with np.errstate(over="ignore"):  # eps^3 v_T squares past the largest float at huge eps
             dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))
-        if not math.isfinite(dev):
-            raise NumericsError(f"the Pansu deviation is not finite with eps = {args.epsilon!r}")
+        _require_finite(dev, spec.params, "the Pansu deviation", R=R)
 
     if args.out_prefix:
         _write_curve(args.out_prefix, curve)

@@ -27,14 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _each
+from ._numerics import _each, _require_finite
 from .ambient import (
     Point,
     TangentVector,
     christoffel_frame,
     vector_to_coordinates,
 )
-from .errors import ContractError, DomainError, NumericsError
+from .errors import ContractError, DomainError
 from .sphere import SphereSpec, _mass, _on_sphere_or_raise, _pieces, foliation_normal, outer_normal
 
 __all__ = [
@@ -145,9 +145,7 @@ def _shape(spec: SphereSpec, r):
         h = np.stack((np.stack((H * (1.0 + 2.0 * rho * rho) / den, off), axis=-1),
                       np.stack((off, H / den), axis=-1)), axis=-2)
         spread = (rho * rho / den) * _each(math.hypot, H, tau)
-    if not (np.isfinite(h).all() and np.isfinite(spread).all()):
-        raise NumericsError(f"the second fundamental form is not finite with eps = "
-                            f"{params.epsilon!r}, sigma = {params.sigma!r}, R = {spec.R!r}")
+    _require_finite(np.append(h, spread), params, "the second fundamental form", R=spec.R)
     return h, H + spread, H - spread
 
 

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _ULP, _newton
+from ._numerics import _ULP, _divide, _newton, _power, _require_finite
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
 from .sphere import SphereSpec, _f, _f_r, _kernel, _mass, _radius_of, profile_height
@@ -107,14 +107,13 @@ def _k_f0(spec: SphereSpec) -> tuple[float, float]:
 
 def foliation_constants(spec: SphereSpec) -> FoliationConstants:
     """k = m(R) sqrt(R) and the two deficit constants built from it and f(0; R)."""
-    e = spec.params.epsilon
-    R = spec.R
+    e, R = spec.params.epsilon, spec.R
     k, f0 = _k_f0(spec)
-    try:  # R**3 and R**5 raise OverflowError, above R of about 5.6e102 and 1.4e61
-        c = 1.0 / (4.0 * math.pi * e * R**3 * (R * k + f0))
-        d = 1.0 / (12.0 * e * math.pi**2 * R**5 * (4.0 * R * k * k + f0 * f0))
-    except OverflowError:
-        raise NumericsError(f"the deficit constants are not finite with R = {R!r}") from None
+    # R^3, R^5 overflow above R ~ 5.6e102, 1.4e61; D overflows below R ~ 3.7e-45 at eps = sigma = 1
+    R3, R5 = (_power(R, n, spec.params, "a deficit constant", R=R) for n in (3, 5))
+    c = _divide(1.0, 4.0 * math.pi * e * R3 * (R * k + f0))
+    d = _divide(1.0, 12.0 * e * math.pi**2 * R5 * (4.0 * R * k * k + f0 * f0))
+    _require_finite((c, d), spec.params, "a deficit constant", R=R)
     return FoliationConstants(k=k, C=c, D=d)
 
 
@@ -185,11 +184,8 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
         y = _newton(residual, start, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
         s_r = _chord(cyl, r, y)[0]
         lam = np.sqrt(s_r * s_r + r * r)
-    if not np.all(np.isfinite(lam)):
-        i = np.flatnonzero(~np.isfinite(lam))[0]
-        raise NumericsError(
-            f"the leaf label's square overflows at (r, t) = {float(r[i]), float(t[i])} with "
-            f"eps = {cyl.params.epsilon!r}, sigma = {cyl.params.sigma!r}, R = {R!r}")
+    i = np.flatnonzero(~np.isfinite(lam))[:1]  # the first label lost, if one is
+    _require_finite(lam, cyl.params, "the leaf label at (r, t) = ({}, {})", *r[i], *t[i], R=R)
     return np.maximum(lam, np.nextafter(R, np.inf)), y, m
 
 
@@ -234,9 +230,7 @@ def point_on_leaf(cyl: CylinderSpec, r: float, lam: float) -> Point:
     if lam > cyl.R:
         with np.errstate(over="ignore", invalid="ignore"):
             t = float(_f(params, r, lam) - _f(params, cyl.r_cut, lam) + cyl.t_cut)
-        if not math.isfinite(t):
-            raise NumericsError(f"the leaf lam = {lam!r} overflows at r = {r!r} with eps = "
-                                f"{params.epsilon!r}, sigma = {params.sigma!r}, R = {cyl.R!r}")
+        _require_finite(t, params, "the leaf lam = {!r} at r = {!r}", lam, r, R=cyl.R)
     else:
         t = float(_f(params, r, cyl.R)) + (cyl.R - lam)
     return Point(r, 0.0, t)

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _gauss_legendre, _quad
+from ._numerics import _gauss_legendre, _pow, _power, _quad, _require_finite
 from .ambient import ModelParams, Point
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
@@ -79,10 +80,7 @@ def graph_area(
     if (slope is None) == (gradient is None):
         raise ContractError("provide exactly one of slope= or gradient=")
     e, s = params.epsilon, params.sigma
-    try:
-        e6 = e**6
-    except OverflowError:  # eps above about 1.4e51
-        raise NumericsError(f"eps^6 is not a finite float with eps = {e!r}") from None
+    e6 = _power(e, 6, params, "eps^6")  # eps above about 1.4e51 raises
     rad = float(radius)
     if slope is not None:
 
@@ -118,9 +116,12 @@ def subriemannian_hemisphere_area(sigma: float, R: float) -> float:
     profile (f' = -sigma r^2 / sqrt(R^2 - r^2)); this is the limit of
     eps * (Riemannian hemisphere area) as eps -> 0.  On r = R sin(phi) its
     density sigma r^2 sqrt(r^2 + R^2 cos^2 phi) is sigma R^3 sin^2(phi), whose
-    integral over [0, pi/2] is pi/4; the tests hold the quadrature to it.
+    integral over [0, pi/2] is pi/4; the tests hold the quadrature to it.  NumericsError where
+    it is not finite, which names the limit's eps = 0.
     """
-    return 0.5 * math.pi**2 * sigma * R**3
+    area = 0.5 * math.pi**2 * sigma * _pow(R, 3)
+    return _require_finite(area, SimpleNamespace(epsilon=0.0, sigma=sigma),
+                           "the sub-Riemannian hemisphere area", R=R)
 
 
 # --------------------------------------------------------------- competitors
@@ -310,10 +311,7 @@ def deficit_reports(comps) -> list[DeficitReport]:
         raise ContractError("the competitors of a suite must share their sphere and cylinder")
     params, R = spec.params, spec.R
     e, s = params.epsilon, params.sigma
-    try:
-        e6 = e**6
-    except OverflowError:  # eps above about 1.4e51
-        raise NumericsError(f"eps^6 is not a finite float with eps = {e!r}") from None
+    e6 = _power(e, 6, params, "eps^6")  # eps above about 1.4e51 raises
 
     def excess_integrand(r, amp, bump, width):
         fr = _f_r(params, r, R)
@@ -448,12 +446,10 @@ def jacobi_potential(spec: SphereSpec, r):
     """
     params, h = spec.params, _shape(spec, r)[0]
     theta_n = normal_component(spec, "t", (r, 0.0, profile_height(spec, r)))  # <N, T>
-    try:  # h * h and tau ** 2 (a float, which raises OverflowError)
-        with np.errstate(over="raise", invalid="raise"):
-            return np.sum(h * h, axis=(-2, -1)) + (4.0 * theta_n * theta_n - 2.0) * params.tau ** 2
-    except (FloatingPointError, OverflowError):
-        raise NumericsError(f"the Jacobi potential is not finite with eps = {params.epsilon!r}, "
-                            f"sigma = {params.sigma!r}, R = {spec.R!r}") from None
+    tau2 = _power(params.tau, 2, params, "the Jacobi potential", R=spec.R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        potential = np.sum(h * h, axis=(-2, -1)) + (4.0 * theta_n * theta_n - 2.0) * tau2
+    return _require_finite(potential, params, "the Jacobi potential", R=spec.R)
 
 
 def jacobi_residual(

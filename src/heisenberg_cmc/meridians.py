@@ -32,22 +32,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _divide
+from ._numerics import _divide, _require_finite
 from .ambient import ModelParams, Point, TangentVector, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
     SphereSpec,
     _ell,
     _f,
-    _f_over_sqrt,
     _leaf,
     _mass,
     _normal_components,
     _on_sphere_or_raise,
     _pansu_leaf,
     _pieces,
+    _profile,
     _radius_of,
-    _require_finite,
 )
 
 __all__ = [
@@ -105,7 +104,7 @@ def normal_derivatives(params: ModelParams, point: Point) -> tuple[float, float]
     e = params.epsilon
     R, p, ell, m = _leaf_terms(params, point)
     c = _divide(params.sigma * point.r, m)  # 0/0 on the axis only where eps^3 underflows
-    npv = (p * ell - c * c * (ell * math.atan(p) + p)) / (e * R)
+    npv = _divide(p * ell - c * c * (ell * math.atan(p) + p), e * R)  # R = 0 where it underflows
     return _require_finite((ell / e, npv), params, "the normal derivatives at {}", point)
 
 
@@ -182,7 +181,7 @@ def _chart(params: ModelParams, R: float, r: float, t: float) -> tuple[float, fl
     """Polar angle and radius of (r, t) in the chart (r, t / fos(min(r, R))),
     fos = f / sqrt(R^2 - r^2), in which the sphere R is the circle of radius R
     and the meridian angle phi (r = R sin(phi)) is the polar angle."""
-    u = t / float(_f_over_sqrt(params, min(r, R), R))
+    u = t / float(_profile(params, min(r, R), R)[1])
     return math.atan2(r, u), math.hypot(r, u)
 
 

@@ -27,7 +27,8 @@ profile helpers broadcast over numpy arrays.
 One point stays on Python floats, by the same expressions.  numpy stays where a float raises
 or rounds differently: `_numerics._divide` where a divisor can be 0 (m = 0 on the axis where
 eps^3 underflows), np.arctan and np.hypot (math.atan and math.hypot miss the last bit on 0.08%
-of inputs).  eps^3 is e*e*e, which overflows to inf where eps**3 would raise.
+of inputs).  eps^3 is e*e*e, which overflows to inf where eps**3 would raise.  A value lost to
+the floats raises `_numerics._require_finite`'s NumericsError, the package's one policy for it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _divide, _each, _newton
+from ._numerics import _divide, _newton, _power, _require_finite
 from .ambient import ModelParams, Point, TangentVector
-from .errors import ContractError, DomainError, NumericsError
+from .errors import ContractError, DomainError
 
 __all__ = [
     "SphereSpec",
@@ -117,9 +118,7 @@ def _mass(params: ModelParams, r):
     about 5.6e102).  On a float, abs(complex) is libm's hypot, as np.hypot is, at a tenth of its
     cost (OverflowError only where eps^3 and |sigma r| are both near the largest float)."""
     e = params.epsilon
-    e3, sr = e * e * e, params.sigma * r
-    if (e3 == math.inf).any() if isinstance(e3, np.ndarray) else e3 == math.inf:  # stacked eps^3
-        _require_finite((math.inf,), params, "eps^3")
+    e3, sr = _require_finite(e * e * e, params, "eps^3"), params.sigma * r
     return np.hypot(e3, sr) if isinstance(sr, np.ndarray) else abs(complex(e3, sr))
 
 
@@ -165,11 +164,6 @@ def _profile(params: ModelParams, r, R):
     return (g, *_kernel(g, m, params.sigma, p))
 
 
-def _f_over_sqrt(params: ModelParams, r, R):
-    """f / sqrt(R^2 - r^2), smooth and positive up to r = R and sigma = 0."""
-    return _profile(params, r, R)[1]
-
-
 def _f(params: ModelParams, r, R):
     g, f_over_g, _ = _profile(params, r, R)
     return g * f_over_g
@@ -177,11 +171,6 @@ def _f(params: ModelParams, r, R):
 
 def _f_r(params: ModelParams, r, R):
     return -np.asarray(r, dtype=float) * _mass(params, r) / _gap(r, R)
-
-
-def _f_R(params: ModelParams, r, R):
-    g, _, dF = _profile(params, r, R)
-    return np.asarray(R, dtype=float) * dF / g
 
 
 def _check_profile_domain(R: float, r, *, closed: bool) -> np.ndarray:
@@ -230,10 +219,7 @@ def _height(spec: SphereSpec, r):
     """`profile_height` on radii in [0, R], which a stack of spheres' (k, 1) columns broadcast."""
     with np.errstate(over="ignore"):
         f = _f(spec.params, r, spec.R)
-    if not np.isfinite(f).all():
-        raise NumericsError(f"the profile height is not finite with eps = {spec.params.epsilon!r}, "
-                            f"sigma = {spec.params.sigma!r}, R = {spec.R!r}")
-    return f
+    return _require_finite(f, spec.params, "the profile height", R=spec.R)
 
 
 def profile_height_r(spec: SphereSpec, r):
@@ -248,9 +234,9 @@ def profile_height_R(spec: SphereSpec, r):
     rr = _check_profile_domain(spec.R, r, closed=False)
     _height(spec, rr)  # its NumericsError where the profile overflows
     with np.errstate(over="ignore"):
-        f_R = _f_R(spec.params, rr, spec.R)
-    _require_finite(np.ravel(f_R).tolist(), spec.params, "f_R at R = {!r}", spec.R)
-    return _scalar_or_array(r, f_R)
+        g, _, dF = _profile(spec.params, rr, spec.R)
+        f_R = np.asarray(spec.R, dtype=float) * dF / g  # f_R = R F'/g
+    return _scalar_or_array(r, _require_finite(f_R, spec.params, "f_R", R=spec.R))
 
 
 def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> ProfileQuantities:
@@ -353,14 +339,14 @@ def _normal_components(params: ModelParams, x, y, t, R, g, m):
 
 
 def _on_sphere_or_raise(spec: SphereSpec, point: Point, tol: float = 1e-8) -> None:
-    """ContractError unless |t| is within tol * max(1, R, f(r)) of f(r), so
-    relative in t where the profile is tall."""
+    """ContractError unless |t| is within tol * max(1, R, f(r)) of f(r), so relative in t where
+    the profile is tall (a NaN miss fails too); `_height`'s NumericsError where f is not finite."""
     r = point.r
     if r > spec.R * (1.0 + _DOMAIN_RTOL) + tol:
         raise ContractError(f"point with |z| = {r} is not on the sphere R = {spec.R}")
-    f_here = float(_f(spec.params, min(r, spec.R), spec.R))
+    f_here = float(_height(spec, min(r, spec.R)))
     miss = abs(abs(point.t) - f_here)
-    if miss > tol * max(1.0, spec.R, f_here):
+    if not miss <= tol * max(1.0, spec.R, f_here):
         raise ContractError(f"point is off the sphere: | |t| - f | = {miss:.3e}")
 
 
@@ -386,14 +372,6 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
     return TangentVector.from_array(_require_finite(n, params, "the foliation normal at {}", point))
 
 
-def _require_finite(values, params: ModelParams, what: str, *args):
-    """`values` if all are finite, else NumericsError naming what.format(*args), eps and sigma."""
-    if not all(map(math.isfinite, values)):
-        raise NumericsError(f"{what.format(*args)} is not finite with eps = {params.epsilon!r}, "
-                            f"sigma = {params.sigma!r}")
-    return values
-
-
 # ------------------------------------------------------------- area / volume
 
 
@@ -404,7 +382,7 @@ def sphere_area(spec: SphereSpec) -> float:
     b = _divide(s * R, e * e * e)
     a = _arctan(b)
     area = 2.0 * math.pi * R * R * (e * e * (1.0 + _atanc(b, a)) + s * R / e * a)
-    return _require_finite((area,), spec.params, "the area with R = {!r}", R)[0]
+    return _require_finite(area, spec.params, "the area", R=R)
 
 
 def sphere_volume(spec: SphereSpec) -> float:
@@ -422,7 +400,7 @@ def sphere_volume(spec: SphereSpec) -> float:
     else:
         J_b = (3.0 / b + 1.0 / (b2 * b) + _arctan(b) * (3.0 + (2.0 - 1.0 / b2) / b2)) / 8.0
         volume = 2.0 * math.pi * abs(s) * R * R * R * R * J_b
-    return _require_finite((volume,), spec.params, "the volume with R = {!r}", R)[0]
+    return _require_finite(volume, spec.params, "the volume", R=R)
 
 
 # ------------------------------------------------------------ limit profiles
@@ -474,19 +452,18 @@ def graph_mean_curvature_fd(params: ModelParams, f, r, step: float):
     1/(eps R).  `f` is called once, on one 1-d array of the 16 r.size
     stencil points r + a step + b step, a and b in {-2, -1, 1, 2}, laid
     out as an array of shape (4, 4) + r.shape.  params and step may be a
-    stack of spheres' (k, 1) columns for r of shape (k, n).
+    stack of spheres' (k, 1) columns for r of shape (k, n).  `f` and the stencil run with numpy's
+    errors ignored; NumericsError where eps^6 (eps above 1.4e51) or the result is not finite.
     """
     e, s = params.epsilon, params.sigma
-    try:
-        e6 = _each(lambda x: x**6, e)
-    except OverflowError:  # eps above about 1.4e51
-        raise NumericsError(f"eps^6 is not a finite float with eps = {e!r}") from None
+    e6 = _power(e, 6, params, "eps^6")
     r = np.asarray(r, dtype=float)
     h = step
     x = np.stack((r - 2 * h, r - h, r + h, r + 2 * h))  # where the flux is differenced
     points = np.stack((x - 2 * h, x - h, x + h, x + 2 * h), axis=1)  # where f is differenced
-    fx = np.reshape(f(points.ravel()), points.shape)
-    fp = (fx[:, 0] - 8.0 * fx[:, 1] + 8.0 * fx[:, 2] - fx[:, 3]) / (12.0 * h)
-    flux = x * fp / np.sqrt(e6 + fp * fp + s * s * x * x)
-    div = (flux[0] - 8.0 * flux[1] + 8.0 * flux[2] - flux[3]) / (12.0 * h)
-    return -(0.5 / e) * div / r
+    with np.errstate(all="ignore"):
+        fx = np.reshape(f(points.ravel()), points.shape)
+        fp = (fx[:, 0] - 8.0 * fx[:, 1] + 8.0 * fx[:, 2] - fx[:, 3]) / (12.0 * h)
+        flux = x * fp / np.sqrt(e6 + fp * fp + s * s * x * x)
+        div = (flux[0] - 8.0 * flux[1] + 8.0 * flux[2] - flux[3]) / (12.0 * h)
+        return _require_finite(-(0.5 / e) * div / r, params, "the finite-difference mean curvature")

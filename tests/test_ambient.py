@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ def test_params_validation():
         ModelParams(-1.0, 1.0)
     with pytest.raises(DomainError):
         ModelParams(1.0, math.nan)
+
+
+def test_from_tau_whose_sigma_is_not_a_finite_float_raises():
+    """tau * eps**4 raised an untyped OverflowError at eps = 1e78: sigma = tau eps^4 is not a
+    float there, so the constructor's own DomainError, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau, shown in ((1.0, "inf"), (-1.0, "-inf")):
+            with pytest.raises(DomainError, match=rf"^sigma must be finite, got {shown}$"):
+                ModelParams.from_tau(1e78, tau)
+    assert ModelParams.from_tau(1e76, 1.0).sigma == 1e76**4
 
 
 def test_tau_is_derived():

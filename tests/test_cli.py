@@ -303,9 +303,10 @@ def test_meridian_step_that_asks_for_more_samples_than_an_array_holds_exits_2(ar
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["isoperim", "--epsilon", "1e60"], "eps^6 is not a finite float with eps = 1e+60"),
-    (["verify", "--epsilon", "1e60"], "eps^6 is not a finite float with eps = 1e+60"),
-    (["isoperim", "--R", "1e62"], "the deficit constants are not finite with R = 1e+62"),
+    (["isoperim", "--epsilon", "1e60"], "eps^6 is not finite with eps = 1e+60, sigma = 1.0"),
+    (["verify", "--epsilon", "1e60"], "eps^6 is not finite with eps = 1e+60, sigma = 1.0"),
+    (["isoperim", "--R", "1e62"],
+     "a deficit constant is not finite with eps = 1.0, sigma = 1.0, R = 1e+62"),
 ])
 def test_float_power_past_the_largest_float_exits_3(argv, message):
     """eps**6 and R**5 raised an untyped OverflowError, a traceback and exit 1."""
@@ -315,6 +316,20 @@ def test_float_power_past_the_largest_float_exits_3(argv, message):
     assert res.returncode == cli.EXIT_NUMERIC
     assert res.stdout == ""
     assert res.stderr == f"numeric failure: {message}\n"
+
+
+@pytest.mark.parametrize("eps, R", [("1e-160", "1e-160"), ("1e-80", "1e160")])
+def test_verify_whose_cmc_stencil_leaves_the_floats_exits_3(eps, R):
+    """The CMC stencil warned of overflows before the typed error, and so died under -W error:
+    at eps = R = 1e-160, where H = 1/(eps R) is not a float, verify then exited 2 on tau, and
+    at eps = 1e-80, R = 1e160, where f overflows, 3 on the profile."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("verify", "--epsilon", eps, "--R", R)
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: the finite-difference mean curvature is not finite "
+                          f"with eps = {eps}, sigma = 1.0\n")
 
 
 def test_curve_files_have_the_bytes_of_csv_and_json_writers(tmp_path):
@@ -348,7 +363,8 @@ def test_meridian_whose_pansu_deviation_overflows_exits_3():
         res = run_cli("meridian", "--epsilon", "1e100", "--step-frac", "1e103")
     assert res.returncode == cli.EXIT_NUMERIC
     assert "Infinity" not in res.stdout and res.stdout == ""
-    assert res.stderr == "numeric failure: the Pansu deviation is not finite with eps = 1e+100\n"
+    assert res.stderr == ("numeric failure: the Pansu deviation is not finite with eps = 1e+100, "
+                          "sigma = 1.0, R = 1.0\n")
 
 
 def test_meridian_reports_pansu_deviation():

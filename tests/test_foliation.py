@@ -30,7 +30,7 @@ from heisenberg_cmc.foliation import (
 )
 from heisenberg_cmc import cli, foliation
 from heisenberg_cmc.foliation import _leaf_terms
-from heisenberg_cmc.sphere import _f, _f_R, _mass
+from heisenberg_cmc.sphere import _f, _mass, _profile
 
 from conftest import GRID, counting_newton_passes, mp_profile
 
@@ -195,7 +195,8 @@ def test_labels_match_brentq_oracle():
         for ri, ti, lam in zip(r[keep], t[keep], labels):
             ref = _brentq_label(cyl, ri, ti)
             rr = np.array([ri, cyl.r_cut])
-            f, f_lam = _f(cyl.params, rr, ref), _f_R(cyl.params, rr, ref)
+            g, _, dF = _profile(cyl.params, rr, ref)
+            f, f_lam = _f(cyl.params, rr, ref), ref * dF / g  # f_R = R F'/g
             scale = abs(f[0]) + abs(f[1]) + abs(cyl.t_cut) + abs(ti)
             bound = max(16.0 * _ULP * ref, 32.0 * _ULP * scale / abs(f_lam[0] - f_lam[1]))
             assert lam > R and abs(lam - ref) <= bound, (eps, sigma, R, delta, ri, ti)
@@ -242,8 +243,8 @@ def test_labels_whose_square_overflows_raise():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (5e-324, 1e-300):
-            with pytest.raises(NumericsError, match=rf"\(0\.5, {t!r}\) with eps = 0\.001, "
-                                                    r"sigma = 1\.0, R = 1\.0"):
+            with pytest.raises(NumericsError, match=rf"^the leaf label at \(r, t\) = \(0\.5, {t!r}\) "
+                                                    r"is not finite with eps = 0\.001, sigma = 1\.0, R = 1\.0$"):
                 leaf_label(cyl, Point(0.5, 0.0, t))
         w_r, w_cut = (math.hypot(1.0, 1e9 * x) for x in (0.5, 1.0))  # tau eps = sigma / eps^3
         slope = 1e-9 * (2.0 / 3.0) * (w_r**2 + w_r * w_cut + w_cut**2) / (w_r + w_cut)
@@ -256,11 +257,11 @@ def test_leaf_heights_whose_square_overflows_raise():
     cyl = CylinderSpec(SphereSpec(ModelParams(1e-3, 1), 1), 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match=r"lam = 1e\+160 overflows at r = 0\.5 with "
-                                                r"eps = 0\.001, sigma = 1, R = 1$"):
+        with pytest.raises(NumericsError, match=r"^the leaf lam = 1e\+160 at r = 0\.5 is not finite "
+                                                r"with eps = 0\.001, sigma = 1, R = 1$"):
             point_on_leaf(cyl, 0.5, 1e160)
-        with pytest.raises(NumericsError, match=r"lam = 1e\+200 overflows at r = 0\.5 with "
-                                                r"eps = 0\.001, sigma = 1, R = 1$"):
+        with pytest.raises(NumericsError, match=r"^the leaf lam = 1e\+200 at r = 0\.5 is not finite "
+                                                r"with eps = 0\.001, sigma = 1, R = 1$"):
             leaf_equation(cyl, 0.5, 1e-3, 1e200)
 
 
@@ -288,7 +289,8 @@ def test_labels_at_the_rim_match_50_digit_roots():
         for ti, lam in zip(t, leaf_label_grid(cyl, r, t)):
             exact = float(_mp_label(cyl, r, ti, lam))
             rr = np.array([r, cyl.r_cut])
-            f, f_lam = _f(cyl.params, rr, exact), _f_R(cyl.params, rr, exact)
+            g, _, dF = _profile(cyl.params, rr, exact)
+            f, f_lam = _f(cyl.params, rr, exact), exact * dF / g  # f_R = R F'/g
             scale = abs(f[0]) + abs(f[1]) + abs(cyl.t_cut) + abs(ti)
             bound = max(16.0 * _ULP * exact, 32.0 * _ULP * scale / abs(f_lam[0] - f_lam[1]))
             assert abs(lam - exact) <= bound, (spec, ti)
@@ -358,7 +360,8 @@ def test_chord_residual_matches_leaf_equation(eps, sigma):
                          + abs(cyl.t_cut) + abs(t))
                 assert abs(F - leaf_equation(cyl, ri, t, lam_chord[i])) <= 8 * _ULP * scale
                 f_lam = -lam_chord[i] * y[i] * dF[i] / (sr[i] * sc[i])
-                want = _f_R(params, ri, lam_chord[i]) - _f_R(params, cyl.r_cut, lam_chord[i])
+                g_l, _, dF_l = _profile(params, np.array([ri, cyl.r_cut]), lam_chord[i])
+                want = np.subtract(*(lam_chord[i] * dF_l / g_l))  # f_R = R F'/g
                 assert f_lam == pytest.approx(float(want), rel=1e-6)
 
 

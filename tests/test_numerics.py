@@ -4,6 +4,7 @@ by the package's quadrature and by scipy's quad, and brentq; a sympy check of th
 first variation dA = 2H dV; and the Newton core's contract on residuals with known roots."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -13,13 +14,18 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from heisenberg_cmc import ModelParams, NumericsError, Point, SphereSpec, profile_height
+from heisenberg_cmc import (ModelParams, NumericsError, Point, SphereSpec, foliation_normal,
+                            graph_mean_curvature_fd, profile_height, profile_height_R, radius_field)
 from heisenberg_cmc._numerics import (_QUAD_MAX_PANELS, _QUAD_RTOL, _divide, _gauss_legendre,
                                       _newton, _quad)
-from heisenberg_cmc.foliation import CylinderSpec, leaf_equation, leaf_label, leaf_label_grid
-from heisenberg_cmc.isoperimetry import make_competitor
-from heisenberg_cmc.sphere import (_J_SERIES, _f, _f_R, _f_over_sqrt, sphere_area,
-                                   sphere_volume)
+from heisenberg_cmc.curvature import second_fundamental_form
+from heisenberg_cmc.foliation import (CylinderSpec, foliation_constants, leaf_equation, leaf_label,
+                                      leaf_label_grid, point_on_leaf)
+from heisenberg_cmc.isoperimetry import (deficit_reports, graph_area, jacobi_potential,
+                                         make_competitor, make_competitors,
+                                         subriemannian_hemisphere_area)
+from heisenberg_cmc.meridians import normal_acceleration, normal_derivatives
+from heisenberg_cmc.sphere import _J_SERIES, _f, _profile, sphere_area, sphere_volume
 
 from conftest import GRID, mp_profile
 
@@ -158,7 +164,7 @@ def test_sphere_volume_matches_scipy_quad():
                     SphereSpec(ModelParams(0.7, -1.3), 4.0)]
     for spec in specs:
         params, R = spec.params, spec.R
-        val, _ = quad(lambda r: math.sqrt(R + r) * float(_f_over_sqrt(params, r, R)) * r,
+        val, _ = quad(lambda r: math.sqrt(R + r) * float(_profile(params, r, R)[1]) * r,
                       0.0, R, weight="alg", wvar=(0.0, 0.5), epsabs=0.0, epsrel=1e-13, limit=200)
         assert sphere_volume(spec) == pytest.approx(4.0 * math.pi * val, rel=1e-12, abs=0.0)
 
@@ -359,7 +365,8 @@ def test_leaf_label_matches_brentq(frac):
                          xtol=1e-300, rtol=8.9e-16, maxiter=500)
         x = max(ref, lo)
         size = abs(_f(params, ri, x)) + abs(_f(params, cyl.r_cut, x)) + abs(cyl.t_cut) + abs(ti)
-        slope = _f_R(params, ri, x) - _f_R(params, cyl.r_cut, x)
+        g, _, dF = _profile(params, np.array([ri, cyl.r_cut]), x)
+        slope = np.subtract(*(x * dF / g))  # f_R = R F'/g at ri less at r_cut
         assert abs(lam - ref) <= 64.0 * np.finfo(float).eps * (size / abs(slope) + ref)
 
 
@@ -471,3 +478,81 @@ def test_divide_by_zero_is_numpy_division_without_a_warning():
         assert math.isnan(_divide(0.0, 0.0))
         q = _divide(np.array([1.0, 0.0, 6.0]), 0.0)
         assert q[0] == math.inf and math.isnan(q[1]) and q[2] == math.inf
+
+
+_ONE = ModelParams(1.0, 1.0)
+_AXIS = (ModelParams(10.0, 1.0), Point(0.0, 0.0, 5e-324))  # R underflows to 0 next to the origin
+_LEAVES = CylinderSpec(SphereSpec(ModelParams(1e-3, 1.0), 1.0), 0.0)
+_HUGE = SphereSpec(ModelParams(1e60, 1.0), 1.0)
+
+
+def _sphere(eps, R=1.0, sigma=1.0):
+    return SphereSpec(ModelParams(eps, sigma), R)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: radius_field(ModelParams(1e103, 1.0), 0.5, 0.5),
+     "eps^3 is not finite with eps = 1e+103, sigma = 1.0"),
+    (lambda: profile_height(_sphere(5e102), 0.5),
+     "the profile height is not finite with eps = 5e+102, sigma = 1.0, R = 1.0"),
+    (lambda: profile_height_R(_sphere(4.4e102), [0.5, 0.99]),
+     "f_R is not finite with eps = 4.4e+102, sigma = 1.0, R = 1.0"),
+    (lambda: radius_field(_AXIS[0], 0.0, 5e-324),
+     "the radius field at (r, t) = (0.0, 5e-324) is not finite with eps = 10.0, sigma = 1.0"),
+    (lambda: foliation_normal(*_AXIS),
+     "the foliation normal at Point(x=0.0, y=0.0, t=5e-324) is not finite with eps = 10.0, "
+     "sigma = 1.0"),
+    (lambda: sphere_area(_sphere(1.0, 1e200)),
+     "the area is not finite with eps = 1.0, sigma = 1.0, R = 1e+200"),
+    (lambda: sphere_volume(_sphere(1.0, 1e100)),
+     "the volume is not finite with eps = 1.0, sigma = 1.0, R = 1e+100"),
+    (lambda: graph_mean_curvature_fd(_HUGE.params, lambda x: -x * x, np.array([0.5]), 1e-3),
+     "eps^6 is not finite with eps = 1e+60, sigma = 1.0"),
+    (lambda: graph_mean_curvature_fd(ModelParams(1e-300, 0.0),
+                                     lambda x: _f(ModelParams(1e-300, 0.0), x, 1.0),
+                                     np.array([0.5]), 1e-3),
+     "the finite-difference mean curvature is not finite with eps = 1e-300, sigma = 0.0"),
+    (lambda: second_fundamental_form(_sphere(1e-38), Point(0.5, 0.0, profile_height(
+        _sphere(1e-38), 0.5))),
+     "the second fundamental form is not finite with eps = 1e-38, sigma = 1.0, R = 1.0"),
+    (lambda: graph_area(_HUGE.params, 1.0, slope=lambda r: -r),
+     "eps^6 is not finite with eps = 1e+60, sigma = 1.0"),
+    (lambda: deficit_reports(make_competitors(_HUGE, CylinderSpec(_HUGE, 0.3),
+                                              np.random.default_rng(0), 2)),
+     "eps^6 is not finite with eps = 1e+60, sigma = 1.0"),
+    (lambda: jacobi_potential(_sphere(1e-40, 1e-200), 0.5e-200),
+     "the Jacobi potential is not finite with eps = 1e-40, sigma = 1.0, R = 1e-200"),
+    (lambda: foliation_constants(SphereSpec(_ONE, 1e62)),
+     "a deficit constant is not finite with eps = 1.0, sigma = 1.0, R = 1e+62"),
+    (lambda: foliation_constants(SphereSpec(_ONE, 1e-60)),
+     "a deficit constant is not finite with eps = 1.0, sigma = 1.0, R = 1e-60"),
+    (lambda: point_on_leaf(_LEAVES, 0.5, 1e160),
+     "the leaf lam = 1e+160 at r = 0.5 is not finite with eps = 0.001, sigma = 1.0, R = 1.0"),
+    (lambda: leaf_label(_LEAVES, Point(0.5, 0.0, 1e-300)),
+     "the leaf label at (r, t) = (0.5, 1e-300) is not finite with eps = 0.001, sigma = 1.0, "
+     "R = 1.0"),
+    (lambda: normal_derivatives(*_AXIS),
+     "the normal derivatives at Point(x=0.0, y=0.0, t=5e-324) is not finite with eps = 10.0, "
+     "sigma = 1.0"),
+    (lambda: normal_acceleration(ModelParams(1e100, 1.0), Point(0.3, 0.0, 0.2)),
+     "the normal acceleration at Point(x=0.3, y=0.0, t=0.2) is not finite with eps = 1e+100, "
+     "sigma = 1.0"),
+    (lambda: subriemannian_hemisphere_area(1.0, 1e103),
+     "the sub-Riemannian hemisphere area is not finite with eps = 0.0, sigma = 1.0, R = 1e+103"),
+    (lambda: subriemannian_hemisphere_area(1e300, 1e10),
+     "the sub-Riemannian hemisphere area is not finite with eps = 0.0, sigma = 1e+300, "
+     "R = 10000000000.0"),
+], ids=["eps^3", "profile", "f_R", "radius field", "foliation normal", "area", "volume",
+        "stencil eps^6", "stencil", "second fundamental form", "graph area eps^6",
+        "deficit reports eps^6", "Jacobi potential", "deficit constants", "tiny deficit constants",
+        "leaf height",
+        "leaf label", "normal derivatives", "normal acceleration", "sub-Riemannian R^3",
+        "sub-Riemannian area"])
+def test_each_value_lost_to_the_floats_raises_one_numerics_error(call, message):
+    """Every site that forms a value past the floats (a float power that raised OverflowError,
+    an overflow, a NaN) raises `_require_finite`'s NumericsError in its one shape, naming
+    eps, sigma and R where the site has one, with no warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
+            call()

@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from heisenberg_cmc import (DomainError, ModelParams, Point, SphereSpec,
                             foliation_normal, pansu_profile, pansu_radius, profile_quantities,
                             radius_field, sphere)
-from heisenberg_cmc.sphere import _f, _f_R, _f_r, _kernel, _leaf, _normal_components
+from heisenberg_cmc.sphere import (_f, _f_r, _kernel, _leaf, _normal_components,
+                                   profile_height_R)
 
 from conftest import counting_newton_passes, mp_profile
 
@@ -196,7 +197,8 @@ def test_profile_partials_are_derivatives_of_the_profile():
         with mpmath.workdps(50):
             want = [float(v) for v in exprs(mpmath.mpf(eps), mpmath.mpf(sigma) / mpmath.mpf(eps)**4,
                                             mpmath.mpf(rv), mpmath.mpf(Rv))]
-        got = [float(k(params, rv, Rv)) for k in (_f, _f_r, _f_R)]
+        got = [float(k(params, rv, Rv)) for k in (_f, _f_r)]
+        got.append(profile_height_R(SphereSpec(params, Rv), rv))
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 

@@ -308,6 +308,19 @@ def test_outer_normal_rejects_off_sphere(spec):
         outer_normal(spec, Point(0.5, 0.0, 2.0))
 
 
+def test_outer_normal_where_f_or_the_miss_is_nan_raises():
+    """The on-sphere check compared miss > tol * max(1, R, f), which a NaN miss passes: at
+    eps = 1e-300 and sigma = 0, m = eps^3 underflows to 0 and f is 0/0, so outer_normal
+    returned TangentVector(nan, nan, nan), and a NaN height passed the check too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"^the profile height is not finite with "
+                                                r"eps = 1e-300, sigma = 0\.0, R = 1\.0$"):
+            outer_normal(SphereSpec(ModelParams(1e-300, 0.0), 1.0), Point(0.18, 0.24, 0.5))
+        with pytest.raises(ContractError, match=r"^point is off the sphere: \| \|t\| - f \| = nan$"):
+            outer_normal(SphereSpec(ModelParams(1.0, 1.0), 1.0), Point(0.3, 0.4, math.nan))
+
+
 def test_on_sphere_bound_is_relative_where_the_profile_is_tall():
     # f ~ 3.2e9 here, and `profile_height`'s own point misses f at the
     # rotated radius by 8.5e-5, far above 1e-8 * max(1, R)
@@ -685,7 +698,7 @@ def test_profile_height_where_it_overflows_raises(eps):
 @pytest.mark.parametrize("eps, r, what", [
     (5e102, [0.02, 0.5], "the profile height"),
     (5e102, 0.5, "the profile height"),
-    (4.4e102, [0.5, 0.99], "f_R at R = 1.0"),
+    (4.4e102, [0.5, 0.99], "f_R"),
 ])
 def test_profile_height_R_where_it_or_the_profile_overflows_raises(eps, r, what):
     """profile_height_R warned of an overflow in multiply where the profile overflows, and
@@ -693,7 +706,7 @@ def test_profile_height_R_where_it_or_the_profile_overflows_raises(eps, r, what)
     spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        message = re.escape(f"{what} is not finite with eps = {eps!r}")
-        with pytest.raises(NumericsError, match=message):
+        message = re.escape(f"{what} is not finite with eps = {eps!r}, sigma = 1.0, R = 1.0")
+        with pytest.raises(NumericsError, match=f"^{message}$"):
             profile_height_R(spec, r)
         assert profile_height_R(SphereSpec(ModelParams(4.4e102, 1.0), 1.0), 0.5) > 9.8e307
