@@ -21,7 +21,8 @@ are one function, evaluated by `_kernel` alone,
 f at m = m(r), s = sigma, q = p and Pansu's at m = sigma r, s = sigma, q = g/r (atanc q =
 arctan(q)/q; so f is Pansu's profile at radii hypot(r, c), hypot(R, c), c = eps^3/|sigma|).
 F is finite through sigma = 0 (F = m g) and on Pansu's axis (q = inf); f_r = -r m(r)/g and
-f_R = R F'/g.  Both radius solves are one Newton in g on F(g) = |t| (`_gap_solve`), and all
+f_R = R F'/g.  F = (m^2/2s) phi(q), phi(q) = q + (1 + q^2) arctan q, so both radius solves are
+one Newton in g on phi(q) = 2 s |t|/m^2 from next to its root (`_gap_solve`, `_start`), and all
 profile helpers broadcast over numpy arrays.
 
 One point stays on Python floats, by the same expressions.  numpy stays where a float raises
@@ -116,10 +117,13 @@ def _arctan(q):
 def _mass(params: ModelParams, r):
     """m(r) = eps^3 w(r) = hypot(eps^3, sigma r); NumericsError where eps^3 overflows (eps above
     about 5.6e102).  On a float, abs(complex) is libm's hypot, as np.hypot is, at a tenth of its
-    cost (OverflowError only where eps^3 and |sigma r| are both near the largest float)."""
+    cost, and raises OverflowError where hypot passes the largest float: NumericsError there."""
     e = params.epsilon
     e3, sr = _require_finite(e * e * e, params, "eps^3"), params.sigma * r
-    return np.hypot(e3, sr) if isinstance(sr, np.ndarray) else abs(complex(e3, sr))
+    try:
+        return np.hypot(e3, sr) if isinstance(sr, np.ndarray) else abs(complex(e3, sr))
+    except OverflowError:
+        return _require_finite(math.inf, params, "m(r)")
 
 
 def _atanc(p, atan_p=None):
@@ -253,17 +257,52 @@ def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> Prof
 # -------------------------------------------------------------- radius field
 
 
+def _phi_inv_left(u):
+    """phi^-1(y)/(y/2) at u = lam^4 <= 1 (`_start`): minimax rational of type (4, 4), 2.03e-9 in
+    relative error, lifted by it and 2e-13; Horner's rule rounds alike on floats and arrays."""
+    return ((((0.30529210674554813 * u + 4.534830060762813) * u + 9.959001919882727) * u
+             + 5.9938371489564535) * u + 1.00000000000028) / (
+        (((0.8064010980938657 * u + 7.15900100805366) * u + 12.438771455384144) * u
+         + 6.534215993593159) * u + 1.0)
+
+
+def _phi_inv_right(k):
+    """phi^-1(y)/sqrt(2y/pi) at k = 1/lam <= 1: type (4, 5), 8.6e-10, lifted likewise."""
+    return ((((-0.025180660760327975 * k + 0.3043480180128456) * k - 0.3648040060639155) * k
+             + 0.0781683170815527) * k + 1.0000000000002212) / (
+        ((((0.027834109344314996 * k - 0.0028136701526406066) * k + 0.22560308430223527) * k
+          - 0.056374591648617155) * k + 0.07816816676462643) * k + 1.0)
+
+
+def _start(a, b):
+    """Newton's start from the root's upper bounds a = |t|/m and b = sqrt(4|t|/(pi s)): their lesser
+    times phi^-1(y)/min(y/2, sqrt(2y/pi)) (y = 8 lam^2/pi, lam = a/b) by `_phi_inv_*`, clipped at 1,
+    so 2e-13 to 4.1e-9 above the root; the lesser itself where it is not a normal float."""
+    if isinstance(a, np.ndarray):
+        left, lo = a <= b, np.fmin(a, b)
+        k = np.where(left, a / b, b / a)
+        rho = np.where(left, _phi_inv_left(k * k * (k * k)), _phi_inv_right(k))
+        return np.where(lo >= _TINY, lo * np.fmin(rho, 1.0), lo)
+    left = a <= b
+    lo = a if left else b
+    if not lo >= _TINY:
+        return lo
+    k = lo / (b if left else a)
+    rho = _phi_inv_left(k * k * (k * k)) if left else _phi_inv_right(k)
+    return lo * (rho if rho < 1.0 else 1.0)
+
+
 def _gap_solve(m, s: float, t, what: str):
     """g >= 0 with F(g; m, s, s g/m) = |t| (module docstring), broadcasting m and t.
 
-    Newton in g: F is increasing and convex, F >= m g and F >= (pi/4) s g^2, so the start
-    g0 = min(|t|/m, sqrt(4|t|/(pi s))) is above the root (the root itself at s = 0), and the
-    iterates descend onto it inside [0, g0], stopping on `_newton`'s 4-ulp step or bracket
-    rule.  m = 0 (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2
-    (a float m = 0 divides by `_divide`).  Where 4|t|/(pi s) is not a normal float (it overflows
-    or underflows), the second bound is sqrt(|t|) sqrt(4/(pi s)).  One point (neither m nor t an
-    array) stays on Python floats, start and residual, which overflow without a warning, and
-    `_newton` solves it on them.
+    Newton in g: F is increasing and convex, F >= m g and F >= (pi/4) s g^2, so a = |t|/m and
+    b = sqrt(4|t|/(pi s)) are above the root (a is it at s = 0, b at m = 0), and `_start` takes
+    min(a, b) to within 4.1e-9 above it by phi(q) = 2 s |t|/m^2.  The iterates descend onto the
+    root inside [0, start] in 2 passes, stopping on `_newton`'s 4-ulp step or bracket rule.  m = 0
+    (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2 (a float m = 0
+    divides by `_divide`).  Where 4|t|/(pi s) is not a normal float, b is sqrt(|t|) sqrt(4/(pi s)).
+    One point (neither m nor t an array) stays on Python floats, start and residual, which
+    overflow without a warning, and `_newton` solves it on them.
     """
     def residual(g):
         f_over_g, dF = _kernel(g, m, s, s * g / m if divides else _divide(s * g, m))
@@ -277,14 +316,14 @@ def _gap_solve(m, s: float, t, what: str):
             if s > 0.0:  # at s = 0 the second bound is 0/0 where t = 0
                 b = 4.0 * t / (c := math.pi * s)
                 normal = (b >= _TINY) & (b < np.inf)
-                g = np.fmin(g, np.where(normal, np.sqrt(b), np.sqrt(t) * math.sqrt(4.0 / c)))
+                g = _start(g, np.where(normal, np.sqrt(b), np.sqrt(t) * math.sqrt(4.0 / c)))
     else:
         m, s, t = float(m), float(s), abs(float(t))
         divides = m != 0.0
         g = t / m if divides else math.inf
         if s > 0.0:
             b = 4.0 * t / (c := math.pi * s)
-            g = min(g, math.sqrt(b) if _TINY <= b < math.inf else math.sqrt(t) * math.sqrt(4.0 / c))
+            g = _start(g, math.sqrt(b) if _TINY <= b < math.inf else math.sqrt(t) * math.sqrt(4.0 / c))
     return _newton(residual, g, 0.0, g, t == 0.0, what)
 
 

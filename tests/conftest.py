@@ -119,9 +119,10 @@ def _jacobi_residual_mesh(
     return float(np.nanmax(np.abs(resid[1:-1, :])))
 
 
-def counting_newton_passes(module, what, passes):
+def counting_newton_passes(module, what, passes, starts=None):
     """A stand-in for `module`'s Newton core that appends the number of
-    residual passes of each solve named `what` to `passes`."""
+    residual passes of each solve named `what` to `passes`, and its start
+    to `starts` if given."""
     newton = module._newton
 
     def wrapper(fun, x, lo, hi, done, name):
@@ -132,6 +133,8 @@ def counting_newton_passes(module, what, passes):
             calls += 1
             return fun(v)
 
+        if name == what and starts is not None:
+            starts.append(x)
         try:
             return newton(counted, x, lo, hi, done, name)
         finally:

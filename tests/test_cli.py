@@ -292,9 +292,11 @@ def test_meridian_at_tiny_eps_runs_under_warnings_as_errors(eps):
 @pytest.mark.parametrize("argv, step, count", [
     (["--epsilon", "1e100"], "0.0005", "6.24e+103"),
     (["--epsilon", "1e20", "--step-frac", "1"], "1.0", "3.12e+20"),
+    (["--epsilon", "1e6"], "0.0005", "6.24e+09"),  # 50 GB, which numpy's allocator was asked for
 ])
 def test_meridian_step_that_asks_for_more_samples_than_an_array_holds_exits_2(argv, step, count):
-    """np.arange raised an untyped ValueError here, before allocating anything."""
+    """Past `meridians._MAX_SAMPLES` (2**21), before anything is allocated: np.arange raised an
+    untyped ValueError at the first two counts, and the third asked numpy for 50 GB."""
     res = run_cli("meridian", *argv)
     assert res.returncode == cli.EXIT_BAD_INPUT
     assert res.stdout == ""

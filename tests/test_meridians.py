@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -12,6 +13,7 @@ from heisenberg_cmc import (
     Point,
     SphereSpec,
     foliation_normal,
+    meridians,
     profile_height,
     radius_field,
     vector_to_coordinates,
@@ -110,6 +112,31 @@ def test_normal_acceleration_matches_fd_covariant_derivative(params, rng):
 def test_normal_acceleration_rejects_axis(params):
     with pytest.raises(DomainError):
         normal_acceleration(params, Point(0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("eps, sigma, x, y, t", [
+    (1.0, 1e-300, 0.3, 0.0, 0.2),  # (sigma r)^2 underflows to 0: ZeroDivisionError
+    (1e-56, 1e-163, 0.3, 0.0, 0.2),  # and eps m(r)^2 too
+    (1.0, 1e-150, 0.3, 0.1, 0.2),
+    (0.5, -2.0, 0.2, -0.3, -0.4),
+    (1e100, 1.0, 0.3, 0.0, 0.2),  # m(r)^2 overflows, where Phi was inf * 0 = NaN
+])
+def test_normal_acceleration_matches_the_50_digit_closed_form(eps, sigma, x, y, t):
+    """D [(y + x Phi) X - (x - y Phi) Y + (eps^3/sigma) T], Phi = -m^2 p/(sigma r)^2 and
+    D = -sigma^2 r^2 (ell arctan p + p)/(eps R^2 m^2) in 50 digits from the leaf's R, p, ell and
+    m(r), to 1e-14 of each component or the least float, with no warning."""
+    params, point = ModelParams(eps, sigma), Point(x, y, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = normal_acceleration(params, point).as_array()
+    with mpmath.workdps(50):
+        R, p, ell, m = (mpmath.mpf(v) for v in meridians._leaf_terms(params, point))
+        e, s, r = mpmath.mpf(eps), mpmath.mpf(sigma), mpmath.hypot(x, y)
+        d = -s * s * r * r * (ell * mpmath.atan(p) + p) / (e * R * R * m * m)
+        phi = -(m * m * p) / (s * r) ** 2
+        want = (d * (y + x * phi), -d * (x - y * phi), d * e**3 / s)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * abs(w) + 5e-324
 
 
 def test_meridian_field_unit_and_tangent(params, rng):
@@ -648,3 +675,20 @@ def test_limit_field_pair(params, rng):
     mh, mb = euclidean_meridian_field(q), pansu_meridian_field(params.sigma, q)
     assert mh.norm() == pytest.approx(1.0, rel=1e-10)
     assert vertical_component(mb) == 0.0
+
+
+def test_closed_form_meridian_past_its_sample_cap_raises_before_allocating():
+    """One sample past `_MAX_SAMPLES` raises DomainError with no array made: under 64 kB is
+    allocated where the curve would take 168 bytes a sample."""
+    spec = figure1_spec()
+    start = start_point(spec)
+    phi0 = meridians._chart(spec.params, spec.R, start.r, start.t)[0]
+    step = (math.pi - phi0) * spec.params.epsilon * spec.R / (meridians._MAX_SAMPLES + 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"^step = .* asks for 2\.1e\+06 samples, more than an "
+                                              r"array holds$"):
+            meridian_curve(spec, start, step)
+        assert tracemalloc.get_traced_memory()[1] < 65536
+    finally:
+        tracemalloc.stop()

@@ -534,20 +534,26 @@ def _sphere(eps, R=1.0, sigma=1.0):
     (lambda: normal_derivatives(*_AXIS),
      "the normal derivatives at Point(x=0.0, y=0.0, t=5e-324) is not finite with eps = 10.0, "
      "sigma = 1.0"),
-    (lambda: normal_acceleration(ModelParams(1e100, 1.0), Point(0.3, 0.0, 0.2)),
-     "the normal acceleration at Point(x=0.3, y=0.0, t=0.2) is not finite with eps = 1e+100, "
+    # its X and Y components are 6.2e309 and 7.5e309 in 50 digits
+    (lambda: normal_acceleration(ModelParams(1e-300, 1.0), Point(1e-10, 0.0, 1e-20)),
+     "the normal acceleration at Point(x=1e-10, y=0.0, t=1e-20) is not finite with eps = 1e-300, "
      "sigma = 1.0"),
     (lambda: subriemannian_hemisphere_area(1.0, 1e103),
      "the sub-Riemannian hemisphere area is not finite with eps = 0.0, sigma = 1.0, R = 1e+103"),
     (lambda: subriemannian_hemisphere_area(1e300, 1e10),
      "the sub-Riemannian hemisphere area is not finite with eps = 0.0, sigma = 1e+300, "
      "R = 10000000000.0"),
+    # hypot(eps^3, sigma r) past the largest float, where abs(complex) raised OverflowError
+    (lambda: radius_field(ModelParams(5.5e102, 1e308), 1.7, 1.0),
+     "m(r) is not finite with eps = 5.5e+102, sigma = 1e+308"),
+    (lambda: foliation_normal(ModelParams(5.5e102, 1e308), Point(1.7, 0.0, 1.0)),
+     "m(r) is not finite with eps = 5.5e+102, sigma = 1e+308"),
 ], ids=["eps^3", "profile", "f_R", "radius field", "foliation normal", "area", "volume",
         "stencil eps^6", "stencil", "second fundamental form", "graph area eps^6",
         "deficit reports eps^6", "Jacobi potential", "deficit constants", "tiny deficit constants",
         "leaf height",
         "leaf label", "normal derivatives", "normal acceleration", "sub-Riemannian R^3",
-        "sub-Riemannian area"])
+        "sub-Riemannian area", "m(r) of the radius field", "m(r) of the foliation normal"])
 def test_each_value_lost_to_the_floats_raises_one_numerics_error(call, message):
     """Every site that forms a value past the floats (a float power that raised OverflowError,
     an overflow, a NaN) raises `_require_finite`'s NumericsError in its one shape, naming

@@ -1,7 +1,8 @@
 """The radius solve R(r, t) over the whole documented domain: a hypothesis
-property test of the round trip f <-> R, its Newton passes and its warnings,
-and the same for Pansu's radius; a 50-digit mpmath oracle for the root and
-for its starting bound; a sympy proof that the profile is Pansu's profile at
+property test of the round trip f <-> R, its Newton passes, its start against
+the 50-digit root of phi(q) = y and its warnings, and the same for Pansu's
+radius; the two passes of the eps ladder; a 50-digit mpmath oracle for the
+root, for the start's rationals and for its starting bound; a sympy proof that the profile is Pansu's profile at
 a shifted radius and that one kernel evaluates both; a sympy check that
 the closed-form partials f_r and f_R are the derivatives of the profile f;
 the parity of the single-point wrappers with the array cores, in their
@@ -28,28 +29,70 @@ from conftest import counting_newton_passes, mp_profile
 
 log_uniform = st.floats(math.log(1e-8), math.log(1e6)).map(math.exp)
 
+# `sphere._start` puts the solve's start at most this far above the root (relative)
+START_BOUND = 4.2e-9
+
+
+def mp_phi_inv(y):
+    """q > 0 with phi(q) = q + (1 + q^2) arctan q = y > 0 in 50 digits, by Newton from
+    min(y/2, sqrt(2y/pi)), which lies above it (phi is convex)."""
+    with mpmath.workdps(50):
+        y = mpmath.mpf(y)
+        q = min(y / 2, mpmath.sqrt(2 * y / mpmath.pi))
+        for _ in range(200):
+            a = mpmath.atan(q)
+            step = (q + (1 + q * q) * a - y) / (2 * (1 + q * a))
+            q -= step
+            if abs(step) <= mpmath.mpf(10) ** -45 * q:
+                return q
+    raise AssertionError("the 50-digit Newton did not converge")
+
+
+def mp_gap_root(m, s, t):
+    """The root g of F(g; m, s, s g/m) = t in 50 digits by the universal equation:
+    g = (m/s) phi^-1(2 s t/m^2); t/m at s = 0 and sqrt(4 t/(pi s)) on the axis m = 0."""
+    with mpmath.workdps(50):
+        m, s, t = (mpmath.mpf(v) for v in (m, s, t))
+        if t == 0 or s == 0 or m == 0:
+            return t / m if s == 0 else mpmath.sqrt(4 * t / (mpmath.pi * s))
+        return m / s * mp_phi_inv(2 * s * t / (m * m))
+
+
+def assert_start_is_just_above_the_root(starts, m, s, t):
+    """Both paths start at one float, which lies in [root, root (1 + START_BOUND)] in
+    50 digits, or 1 ulp below the root at most where the start is the bound it is clipped
+    at, a = |t|/m or b = sqrt(4|t|/(pi s)), rounded: a is the root at s = 0, b on the axis,
+    and each is within the rounding of the root as lam = a/b tends to 0 or inf."""
+    one, array = starts
+    assert array.shape == (1,) and array[0] == one and type(one) is float
+    root = mp_gap_root(m, s, t)
+    with mpmath.workdps(50):
+        assert root - math.ulp(one) <= one <= root * (1 + mpmath.mpf(START_BOUND))
+
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(eps=log_uniform, size=log_uniform, sign=st.sampled_from([1.0, -1.0, 0.0]),
        R0=log_uniform, u=st.floats(0.0, 1.0), side=st.sampled_from([1.0, -1.0]))
 def test_radius_solve_over_the_domain(eps, size, sign, R0, u, side):
-    """Round trip to 1e-12, at most 12 Newton passes and (through the
+    """Round trip to 1e-12, at most 3 Newton passes and (through the
     suite's filterwarnings setting) no RuntimeWarning, for log-uniform
     eps, |sigma| and R in [1e-8, 1e6], sigma of both signs and 0.  The
     single-point solve, on Python floats, gives the one-element array
-    solve's root bit for bit in as many passes, and every field is a float."""
+    solve's root bit for bit in as many passes, and every field is a float.
+    Both start at one float, just above the 50-digit root."""
     params = ModelParams(eps, sign * size)
     r = u * R0
     t = side * float(_f(params, r, R0))
-    passes = []
-    with counting_newton_passes(sphere, "radius solve", passes):
+    passes, starts = [], []
+    with counting_newton_passes(sphere, "radius solve", passes, starts):
         field = radius_field(params, r, t)
         R_array = _leaf(params, np.array([r]), np.array([t]))[0]
     R = field.value
     assert all(type(v) is float for v in (field.value, field.R_r, field.R_t))
     assert abs(R - R0) <= 1e-12 * R0
     assert R_array.shape == (1,) and R_array[0] == R
-    assert passes[0] == passes[1] <= 12
+    assert passes[0] == passes[1] <= 3
+    assert_start_is_just_above_the_root(starts, sphere._mass(params, r), size * abs(sign), abs(t))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -242,20 +285,21 @@ def test_profile_is_pansu_profile_at_a_shifted_radius():
 @given(sigma=log_uniform, R0=log_uniform, side=st.sampled_from([1.0, -1.0]),
        u=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1.0)))
 def test_pansu_radius_over_the_domain(sigma, R0, side, u):
-    """Round trip to 1e-13, at most 12 Newton passes and (through the suite's
+    """Round trip to 1e-13, at most 3 Newton passes and (through the suite's
     filterwarnings setting) no RuntimeWarning, for log-uniform sigma and R in
     [1e-8, 1e6], the axis r = 0 and r/R = the least float included.  The
     single-point solve gives the one-element array solve's root bit for bit
-    in as many passes."""
+    in as many passes, and both start at one float, just above the 50-digit root."""
     r = u * R0
     t = side * pansu_profile(sigma, R0, r)
-    passes = []
-    with counting_newton_passes(sphere, "pansu radius solve", passes):
+    passes, starts = [], []
+    with counting_newton_passes(sphere, "pansu radius solve", passes, starts):
         R = pansu_radius(sigma, r, t)
         R_array = pansu_radius(sigma, np.array([r]), np.array([t]))
     assert abs(R - R0) <= 1e-13 * R0
     assert R_array.shape == (1,) and R_array[0] == R
-    assert passes[0] == passes[1] <= 12
+    assert passes[0] == passes[1] <= 3
+    assert_start_is_just_above_the_root(starts, sigma * r, sigma, abs(t))
 
 
 def test_one_kernel_is_both_profiles():
@@ -307,3 +351,73 @@ def test_radius_solve_starts_above_the_root(eps, size, sign, R0, u):
             g0 = min(g0, mpmath.sqrt(4 * tm / (mpmath.pi * s)))
         F = mp_profile(eps, sigma, r, mpmath.sqrt(rm * rm + g0 * g0)) - tm
         assert F >= -mpmath.mpf(10) ** -45 * tm
+
+
+def test_phi_is_the_kernel_in_q():
+    """F(g; m, s, q) = (m^2/2s) phi(q) at q = s g/m, so both radius solves are phi(q) = y."""
+    g, m, s = sp.symbols("g m s", positive=True)
+    q = s * g / m
+    F = g / 2 * (m * (1 + sp.atan(q) / q) + s * g * sp.atan(q))
+    assert sp.simplify(F - m**2 / (2 * s) * (q + (1 + q**2) * sp.atan(q))) == 0
+
+
+def test_phi_inverse_rationals_lie_just_above_phi_inverse():
+    """`_phi_inv_left` at u = lam^4 and `_phi_inv_right` at k = 1/lam, on 240 points of [0, 1]
+    (uniform and Chebyshev-clustered at both ends), are 2e-13 to 4.1e-9 above
+    phi^-1(y)/(y/2) and phi^-1(y)/sqrt(2y/pi) in 50 digits, y = 8 lam^2/pi at the float u or k;
+    both ratios tend to 1 at u = 0 and k = 0."""
+    nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 121),
+                                      0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, 121))]))
+    with mpmath.workdps(50):
+        for x in nodes.tolist():
+            u = x * x * (x * x)
+            y = 8 * mpmath.sqrt(u) / mpmath.pi
+            left = mp_phi_inv(y) / (y / 2) if u else 1
+            y = 8 / (mpmath.pi * x * x) if x else None
+            right = mp_phi_inv(y) / mpmath.sqrt(2 * y / mpmath.pi) if x else 1
+            assert 2e-13 <= sphere._phi_inv_left(u) / left - 1 <= 4.1e-9
+            assert 2e-13 <= sphere._phi_inv_right(x) / right - 1 <= 4.1e-9
+
+
+@pytest.mark.parametrize("solve, sigma, r, t", [
+    ("radius solve", 1e-100, 1.0, 1e300),  # 4|t|/(pi s) overflows
+    ("pansu radius solve", 1e-200, 1.0, 1e300),
+    *[("radius solve", sigma, 0.4, 0.3) for sigma in (5e-324, 1e-300, 1e-160)],
+    ("pansu radius solve", 1.0, 0.0, 0.5),  # the axis
+    ("pansu radius solve", 1.0, 5e-324, 0.5),
+])
+def test_starts_at_the_extreme_points(solve, sigma, r, t):
+    """The start oracle where the start quotient overflows, at |sigma| down to the least
+    float (eps = 1) and on or next to Pansu's axis."""
+    params = ModelParams(1.0, sigma)
+    starts = []
+    with counting_newton_passes(sphere, solve, [], starts):
+        if solve == "radius solve":
+            radius_field(params, r, t)
+            _leaf(params, np.array([r]), np.array([t]))
+        else:
+            pansu_radius(sigma, r, t)
+            pansu_radius(sigma, np.array([r]), np.array([t]))
+    m = sphere._mass(params, r) if solve == "radius solve" else sigma * r
+    assert_start_is_just_above_the_root(starts, m, sigma, t)
+
+
+def test_the_sub_riemannian_ladder_takes_two_passes():
+    """Every radius solve and Pansu radius solve on a grid like the benchmark's limit ladder
+    (eps = 1 to 1e-6, sigma in [0.25, 4], R in [0.5, 4], r/R in [0.02, 0.98], both
+    hemispheres) takes 2 Newton passes, on one point and on arrays alike."""
+    rng = np.random.default_rng(30)
+    passes = []
+    for eps in 10.0 ** -np.arange(7):
+        for sigma, R in zip(np.geomspace(0.25, 4.0, 5), np.geomspace(0.5, 4.0, 5)[::-1]):
+            params = ModelParams(eps, sigma)
+            r = R * rng.uniform(0.02, 0.98, 4)
+            t = np.array([-1.0, 1.0, -1.0, 1.0]) * _f(params, r, R)
+            with counting_newton_passes(sphere, "radius solve", passes), \
+                    counting_newton_passes(sphere, "pansu radius solve", passes):
+                for ri, ti in zip(r.tolist(), t.tolist()):
+                    radius_field(params, ri, ti)
+                    pansu_radius(sigma, ri, ti)
+                _leaf(params, r, t)
+                pansu_radius(sigma, r, t)
+    assert len(passes) == 7 * 5 * 10 and set(passes) == {2}
