@@ -5,7 +5,7 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report; the
               curvature checks run once over the stack of spheres (27 with
-              --grid), the calibration check one leaf-label solve a sphere
+              --grid), the calibration check by the sign of the leaf equation
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
@@ -28,12 +28,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _each, _require_finite
+from ._numerics import _ULP, _divide, _each, _require_finite
 from .ambient import ModelParams, Point, _curvature_operator
 from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
                         principal_angle)
 from .errors import ContractError, DomainError, NumericsError
-from .foliation import CylinderSpec, _divergence, label_floor, leaf_label_grid
+from .foliation import CylinderSpec, _divergence, _labels, label_floor
 from .isoperimetry import deficit_reports, jacobi_residual, make_competitors
 from .meridians import MeridianCurve, _geodesic_residual, _pansu_field, meridian_curve
 from .sphere import (
@@ -267,7 +267,9 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
 
 def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> float:
     """Worst shortfall of 1 - R/label below `label_floor` on an n x n grid under the sphere in
-    each cylinder; one leaf-label solve labels every grid, with r_cut and t_cut given per point."""
+    each cylinder, all grids at once with r_cut and t_cut per point.  The depth-0 column's
+    shortfall is 0, so a label that the leaf equation's sign shows above R/(1 - 2 floor - 8 ulp),
+    with a slack above floor, is not solved (`foliation._labels`); the rest are."""
     cyls, grids = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R], []
     for cyl in cyls:
         rs = np.linspace(0.0, cyl.r_cut * 0.995, n)
@@ -277,14 +279,15 @@ def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> floa
         if not (ts >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
             raise NumericsError(f"the calibration grid's heights are not normal floats with eps = "
                                 f"{spec.params.epsilon!r}, sigma = {spec.params.sigma!r}, R = {spec.R!r}")
-        grids.append((np.repeat(rs, n), ts.ravel(), depths))
-    r, t, depth = zip(*grids)
+        grids.append((np.repeat(rs, n), ts.ravel(), label_floor(cyl, depths)))
+    r, t, floors = zip(*grids)
     cuts = {name: np.repeat([getattr(cyl, name) for cyl in cyls], n * n)
             for name in ("r_cut", "t_cut")}
-    labels = leaf_label_grid(SimpleNamespace(params=spec.params, R=spec.R, **cuts),
-                             np.concatenate(r), np.concatenate(t))
-    return max(float(-((1.0 - spec.R / u) - label_floor(cyl, d)).min())
-               for cyl, u, d in zip(cyls, labels.reshape(-1, n, n), depth))
+    least = _divide(spec.R, 1.0 - (2.0 * np.concatenate(floors, axis=None) + 8.0 * _ULP))
+    labels = _labels(SimpleNamespace(params=spec.params, R=spec.R, **cuts),
+                     np.concatenate(r), np.concatenate(t), least)
+    return max(float(-((1.0 - spec.R / u) - floor).min())
+               for u, floor in zip(labels.reshape(-1, n, n), floors))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -132,11 +132,28 @@ def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
     return point_on_leaf(cyl, r, lam).t - t
 
 
+def _unit(R: float) -> float:
+    """A power of four next to R: lengths in it, and k (`label_floor`) in its square root, round
+    as unscaled but are of order 1, so that their squares do not underflow at R = 1e-200."""
+    return math.ldexp(1.0, 2 * (math.frexp(R)[1] // 2))
+
+
+def _chord_at(cyl: CylinderSpec, r: np.ndarray, lam):
+    """The chord y = s_r - s_cut at the label lam (`_chord`), (r_cut - r)(r_cut + r)/(s_r + s_cut),
+    in units of R (`_unit`)."""
+    u = _unit(cyl.R)
+    r, r_cut, lam = r / u, cyl.r_cut / u, lam / u
+    both = np.sqrt((lam - r) * (lam + r)) + np.sqrt((lam - r_cut) * (lam + r_cut))
+    return (r_cut - r) * (r_cut + r) / both * u
+
+
 def _chord(cyl: CylinderSpec, r: np.ndarray, y):
     """(s_r, s_cut) at the chord y = s_r - s_cut, s_rho = sqrt(lam^2 - rho^2), from
-    Delta = (r_cut - r)(r_cut + r) = y (s_r + s_cut); lam^2 - rho^2 is never formed, and
-    lam = sqrt(s_r^2 + r^2)."""
-    k = (cyl.r_cut - r) * (cyl.r_cut + r) / y
+    Delta = (r_cut - r)(r_cut + r) = y (s_r + s_cut) in units of R (`_unit`); lam^2 - rho^2 is
+    never formed, and lam = sqrt(s_r^2 + r^2)."""
+    u = _unit(cyl.R)
+    r, r_cut = r / u, cyl.r_cut / u
+    k = (r_cut - r) * (r_cut + r) / (y / u) * u
     return np.stack((0.5 * (k + y), np.maximum(0.5 * (k - y), 0.0)))
 
 
@@ -148,6 +165,15 @@ def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, m: np.ndarray, y):
     s = _chord(cyl, r, y)
     f_over_s, dF = _kernel(s, m, sigma, sigma * s / m)
     return s, s * f_over_s, (s[0] * dF[1] - s[1] * dF[0]) / y
+
+
+def _residual(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, m: np.ndarray, y):
+    """F and dF/dy at the chord y, and whether |F| is at the rounding level of its terms,
+    16 ulp of their size, where `_label_below` stops."""
+    _, f, dF = _leaf_terms(cyl, r, m, y)
+    F = f[0] - f[1] + cyl.t_cut - t
+    scale = np.abs(f[0]) + np.abs(f[1]) + (abs(cyl.t_cut) + np.abs(t))
+    return F, dF, np.abs(F) <= 16.0 * _ULP * scale
 
 
 def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
@@ -168,33 +194,36 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
     m = _mass(cyl.params, np.stack((r, np.full_like(r, r_cut))))
     u = m[0] / m[1]
     rise = (t - cyl.t_cut) / m[1]
-    both_R = np.sqrt((R - r) * (R + r)) + np.sqrt((R - r_cut) * (R + r_cut))  # s_r + s_cut at R
-    hi = np.minimum(rise / u, (r_cut - r) * (r_cut + r) / both_R)  # and below y at lam = R
+    hi = np.minimum(rise / u, _chord_at(cyl, r, R))  # and below y at lam = R
     lo = np.minimum(rise, hi)
     start = np.clip(rise * (1.5 * (u + 1.0) / (u * u + u + 1.0)), lo, hi)
-    t_size = abs(cyl.t_cut) + np.abs(t)
-
-    def residual(y):
-        _, f, dF = _leaf_terms(cyl, r, m, y)
-        F = f[0] - f[1] + cyl.t_cut - t
-        scale = np.abs(f[0]) + np.abs(f[1]) + t_size
-        return F, dF, np.abs(F) <= 16.0 * _ULP * scale
-
     with np.errstate(over="ignore"):  # lam^2 = s_r^2 + r^2 out of range: raised on below
-        y = _newton(residual, start, lo, hi, np.zeros(r.shape, dtype=bool), "leaf label solve")
-        s_r = _chord(cyl, r, y)[0]
-        lam = np.sqrt(s_r * s_r + r * r)
+        y = _newton(lambda y: _residual(cyl, r, t, m, y), start, lo, hi,
+                    np.zeros(r.shape, dtype=bool), "leaf label solve")
+        unit = _unit(R)
+        s_r, r_u = _chord(cyl, r, y)[0] / unit, r / unit
+        lam = np.sqrt(s_r * s_r + r_u * r_u) * unit
     i = np.flatnonzero(~np.isfinite(lam))[:1]  # the first label lost, if one is
     _require_finite(lam, cyl.params, "the leaf label at (r, t) = ({}, {})", *r[i], *t[i], R=R)
     return np.maximum(lam, np.nextafter(R, np.inf)), y, m
 
 
-def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, least=None) -> np.ndarray:
     """Leaf labels of 1-d arrays of cylinder points, both branches; r_cut and t_cut are floats,
-    or arrays like r for cylinders of one sphere, so that one solve labels them all."""
+    or arrays like r for cylinders of one sphere, so that one solve labels them all.  A label
+    below the graph that is certainly above `least` (like r) is not solved: it is given as
+    `least`.  F falls in lam, so that is where F at least's chord is above `_residual`'s band."""
+    if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
+        raise DomainError("points must lie inside the half-cylinder")
     depth = _f(cyl.params, r, cyl.R) - t
     out = depth + cyl.R
     below = depth > 0.0
+    if least is not None:
+        m = _mass(cyl.params, np.stack((r, np.full_like(r, cyl.r_cut))))
+        with np.errstate(all="ignore"):  # a least past inf or not above R decides nothing
+            F, _, near = _residual(cyl, r, t, m, _chord_at(cyl, r, least))
+        sure = below & (F > 0.0) & ~near & (cyl.R < least) & (least < np.inf)
+        out[sure], below = least[sure], below & ~sure
     if np.any(below):
         cuts = {k: np.broadcast_to(getattr(cyl, k), r.shape)[below] for k in ("r_cut", "t_cut")}
         cyl_below = SimpleNamespace(params=cyl.params, R=cyl.R, **cuts)
@@ -205,11 +234,7 @@ def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
 def leaf_label_grid(cyl: CylinderSpec, r, t) -> np.ndarray:
     """Leaf label u on arrays of cylinder points (vectorized)."""
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    shape = r.shape
-    r, t = r.ravel(), t.ravel()
-    if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
-        raise DomainError("points must lie inside the half-cylinder")
-    return _labels(cyl, r, t).reshape(shape)
+    return _labels(cyl, r.ravel(), t.ravel()).reshape(r.shape)
 
 
 def leaf_label(cyl: CylinderSpec, point: Point) -> float:
@@ -332,6 +357,11 @@ def calibration_divergence(
     return float(div[0]), 1.0 / (cyl.params.epsilon * max(float(lam[0]), cyl.R))
 
 
+def _uncut(cyl: CylinderSpec) -> bool:
+    """delta = 0, where the deficit bounds are the quadratic ones (`label_floor`)."""
+    return cyl.delta == 0.0
+
+
 def label_floor(cyl: CylinderSpec, depth):
     """Lower bound on 1 - R/label at `depth` below the graph (broadcasts).
 
@@ -339,9 +369,11 @@ def label_floor(cyl: CylinderSpec, depth):
     delta > 0, sqrt(delta) * depth / (R k + f(0;R)).
     """
     k, f0 = _k_f0(cyl.spec)
-    if cyl.delta < 1e-14:
-        return depth * depth / (4.0 * cyl.R * k**2 + f0 * f0)
-    return math.sqrt(cyl.delta) * depth / (cyl.R * k + f0)
+    u = _unit(cyl.R)  # depth, R and f(0;R) in units of R, k in its square root
+    d, R, k, f0 = depth / u, cyl.R / u, k / math.sqrt(u), f0 / u
+    if _uncut(cyl):
+        return d * d / (4.0 * R * k**2 + f0 * f0)
+    return math.sqrt(cyl.delta / u) * d / (R * k + f0 / math.sqrt(u))
 
 
 def vertical_label_bound(cyl: CylinderSpec, r: float, depth: float) -> VerticalBound:

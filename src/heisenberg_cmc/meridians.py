@@ -114,9 +114,9 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
 
     Closed form D * [(y + x Phi) X - (x - y Phi) Y + (eps^3/sigma) T], Phi = -m(r)^2 p/(sigma r)^2
     and D = N(p/R) = -c^2 k/eps, c = sigma r/m(r), k = (ell arctan p + p)/R^2 (m(R)^2 - ell m(r)^2
-    = m(r)^2 (ell p arctan p + p^2)), with sigma^2 cancelled: D Phi = p k/eps, D eps^3/sigma =
-    -c r k eps^2/m(r).  Identically zero on the equatorial plane and in the Euclidean
-    degeneration sigma = 0.  NumericsError where it is not finite.
+    = m(r)^2 (ell p arctan p + p^2)), with sigma^2 cancelled: X, Y = (x p - c^2 y, y p + c^2 x)
+    k/eps, over eps last, and D eps^3/sigma = -c r k eps^2/m(r).  Identically zero on the
+    equatorial plane and in the Euclidean degeneration sigma = 0; NumericsError where not finite.
     """
     _require_off_axis(point)
     e, s, r = params.epsilon, params.sigma, point.r
@@ -124,8 +124,8 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
         return TangentVector(0.0, 0.0, 0.0)
     R, p, ell, m = _leaf_terms(params, point)
     k, c = (ell * math.atan(p) + p) / (R * R), s * r * (inv_m := _divide(1.0, m))
-    d, d_phi = -c * c * k / e, p * k / e
-    n = (d * point.y + point.x * d_phi, point.y * d_phi - d * point.x, -c * r * k * e * (e * inv_m))
+    x, y = point.x, point.y
+    n = ((x * p - c * c * y) * k / e, (y * p + c * c * x) * k / e, -c * r * k * e * (e * inv_m))
     return TangentVector(*_require_finite(n, params, "the normal acceleration at {}", point))
 
 

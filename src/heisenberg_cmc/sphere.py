@@ -329,8 +329,13 @@ def _gap_solve(m, s: float, t, what: str):
 
 def _leaf(params: ModelParams, r, t):
     """R >= r with f(r; R) = |t|, g = sqrt(R^2 - r^2) and m(r), broadcasting r and t; f is even
-    in sigma.  The one source of g off a sphere: `_gap` of R loses it once g^2 < ulp(r^2)."""
-    m = _mass(params, r)
+    in sigma.  The one source of g off a sphere: `_gap` of R loses it once g^2 < ulp(r^2).
+    NumericsError where m(r) overflows, on arrays as on floats (`_mass`)."""
+    if isinstance(r, np.ndarray):
+        with np.errstate(over="ignore"):
+            m = _require_finite(_mass(params, r), params, "m(r)")
+    else:
+        m = _mass(params, r)
     g = _gap_solve(m, abs(params.sigma), t, "radius solve")
     R = np.hypot(r, g)
     return (R if isinstance(R, np.ndarray) else float(R)), g, m

@@ -1,6 +1,8 @@
+import json
 import math
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -205,17 +207,128 @@ def test_labels_match_brentq_oracle():
 
 
 def test_label_solves_take_at_most_6_passes():
-    """Over the 27 solves of `verify --grid` (one per sphere, over its grids at delta = 0
-    and 0.3) and over the domain of test_labels_match_brentq_oracle, which it reruns."""
+    """The 27 spheres of `verify --grid` make no label solve: the sign of the leaf equation
+    decides every grid point (test_calibration_check_matches_the_full_solve).  Over the domain
+    of test_labels_match_brentq_oracle, which it reruns, a solve takes at most 6 passes."""
     grid, oracle = [], []
     with counting_newton_passes(foliation, "leaf label solve", grid):
         for spec in GRID:
             cli._check_calibration(spec)
     with counting_newton_passes(foliation, "leaf label solve", oracle):
         test_labels_match_brentq_oracle()
-    assert len(grid) == 27 and len(oracle) == 36
-    assert max(grid) <= 6 and max(oracle) <= 6
-    assert sum(grid) / len(grid) <= 4.5
+    assert grid == [] and len(oracle) == 36
+    assert max(oracle) <= 6
+
+
+def _full_solve_calibration(spec, deltas=(0.0, 0.3), n=40, floor=foliation.label_floor):
+    """`verify`'s calibration check by the full solve, the oracle of the sign test in `cli`:
+    every grid point labelled by one leaf-label solve, `floor` in place of label_floor."""
+    cyls, grids = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R], []
+    for cyl in cyls:
+        rs = np.linspace(0.0, cyl.r_cut * 0.995, n)
+        f_rs = profile_height(spec, rs)
+        depths = np.linspace(0.0, 0.999, n)[None, :] * (f_rs[:, None] - cyl.t_cut)
+        ts = f_rs[:, None] - depths
+        if not (ts >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
+            raise NumericsError(f"the calibration grid's heights are not normal floats with eps = "
+                                f"{spec.params.epsilon!r}, sigma = {spec.params.sigma!r}, R = {spec.R!r}")
+        grids.append((np.repeat(rs, n), ts.ravel(), depths))
+    r, t, depth = zip(*grids)
+    cuts = {name: np.repeat([getattr(cyl, name) for cyl in cyls], n * n)
+            for name in ("r_cut", "t_cut")}
+    labels = leaf_label_grid(SimpleNamespace(params=spec.params, R=spec.R, **cuts),
+                             np.concatenate(r), np.concatenate(t))
+    return max(float(-((1.0 - spec.R / u) - floor(cyl, d)).min())
+               for cyl, u, d in zip(cyls, labels.reshape(-1, n, n), depth))
+
+
+def _outcome(check, spec):
+    """repr of the check's value, or its error's type and message."""
+    try:
+        return repr(check(spec))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# the stress grid of verify's open defects: eps, sigma and R over many decades, sigma of both signs
+STRESS = [SphereSpec(ModelParams(e, s), R) for e in (1e-6, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e3)
+          for s in (-4.0, 0.0, 0.25, 1.0, 4.0) for R in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+SINGLE = [SphereSpec(ModelParams(e, s), R) for e, s, R in (
+    (1.0, 1.0, 1.0), (0.7, 1.0, 1.0), (0.3, 1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 1.0, 0.5),
+    (1.0, 0.25, 1.0), (0.01, 1.0, 1.0), (1e-5, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -2.0, 1.5))]
+
+
+@pytest.mark.parametrize("specs", [GRID, STRESS, SINGLE], ids=["grid", "stress", "single"])
+def test_calibration_check_matches_the_full_solve(specs):
+    """The sign test reports the full solve's worst shortfall, repr for repr, on the 27
+    spheres of `verify --grid`, the 175 of the stress grid and 10 single specs."""
+    for spec in specs:
+        assert _outcome(cli._check_calibration, spec) == _outcome(_full_solve_calibration, spec), spec
+
+
+def test_calibration_check_solves_at_most_1_percent_of_the_stress_grid():
+    """Only points whose sign is not certain are solved: 232 of the stress grid's 448,000."""
+    solved = []
+    label_below = foliation._label_below
+
+    def counting(cyl, r, t):
+        solved.append(r.size)
+        return label_below(cyl, r, t)
+
+    with mock.patch.object(foliation, "_label_below", counting):
+        for spec in STRESS:
+            cli._check_calibration(spec)
+    points = sum(1600 * (1 + (0.3 < spec.R)) for spec in STRESS)
+    assert 0 < sum(solved) <= 0.01 * points
+
+
+def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypatch, capsys):
+    """Negative control: a floor raised 2.5-fold fails the grid points whose slack was under
+    1.5 floor.  Those are solved, and the check and `verify` report the full solve's worst
+    shortfall and fail."""
+    def raised(cyl, depth):
+        return 2.5 * foliation.label_floor(cyl, depth)
+
+    spec = SphereSpec(ModelParams(1.0, 1.0), 1.0)
+    want = _full_solve_calibration(spec, floor=raised)
+    assert want > 1e-12
+    monkeypatch.setattr(cli, "label_floor", raised)
+    solved = []
+    with counting_newton_passes(foliation, "leaf label solve", solved):
+        assert cli._check_calibration(spec) == want
+    assert len(solved) == 1
+    assert cli.main(["verify", "--json", "-"]) == cli.EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["calibration_bounds"]["measured"] == want
+    assert not checks["calibration_bounds"]["passed"]
+
+
+@pytest.mark.parametrize("R", [1e-200, 1e-300])
+def test_calibration_at_tiny_R(R):
+    """At eps = sigma = 1 the label layer forms its chord, labels and floor in units of R, so
+    with no warning: labels are the unit sphere's (eps, sigma u, R/u) times u, bit for bit,
+    floors match 50 digits, delta = 0.3 R takes the linear floor, and the check is finite and
+    the full solve's."""
+    spec = SphereSpec(ModelParams(1.0, 1.0), R)
+    u = foliation._unit(R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for frac in (0.0, 0.3):
+            cyl = CylinderSpec(spec, frac * R)
+            unit = CylinderSpec(SphereSpec(ModelParams(1.0, u), R / u), frac * R / u)
+            r = np.repeat(np.linspace(0.0, 0.99, 12) * cyl.r_cut, 9)
+            f = profile_height(spec, r)
+            t = f - np.tile(np.linspace(0.01, 0.999, 9), 12) * (f - cyl.t_cut)
+            assert (leaf_label_grid(cyl, r, t) / u == leaf_label_grid(unit, r / u, t / u)).all()
+            k, f0 = foliation._k_f0(spec)
+            with mpmath.workdps(50):
+                d, R_, k, f0 = (mpmath.mpf(x) for x in (0.1 * R, R, k, f0))
+                want = (d * d / (4 * R_ * k * k + f0 * f0) if frac == 0.0 else
+                        mpmath.sqrt(mpmath.mpf(cyl.delta)) * d / (R_ * k + f0))
+            for depth in (0.1 * R, np.array([0.1 * R])):
+                got = float(np.ravel(foliation.label_floor(cyl, depth))[0])
+                assert abs(got - float(want)) <= 4 * _ULP * float(want)
+        assert repr(cli._check_calibration(spec)) == repr(_full_solve_calibration(spec)) == "-0.0"
 
 
 def test_one_solve_over_the_cylinders_of_a_sphere_gives_each_cylinder_its_labels():
@@ -332,6 +445,29 @@ def test_chord_bracket_holds_in_50_digits(delta_frac):
                 assert e**3 * w_mean * y * (1 - slack) <= d
             slopes = [(ds[1] - ds[0]) / (ys[1] - ys[0]), (ds[2] - ds[1]) / (ys[2] - ys[1])]
             assert slopes[0] <= slopes[1] * (1 + slack)
+
+
+@pytest.mark.parametrize("R", [1e-300, 1e-200, 1.0, 3.0, 1e200])
+def test_chord_at_a_label_matches_50_digits(R):
+    """The chord y at a label lam (`_chord_at`, the label solve's bracket bound at lam = R) and
+    s_r back from it (`_chord`) are within 8 ulp of their 50-digit values, with no warning:
+    both are formed in units of R, so that their squares neither underflow nor overflow."""
+    r_frac = np.array([0.0, 0.3, 0.9, 0.999])
+    for delta_frac in (0.0, 0.3):
+        cyl = SimpleNamespace(R=R, r_cut=R * (1.0 - delta_frac))
+        r = r_frac * cyl.r_cut
+        for lam in (R, 1.5 * R, 1e3 * R):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                y = foliation._chord_at(cyl, r, lam)
+                s_r = foliation._chord(cyl, r, y)[0]
+            with mpmath.workdps(50):
+                for ri, yi, si in zip(r, y, s_r):
+                    lm, rm, rc = (mpmath.mpf(v) for v in (lam, ri, cyl.r_cut))
+                    s_want = mpmath.sqrt(lm * lm - rm * rm)
+                    y_want = s_want - mpmath.sqrt(lm * lm - rc * rc)
+                    assert abs(yi - y_want) <= 8 * _ULP * y_want
+                    assert abs(si - s_want) <= 8 * _ULP * s_want
 
 
 @pytest.mark.parametrize("eps, sigma", [(1.0, 1.0), (0.3, -2.0), (1.0, 0.0), (50.0, 1e-9)])

@@ -19,6 +19,7 @@ from heisenberg_cmc import (
     sphere_area,
     sphere_volume,
 )
+from heisenberg_cmc import foliation
 from heisenberg_cmc.foliation import CylinderSpec, foliation_constants
 from heisenberg_cmc.isoperimetry import (
     _jacobi_modes,
@@ -218,6 +219,19 @@ def test_cubic_bound_at_delta_zero(spec):
             .foliation_constants(spec).D * rep.symdiff**3
         )
         assert rep.slack >= 0.0
+
+
+def test_any_delta_above_zero_takes_the_linear_bound(spec):
+    """delta = 0 is decided exactly, in the deficit reports as in `label_floor`: at delta =
+    1e-15 R both take the linear bounds, where an absolute threshold of 1e-14 took the
+    quadratic ones."""
+    cyl = CylinderSpec(spec, 1e-15 * spec.R)
+    consts = foliation_constants(spec)
+    rep = deficit_report(make_competitor(spec, cyl, np.random.default_rng(17)))
+    assert rep.bound == pytest.approx(math.sqrt(cyl.delta) * consts.C * rep.symdiff**2, rel=1e-14)
+    k, f0 = foliation._k_f0(spec)
+    assert foliation.label_floor(cyl, 0.1) == pytest.approx(
+        math.sqrt(cyl.delta) * 0.1 / (spec.R * k + f0), rel=1e-14)
 
 
 def test_deficit_scales_quadratically(spec, cyl):

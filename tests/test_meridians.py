@@ -120,6 +120,7 @@ def test_normal_acceleration_rejects_axis(params):
     (1.0, 1e-150, 0.3, 0.1, 0.2),
     (0.5, -2.0, 0.2, -0.3, -0.4),
     (1e100, 1.0, 0.3, 0.0, 0.2),  # m(r)^2 overflows, where Phi was inf * 0 = NaN
+    (1e-300, 1.0, 1e-5, 0.0, 1e-10),  # D Phi = p k/eps overflowed before it met x
 ])
 def test_normal_acceleration_matches_the_50_digit_closed_form(eps, sigma, x, y, t):
     """D [(y + x Phi) X - (x - y Phi) Y + (eps^3/sigma) T], Phi = -m^2 p/(sigma r)^2 and

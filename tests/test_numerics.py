@@ -25,7 +25,7 @@ from heisenberg_cmc.isoperimetry import (deficit_reports, graph_area, jacobi_pot
                                          make_competitor, make_competitors,
                                          subriemannian_hemisphere_area)
 from heisenberg_cmc.meridians import normal_acceleration, normal_derivatives
-from heisenberg_cmc.sphere import _J_SERIES, _f, _profile, sphere_area, sphere_volume
+from heisenberg_cmc.sphere import _J_SERIES, _f, _leaf, _profile, sphere_area, sphere_volume
 
 from conftest import GRID, mp_profile
 
@@ -548,12 +548,16 @@ def _sphere(eps, R=1.0, sigma=1.0):
      "m(r) is not finite with eps = 5.5e+102, sigma = 1e+308"),
     (lambda: foliation_normal(ModelParams(5.5e102, 1e308), Point(1.7, 0.0, 1.0)),
      "m(r) is not finite with eps = 5.5e+102, sigma = 1e+308"),
+    # the array leaf of meridian_geodesic_residual returned R = r, m = inf after a warning
+    (lambda: _leaf(ModelParams(5.5e102, 1e308), np.array([1.7]), np.array([1.0])),
+     "m(r) is not finite with eps = 5.5e+102, sigma = 1e+308"),
 ], ids=["eps^3", "profile", "f_R", "radius field", "foliation normal", "area", "volume",
         "stencil eps^6", "stencil", "second fundamental form", "graph area eps^6",
         "deficit reports eps^6", "Jacobi potential", "deficit constants", "tiny deficit constants",
         "leaf height",
         "leaf label", "normal derivatives", "normal acceleration", "sub-Riemannian R^3",
-        "sub-Riemannian area", "m(r) of the radius field", "m(r) of the foliation normal"])
+        "sub-Riemannian area", "m(r) of the radius field", "m(r) of the foliation normal",
+        "m(r) of an array leaf"])
 def test_each_value_lost_to_the_floats_raises_one_numerics_error(call, message):
     """Every site that forms a value past the floats (a float power that raised OverflowError,
     an overflow, a NaN) raises `_require_finite`'s NumericsError in its one shape, naming
