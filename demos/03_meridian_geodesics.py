@@ -6,15 +6,16 @@ pole to the south pole.  Its integral curves are intrinsic geodesics, and
 they have a closed form: with r = R sin(phi) the arclength is eps R phi and
 the twist about the axis is 2 arctan(tau eps R) from pole to pole.  We
 sample one for the parameters R=2, eps=0.5, sigma=0.5, compare it with the
-Runge-Kutta integral of the field, and write it out as an OBJ polyline
-(twisted meridians replacing the great circles of the round sphere).
+Runge-Kutta integral of the field, and write it out through the CLI as an
+OBJ polyline (twisted meridians replacing the great circles of the round
+sphere).
 """
 
 import math
 
 import numpy as np
 
-from heisenberg_cmc import ModelParams, Point, SphereSpec, profile_height
+from heisenberg_cmc import ModelParams, Point, SphereSpec, cli, profile_height
 from heisenberg_cmc.meridians import (
     integrate_meridian,
     meridian_curve,
@@ -49,11 +50,9 @@ for step in (spec.R / 250.0, spec.R / 500.0, spec.R / 1000.0):
     gap = float(np.max(np.linalg.norm(exact.points[:n] - rk4.points[:n], axis=1)))
     print(f"step R/{spec.R / step:.0f}: largest distance {gap:.2e}")
 
-with open("meridian.obj", "w") as fh:
-    for px, py, pt in curve.points:
-        fh.write(f"v {px!r} {py!r} {pt!r}\n")
-    fh.write("l " + " ".join(str(i + 1) for i in range(len(curve))) + "\n")
-print("wrote meridian.obj (load it in any mesh viewer)")
+print("\n== the same curve through the CLI, written as CSV, OBJ and JSON ==")
+cli.main(["meridian", "--figure1", "--out-prefix", "meridian"])  # the spec, start and step above
+print("wrote meridian.csv, meridian.obj (load it in any mesh viewer) and meridian.json")
 
 print("\n== the scaled field becomes a horizontal geodesic flow ==")
 q = Point(0.5, 0.2, 0.4)

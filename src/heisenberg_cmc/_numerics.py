@@ -35,6 +35,13 @@ def _each(fun, *args):
     return np.reshape([fun(*a) for a in zip(*(np.ravel(x).tolist() for x in args))], args[0].shape)
 
 
+def _unit(x):
+    """A power of four next to x, sphere by sphere on a stack (`_each`): lengths in it, and their
+    square roots in its square root, round as unscaled but are of order 1, so that their products
+    do not underflow at R = 1e-200."""
+    return _each(lambda v: math.ldexp(1.0, 2 * (math.frexp(v)[1] // 2)), x)
+
+
 def _require_finite(x, params, what: str, *args, R=None):
     """x (a float, a tuple of floats or an array) if it is all finite, else NumericsError
     "<what> is not finite with eps = .., sigma = ..[, R = ..]", formatted only then, `what` by

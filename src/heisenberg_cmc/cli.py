@@ -19,7 +19,6 @@ win over the file, the file wins over defaults.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -28,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _ULP, _divide, _each, _require_finite
+from ._numerics import _ULP, _divide, _each, _require_finite, _unit
 from .ambient import ModelParams, Point, _curvature_operator
 from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
                         principal_angle)
@@ -59,12 +58,16 @@ EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
-    """One row per row of the 2-D float table; csv writes each float by repr."""
+def _cells(table: np.ndarray) -> np.ndarray:
+    """The repr of each float of a 2-D table, made once, as an object array of its shape."""
+    return np.array(list(map(repr, table.ravel().tolist())), dtype=object).reshape(table.shape)
+
+
+def _write_csv(path: str, header: list[str], cells: np.ndarray) -> None:
+    """The header and the table of `_cells` as the csv module writes them: CRLF lines, reprs."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(table.tolist())
+        fh.write(",".join(header) + "\r\n")
+        fh.write((",".join(["%s"] * len(header)) + "\r\n") * len(cells) % tuple(cells.ravel()))
 
 
 def _json_rows(cells: np.ndarray) -> str:
@@ -76,16 +79,12 @@ def _json_rows(cells: np.ndarray) -> str:
 
 def _write_curve(prefix: str, curve: MeridianCurve) -> None:
     """<prefix>.csv, .obj and .json from one repr per float; for finite floats
-    the bytes are those csv.writer and json.dumps would write."""
-    table = np.column_stack((curve.s, curve.points, curve.velocities))
-    n = len(table)
-    cells = np.array(list(map(repr, table.ravel().tolist())), dtype=object).reshape(table.shape)
-    with open(prefix + ".csv", "w", newline="") as fh:
-        fh.write("s,x,y,t,vX,vY,vT\r\n")
-        fh.write("%s,%s,%s,%s,%s,%s,%s\r\n" * n % tuple(cells.ravel()))
+    the bytes are those the csv module and json.dumps would write."""
+    cells = _cells(np.column_stack((curve.s, curve.points, curve.velocities)))
+    _write_csv(prefix + ".csv", ["s", "x", "y", "t", "vX", "vY", "vT"], cells)
     with open(prefix + ".obj", "w") as fh:
-        fh.write("v %s %s %s\n" * n % tuple(cells[:, 1:4].ravel()))
-        fh.write("l " + " ".join(map(str, range(1, n + 1))) + "\n")
+        fh.write("v %s %s %s\n" * len(cells) % tuple(cells[:, 1:4].ravel()))
+        fh.write("l " + " ".join(map(str, range(1, len(cells) + 1))) + "\n")
     with open(prefix + ".json", "w") as fh:
         fh.write('{"R": %s, "s": [%s], "points": %s, "velocities": %s}\n' % (
             json.dumps(curve.R), ", ".join(cells[:, 0]), _json_rows(cells[:, 1:4]),
@@ -189,7 +188,7 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         tables.append((args.sweep_out, ["R", "area", "volume"],
                        np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep])))
     for path, header, rows in tables:
-        _write_csv(path, header, rows)
+        _write_csv(path, header, _cells(rows))
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -259,9 +258,11 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
     v1 = scale * (cs * x1 + sn * x2)
     v2 = scale * (-sn * x1 + cs * x2)
     energy = scale[..., 0] * scale[..., 0]
-    lhs = np.sum(_curvature_operator(params, v2, v1, nvec) * v2, axis=-1)
+    # R(u, v)w is quadratic in tau: tau in units of a power of four keeps tau^2 finite, bit for bit
+    tau = tau / (w := _unit(np.maximum(np.abs(tau), 1.0)))
+    lhs = np.sum(_curvature_operator(SimpleNamespace(tau=tau), v2, v1, nvec) * v2, axis=-1)
     rhs = 4.0 * tau * tau * energy * v1[..., 2] * nvec[..., 2]
-    den = np.maximum(np.abs(rhs), 0.01 * (1.0 + tau * tau) * energy)
+    den = np.maximum(np.abs(rhs), 0.01 * (1.0 / w / w + tau * tau) * energy)
     return float(np.max(np.abs(lhs - rhs) / den))
 
 
@@ -304,17 +305,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         specs = [_spec_from(args)]
 
-    checks = []
-
-    def run(name: str, measured: float, tol: float) -> None:
-        checks.append(
-            {"name": name, "measured": measured, "tolerance": tol, "passed": bool(measured <= tol)}
-        )
-
     # the curvature checks run once over the stack of spheres, k draws in one; one sphere stays
     # its SphereSpec, whose floats broadcast over n points as a (1, 1) column over (1, n) and
     # whose errors name them
     spheres = specs[0] if len(specs) == 1 else _Stack(members=specs)
+    checks = []
+
+    def run(name: str, measured: float, tol: float) -> None:
+        _require_finite(measured, spheres.params, "the {} check's measure", name, R=spheres.R)
+        checks.append(
+            {"name": name, "measured": measured, "tolerance": tol, "passed": bool(measured <= tol)}
+        )
+
     run("cmc_constancy", _check_cmc(spheres, rng), 1e-6)
     run("traceless_correction", _check_k0(spheres, rng, float(args.perturb_h)), 1e-10)
     run("principal_directions", _check_principal(spheres, rng), 1e-12)
@@ -345,8 +347,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             rows = np.column_stack((np.full(r.shape, delta), r, t, u, 0.5 * div,
                                     (1.0 - cyl.R / u) - label_floor(cyl, depth)))
             fol_rows.append(rows[ok])
-        _write_csv(args.foliation_out,
-                   ["delta", "r", "t", "u", "half_div_V", "bound_slack"], np.concatenate(fol_rows))
+        _write_csv(args.foliation_out, ["delta", "r", "t", "u", "half_div_V", "bound_slack"],
+                   _cells(np.concatenate(fol_rows)))
         # grid points whose stencil meets the sphere or leaves the cylinder have no row
         report["foliation_rows"] = {"kept": sum(map(len, fol_rows)), "grid": 2 * r.size}
 
@@ -439,8 +441,8 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
     exponent = float(np.polyfit(np.log(scales), np.log(defs), 1)[0])
 
     if args.out_prefix:
-        _write_csv(args.out_prefix + ".csv",
-                   ["index", "symdiff", "deficit", "bound", "slack"], np.array(rows, dtype=float))
+        _write_csv(args.out_prefix + ".csv", ["index", "symdiff", "deficit", "bound", "slack"],
+                   _cells(np.array(rows, dtype=float)))
     report = {
         "params": {"epsilon": args.epsilon, "sigma": args.sigma, "R": args.R},
         "delta": float(args.delta),

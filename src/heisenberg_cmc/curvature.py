@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _each, _require_finite
+from ._numerics import _each, _require_finite, _unit
 from .ambient import (
     Point,
     TangentVector,
@@ -96,17 +96,17 @@ def principal_angle(H: float, tau: float) -> float:
 
 
 def _frame_coefficients(spec: SphereSpec, r, t):
-    """a, b, c and the hemisphere-signed p of the adapted frame at radii r and
-    heights t on the sphere, broadcasting.  a and b are infinite at the
-    poles, where the frame is undefined; c vanishes there."""
+    """a, b, c and the hemisphere-signed p of the adapted frame at radii r and heights t on the
+    sphere, broadcasting.  a and b are infinite at the poles, where the frame is undefined; c
+    vanishes there.  b takes r R, which underflows at R = 1e-200, in units of R (`_unit`)."""
     params, R, e = spec.params, spec.R, spec.params.epsilon
     r = np.asarray(r, dtype=float)
     sg = np.where(np.asarray(t) >= 0.0, 1.0, -1.0)
     gap, m_r, p = _pieces(params, r, R)
-    m_R = _mass(params, R)
+    m_R, u = _mass(params, R), _unit(R)
     with np.errstate(divide="ignore"):
         a = m_r / (r * m_R)
-        b = sg * (e * e * e) * gap / (r * R * m_R)
+        b = sg * (e * e * e) * (gap / u) / ((r / u) * (R / u) * m_R) / u
     return a, b, r * m_R / (R * m_r), sg * p
 
 

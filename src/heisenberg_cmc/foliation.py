@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _ULP, _divide, _newton, _power, _require_finite
+from ._numerics import _ULP, _divide, _newton, _power, _require_finite, _unit
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
 from .sphere import SphereSpec, _f, _f_r, _kernel, _mass, _radius_of, profile_height
@@ -130,12 +130,6 @@ def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
     if not lam > cyl.R:
         raise DomainError(f"need lam > R = {cyl.R}, got {lam!r}")
     return point_on_leaf(cyl, r, lam).t - t
-
-
-def _unit(R: float) -> float:
-    """A power of four next to R: lengths in it, and k (`label_floor`) in its square root, round
-    as unscaled but are of order 1, so that their squares do not underflow at R = 1e-200."""
-    return math.ldexp(1.0, 2 * (math.frexp(R)[1] // 2))
 
 
 def _chord_at(cyl: CylinderSpec, r: np.ndarray, lam):
@@ -366,14 +360,19 @@ def label_floor(cyl: CylinderSpec, depth):
     """Lower bound on 1 - R/label at `depth` below the graph (broadcasts).
 
     Quadratic for delta = 0, depth^2 / (4 R k^2 + f(0;R)^2); linear for
-    delta > 0, sqrt(delta) * depth / (R k + f(0;R)).
+    delta > 0, sqrt(delta) * depth / (R k + f(0;R)).  NumericsError where it is not finite, as
+    where f(0;R) underflows to 0.
     """
     k, f0 = _k_f0(cyl.spec)
-    u = _unit(cyl.R)  # depth, R and f(0;R) in units of R, k in its square root
+    # depth, R and f(0;R) in units of u, k in its square root; the quadratic floor's u is f(0;R),
+    # so that its terms stay near 1 (R m(R) <= (1 + 4/pi) f0) where eps^3 = 1e-240 at sigma = 0
+    u = _unit(f0 if _uncut(cyl) else cyl.R)
     d, R, k, f0 = depth / u, cyl.R / u, k / math.sqrt(u), f0 / u
     if _uncut(cyl):
-        return d * d / (4.0 * R * k**2 + f0 * f0)
-    return math.sqrt(cyl.delta / u) * d / (R * k + f0 / math.sqrt(u))
+        floor = _divide(d * d, 4.0 * R * k**2 + f0 * f0)
+    else:
+        floor = _divide(math.sqrt(cyl.delta / u) * d, R * k + f0 / math.sqrt(u))
+    return _require_finite(floor, cyl.params, "the label floor", R=cyl.R)
 
 
 def vertical_label_bound(cyl: CylinderSpec, r: float, depth: float) -> VerticalBound:

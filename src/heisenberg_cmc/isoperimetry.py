@@ -174,9 +174,6 @@ class Competitor:
     def height_change(self, r):
         return self.amp_add * self.add(r) - self.amp_sub * self.sub(r)
 
-    def slope_change(self, r):
-        return self.amp_add * self.add.derivative(r) - self.amp_sub * self.sub.derivative(r)
-
     def scaled(self, factor: float) -> "Competitor":
         """Same shape with both amplitudes multiplied by `factor`.
 
@@ -229,45 +226,37 @@ def make_competitors(
     """
     if cyl.spec != spec:
         raise ContractError("cylinder was built for a different sphere")
+    lows, highs = (0.16, 0.60, 0.05, 0.05, 0.0, 0.01), (0.40, 0.84, 0.09, 0.09, 1.0, 0.05)
+    k = 6 if amplitude is None else 5
+    u = rng.uniform(lows[:k], highs[:k], size=(n, k))
     rc = cyl.r_cut
-    shapes, draws = [], []
-    for _ in range(n):
-        c1 = rng.uniform(0.16, 0.40) * rc
-        c2 = rng.uniform(0.60, 0.84) * rc
-        w1 = rng.uniform(0.05, 0.09) * rc
-        w2 = rng.uniform(0.05, 0.09) * rc
-        if rng.uniform() < 0.5:
-            c1, c2 = c2, c1
-        shapes.append((c1, c2, w1, w2))
-        if amplitude is None:
-            draws.append(float(rng.uniform(0.01, 0.05)))
-    c1, c2, w1, w2 = np.array(shapes, dtype=float).reshape(n, 4).T
+    c1, c2, w1, w2 = u[:, :4].T * rc
+    swap = u[:, 4] < 0.5
+    c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
 
     # head room: how far the graph may move down before leaving the cylinder
     head = np.asarray(profile_height(spec, np.minimum(c2 + w2, rc))) - cyl.t_cut
     if amplitude is None:
-        amp_add = np.array(draws) * np.maximum(head, 0.1 * spec.R)
+        amp_add = u[:, 5] * np.maximum(head, 0.1 * spec.R)
     else:
         amp_add = np.full(n, float(amplitude))
     # a bump's radial mass is centre * width * (the integral of the bump over
     # -1 < s < 1), since the bump is even in s, so the masses need no quadrature
     amp_sub = amp_add * (c1 * w1) / (c2 * w2)
-    for a_sub, room in zip(amp_sub, head):
-        if a_sub > room - 0.1 * room:
-            raise DomainError(
-                f"competitor rejected: removing amplitude {a_sub:.3e} exceeds the "
-                f"cylinder head room {room:.3e} at the bump support"
-            )
+    if (over := amp_sub > head - 0.1 * head).any():
+        i = over.argmax()  # the first
+        raise DomainError(
+            f"competitor rejected: removing amplitude {amp_sub[i]:.3e} exceeds the "
+            f"cylinder head room {head[i]:.3e} at the bump support"
+        )
 
     rows = zip(c1.tolist(), w1.tolist(), amp_add.tolist(), c2.tolist(), w2.tolist(), amp_sub.tolist())
     comps = [Competitor(spec, cyl, RadialBump(ca, wa), aa, RadialBump(cs, ws), a_s)
              for ca, wa, aa, cs, ws, a_s in rows]
     dv = 2.0 * math.pi * _over_bumps(comps, lambda r, amp, bump, w: amp * bump[0] * r,
                                      "volume change")
-    tol = 1e-10 * sphere_volume(spec)
-    for residual in dv:
-        if abs(residual) > tol:
-            raise NumericsError(f"volume compensation failed: residual {residual:.3e}")
+    if (lost := np.abs(dv) > 1e-10 * sphere_volume(spec)).any():
+        raise NumericsError(f"volume compensation failed: residual {dv[lost.argmax()]:.3e}")
     return comps
 
 

@@ -115,13 +115,16 @@ def _arctan(q):
 
 
 def _mass(params: ModelParams, r):
-    """m(r) = eps^3 w(r) = hypot(eps^3, sigma r); NumericsError where eps^3 overflows (eps above
-    about 5.6e102).  On a float, abs(complex) is libm's hypot, as np.hypot is, at a tenth of its
-    cost, and raises OverflowError where hypot passes the largest float: NumericsError there."""
+    """m(r) = eps^3 w(r) = hypot(eps^3, sigma r); NumericsError where eps^3 (eps above about
+    5.6e102) or m(r) overflows.  On a float, abs(complex) is libm's hypot, as np.hypot is, at a
+    tenth of its cost, and raises OverflowError where hypot passes the largest float."""
     e = params.epsilon
     e3, sr = _require_finite(e * e * e, params, "eps^3"), params.sigma * r
+    if isinstance(sr, np.ndarray):
+        with np.errstate(over="ignore"):
+            return _require_finite(np.hypot(e3, sr), params, "m(r)")
     try:
-        return np.hypot(e3, sr) if isinstance(sr, np.ndarray) else abs(complex(e3, sr))
+        return abs(complex(e3, sr))
     except OverflowError:
         return _require_finite(math.inf, params, "m(r)")
 
@@ -244,14 +247,16 @@ def profile_height_R(spec: SphereSpec, r):
 
 
 def profile_quantities(spec: SphereSpec, r: float, hemisphere: int = +1) -> ProfileQuantities:
-    """Pointwise profile data; `hemisphere` (+1 north, -1 south) signs p."""
+    """Pointwise profile data; `hemisphere` (+1 north, -1 south) signs p.  NumericsError where
+    one is not finite, as where eps^3 underflows."""
     rr = float(_check_profile_domain(spec.R, r, closed=True))
     if hemisphere not in (+1, -1):
         raise ContractError(f"hemisphere must be +1 or -1, got {hemisphere!r}")
     _, m, p = _pieces(spec.params, rr, spec.R)
     p, e = hemisphere * float(p), spec.params.epsilon
-    return ProfileQuantities(omega_r=_divide(m, e * e * e), p=p, ell=_ell(p),
-                             rho=_divide(spec.params.sigma * rr, e * e * e))
+    q = (_divide(m, e * e * e), p, _ell(p), _divide(spec.params.sigma * rr, e * e * e))
+    q = _require_finite(q, spec.params, "a profile quantity at r = {!r}", rr, R=spec.R)
+    return ProfileQuantities(*q)
 
 
 # -------------------------------------------------------------- radius field
@@ -330,12 +335,8 @@ def _gap_solve(m, s: float, t, what: str):
 def _leaf(params: ModelParams, r, t):
     """R >= r with f(r; R) = |t|, g = sqrt(R^2 - r^2) and m(r), broadcasting r and t; f is even
     in sigma.  The one source of g off a sphere: `_gap` of R loses it once g^2 < ulp(r^2).
-    NumericsError where m(r) overflows, on arrays as on floats (`_mass`)."""
-    if isinstance(r, np.ndarray):
-        with np.errstate(over="ignore"):
-            m = _require_finite(_mass(params, r), params, "m(r)")
-    else:
-        m = _mass(params, r)
+    NumericsError where m(r) overflows (`_mass`)."""
+    m = _mass(params, r)
     g = _gap_solve(m, abs(params.sigma), t, "radius solve")
     R = np.hypot(r, g)
     return (R if isinstance(R, np.ndarray) else float(R)), g, m
@@ -399,12 +400,14 @@ def outer_normal(spec: SphereSpec, point: Point, tol: float = 1e-8) -> TangentVe
 
     Well defined at the poles (where it is +/- T) and on the equator
     (where it is radial).  Points farther than `tol` from the sphere are
-    rejected.
+    rejected.  NumericsError where it is not finite, as next to the axis
+    where eps^3 underflows.
     """
     _on_sphere_or_raise(spec, point, tol)
     g, m, _ = _pieces(spec.params, point.r, spec.R)
+    n = _normal_components(spec.params, point.x, point.y, point.t, spec.R, g, m)
     return TangentVector.from_array(
-        _normal_components(spec.params, point.x, point.y, point.t, spec.R, g, m))
+        _require_finite(n, spec.params, "the outer normal at {}", point, R=spec.R))
 
 
 def foliation_normal(params: ModelParams, point: Point) -> TangentVector:

@@ -174,6 +174,31 @@ def test_verify_whose_calibration_heights_are_subnormal_exits_3():
                                  "floats with eps = 1e-40, sigma = 1.0, R = 1e-200")
 
 
+@pytest.mark.parametrize("eps, R", [(1.0, 1e-200), (1.0, 1e-300), (1e-40, 1.0)])
+def test_curvature_identity_at_tiny_R_or_eps_is_rounding(eps, R):
+    """The check measured NaN, which verify recorded as a failed check: at tiny R, r R
+    underflowed to 0 in the frame coefficient b, so X2 was infinite; at eps = 1e-40, tau^2 =
+    1e320 overflowed in the curvature."""
+    spec = SphereSpec(ModelParams(eps, 1.0), R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measured = cli._check_curvature_identity(spec, np.random.default_rng(12345))
+    assert measured <= 1e-13
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["single", "grid"])
+def test_verify_whose_measure_is_not_finite_exits_3(monkeypatch, grid):
+    """A check that measures NaN is a numeric failure naming the check, not a failed check."""
+    monkeypatch.setattr(cli, "_check_principal", lambda spheres, rng: math.nan)
+    res = run_cli("verify", *grid, "--json", "-")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr.startswith("numeric failure: the principal_directions check's measure is "
+                                 "not finite with eps = ")
+    if not grid:
+        assert res.stderr.endswith("with eps = 1.0, sigma = 1.0, R = 1.0\n")
+
+
 @pytest.mark.parametrize("command", ["meridian", "isoperim"])
 def test_profile_overflow_exits_3(command):
     """From eps about 4.5e102 to 5.6e102 eps^3 is finite but the profile is not: meridian
@@ -355,6 +380,23 @@ def test_curve_files_have_the_bytes_of_csv_and_json_writers(tmp_path):
     assert (tmp_path / "m.json").read_text() == sidecar
     obj = "".join(f"v {x!r} {y!r} {t!r}\n" for x, y, t in curve.points.tolist()) + "l 1 2 3 4 5 6\n"
     assert (tmp_path / "m.obj").read_text() == obj
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_csv_files_have_the_bytes_of_csv_writer(tmp_path, rows):
+    """The one CSV writer of the CLI writes what csv.writer writes: CRLF lines, floats by repr,
+    non-finite floats and empty tables included."""
+    import csv
+
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    table = np.resize(np.array(values), (rows, 4))
+    header = ["a", "b", "c", "d"]
+    cli._write_csv(str(tmp_path / "t.csv"), header, cli._cells(table))
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_meridian_whose_pansu_deviation_overflows_exits_3():

@@ -1,5 +1,6 @@
-"""Each demo runs to the end without a RuntimeWarning."""
+"""Each demo runs to the end without a RuntimeWarning, and the OBJ of demo 03 loads."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,3 +22,10 @@ def test_demo_runs(demo, tmp_path):
     res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert res.returncode == 0, res.stderr
+    if demo.name == "03_meridian_geodesics.py":
+        # each vertex is three floats, which np.float64's repr is not, and the polyline takes all
+        lines = (tmp_path / "meridian.obj").read_text().splitlines()
+        vertices = [line.split()[1:] for line in lines if line.startswith("v ")]
+        assert vertices and all(len(v) == 3 and all(map(math.isfinite, map(float, v)))
+                                for v in vertices)
+        assert lines[-1] == "l " + " ".join(map(str, range(1, len(vertices) + 1)))

@@ -331,6 +331,27 @@ def test_calibration_at_tiny_R(R):
         assert repr(cli._check_calibration(spec)) == repr(_full_solve_calibration(spec)) == "-0.0"
 
 
+@pytest.mark.parametrize("frac", [0.0, 0.3])
+def test_label_floor_where_eps_cubed_is_tiny(frac):
+    """At sigma = 0 and eps = 1e-80, k and f(0; R) are about eps^3 = 1e-240, so 4 R k^2 + f0^2
+    underflowed to 0 in units of R, and label_floor and vertical_label_bound raised
+    ZeroDivisionError at delta = 0; in units of f(0; R) the floors match 50 digits."""
+    cyl = CylinderSpec(SphereSpec(ModelParams(1e-80, 0.0), 1.0), frac)
+    k, f0 = foliation._k_f0(cyl.spec)
+    depth = 0.1 * f0
+    with mpmath.workdps(50):
+        d, k, f0 = (mpmath.mpf(x) for x in (depth, k, f0))
+        want = float(d * d / (4 * k * k + f0 * f0) if frac == 0.0 else
+                     mpmath.sqrt(mpmath.mpf(cyl.delta)) * d / (k + f0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (depth, np.array([depth])):
+            got = float(np.ravel(foliation.label_floor(cyl, d))[0])
+            assert abs(got - want) <= 4 * _ULP * want
+        bound = vertical_label_bound(cyl, 0.0, depth)
+    assert bound.floor == foliation.label_floor(cyl, depth) and bound.satisfied
+
+
 def test_one_solve_over_the_cylinders_of_a_sphere_gives_each_cylinder_its_labels():
     """`verify`'s calibration check labels the grids of delta = 0 and 0.3 in one solve, with
     r_cut and t_cut given per point: the labels are those of one solve per cylinder, bit for bit."""

@@ -15,12 +15,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from heisenberg_cmc import (ModelParams, NumericsError, Point, SphereSpec, foliation_normal,
-                            graph_mean_curvature_fd, profile_height, profile_height_R, radius_field)
+                            graph_mean_curvature_fd, outer_normal, profile_height, profile_height_r,
+                            profile_height_R, profile_quantities, radius_field)
 from heisenberg_cmc._numerics import (_QUAD_MAX_PANELS, _QUAD_RTOL, _divide, _gauss_legendre,
                                       _newton, _quad)
 from heisenberg_cmc.curvature import second_fundamental_form
-from heisenberg_cmc.foliation import (CylinderSpec, foliation_constants, leaf_equation, leaf_label,
-                                      leaf_label_grid, point_on_leaf)
+from heisenberg_cmc.foliation import (CylinderSpec, foliation_constants, label_floor, leaf_equation,
+                                      leaf_label, leaf_label_grid, point_on_leaf)
 from heisenberg_cmc.isoperimetry import (deficit_reports, graph_area, jacobi_potential,
                                          make_competitor, make_competitors,
                                          subriemannian_hemisphere_area)
@@ -551,13 +552,27 @@ def _sphere(eps, R=1.0, sigma=1.0):
     # the array leaf of meridian_geodesic_residual returned R = r, m = inf after a warning
     (lambda: _leaf(ModelParams(5.5e102, 1e308), np.array([1.7]), np.array([1.0])),
      "m(r) is not finite with eps = 5.5e+102, sigma = 1e+308"),
+    # eps^3 underflows to 0: omega_r, p, ell and rho were NaN at sigma = 0, omega_r and rho inf
+    (lambda: profile_quantities(_sphere(1e-300, sigma=0.0), 0.5),
+     "a profile quantity at r = 0.5 is not finite with eps = 1e-300, sigma = 0.0, R = 1.0"),
+    (lambda: profile_quantities(_sphere(1e-120), 0.5),
+     "a profile quantity at r = 0.5 is not finite with eps = 1e-120, sigma = 1.0, R = 1.0"),
+    # it was (nan, -inf, 0.0)
+    (lambda: outer_normal(_sphere(1e-200), Point(1e-320, 0.0, profile_height(_sphere(1e-200),
+                                                                          1e-320))),
+     "the outer normal at Point(x=1e-320, y=0.0, t=0.7853981633974483) is not finite with "
+     "eps = 1e-200, sigma = 1.0, R = 1.0"),
+    # eps^3 is subnormal and f(0; R) = k = 0, where the floor was 0/0, a ZeroDivisionError
+    (lambda: label_floor(CylinderSpec(_sphere(2.2e-108, 1e-4, sigma=0.0), 0.0), 0.0),
+     "the label floor is not finite with eps = 2.2e-108, sigma = 0.0, R = 0.0001"),
 ], ids=["eps^3", "profile", "f_R", "radius field", "foliation normal", "area", "volume",
         "stencil eps^6", "stencil", "second fundamental form", "graph area eps^6",
         "deficit reports eps^6", "Jacobi potential", "deficit constants", "tiny deficit constants",
         "leaf height",
         "leaf label", "normal derivatives", "normal acceleration", "sub-Riemannian R^3",
         "sub-Riemannian area", "m(r) of the radius field", "m(r) of the foliation normal",
-        "m(r) of an array leaf"])
+        "m(r) of an array leaf", "profile quantities at sigma = 0", "profile quantities",
+        "outer normal", "label floor"])
 def test_each_value_lost_to_the_floats_raises_one_numerics_error(call, message):
     """Every site that forms a value past the floats (a float power that raised OverflowError,
     an overflow, a NaN) raises `_require_finite`'s NumericsError in its one shape, naming
@@ -566,3 +581,15 @@ def test_each_value_lost_to_the_floats_raises_one_numerics_error(call, message):
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
             call()
+
+
+@pytest.mark.parametrize("fun", [profile_height, profile_height_r, profile_height_R])
+@pytest.mark.parametrize("r", [1.7, np.array([1.7])], ids=["float", "array"])
+def test_m_past_the_floats_raises_alike_on_floats_and_arrays(fun, r):
+    """On an array, profile_height_r warned of an overflow in hypot and returned -inf, and the
+    other two named the profile height, where a float raised on m(r)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"^m\(r\) is not finite with eps = 5\.5e\+102, "
+                                                r"sigma = 1e\+308$"):
+            fun(SphereSpec(ModelParams(5.5e102, 1e308), 2.0), r)
