@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Metric family (eps, sigma), eps > 0 and sigma finite; tau = sigma/eps^4 is derived."""
+    """Metric family (eps, sigma) of Python floats, eps > 0 and sigma finite; tau = sigma/eps^4."""
 
     epsilon: float
     sigma: float
@@ -61,6 +61,8 @@ class ModelParams:
             raise DomainError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not math.isfinite(self.sigma):
             raise DomainError(f"sigma must be finite, got {self.sigma!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     @property
     def tau(self) -> float:

@@ -16,8 +16,10 @@ whose leaves are vertical translates of the larger spheres' graphs.  F
 falls from f(|z|; R) - t > 0 at lam = R to t_cut - t < 0 as lam -> inf.
 It is solved in the chord y = sqrt(lam^2 - |z|^2) - sqrt(lam^2 - r_cut^2),
 where the root has an a-priori bracket (`_label_below`).  The downhill
-unit gradient V = -grad(u)/|grad(u)| is continuous on C, equals the
-outward sphere normal on the sphere itself, and has
+unit gradient V = -grad(u)/|grad(u)| is the outward unit normal of the
+leaf through each point, the family's closed form (`_field`, as for
+`foliation_normal`).  It is continuous on C, equals the outward sphere
+normal on the sphere itself, and has
 (1/2) div V = H_lam <= 1/(eps R) with H_lam = 1/(eps lam) for lam > R.
 The growth of the label along vertical segments below the graph carries
 the explicit lower bounds used by the quantitative isoperimetric
@@ -27,7 +29,7 @@ inequality; `vertical_label_bound` checks them pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +37,8 @@ import numpy as np
 from ._numerics import _ULP, _divide, _newton, _power, _require_finite, _unit
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
-from .sphere import SphereSpec, _f, _f_r, _kernel, _mass, _radius_of, profile_height
+from .sphere import (SphereSpec, _f, _gap, _kernel, _mass, _normal_components, _radius_of,
+                     profile_height)
 
 __all__ = [
     "CylinderSpec",
@@ -55,17 +58,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CylinderSpec:
-    """Vertical half-cylinder over the disk of radius R, cut at height t_cut."""
+    """Half-cylinder over the disk of radius R above t_cut = f(r_cut; R), r_cut = R - delta."""
 
     spec: SphereSpec
     delta: float
-    r_cut: float = 0.0
-    t_cut: float = 0.0
+    r_cut: float = field(init=False)
+    t_cut: float = field(init=False)
 
     def __post_init__(self) -> None:
         R = self.spec.R
         if not (0.0 <= self.delta < R):
             raise DomainError(f"delta must lie in [0, R), got {self.delta!r}")
+        object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "r_cut", R - self.delta)
         object.__setattr__(self, "t_cut", float(profile_height(self.spec, self.r_cut)))
 
@@ -157,7 +161,7 @@ def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, m: np.ndarray, y):
     dF/dy = (s_r F'_cut - s_cut F'_r)/y, finite as s_cut -> 0; F_lam = -lam y dF/dy/(s_r s_cut)."""
     sigma = cyl.params.sigma
     s = _chord(cyl, r, y)
-    f_over_s, dF = _kernel(s, m, sigma, sigma * s / m)
+    f_over_s, dF = _kernel(s, m, sigma, _divide(sigma * s, m))  # m(0) = 0 where eps^3 underflows
     return s, s * f_over_s, (s[0] * dF[1] - s[1] * dF[0]) / y
 
 
@@ -188,7 +192,7 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
     m = _mass(cyl.params, np.stack((r, np.full_like(r, r_cut))))
     u = m[0] / m[1]
     rise = (t - cyl.t_cut) / m[1]
-    hi = np.minimum(rise / u, _chord_at(cyl, r, R))  # and below y at lam = R
+    hi = np.minimum(_divide(rise, u), _chord_at(cyl, r, R))  # below y at lam = R; m(0) may be 0
     lo = np.minimum(rise, hi)
     start = np.clip(rise * (1.5 * (u + 1.0) / (u * u + u + 1.0)), lo, hi)
     with np.errstate(over="ignore"):  # lam^2 = s_r^2 + r^2 out of range: raised on below
@@ -261,11 +265,11 @@ def _field(cyl: CylinderSpec, x, y, t, above=None):
     `above` is given, on its side of the sphere (t >= f(|z|; R) is above).
     Rows outside the mask are NaN.
 
-    The label's gradient (u_r, u_t) is (f_r(r; R), -1) above the graph and, by the leaf
-    equation, the leaf normal (f_r(r; lam), -1) over |F_lam| below it; V drops the length.
+    V is the outward unit normal of the leaf through the point, an upper hemisphere's graph
+    shifted down (`sphere._normal_components` with t > 0): on and above the graph the sphere R's,
+    g = sqrt(R^2 - r^2), and below it the sphere lam's, g = s_r and m(r) from the label solve.
     """
     params, R = cyl.params, cyl.R
-    e, s = params.epsilon, params.sigma
     r = _radius_of(x, y)
     ok = (r < R) & (t > cyl.t_cut)
     depth = np.zeros_like(r)
@@ -273,29 +277,26 @@ def _field(cyl: CylinderSpec, x, y, t, above=None):
     if above is not None:
         ok &= (depth <= 0.0) == above
     up, down = ok & (depth <= 0.0), ok & (depth > 0.0)
-    u_r, u_t = np.zeros_like(r), np.full_like(r, -1.0)
-    u_r[up] = _f_r(params, r[up], R)
-    _, chord, m = _label_below(cyl, r[down], t[down])
-    (s_r, _), _, dF = _leaf_terms(cyl, r[down], m, chord)
+    lam, g, m = np.full_like(r, R), np.ones_like(r), np.ones_like(r)  # rows off `ok` are NaN'd
+    g[up], m[up] = _gap(r[up], R), _mass(params, r[up])
+    lam[down], chord, m_below = _label_below(cyl, r[down], t[down])
+    s, _, dF = _leaf_terms(cyl, r[down], m_below, chord)
+    g[down], m[down] = s[0], m_below[0]
     if not np.all(dF > 0.0):  # F_lam = -lam y dF/dy / (s_r s_cut) < 0, unless rounding swallowed it
         i = np.flatnonzero(down)[~(dF > 0.0)][0]
         raise NumericsError(
             f"the leaf equation's lam-derivative is lost to rounding at (x, y, t) = "
             f"({float(x[i])!r}, {float(y[i])!r}, {float(t[i])!r}) "
-            f"with eps = {e!r}, sigma = {s!r}, R = {R!r}")
-    u_r[down] = -r[down] * m[0] / s_r  # f_r(r; lam)
-    r_safe = np.where(r > 0.0, r, 1.0)  # x = y = 0 where r = 0
-    g = np.stack(((u_r * x / r_safe + s * y * u_t) / e,
-                  (u_r * y / r_safe - s * x * u_t) / e,
-                  e * e * u_t), axis=-1)
-    v = -g / np.sqrt(np.sum(g * g, axis=-1))[:, None]
+            f"with eps = {params.epsilon!r}, sigma = {params.sigma!r}, R = {R!r}")
+    v = _normal_components(params, x, y, np.ones_like(r), lam, g, m)
     v[~ok] = np.nan
     return v, ok
 
 
 def calibration_field(cyl: CylinderSpec, point: Point) -> TangentVector:
-    """Unit field V = -grad(u)/|grad(u)|, continuous on the half-cylinder;
-    on the sphere V equals the outward normal."""
+    """Unit field V = -grad(u)/|grad(u)|, continuous on the half-cylinder: the closed-form outward
+    normal of the leaf through the point (`_field`), so on the sphere the outward normal, and
+    sgn(t) T = T on the axis."""
     v, ok = _field(cyl, *point.as_array()[:, None])
     if not ok[0]:
         raise DomainError("point is outside the half-cylinder")
@@ -351,11 +352,6 @@ def calibration_divergence(
     return float(div[0]), 1.0 / (cyl.params.epsilon * max(float(lam[0]), cyl.R))
 
 
-def _uncut(cyl: CylinderSpec) -> bool:
-    """delta = 0, where the deficit bounds are the quadratic ones (`label_floor`)."""
-    return cyl.delta == 0.0
-
-
 def label_floor(cyl: CylinderSpec, depth):
     """Lower bound on 1 - R/label at `depth` below the graph (broadcasts).
 
@@ -366,9 +362,9 @@ def label_floor(cyl: CylinderSpec, depth):
     k, f0 = _k_f0(cyl.spec)
     # depth, R and f(0;R) in units of u, k in its square root; the quadratic floor's u is f(0;R),
     # so that its terms stay near 1 (R m(R) <= (1 + 4/pi) f0) where eps^3 = 1e-240 at sigma = 0
-    u = _unit(f0 if _uncut(cyl) else cyl.R)
+    u = _unit(f0 if cyl.delta == 0.0 else cyl.R)
     d, R, k, f0 = depth / u, cyl.R / u, k / math.sqrt(u), f0 / u
-    if _uncut(cyl):
+    if cyl.delta == 0.0:
         floor = _divide(d * d, 4.0 * R * k**2 + f0 * f0)
     else:
         floor = _divide(math.sqrt(cyl.delta / u) * d, R * k + f0 / math.sqrt(u))

@@ -32,7 +32,7 @@ from ._numerics import _gauss_legendre, _pow, _power, _quad, _require_finite
 from .ambient import ModelParams, Point
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
-from .foliation import CylinderSpec, _uncut, foliation_constants, leaf_label_grid
+from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
 from .sphere import SphereSpec, _f, _f_r, _pieces, profile_height, sphere_area, sphere_volume
 
 __all__ = [
@@ -317,7 +317,7 @@ def deficit_reports(comps) -> list[DeficitReport]:
     a_r = sphere_area(spec)
     reports = []
     for ex, sd in zip(excess.tolist(), symdiff.tolist()):
-        if _uncut(cyl):
+        if cyl.delta == 0.0:  # the quadratic bound (`label_floor`)
             bound = consts.D * sd**3
         else:
             bound = math.sqrt(cyl.delta) * consts.C * sd**2

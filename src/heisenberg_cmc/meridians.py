@@ -13,8 +13,8 @@ with m(r) = hypot(eps^3, sigma r) = eps^3 w(r), extends smoothly across the equa
 satisfies nabla_M M = -(H / w(r)^2) N, so its integral curves are intrinsic geodesics of the
 sphere running from the north to the south pole.  They have a closed form in the angle phi
 with r = R sin(phi), which `meridian_curve` samples; `integrate_meridian` integrates the field by
-Runge-Kutta as its independent oracle.  Both evaluate the field through the one array core
-`_lam_mu`, and both place points on the sphere through the one chart `_chart`, in which the
+Runge-Kutta as its independent oracle.  Both evaluate the field through the one closed form
+`_meridian`, and both place points on the sphere through the one chart `_chart`, in which the
 sphere is a circle and phi is the polar angle: the integrator retracts each step onto the
 sphere there.
 
@@ -129,27 +129,23 @@ def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
     return TangentVector(*_require_finite(n, params, "the normal acceleration at {}", point))
 
 
-def _lam_mu(params: ModelParams, r, t, R, g, m):
-    """lam, mu, nu on the leaf R, g, m(r), broadcasting; nu = eps^3 r/(R m), finite at sigma = 0."""
+def _meridian(params: ModelParams, x, y, r, t, R, g, m):
+    """M's frame coefficients (x lam - y mu, y lam + x mu, -nu) at points (x, y, t) of radius r on
+    the leaf R, g, m(r), broadcasting; c = r/(R m) = mu/sigma = nu/eps^3 is finite at sigma = 0."""
     e, c = params.epsilon, r / (R * m)
-    lam = np.sign(t) * g / (r * R)
-    return lam, params.sigma * c, e * e * e * c
+    lam, mu = np.sign(t) * g / (r * R), params.sigma * c
+    return x * lam - y * mu, y * lam + x * mu, -(e * e * e * c)
 
 
 def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     """The unit meridian field M, smooth across the equator.
 
     Equals sgn(t) * nabla_N N / |nabla_N N| away from the equatorial
-    plane; the closed form below is regular there too.
+    plane; the closed form `_meridian` is regular there too.
     """
     _require_off_axis(point)
     leaf = _leaf(params, point.r, point.t)
-    lam, mu, nu = (float(v) for v in _lam_mu(params, point.r, point.t, *leaf))
-    return TangentVector(
-        point.x * lam - point.y * mu,
-        point.y * lam + point.x * mu,
-        -nu,
-    )
+    return TangentVector.from_array(_meridian(params, point.x, point.y, point.r, point.t, *leaf))
 
 
 # ------------------------------------------------------------- closed form
@@ -171,8 +167,7 @@ def _curve(params: ModelParams, R: float, points: np.ndarray, r, step: float) ->
     are the meridian field there, and one exact south-pole sample is appended
     one step after the last."""
     x, y, t = points.T
-    lam, mu, nu = _lam_mu(params, r, t, R, *_pieces(params, r, R)[:2])
-    vels = np.column_stack((x * lam - y * mu, y * lam + x * mu, -nu))
+    vels = np.column_stack(_meridian(params, x, y, r, t, R, *_pieces(params, r, R)[:2]))
     points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
     vels = np.vstack([vels, vels[-1]])
     return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
@@ -222,14 +217,14 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
 
 def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     """Coordinate velocity of the meridian field frozen on the sphere R at the
-    point q = (x, y, t): the X and Y coefficients of _lam_mu over eps, and the
+    point q = (x, y, t): the X and Y coefficients of `_meridian` over eps, and the
     t-component -r m(r) / (eps R), in which the sigma terms cancel."""
     x, y, t = q.tolist()
     r = abs(complex(x, y))
     g, m, _ = _pieces(params, r, R)
-    lam, mu, _ = _lam_mu(params, r, t, R, g, m)
+    m_x, m_y, _ = _meridian(params, x, y, r, t, R, g, m)
     e = params.epsilon
-    return np.array([(x * lam - y * mu) / e, (y * lam + x * mu) / e, -r * m / (e * R)])
+    return np.array([m_x / e, m_y / e, -r * m / (e * R)])
 
 
 def integrate_meridian(

@@ -79,6 +79,7 @@ class SphereSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise DomainError(f"R must be positive and finite, got {self.R!r}")
+        object.__setattr__(self, "R", float(self.R))
 
     @property
     def H(self) -> float:
@@ -351,7 +352,7 @@ def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
     """
     _check_point(r, t, "the radius field")
     R, g, m = _leaf(params, r, t)
-    s = abs(float(params.sigma))
+    s = abs(params.sigma)
     p = _divide(s * g, m)
     R_r = _divide(r * _ell(p), R)  # R is 0 where it underflows next to the origin
     R_t = _divide(math.copysign(g, t), R * _kernel(g, m, s, p)[1]) if t != 0.0 else 0.0
@@ -373,14 +374,19 @@ _radius_of = np.hypot  # |z| elementwise by libm's hypot, as Point.r and the int
 def _normal_components(params: ModelParams, x, y, t, R, g, m):
     """Outward unit normal at (x, y, t) on the leaf R, g, m(r) (`_leaf`, or `_pieces` on a sphere):
     frame coefficients (..., 3) for arrays, three floats for floats (signed as np.sign signs t), and
-    sgn(t) T for one point on the axis, where p and eps^3/m fail once eps^3 underflows."""
+    sgn(t) T on the axis, where p and eps^3/m fail once eps^3 underflows: one point returns it at
+    once, arrays put it where x = y = 0 after the formula ran there under its own errstate."""
     sg = np.sign(t) if isinstance(t, np.ndarray) else 1.0 if t > 0.0 else -1.0 if t < 0.0 else t - t
     if not isinstance(x, np.ndarray) and x == 0.0 and y == 0.0:
         return 0.0, 0.0, sg
     e = params.epsilon
     p, q = sg * g * _divide(params.sigma, m), sg * g * _divide(e * e * e, m)  # q = eps^3 g/m
-    n = ((x + y * p) / R, (y - x * p) / R, q / R)
-    return np.stack(n, axis=-1) if isinstance(p, np.ndarray) else n
+    if not isinstance(p, np.ndarray):
+        return (x + y * p) / R, (y - x * p) / R, q / R
+    with np.errstate(invalid="ignore"):  # 0 inf on the axis, where m = 0
+        n = np.stack(((x + y * p) / R, (y - x * p) / R, q / R), axis=-1)
+    axis = np.logical_and(x == 0.0, y == 0.0)[..., None]
+    return np.where(axis, np.stack(np.broadcast_arrays(0.0, 0.0, sg), axis=-1), n)
 
 
 def _on_sphere_or_raise(spec: SphereSpec, point: Point, tol: float = 1e-8) -> None:
@@ -425,7 +431,7 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
 def sphere_area(spec: SphereSpec) -> float:
     """Riemannian area of the full sphere, 2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps) arctan b]
     with b = sigma R/eps^3 (2 pi eps^2 R^2 [1 + w(R)^2 atanc b]); NumericsError where not finite."""
-    e, s, R = spec.params.epsilon, spec.params.sigma, float(spec.R)
+    e, s, R = spec.params.epsilon, spec.params.sigma, spec.R
     b = _divide(s * R, e * e * e)
     a = _arctan(b)
     area = 2.0 * math.pi * R * R * (e * e * (1.0 + _atanc(b, a)) + s * R / e * a)
@@ -437,7 +443,7 @@ def sphere_volume(spec: SphereSpec) -> float:
     J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b - 1/b^3)/8, and below |b| = 0.1 (where that
     cancels, by up to 6e-13 near b = 0.01) its even series through b^16 (`_J_SERIES`); above,
     2 pi |sigma| R^4 J(|b|)/|b|, finite at b = inf.  NumericsError where it is not finite."""
-    e, s, R = spec.params.epsilon, spec.params.sigma, float(spec.R)
+    e, s, R = spec.params.epsilon, spec.params.sigma, spec.R
     b = abs(_divide(s * R, e * e * e))
     J, b2 = 0.0, b * b
     if b < 0.1:

@@ -15,6 +15,7 @@ from heisenberg_cmc import (
     NumericsError,
     Point,
     SphereSpec,
+    TangentVector,
     graph_mean_curvature_fd,
     outer_normal,
     profile_height,
@@ -392,10 +393,10 @@ def test_leaf_heights_whose_square_overflows_raise():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match=r"^the leaf lam = 1e\+160 at r = 0\.5 is not finite "
-                                                r"with eps = 0\.001, sigma = 1, R = 1$"):
+                                                r"with eps = 0\.001, sigma = 1\.0, R = 1\.0$"):
             point_on_leaf(cyl, 0.5, 1e160)
         with pytest.raises(NumericsError, match=r"^the leaf lam = 1e\+200 at r = 0\.5 is not finite "
-                                                r"with eps = 0\.001, sigma = 1, R = 1$"):
+                                                r"with eps = 0\.001, sigma = 1\.0, R = 1\.0$"):
             leaf_equation(cyl, 0.5, 1e-3, 1e200)
 
 
@@ -560,6 +561,91 @@ def test_calibration_field_is_unit_and_matches_normal(cyl, rng, spec):
         n = outer_normal(spec, q)
         assert abs(v.norm() - 1.0) <= 1e-12
         assert (v - n).norm() <= 1e-8
+
+
+def _gradient_field(cyl, x, y, t, h):
+    """-grad(u)/|grad(u)| from central differences of `leaf_label_grid` with step h, converted to
+    frame coefficients: grad u = ((u_x + sigma y u_t)/eps, (u_y - sigma x u_t)/eps, eps^2 u_t)."""
+    e, s = cyl.params.epsilon, cyl.params.sigma
+    p = np.array([x, y, t]) + h * np.concatenate((np.eye(3), -np.eye(3)))
+    u = leaf_label_grid(cyl, np.hypot(p[:, 0], p[:, 1]), p[:, 2])
+    u_x, u_y, u_t = (u[:3] - u[3:]) / (2.0 * h)
+    grad = np.array([(u_x + s * y * u_t) / e, (u_y - s * x * u_t) / e, e * e * u_t])
+    return -grad / np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("eps, sigma, R", [(1.0, 1.0, 1.0), (0.5, 2.0, 0.7), (2.0, -0.5, 1.5),
+                                           (1.0, 0.0, 1.0), (0.3, 1.0, 2.0), (4.0, 3.0, 0.2)])
+@pytest.mark.parametrize("delta_frac", [0.0, 0.3])
+def test_calibration_field_is_the_labels_downhill_gradient(eps, sigma, R, delta_frac):
+    """V, the closed-form normal of each point's leaf, against its definition -grad(u)/|grad(u)|
+    by central differences of the label, off the sphere above and below it.  The step h = 1e-5 R
+    bounds the truncation error by about 300 (h/R)^2 on these specs, and the label's rounding
+    by far less, so 1e3 (h/R)^2 + 1e-8 holds with room."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    cyl = CylinderSpec(spec, delta_frac * R)
+    rng = np.random.default_rng(1)
+    h = 1e-5 * R
+    for above in (True, False):
+        for _ in range(8):
+            r = rng.uniform(0.05, 0.9) * cyl.r_cut
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            f_here = float(profile_height(spec, r))
+            t = (f_here + rng.uniform(0.1, 0.5) * R if above
+                 else f_here - rng.uniform(0.2, 0.8) * (f_here - cyl.t_cut))
+            x, y = r * math.cos(theta), r * math.sin(theta)
+            v = calibration_field(cyl, Point(x, y, t)).as_array()
+            assert np.max(np.abs(v - _gradient_field(cyl, x, y, t, h))) <= 1e3 * (h / R) ** 2 + 1e-8
+
+
+@pytest.mark.parametrize("delta_frac", [0.0, 0.3])
+def test_calibration_field_where_eps_cubed_underflows_is_a_unit_vector(delta_frac):
+    """Where eps^3 underflows and the frame coefficients of grad(u) overflow when squared, V is
+    still the leaf's unit normal, with no warning; the label's gradient gave (0, -0, 0)."""
+    spec = SphereSpec(ModelParams(5.354370729744816e-216, 1.7747129684292976e-06), 379276.36935860245)
+    cyl = CylinderSpec(spec, delta_frac * spec.R)
+    r = 0.5144617269930908 * spec.R
+    point = Point(r, 0.0, 0.5 * (float(profile_height(spec, r)) + cyl.t_cut))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = calibration_field(cyl, point).as_array()
+    assert np.all(np.isfinite(v))
+    assert abs(np.linalg.norm(v) - 1.0) <= 4e-16
+
+
+@pytest.mark.parametrize("eps", [1e-80, 1e-100, 1e-120, 1e-200])
+@pytest.mark.parametrize("delta_frac", [0.0, 0.3])
+def test_calibration_field_on_the_axis_is_T(eps, delta_frac):
+    """On the axis V = T, below the graph, on it and above it, with no warning, where eps^2
+    underflows when squared (1e-80 gave a norm of 1 + 5.6e-6, 1e-100 (nan, nan, inf)) and where
+    m(0) = 0 (eps^3 underflows), which the label solve divides by."""
+    spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
+    cyl = CylinderSpec(spec, delta_frac)
+    f0 = float(profile_height(spec, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.5 * (f0 + cyl.t_cut), f0, 1.5 * f0):
+            assert calibration_field(cyl, Point(0.0, 0.0, t)) == TangentVector(0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-120, 1e-200])
+def test_label_on_the_axis_where_m_is_zero(eps):
+    """m(0) = 0 once eps^3 underflows: the label solve divides by it with no warning, and the label
+    is the one it was when it warned "divide by zero"."""
+    cyl = CylinderSpec(SphereSpec(ModelParams(eps, 1.0), 1.0), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        label = leaf_label(cyl, Point(0.0, 0.0, 0.5 * float(profile_height(cyl.spec, 0.0))))
+    assert label == 1.1772298557397423
+
+
+def test_cylinder_cut_is_derived_not_given(spec):
+    """r_cut and t_cut come from delta alone: passing either is a TypeError, not overwritten."""
+    for cut in ({"r_cut": 5.0}, {"t_cut": -9.0}):
+        with pytest.raises(TypeError):
+            CylinderSpec(spec, 0.3, **cut)
+    cyl = CylinderSpec(spec, np.float64(0.3))
+    assert type(cyl.delta) is float and cyl.delta == 0.3
 
 
 def test_calibration_field_continuous_across_sphere(cyl, spec):

@@ -23,7 +23,7 @@ from heisenberg_cmc.ambient import christoffel_frame
 from heisenberg_cmc.meridians import (
     MeridianCurve,
     _geodesic_residual,
-    _lam_mu,
+    _meridian,
     _rk4_velocity,
     euclidean_meridian_field,
     integrate_meridian,
@@ -250,9 +250,8 @@ def test_geodesic_residual_flags_an_off_sphere_curve():
     points[np.argmin(np.abs(points[:-1, 2])), :2] *= 1.0 + 1e-3
     x, y, t = points[:-1].T
     r = _radius_of(x, y)
-    lam, mu, m = _lam_mu(spec.params, r, t, spec.R, *_pieces(spec.params, r, spec.R)[:2])
-    velocities = np.vstack([np.column_stack((x * lam - y * mu, y * lam + x * mu, -m)),
-                            curve.velocities[-1]])
+    field = _meridian(spec.params, x, y, r, t, spec.R, *_pieces(spec.params, r, spec.R)[:2])
+    velocities = np.vstack([np.column_stack(field), curve.velocities[-1]])
     curve = MeridianCurve(spec.R, curve.s, points, velocities)
     r = np.minimum(np.hypot(curve.points[:, 0], curve.points[:, 1]), spec.R)
     drift = np.max(np.abs(np.abs(curve.points[:, 2]) - profile_height(spec, r)))

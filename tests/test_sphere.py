@@ -341,6 +341,40 @@ def test_foliation_normal_agrees_on_sphere(rng, spec):
         assert (a - b).norm() <= 1e-9
 
 
+@pytest.mark.parametrize("eps", [1.0, 1e-80, 1e-120, 1e-200])
+@pytest.mark.parametrize("t", [0.7, -0.7])
+def test_normal_components_on_axis_arrays_are_the_float_path(eps, t):
+    """On the axis off the origin the array path gives sgn(t) T bit for bit as one point does, with
+    no warning, also where m(0) = 0 (eps^3 underflows) and the general formula is 0 inf there."""
+    params = ModelParams(eps, 1.0)
+    g, m, _ = sphere._pieces(params, 0.0, 1.0)
+    one = sphere._normal_components(params, 0.0, 0.0, t, 1.0, g, m)
+    zeros, ts = np.zeros(3), np.full(3, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sphere._normal_components(params, zeros, zeros, ts, np.ones(3), np.full(3, g),
+                                         np.full(3, m))
+    assert rows.shape == (3, 3)
+    for row in rows:
+        assert [v.hex() for v in row.tolist()] == [float(v).hex() for v in one]
+
+
+def test_numpy_scalar_parameters_are_floats():
+    """ModelParams, SphereSpec store Python floats, so a numpy scalar sigma gives the float path's
+    area and volume bit for bit, with its type and no "overflow in scalar divide" warning."""
+    params = ModelParams(np.float64(1e-102), np.float64(-0.00235))
+    assert type(params.epsilon) is float and type(params.sigma) is float
+    spec = SphereSpec(params, np.float64(9.14e5))
+    plain = SphereSpec(ModelParams(1e-102, -0.00235), 9.14e5)
+    assert type(spec.R) is float
+    for fun in (sphere_area, sphere_volume):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fun(spec)
+        assert type(value) is float
+        assert value.hex() == fun(plain).hex()
+
+
 def test_area_volume_euclidean_limit():
     spec = SphereSpec(ModelParams(1.0, 1e-8), 1.0)
     assert abs(sphere_area(spec) - 4.0 * math.pi) <= 1e-4
