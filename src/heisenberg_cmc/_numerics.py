@@ -15,6 +15,7 @@ from .errors import NumericsError
 
 _ULP = float(np.finfo(float).eps)
 _NEWTON_PASSES = 120
+_MAX_SAMPLES = 2**21  # the cap of a sample or row count; meridian_curve: 168 bytes a sample
 _FLOATS = contextlib.nullcontext()  # a Python float start's `np.errstate`: floats do not warn
 
 
@@ -36,10 +37,12 @@ def _each(fun, *args):
 
 
 def _unit(x):
-    """A power of four next to x, sphere by sphere on a stack (`_each`): lengths in it, and their
-    square roots in its square root, round as unscaled but are of order 1, so that their products
-    do not underflow at R = 1e-200."""
-    return _each(lambda v: math.ldexp(1.0, 2 * (math.frexp(v)[1] // 2)), x)
+    """A power of four next to x, elementwise on an array (frexp and ldexp are exact, so each
+    element is its float's): lengths in it, and their square roots in its square root, round as
+    unscaled but are of order 1, so that their products do not underflow at R = 1e-200."""
+    if isinstance(x, np.ndarray):
+        return np.ldexp(1.0, 2 * (np.frexp(x)[1] // 2))
+    return math.ldexp(1.0, 2 * (math.frexp(x)[1] // 2))
 
 
 def _require_finite(x, params, what: str, *args, R=None):

@@ -27,13 +27,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _ULP, _divide, _each, _require_finite, _unit
+from ._numerics import _MAX_SAMPLES, _ULP, _divide, _each, _require_finite, _unit
 from .ambient import ModelParams, Point, _curvature_operator
 from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
                         principal_angle)
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, _divergence, _labels, label_floor
-from .isoperimetry import deficit_reports, jacobi_residual, make_competitors
+from .isoperimetry import _jacobi_maxima, deficit_reports, make_competitors
 from .meridians import MeridianCurve, _geodesic_residual, _pansu_field, meridian_curve
 from .sphere import (
     SphereSpec,
@@ -142,8 +142,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _count(n, what: str) -> int:
     n = int(n)
-    if n < 1:
-        raise DomainError(f"the {what} must be at least 1, got {n}")
+    if not 1 <= n <= _MAX_SAMPLES:  # before an array of n is made
+        raise DomainError(f"the {what} must be at least 1 and at most {_MAX_SAMPLES}, got {n}")
     return n
 
 
@@ -268,27 +268,26 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
 
 def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> float:
     """Worst shortfall of 1 - R/label below `label_floor` on an n x n grid under the sphere in
-    each cylinder, all grids at once with r_cut and t_cut per point.  The depth-0 column's
-    shortfall is 0, so a label that the leaf equation's sign shows above R/(1 - 2 floor - 8 ulp),
-    with a slack above floor, is not solved (`foliation._labels`); the rest are."""
-    cyls, grids = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R], []
-    for cyl in cyls:
-        rs = np.linspace(0.0, cyl.r_cut * 0.995, n)
-        f_rs = profile_height(spec, rs)
-        depths = np.linspace(0.0, 0.999, n)[None, :] * (f_rs[:, None] - cyl.t_cut)
-        ts = f_rs[:, None] - depths
-        if not (ts >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
+    each cylinder, all grids in one `foliation._labels` call: r of shape (cylinders, n, 1) and
+    r_cut, t_cut (cylinders, 1, 1) against heights (cylinders, n, n), so f(r; R) and m(r) are
+    worked out once a radius.  The depth-0 column's shortfall is 0, so a label that the leaf
+    equation's sign shows above R/(1 - 2 floor - 8 ulp), with a slack above floor, is not solved;
+    the rest are."""
+    cyls = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R]
+    rs = np.linspace(0.0, [cyl.r_cut * 0.995 for cyl in cyls], n, axis=-1)[..., None]
+    cuts = {name: np.array([getattr(cyl, name) for cyl in cyls])[:, None, None]
+            for name in ("r_cut", "t_cut")}
+    f_rs = _height(spec, rs)
+    depths = np.linspace(0.0, 0.999, n) * (f_rs - cuts["t_cut"])
+    ts, floors = f_rs - depths, []
+    for cyl, t, depth in zip(cyls, ts, depths):
+        if not (t >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
             raise NumericsError(f"the calibration grid's heights are not normal floats with eps = "
                                 f"{spec.params.epsilon!r}, sigma = {spec.params.sigma!r}, R = {spec.R!r}")
-        grids.append((np.repeat(rs, n), ts.ravel(), label_floor(cyl, depths)))
-    r, t, floors = zip(*grids)
-    cuts = {name: np.repeat([getattr(cyl, name) for cyl in cyls], n * n)
-            for name in ("r_cut", "t_cut")}
-    least = _divide(spec.R, 1.0 - (2.0 * np.concatenate(floors, axis=None) + 8.0 * _ULP))
-    labels = _labels(SimpleNamespace(params=spec.params, R=spec.R, **cuts),
-                     np.concatenate(r), np.concatenate(t), least)
-    return max(float(-((1.0 - spec.R / u) - floor).min())
-               for u, floor in zip(labels.reshape(-1, n, n), floors))
+        floors.append(label_floor(cyl, depth))
+    least = _divide(spec.R, 1.0 - (2.0 * np.array(floors) + 8.0 * _ULP))
+    labels = _labels(SimpleNamespace(params=spec.params, R=spec.R, **cuts), rs, ts, least)
+    return max(float(-((1.0 - spec.R / u) - floor).min()) for u, floor in zip(labels, floors))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -324,8 +323,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run("calibration_bounds", max(map(_check_calibration, specs)), 1e-12)
     # L g in closed form on the meridian chart, so the residual is rounding.  One spec runs
     # every formula of it, so the grid's 27 are not swept; 'y' is -i times the 'x' mode and
-    # has the same maximum
-    run("jacobi_residual", max(jacobi_residual(_spec_from(args), w, n=400) for w in "xt"), 1e-3)
+    # has the same maximum.  Both modes come from one potential, the 'x' maximum first
+    t_max, x_max = _jacobi_maxima(_spec_from(args), n=400)
+    run("jacobi_residual", max(x_max, t_max), 1e-3)
 
     report = {
         "grid": bool(args.grid),

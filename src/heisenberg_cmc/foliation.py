@@ -207,10 +207,11 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, least=None) -> np.ndarray:
-    """Leaf labels of 1-d arrays of cylinder points, both branches; r_cut and t_cut are floats,
-    or arrays like r for cylinders of one sphere, so that one solve labels them all.  A label
-    below the graph that is certainly above `least` (like r) is not solved: it is given as
-    `least`.  F falls in lam, so that is where F at least's chord is above `_residual`'s band."""
+    """Leaf labels of cylinder points, both branches, of t's shape: r, and r_cut and t_cut (floats
+    or arrays, for cylinders of one sphere) broadcast to it, so that f(r; R) and m(r) are worked
+    out once a radius, as on (c, n, 1) radii against (c, n, n) heights.  A label below the graph
+    that is certainly above `least` (like t) is not solved: it is given as `least`.  F falls in
+    lam, so that is where F at least's chord is above `_residual`'s band."""
     if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
         raise DomainError("points must lie inside the half-cylinder")
     depth = _f(cyl.params, r, cyl.R) - t
@@ -223,9 +224,9 @@ def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, least=None) -> np.n
         sure = below & (F > 0.0) & ~near & (cyl.R < least) & (least < np.inf)
         out[sure], below = least[sure], below & ~sure
     if np.any(below):
-        cuts = {k: np.broadcast_to(getattr(cyl, k), r.shape)[below] for k in ("r_cut", "t_cut")}
-        cyl_below = SimpleNamespace(params=cyl.params, R=cyl.R, **cuts)
-        out[below] = _label_below(cyl_below, r[below], t[below])[0]
+        r, r_cut, t_cut = (np.broadcast_to(v, t.shape)[below] for v in (r, cyl.r_cut, cyl.t_cut))
+        cyl_below = SimpleNamespace(params=cyl.params, R=cyl.R, r_cut=r_cut, t_cut=t_cut)
+        out[below] = _label_below(cyl_below, r, t[below])[0]
     return out
 
 

@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _gauss_legendre, _pow, _power, _quad, _require_finite
+from ._numerics import _MAX_SAMPLES, _gauss_legendre, _pow, _power, _quad, _require_finite
 from .ambient import ModelParams, Point
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
@@ -453,19 +453,26 @@ def jacobi_residual(
     L g is evaluated in closed form on the meridian chart (`_jacobi_modes`), where it
     vanishes, so the value is rounding.  g = Re(G e^{i k theta}), so the maximum over the
     angles is |L_k G|: k = 0 and G = g_t for 't', k = 1 for 'x', and 'y' is -i times 'x'.
-    DomainError unless 0 < band < 1/2 and n >= 1.
+    Both maxima come from one potential (`_jacobi_maxima`), and this is the one asked for.
+    DomainError unless 0 < band < 1/2 and 1 <= n <= `_MAX_SAMPLES`.
     """
     if which not in ("x", "y", "t"):
         raise ContractError(f"which must be 'x', 'y' or 't', got {which!r}")
-    if not (0.0 < band < 0.5 and n >= 1):
-        raise DomainError(f"jacobi_residual needs 0 < band < 1/2 and n >= 1, got {band!r}, {n!r}")
+    if not (0.0 < band < 0.5 and 1 <= n <= _MAX_SAMPLES):  # before np.arange allocates
+        raise DomainError(f"jacobi_residual needs 0 < band < 1/2 and n >= 1, and n at most "
+                          f"{_MAX_SAMPLES}, got {band!r}, {n!r}")
+    return _jacobi_maxima(spec, n, band)[which != "t"]
+
+
+def _jacobi_maxima(spec: SphereSpec, n: int, band: float = 0.05) -> tuple[float, float]:
+    """(max |L_0 g_t|, max |L_1 G|) of `jacobi_residual`, from one `jacobi_potential`."""
     params, R = spec.params, spec.R
     h = R / n
     r = np.arange(band * R, min(R * (1.0 - band) + 0.5 * h, R), h)
     potential = jacobi_potential(spec, r)
     g, m, _ = _pieces(params, r, R)
-    res = _jacobi_modes(params.epsilon, params.sigma, R, r, g, m, potential)[which != "t"]
-    return float(np.max(np.abs(res)))
+    modes = _jacobi_modes(params.epsilon, params.sigma, R, r, g, m, potential)
+    return tuple(float(np.max(np.abs(res))) for res in modes)
 
 
 def _jacobi_modes(e, s, R, r, g, m, potential):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _divide, _require_finite
+from ._numerics import _MAX_SAMPLES, _divide, _require_finite
 from .ambient import ModelParams, Point, TangentVector, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
@@ -61,7 +61,6 @@ __all__ = [
     "pansu_meridian_field",
     "pansu_geodesic_residual",
 ]
-_MAX_SAMPLES = 2**21  # meridian_curve peaks at 168 bytes a sample: 0.35 GB at the cap
 
 
 @dataclass(frozen=True)

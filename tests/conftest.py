@@ -15,6 +15,11 @@ GRID = [
     for s in (0.5, 1.0, 2.0)
     for R in (0.5, 1.0, 2.0)
 ]
+# single `verify` specs: the default, the specs that failed the Jacobi mesh, eps = 0.01 and 1e-5,
+# sigma = 0 and a negative sigma
+SINGLE = [SphereSpec(ModelParams(e, s), R) for e, s, R in (
+    (1.0, 1.0, 1.0), (0.7, 1.0, 1.0), (0.3, 1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 1.0, 0.5),
+    (1.0, 0.25, 1.0), (0.01, 1.0, 1.0), (1e-5, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -2.0, 1.5))]
 
 
 def sphere_point(spec, rng, lo=0.02, hi=0.98, hemisphere=None):

@@ -233,10 +233,28 @@ def test_sphere_whose_curvature_overflows_writes_no_file(tmp_path):
     (["sphere", "--R", "1", "--n", "-1"], "profile row count must be at least 1"),
     (["sphere", "--R", "1", "--sweep-n", "0"], "sweep count must be at least 1"),
     (["sphere", "--R", "1", "--sweep-n", "-2"], "sweep count must be at least 1"),
+    # past `_numerics._MAX_SAMPLES`, before an array is asked for: numpy's untyped
+    # _ArrayMemoryError ended these runs, with exit 1, a failed check's code, for isoperim
+    (["sphere", "--R", "1", "--n", "10000000000000"],
+     "profile row count must be at least 1 and at most 2097152, got 10000000000000"),
+    (["sphere", "--R", "1", "--sweep-n", "10000000000000"],
+     "sweep count must be at least 1 and at most 2097152, got 10000000000000"),
+    (["isoperim", "--n", "10000000000000"],
+     "competitor count must be at least 1 and at most 2097152, got 10000000000000"),
 ])
 def test_bad_counts_and_seeds_exit_2(capsys, argv, message):
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert message in capsys.readouterr().err
+
+
+def test_verify_at_R_1e_200_stops_at_the_jacobi_potential():
+    """Every check before it is finite at R = 1e-200; |h|^2, of order 1/R^2, is past the floats,
+    so the one Jacobi pass raises the potential's NumericsError."""
+    res = run_cli("verify", "--R", "1e-200", "--json", "-")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: the Jacobi potential is not finite with eps = 1.0, "
+                          "sigma = 1.0, R = 1e-200\n")
 
 
 @pytest.mark.parametrize("count", [["--n", "0"], ["--sweep-n", "-2"]])

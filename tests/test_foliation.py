@@ -35,7 +35,7 @@ from heisenberg_cmc import cli, foliation
 from heisenberg_cmc.foliation import _leaf_terms
 from heisenberg_cmc.sphere import _f, _mass, _profile
 
-from conftest import GRID, counting_newton_passes, mp_profile
+from conftest import GRID, SINGLE, counting_newton_passes, mp_profile
 
 
 @pytest.fixture
@@ -254,9 +254,6 @@ def _outcome(check, spec):
 # the stress grid of verify's open defects: eps, sigma and R over many decades, sigma of both signs
 STRESS = [SphereSpec(ModelParams(e, s), R) for e in (1e-6, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e3)
           for s in (-4.0, 0.0, 0.25, 1.0, 4.0) for R in (1e-3, 0.1, 1.0, 10.0, 1e3)]
-SINGLE = [SphereSpec(ModelParams(e, s), R) for e, s, R in (
-    (1.0, 1.0, 1.0), (0.7, 1.0, 1.0), (0.3, 1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 1.0, 0.5),
-    (1.0, 0.25, 1.0), (0.01, 1.0, 1.0), (1e-5, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -2.0, 1.5))]
 
 
 @pytest.mark.parametrize("specs", [GRID, STRESS, SINGLE], ids=["grid", "stress", "single"])
@@ -302,6 +299,78 @@ def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypa
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["calibration_bounds"]["measured"] == want
     assert not checks["calibration_bounds"]["passed"]
+
+
+def _column_call(spec):
+    """The one `_labels` call of `verify`'s calibration check on spec, as (cyl, r, t, least,
+    labels), and the number of points it sends through the masked branch's label solve."""
+    calls, solved = [], []
+    labels, label_below = foliation._labels, foliation._label_below
+
+    def recording(cyl, r, t, least=None):
+        calls.append((cyl, r, t, least, labels(cyl, r, t, least)))
+        return calls[-1][-1]
+
+    def counting(cyl, r, t):
+        solved.append(r.size)
+        return label_below(cyl, r, t)
+
+    with mock.patch.object(cli, "_labels", recording), \
+            mock.patch.object(foliation, "_label_below", counting):
+        cli._check_calibration(spec)
+    (call,) = calls
+    return call, sum(solved)
+
+
+def _flat(cyl, r, t, least):
+    """The same points as 1-d arrays, with r, r_cut and t_cut repeated per point (`np.repeat`)."""
+    c, n, _ = t.shape
+    cuts = {k: np.repeat(np.ravel(getattr(cyl, k)), n * n) for k in ("r_cut", "t_cut")}
+    return (SimpleNamespace(params=cyl.params, R=cyl.R, **cuts), np.repeat(r, n), t.ravel(),
+            least.ravel())
+
+
+@pytest.mark.parametrize("specs, masked", [(GRID, 0), (STRESS, 232), (SINGLE, 0)],
+                         ids=["grid", "stress", "single"])
+def test_labels_on_radius_columns_equal_the_flat_layout(specs, masked):
+    """`verify`'s calibration check makes one `_labels` call a sphere, with r of shape
+    (cylinders, n, 1) and r_cut, t_cut (cylinders, 1, 1) against (cylinders, n, n) heights, so
+    that f(r; R) and m(r) are worked out once a radius.  Its labels are those of the flat layout
+    with one r per point, bit for bit, on the 27 spheres of `verify --grid`, the stress grid and
+    the single specs; the stress grid sends 232 points through the masked branch.  The grid,
+    from one profile pass over both cylinders, is each cylinder's own, bit for bit."""
+    total = 0
+    for spec in specs:
+        (cyl, r, t, least, labels), solved = _column_call(spec)
+        c = 1 + (0.3 < spec.R)
+        assert r.shape == (c, 40, 1) and t.shape == least.shape == labels.shape == (c, 40, 40)
+        assert np.shape(cyl.r_cut) == np.shape(cyl.t_cut) == (c, 1, 1)
+        for k, delta in enumerate((0.0, 0.3)[:c]):
+            one = CylinderSpec(spec, delta)
+            rs = np.linspace(0.0, one.r_cut * 0.995, 40)
+            f = profile_height(spec, rs)[:, None]
+            assert r[k, :, 0].tobytes() == rs.tobytes()
+            assert t[k].tobytes() == (f - np.linspace(0.0, 0.999, 40) * (f - one.t_cut)).tobytes()
+        assert labels.tobytes() == foliation._labels(*_flat(cyl, r, t, least)).tobytes(), spec
+        total += solved
+    assert total == masked
+
+
+def test_points_outside_the_cylinder_raise_alike_in_both_layouts():
+    """A radius at R or below 0, or a height at t_cut, raises the same DomainError whether the
+    radii are columns or repeated per point."""
+    (cyl, r, t, least, _), _ = _column_call(GRID[13])
+    for i, value in ((1, cyl.R), (0, -1e-300)):
+        bad = r.copy()
+        bad[i, 7, 0] = value
+        for args in ((cyl, bad, t, least), _flat(cyl, bad, t, least)):
+            with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
+                foliation._labels(*args)
+    bad = t.copy()
+    bad[1, 5, 9] = cyl.t_cut[1, 0, 0]
+    for args in ((cyl, r, bad, least), _flat(cyl, r, bad, least)):
+        with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
+            foliation._labels(*args)
 
 
 @pytest.mark.parametrize("R", [1e-200, 1e-300])

@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -19,9 +20,10 @@ from heisenberg_cmc import (
     sphere_area,
     sphere_volume,
 )
-from heisenberg_cmc import foliation
+from heisenberg_cmc import foliation, isoperimetry
 from heisenberg_cmc.foliation import CylinderSpec, foliation_constants
 from heisenberg_cmc.isoperimetry import (
+    _jacobi_maxima,
     _jacobi_modes,
     calibration_gain,
     deficit_report,
@@ -40,7 +42,7 @@ from heisenberg_cmc._numerics import _quad
 from heisenberg_cmc.curvature import second_fundamental_form
 from heisenberg_cmc.sphere import _f_r, graph_mean_curvature_fd
 
-from conftest import _jacobi_residual_mesh, sphere_point
+from conftest import SINGLE, _jacobi_residual_mesh, sphere_point
 
 
 @pytest.fixture
@@ -446,15 +448,33 @@ def test_jacobi_rejects_bad_field(spec):
 
 
 @pytest.mark.parametrize("band, n", [(0.0, 400), (0.5, 400), (0.6, 400), (-1.0, 400),
-                                     (math.nan, 400), (0.05, 0), (0.05, -3)])
+                                     (math.nan, 400), (0.05, 0), (0.05, -3), (0.05, 10**13)])
 def test_jacobi_residual_outside_its_band_and_mesh_raises_domain_error(spec, band, n):
     """band = 0 divided by zero (NaN), 0.6 left no radius (an untyped ValueError), -1 took
-    negative radii (2.7e-13) and n = 0 divided by zero (ZeroDivisionError)."""
+    negative radii (2.7e-13), n = 0 divided by zero (ZeroDivisionError) and n = 10**13, past
+    `_MAX_SAMPLES`, made np.arange raise an untyped MemoryError."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="0 < band < 1/2 and n >= 1"):
             jacobi_residual(spec, "x", n=n, band=band)
     assert jacobi_residual(spec, "x", n=1, band=0.49) < 1e-12  # one radius, next to the edges
+
+
+@pytest.mark.parametrize("spec", SINGLE, ids=lambda s: f"{s.params.epsilon}-{s.params.sigma}-{s.R}")
+def test_jacobi_pair_is_both_residuals_from_one_potential(spec):
+    """`verify`'s one Jacobi pass gives (max |L_0 g_t|, max |L_1 G|): jacobi_residual's 't' and
+    'x' values, bit for bit, from one potential."""
+    calls = []
+
+    def counting(spec, r):
+        calls.append(r.size)
+        return jacobi_potential(spec, r)
+
+    with mock.patch.object(isoperimetry, "jacobi_potential", counting):
+        pair = _jacobi_maxima(spec, n=400)
+    assert len(calls) == 1
+    assert tuple(map(repr, pair)) == (repr(jacobi_residual(spec, "t", n=400)),
+                                      repr(jacobi_residual(spec, "x", n=400)))
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])

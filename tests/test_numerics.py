@@ -18,7 +18,7 @@ from heisenberg_cmc import (ModelParams, NumericsError, Point, SphereSpec, folia
                             graph_mean_curvature_fd, outer_normal, profile_height, profile_height_r,
                             profile_height_R, profile_quantities, radius_field)
 from heisenberg_cmc._numerics import (_QUAD_MAX_PANELS, _QUAD_RTOL, _divide, _gauss_legendre,
-                                      _newton, _quad)
+                                      _newton, _quad, _unit)
 from heisenberg_cmc.curvature import second_fundamental_form
 from heisenberg_cmc.foliation import (CylinderSpec, foliation_constants, label_floor, leaf_equation,
                                       leaf_label, leaf_label_grid, point_on_leaf)
@@ -479,6 +479,21 @@ def test_divide_by_zero_is_numpy_division_without_a_warning():
         assert math.isnan(_divide(0.0, 0.0))
         q = _divide(np.array([1.0, 0.0, 6.0]), 0.0)
         assert q[0] == math.inf and math.isnan(q[1]) and q[2] == math.inf
+
+
+def test_unit_on_arrays_is_its_float_path_bit_for_bit():
+    """`_unit` on an array is numpy's frexp and ldexp, with no loop over its floats; both are
+    exact, so each element is the float path's power of four, at 0, subnormals, 1e+-300,
+    inf and nan too, and on a stack's (k, 1) column."""
+    xs = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -1e-300, 0.3, 1.0, 3.0,
+          1e300, -1e300, math.inf, -math.inf, math.nan]
+    want = np.array([_unit(x) for x in xs])
+    assert all(type(_unit(x)) is float for x in xs) and want[2] == 5e-324 and want[7] == 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((len(xs),), (len(xs), 1)):
+            got = _unit(np.reshape(xs, shape))
+            assert got.shape == shape and got.tobytes() == want.reshape(shape).tobytes()
 
 
 _ONE = ModelParams(1.0, 1.0)
