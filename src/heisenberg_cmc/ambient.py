@@ -203,8 +203,13 @@ def christoffel_frame(params: ModelParams) -> np.ndarray:
     return g
 
 
-def _connect(gamma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...j,...ijk->...k", u, v, gamma)
+def _connect(tau, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """nabla_u v of constant-coefficient fields u, v (..., 3), tau broadcasting over (...): the six
+    nonzero entries of `christoffel_frame`, each term (u_i v_j)(+-tau) as the table contraction
+    forms it, so its bits; + 0.0 keeps its +0.0 where the terms cancel or tau = 0."""
+    (u0, u1, u2), (v0, v1, v2), neg = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0), -tau
+    return np.stack((u1 * v2 * neg + u2 * v1 * neg, u0 * v2 * tau + u2 * v0 * tau,
+                     u0 * v1 * neg + u1 * v0 * tau), axis=-1) + 0.0
 
 
 def covariant_derivative(
@@ -224,9 +229,7 @@ def covariant_derivative(
     dv = np.asarray(dv_along_u, dtype=float)
     if dv.shape != (3,):
         raise ContractError(f"dv_along_u must have shape (3,), got {dv.shape}")
-    gamma = christoffel_frame(params)
-    out = dv + _connect(gamma, u.as_array(), v.as_array())
-    return TangentVector.from_array(out)
+    return TangentVector.from_array(dv + _connect(params.tau, u.as_array(), v.as_array()))
 
 
 def lie_bracket(params: ModelParams, u: TangentVector, v: TangentVector) -> TangentVector:
@@ -236,12 +239,13 @@ def lie_bracket(params: ModelParams, u: TangentVector, v: TangentVector) -> Tang
 
 
 def _curvature_operator(params: ModelParams, u, v, w) -> np.ndarray:
-    """R(u, v)w on frame coefficients (..., 3), broadcasting; the connection
-    is torsion-free, so [u, v] = nabla_u v - nabla_v u."""
-    g = christoffel_frame(params)
-    bracket = _connect(g, u, v) - _connect(g, v, u)
-    return (_connect(g, u, _connect(g, v, w)) - _connect(g, v, _connect(g, u, w))
-            - _connect(g, bracket, w))
+    """R(u, v)w on frame coefficients (..., 3), broadcasting; the connection is torsion-free, so
+    [u, v] = nabla_u v - nabla_v u.  Its seven connections are two calls on stacked pairs."""
+    tau = params.tau
+    u, v, w = np.broadcast_arrays(u, v, w)
+    uv, vu, vw, uw = _connect(tau, np.stack((u, v, v, u)), np.stack((v, u, w, w)))
+    a, b, c = _connect(tau, np.stack((u, v, uv - vu)), np.stack((vw, uw, w)))
+    return a - b - c
 
 
 def curvature_operator(

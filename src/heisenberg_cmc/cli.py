@@ -5,7 +5,7 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report; the
               curvature checks run once over the stack of spheres (27 with
-              --grid), the calibration check by the sign of the leaf equation
+              --grid), the calibration check by the leaf equation's sign, 3 spheres a call
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
@@ -32,7 +32,7 @@ from .ambient import ModelParams, Point, _curvature_operator
 from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
                         principal_angle)
 from .errors import ContractError, DomainError, NumericsError
-from .foliation import CylinderSpec, _divergence, _labels, label_floor
+from .foliation import CylinderSpec, _divergence, _floor, _k_f0, _labels, label_floor
 from .isoperimetry import _jacobi_maxima, deficit_reports, make_competitors
 from .meridians import MeridianCurve, _geodesic_residual, _pansu_field, meridian_curve
 from .sphere import (
@@ -199,11 +199,14 @@ def cmd_sphere(args: argparse.Namespace) -> int:
 class _Stack(SimpleNamespace):
     """k spheres, `_Stack(members=specs)`, as one for the array kernels: an attribute is the (k, 1)
     column of the members' own floats, each worked out once, and broadcasts over (k, n) points;
-    `params` is the stack of their ModelParams."""
+    `params` is the stack of their ModelParams.  `shape=(-1, 1, 1)` makes the columns (k, 1, 1)."""
+
+    shape = (-1, 1)
 
     def __getattr__(self, name: str):
         values = [getattr(m, name) for m in self.members]
-        col = _Stack(members=values) if name == "params" else np.array(values)[:, None]
+        col = (_Stack(members=values, shape=self.shape) if name == "params"
+               else np.reshape(values, self.shape))
         setattr(self, name, col)
         return col
 
@@ -266,28 +269,35 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
     return float(np.max(np.abs(lhs - rhs) / den))
 
 
-def _check_calibration(spec: SphereSpec, deltas=(0.0, 0.3), n: int = 40) -> float:
-    """Worst shortfall of 1 - R/label below `label_floor` on an n x n grid under the sphere in
-    each cylinder, all grids in one `foliation._labels` call: r of shape (cylinders, n, 1) and
-    r_cut, t_cut (cylinders, 1, 1) against heights (cylinders, n, n), so f(r; R) and m(r) are
-    worked out once a radius.  The depth-0 column's shortfall is 0, so a label that the leaf
-    equation's sign shows above R/(1 - 2 floor - 8 ulp), with a slack above floor, is not solved;
-    the rest are."""
-    cyls = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R]
-    rs = np.linspace(0.0, [cyl.r_cut * 0.995 for cyl in cyls], n, axis=-1)[..., None]
-    cuts = {name: np.array([getattr(cyl, name) for cyl in cyls])[:, None, None]
-            for name in ("r_cut", "t_cut")}
-    f_rs = _height(spec, rs)
-    depths = np.linspace(0.0, 0.999, n) * (f_rs - cuts["t_cut"])
-    ts, floors = f_rs - depths, []
-    for cyl, t, depth in zip(cyls, ts, depths):
-        if not (t >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
-            raise NumericsError(f"the calibration grid's heights are not normal floats with eps = "
-                                f"{spec.params.epsilon!r}, sigma = {spec.params.sigma!r}, R = {spec.R!r}")
-        floors.append(label_floor(cyl, depth))
-    least = _divide(spec.R, 1.0 - (2.0 * np.array(floors) + 8.0 * _ULP))
-    labels = _labels(SimpleNamespace(params=spec.params, R=spec.R, **cuts), rs, ts, least)
-    return max(float(-((1.0 - spec.R / u) - floor).min()) for u, floor in zip(labels, floors))
+def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
+    """Worst shortfall of 1 - R/label below the label floor on an n x n grid under the sphere in
+    each cylinder of a SphereSpec or of each `_Stack` member, each cylinder's grid reduced and then
+    Python's max in member order.  3 spheres a `_labels` call: r (cylinders, n, 1) against heights
+    (cylinders, n, n), and R, eps, sigma, r_cut, t_cut (cylinders, 1, 1) columns, or one sphere's
+    floats, so f(r; R) and m(r) are worked out once a radius and a block's arrays (6 x 40 x 40
+    floats) stay under glibc's 128 KiB mmap threshold.  The depth-0 shortfall is 0, so a label
+    that the leaf equation's sign shows above R/(1 - 2 floor - 8 ulp) is not solved."""
+    members, worst = getattr(spheres, "members", [spheres]), []
+    for specs in (members[b:b + 3] for b in range(0, len(members), 3)):
+        cyls = [(i, CylinderSpec(spec, delta))
+                for i, spec in enumerate(specs) for delta in deltas if delta < spec.R]
+        block = _Stack(members=[cyl for _, cyl in cyls], shape=(-1, 1, 1))
+        if len(specs) == 1:
+            block.params, block.R = specs[0].params, specs[0].R
+        rs = np.linspace(0.0, [cyl.r_cut * 0.995 for _, cyl in cyls], n, axis=-1)[..., None]
+        f_rs = _height(block, rs)
+        depths = np.linspace(0.0, 0.999, n) * (f_rs - block.t_cut)
+        ts, floors, k_f0 = f_rs - depths, [], [_k_f0(spec) for spec in specs]  # once a sphere
+        for (i, cyl), t, depth in zip(cyls, ts, depths):
+            if not (t >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
+                p = cyl.params
+                raise NumericsError(f"the calibration grid's heights are not normal floats with "
+                                    f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {cyl.R!r}")
+            floors.append(_floor(cyl, depth, *k_f0[i]))
+        least = _divide(block.R, 1.0 - (2.0 * (floors := np.array(floors)) + 8.0 * _ULP))
+        short = [float(-s.min()) for s in (1.0 - block.R / _labels(block, rs, ts, least)) - floors]
+        worst += [max(s for (i, _), s in zip(cyls, short) if i == k) for k in range(len(specs))]
+    return max(worst)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -320,7 +330,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run("traceless_correction", _check_k0(spheres, rng, float(args.perturb_h)), 1e-10)
     run("principal_directions", _check_principal(spheres, rng), 1e-12)
     run("curvature_identity", _check_curvature_identity(spheres, rng), 1e-10)
-    run("calibration_bounds", max(map(_check_calibration, specs)), 1e-12)
+    run("calibration_bounds", _check_calibration(spheres), 1e-12)
     # L g in closed form on the meridian chart, so the residual is rounding.  One spec runs
     # every formula of it, so the grid's 27 are not swept; 'y' is -i times the 'x' mode and
     # has the same maximum.  Both modes come from one potential, the 'x' maximum first

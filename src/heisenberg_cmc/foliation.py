@@ -37,7 +37,7 @@ import numpy as np
 from ._numerics import _ULP, _divide, _newton, _power, _require_finite, _unit
 from .ambient import ModelParams, Point, TangentVector
 from .errors import DomainError, NumericsError
-from .sphere import (SphereSpec, _f, _gap, _kernel, _mass, _normal_components, _radius_of,
+from .sphere import (SphereSpec, _f, _gap, _height, _kernel, _mass, _normal_components, _radius_of,
                      profile_height)
 
 __all__ = [
@@ -71,7 +71,7 @@ class CylinderSpec:
             raise DomainError(f"delta must lie in [0, R), got {self.delta!r}")
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "r_cut", R - self.delta)
-        object.__setattr__(self, "t_cut", float(profile_height(self.spec, self.r_cut)))
+        object.__setattr__(self, "t_cut", float(_height(self.spec, self.r_cut)))  # 0 < r_cut <= R
 
     @property
     def params(self) -> ModelParams:
@@ -152,26 +152,37 @@ def _chord(cyl: CylinderSpec, r: np.ndarray, y):
     u = _unit(cyl.R)
     r, r_cut = r / u, cyl.r_cut / u
     k = (r_cut - r) * (r_cut + r) / (y / u) * u
-    return np.stack((0.5 * (k + y), np.maximum(0.5 * (k - y), 0.0)))
+    return 0.5 * (k + y), np.maximum(0.5 * (k - y), 0.0)
+
+
+def _end(sigma, s, m):
+    """f(rho; lam) = s_rho F/g and F' from `sphere._kernel` at g = s_rho, m = m(rho), q = p_rho =
+    sigma s_rho/m, elementwise: one chord end, or both stacked."""
+    f_over_s, dF = _kernel(s, m, sigma, _divide(sigma * s, m))  # m(0) = 0 where eps^3 underflows
+    return s * f_over_s, dF
 
 
 def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, m: np.ndarray, y):
     """(s_r, s_cut), (f(r; lam), f(r_cut; lam)) and dF/dy at the chord y; `m` stacks m(r), m(r_cut).
-    f(rho; lam) = s_rho F/g and F' from `sphere._kernel` at g = s_rho, m, q = p_rho = sigma s_rho/m;
     dF/dy = (s_r F'_cut - s_cut F'_r)/y, finite as s_cut -> 0; F_lam = -lam y dF/dy/(s_r s_cut)."""
-    sigma = cyl.params.sigma
-    s = _chord(cyl, r, y)
-    f_over_s, dF = _kernel(s, m, sigma, _divide(sigma * s, m))  # m(0) = 0 where eps^3 underflows
-    return s, s * f_over_s, (s[0] * dF[1] - s[1] * dF[0]) / y
+    s = np.stack(_chord(cyl, r, y))
+    f, dF = _end(cyl.params.sigma, s, m)
+    return s, f, (s[0] * dF[1] - s[1] * dF[0]) / y
+
+
+def _band(cyl: CylinderSpec, t: np.ndarray, f_r, f_cut):
+    """F = f(r; lam) - f(r_cut; lam) + t_cut - t, and whether |F| is at the rounding level of its
+    terms, 16 ulp of their size, where `_label_below` stops."""
+    F = f_r - f_cut + cyl.t_cut - t
+    scale = np.abs(f_r) + np.abs(f_cut) + (abs(cyl.t_cut) + np.abs(t))
+    return F, np.abs(F) <= 16.0 * _ULP * scale
 
 
 def _residual(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, m: np.ndarray, y):
-    """F and dF/dy at the chord y, and whether |F| is at the rounding level of its terms,
-    16 ulp of their size, where `_label_below` stops."""
+    """F and dF/dy at the chord y, and `_band`'s rounding-level mask."""
     _, f, dF = _leaf_terms(cyl, r, m, y)
-    F = f[0] - f[1] + cyl.t_cut - t
-    scale = np.abs(f[0]) + np.abs(f[1]) + (abs(cyl.t_cut) + np.abs(t))
-    return F, dF, np.abs(F) <= 16.0 * _ULP * scale
+    F, near = _band(cyl, t, f[0], f[1])
+    return F, dF, near
 
 
 def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
@@ -207,25 +218,29 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
 
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, least=None) -> np.ndarray:
-    """Leaf labels of cylinder points, both branches, of t's shape: r, and r_cut and t_cut (floats
-    or arrays, for cylinders of one sphere) broadcast to it, so that f(r; R) and m(r) are worked
-    out once a radius, as on (c, n, 1) radii against (c, n, n) heights.  A label below the graph
-    that is certainly above `least` (like t) is not solved: it is given as `least`.  F falls in
-    lam, so that is where F at least's chord is above `_residual`'s band."""
+    """Leaf labels of cylinder points, both branches, of t's shape: r, r_cut, t_cut, R, eps and
+    sigma (floats, or arrays for cylinders of one or more spheres) broadcast to it, so that f(r; R)
+    and m(r) are worked out once a radius, as on (c, n, 1) radii against (c, n, n) heights.  A
+    label below the graph certainly above `least` (like t) is `least`, not solved: F falls in lam,
+    so that is where F at least's chord, one chord end at a time, is above `_band`'s."""
+    params = cyl.params
     if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
         raise DomainError("points must lie inside the half-cylinder")
-    depth = _f(cyl.params, r, cyl.R) - t
+    depth = _f(params, r, cyl.R) - t
     out = depth + cyl.R
     below = depth > 0.0
     if least is not None:
-        m = _mass(cyl.params, np.stack((r, np.full_like(r, cyl.r_cut))))
         with np.errstate(all="ignore"):  # a least past inf or not above R decides nothing
-            F, _, near = _residual(cyl, r, t, m, _chord_at(cyl, r, least))
+            s_r, s_cut = _chord(cyl, r, _chord_at(cyl, r, least))
+            f_r = _end(params.sigma, s_r, _mass(params, r))[0]
+            F, near = _band(cyl, t, f_r, _end(params.sigma, s_cut, _mass(params, cyl.r_cut))[0])
         sure = below & (F > 0.0) & ~near & (cyl.R < least) & (least < np.inf)
         out[sure], below = least[sure], below & ~sure
-    if np.any(below):
-        r, r_cut, t_cut = (np.broadcast_to(v, t.shape)[below] for v in (r, cyl.r_cut, cyl.t_cut))
-        cyl_below = SimpleNamespace(params=cyl.params, R=cyl.R, r_cut=r_cut, t_cut=t_cut)
+    if np.any(below):  # each point's own r, cuts, R, eps and sigma; a float stays one
+        e, s, R, r_cut, t_cut, r = (np.broadcast_to(v, t.shape)[below] if np.ndim(v) else v for v in
+                                    (params.epsilon, params.sigma, cyl.R, cyl.r_cut, cyl.t_cut, r))
+        cyl_below = SimpleNamespace(params=SimpleNamespace(epsilon=e, sigma=s), R=R, r_cut=r_cut,
+                                    t_cut=t_cut)
         out[below] = _label_below(cyl_below, r, t[below])[0]
     return out
 
@@ -360,7 +375,11 @@ def label_floor(cyl: CylinderSpec, depth):
     delta > 0, sqrt(delta) * depth / (R k + f(0;R)).  NumericsError where it is not finite, as
     where f(0;R) underflows to 0.
     """
-    k, f0 = _k_f0(cyl.spec)
+    return _floor(cyl, depth, *_k_f0(cyl.spec))
+
+
+def _floor(cyl: CylinderSpec, depth, k: float, f0: float):
+    """`label_floor` from the sphere's k and f(0; R) (`_k_f0`), which a caller may hold."""
     # depth, R and f(0;R) in units of u, k in its square root; the quadratic floor's u is f(0;R),
     # so that its terms stay near 1 (R m(R) <= (1 + 4/pi) f0) where eps^3 = 1e-240 at sigma = 0
     u = _unit(f0 if cyl.delta == 0.0 else cyl.R)

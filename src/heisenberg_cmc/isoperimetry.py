@@ -461,18 +461,21 @@ def jacobi_residual(
     if not (0.0 < band < 0.5 and 1 <= n <= _MAX_SAMPLES):  # before np.arange allocates
         raise DomainError(f"jacobi_residual needs 0 < band < 1/2 and n >= 1, and n at most "
                           f"{_MAX_SAMPLES}, got {band!r}, {n!r}")
-    return _jacobi_maxima(spec, n, band)[which != "t"]
+    return _require_finite(_jacobi_maxima(spec, n, band)[which != "t"], spec.params,
+                           "the Jacobi residual of the {!r} mode", which, R=spec.R)
 
 
 def _jacobi_maxima(spec: SphereSpec, n: int, band: float = 0.05) -> tuple[float, float]:
-    """(max |L_0 g_t|, max |L_1 G|) of `jacobi_residual`, from one `jacobi_potential`."""
+    """(max |L_0 g_t|, max |L_1 G|) of `jacobi_residual`, from one `jacobi_potential`; NaN with no
+    warning where a term overflows, for the reader's `_require_finite` ('t' at eps = 1e-80)."""
     params, R = spec.params, spec.R
     h = R / n
     r = np.arange(band * R, min(R * (1.0 - band) + 0.5 * h, R), h)
     potential = jacobi_potential(spec, r)
     g, m, _ = _pieces(params, r, R)
-    modes = _jacobi_modes(params.epsilon, params.sigma, R, r, g, m, potential)
-    return tuple(float(np.max(np.abs(res))) for res in modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes = _jacobi_modes(params.epsilon, params.sigma, R, r, g, m, potential)
+        return tuple(float(np.max(np.abs(res))) for res in modes)
 
 
 def _jacobi_modes(e, s, R, r, g, m, potential):
@@ -485,7 +488,7 @@ def _jacobi_modes(e, s, R, r, g, m, potential):
     Theta' = sigma r / m: G = v e^{i Theta}, and L_1 G is e^{i Theta} times the second value."""
     cs, sn = g / R, r / R
     m1 = s * s * r * g / m
-    m2 = (s * s * (g * g - r * r) - m1 * m1) / m
+    m2 = (s * s * (g * g - r * r) - m1 * m1) / m if s else 0.0 * m1  # g^2 may overflow at s = 0
     q = cs / m
     q1 = -(sn + cs * m1 / m) / m
     q2 = -(cs - 2.0 * sn * m1 / m + cs * (m2 - 2.0 * m1 * m1 / m) / m) / m

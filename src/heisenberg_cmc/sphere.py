@@ -83,8 +83,9 @@ class SphereSpec:
 
     @property
     def H(self) -> float:
-        """Mean curvature; eps * H * R = 1."""
-        return 1.0 / (self.params.epsilon * self.R)
+        """Mean curvature; eps * H * R = 1.  NumericsError where eps R underflows."""
+        return _require_finite(_divide(1.0, self.params.epsilon * self.R), self.params,
+                               "the mean curvature 1/(eps R)", R=self.R)
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,11 @@ def _atanc(p, atan_p=None):
     when the caller has it already.  Below |p| = 1e-8 the series 1 - p^2/3 rounds to 1."""
     if not isinstance(p, np.ndarray):
         return 1.0 if abs(p) < 1e-8 else (_arctan(p) if atan_p is None else atan_p) / p
-    small = np.abs(p) < 1e-8
-    safe = np.where(small, 1.0, p)
-    atan_safe = np.arctan(safe) if atan_p is None else atan_p  # masked where small
-    return np.where(small, 1.0, atan_safe / safe)
+    small, safe = np.abs(p) < 1e-8, p.copy()  # masked stores, a third of np.where's cost
+    safe[small] = 1.0
+    out = (np.arctan(safe) if atan_p is None else atan_p) / safe  # atan_p is masked where small
+    out[small] = 1.0
+    return out
 
 
 def _ell(p):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from heisenberg_cmc import ContractError, DomainError, ModelParams, Point, SphereSpec, profile_height
+from heisenberg_cmc.ambient import christoffel_frame
 from heisenberg_cmc.isoperimetry import jacobi_potential, normal_component
 from heisenberg_cmc.sphere import _f, _f_r
 
@@ -20,6 +22,20 @@ GRID = [
 SINGLE = [SphereSpec(ModelParams(e, s), R) for e, s, R in (
     (1.0, 1.0, 1.0), (0.7, 1.0, 1.0), (0.3, 1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 1.0, 0.5),
     (1.0, 0.25, 1.0), (0.01, 1.0, 1.0), (1e-5, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -2.0, 1.5))]
+
+
+def table_connect(tau, u, v):
+    """nabla_u v as the contraction of u and v with the (..., 3, 3, 3) table `christoffel_frame`
+    of tau: the oracle of `ambient._connect`'s closed form."""
+    return np.einsum("...i,...j,...ijk->...k", u, v, christoffel_frame(SimpleNamespace(tau=tau)))
+
+
+def table_curvature_operator(params, u, v, w):
+    """R(u, v)w by seven `table_connect` calls: the oracle of `ambient._curvature_operator`."""
+    bracket = table_connect(params.tau, u, v) - table_connect(params.tau, v, u)
+    return (table_connect(params.tau, u, table_connect(params.tau, v, w))
+            - table_connect(params.tau, v, table_connect(params.tau, u, w))
+            - table_connect(params.tau, bracket, w))
 
 
 def sphere_point(spec, rng, lo=0.02, hi=0.98, hemisphere=None):

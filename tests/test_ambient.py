@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from heisenberg_cmc import (
     vector_to_coordinates,
     vertical_component,
 )
+from heisenberg_cmc.ambient import _connect, _curvature_operator
 from heisenberg_cmc.curvature import tangent_frame
 
-from conftest import GRID, sphere_point
+from conftest import GRID, sphere_point, table_connect, table_curvature_operator
 
 X = TangentVector(1.0, 0.0, 0.0)
 Y = TangentVector(0.0, 1.0, 0.0)
@@ -127,6 +129,39 @@ def test_connection_table_examples():
     assert covariant_derivative(p, X, X, ZERO3).as_array() == pytest.approx([0, 0, 0])
     assert covariant_derivative(p, Y, X, ZERO3).as_array() == pytest.approx([0, 0, tau])
     assert covariant_derivative(p, T, X, ZERO3).as_array() == pytest.approx([0, tau, 0])
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+def test_connect_is_the_table_contraction_bit_for_bit(scale):
+    """The closed-form connection, (u_i v_j)(+-tau) on the six nonzero entries of the table, is
+    the table's contraction bit for bit: on random (5, 40, 3) fields with a float tau and a
+    stacked (5, 1) tau of magnitude up to 1e150, and at tau = 0 and -0.0, where the contraction's
+    zeros are +0.0 (bytes tell the signs of zero apart)."""
+    rng = np.random.default_rng(int(-math.log10(scale)) + 200)
+    u, v = rng.normal(size=(2, 5, 40, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(2, 5, 40, 1))
+    u[0, :3] = v[0, :3] = 0.0  # whole terms of zero, and zero components
+    taus = (scale, -scale, scale * rng.normal(size=(5, 1)), 0.0, -0.0,
+            np.array([[0.0], [-0.0]] * 2 + [[scale]]))
+    for tau in taus:
+        got, want = _connect(tau, u, v), table_connect(tau, u, v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), tau
+    assert not np.signbit(_connect(0.0, u, v)).any()
+
+
+@pytest.mark.parametrize("eps, sig", [(1.0, 1.0), (0.5, -2.0), (2.0, 0.0), (1e-3, 1.0)])
+def test_curvature_operator_is_the_seven_table_contractions_bit_for_bit(eps, sig, rng):
+    """R(u, v)w by two closed-form calls on stacked pairs is the composition of seven table
+    contractions bit for bit, on one point's 3-vectors, on a (40, 3) batch and on a stack of
+    spheres' (k, 40, 3) fields with their (k, 1) column of tau."""
+    params = ModelParams(eps, sig)
+    stack = SimpleNamespace(tau=np.array([[params.tau], [0.5 * params.tau], [0.0]]))
+    for p, shape in ((params, (3,)), (params, (40, 3)), (stack, (3, 40, 3))):
+        u, v, w = rng.normal(size=(3,) + shape)
+        got, want = _curvature_operator(p, u, v, w), table_curvature_operator(p, u, v, w)
+        assert got.tobytes() == want.tobytes()
+    e = np.eye(3)  # broadcasting arguments, as ricci's basis against one direction
+    assert (_curvature_operator(params, e, e[1], e[2]).tobytes()
+            == table_curvature_operator(params, e, e[1], e[2]).tobytes())
 
 
 def test_covariant_derivative_requires_derivative_data():

@@ -247,6 +247,29 @@ def test_bad_counts_and_seeds_exit_2(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_verify_where_eps_R_underflows_exits_3():
+    """At eps = 1e-40 and R = 1e-300, eps R underflows to 0: H = 1/(eps R) is a typed numeric
+    failure with no warning, where a ZeroDivisionError traceback exited 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("verify", "--epsilon", "1e-40", "--R", "1e-300", "--json", "-")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: the mean curvature 1/(eps R) is not finite with "
+                          "eps = 1e-40, sigma = 1.0, R = 1e-300\n")
+
+
+def test_verify_at_sigma_0_and_R_1e160_passes_with_no_warning():
+    """At sigma = 0 and R = 1e160, g^2 overflowed in the Jacobi modes, and `verify` exited 3 after
+    two RuntimeWarnings; every check is now finite and passes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("verify", "--sigma", "0", "--R", "1e160", "--json", "-")
+    assert res.returncode == cli.EXIT_OK and res.stderr == ""
+    report = json.loads(res.stdout)
+    assert report["passed"] and len(report["checks"]) == 6
+
+
 def test_verify_at_R_1e_200_stops_at_the_jacobi_potential():
     """Every check before it is finite at R = 1e-200; |h|^2, of order 1/R^2, is past the floats,
     so the one Jacobi pass raises the potential's NumericsError."""

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import warnings
@@ -35,7 +38,7 @@ from heisenberg_cmc import cli, foliation
 from heisenberg_cmc.foliation import _leaf_terms
 from heisenberg_cmc.sphere import _f, _mass, _profile
 
-from conftest import GRID, SINGLE, counting_newton_passes, mp_profile
+from conftest import GRID, SINGLE, counting_newton_passes, mp_profile, table_curvature_operator
 
 
 @pytest.fixture
@@ -283,14 +286,15 @@ def test_calibration_check_solves_at_most_1_percent_of_the_stress_grid():
 def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypatch, capsys):
     """Negative control: a floor raised 2.5-fold fails the grid points whose slack was under
     1.5 floor.  Those are solved, and the check and `verify` report the full solve's worst
-    shortfall and fail."""
+    shortfall and fail.  The check takes the floor from the sphere's k and f(0; R) (`_floor`)."""
     def raised(cyl, depth):
         return 2.5 * foliation.label_floor(cyl, depth)
 
     spec = SphereSpec(ModelParams(1.0, 1.0), 1.0)
     want = _full_solve_calibration(spec, floor=raised)
     assert want > 1e-12
-    monkeypatch.setattr(cli, "label_floor", raised)
+    monkeypatch.setattr(cli, "_floor",
+                        lambda cyl, depth, k, f0: 2.5 * foliation._floor(cyl, depth, k, f0))
     solved = []
     with counting_newton_passes(foliation, "leaf label solve", solved):
         assert cli._check_calibration(spec) == want
@@ -301,9 +305,10 @@ def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypa
     assert not checks["calibration_bounds"]["passed"]
 
 
-def _column_call(spec):
-    """The one `_labels` call of `verify`'s calibration check on spec, as (cyl, r, t, least,
-    labels), and the number of points it sends through the masked branch's label solve."""
+def _labels_calls(spheres):
+    """`verify`'s calibration check on a SphereSpec or a `_Stack`: its value, its `_labels` calls
+    as (cyl, r, t, least, labels), and the number of points they send through the masked
+    branch's label solve."""
     calls, solved = [], []
     labels, label_below = foliation._labels, foliation._label_below
 
@@ -317,9 +322,14 @@ def _column_call(spec):
 
     with mock.patch.object(cli, "_labels", recording), \
             mock.patch.object(foliation, "_label_below", counting):
-        cli._check_calibration(spec)
-    (call,) = calls
-    return call, sum(solved)
+        value = cli._check_calibration(spheres)
+    return value, calls, sum(solved)
+
+
+def _column_call(spec):
+    """The one `_labels` call of the check on one sphere, and its masked-branch count."""
+    _, (call,), solved = _labels_calls(spec)
+    return call, solved
 
 
 def _flat(cyl, r, t, least):
@@ -371,6 +381,81 @@ def test_points_outside_the_cylinder_raise_alike_in_both_layouts():
     for args in ((cyl, r, bad, least), _flat(cyl, r, bad, least)):
         with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
             foliation._labels(*args)
+
+
+def _stacks(specs, size):
+    return [cli._Stack(members=specs[i:i + size]) for i in range(0, len(specs), size)]
+
+
+@pytest.mark.parametrize("specs, size, masked", [(GRID, 27, 0), (STRESS, 7, 232), (SINGLE, 4, 0)],
+                         ids=["grid", "stress", "single"])
+def test_stacked_calibration_check_equals_the_per_sphere_loop(specs, size, masked):
+    """Over a `_Stack` the check decides 3 spheres a `_labels` call, R, eps, sigma, r_cut and t_cut
+    as (cylinders, 1, 1) columns against (cylinders, n, n) heights, and reports what the loop of
+    one-sphere checks over its members reports, repr for repr, so the sign of a zero shortfall
+    too: the 27 `--grid` spheres as one stack in 9 calls; the stress grid in stacks of 7, whose
+    blocks mix members of 1 and 2 cylinders and end in a block of one, sending the loop's 232
+    points through the masked branch; the single specs in stacks of 4.  One sphere keeps its
+    floats."""
+    total = 0
+    for stack in _stacks(specs, size):
+        value, calls, solved = _labels_calls(stack)
+        blocks = [stack.members[i:i + 3] for i in range(0, len(stack.members), 3)]
+        assert len(calls) == len(blocks)
+        for (cyl, r, t, least, labels), block in zip(calls, blocks):
+            c = sum(1 + (0.3 < spec.R) for spec in block)
+            assert r.shape == (c, 40, 1) and t.shape == least.shape == labels.shape == (c, 40, 40)
+            cols = (cyl.R, cyl.params.epsilon, cyl.params.sigma) if len(block) > 1 else ()
+            assert all(np.shape(v) == (c, 1, 1) for v in cols + (cyl.r_cut, cyl.t_cut))
+            if len(block) == 1:
+                assert cyl.params is block[0].params and cyl.R is block[0].R
+        assert repr(value) == repr(max(cli._check_calibration(spec) for spec in stack.members))
+        total += solved
+    assert total == masked
+    assert len(_labels_calls(GRID[13])[1]) == 1
+
+
+def test_sign_test_is_the_residuals_band_bit_for_bit():
+    """The sign test of `_labels` takes F and its 16-ulp band at lam*'s chord one chord end at a
+    time, with no dF/dy; on every block of the `--grid` stack and of the stress grid in stacks of
+    7 they are those of `_residual`, whose chord ends are stacked, bit for bit."""
+    band = foliation._band
+    for stack in [cli._Stack(members=GRID)] + _stacks(STRESS, 7):
+        for cyl, r, t, least, _ in _labels_calls(stack)[1]:
+            seen = []
+
+            def recording(cyl, t, f_r, f_cut):
+                seen.append(band(cyl, t, f_r, f_cut))
+                return seen[-1]
+
+            with mock.patch.object(foliation, "_band", recording):
+                foliation._labels(cyl, r, t, least)
+            m = _mass(cyl.params, np.stack((r, np.full_like(r, cyl.r_cut))))
+            with np.errstate(all="ignore"):
+                F, _, near = foliation._residual(cyl, r, t, m, foliation._chord_at(cyl, r, least))
+            assert seen[0][0].tobytes() == F.tobytes() and seen[0][1].tobytes() == near.tobytes()
+
+
+_full_solve_grid = functools.cache(_full_solve_calibration)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_grid_report_equals_the_per_sphere_oracle(seed, monkeypatch):
+    """`verify --grid` prints, byte for byte, the report of the per-sphere oracle: the worst
+    full-solve shortfall (`_full_solve_calibration`) of the 27 spheres taken one at a time, and
+    R(u, v)w by seven contractions with the connection table (`table_curvature_operator`)."""
+    def report():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--grid", "--seed", str(seed), "--json", "-"])
+        return code, out.getvalue()
+
+    got = report()
+    monkeypatch.setattr(cli, "_check_calibration",
+                        lambda spheres: max(map(_full_solve_grid, spheres.members)))
+    monkeypatch.setattr(cli, "_curvature_operator", table_curvature_operator)
+    assert got == report()
+    assert json.loads(got[1])["n_specs"] == 27
 
 
 @pytest.mark.parametrize("R", [1e-200, 1e-300])

@@ -40,7 +40,7 @@ from heisenberg_cmc.isoperimetry import (
 )
 from heisenberg_cmc._numerics import _quad
 from heisenberg_cmc.curvature import second_fundamental_form
-from heisenberg_cmc.sphere import _f_r, graph_mean_curvature_fd
+from heisenberg_cmc.sphere import _f_r, _pieces, graph_mean_curvature_fd
 
 from conftest import SINGLE, _jacobi_residual_mesh, sphere_point
 
@@ -559,6 +559,63 @@ def test_jacobi_residual_where_tau_squared_overflows_raises_typed(which):
             jacobi_residual(spec, which)
         with pytest.raises(NumericsError, match="Jacobi potential"):
             jacobi_potential(spec, 0.5e-200)
+
+
+@pytest.mark.parametrize("which", ["x", "y", "t"])
+def test_jacobi_residual_where_eps_R_underflows_raises_typed(which):
+    """eps R = 1e-340 underflows to 0, so H = 1/(eps R) is a NumericsError with no warning, where
+    `curvature._shape` raised an untyped ZeroDivisionError."""
+    spec = SphereSpec(ModelParams(1e-40, 1.0), 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="mean curvature 1/\\(eps R\\) is not finite with "
+                                                "eps = 1e-40, sigma = 1.0, R = 1e-300"):
+            jacobi_residual(spec, which)
+
+
+class _TruthyZero(float):
+    """0.0 that is true, so `_jacobi_modes` takes its sigma != 0 expression for m'' at sigma = 0."""
+
+    def __bool__(self):
+        return True
+
+
+@pytest.mark.parametrize("eps", [1e-80, 1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e3, 1e150, 1e160])
+def test_jacobi_modes_at_sigma_0_are_finite_or_typed(eps, R):
+    """At sigma = 0, g^2 overflowed at R = 1e160 and 0 * inf made every mode NaN after two
+    RuntimeWarnings, and at eps = 1e-80 the 't' mode's terms overflow.  Under -W error each mode
+    is now finite or a NumericsError naming it; where the sigma != 0 expression for m'' is finite
+    both modes are its, bit for bit."""
+    spec = SphereSpec(ModelParams(eps, 0.0), R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for which in "xyt":
+            try:
+                assert math.isfinite(jacobi_residual(spec, which))
+            except NumericsError as exc:
+                assert (eps, which) == (1e-80, "t")
+                assert str(exc).startswith("the Jacobi residual of the 't' mode is not finite")
+        r = np.linspace(0.05, 0.95, 19) * R
+        g, m, _ = _pieces(spec.params, r, R)
+        chart = (eps, 0.0, R, r, g, m, jacobi_potential(spec, r))
+    with np.errstate(all="ignore"):
+        guarded, plain = _jacobi_modes(*chart), _jacobi_modes(eps, _TruthyZero(0.0), *chart[2:])
+    for new, old in zip(guarded, plain):
+        if np.isfinite(old).all():
+            assert new.tobytes() == old.tobytes()
+        else:
+            assert R == 1e160 or eps == 1e-80
+
+
+def test_jacobi_residual_at_sigma_0_keeps_the_x_mode_where_t_overflows():
+    """At eps = 1e-80 and sigma = 0, |h|^2 is about 1e160 and the 'x' mode's 7.8e145 is its
+    rounding: the value stays, while the 't' mode raises."""
+    spec = SphereSpec(ModelParams(1e-80, 0.0), 1.0)
+    x_max = jacobi_residual(spec, "x")
+    assert 1e145 < x_max < 1e146 and jacobi_residual(spec, "y") == x_max
+    t_max, x_pair = _jacobi_maxima(spec, n=400)
+    assert math.isnan(t_max) and x_pair == x_max
 
 
 @pytest.mark.parametrize("which", ["x", "t"])

@@ -712,9 +712,39 @@ def test_graph_mean_curvature_fd_is_one_call_of_the_16_call_stencil(rng):
         assert got.tobytes() == want.tobytes()
 
 
+def test_atanc_on_arrays_is_the_selection_of_np_where_bit_for_bit():
+    """`_atanc` on arrays sets its small entries by masked stores on a copy, where it selected
+    them with np.where: the same floats, with arctan(p) given or not, on p over 24 decades with
+    0, +-1e-9, the least subnormal, +-inf and NaN, and on strided and broadcast views."""
+    def selected(p, atan_p=None):
+        small = np.abs(p) < 1e-8
+        safe = np.where(small, 1.0, p)
+        return np.where(small, 1.0, (np.arctan(safe) if atan_p is None else atan_p) / safe)
+
+    rng = np.random.default_rng(5)
+    p = np.concatenate((rng.normal(size=400) * 10.0 ** rng.uniform(-12.0, 12.0, 400),
+                        [0.0, -0.0, 1e-9, -1e-9, 1e-8, 5e-324, np.inf, -np.inf, np.nan]))
+    with np.errstate(invalid="ignore"):  # arctan(nan)
+        a = np.arctan(p)
+        for args in ((p,), (p, a), (p[::3],), (np.broadcast_to(p[:5], (3, 5)),)):
+            assert sphere._atanc(*args).tobytes() == selected(*args).tobytes()
+
+
 def test_mean_curvature_inverse_scaling(params):
     assert SphereSpec(params, 2.0).H == 0.5
     assert SphereSpec(ModelParams(0.5, 0.5), 2.0).H == 1.0
+
+
+@pytest.mark.parametrize("eps, R", [(1e-40, 1e-300), (1e-80, 1e-250), (1e-10, 1e-300)])
+def test_mean_curvature_where_eps_R_underflows_raises(eps, R):
+    """H = 1/(eps R) where eps R underflows to 0, or to a subnormal whose inverse overflows:
+    NumericsError with no warning, where a ZeroDivisionError (or a silent inf) came out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=f"mean curvature 1/\\(eps R\\) is not finite with "
+                                                f"eps = {eps!r}, sigma = 1.0, R = {R!r}"):
+            SphereSpec(ModelParams(eps, 1.0), R).H
+    assert SphereSpec(ModelParams(1e-40, 1.0), 1e-260).H == 1.0 / (1e-40 * 1e-260)
 
 
 @pytest.mark.parametrize("eps", [4.5e102, 5e102, 5.6e102])
