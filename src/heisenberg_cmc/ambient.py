@@ -24,7 +24,7 @@ needs (curvature is tensorial).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -49,20 +49,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+_set = object.__setattr__  # how a record's own __init__ sets each field, once
+
+
+class _Record:
+    """A frozen record: its fields are the `__slots__`, set once by `__init__`; this one takes them
+    by position or by name, and a record that validates or derives a field writes its own with
+    `_set`.  repr, == (between records of one class) and hash run over the fields in order, as a
+    frozen dataclass's, but no code is generated for a class; assigning or deleting raises
+    AttributeError, and copy and pickle rebuild a record from its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(operator.attrgetter(*cls.__slots__))  # a tuple: 2 fields or more
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        try:  # the fields after the positional ones by name, in order; another name stays behind
+            values = args + tuple(map(kwargs.pop, self.__slots__[len(args):])) if kwargs else args
+        except KeyError:
+            values = ()
+        if len(values) != len(self.__slots__) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self.__slots__)}")
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values
+
+    def __setstate__(self, state: tuple) -> None:
+        for put, value in zip(self._setters, state):
+            put(self, value)
+
+
+class ModelParams(_Record):
     """Metric family (eps, sigma) of Python floats, eps > 0 and sigma finite; tau = sigma/eps^4."""
 
-    epsilon: float
-    sigma: float
+    __slots__ = ("epsilon", "sigma")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be finite, got {self.sigma!r}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "sigma", float(self.sigma))
+    def __init__(self, epsilon: float, sigma: float) -> None:
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+        if not math.isfinite(sigma):
+            raise DomainError(f"sigma must be finite, got {sigma!r}")
+        _set(self, "epsilon", float(epsilon))
+        _set(self, "sigma", float(sigma))
 
     @property
     def tau(self) -> float:
@@ -83,13 +135,15 @@ class ModelParams:
         return cls(epsilon, tau * _pow(epsilon, 4))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """A point (x, y, t) of C x R."""
 
-    x: float
-    y: float
-    t: float
+    __slots__ = ("x", "y", "t")
+
+    def __init__(self, x: float, y: float, t: float) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "t", t)
 
     @property
     def r(self) -> float:
@@ -103,13 +157,15 @@ class Point:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(_Record):
     """Coefficients of a tangent vector on the orthonormal frame (X, Y, T)."""
 
-    aX: float
-    aY: float
-    aT: float
+    __slots__ = ("aX", "aY", "aT")
+
+    def __init__(self, aX: float, aY: float, aT: float) -> None:
+        _set(self, "aX", aX)
+        _set(self, "aY", aY)
+        _set(self, "aT", aT)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.aX, self.aY, self.aT], dtype=float)

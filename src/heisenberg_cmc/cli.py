@@ -9,6 +9,11 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
+A cold call loads numpy, argparse, json and the profile layer (ambient, sphere); each subcommand
+imports the rest where it runs: `curvature` for `sphere --curvature-out`, `meridians` for
+`meridian`, and `isoperimetry` (with `curvature`, `foliation` and `meridians`) for `verify` and
+`isoperim`.
+
 Floats are written with repr (shortest round-trip decimal), so outputs
 are bit-stable for a fixed seed and configuration.  Options may also be
 given in a flat key-value config file (`--config`); command-line flags
@@ -29,12 +34,7 @@ import numpy as np
 
 from ._numerics import _MAX_SAMPLES, _ULP, _divide, _each, _require_finite, _unit
 from .ambient import ModelParams, Point, _curvature_operator
-from .curvature import (_frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape,
-                        principal_angle)
 from .errors import ContractError, DomainError, NumericsError
-from .foliation import CylinderSpec, _divergence, _floor, _k_f0, _labels, label_floor
-from .isoperimetry import _jacobi_maxima, deficit_reports, make_competitors
-from .meridians import MeridianCurve, _geodesic_residual, _pansu_field, meridian_curve
 from .sphere import (
     SphereSpec,
     _f,
@@ -77,8 +77,8 @@ def _json_rows(cells: np.ndarray) -> str:
     return "[" + (", ".join([row] * n) % tuple(cells.ravel())) + "]"
 
 
-def _write_curve(prefix: str, curve: MeridianCurve) -> None:
-    """<prefix>.csv, .obj and .json from one repr per float; for finite floats
+def _write_curve(prefix: str, curve) -> None:
+    """<prefix>.csv, .obj and .json of a `MeridianCurve` from one repr per float; for finite floats
     the bytes are those the csv module and json.dumps would write."""
     cells = _cells(np.column_stack((curve.s, curve.points, curve.velocities)))
     _write_csv(prefix + ".csv", ["s", "x", "y", "t", "vX", "vY", "vT"], cells)
@@ -175,6 +175,8 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         tables.append((args.limits_out, ["r", "f", "euclidean", "pansu"], np.column_stack(
             (rs, f, euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs)))))
     if args.curvature_out:
+        from .curvature import _frame_coefficients, _shape, assemble_corrected_shape
+
         h, kappa1, kappa2 = _shape(spec, rs)
         c = _frame_coefficients(spec, rs, f)[2]
         k0 = assemble_corrected_shape(spec.H, summary["tau"], h, c)
@@ -233,6 +235,8 @@ def _check_cmc(spheres, rng: np.random.Generator, n: int = 30) -> float:
 
 
 def _check_k0(spheres, rng: np.random.Generator, perturb: float, n: int = 40) -> float:
+    from .curvature import _frame_coefficients, _shape, assemble_corrected_shape
+
     _, _, r, t, _ = _sample_sphere_points(spheres, rng, n)
     h = _shape(spheres, r)[0]
     h[..., 0, 0] += perturb
@@ -241,6 +245,8 @@ def _check_k0(spheres, rng: np.random.Generator, perturb: float, n: int = 40) ->
 
 
 def _check_principal(spheres, rng: np.random.Generator, n: int = 40) -> float:
+    from .curvature import _shape, principal_angle
+
     _, _, r, _, _ = _sample_sphere_points(spheres, rng, n)
     h, kappa1, kappa2 = _shape(spheres, r)
     beta = _each(principal_angle, spheres.H, spheres.params.tau)
@@ -252,6 +258,8 @@ def _check_principal(spheres, rng: np.random.Generator, n: int = 40) -> float:
 
 
 def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) -> float:
+    from .curvature import _frame_coefficients, _frame_vectors
+
     params, tau = spheres.params, spheres.params.tau
     x, y, r, t, (psi, scale2) = _sample_sphere_points(
         spheres, rng, n, ((0.0, 2.0 * math.pi), (0.5, 2.0)))
@@ -275,32 +283,42 @@ def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     Python's max in member order.  3 spheres a `_labels` call: r (cylinders, n, 1) against heights
     (cylinders, n, n), and R, eps, sigma, r_cut, t_cut (cylinders, 1, 1) columns, or one sphere's
     floats, so f(r; R) and m(r) are worked out once a radius and a block's arrays (6 x 40 x 40
-    floats) stay under glibc's 128 KiB mmap threshold.  The depth-0 shortfall is 0, so a label
-    that the leaf equation's sign shows above R/(1 - 2 floor - 8 ulp) is not solved."""
+    floats) stay under glibc's 128 KiB mmap threshold.  The grid's first radius is 0, and the cut
+    radius is one more column, so one `_height` pass gives f(0; R) and the cut heights too.  The
+    depth-0 shortfall is 0, so a label that the leaf equation's sign shows above
+    R/(1 - 2 floor - 8 ulp) is not solved."""
+    from .foliation import CylinderSpec, _floor, _k_f0, _labels
+
     members, worst = getattr(spheres, "members", [spheres]), []
     for specs in (members[b:b + 3] for b in range(0, len(members), 3)):
-        cyls = [(i, CylinderSpec(spec, delta))
+        cuts = [(i, spec, float(delta))
                 for i, spec in enumerate(specs) for delta in deltas if delta < spec.R]
-        block = _Stack(members=[cyl for _, cyl in cyls], shape=(-1, 1, 1))
+        block = _Stack(members=[spec for _, spec, _ in cuts], shape=(-1, 1, 1))
         if len(specs) == 1:
             block.params, block.R = specs[0].params, specs[0].R
-        rs = np.linspace(0.0, [cyl.r_cut * 0.995 for _, cyl in cyls], n, axis=-1)[..., None]
-        f_rs = _height(block, rs)
+        block.r_cut = np.reshape([spec.R - delta for _, spec, delta in cuts], (-1, 1, 1))
+        rs = np.linspace(0.0, 0.995 * block.r_cut[:, 0, 0], n, axis=-1)[..., None]
+        f_rs = _height(block, np.concatenate((rs, block.r_cut), axis=1))
+        f_rs, block.t_cut = f_rs[:, :n], f_rs[:, n:]
         depths = np.linspace(0.0, 0.999, n) * (f_rs - block.t_cut)
-        ts, floors, k_f0 = f_rs - depths, [], [_k_f0(spec) for spec in specs]  # once a sphere
-        for (i, cyl), t, depth in zip(cyls, ts, depths):
+        ts, floors = f_rs - depths, []
+        for (i, spec, delta), t, depth, f, t_cut in zip(cuts, ts, depths, f_rs, block.t_cut):
             if not (t >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
-                p = cyl.params
+                p = spec.params
                 raise NumericsError(f"the calibration grid's heights are not normal floats with "
-                                    f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {cyl.R!r}")
-            floors.append(_floor(cyl, depth, *k_f0[i]))
+                                    f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
+            cyl = CylinderSpec._with_cut(spec, delta, float(t_cut[0, 0]))
+            floors.append(_floor(cyl, depth, *_k_f0(spec, float(f[0, 0]))))
         least = _divide(block.R, 1.0 - (2.0 * (floors := np.array(floors)) + 8.0 * _ULP))
         short = [float(-s.min()) for s in (1.0 - block.R / _labels(block, rs, ts, least)) - floors]
-        worst += [max(s for (i, _), s in zip(cyls, short) if i == k) for k in range(len(specs))]
+        worst += [max(s for (i, _, _), s in zip(cuts, short) if i == k) for k in range(len(specs))]
     return max(worst)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .foliation import CylinderSpec, _divergence, label_floor
+    from .isoperimetry import _jacobi_maxima
+
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0, "seed": 12345,
                     "perturb_h": 0.0, "delta": 0.3})
     rng = _rng(int(args.seed))
@@ -381,6 +399,8 @@ _CHECK_SAMPLES = 512
 
 
 def cmd_meridian(args: argparse.Namespace) -> int:
+    from .meridians import _geodesic_residual, _pansu_field, meridian_curve
+
     if args.figure1:
         args.epsilon, args.sigma, args.R = 0.5, 0.5, 2.0
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0,
@@ -434,6 +454,9 @@ def cmd_meridian(args: argparse.Namespace) -> int:
 
 
 def cmd_isoperim(args: argparse.Namespace) -> int:
+    from .foliation import CylinderSpec
+    from .isoperimetry import deficit_reports, make_competitors
+
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0, "delta": 0.3,
                     "n": 20, "seed": 7})
     spec = _spec_from(args)

@@ -23,19 +23,14 @@ serves as the independent oracle for all closed forms here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import _each, _require_finite, _unit
-from .ambient import (
-    Point,
-    TangentVector,
-    christoffel_frame,
-    vector_to_coordinates,
-)
+from .ambient import Point, TangentVector, _Record, christoffel_frame, vector_to_coordinates
 from .errors import ContractError, DomainError
-from .sphere import SphereSpec, _mass, _on_sphere_or_raise, _pieces, foliation_normal, outer_normal
+from .sphere import (_TINY, SphereSpec, _mass, _on_sphere_or_raise, _pieces, foliation_normal,
+                     outer_normal)
 
 __all__ = [
     "TangentFrame",
@@ -50,38 +45,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Adapted orthonormal tangent frame at a non-pole sphere point."""
+class TangentFrame(_Record):
+    """Adapted orthonormal tangent frame at a non-pole sphere point: TangentVectors X1, X2 and
+    the float coefficients a, b, c, p."""
 
-    X1: TangentVector
-    X2: TangentVector
-    a: float
-    b: float
-    c: float
-    p: float
+    __slots__ = ("X1", "X2", "a", "b", "c", "p")
 
 
-@dataclass(frozen=True)
-class ShapeData:
-    """Second fundamental form in the adapted frame, plus eigendata."""
+class ShapeData(_Record):
+    """Second fundamental form in the adapted frame (h, 2x2 symmetric), plus eigendata: floats
+    kappa1, kappa2, beta and the principal directions K1, K2 (TangentVectors, None at a pole)."""
 
-    h: np.ndarray  # 2x2 symmetric
-    kappa1: float
-    kappa2: float
-    beta: float
-    K1: TangentVector | None
-    K2: TangentVector | None
+    __slots__ = ("h", "kappa1", "kappa2", "beta", "K1", "K2")
 
 
-@dataclass(frozen=True)
-class CorrectedShapeData:
-    """The corrected operator, its trace-free part, and the rotation angle."""
+class CorrectedShapeData(_Record):
+    """The corrected operator k, its trace-free part k0 (arrays), the rotation angle alpha and
+    k0_norm, a float, or an array when h holds several points."""
 
-    k: np.ndarray
-    k0: np.ndarray
-    alpha: float
-    k0_norm: float | np.ndarray  # an array when h holds several points
+    __slots__ = ("k", "k0", "alpha", "k0_norm")
 
 
 def principal_angle(H: float, tau: float) -> float:
@@ -127,7 +109,10 @@ def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
     _on_sphere_or_raise(spec, point)
     if point.r <= 1e-12 * spec.R:
         raise DomainError("the adapted tangent frame is undefined at the poles")
-    a, b, c, p = (float(v) for v in _frame_coefficients(spec, point.r, point.t))
+    # m(r) below the normal floats (eps^3 subnormal at sigma = 0) has lost its digits
+    abcp = (tuple(map(float, _frame_coefficients(spec, point.r, point.t)))
+            if _mass(spec.params, point.r) >= _TINY else (math.nan,) * 4)
+    a, b, c, p = _require_finite(abcp, spec.params, "the tangent frame at {}", point, R=spec.R)
     x1, x2 = map(TangentVector.from_array, _frame_vectors(point.x, point.y, a, b, c, p))
     return TangentFrame(X1=x1, X2=x2, a=a, b=b, c=c, p=p)
 

@@ -29,13 +29,12 @@ inequality; `vertical_label_bound` checks them pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from ._numerics import _ULP, _divide, _newton, _power, _require_finite, _unit
-from .ambient import ModelParams, Point, TangentVector
+from .ambient import ModelParams, Point, TangentVector, _Record
 from .errors import DomainError, NumericsError
 from .sphere import (SphereSpec, _f, _gap, _height, _kernel, _mass, _normal_components, _radius_of,
                      profile_height)
@@ -56,22 +55,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
+class CylinderSpec(_Record):
     """Half-cylinder over the disk of radius R above t_cut = f(r_cut; R), r_cut = R - delta."""
 
-    spec: SphereSpec
-    delta: float
-    r_cut: float = field(init=False)
-    t_cut: float = field(init=False)
+    __slots__ = ("spec", "delta", "r_cut", "t_cut")
 
-    def __post_init__(self) -> None:
-        R = self.spec.R
-        if not (0.0 <= self.delta < R):
-            raise DomainError(f"delta must lie in [0, R), got {self.delta!r}")
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "r_cut", R - self.delta)
-        object.__setattr__(self, "t_cut", float(_height(self.spec, self.r_cut)))  # 0 < r_cut <= R
+    def __init__(self, spec: SphereSpec, delta: float) -> None:
+        if not (0.0 <= delta < spec.R):
+            raise DomainError(f"delta must lie in [0, R), got {delta!r}")
+        delta = float(delta)
+        _Record.__init__(self, spec, delta, spec.R - delta, float(_height(spec, spec.R - delta)))
+
+    @classmethod
+    def _with_cut(cls, spec: SphereSpec, delta: float, t_cut: float) -> CylinderSpec:
+        """The cylinder of a float delta in [0, R) whose cut height f(R - delta; R) is t_cut."""
+        cyl = object.__new__(cls)
+        _Record.__init__(cyl, spec, delta, spec.R - delta, t_cut)
+        return cyl
 
     @property
     def params(self) -> ModelParams:
@@ -85,28 +85,24 @@ class CylinderSpec:
         return 0.0 <= r < self.R and t > self.t_cut
 
 
-@dataclass(frozen=True)
-class FoliationConstants:
-    """Explicit constants of the quantitative isoperimetric bounds."""
+class FoliationConstants(_Record):
+    """Explicit constants k, C, D (floats) of the quantitative isoperimetric bounds."""
 
-    k: float
-    C: float
-    D: float
+    __slots__ = ("k", "C", "D")
 
 
-@dataclass(frozen=True)
-class VerticalBound:
-    """Leaf label below the graph at depth t, with its lower-bound check."""
+class VerticalBound(_Record):
+    """Leaf label below the graph at depth t, with its lower-bound check: the deficit
+    1 - R/label = 1 - eps R H_label, the applicable quadratic/linear floor and whether it holds."""
 
-    label: float
-    deficit: float  # 1 - R/label = 1 - eps R H_label
-    floor: float  # the applicable quadratic/linear lower bound
-    satisfied: bool
+    __slots__ = ("label", "deficit", "floor", "satisfied")
 
 
-def _k_f0(spec: SphereSpec) -> tuple[float, float]:
-    """k = m(R) sqrt(R) = eps^3 w(R) sqrt(R) and f(0; R), which build every deficit constant."""
-    return _mass(spec.params, spec.R) * math.sqrt(spec.R), float(profile_height(spec, 0.0))
+def _k_f0(spec: SphereSpec, f0: float | None = None) -> tuple[float, float]:
+    """k = m(R) sqrt(R) = eps^3 w(R) sqrt(R) and f(0; R), which build every deficit constant; a
+    caller that holds f(0; R) passes it as `f0`."""
+    k = _mass(spec.params, spec.R) * math.sqrt(spec.R)
+    return k, float(profile_height(spec, 0.0)) if f0 is None else f0
 
 
 def foliation_constants(spec: SphereSpec) -> FoliationConstants:

@@ -23,13 +23,15 @@ split L into one ordinary differential operator per angular mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
+# not used here: imported with this module, it keeps every module of the package loaded once
+# `isoperimetry` is, as `perfbench/tracing.py` needs of the modules it traces
+from . import meridians  # noqa: F401
 from ._numerics import _MAX_SAMPLES, _gauss_legendre, _pow, _power, _quad, _require_finite
-from .ambient import ModelParams, Point
+from .ambient import ModelParams, Point, _Record
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
@@ -142,12 +144,11 @@ def _bump_slope(val, s, q, width):
     return val * (-2.0 * s / (q * q)) / width
 
 
-@dataclass(frozen=True)
-class RadialBump:
-    """Smooth compactly supported radial bump exp(1 - 1/(1 - s^2)), s = (r-c)/w."""
+class RadialBump(_Record):
+    """Smooth compactly supported radial bump exp(1 - 1/(1 - s^2)), s = (r-c)/w: center c and
+    width w."""
 
-    center: float
-    width: float
+    __slots__ = ("center", "width")
 
     def __call__(self, r):
         return _bump(np.asarray(r, dtype=float), self.center, self.width)[0]
@@ -160,16 +161,11 @@ class RadialBump:
         return self.center - self.width, self.center + self.width
 
 
-@dataclass(frozen=True)
-class Competitor:
-    """A volume-preserving two-bump perturbation of the upper hemisphere graph."""
+class Competitor(_Record):
+    """A volume-preserving two-bump perturbation of the upper hemisphere graph of `spec` inside
+    the cylinder `cyl`: RadialBumps `add` and `sub` with amplitudes amp_add and amp_sub."""
 
-    spec: SphereSpec
-    cyl: CylinderSpec
-    add: RadialBump
-    amp_add: float
-    sub: RadialBump
-    amp_sub: float
+    __slots__ = ("spec", "cyl", "add", "amp_add", "sub", "amp_sub")
 
     def height_change(self, r):
         return self.amp_add * self.add(r) - self.amp_sub * self.sub(r)
@@ -270,16 +266,10 @@ def make_competitor(
     return make_competitors(spec, cyl, rng, 1, amplitude)[0]
 
 
-@dataclass(frozen=True)
-class DeficitReport:
-    """Area excess of a competitor against its explicit lower bound."""
+class DeficitReport(_Record):
+    """Area excess of a competitor against its explicit lower bound, floats."""
 
-    area_sphere: float
-    area_competitor: float
-    symdiff: float
-    deficit: float
-    bound: float
-    slack: float
+    __slots__ = ("area_sphere", "area_competitor", "symdiff", "deficit", "bound", "slack")
 
 
 def deficit_reports(comps) -> list[DeficitReport]:
@@ -321,8 +311,7 @@ def deficit_reports(comps) -> list[DeficitReport]:
             bound = consts.D * sd**3
         else:
             bound = math.sqrt(cyl.delta) * consts.C * sd**2
-        reports.append(DeficitReport(area_sphere=a_r, area_competitor=a_r + ex, symdiff=sd,
-                                     deficit=ex, bound=bound, slack=ex - bound))
+        reports.append(DeficitReport(a_r, a_r + ex, sd, ex, bound, ex - bound))
     return reports
 
 

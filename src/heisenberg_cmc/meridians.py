@@ -28,14 +28,14 @@ nabla_M M = (2/R) J(M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import _MAX_SAMPLES, _divide, _require_finite
-from .ambient import ModelParams, Point, TangentVector, christoffel_frame
+from .ambient import ModelParams, Point, TangentVector, _Record, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
+    _TINY,
     SphereSpec,
     _ell,
     _f,
@@ -63,14 +63,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeridianCurve:
-    """A sampled meridian: arclength grid, points, unit velocities."""
+class MeridianCurve(_Record):
+    """A sampled meridian of the sphere R: arclength grid s, points (n, 3) in coordinates and
+    unit velocities (n, 3), the field's frame coefficients."""
 
-    R: float
-    s: np.ndarray
-    points: np.ndarray  # (n, 3) coordinates
-    velocities: np.ndarray  # (n, 3) frame coefficients of the field
+    __slots__ = ("R", "s", "points", "velocities")
 
     def __len__(self) -> int:
         return len(self.s)
@@ -143,8 +140,11 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     plane; the closed form `_meridian` is regular there too.
     """
     _require_off_axis(point)
-    leaf = _leaf(params, point.r, point.t)
-    return TangentVector.from_array(_meridian(params, point.x, point.y, point.r, point.t, *leaf))
+    R, g, m = _leaf(params, point.r, point.t)
+    # m(r) or R m(r) below the normal floats (eps^3 subnormal at sigma = 0) has lost its digits
+    v = (_meridian(params, point.x, point.y, point.r, point.t, R, g, m) if min(m, R * m) >= _TINY
+         else (math.nan,) * 3)
+    return TangentVector.from_array(_require_finite(v, params, "the meridian field at {}", point))
 
 
 # ------------------------------------------------------------- closed form

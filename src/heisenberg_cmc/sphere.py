@@ -35,12 +35,11 @@ the floats raises `_numerics._require_finite`'s NumericsError, the package's one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import _divide, _newton, _power, _require_finite
-from .ambient import ModelParams, Point, TangentVector
+from .ambient import ModelParams, Point, TangentVector, _Record, _set
 from .errors import ContractError, DomainError
 
 __all__ = [
@@ -69,17 +68,16 @@ _TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
 _J_SERIES = (-6 / 1615, 16 / 3315, -14 / 2145, 4 / 429, -10 / 693, 8 / 315, -2 / 35, 4 / 15, 2 / 3)
 
 
-@dataclass(frozen=True)
-class SphereSpec:
+class SphereSpec(_Record):
     """One sphere of the family: parameters plus its radius parameter R."""
 
-    params: ModelParams
-    R: float
+    __slots__ = ("params", "R")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise DomainError(f"R must be positive and finite, got {self.R!r}")
-        object.__setattr__(self, "R", float(self.R))
+    def __init__(self, params: ModelParams, R: float) -> None:
+        if not (math.isfinite(R) and R > 0.0):
+            raise DomainError(f"R must be positive and finite, got {R!r}")
+        _set(self, "params", params)
+        _set(self, "R", float(R))
 
     @property
     def H(self) -> float:
@@ -88,23 +86,21 @@ class SphereSpec:
                                "the mean curvature 1/(eps R)", R=self.R)
 
 
-@dataclass(frozen=True)
-class ProfileQuantities:
-    """Pointwise profile data at radius r on the sphere of parameter R."""
+class ProfileQuantities(_Record):
+    """Pointwise profile data at radius r on the sphere of parameter R: floats."""
 
-    omega_r: float
-    p: float
-    ell: float
-    rho: float
+    __slots__ = ("omega_r", "p", "ell", "rho")
 
 
-@dataclass(frozen=True)
-class RadiusField:
+class RadiusField(_Record):
     """Radius R(r, t) of the sphere through (r, t) and its partials."""
 
-    value: float
-    R_r: float
-    R_t: float
+    __slots__ = ("value", "R_r", "R_t")
+
+    def __init__(self, value: float, R_r: float, R_t: float) -> None:
+        _set(self, "value", value)
+        _set(self, "R_r", R_r)
+        _set(self, "R_t", R_t)
 
 
 # ----------------------------------------------------------------- internals

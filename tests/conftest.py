@@ -22,6 +22,11 @@ GRID = [
 SINGLE = [SphereSpec(ModelParams(e, s), R) for e, s, R in (
     (1.0, 1.0, 1.0), (0.7, 1.0, 1.0), (0.3, 1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 1.0, 0.5),
     (1.0, 0.25, 1.0), (0.01, 1.0, 1.0), (1e-5, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -2.0, 1.5))]
+# spheres at sigma = 0 where eps^3 is subnormal, with a radius fraction of a point on each: m(r) =
+# eps^3 there, below the normal floats; at the second the height f underflows to 0
+SUBNORMAL_FLAT = [(SphereSpec(ModelParams(2e-108, 0.0), 1.0), 0.5),
+                  (SphereSpec(ModelParams(2.1238536750469082e-108, 0.0), 0.003511482242372241),
+                   0.861042847404853)]
 
 
 def table_connect(tau, u, v):

@@ -573,6 +573,30 @@ sys.exit(max(codes))
     assert len((tmp_path / "fol.csv").read_text().splitlines()) > 1
 
 
+def test_cli_import_leaves_dataclasses_and_the_subcommand_modules_unloaded():
+    """A cold CLI call loads numpy, argparse, json and the profile layer; the modules of
+    `sphere --curvature-out`, `verify`, `meridian` and `isoperim` load where those run."""
+    later = {"dataclasses", "heisenberg_cmc.curvature", "heisenberg_cmc.foliation",
+             "heisenberg_cmc.isoperimetry", "heisenberg_cmc.meridians"}
+    script = f"import sys, heisenberg_cmc.cli; print(sorted({later!r} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphere", "--R", "1", "--n", "20", "--curvature-out", "{d}/curvature.csv"],
+    ["verify", "--grid", "--json", "{d}/grid.json"],
+    ["verify", "--foliation-out", "{d}/fol.csv", "--json", "{d}/report.json"],
+    ["meridian", "--figure1", "--out-prefix", "{d}/m"],
+    ["isoperim", "--n", "3"],
+], ids=lambda argv: " ".join(a for a in argv if "{d}" not in a))
+def test_each_subcommand_runs_from_a_fresh_interpreter(tmp_path, argv):
+    """Each subcommand imports its own modules where it runs: a missed one would fail only in a
+    fresh interpreter, where no earlier call has loaded it."""
+    res = run_cli_process(*(a.replace("{d}", str(tmp_path)) for a in argv))
+    assert res.returncode == 0, res.stderr
+
+
 # -------------------------------------------- batched checks against scalar loops
 
 REFERENCE_SPECS = [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (2.0, 0.5, 0.5)]

@@ -24,7 +24,7 @@ from heisenberg_cmc.curvature import (
     tangent_frame,
 )
 
-from conftest import GRID, sphere_point
+from conftest import GRID, SUBNORMAL_FLAT, sphere_point
 
 
 def test_frame_orthonormality_invariants(rng, spec):
@@ -288,3 +288,17 @@ def test_corrected_shape_where_tau_squared_overflows():
         data = assemble_corrected_shape(H, tau, np.zeros((2, 2)), theta2)
     assert np.trace(data.k) == pytest.approx(2e80 * theta2**2, rel=1e-15)
     assert math.isfinite(data.k0_norm)
+
+
+@pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT)
+def test_frame_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error(spec, frac):
+    """Where m(r) = eps^3 is below the normal floats the frame's ratios of masses have lost their
+    digits (a = b = 2 and |X2| = 1.118 at the first sphere, 0/0 at the second): the frame, and the
+    shape data built on it, raise NumericsError, with no warning before it."""
+    r = frac * spec.R
+    point = Point(r, 0.0, float(profile_height(spec, r)))
+    for call in (tangent_frame, second_fundamental_form, corrected_shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="the tangent frame at Point"):
+                call(spec, point)

@@ -293,8 +293,8 @@ def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypa
     spec = SphereSpec(ModelParams(1.0, 1.0), 1.0)
     want = _full_solve_calibration(spec, floor=raised)
     assert want > 1e-12
-    monkeypatch.setattr(cli, "_floor",
-                        lambda cyl, depth, k, f0: 2.5 * foliation._floor(cyl, depth, k, f0))
+    floor = foliation._floor
+    monkeypatch.setattr(foliation, "_floor", lambda cyl, depth, k, f0: 2.5 * floor(cyl, depth, k, f0))
     solved = []
     with counting_newton_passes(foliation, "leaf label solve", solved):
         assert cli._check_calibration(spec) == want
@@ -320,7 +320,7 @@ def _labels_calls(spheres):
         solved.append(r.size)
         return label_below(cyl, r, t)
 
-    with mock.patch.object(cli, "_labels", recording), \
+    with mock.patch.object(foliation, "_labels", recording), \
             mock.patch.object(foliation, "_label_below", counting):
         value = cli._check_calibration(spheres)
     return value, calls, sum(solved)

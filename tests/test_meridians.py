@@ -37,6 +37,8 @@ from heisenberg_cmc.meridians import (
 )
 from heisenberg_cmc.sphere import _leaf, _normal_components, _pieces, _radius_of
 
+from conftest import SUBNORMAL_FLAT
+
 
 def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
     r = rng.uniform(*r_range)
@@ -692,3 +694,16 @@ def test_closed_form_meridian_past_its_sample_cap_raises_before_allocating():
         assert tracemalloc.get_traced_memory()[1] < 65536
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT)
+def test_meridian_field_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error(spec, frac):
+    """Where m(r) = eps^3 is below the normal floats the field's ratios have lost their digits
+    ((nan, nan, -inf) at the first sphere; R m(r) underflows to 0 at the second): NumericsError,
+    with no warning before it."""
+    r = frac * spec.R
+    point = Point(r, 0.0, float(profile_height(spec, r)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="the meridian field at Point"):
+            meridian_field(spec.params, point)
