@@ -287,7 +287,7 @@ def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     radius is one more column, so one `_height` pass gives f(0; R) and the cut heights too.  The
     depth-0 shortfall is 0, so a label that the leaf equation's sign shows above
     R/(1 - 2 floor - 8 ulp) is not solved."""
-    from .foliation import CylinderSpec, _floor, _k_f0, _labels
+    from .foliation import _floor, _k_f0, _labels
 
     members, worst = getattr(spheres, "members", [spheres]), []
     for specs in (members[b:b + 3] for b in range(0, len(members), 3)):
@@ -302,13 +302,12 @@ def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
         f_rs, block.t_cut = f_rs[:, :n], f_rs[:, n:]
         depths = np.linspace(0.0, 0.999, n) * (f_rs - block.t_cut)
         ts, floors = f_rs - depths, []
-        for (i, spec, delta), t, depth, f, t_cut in zip(cuts, ts, depths, f_rs, block.t_cut):
+        for (i, spec, delta), t, depth, f in zip(cuts, ts, depths, f_rs):
             if not (t >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
                 p = spec.params
                 raise NumericsError(f"the calibration grid's heights are not normal floats with "
                                     f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
-            cyl = CylinderSpec._with_cut(spec, delta, float(t_cut[0, 0]))
-            floors.append(_floor(cyl, depth, *_k_f0(spec, float(f[0, 0]))))
+            floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
         least = _divide(block.R, 1.0 - (2.0 * (floors := np.array(floors)) + 8.0 * _ULP))
         short = [float(-s.min()) for s in (1.0 - block.R / _labels(block, rs, ts, least)) - floors]
         worst += [max(s for (i, _, _), s in zip(cuts, short) if i == k) for k in range(len(specs))]

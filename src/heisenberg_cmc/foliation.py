@@ -66,13 +66,6 @@ class CylinderSpec(_Record):
         delta = float(delta)
         _Record.__init__(self, spec, delta, spec.R - delta, float(_height(spec, spec.R - delta)))
 
-    @classmethod
-    def _with_cut(cls, spec: SphereSpec, delta: float, t_cut: float) -> CylinderSpec:
-        """The cylinder of a float delta in [0, R) whose cut height f(R - delta; R) is t_cut."""
-        cyl = object.__new__(cls)
-        _Record.__init__(cyl, spec, delta, spec.R - delta, t_cut)
-        return cyl
-
     @property
     def params(self) -> ModelParams:
         return self.spec.params
@@ -371,20 +364,21 @@ def label_floor(cyl: CylinderSpec, depth):
     delta > 0, sqrt(delta) * depth / (R k + f(0;R)).  NumericsError where it is not finite, as
     where f(0;R) underflows to 0.
     """
-    return _floor(cyl, depth, *_k_f0(cyl.spec))
+    return _floor(cyl.spec, cyl.delta, depth, *_k_f0(cyl.spec))
 
 
-def _floor(cyl: CylinderSpec, depth, k: float, f0: float):
-    """`label_floor` from the sphere's k and f(0; R) (`_k_f0`), which a caller may hold."""
+def _floor(spec: SphereSpec, delta: float, depth, k: float, f0: float):
+    """`label_floor` of the cylinder (spec, delta) from the sphere's k and f(0; R) (`_k_f0`),
+    which a caller may hold."""
     # depth, R and f(0;R) in units of u, k in its square root; the quadratic floor's u is f(0;R),
     # so that its terms stay near 1 (R m(R) <= (1 + 4/pi) f0) where eps^3 = 1e-240 at sigma = 0
-    u = _unit(f0 if cyl.delta == 0.0 else cyl.R)
-    d, R, k, f0 = depth / u, cyl.R / u, k / math.sqrt(u), f0 / u
-    if cyl.delta == 0.0:
+    u = _unit(f0 if delta == 0.0 else spec.R)
+    d, R, k, f0 = depth / u, spec.R / u, k / math.sqrt(u), f0 / u
+    if delta == 0.0:
         floor = _divide(d * d, 4.0 * R * k**2 + f0 * f0)
     else:
-        floor = _divide(math.sqrt(cyl.delta / u) * d, R * k + f0 / math.sqrt(u))
-    return _require_finite(floor, cyl.params, "the label floor", R=cyl.R)
+        floor = _divide(math.sqrt(delta / u) * d, R * k + f0 / math.sqrt(u))
+    return _require_finite(floor, spec.params, "the label floor", R=spec.R)
 
 
 def vertical_label_bound(cyl: CylinderSpec, r: float, depth: float) -> VerticalBound:

@@ -294,7 +294,7 @@ def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypa
     want = _full_solve_calibration(spec, floor=raised)
     assert want > 1e-12
     floor = foliation._floor
-    monkeypatch.setattr(foliation, "_floor", lambda cyl, depth, k, f0: 2.5 * floor(cyl, depth, k, f0))
+    monkeypatch.setattr(foliation, "_floor", lambda *a: 2.5 * floor(*a))
     solved = []
     with counting_newton_passes(foliation, "leaf label solve", solved):
         assert cli._check_calibration(spec) == want
