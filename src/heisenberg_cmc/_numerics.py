@@ -29,7 +29,7 @@ def _divide(a, b):
 
 
 def _each(fun, *args):
-    """fun(*args) on floats; on the (k, 1) columns of a stack of spheres, fun sphere by sphere, so
+    """fun(*args) on floats; on the (k, 1) columns of a `sphere._Stack`, fun sphere by sphere, so
     each value is its float's (np.arctan, np.hypot and np.power miss math's last bit)."""
     if not isinstance(args[0], np.ndarray):
         return fun(*args)

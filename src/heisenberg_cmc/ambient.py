@@ -246,7 +246,7 @@ def christoffel_frame(params: ModelParams) -> np.ndarray:
 
     Nonzero entries: nabla_X Y = -tau T, nabla_Y X = tau T,
     nabla_X T = nabla_T X = tau Y, nabla_Y T = nabla_T Y = -tau X.
-    A stack of spheres' (k, 1) column of tau gives the (k, 1, 3, 3, 3) tables.
+    A `sphere._Stack`'s (k, 1) column of tau gives the (k, 1, 3, 3, 3) tables.
     """
     t = params.tau
     g = np.zeros(np.shape(t) + (3, 3, 3))

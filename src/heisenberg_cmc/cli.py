@@ -4,8 +4,8 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
 
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report; the
-              curvature checks run once over the stack of spheres (27 with
-              --grid), the calibration check by the leaf equation's sign, 3 spheres a call
+              curvature checks run once over a `sphere._Stack` of the spheres (27
+              with --grid), the calibration check by the leaf equation's sign, 3 spheres a call
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
@@ -28,7 +28,6 @@ import functools
 import json
 import math
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .sphere import (
     _normal_components,
     _pieces,
     _radius_of,
+    _Stack,
     euclidean_profile,
     graph_mean_curvature_fd,
     pansu_profile,
@@ -198,28 +198,12 @@ def cmd_sphere(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 
-class _Stack(SimpleNamespace):
-    """k spheres, `_Stack(members=specs)`, as one for the array kernels: an attribute is the (k, 1)
-    column of the members' own floats, each worked out once, and broadcasts over (k, n) points;
-    `params` is the stack of their ModelParams.  `shape=(-1, 1, 1)` makes the columns (k, 1, 1)."""
-
-    shape = (-1, 1)
-
-    def __getattr__(self, name: str):
-        values = [getattr(m, name) for m in self.members]
-        col = (_Stack(members=values, shape=self.shape) if name == "params"
-               else np.reshape(values, self.shape))
-        setattr(self, name, col)
-        return col
-
-
-def _sample_sphere_points(spheres, rng: np.random.Generator, n: int, extra=(),
-                          lo: float = 0.02, hi: float = 0.98):
-    """x, y, r, t of n points on each of k stacked spheres (a `_Stack`), each (k, n), or of n
-    points on one SphereSpec, then one such array per (low, high) in `extra`; each row draws the
+def _sample_sphere_points(spheres, rng: np.random.Generator, n: int, extra=()):
+    """x, y, r, t of n points on each of the k spheres of a `_Stack` of columns, each (k, n), or of
+    n points on one sphere, then one such array per (low, high) in `extra`; each row draws the
     radius fraction, the angle, the hemisphere and then the extras, one uniform each, as one draw
     at a time would."""
-    lows, highs = zip((lo, hi), (0.0, 2.0 * math.pi), (0.0, 1.0), *extra)
+    lows, highs = zip((0.02, 0.98), (0.0, 2.0 * math.pi), (0.0, 1.0), *extra)
     u = rng.uniform(lows, highs, size=np.shape(spheres.R)[:1] + (n, len(lows)))  # k of (k, 1)
     r = u[..., 0] * spheres.R
     t = np.where(u[..., 2] < 0.5, 1.0, -1.0) * _height(spheres, r)  # r lies in [0, R]
@@ -271,7 +255,7 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
     energy = scale[..., 0] * scale[..., 0]
     # R(u, v)w is quadratic in tau: tau in units of a power of four keeps tau^2 finite, bit for bit
     tau = tau / (w := _unit(np.maximum(np.abs(tau), 1.0)))
-    lhs = np.sum(_curvature_operator(SimpleNamespace(tau=tau), v2, v1, nvec) * v2, axis=-1)
+    lhs = np.sum(_curvature_operator(_Stack(tau=tau), v2, v1, nvec) * v2, axis=-1)
     rhs = 4.0 * tau * tau * energy * v1[..., 2] * nvec[..., 2]
     den = np.maximum(np.abs(rhs), 0.01 * (1.0 / w / w + tau * tau) * energy)
     return float(np.max(np.abs(lhs - rhs) / den))
@@ -280,37 +264,33 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
 def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     """Worst shortfall of 1 - R/label below the label floor on an n x n grid under the sphere in
     each cylinder of a SphereSpec or of each `_Stack` member, each cylinder's grid reduced and then
-    Python's max in member order.  3 spheres a `_labels` call: r (cylinders, n, 1) against heights
-    (cylinders, n, n), and R, eps, sigma, r_cut, t_cut (cylinders, 1, 1) columns, or one sphere's
-    floats, so f(r; R) and m(r) are worked out once a radius and a block's arrays (6 x 40 x 40
-    floats) stay under glibc's 128 KiB mmap threshold.  The grid's first radius is 0, and the cut
-    radius is one more column, so one `_height` pass gives f(0; R) and the cut heights too.  The
+    Python's max in cylinder order.  3 spheres a `_labels` call: r (cylinders, n, 1) against heights
+    (cylinders, n, n), and R, eps, sigma, r_cut, t_cut a `_Stack`'s (cylinders, 1, 1) columns (one
+    sphere's floats), so f(r; R) and m(r) are worked out once a radius and a block's arrays (6 x 40
+    x 40 floats) stay under glibc's 128 KiB mmap threshold.  The grid's first radius is 0, and the
+    cut radius is one more column, so one `_height` pass gives f(0; R) and the cut heights too.  The
     depth-0 shortfall is 0, so a label that the leaf equation's sign shows above
     R/(1 - 2 floor - 8 ulp) is not solved."""
     from .foliation import _floor, _k_f0, _labels
 
     members, worst = getattr(spheres, "members", [spheres]), []
     for specs in (members[b:b + 3] for b in range(0, len(members), 3)):
-        cuts = [(i, spec, float(delta))
-                for i, spec in enumerate(specs) for delta in deltas if delta < spec.R]
-        block = _Stack(members=[spec for _, spec, _ in cuts], shape=(-1, 1, 1))
-        if len(specs) == 1:
-            block.params, block.R = specs[0].params, specs[0].R
-        block.r_cut = np.reshape([spec.R - delta for _, spec, delta in cuts], (-1, 1, 1))
+        cuts = [(spec, float(delta)) for spec in specs for delta in deltas if delta < spec.R]
+        block = _Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1))
+        block.r_cut = np.reshape([spec.R - delta for spec, delta in cuts], (-1, 1, 1))
         rs = np.linspace(0.0, 0.995 * block.r_cut[:, 0, 0], n, axis=-1)[..., None]
         f_rs = _height(block, np.concatenate((rs, block.r_cut), axis=1))
         f_rs, block.t_cut = f_rs[:, :n], f_rs[:, n:]
         depths = np.linspace(0.0, 0.999, n) * (f_rs - block.t_cut)
         ts, floors = f_rs - depths, []
-        for (i, spec, delta), t, depth, f in zip(cuts, ts, depths, f_rs):
+        for (spec, delta), t, depth, f in zip(cuts, ts, depths, f_rs):
             if not (t >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
                 p = spec.params
                 raise NumericsError(f"the calibration grid's heights are not normal floats with "
                                     f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
             floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
         least = _divide(block.R, 1.0 - (2.0 * (floors := np.array(floors)) + 8.0 * _ULP))
-        short = [float(-s.min()) for s in (1.0 - block.R / _labels(block, rs, ts, least)) - floors]
-        worst += [max(s for (i, _, _), s in zip(cuts, short) if i == k) for k in range(len(specs))]
+        worst += [float(-s.min()) for s in (1.0 - block.R / _labels(block, rs, ts, least)) - floors]
     return max(worst)
 
 
@@ -331,10 +311,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         specs = [_spec_from(args)]
 
-    # the curvature checks run once over the stack of spheres, k draws in one; one sphere stays
-    # its SphereSpec, whose floats broadcast over n points as a (1, 1) column over (1, n) and
-    # whose errors name them
-    spheres = specs[0] if len(specs) == 1 else _Stack(members=specs)
+    # the curvature checks run once over the stack of spheres, k draws in one (one sphere's stack
+    # is its floats)
+    spheres = _Stack(members=specs)
     checks = []
 
     def run(name: str, measured: float, tol: float) -> None:
@@ -503,10 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, need_R: bool = False) -> None:
         p.add_argument("--epsilon", type=float, default=None, help="frame scale (> 0)")
         p.add_argument("--sigma", type=float, default=None, help="vertical twist")
-        if need_R:
-            p.add_argument("--R", type=float, required=True, help="sphere parameter (> 0)")
-        else:
-            p.add_argument("--R", type=float, default=None, help="sphere parameter (> 0)")
+        p.add_argument("--R", type=float, required=need_R, help="sphere parameter (> 0)")
         p.add_argument("--config", default=None,
                        help="flat key-value config file; flags override it")
 

@@ -119,7 +119,7 @@ def tangent_frame(spec: SphereSpec, point: Point) -> TangentFrame:
 
 def _shape(spec: SphereSpec, r):
     """h (..., 2, 2) in the adapted frame and the principal curvatures
-    kappa1, kappa2 at radii r, broadcasting (a stack of spheres' (k, 1)
+    kappa1, kappa2 at radii r, broadcasting (a `sphere._Stack`'s (k, 1)
     columns too).  NumericsError where they are not finite, as where
     tau rho^2 overflows at tiny eps."""
     params, H, tau = spec.params, spec.H, spec.params.tau
@@ -195,8 +195,8 @@ def assemble_corrected_shape(H: float, tau: float, h, theta2) -> CorrectedShapeD
     `h` is the 2x2 second fundamental form in the adapted frame and
     `theta2` the vertical component of X2 (that of X1 vanishes by
     construction); both broadcast, h over (..., 2, 2) and theta2 over
-    (...), and k0_norm is a float for one point.  H and tau may be a stack
-    of spheres' (k, 1) columns for theta2 of shape (k, n).  Exposed
+    (...), and k0_norm is a float for one point.  H and tau may be a
+    `sphere._Stack`'s (k, 1) columns for theta2 of shape (k, n).  Exposed
     separately so negative controls can inject a perturbed h.
     """
     alpha = _each(principal_angle, H, tau)

@@ -29,7 +29,6 @@ inequality; `vertical_label_bound` checks them pointwise.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from ._numerics import _ULP, _divide, _newton, _power, _require_finite, _unit
 from .ambient import ModelParams, Point, TangentVector, _Record
 from .errors import DomainError, NumericsError
 from .sphere import (SphereSpec, _f, _gap, _height, _kernel, _mass, _normal_components, _radius_of,
-                     profile_height)
+                     _Stack, profile_height)
 
 __all__ = [
     "CylinderSpec",
@@ -208,10 +207,10 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
 
 def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, least=None) -> np.ndarray:
     """Leaf labels of cylinder points, both branches, of t's shape: r, r_cut, t_cut, R, eps and
-    sigma (floats, or arrays for cylinders of one or more spheres) broadcast to it, so that f(r; R)
-    and m(r) are worked out once a radius, as on (c, n, 1) radii against (c, n, n) heights.  A
-    label below the graph certainly above `least` (like t) is `least`, not solved: F falls in lam,
-    so that is where F at least's chord, one chord end at a time, is above `_band`'s."""
+    sigma (floats, or a `_Stack`'s columns for the cylinders of one or more spheres) broadcast to
+    it, so f(r; R) and m(r) are worked out once a radius, as on (c, n, 1) radii against (c, n, n)
+    heights.  A label below the graph surely above `least` (like t) is `least`, not solved: F falls
+    in lam, so that is where F at least's chord, one chord end at a time, is above `_band`'s."""
     params = cyl.params
     if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
         raise DomainError("points must lie inside the half-cylinder")
@@ -228,8 +227,7 @@ def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, least=None) -> np.n
     if np.any(below):  # each point's own r, cuts, R, eps and sigma; a float stays one
         e, s, R, r_cut, t_cut, r = (np.broadcast_to(v, t.shape)[below] if np.ndim(v) else v for v in
                                     (params.epsilon, params.sigma, cyl.R, cyl.r_cut, cyl.t_cut, r))
-        cyl_below = SimpleNamespace(params=SimpleNamespace(epsilon=e, sigma=s), R=R, r_cut=r_cut,
-                                    t_cut=t_cut)
+        cyl_below = _Stack(params=_Stack(epsilon=e, sigma=s), R=R, r_cut=r_cut, t_cut=t_cut)
         out[below] = _label_below(cyl_below, r, t[below])[0]
     return out
 

@@ -23,7 +23,6 @@ split L into one ordinary differential operator per angular mode.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +34,8 @@ from .ambient import ModelParams, Point, _Record
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
-from .sphere import SphereSpec, _f, _f_r, _pieces, profile_height, sphere_area, sphere_volume
+from .sphere import (SphereSpec, _f, _f_r, _pieces, _Stack, profile_height, sphere_area,
+                     sphere_volume)
 
 __all__ = [
     "graph_area",
@@ -122,7 +122,7 @@ def subriemannian_hemisphere_area(sigma: float, R: float) -> float:
     it is not finite, which names the limit's eps = 0.
     """
     area = 0.5 * math.pi**2 * sigma * _pow(R, 3)
-    return _require_finite(area, SimpleNamespace(epsilon=0.0, sigma=sigma),
+    return _require_finite(area, _Stack(epsilon=0.0, sigma=sigma),
                            "the sub-Riemannian hemisphere area", R=R)
 
 

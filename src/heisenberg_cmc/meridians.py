@@ -162,11 +162,14 @@ def _check_meridian_input(spec: SphereSpec, start: Point, **lengths) -> None:
 
 
 def _curve(params: ModelParams, R: float, points: np.ndarray, r, step: float) -> MeridianCurve:
-    """The curve through `points` (n, 3) at radii r, `step` apart: velocities
-    are the meridian field there, and one exact south-pole sample is appended
-    one step after the last."""
+    """The curve through `points` (n, 3) at radii r, `step` apart: velocities are the meridian
+    field there (NumericsError where m(r) or R m(r) is below the normal floats, as for
+    `meridian_field`), and one exact south-pole sample is appended one step after the last."""
     x, y, t = points.T
-    vels = np.column_stack(_meridian(params, x, y, r, t, R, *_pieces(params, r, R)[:2]))
+    g, m, _ = _pieces(params, r, R)
+    if not np.all(np.minimum(m, R * m) >= _TINY):  # eps^3 subnormal at sigma = 0: digits lost
+        _require_finite(math.nan, params, "the meridian field", R=R)
+    vels = np.column_stack(_meridian(params, x, y, r, t, R, g, m))
     points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
     vels = np.vstack([vels, vels[-1]])
     return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)

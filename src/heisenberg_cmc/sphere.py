@@ -23,7 +23,8 @@ arctan(q)/q; so f is Pansu's profile at radii hypot(r, c), hypot(R, c), c = eps^
 F is finite through sigma = 0 (F = m g) and on Pansu's axis (q = inf); f_r = -r m(r)/g and
 f_R = R F'/g.  F = (m^2/2s) phi(q), phi(q) = q + (1 + q^2) arctan q, so both radius solves are
 one Newton in g on phi(q) = 2 s |t|/m^2 from next to its root (`_gap_solve`, `_start`), and all
-profile helpers broadcast over numpy arrays.
+profile helpers broadcast over numpy arrays.  Their spec type is `_Stack`: k spheres as (k, 1)
+columns, one sphere as that sphere's own floats, or a cylinder's columns.
 
 One point stays on Python floats, by the same expressions.  numpy stays where a float raises
 or rounds differently: `_numerics._divide` where a divisor can be 0 (m = 0 on the axis where
@@ -35,6 +36,7 @@ the floats raises `_numerics._require_finite`'s NumericsError, the package's one
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -101,6 +103,26 @@ class RadiusField(_Record):
         _set(self, "value", value)
         _set(self, "R_r", R_r)
         _set(self, "R_t", R_t)
+
+
+class _Stack(SimpleNamespace):
+    """The array core's spec type.  `_Stack(members=specs)` is k spheres as one: an attribute is the
+    (k, 1) column of the members' own floats, each worked out once, and `params` the stack of their
+    ModelParams; members that are all one object give its own value, so one sphere stays its floats,
+    which broadcast alike and which errors print.  `shape=(-1, 1, 1)` makes the columns (k, 1, 1).
+    Given columns, as `_Stack(R=..., r_cut=...)`, a stack is those columns."""
+
+    shape = (-1, 1)
+
+    def __getattr__(self, name: str):
+        if name == "members":  # a stack of columns has none
+            raise AttributeError(name)
+        values = [getattr(m, name) for m in self.members]
+        col = (values[0] if all(m is self.members[0] for m in self.members)
+               else _Stack(members=values, shape=self.shape) if name == "params"
+               else np.reshape(values, self.shape))
+        setattr(self, name, col)
+        return col
 
 
 # ----------------------------------------------------------------- internals
@@ -222,7 +244,7 @@ def profile_height(spec: SphereSpec, r):
 
 
 def _height(spec: SphereSpec, r):
-    """`profile_height` on radii in [0, R], which a stack of spheres' (k, 1) columns broadcast."""
+    """`profile_height` on radii in [0, R], which a `_Stack`'s (k, 1) columns broadcast."""
     with np.errstate(over="ignore"):
         f = _f(spec.params, r, spec.R)
     return _require_finite(f, spec.params, "the profile height", R=spec.R)
@@ -238,10 +260,10 @@ def profile_height_R(spec: SphereSpec, r):
     """Derivative of the profile in the sphere parameter R; positive on [0, R).  NumericsError
     where it or the profile (`profile_height`) is not finite."""
     rr = _check_profile_domain(spec.R, r, closed=False)
-    _height(spec, rr)  # its NumericsError where the profile overflows
     with np.errstate(over="ignore"):
-        g, _, dF = _profile(spec.params, rr, spec.R)
-        f_R = np.asarray(spec.R, dtype=float) * dF / g  # f_R = R F'/g
+        g, f_over_g, dF = _profile(spec.params, rr, spec.R)
+        f, f_R = g * f_over_g, np.asarray(spec.R, dtype=float) * dF / g  # f_R = R F'/g
+    _require_finite(f, spec.params, "the profile height", R=spec.R)
     return _scalar_or_array(r, _require_finite(f_R, spec.params, "f_R", R=spec.R))
 
 
@@ -503,7 +525,7 @@ def graph_mean_curvature_fd(params: ModelParams, f, r, step: float):
     1/(eps R).  `f` is called once, on one 1-d array of the 16 r.size
     stencil points r + a step + b step, a and b in {-2, -1, 1, 2}, laid
     out as an array of shape (4, 4) + r.shape.  params and step may be a
-    stack of spheres' (k, 1) columns for r of shape (k, n).  `f` and the stencil run with numpy's
+    `_Stack`'s (k, 1) columns for r of shape (k, n).  `f` and the stencil run with numpy's
     errors ignored; NumericsError where eps^6 (eps above 1.4e51) or the result is not finite.
     """
     e, s = params.epsilon, params.sigma

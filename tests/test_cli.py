@@ -386,6 +386,18 @@ def test_float_power_past_the_largest_float_exits_3(argv, message):
     assert res.stderr == f"numeric failure: {message}\n"
 
 
+def test_meridian_where_eps3_is_subnormal_at_sigma_0_exits_3():
+    """m(r) = eps^3 is below the normal floats: `meridian_curve`'s typed error, with no warning
+    before it and no report (a report with a NaN residual is not JSON)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--epsilon", "2e-108", "--sigma", "0")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: the meridian field is not finite with eps = 2e-108, "
+                          "sigma = 0.0, R = 1.0\n")
+
+
 @pytest.mark.parametrize("eps, R", [("1e-160", "1e-160"), ("1e-80", "1e160")])
 def test_verify_whose_cmc_stencil_leaves_the_floats_exits_3(eps, R):
     """The CMC stencil warned of overflows before the typed error, and so died under -W error:
@@ -525,6 +537,7 @@ def test_config_file_precedence(tmp_path):
 @pytest.mark.parametrize("command, line, message", [
     (("isoperim", "--n", "1"), "seed = 2.5", "config value seed = '2.5' is not an integer"),
     (("sphere", "--R", "1"), "epsilon = abc", "config value epsilon = 'abc' is not a number"),
+    (("sphere", "--R", "1"), "# a comment\n\nfoo", "malformed config line: 'foo'"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, command, line, message):
     cfg = tmp_path / "bad.cfg"

@@ -11,6 +11,7 @@ from heisenberg_cmc import (
     NumericsError,
     Point,
     SphereSpec,
+    TangentVector,
     outer_normal,
     profile_height,
     vertical_component,
@@ -189,6 +190,11 @@ def test_shape_operator_rejects_nontangent(spec, rng):
     q = sphere_point(spec, rng)
     with pytest.raises(ContractError):
         shape_operator_fd(spec, q, outer_normal(spec, q))
+
+
+def test_shape_operator_of_the_zero_vector_is_zero(spec, rng):
+    zero = TangentVector(0.0, 0.0, 0.0)
+    assert shape_operator_fd(spec, sphere_point(spec, rng), zero) == zero
 
 
 def test_shape_invariant_under_frame_sign_flip(rng, spec):

@@ -115,6 +115,34 @@ def test_leaf_equation_domain(cyl):
         leaf_equation(cyl, 0.3, 1.1, 0.9)  # label not above R
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.8, 0.3])
+def test_point_on_leaf_at_or_above_the_graph_is_its_vertical_translate(spec, cyl, lam):
+    """A label lam <= R is the graph shifted up by R - lam, t = f(r; R) + (R - lam), which
+    leaf_label labels lam again."""
+    q = point_on_leaf(cyl, 0.4, lam)
+    assert q.t == float(profile_height(spec, 0.4)) + (spec.R - lam)
+    assert leaf_label(cyl, q) == pytest.approx(lam, abs=1e-14)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cyl: leaf_label(cyl, Point(0.3, 0.0, cyl.t_cut - 0.1)), "outside the half-cylinder"),
+    (lambda cyl: leaf_label(cyl, Point(1.2, 0.0, 0.5)), "outside the half-cylinder"),
+    (lambda cyl: calibration_field(cyl, Point(0.3, 0.0, cyl.t_cut - 0.1)),
+     "outside the half-cylinder"),
+    (lambda cyl: calibration_field(cyl, Point(1.2, 0.0, 0.5)), "outside the half-cylinder"),
+    (lambda cyl: point_on_leaf(cyl, cyl.r_cut, 1.5), "need 0 <= r < r_cut"),
+    (lambda cyl: point_on_leaf(cyl, 0.9, 0.8), "need 0 <= r < r_cut"),
+    (lambda cyl: vertical_label_bound(cyl, -0.1, 0.0), "need 0 <= r < r_cut"),
+], ids=["leaf_label below the cut", "leaf_label off the disk", "calibration_field below the cut",
+        "calibration_field off the disk", "point_on_leaf at r_cut", "point_on_leaf past r_cut",
+        "vertical_label_bound at r < 0"])
+def test_cylinder_calls_outside_their_domain_raise(cyl, call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            call(cyl)
+
+
 def test_label_on_and_above_graph(spec, cyl):
     r = 0.4
     f_here = float(profile_height(spec, r))

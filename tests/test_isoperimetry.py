@@ -627,3 +627,9 @@ def test_jacobi_residual_where_the_profile_overflows_raises_typed(which):
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="profile height is not finite with eps = 5e"):
             jacobi_residual(spec, which)
+
+
+def test_make_competitors_needs_the_cylinder_of_its_sphere(spec):
+    other = SphereSpec(spec.params, 2.0 * spec.R)
+    with pytest.raises(ContractError, match="cylinder was built for a different sphere"):
+        make_competitors(spec, CylinderSpec(other, 0.3), np.random.default_rng(0), 2)

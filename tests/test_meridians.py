@@ -583,6 +583,17 @@ def test_pansu_field_needs_a_finite_point(point):
         pansu_meridian_field(1.0, point)
 
 
+def test_pansu_field_on_the_axis_raises():
+    with pytest.raises(DomainError, match="undefined on the center axis"):
+        pansu_meridian_field(1.0, Point(0.0, 0.0, 0.3))
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5])
+def test_pansu_geodesic_residual_needs_r_below_R(r):
+    with pytest.raises(DomainError, match="need 0 < r < R"):
+        pansu_geodesic_residual(1.0, 1.0, r)
+
+
 def test_pansu_field_rejects_a_nan_coordinate_without_a_warning():
     """|z| is np.hypot, which passes NaN on quietly, so the DomainError is the only signal."""
     with warnings.catch_warnings():
@@ -707,3 +718,24 @@ def test_meridian_field_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="the meridian field at Point"):
             meridian_field(spec.params, point)
+
+
+@pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT)
+def test_meridian_curve_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error(spec, frac):
+    """The curve's velocities are the meridian field's closed form, so they keep its rule: where
+    m(r) or R m(r) is below the normal floats, NumericsError, with no warning before it."""
+    start = start_point(spec, frac)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"^the meridian field is not finite with eps = "
+                                                f"{spec.params.epsilon!r}, sigma = 0.0, R = "):
+            meridian_curve(spec, start, 5e-4 * spec.R)
+
+
+def test_geodesic_residual_stencil_needs_6_samples():
+    """A step of a quarter of the pole-to-pole length gives 5 samples, one short of the stencil."""
+    spec = figure1_spec()
+    curve = meridian_curve(spec, start_point(spec), 0.25 * math.pi * spec.params.epsilon * spec.R)
+    assert len(curve) == 5
+    with pytest.raises(DomainError, match="curve too short for the residual stencil"):
+        meridian_geodesic_residual(spec, curve)

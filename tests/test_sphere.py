@@ -155,6 +155,26 @@ def test_profile_quantities_invariants(spec):
     assert q2.rho == spec.params.tau * spec.params.epsilon * 0.3
 
 
+@pytest.mark.parametrize("hemisphere", [0, 2, -2])
+def test_profile_quantities_hemisphere_is_plus_or_minus_1(spec, hemisphere):
+    with pytest.raises(ContractError, match=f"hemisphere must be \\+1 or -1, got {hemisphere}"):
+        profile_quantities(spec, 0.3, hemisphere=hemisphere)
+
+
+def test_stack_attributes_are_columns_or_one_objects_own_values(spec):
+    """`sphere._Stack`: members that are one object give its own values, others the (k, 1) column
+    of theirs (their params stack shares one ModelParams' floats), and a stack of columns has no
+    other attribute."""
+    one = sphere._Stack(members=[spec, spec])
+    assert type(one.R) is float and one.R == spec.R and one.params is spec.params
+    two = sphere._Stack(members=[spec, SphereSpec(spec.params, 2.0)])
+    assert two.R.tolist() == [[1.0], [2.0]] and type(two.params.epsilon) is float
+    cols = sphere._Stack(R=two.R)
+    assert cols.R is two.R
+    with pytest.raises(AttributeError):
+        cols.H
+
+
 def test_radius_on_equatorial_plane(params):
     rf = radius_field(params, 0.7, 0.0)
     assert rf.value == 0.7
