@@ -5,7 +5,7 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report; the
               curvature checks run once over a `sphere._Stack` of the spheres (27
-              with --grid), the calibration check by the leaf equation's sign, 3 spheres a call
+              with --grid), the calibration check by a bound on each label, 3 spheres a call
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from ._numerics import _MAX_SAMPLES, _ULP, _divide, _each, _require_finite, _unit
+from ._numerics import _MAX_SAMPLES, _each, _require_finite, _unit
 from .ambient import ModelParams, Point, _curvature_operator
 from .errors import ContractError, DomainError, NumericsError
 from .sphere import (
@@ -264,14 +264,13 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
 def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     """Worst shortfall of 1 - R/label below the label floor on an n x n grid under the sphere in
     each cylinder of a SphereSpec or of each `_Stack` member, each cylinder's grid reduced and then
-    Python's max in cylinder order.  3 spheres a `_labels` call: r (cylinders, n, 1) against heights
-    (cylinders, n, n), and R, eps, sigma, r_cut, t_cut a `_Stack`'s (cylinders, 1, 1) columns (one
-    sphere's floats), so f(r; R) and m(r) are worked out once a radius and a block's arrays (6 x 40
-    x 40 floats) stay under glibc's 128 KiB mmap threshold.  The grid's first radius is 0, and the
-    cut radius is one more column, so one `_height` pass gives f(0; R) and the cut heights too.  The
-    depth-0 shortfall is 0, so a label that the leaf equation's sign shows above
-    R/(1 - 2 floor - 8 ulp) is not solved."""
-    from .foliation import _floor, _k_f0, _labels
+    Python's max in cylinder order.  3 spheres a block: r (cylinders, n, 1) against (cylinders, n,
+    n) heights and R, eps, sigma, r_cut, t_cut as a `_Stack`'s (cylinders, 1, 1) columns (one
+    sphere's floats), so a block's arrays stay under glibc's 128 KiB mmap threshold; one `_height`
+    pass over the radii, 0 first, and r_cut gives f(0; R) and t_cut too.  A point whose label bound
+    (`_label_bound`) clears its floor by its allowance has a slack >= 0 and the depth-0 slack is 0,
+    so only the others are solved, in one `_labels` call over a flat subset."""
+    from .foliation import _floor, _k_f0, _label_bound, _labels, _points
 
     members, worst = getattr(spheres, "members", [spheres]), []
     for specs in (members[b:b + 3] for b in range(0, len(members), 3)):
@@ -289,8 +288,12 @@ def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
                 raise NumericsError(f"the calibration grid's heights are not normal floats with "
                                     f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
             floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
-        least = _divide(block.R, 1.0 - (2.0 * (floors := np.array(floors)) + 8.0 * _ULP))
-        worst += [float(-s.min()) for s in (1.0 - block.R / _labels(block, rs, ts, least)) - floors]
+        lam, allowance = _label_bound(block, rs, ts)
+        slack = (1.0 - block.R / lam) - (floors := np.array(floors))
+        if (open_ := ~(slack >= allowance)).any():  # NaN decides nothing
+            cuts, r, t = _points(block, rs, ts, open_)
+            slack[open_] = (1.0 - cuts.R / _labels(cuts, r, t)) - floors[open_]
+        worst += [float(-s.min()) for s in slack]
     return max(worst)
 
 

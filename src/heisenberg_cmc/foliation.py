@@ -143,34 +143,21 @@ def _chord(cyl: CylinderSpec, r: np.ndarray, y):
     return 0.5 * (k + y), np.maximum(0.5 * (k - y), 0.0)
 
 
-def _end(sigma, s, m):
-    """f(rho; lam) = s_rho F/g and F' from `sphere._kernel` at g = s_rho, m = m(rho), q = p_rho =
-    sigma s_rho/m, elementwise: one chord end, or both stacked."""
-    f_over_s, dF = _kernel(s, m, sigma, _divide(sigma * s, m))  # m(0) = 0 where eps^3 underflows
-    return s * f_over_s, dF
-
-
 def _leaf_terms(cyl: CylinderSpec, r: np.ndarray, m: np.ndarray, y):
     """(s_r, s_cut), (f(r; lam), f(r_cut; lam)) and dF/dy at the chord y; `m` stacks m(r), m(r_cut).
     dF/dy = (s_r F'_cut - s_cut F'_r)/y, finite as s_cut -> 0; F_lam = -lam y dF/dy/(s_r s_cut)."""
-    s = np.stack(_chord(cyl, r, y))
-    f, dF = _end(cyl.params.sigma, s, m)
-    return s, f, (s[0] * dF[1] - s[1] * dF[0]) / y
-
-
-def _band(cyl: CylinderSpec, t: np.ndarray, f_r, f_cut):
-    """F = f(r; lam) - f(r_cut; lam) + t_cut - t, and whether |F| is at the rounding level of its
-    terms, 16 ulp of their size, where `_label_below` stops."""
-    F = f_r - f_cut + cyl.t_cut - t
-    scale = np.abs(f_r) + np.abs(f_cut) + (abs(cyl.t_cut) + np.abs(t))
-    return F, np.abs(F) <= 16.0 * _ULP * scale
+    s, sigma = np.stack(_chord(cyl, r, y)), cyl.params.sigma
+    f_over_s, dF = _kernel(s, m, sigma, _divide(sigma * s, m))  # m(0) = 0 where eps^3 underflows
+    return s, s * f_over_s, (s[0] * dF[1] - s[1] * dF[0]) / y
 
 
 def _residual(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, m: np.ndarray, y):
-    """F and dF/dy at the chord y, and `_band`'s rounding-level mask."""
-    _, f, dF = _leaf_terms(cyl, r, m, y)
-    F, near = _band(cyl, t, f[0], f[1])
-    return F, dF, near
+    """F = f(r; lam) - f(r_cut; lam) + t_cut - t and dF/dy at the chord y, and whether |F| is at
+    the rounding level of its terms, 16 ulp of their size, where `_label_below` stops."""
+    _, (f_r, f_cut), dF = _leaf_terms(cyl, r, m, y)
+    F = f_r - f_cut + cyl.t_cut - t
+    scale = np.abs(f_r) + np.abs(f_cut) + (abs(cyl.t_cut) + np.abs(t))
+    return F, dF, np.abs(F) <= 16.0 * _ULP * scale
 
 
 def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
@@ -179,13 +166,14 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
     Newton in the chord y (`_chord`), which falls from y_max at lam = R to 0 as lam -> inf.
     D(y) = f(r; lam) - f(r_cut; lam) is the integral of m over [s_cut, s_r] and m rises, so
     the root of D(y) = t - t_cut lies in [(t - t_cut)/m(r_cut), (t - t_cut)/m(r)] and below
-    y_max; at sigma = 0 that bracket is the root.  D is convex in y, so its slope at y = 0,
-    (2/3)(m_r^2 + m_r m_cut + m_cut^2)/(m_r + m_cut), gives a start above the root, and Newton
-    descends without overshooting (in u = m_r/m_cut, so a rise of the least float rounds onto
-    the low end).  A point has converged when |F| is at the rounding level of its terms (far
-    above one ulp of lam at deep points).  Labels are at least the float after R, within one
-    ulp of the root when the point sits a rounding error below the graph.  NumericsError where
-    lam^2 overflows.  `cyl`'s r_cut and t_cut may be arrays like r (`_labels`).
+    y_max; at sigma = 0 that bracket is the root.  D is convex in y: its tangent at y_max bounds
+    the label (`_label_bound`), and its slope at y = 0, (2/3)(m_r^2 + m_r m_cut + m_cut^2)/(m_r +
+    m_cut), gives a start above the root, from which Newton descends without overshooting (in
+    u = m_r/m_cut, so a rise of the least float rounds onto the low end).  A point has converged
+    when |F| is at the rounding level of its terms (far above one ulp of lam at deep points).
+    Labels are at least the float after R, within one ulp of the root when the point sits a
+    rounding error below the graph.  NumericsError where lam^2 overflows.  `cyl`'s r_cut and
+    t_cut may be arrays like r (`_labels`).
     """
     R, r_cut = cyl.R, cyl.r_cut
     m = _mass(cyl.params, np.stack((r, np.full_like(r, r_cut))))
@@ -205,31 +193,48 @@ def _label_below(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
     return np.maximum(lam, np.nextafter(R, np.inf)), y, m
 
 
-def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, least=None) -> np.ndarray:
+def _points(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, mask):
+    """The points `mask` picks from t's shape: their cylinders' flat columns (a float stays one)."""
+    vs = (cyl.params.epsilon, cyl.params.sigma, cyl.R, cyl.r_cut, cyl.t_cut, r)
+    e, s, R, r_cut, t_cut, r = (np.broadcast_to(v, t.shape)[mask] if np.ndim(v) else v for v in vs)
+    return _Stack(params=_Stack(epsilon=e, sigma=s), R=R, r_cut=r_cut, t_cut=t_cut), r, t[mask]
+
+
+def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Leaf labels of cylinder points, both branches, of t's shape: r, r_cut, t_cut, R, eps and
     sigma (floats, or a `_Stack`'s columns for the cylinders of one or more spheres) broadcast to
-    it, so f(r; R) and m(r) are worked out once a radius, as on (c, n, 1) radii against (c, n, n)
-    heights.  A label below the graph surely above `least` (like t) is `least`, not solved: F falls
-    in lam, so that is where F at least's chord, one chord end at a time, is above `_band`'s."""
-    params = cyl.params
+    it, as (c, n, 1) radii to (c, n, n) heights; the points below the graph go to one solve."""
     if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
         raise DomainError("points must lie inside the half-cylinder")
-    depth = _f(params, r, cyl.R) - t
+    depth = _f(cyl.params, r, cyl.R) - t
     out = depth + cyl.R
-    below = depth > 0.0
-    if least is not None:
-        with np.errstate(all="ignore"):  # a least past inf or not above R decides nothing
-            s_r, s_cut = _chord(cyl, r, _chord_at(cyl, r, least))
-            f_r = _end(params.sigma, s_r, _mass(params, r))[0]
-            F, near = _band(cyl, t, f_r, _end(params.sigma, s_cut, _mass(params, cyl.r_cut))[0])
-        sure = below & (F > 0.0) & ~near & (cyl.R < least) & (least < np.inf)
-        out[sure], below = least[sure], below & ~sure
-    if np.any(below):  # each point's own r, cuts, R, eps and sigma; a float stays one
-        e, s, R, r_cut, t_cut, r = (np.broadcast_to(v, t.shape)[below] if np.ndim(v) else v for v in
-                                    (params.epsilon, params.sigma, cyl.R, cyl.r_cut, cyl.t_cut, r))
-        cyl_below = _Stack(params=_Stack(epsilon=e, sigma=s), R=R, r_cut=r_cut, t_cut=t_cut)
-        out[below] = _label_below(cyl_below, r, t[below])[0]
+    if np.any(below := depth > 0.0):
+        out[below] = _label_below(*_points(cyl, r, t, below))[0]
     return out
+
+
+def _label_bound(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
+    """A lower bound on each label, one Newton step from the sphere, and an allowance for its
+    rounding in 1 - R/label; r and `cyl` broadcast to t's shape, and checked, as in `_labels`.
+    D(y) = f(r; lam) - f(r_cut; lam) is convex in the chord y (`_label_below`), so the label's
+    chord is at most y = y_max - q, q = depth/D', where D's tangent at y_max (lam = R) meets
+    t - t_cut.  As 1 - R/lam moves by at most 1/y a unit of y, the allowance is y's error over y:
+    32 ulp of y_max and of f(r; R)/D', and 128 ulp of q S/D', S = s_r (m_r + m_cut + 2 |sigma|
+    (s_r + s_cut))/y_max >= the size of the terms of D'.  On and above the graph it is the label."""
+    if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
+        raise DomainError("points must lie inside the half-cylinder")
+    depth = (f := _f(cyl.params, r, cyl.R)) - t
+    m = _mass(cyl.params, np.stack((r, np.full_like(r, cyl.r_cut))))
+    with np.errstate(all="ignore"):  # allowance inf or NaN where D' or y is not positive
+        s, _, slope = _leaf_terms(cyl, r, m, y_max := _chord_at(cyl, r, cyl.R))
+        a = np.where((0.0 < slope) & (slope < np.inf), 32.0 * _ULP * (y_max + f / slope), np.inf)
+        size = s[0] * (m[0] + m[1] + 2.0 * np.abs(cyl.params.sigma) * (s[0] + s[1])) / y_max
+        y = y_max - (q := depth / slope)
+        r_u, y_u = r / (u := _unit(cyl.R)), y / u
+        s_r = 0.5 * ((cyl.r_cut / u - r_u) * (cyl.r_cut / u + r_u) / y_u + y_u)  # `_chord`'s
+        lam = np.sqrt(s_r * s_r + r_u * r_u) * u  # as in `_label_below`, in units of R
+        allowance = (a + q * (128.0 * _ULP * size / slope)) / np.maximum(y, 0.0)
+    return np.where(below := depth > 0.0, lam, depth + cyl.R), np.where(below, allowance, 0.0)
 
 
 def leaf_label_grid(cyl: CylinderSpec, r, t) -> np.ndarray:

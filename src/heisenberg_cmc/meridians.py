@@ -224,6 +224,8 @@ def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     x, y, t = q.tolist()
     r = abs(complex(x, y))
     g, m, _ = _pieces(params, r, R)
+    if min(m, R * m) < _TINY:  # `_curve`'s rule, before any step; NaN is left to the step guard
+        _require_finite(math.nan, params, "the meridian field", R=R)
     m_x, m_y, _ = _meridian(params, x, y, r, t, R, g, m)
     e = params.epsilon
     return np.array([m_x / e, m_y / e, -r * m / (e * R)])

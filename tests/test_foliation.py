@@ -239,8 +239,8 @@ def test_labels_match_brentq_oracle():
 
 
 def test_label_solves_take_at_most_6_passes():
-    """The 27 spheres of `verify --grid` make no label solve: the sign of the leaf equation
-    decides every grid point (test_calibration_check_matches_the_full_solve).  Over the domain
+    """The 27 spheres of `verify --grid` make no label solve: the label bound decides every grid
+    point (test_calibration_check_matches_the_full_solve).  Over the domain
     of test_labels_match_brentq_oracle, which it reruns, a solve takes at most 6 passes."""
     grid, oracle = [], []
     with counting_newton_passes(foliation, "leaf label solve", grid):
@@ -295,20 +295,26 @@ def test_calibration_check_matches_the_full_solve(specs):
         assert _outcome(cli._check_calibration, spec) == _outcome(_full_solve_calibration, spec), spec
 
 
-def test_calibration_check_solves_at_most_1_percent_of_the_stress_grid():
-    """Only points whose sign is not certain are solved: 232 of the stress grid's 448,000."""
-    solved = []
-    label_below = foliation._label_below
+def test_calibration_check_solves_no_point_of_the_stress_grid():
+    """The label bound decides every point of the stress grid's 436,800, so the check sends none
+    to the label solve and makes no `_labels` call (the sign test of F at R/(1 - 2 floor - 8 ulp)
+    that the bound replaced solved 232)."""
+    solved, calls = [], []
+    label_below, labels = foliation._label_below, foliation._labels
 
     def counting(cyl, r, t):
         solved.append(r.size)
         return label_below(cyl, r, t)
 
-    with mock.patch.object(foliation, "_label_below", counting):
+    def recording(cyl, r, t):
+        calls.append(t.size)
+        return labels(cyl, r, t)
+
+    with mock.patch.object(foliation, "_label_below", counting), \
+            mock.patch.object(foliation, "_labels", recording):
         for spec in STRESS:
             cli._check_calibration(spec)
-    points = sum(1600 * (1 + (0.3 < spec.R)) for spec in STRESS)
-    assert 0 < sum(solved) <= 0.01 * points
+    assert solved == [] and calls == []
 
 
 def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypatch, capsys):
@@ -333,55 +339,52 @@ def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypa
     assert not checks["calibration_bounds"]["passed"]
 
 
-def _labels_calls(spheres):
-    """`verify`'s calibration check on a SphereSpec or a `_Stack`: its value, its `_labels` calls
-    as (cyl, r, t, least, labels), and the number of points they send through the masked
-    branch's label solve."""
+def _bound_calls(spheres):
+    """`verify`'s calibration check on a SphereSpec or a `_Stack`: its value, its `_label_bound`
+    calls as (cyl, r, t, (bound, allowance)), and the number of points sent to the label solve."""
     calls, solved = [], []
-    labels, label_below = foliation._labels, foliation._label_below
+    label_bound, label_below = foliation._label_bound, foliation._label_below
 
-    def recording(cyl, r, t, least=None):
-        calls.append((cyl, r, t, least, labels(cyl, r, t, least)))
+    def recording(cyl, r, t):
+        calls.append((cyl, r, t, label_bound(cyl, r, t)))
         return calls[-1][-1]
 
     def counting(cyl, r, t):
         solved.append(r.size)
         return label_below(cyl, r, t)
 
-    with mock.patch.object(foliation, "_labels", recording), \
+    with mock.patch.object(foliation, "_label_bound", recording), \
             mock.patch.object(foliation, "_label_below", counting):
         value = cli._check_calibration(spheres)
     return value, calls, sum(solved)
 
 
 def _column_call(spec):
-    """The one `_labels` call of the check on one sphere, and its masked-branch count."""
-    _, (call,), solved = _labels_calls(spec)
+    """The one `_label_bound` call of the check on one sphere, and its label-solve count."""
+    _, (call,), solved = _bound_calls(spec)
     return call, solved
 
 
-def _flat(cyl, r, t, least):
+def _flat(cyl, r, t):
     """The same points as 1-d arrays, with r, r_cut and t_cut repeated per point (`np.repeat`)."""
     c, n, _ = t.shape
     cuts = {k: np.repeat(np.ravel(getattr(cyl, k)), n * n) for k in ("r_cut", "t_cut")}
-    return (SimpleNamespace(params=cyl.params, R=cyl.R, **cuts), np.repeat(r, n), t.ravel(),
-            least.ravel())
+    return SimpleNamespace(params=cyl.params, R=cyl.R, **cuts), np.repeat(r, n), t.ravel()
 
 
-@pytest.mark.parametrize("specs, masked", [(GRID, 0), (STRESS, 232), (SINGLE, 0)],
-                         ids=["grid", "stress", "single"])
-def test_labels_on_radius_columns_equal_the_flat_layout(specs, masked):
-    """`verify`'s calibration check makes one `_labels` call a sphere, with r of shape
+@pytest.mark.parametrize("specs", [GRID, STRESS, SINGLE], ids=["grid", "stress", "single"])
+def test_labels_on_radius_columns_equal_the_flat_layout(specs):
+    """`verify`'s calibration check makes one `_label_bound` call a sphere, with r of shape
     (cylinders, n, 1) and r_cut, t_cut (cylinders, 1, 1) against (cylinders, n, n) heights, so
-    that f(r; R) and m(r) are worked out once a radius.  Its labels are those of the flat layout
-    with one r per point, bit for bit, on the 27 spheres of `verify --grid`, the stress grid and
-    the single specs; the stress grid sends 232 points through the masked branch.  The grid,
-    from one profile pass over both cylinders, is each cylinder's own, bit for bit."""
-    total = 0
+    that f(r; R), m and D'(y_max) are worked out once a radius.  The bound and its allowance are
+    those of the flat layout with one r per point, bit for bit, and so are the labels of `_labels`
+    on the same columns, on the 27 spheres of `verify --grid`, the stress grid and the single
+    specs; the check solves none.  The grid, from one profile pass over both cylinders, is each
+    cylinder's own, bit for bit."""
     for spec in specs:
-        (cyl, r, t, least, labels), solved = _column_call(spec)
+        (cyl, r, t, bound), solved = _column_call(spec)
         c = 1 + (0.3 < spec.R)
-        assert r.shape == (c, 40, 1) and t.shape == least.shape == labels.shape == (c, 40, 40)
+        assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 40)
         assert np.shape(cyl.r_cut) == np.shape(cyl.t_cut) == (c, 1, 1)
         for k, delta in enumerate((0.0, 0.3)[:c]):
             one = CylinderSpec(spec, delta)
@@ -389,79 +392,133 @@ def test_labels_on_radius_columns_equal_the_flat_layout(specs, masked):
             f = profile_height(spec, rs)[:, None]
             assert r[k, :, 0].tobytes() == rs.tobytes()
             assert t[k].tobytes() == (f - np.linspace(0.0, 0.999, 40) * (f - one.t_cut)).tobytes()
-        assert labels.tobytes() == foliation._labels(*_flat(cyl, r, t, least)).tobytes(), spec
-        total += solved
-    assert total == masked
+        flat = _flat(cyl, r, t)
+        for got, want in zip(bound, foliation._label_bound(*flat)):
+            assert got.tobytes() == want.tobytes(), spec
+        assert foliation._labels(cyl, r, t).tobytes() == foliation._labels(*flat).tobytes(), spec
+        assert solved == 0
 
 
 def test_points_outside_the_cylinder_raise_alike_in_both_layouts():
-    """A radius at R or below 0, or a height at t_cut, raises the same DomainError whether the
-    radii are columns or repeated per point."""
-    (cyl, r, t, least, _), _ = _column_call(GRID[13])
+    """A radius at R or below 0, or a height at t_cut, raises the same DomainError from the label
+    bound and from `_labels`, whether the radii are columns or repeated per point."""
+    (cyl, r, t, _), _ = _column_call(GRID[13])
     for i, value in ((1, cyl.R), (0, -1e-300)):
         bad = r.copy()
         bad[i, 7, 0] = value
-        for args in ((cyl, bad, t, least), _flat(cyl, bad, t, least)):
-            with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
-                foliation._labels(*args)
+        for fun in (foliation._label_bound, foliation._labels):
+            for args in ((cyl, bad, t), _flat(cyl, bad, t)):
+                with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
+                    fun(*args)
     bad = t.copy()
     bad[1, 5, 9] = cyl.t_cut[1, 0, 0]
-    for args in ((cyl, r, bad, least), _flat(cyl, r, bad, least)):
-        with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
-            foliation._labels(*args)
+    for fun in (foliation._label_bound, foliation._labels):
+        for args in ((cyl, r, bad), _flat(cyl, r, bad)):
+            with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
+                fun(*args)
 
 
 def _stacks(specs, size):
     return [cli._Stack(members=specs[i:i + size]) for i in range(0, len(specs), size)]
 
 
-@pytest.mark.parametrize("specs, size, masked", [(GRID, 27, 0), (STRESS, 7, 232), (SINGLE, 4, 0)],
+@pytest.mark.parametrize("specs, size", [(GRID, 27), (STRESS, 7), (SINGLE, 4)],
                          ids=["grid", "stress", "single"])
-def test_stacked_calibration_check_equals_the_per_sphere_loop(specs, size, masked):
-    """Over a `_Stack` the check decides 3 spheres a `_labels` call, R, eps, sigma, r_cut and t_cut
-    as (cylinders, 1, 1) columns against (cylinders, n, n) heights, and reports what the loop of
-    one-sphere checks over its members reports, repr for repr, so the sign of a zero shortfall
-    too: the 27 `--grid` spheres as one stack in 9 calls; the stress grid in stacks of 7, whose
-    blocks mix members of 1 and 2 cylinders and end in a block of one, sending the loop's 232
-    points through the masked branch; the single specs in stacks of 4.  One sphere keeps its
-    floats."""
+def test_stacked_calibration_check_equals_the_per_sphere_loop(specs, size):
+    """Over a `_Stack` the check bounds 3 spheres a `_label_bound` call, R, eps, sigma, r_cut and
+    t_cut as (cylinders, 1, 1) columns against (cylinders, n, n) heights, and reports what the
+    loop of one-sphere checks over its members reports, repr for repr, so the sign of a zero
+    shortfall too: the 27 `--grid` spheres as one stack in 9 calls; the stress grid in stacks of
+    7, whose blocks mix members of 1 and 2 cylinders and end in a block of one; the single specs
+    in stacks of 4.  No point goes to the label solve.  One sphere keeps its floats."""
     total = 0
     for stack in _stacks(specs, size):
-        value, calls, solved = _labels_calls(stack)
+        value, calls, solved = _bound_calls(stack)
         blocks = [stack.members[i:i + 3] for i in range(0, len(stack.members), 3)]
         assert len(calls) == len(blocks)
-        for (cyl, r, t, least, labels), block in zip(calls, blocks):
+        for (cyl, r, t, bound), block in zip(calls, blocks):
             c = sum(1 + (0.3 < spec.R) for spec in block)
-            assert r.shape == (c, 40, 1) and t.shape == least.shape == labels.shape == (c, 40, 40)
+            assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 40)
             cols = (cyl.R, cyl.params.epsilon, cyl.params.sigma) if len(block) > 1 else ()
             assert all(np.shape(v) == (c, 1, 1) for v in cols + (cyl.r_cut, cyl.t_cut))
             if len(block) == 1:
                 assert cyl.params is block[0].params and cyl.R is block[0].R
         assert repr(value) == repr(max(cli._check_calibration(spec) for spec in stack.members))
         total += solved
-    assert total == masked
-    assert len(_labels_calls(GRID[13])[1]) == 1
+    assert total == 0
+    assert len(_bound_calls(GRID[13])[1]) == 1
 
 
-def test_sign_test_is_the_residuals_band_bit_for_bit():
-    """The sign test of `_labels` takes F and its 16-ulp band at lam*'s chord one chord end at a
-    time, with no dF/dy; on every block of the `--grid` stack and of the stress grid in stacks of
-    7 they are those of `_residual`, whose chord ends are stacked, bit for bit."""
-    band = foliation._band
-    for stack in [cli._Stack(members=GRID)] + _stacks(STRESS, 7):
-        for cyl, r, t, least, _ in _labels_calls(stack)[1]:
-            seen = []
+def _log_uniform_specs(count, seed):
+    """eps, |sigma| and R log-uniform in [1e-4, 1e4], sigma negative, 0 and positive in turn."""
+    rng = np.random.default_rng(seed)
+    draws = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), (count, 3)))
+    return [SphereSpec(ModelParams(float(e), (-1.0, 0.0, 1.0)[i % 3] * float(s)), float(R))
+            for i, (e, s, R) in enumerate(draws)]
 
-            def recording(cyl, t, f_r, f_cut):
-                seen.append(band(cyl, t, f_r, f_cut))
-                return seen[-1]
 
-            with mock.patch.object(foliation, "_band", recording):
-                foliation._labels(cyl, r, t, least)
-            m = _mass(cyl.params, np.stack((r, np.full_like(r, cyl.r_cut))))
-            with np.errstate(all="ignore"):
-                F, _, near = foliation._residual(cyl, r, t, m, foliation._chord_at(cyl, r, least))
-            assert seen[0][0].tobytes() == F.tobytes() and seen[0][1].tobytes() == near.tobytes()
+@functools.cache
+def _bound_against_the_full_solve():
+    """Per cylinder of the check's 40 x 40 grid, on GRID, STRESS and 210 log-uniform specs with
+    delta in {0, 1e-3 R, 0.3 R}, the label bound and its allowance (`foliation._label_bound`) set
+    against the full solve (`leaf_label_grid`): (spec, points below the graph, points the bound
+    decides whose full-solve slack is below 0 or NaN, the largest excess of the bound over the
+    label in units of the solve's stopping tolerance, and at sigma = 0 the largest gap between
+    their 1 - R/label in units of the allowance plus 8 ulp)."""
+    rows = []
+    for spec in GRID + STRESS + _log_uniform_specs(210, 38):
+        R = spec.R
+        for cyl in (CylinderSpec(spec, delta) for delta in (0.0, 1e-3 * R, 0.3 * R)):
+            rs = np.linspace(0.0, cyl.r_cut * 0.995, 40)
+            f = profile_height(spec, rs)[:, None]
+            depth = np.linspace(0.0, 0.999, 40) * (f - cyl.t_cut)
+            r, t = np.repeat(rs, 40), (f - depth).ravel()
+            bound, allowance = foliation._label_bound(cyl, r, t)
+            label = leaf_label_grid(cyl, r, t)
+            floor = foliation.label_floor(cyl, depth.ravel())
+            decided = (1.0 - R / bound) - floor >= allowance
+            unsound = decided & ~((1.0 - R / label) - floor >= 0.0)
+            below = np.repeat(f, 40) - t > 0.0
+            r, t, bound, label, allowance = (v[below] for v in (r, t, bound, label, allowance))
+            # the solve stops where |F| <= 16 ulp of its terms (`_residual`), which moves the label
+            # by that over |F_lam| = lam y dF/dy / (s_r s_cut), or on a step of 4 ulp of the chord;
+            # the bound rounds by its allowance, lam^2/R times that in lam
+            m = _mass(spec.params, np.stack((r, np.full_like(r, cyl.r_cut))))
+            y = foliation._chord_at(cyl, r, label)
+            s, (f_r, f_cut), dF = _leaf_terms(cyl, r, m, y)
+            terms = np.abs(f_r) + np.abs(f_cut) + abs(cyl.t_cut) + np.abs(t)
+            tol = (16.0 * _ULP * terms * s[0] * s[1] / (label * y * dF) + 8.0 * _ULP * label
+                   + allowance * bound * bound / R)
+            gap = np.abs(R / bound - R / label) / (allowance + 8.0 * _ULP)
+            rows.append((spec, int(below.sum()), int(unsound.sum()),
+                         float(np.max((bound - label) / tol)),
+                         float(np.max(gap)) if spec.params.sigma == 0.0 else 0.0))
+    return rows
+
+
+def test_label_bound_decides_only_points_whose_full_solve_slack_holds():
+    """Every point that the bound decides, 1 - R/bound - floor >= allowance, has a full-solve
+    slack >= 0, on GRID, STRESS and 210 log-uniform specs (eps, |sigma|, R in [1e-4, 1e4], sigma
+    of both signs and 0) with delta in {0, 1e-3 R, 0.3 R}: 1,928,160 points below the graph."""
+    rows = _bound_against_the_full_solve()
+    assert len(rows) == 3 * (len(GRID) + len(STRESS) + 210)
+    assert sum(row[1] for row in rows) == 1_928_160
+    assert [row[0] for row in rows if row[2]] == []
+
+
+def test_label_bound_is_at_most_the_label_within_the_solves_tolerance():
+    """The bound exceeds the full-solve label by less than half the solve's stopping tolerance
+    (16 ulp of F's terms over |F_lam|, a 4-ulp step of the chord) plus its own allowance; it sits
+    above the label by up to 7.9e-11 relative, at deep points where the solve stops on |F|."""
+    assert max(row[3] for row in _bound_against_the_full_solve()) < 0.5
+
+
+def test_label_bound_at_sigma_0_is_the_label():
+    """At sigma = 0, m is eps^3 at both chord ends and D(y) = eps^3 y is linear, so the tangent is
+    D itself and the bound is the label: their 1 - R/label agree within 5% of the allowance plus
+    8 ulp (up to 581 ulp, next to the cut, where depth = f(r; R) - t cancels)."""
+    rows = [row for row in _bound_against_the_full_solve() if row[0].params.sigma == 0.0]
+    assert len(rows) == 3 * (35 + 70) and max(row[4] for row in rows) < 0.05
 
 
 _full_solve_grid = functools.cache(_full_solve_calibration)

@@ -732,6 +732,18 @@ def test_meridian_curve_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error
             meridian_curve(spec, start, 5e-4 * spec.R)
 
 
+@pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT + [(SUBNORMAL_FLAT[0][0], 0.02)])
+def test_integrated_meridian_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error(spec, frac):
+    """The RK4 stages take the meridian field's closed form, so they keep its rule too: where
+    m(r) or R m(r) is below the normal floats, the field's NumericsError before the first step
+    (not a stray step, nor a ZeroDivisionError where R m(r) underflows to 0), with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"^the meridian field is not finite with eps = "
+                                                f"{spec.params.epsilon!r}, sigma = 0.0, R = "):
+            integrate_meridian(spec, start_point(spec, frac))
+
+
 def test_geodesic_residual_stencil_needs_6_samples():
     """A step of a quarter of the pole-to-pole length gives 5 samples, one short of the stencil."""
     spec = figure1_spec()
