@@ -5,7 +5,8 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report; the
               curvature checks run once over a `sphere._Stack` of the spheres (27
-              with --grid), the calibration check by a bound on each label, 3 spheres a call
+              with --grid), the calibration check by a bound on each label, 3 spheres a call,
+              its full-size passes in place and its height guard on each column's ends
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
@@ -167,21 +168,22 @@ def cmd_sphere(args: argparse.Namespace) -> int:
     # open grid: the radial derivative diverges at the rim r = R
     rs = spec.R * np.arange(n) / n
     f = profile_height(spec, rs)
+    lead = functools.cache(lambda: _cells(np.column_stack((rs, f))))  # r and f, repr'd once
     tables = []  # every table is built before any is written, so a failure writes no file
     if args.out:
-        tables.append((args.out, ["r", "f", "f_r", "f_R"], np.column_stack(
-            (rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs)))))
+        tables.append((args.out, ["r", "f", "f_r", "f_R"], lead(), np.column_stack(
+            (profile_height_r(spec, rs), profile_height_R(spec, rs)))))
     if args.limits_out:
-        tables.append((args.limits_out, ["r", "f", "euclidean", "pansu"], np.column_stack(
-            (rs, f, euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs)))))
+        tables.append((args.limits_out, ["r", "f", "euclidean", "pansu"], lead(), np.column_stack(
+            (euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs)))))
     if args.curvature_out:
         from .curvature import _frame_coefficients, _shape, assemble_corrected_shape
 
         h, kappa1, kappa2 = _shape(spec, rs)
         c = _frame_coefficients(spec, rs, f)[2]
         k0 = assemble_corrected_shape(spec.H, summary["tau"], h, c)
-        tables.append((args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"],
-                       np.column_stack((rs, kappa1, kappa2, k0.k0_norm))))
+        tables.append((args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"], lead()[:, :1],
+                       np.column_stack((kappa1, kappa2, k0.k0_norm))))
     if args.sweep_out:
         r_lo = args.sweep_min if args.sweep_min is not None else 0.5 * spec.R
         r_hi = args.sweep_max if args.sweep_max is not None else 2.0 * spec.R
@@ -189,8 +191,8 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         sweep = [SphereSpec(spec.params, float(R)) for R in radii]
         tables.append((args.sweep_out, ["R", "area", "volume"],
                        np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep])))
-    for path, header, rows in tables:
-        _write_csv(path, header, _cells(rows))
+    for path, header, *parts in tables:  # the cells of r and f, then of the table's own rows
+        _write_csv(path, header, np.hstack([_cells(p) if p.dtype != object else p for p in parts]))
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -264,36 +266,40 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
 def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     """Worst shortfall of 1 - R/label below the label floor on an n x n grid under the sphere in
     each cylinder of a SphereSpec or of each `_Stack` member, each cylinder's grid reduced and then
-    Python's max in cylinder order.  3 spheres a block: r (cylinders, n, 1) against (cylinders, n,
-    n) heights and R, eps, sigma, r_cut, t_cut as a `_Stack`'s (cylinders, 1, 1) columns (one
-    sphere's floats), so a block's arrays stay under glibc's 128 KiB mmap threshold; one `_height`
-    pass over the radii, 0 first, and r_cut gives f(0; R) and t_cut too.  A point whose label bound
-    (`_label_bound`) clears its floor by its allowance has a slack >= 0 and the depth-0 slack is 0,
-    so only the others are solved, in one `_labels` call over a flat subset."""
+    Python's max in cylinder order.  One `_height` pass over the radii of every cylinder, 0 first,
+    and r_cut gives f(0; R) and t_cut too.  Then 3 spheres a block: r (cylinders, n, 1) against
+    (cylinders, n, n) heights and R, eps, sigma, r_cut, t_cut as a `_Stack`'s (cylinders, 1, 1)
+    columns (one sphere's floats), so a block's arrays stay under glibc's 128 KiB mmap threshold.
+    A column's heights fall with depth, so the guard on normal heights reads its ends.  A point
+    whose label bound (`_label_bound`) clears its floor by its allowance has a slack >= 0 and the
+    depth-0 slack is 0, so only the others are solved, in one `_labels` call over a flat subset."""
     from .foliation import _floor, _k_f0, _label_bound, _labels, _points
 
-    members, worst = getattr(spheres, "members", [spheres]), []
-    for specs in (members[b:b + 3] for b in range(0, len(members), 3)):
-        cuts = [(spec, float(delta)) for spec in specs for delta in deltas if delta < spec.R]
-        block = _Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1))
-        block.r_cut = np.reshape([spec.R - delta for spec, delta in cuts], (-1, 1, 1))
-        rs = np.linspace(0.0, 0.995 * block.r_cut[:, 0, 0], n, axis=-1)[..., None]
-        f_rs = _height(block, np.concatenate((rs, block.r_cut), axis=1))
-        f_rs, block.t_cut = f_rs[:, :n], f_rs[:, n:]
-        depths = np.linspace(0.0, 0.999, n) * (f_rs - block.t_cut)
-        ts, floors = f_rs - depths, []
-        for (spec, delta), t, depth, f in zip(cuts, ts, depths, f_rs):
-            if not (t >= np.finfo(float).tiny).all():  # f is subnormal, a height rounds onto t_cut
+    members, worst, fracs = getattr(spheres, "members", [spheres]), [], np.linspace(0.0, 0.999, n)
+    cuts = [(spec, float(delta)) for spec in members for delta in deltas if delta < spec.R]
+    cyls = _Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1))
+    cyls.r_cut = np.reshape([spec.R - delta for spec, delta in cuts], (-1, 1, 1))
+    r_all = np.linspace(0.0, 0.995 * cyls.r_cut[:, 0, 0], n, axis=-1)[..., None]
+    f_all = _height(cyls, np.concatenate((r_all, cyls.r_cut), axis=1))
+    ends = np.cumsum([sum(delta < spec.R for delta in deltas) for spec in members])[2:-1:3]
+    for lo, hi in zip([0, *ends], [*ends, len(cuts)]):  # the cylinders of 3 members a block
+        block = _Stack(members=cyls.members[lo:hi], shape=(-1, 1, 1), r_cut=cyls.r_cut[lo:hi])
+        rs, f_rs, block.t_cut = r_all[lo:hi], f_all[lo:hi, :n], f_all[lo:hi, n:]
+        ts, floors = f_rs - (depths := fracs * (f_rs - block.t_cut)), []
+        normal = np.minimum(ts[..., 0], ts[..., -1]).min(axis=1) >= np.finfo(float).tiny
+        for (spec, delta), ok, depth, f in zip(cuts[lo:hi], normal, depths, f_rs):
+            if not ok:  # f is subnormal, a height rounds onto t_cut
                 p = spec.params
                 raise NumericsError(f"the calibration grid's heights are not normal floats with "
                                     f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
             floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
         lam, allowance = _label_bound(block, rs, ts)
-        slack = (1.0 - block.R / lam) - (floors := np.array(floors))
+        slack = np.subtract(1.0, slack := np.divide(block.R, lam), out=slack)
+        slack -= (floors := np.array(floors))
         if (open_ := ~(slack >= allowance)).any():  # NaN decides nothing
-            cuts, r, t = _points(block, rs, ts, open_)
-            slack[open_] = (1.0 - cuts.R / _labels(cuts, r, t)) - floors[open_]
-        worst += [float(-s.min()) for s in slack]
+            cyl, r, t = _points(block, rs, ts, open_)
+            slack[open_] = (1.0 - cyl.R / _labels(cyl, r, t)) - floors[open_]
+        worst += (-slack.min(axis=(1, 2))).tolist()
     return max(worst)
 
 

@@ -204,7 +204,7 @@ def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Leaf labels of cylinder points, both branches, of t's shape: r, r_cut, t_cut, R, eps and
     sigma (floats, or a `_Stack`'s columns for the cylinders of one or more spheres) broadcast to
     it, as (c, n, 1) radii to (c, n, n) heights; the points below the graph go to one solve."""
-    if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
+    if (r < 0.0).any() or (r >= cyl.R).any() or (t <= cyl.t_cut).any():
         raise DomainError("points must lie inside the half-cylinder")
     depth = _f(cyl.params, r, cyl.R) - t
     out = depth + cyl.R
@@ -220,8 +220,9 @@ def _label_bound(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
     chord is at most y = y_max - q, q = depth/D', where D's tangent at y_max (lam = R) meets
     t - t_cut.  As 1 - R/lam moves by at most 1/y a unit of y, the allowance is y's error over y:
     32 ulp of y_max and of f(r; R)/D', and 128 ulp of q S/D', S = s_r (m_r + m_cut + 2 |sigma|
-    (s_r + s_cut))/y_max >= the size of the terms of D'.  On and above the graph it is the label."""
-    if np.any(r < 0.0) or np.any(r >= cyl.R) or np.any(t <= cyl.t_cut):
+    (s_r + s_cut))/y_max >= the size of the terms of D'.  On and above the graph it is the label
+    (masked stores); the full-size passes write into five buffers (`out=`)."""
+    if (r < 0.0).any() or (r >= cyl.R).any() or (t <= cyl.t_cut).any():
         raise DomainError("points must lie inside the half-cylinder")
     depth = (f := _f(cyl.params, r, cyl.R)) - t
     m = _mass(cyl.params, np.stack((r, np.full_like(r, cyl.r_cut))))
@@ -230,11 +231,16 @@ def _label_bound(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
         a = np.where((0.0 < slope) & (slope < np.inf), 32.0 * _ULP * (y_max + f / slope), np.inf)
         size = s[0] * (m[0] + m[1] + 2.0 * np.abs(cyl.params.sigma) * (s[0] + s[1])) / y_max
         y = y_max - (q := depth / slope)
-        r_u, y_u = r / (u := _unit(cyl.R)), y / u
-        s_r = 0.5 * ((cyl.r_cut / u - r_u) * (cyl.r_cut / u + r_u) / y_u + y_u)  # `_chord`'s
-        lam = np.sqrt(s_r * s_r + r_u * r_u) * u  # as in `_label_below`, in units of R
-        allowance = (a + q * (128.0 * _ULP * size / slope)) / np.maximum(y, 0.0)
-    return np.where(below := depth > 0.0, lam, depth + cyl.R), np.where(below, allowance, 0.0)
+        r_u, lam = r / (u := _unit(cyl.R)), y / u  # y in units of R, then the label in its buffer
+        s_r = np.divide((cyl.r_cut / u - r_u) * (cyl.r_cut / u + r_u), lam)  # `_chord`'s s_r
+        np.multiply(np.add(s_r, lam, out=s_r), 0.5, out=s_r)
+        np.sqrt(np.add(np.multiply(s_r, s_r, out=lam), r_u * r_u, out=lam), out=lam)
+        lam *= u  # as in `_label_below`, in units of R
+        allowance = np.add(np.multiply(q, 128.0 * _ULP * size / slope, out=q), a, out=q)
+        allowance /= np.maximum(y, 0.0, out=y)
+    np.add(depth, cyl.R, out=lam, where=(on := ~(depth > 0.0)))
+    np.copyto(allowance, 0.0, where=on)
+    return lam, allowance
 
 
 def leaf_label_grid(cyl: CylinderSpec, r, t) -> np.ndarray:

@@ -28,9 +28,9 @@ columns, one sphere as that sphere's own floats, or a cylinder's columns.
 
 One point stays on Python floats, by the same expressions.  numpy stays where a float raises
 or rounds differently: `_numerics._divide` where a divisor can be 0 (m = 0 on the axis where
-eps^3 underflows), np.arctan and np.hypot (math.atan and math.hypot miss the last bit on 0.08%
-of inputs).  eps^3 is e*e*e, which overflows to inf where eps**3 would raise.  A value lost to
-the floats raises `_numerics._require_finite`'s NumericsError, the package's one policy for it.
+eps^3 underflows) and np.arctan (math.atan misses the last bit on 0.08% of inputs); hypot is
+libm's (`_hypot`).  eps^3 is e*e*e, which overflows to inf where eps**3 would raise.  A value lost
+to the floats raises `_numerics._require_finite`'s NumericsError, the package's one policy for it.
 """
 
 from __future__ import annotations
@@ -134,10 +134,19 @@ def _arctan(q):
     return a if isinstance(a, np.ndarray) else float(a)
 
 
+def _hypot(a, b):
+    """libm's hypot: np.hypot on arrays, abs(complex) on floats (3x faster), inf on overflow."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.hypot(a, b)
+    try:
+        return abs(complex(a, b))
+    except OverflowError:
+        return math.inf
+
+
 def _mass(params: ModelParams, r):
     """m(r) = eps^3 w(r) = hypot(eps^3, sigma r); NumericsError where eps^3 (eps above about
-    5.6e102) or m(r) overflows.  On a float, abs(complex) is libm's hypot, as np.hypot is, at a
-    tenth of its cost, and raises OverflowError where hypot passes the largest float."""
+    5.6e102) or m(r) overflows.  A float takes abs(complex), as `_hypot` does, inlined."""
     e = params.epsilon
     e3, sr = _require_finite(e * e * e, params, "eps^3"), params.sigma * r
     if isinstance(sr, np.ndarray):
@@ -359,8 +368,7 @@ def _leaf(params: ModelParams, r, t):
     NumericsError where m(r) overflows (`_mass`)."""
     m = _mass(params, r)
     g = _gap_solve(m, abs(params.sigma), t, "radius solve")
-    R = np.hypot(r, g)
-    return (R if isinstance(R, np.ndarray) else float(R)), g, m
+    return _hypot(r, g), g, m
 
 
 def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
@@ -498,7 +506,7 @@ def _pansu_leaf(sigma: float, r, t):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     _check_point(r, t, "pansu_radius")
     g = _gap_solve(sigma * r, sigma, t, "pansu radius solve")
-    return np.hypot(r, g), g
+    return _hypot(r, g), g
 
 
 def pansu_radius(sigma: float, r, t):
@@ -509,7 +517,7 @@ def pansu_radius(sigma: float, r, t):
     if not (isinstance(r, (float, int)) and isinstance(t, (float, int))):
         r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
     R = _pansu_leaf(sigma, r, t)[0]
-    return float(R) if R.ndim == 0 else R
+    return R if isinstance(R, np.ndarray) else float(R)
 
 
 # ----------------------------------------------------- finite-difference CMC

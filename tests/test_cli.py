@@ -452,6 +452,42 @@ def test_csv_files_have_the_bytes_of_csv_writer(tmp_path, rows):
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("tables", [("out", "limits-out", "curvature-out", "sweep-out"),
+                                    ("curvature-out",), ("limits-out", "sweep-out")])
+def test_sphere_tables_have_the_bytes_of_one_cells_pass_a_table(tmp_path, tables):
+    """`sphere` makes the cells of r and f once for all its tables; each CSV has the bytes of its
+    own table put through one `_cells` pass, whichever tables are asked for."""
+    from heisenberg_cmc import (euclidean_profile, pansu_profile, profile_height_R,
+                                profile_height_r, sphere_area, sphere_volume)
+    from heisenberg_cmc.curvature import _frame_coefficients, _shape
+
+    spec, n = SphereSpec(ModelParams(0.7, -0.5), 0.8), 37
+    rs = spec.R * np.arange(n) / n
+    f = profile_height(spec, rs)
+    h, kappa1, kappa2 = _shape(spec, rs)
+    k0 = assemble_corrected_shape(spec.H, spec.params.tau, h, _frame_coefficients(spec, rs, f)[2])
+    sweep = [SphereSpec(spec.params, float(R)) for R in np.linspace(0.4, 1.6, 9)]
+    want = {
+        "out": (["r", "f", "f_r", "f_R"], np.column_stack(
+            (rs, f, profile_height_r(spec, rs), profile_height_R(spec, rs)))),
+        "limits-out": (["r", "f", "euclidean", "pansu"], np.column_stack(
+            (rs, f, euclidean_profile(spec.R, rs), pansu_profile(0.5, spec.R, rs)))),
+        "curvature-out": (["r", "kappa1", "kappa2", "k0_norm"],
+                          np.column_stack((rs, kappa1, kappa2, k0.k0_norm))),
+        "sweep-out": (["R", "area", "volume"],
+                      np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep])),
+    }
+    argv = ["sphere", "--epsilon", "0.7", "--sigma", "-0.5", "--R", "0.8", "--n", str(n)]
+    res = run_cli(*argv, *(a for name in tables for a in (f"--{name}", str(tmp_path / name))))
+    assert res.returncode == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(tables)
+    for name in tables:
+        header, rows = want[name]
+        cli._write_csv(str(tmp_path / "ref.csv"), header, cli._cells(rows))
+        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+        (tmp_path / "ref.csv").unlink()
+
+
 def test_meridian_whose_pansu_deviation_overflows_exits_3():
     """eps^3 v_T squares past the largest float in the deviation's norm: the report said
     "pansu_deviation": Infinity, which is not JSON, and died under -W error."""

@@ -253,8 +253,9 @@ def test_label_solves_take_at_most_6_passes():
 
 
 def _full_solve_calibration(spec, deltas=(0.0, 0.3), n=40, floor=foliation.label_floor):
-    """`verify`'s calibration check by the full solve, the oracle of the sign test in `cli`:
-    every grid point labelled by one leaf-label solve, `floor` in place of label_floor."""
+    """`verify`'s calibration check by the full solve, the oracle of the label bound in `cli`
+    (`foliation._label_bound`): every grid point labelled by one leaf-label solve, `floor` in place
+    of label_floor."""
     cyls, grids = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R], []
     for cyl in cyls:
         rs = np.linspace(0.0, cyl.r_cut * 0.995, n)
@@ -289,10 +290,62 @@ STRESS = [SphereSpec(ModelParams(e, s), R) for e in (1e-6, 1e-3, 0.01, 0.1, 1.0,
 
 @pytest.mark.parametrize("specs", [GRID, STRESS, SINGLE], ids=["grid", "stress", "single"])
 def test_calibration_check_matches_the_full_solve(specs):
-    """The sign test reports the full solve's worst shortfall, repr for repr, on the 27
-    spheres of `verify --grid`, the 175 of the stress grid and 10 single specs."""
+    """The label bound (`foliation._label_bound`) reports the full solve's worst shortfall, repr
+    for repr, on the 27 spheres of `verify --grid`, the 175 of the stress grid and 10 single
+    specs."""
     for spec in specs:
         assert _outcome(cli._check_calibration, spec) == _outcome(_full_solve_calibration, spec), spec
+
+
+# specs whose calibration heights are subnormal, f(r; R) of order eps^3 R below 2.2e-308, or at
+# eps = 2e-102 only the deep ones, as f(0; R) = 8e-306 and 0.001 f is not normal; the stress grid
+# has none
+SUBNORMAL = [SphereSpec(ModelParams(e, s), R) for e, s, R in (
+    (1e-40, 1.0, 1e-200), (4.012752403373936e-96, 0.0, 1.7221159776815583e-84),
+    (3.685346282607545e-107, 0.0, 1.1421437937364058e-21),
+    (5.663368378051281e-92, 0.0, 9.674106986711246e-110), (2e-102, 0.0, 1.0))]
+
+
+@pytest.mark.parametrize("spec", SUBNORMAL, ids=lambda spec: f"{spec.params.epsilon:.3g}")
+def test_calibration_guard_on_the_columns_ends_matches_the_full_solve(spec):
+    """A column's heights fall with depth, so the check reads its two ends for heights that are not
+    normal floats.  It raises what the full solve's guard over every height raises, message for
+    message, for the sphere alone and as the first, middle or last member of a stack whose other
+    members pass, which names the sphere of the first cut that fails."""
+    want = _outcome(_full_solve_calibration, spec)
+    assert want.startswith("NumericsError: the calibration grid's heights are not normal floats")
+    assert _outcome(cli._check_calibration, spec) == want
+    for members in ([spec, *GRID[:2]], [GRID[0], spec, GRID[1]], [*GRID[:4], spec]):
+        assert _outcome(cli._check_calibration, cli._Stack(members=members)) == want
+
+
+def test_points_whose_depth_rounds_to_0_below_the_graph_are_left_to_the_solve():
+    """A height within a quarter ulp of f(r; R) lies below the graph by its grid depth, yet f - t
+    rounds to 0 there.  The label bound's masked store gives such a point, at rows 5 and 20 of
+    each column, the label f - t + R = R and a zero allowance, the label `_labels` gives it.  Its
+    floor is above 0, so its slack is below its allowance and it stays open: the label solve
+    labels it, and the worst shortfall is the full solve's, repr for repr."""
+    spec = GRID[13]
+    for delta in (0.0, 0.3):
+        cyl = CylinderSpec(spec, delta)
+        r = np.linspace(0.0, 0.995 * cyl.r_cut, 40)[:, None]
+        f = _f(spec.params, r, spec.R)
+        depth = np.linspace(0.0, 0.999, 40) * (f - cyl.t_cut)
+        depth[:, [5, 20]] = 0.25 * np.spacing(f)
+        t = f - depth
+        on = (f - t == 0.0) & (depth > 0.0)  # rows 5 and 20; row 0 is on the graph, and decided
+        assert on.sum() == 80 and on[:, [5, 20]].all()
+        lam, allowance = foliation._label_bound(cyl, r, t)
+        assert (lam[on] == spec.R).all() and (allowance[on] == 0.0).all()
+        labels = foliation._labels(cyl, r, t)
+        assert (labels[on] == spec.R).all()
+        floors = foliation.label_floor(cyl, depth)
+        slack = (1.0 - spec.R / lam) - floors
+        open_ = ~(slack >= allowance)
+        assert open_[on].all() and (floors[on] > 0.0).all()
+        slack[open_] = (1.0 - spec.R / labels[open_]) - floors[open_]
+        full = (1.0 - spec.R / leaf_label_grid(cyl, np.broadcast_to(r, t.shape), t)) - floors
+        assert repr(float(-slack.min())) == repr(float(-full.min())) != "-0.0"
 
 
 def test_calibration_check_solves_no_point_of_the_stress_grid():
