@@ -5,8 +5,8 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report; the
               curvature checks run once over a `sphere._Stack` of the spheres (27
-              with --grid), the calibration check by a bound on each label, 3 spheres a call,
-              its full-size passes in place and its height guard on each column's ends
+              with --grid), the calibration check (`foliation._check_calibration`) by a
+              bound on each label, 6 cylinders a call
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 
@@ -263,52 +263,14 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
     return float(np.max(np.abs(lhs - rhs) / den))
 
 
-def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
-    """Worst shortfall of 1 - R/label below the label floor on an n x n grid under the sphere in
-    each cylinder of a SphereSpec or of each `_Stack` member, each cylinder's grid reduced and then
-    Python's max in cylinder order.  One `_height` pass over the radii of every cylinder, 0 first,
-    and r_cut gives f(0; R) and t_cut too.  Then 3 spheres a block: r (cylinders, n, 1) against
-    (cylinders, n, n) heights and R, eps, sigma, r_cut, t_cut as a `_Stack`'s (cylinders, 1, 1)
-    columns (one sphere's floats), so a block's arrays stay under glibc's 128 KiB mmap threshold.
-    A column's heights fall with depth, so the guard on normal heights reads its ends.  A point
-    whose label bound (`_label_bound`) clears its floor by its allowance has a slack >= 0 and the
-    depth-0 slack is 0, so only the others are solved, in one `_labels` call over a flat subset."""
-    from .foliation import _floor, _k_f0, _label_bound, _labels, _points
-
-    members, worst, fracs = getattr(spheres, "members", [spheres]), [], np.linspace(0.0, 0.999, n)
-    cuts = [(spec, float(delta)) for spec in members for delta in deltas if delta < spec.R]
-    cyls = _Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1))
-    cyls.r_cut = np.reshape([spec.R - delta for spec, delta in cuts], (-1, 1, 1))
-    r_all = np.linspace(0.0, 0.995 * cyls.r_cut[:, 0, 0], n, axis=-1)[..., None]
-    f_all = _height(cyls, np.concatenate((r_all, cyls.r_cut), axis=1))
-    ends = np.cumsum([sum(delta < spec.R for delta in deltas) for spec in members])[2:-1:3]
-    for lo, hi in zip([0, *ends], [*ends, len(cuts)]):  # the cylinders of 3 members a block
-        block = _Stack(members=cyls.members[lo:hi], shape=(-1, 1, 1), r_cut=cyls.r_cut[lo:hi])
-        rs, f_rs, block.t_cut = r_all[lo:hi], f_all[lo:hi, :n], f_all[lo:hi, n:]
-        ts, floors = f_rs - (depths := fracs * (f_rs - block.t_cut)), []
-        normal = np.minimum(ts[..., 0], ts[..., -1]).min(axis=1) >= np.finfo(float).tiny
-        for (spec, delta), ok, depth, f in zip(cuts[lo:hi], normal, depths, f_rs):
-            if not ok:  # f is subnormal, a height rounds onto t_cut
-                p = spec.params
-                raise NumericsError(f"the calibration grid's heights are not normal floats with "
-                                    f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
-            floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
-        lam, allowance = _label_bound(block, rs, ts)
-        slack = np.subtract(1.0, slack := np.divide(block.R, lam), out=slack)
-        slack -= (floors := np.array(floors))
-        if (open_ := ~(slack >= allowance)).any():  # NaN decides nothing
-            cyl, r, t = _points(block, rs, ts, open_)
-            slack[open_] = (1.0 - cyl.R / _labels(cyl, r, t)) - floors[open_]
-        worst += (-slack.min(axis=(1, 2))).tolist()
-    return max(worst)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .foliation import CylinderSpec, _divergence, label_floor
+    from .foliation import CylinderSpec, _check_calibration, _divergence, label_floor
     from .isoperimetry import _jacobi_maxima
 
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0, "seed": 12345,
                     "perturb_h": 0.0, "delta": 0.3})
+    if not math.isfinite(args.perturb_h):  # from the flag or the config file
+        raise DomainError(f"perturb_h must be a finite number, got {args.perturb_h!r}")
     rng = _rng(int(args.seed))
     if args.grid:
         specs = [

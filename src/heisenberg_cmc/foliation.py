@@ -213,18 +213,17 @@ def _labels(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _label_bound(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray):
+def _label_bound(cyl: CylinderSpec, r: np.ndarray, t: np.ndarray, f: np.ndarray):
     """A lower bound on each label, one Newton step from the sphere, and an allowance for its
-    rounding in 1 - R/label; r and `cyl` broadcast to t's shape, and checked, as in `_labels`.
+    rounding in 1 - R/label, at points inside the cylinder (unchecked); r, f = f(r; R) and `cyl`
+    broadcast to t's shape, as in `_labels`.
     D(y) = f(r; lam) - f(r_cut; lam) is convex in the chord y (`_label_below`), so the label's
     chord is at most y = y_max - q, q = depth/D', where D's tangent at y_max (lam = R) meets
     t - t_cut.  As 1 - R/lam moves by at most 1/y a unit of y, the allowance is y's error over y:
     32 ulp of y_max and of f(r; R)/D', and 128 ulp of q S/D', S = s_r (m_r + m_cut + 2 |sigma|
     (s_r + s_cut))/y_max >= the size of the terms of D'.  On and above the graph it is the label
     (masked stores); the full-size passes write into five buffers (`out=`)."""
-    if (r < 0.0).any() or (r >= cyl.R).any() or (t <= cyl.t_cut).any():
-        raise DomainError("points must lie inside the half-cylinder")
-    depth = (f := _f(cyl.params, r, cyl.R)) - t
+    depth = f - t
     m = _mass(cyl.params, np.stack((r, np.full_like(r, cyl.r_cut))))
     with np.errstate(all="ignore"):  # allowance inf or NaN where D' or y is not positive
         s, _, slope = _leaf_terms(cyl, r, m, y_max := _chord_at(cyl, r, cyl.R))
@@ -274,10 +273,10 @@ def point_on_leaf(cyl: CylinderSpec, r: float, lam: float) -> Point:
 
 
 def _field(cyl: CylinderSpec, x, y, t, above=None):
-    """V as frame coefficients (n, 3) at 1-d arrays of points, and the mask of
-    the points where it is taken: inside the half-cylinder and, where
-    `above` is given, on its side of the sphere (t >= f(|z|; R) is above).
-    Rows outside the mask are NaN.
+    """V as frame coefficients (n, 3) at 1-d arrays of points, the leaf parameter lam (R on and
+    above the graph) and the mask of the points where they are taken: inside the half-cylinder
+    and, where `above` is given, on its side of the sphere (t >= f(|z|; R) is above).  Rows
+    outside the mask are NaN.
 
     V is the outward unit normal of the leaf through the point, an upper hemisphere's graph
     shifted down (`sphere._normal_components` with t > 0): on and above the graph the sphere R's,
@@ -303,42 +302,41 @@ def _field(cyl: CylinderSpec, x, y, t, above=None):
             f"({float(x[i])!r}, {float(y[i])!r}, {float(t[i])!r}) "
             f"with eps = {params.epsilon!r}, sigma = {params.sigma!r}, R = {R!r}")
     v = _normal_components(params, x, y, np.ones_like(r), lam, g, m)
-    v[~ok] = np.nan
-    return v, ok
+    v[~ok], lam[~ok] = np.nan, np.nan
+    return v, lam, ok
 
 
 def calibration_field(cyl: CylinderSpec, point: Point) -> TangentVector:
     """Unit field V = -grad(u)/|grad(u)|, continuous on the half-cylinder: the closed-form outward
     normal of the leaf through the point (`_field`), so on the sphere the outward normal, and
     sgn(t) T = T on the axis."""
-    v, ok = _field(cyl, *point.as_array()[:, None])
+    v, _, ok = _field(cyl, *point.as_array()[:, None])
     if not ok[0]:
         raise DomainError("point is outside the half-cylinder")
     return TangentVector.from_array(v[0])
 
 
 def _divergence(cyl: CylinderSpec, x, y, t, h: float):
-    """(div V, label, mask) at 1-d arrays of points, by central differences
-    of V's coordinate components with step h.  The mask keeps the points
-    farther than 3h from the sphere whose stencil stays inside the
-    half-cylinder on their own side of the sphere; the rest are NaN.
-    """
+    """(div V, label, mask) at 1-d arrays of points, by central differences of V's coordinate
+    components with step h.  The label is the leaf parameter lam (R on and above the graph) that
+    `_field` solves for at the point itself, a 7th stencil row placed last, so that a stencil
+    point's lost derivative is the error reported.  The mask keeps the points farther than 3h from
+    the sphere whose stencil stays inside the half-cylinder on their own side of the sphere; the
+    rest are NaN."""
     params, R = cyl.params, cyl.R
     e, s = params.epsilon, params.sigma
     r = _radius_of(x, y)
     f_here = _f(params, np.minimum(r, R), R)
-    steps = h * np.concatenate((np.eye(3), -np.eye(3)))
+    steps = h * np.concatenate((np.eye(3), -np.eye(3), np.zeros((1, 3))))
     px, py, pt = (np.stack((x, y, t), axis=-1)[:, None, :] + steps).reshape(-1, 3).T
-    v, ok = _field(cyl, px, py, pt, np.repeat(t >= f_here, 6))
-    ok = ok.reshape(-1, 6).all(axis=1) & (np.abs(t - f_here) > 3.0 * h)
+    v, lam, ok = _field(cyl, px, py, pt, np.repeat(t >= f_here, 7))
+    ok = ok.reshape(-1, 7).all(axis=1) & (np.abs(t - f_here) > 3.0 * h)
     # coordinate components of V; the i-th is differenced along the i-th axis
     coords = np.stack((v[:, 0] / e, v[:, 1] / e,
                        s * (py * v[:, 0] - px * v[:, 1]) / e + e * e * v[:, 2]), axis=-1)
-    coords = coords.reshape(-1, 6, 3)
+    coords = coords.reshape(-1, 7, 3)
     div = sum((coords[:, i, i] - coords[:, i + 3, i]) / (2.0 * h) for i in range(3))
-    lam = np.full_like(r, np.nan)
-    lam[ok] = _labels(cyl, r[ok], t[ok])
-    return np.where(ok, div, np.nan), lam, ok
+    return np.where(ok, div, np.nan), np.where(ok, lam[6::7], np.nan), ok
 
 
 def calibration_divergence(
@@ -363,7 +361,7 @@ def calibration_divergence(
         raise NumericsError(f"calibration divergence at {point}: {exc}") from None
     if not ok[0]:
         raise DomainError("stencil meets the sphere or leaves the half-cylinder")
-    return float(div[0]), 1.0 / (cyl.params.epsilon * max(float(lam[0]), cyl.R))
+    return float(div[0]), 1.0 / (cyl.params.epsilon * float(lam[0]))
 
 
 def label_floor(cyl: CylinderSpec, depth):
@@ -388,6 +386,45 @@ def _floor(spec: SphereSpec, delta: float, depth, k: float, f0: float):
     else:
         floor = _divide(math.sqrt(delta / u) * d, R * k + f0 / math.sqrt(u))
     return _require_finite(floor, spec.params, "the label floor", R=spec.R)
+
+
+def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
+    """`verify`'s calibration check: the worst shortfall of 1 - R/label below the label floor on an
+    n x n grid under the sphere in each cylinder of a SphereSpec or of each `_Stack` member, each
+    cylinder's grid reduced and then Python's max in cylinder order.  One `_height` pass over the
+    radii of every cylinder, 0 first, and r_cut gives f(r; R), f(0; R) and t_cut.  Then 6 cylinders
+    a block: r (cylinders, n, 1) against (cylinders, n, n) heights and R, eps, sigma, r_cut, t_cut
+    as a `_Stack`'s (cylinders, 1, 1) columns (one sphere's floats), so a block's arrays stay under
+    glibc's 128 KiB mmap threshold.  A column's heights fall with depth, so the guard on normal
+    heights reads its ends.  A point whose label bound (`_label_bound`) clears its floor by its
+    allowance has a slack >= 0 and the depth-0 slack is 0, so only the others are solved, in one
+    `_labels` call over a flat subset."""
+    members, worst, fracs = getattr(spheres, "members", [spheres]), [], np.linspace(0.0, 0.999, n)
+    cuts = [(spec, float(delta)) for spec in members for delta in deltas if delta < spec.R]
+    cyls = _Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1))
+    cyls.r_cut = np.reshape([spec.R - delta for spec, delta in cuts], (-1, 1, 1))
+    r_all = np.linspace(0.0, 0.995 * cyls.r_cut[:, 0, 0], n, axis=-1)[..., None]
+    f_all = _height(cyls, np.concatenate((r_all, cyls.r_cut), axis=1))
+    for lo in range(0, len(cuts), 6):
+        hi = lo + 6
+        block = _Stack(members=cyls.members[lo:hi], shape=(-1, 1, 1), r_cut=cyls.r_cut[lo:hi])
+        rs, f_rs, block.t_cut = r_all[lo:hi], f_all[lo:hi, :n], f_all[lo:hi, n:]
+        ts, floors = f_rs - (depths := fracs * (f_rs - block.t_cut)), []
+        normal = np.minimum(ts[..., 0], ts[..., -1]).min(axis=1) >= np.finfo(float).tiny
+        for (spec, delta), ok, depth, f in zip(cuts[lo:hi], normal, depths, f_rs):
+            if not ok:  # f is subnormal, a height rounds onto t_cut
+                p = spec.params
+                raise NumericsError(f"the calibration grid's heights are not normal floats with "
+                                    f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
+            floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
+        lam, allowance = _label_bound(block, rs, ts, f_rs)
+        slack = np.subtract(1.0, slack := np.divide(block.R, lam), out=slack)
+        slack -= (floors := np.array(floors))
+        if (open_ := ~(slack >= allowance)).any():  # NaN decides nothing
+            cyl, r, t = _points(block, rs, ts, open_)
+            slack[open_] = (1.0 - cyl.R / _labels(cyl, r, t)) - floors[open_]
+        worst += (-slack.min(axis=(1, 2))).tolist()
+    return max(worst)
 
 
 def vertical_label_bound(cyl: CylinderSpec, r: float, depth: float) -> VerticalBound:

@@ -136,6 +136,18 @@ def test_verify_negative_control_fails():
     assert failed == {"traceless_correction"}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_perturbation_that_is_not_finite_is_bad_input(tmp_path, value):
+    """A NaN or infinite --perturb-h, from the flag or the config file, is bad input: exit 2
+    before any check, where the traceless check's measure was not finite (exit 3)."""
+    config = tmp_path / "verify.cfg"
+    config.write_text(f"perturb_h = {value}\n")
+    for argv in (["--perturb-h", value], ["--config", str(config)]):
+        res = run_cli("verify", *argv, "--json", "-")
+        assert (res.returncode, res.stdout) == (cli.EXIT_BAD_INPUT, "")
+        assert res.stderr == f"error: perturb_h must be a finite number, got {value}\n"
+
+
 @pytest.mark.parametrize("eps", ["1e-45", "1e-60"])
 def test_verify_where_the_second_fundamental_form_overflows_exits_3(eps):
     """tau rho^2 overflows in the closed-form h at these eps: a typed numeric
@@ -775,6 +787,25 @@ def test_foliation_rows_match_scalar_loop(tmp_path, eps, sigma, R, delta, kept):
     for col in (0, 1, 2, 3, 5):  # delta, r, t, u, bound_slack
         assert np.array_equal(got[:, col], ref[:, col])
     assert np.max(np.abs(got[:, 4] - ref[:, 4]) / np.abs(ref[:, 4])) <= 1e-9
+
+
+def test_foliation_rows_solve_each_cylinders_labels_once(tmp_path, monkeypatch):
+    """`--foliation-out` labels each cylinder's 80 grid points and their 480 stencil points in one
+    leaf-label solve: the divergence's field solve takes each point as its 7th stencil row, so
+    the label needs no second solve."""
+    from heisenberg_cmc import foliation
+
+    label_below, solved = foliation._label_below, []
+
+    def counting(cyl, r, t):
+        solved.append(r.size)
+        return label_below(cyl, r, t)
+
+    monkeypatch.setattr(foliation, "_label_below", counting)
+    res = run_cli("verify", "--seed", "7", "--delta", "0.3", "--foliation-out",
+                  str(tmp_path / "fol.csv"), "--json", str(tmp_path / "r.json"))
+    assert res.returncode == 0, res.stderr
+    assert solved == [560, 560]
 
 
 @pytest.mark.parametrize("argv, outputs", [

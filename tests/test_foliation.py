@@ -245,7 +245,7 @@ def test_label_solves_take_at_most_6_passes():
     grid, oracle = [], []
     with counting_newton_passes(foliation, "leaf label solve", grid):
         for spec in GRID:
-            cli._check_calibration(spec)
+            foliation._check_calibration(spec)
     with counting_newton_passes(foliation, "leaf label solve", oracle):
         test_labels_match_brentq_oracle()
     assert grid == [] and len(oracle) == 36
@@ -253,7 +253,7 @@ def test_label_solves_take_at_most_6_passes():
 
 
 def _full_solve_calibration(spec, deltas=(0.0, 0.3), n=40, floor=foliation.label_floor):
-    """`verify`'s calibration check by the full solve, the oracle of the label bound in `cli`
+    """`verify`'s calibration check by the full solve, the oracle of the label bound in `foliation`
     (`foliation._label_bound`): every grid point labelled by one leaf-label solve, `floor` in place
     of label_floor."""
     cyls, grids = [CylinderSpec(spec, delta) for delta in deltas if delta < spec.R], []
@@ -294,7 +294,8 @@ def test_calibration_check_matches_the_full_solve(specs):
     for repr, on the 27 spheres of `verify --grid`, the 175 of the stress grid and 10 single
     specs."""
     for spec in specs:
-        assert _outcome(cli._check_calibration, spec) == _outcome(_full_solve_calibration, spec), spec
+        assert (_outcome(foliation._check_calibration, spec)
+                == _outcome(_full_solve_calibration, spec)), spec
 
 
 # specs whose calibration heights are subnormal, f(r; R) of order eps^3 R below 2.2e-308, or at
@@ -314,9 +315,9 @@ def test_calibration_guard_on_the_columns_ends_matches_the_full_solve(spec):
     members pass, which names the sphere of the first cut that fails."""
     want = _outcome(_full_solve_calibration, spec)
     assert want.startswith("NumericsError: the calibration grid's heights are not normal floats")
-    assert _outcome(cli._check_calibration, spec) == want
+    assert _outcome(foliation._check_calibration, spec) == want
     for members in ([spec, *GRID[:2]], [GRID[0], spec, GRID[1]], [*GRID[:4], spec]):
-        assert _outcome(cli._check_calibration, cli._Stack(members=members)) == want
+        assert _outcome(foliation._check_calibration, cli._Stack(members=members)) == want
 
 
 def test_points_whose_depth_rounds_to_0_below_the_graph_are_left_to_the_solve():
@@ -335,7 +336,7 @@ def test_points_whose_depth_rounds_to_0_below_the_graph_are_left_to_the_solve():
         t = f - depth
         on = (f - t == 0.0) & (depth > 0.0)  # rows 5 and 20; row 0 is on the graph, and decided
         assert on.sum() == 80 and on[:, [5, 20]].all()
-        lam, allowance = foliation._label_bound(cyl, r, t)
+        lam, allowance = foliation._label_bound(cyl, r, t, f)
         assert (lam[on] == spec.R).all() and (allowance[on] == 0.0).all()
         labels = foliation._labels(cyl, r, t)
         assert (labels[on] == spec.R).all()
@@ -366,7 +367,7 @@ def test_calibration_check_solves_no_point_of_the_stress_grid():
     with mock.patch.object(foliation, "_label_below", counting), \
             mock.patch.object(foliation, "_labels", recording):
         for spec in STRESS:
-            cli._check_calibration(spec)
+            foliation._check_calibration(spec)
     assert solved == [] and calls == []
 
 
@@ -384,7 +385,7 @@ def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypa
     monkeypatch.setattr(foliation, "_floor", lambda *a: 2.5 * floor(*a))
     solved = []
     with counting_newton_passes(foliation, "leaf label solve", solved):
-        assert cli._check_calibration(spec) == want
+        assert foliation._check_calibration(spec) == want
     assert len(solved) == 1
     assert cli.main(["verify", "--json", "-"]) == cli.EXIT_CHECK_FAILED
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -394,12 +395,13 @@ def test_calibration_check_that_fails_reports_the_full_solves_shortfall(monkeypa
 
 def _bound_calls(spheres):
     """`verify`'s calibration check on a SphereSpec or a `_Stack`: its value, its `_label_bound`
-    calls as (cyl, r, t, (bound, allowance)), and the number of points sent to the label solve."""
+    calls as (cyl, r, t, f, (bound, allowance)), and the number of points sent to the label
+    solve."""
     calls, solved = [], []
     label_bound, label_below = foliation._label_bound, foliation._label_below
 
-    def recording(cyl, r, t):
-        calls.append((cyl, r, t, label_bound(cyl, r, t)))
+    def recording(cyl, r, t, f):
+        calls.append((cyl, r, t, f, label_bound(cyl, r, t, f)))
         return calls[-1][-1]
 
     def counting(cyl, r, t):
@@ -408,7 +410,7 @@ def _bound_calls(spheres):
 
     with mock.patch.object(foliation, "_label_bound", recording), \
             mock.patch.object(foliation, "_label_below", counting):
-        value = cli._check_calibration(spheres)
+        value = foliation._check_calibration(spheres)
     return value, calls, sum(solved)
 
 
@@ -435,7 +437,7 @@ def test_labels_on_radius_columns_equal_the_flat_layout(specs):
     specs; the check solves none.  The grid, from one profile pass over both cylinders, is each
     cylinder's own, bit for bit."""
     for spec in specs:
-        (cyl, r, t, bound), solved = _column_call(spec)
+        (cyl, r, t, f_r, bound), solved = _column_call(spec)
         c = 1 + (0.3 < spec.R)
         assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 40)
         assert np.shape(cyl.r_cut) == np.shape(cyl.t_cut) == (c, 1, 1)
@@ -443,32 +445,30 @@ def test_labels_on_radius_columns_equal_the_flat_layout(specs):
             one = CylinderSpec(spec, delta)
             rs = np.linspace(0.0, one.r_cut * 0.995, 40)
             f = profile_height(spec, rs)[:, None]
-            assert r[k, :, 0].tobytes() == rs.tobytes()
+            assert r[k, :, 0].tobytes() == rs.tobytes() and f_r[k].tobytes() == f.tobytes()
             assert t[k].tobytes() == (f - np.linspace(0.0, 0.999, 40) * (f - one.t_cut)).tobytes()
         flat = _flat(cyl, r, t)
-        for got, want in zip(bound, foliation._label_bound(*flat)):
+        for got, want in zip(bound, foliation._label_bound(*flat, np.repeat(f_r, 40))):
             assert got.tobytes() == want.tobytes(), spec
         assert foliation._labels(cyl, r, t).tobytes() == foliation._labels(*flat).tobytes(), spec
         assert solved == 0
 
 
 def test_points_outside_the_cylinder_raise_alike_in_both_layouts():
-    """A radius at R or below 0, or a height at t_cut, raises the same DomainError from the label
-    bound and from `_labels`, whether the radii are columns or repeated per point."""
-    (cyl, r, t, _), _ = _column_call(GRID[13])
+    """A radius at R or below 0, or a height at t_cut, raises the same DomainError from
+    `_labels`, whether the radii are columns or repeated per point."""
+    (cyl, r, t, _, _), _ = _column_call(GRID[13])
     for i, value in ((1, cyl.R), (0, -1e-300)):
         bad = r.copy()
         bad[i, 7, 0] = value
-        for fun in (foliation._label_bound, foliation._labels):
-            for args in ((cyl, bad, t), _flat(cyl, bad, t)):
-                with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
-                    fun(*args)
+        for args in ((cyl, bad, t), _flat(cyl, bad, t)):
+            with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
+                foliation._labels(*args)
     bad = t.copy()
     bad[1, 5, 9] = cyl.t_cut[1, 0, 0]
-    for fun in (foliation._label_bound, foliation._labels):
-        for args in ((cyl, r, bad), _flat(cyl, r, bad)):
-            with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
-                fun(*args)
+    for args in ((cyl, r, bad), _flat(cyl, r, bad)):
+        with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
+            foliation._labels(*args)
 
 
 def _stacks(specs, size):
@@ -478,27 +478,31 @@ def _stacks(specs, size):
 @pytest.mark.parametrize("specs, size", [(GRID, 27), (STRESS, 7), (SINGLE, 4)],
                          ids=["grid", "stress", "single"])
 def test_stacked_calibration_check_equals_the_per_sphere_loop(specs, size):
-    """Over a `_Stack` the check bounds 3 spheres a `_label_bound` call, R, eps, sigma, r_cut and
+    """Over a `_Stack` the check bounds 6 cylinders a `_label_bound` call, R, eps, sigma, r_cut and
     t_cut as (cylinders, 1, 1) columns against (cylinders, n, n) heights, and reports what the
     loop of one-sphere checks over its members reports, repr for repr, so the sign of a zero
     shortfall too: the 27 `--grid` spheres as one stack in 9 calls; the stress grid in stacks of
-    7, whose blocks mix members of 1 and 2 cylinders and end in a block of one; the single specs
-    in stacks of 4.  No point goes to the label solve.  One sphere keeps its floats."""
-    total = 0
+    7, whose blocks mix members of 1 and 2 cylinders and part some member's two; the single specs
+    in stacks of 4, which end in a block of one sphere.  No point goes to the label solve.  One
+    sphere keeps its floats."""
+    total, parted = 0, 0
     for stack in _stacks(specs, size):
         value, calls, solved = _bound_calls(stack)
-        blocks = [stack.members[i:i + 3] for i in range(0, len(stack.members), 3)]
+        cuts = [spec for spec in stack.members for delta in (0.0, 0.3) if delta < spec.R]
+        blocks = [cuts[i:i + 6] for i in range(0, len(cuts), 6)]
         assert len(calls) == len(blocks)
-        for (cyl, r, t, bound), block in zip(calls, blocks):
-            c = sum(1 + (0.3 < spec.R) for spec in block)
+        for (cyl, r, t, _, bound), block in zip(calls, blocks):
+            c, one = len(block), all(spec is block[0] for spec in block)
             assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 40)
-            cols = (cyl.R, cyl.params.epsilon, cyl.params.sigma) if len(block) > 1 else ()
+            cols = (cyl.R, cyl.params.epsilon, cyl.params.sigma) if not one else ()
             assert all(np.shape(v) == (c, 1, 1) for v in cols + (cyl.r_cut, cyl.t_cut))
-            if len(block) == 1:
+            if one:
                 assert cyl.params is block[0].params and cyl.R is block[0].R
-        assert repr(value) == repr(max(cli._check_calibration(spec) for spec in stack.members))
+        parted += sum(a[-1] is b[0] for a, b in zip(blocks, blocks[1:]))
+        each = (foliation._check_calibration(spec) for spec in stack.members)
+        assert repr(value) == repr(max(each))
         total += solved
-    assert total == 0
+    assert total == 0 and (parted > 0) == (specs is STRESS)
     assert len(_bound_calls(GRID[13])[1]) == 1
 
 
@@ -526,7 +530,7 @@ def _bound_against_the_full_solve():
             f = profile_height(spec, rs)[:, None]
             depth = np.linspace(0.0, 0.999, 40) * (f - cyl.t_cut)
             r, t = np.repeat(rs, 40), (f - depth).ravel()
-            bound, allowance = foliation._label_bound(cyl, r, t)
+            bound, allowance = foliation._label_bound(cyl, r, t, np.repeat(f, 40))
             label = leaf_label_grid(cyl, r, t)
             floor = foliation.label_floor(cyl, depth.ravel())
             decided = (1.0 - R / bound) - floor >= allowance
@@ -589,7 +593,7 @@ def test_verify_grid_report_equals_the_per_sphere_oracle(seed, monkeypatch):
         return code, out.getvalue()
 
     got = report()
-    monkeypatch.setattr(cli, "_check_calibration",
+    monkeypatch.setattr(foliation, "_check_calibration",
                         lambda spheres: max(map(_full_solve_grid, spheres.members)))
     monkeypatch.setattr(cli, "_curvature_operator", table_curvature_operator)
     assert got == report()
@@ -621,7 +625,8 @@ def test_calibration_at_tiny_R(R):
             for depth in (0.1 * R, np.array([0.1 * R])):
                 got = float(np.ravel(foliation.label_floor(cyl, depth))[0])
                 assert abs(got - float(want)) <= 4 * _ULP * float(want)
-        assert repr(cli._check_calibration(spec)) == repr(_full_solve_calibration(spec)) == "-0.0"
+        check = foliation._check_calibration(spec)
+        assert repr(check) == repr(_full_solve_calibration(spec)) == "-0.0"
 
 
 @pytest.mark.parametrize("frac", [0.0, 0.3])
