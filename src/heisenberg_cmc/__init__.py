@@ -14,14 +14,11 @@ from .ambient import (
     Point,
     TangentVector,
     christoffel_frame,
-    coordinate_metric,
     covariant_derivative,
     curvature_operator,
     frame_in_coordinates,
     horizontal_rotation,
-    lie_bracket,
     ricci,
-    vector_from_coordinates,
     vector_to_coordinates,
     vertical_component,
 )
@@ -42,7 +39,6 @@ from .sphere import (
     profile_quantities,
     radius_field,
     sphere_area,
-    sphere_through,
     sphere_volume,
 )
 

@@ -48,12 +48,20 @@ def _unit(x):
 def _require_finite(x, params, what: str, *args, R=None):
     """x (a float, a tuple of floats or an array) if it is all finite, else NumericsError
     "<what> is not finite with eps = .., sigma = ..[, R = ..]", formatted only then, `what` by
-    what.format(*args).  `params` is anything with an epsilon and a sigma."""
+    what.format(*args).  `params` is anything with an epsilon and a sigma; where it and R are the
+    columns of a `sphere._Stack` with as many axes as an array x, the message names the sphere of
+    x's first non-finite element."""
     if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else
             all(map(math.isfinite, x)) if isinstance(x, tuple) else math.isfinite(x)):
+        eps, sigma = params.epsilon, params.sigma
+        if isinstance(x, np.ndarray):
+            first = int(np.argmin(np.isfinite(x)))
+            with contextlib.suppress(ValueError):  # columns that do not broadcast print whole
+                eps, sigma, R = (float(np.broadcast_to(v, x.shape).flat[first])
+                                 if np.ndim(v) == x.ndim > 0 else v for v in (eps, sigma, R))
         at = "" if R is None else f", R = {R!r}"
-        raise NumericsError(f"{what.format(*args)} is not finite with eps = {params.epsilon!r}, "
-                            f"sigma = {params.sigma!r}{at}")
+        raise NumericsError(f"{what.format(*args)} is not finite with eps = {eps!r}, "
+                            f"sigma = {sigma!r}{at}")
     return x
 
 

@@ -36,14 +36,11 @@ __all__ = [
     "Point",
     "TangentVector",
     "frame_in_coordinates",
-    "coordinate_metric",
     "vector_to_coordinates",
-    "vector_from_coordinates",
     "vertical_component",
     "horizontal_rotation",
     "christoffel_frame",
     "covariant_derivative",
-    "lie_bracket",
     "curvature_operator",
     "ricci",
 ]
@@ -207,22 +204,9 @@ def frame_in_coordinates(params: ModelParams, p: Point) -> np.ndarray:
     )
 
 
-def coordinate_metric(params: ModelParams, p: Point) -> np.ndarray:
-    """Metric tensor in the coordinates (x, y, t) at p."""
-    a_inv = np.linalg.inv(frame_in_coordinates(params, p))
-    return a_inv @ a_inv.T
-
-
 def vector_to_coordinates(params: ModelParams, p: Point, v: TangentVector) -> np.ndarray:
     """Coordinate components of the frame vector v at p."""
     return frame_in_coordinates(params, p).T @ v.as_array()
-
-
-def vector_from_coordinates(params: ModelParams, p: Point, coords) -> TangentVector:
-    """Frame coefficients of the coordinate vector `coords` at p."""
-    e, s = params.epsilon, params.sigma
-    c1, c2, c3 = float(coords[0]), float(coords[1]), float(coords[2])
-    return TangentVector(e * c1, e * c2, (c3 - s * (p.y * c1 - p.x * c2)) / (e * e))
 
 
 def vertical_component(v: TangentVector) -> float:
@@ -286,12 +270,6 @@ def covariant_derivative(
     if dv.shape != (3,):
         raise ContractError(f"dv_along_u must have shape (3,), got {dv.shape}")
     return TangentVector.from_array(dv + _connect(params.tau, u.as_array(), v.as_array()))
-
-
-def lie_bracket(params: ModelParams, u: TangentVector, v: TangentVector) -> TangentVector:
-    """[u, v] for constant-coefficient frame fields; only [X, Y] = -2 tau T survives."""
-    c = u.aX * v.aY - u.aY * v.aX
-    return TangentVector(0.0, 0.0, -2.0 * params.tau * c)
 
 
 def _curvature_operator(params: ModelParams, u, v, w) -> np.ndarray:

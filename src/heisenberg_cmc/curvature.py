@@ -205,7 +205,12 @@ def assemble_corrected_shape(H: float, tau: float, h, theta2) -> CorrectedShapeD
     vert = ((2.0 * tau * (tau / _each(math.hypot, H, tau))) * theta2 * theta2)[..., None, None]
     k = np.asarray(h, dtype=float) + vert * (q2[..., :, None] * q2[..., None, :])
     k0 = k - 0.5 * np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
-    k0_norm = np.sqrt(np.sum(k0 * k0, axis=(-2, -1)))
+    with np.errstate(over="ignore"):  # an entry past about 1.3e154 squares to inf: taken below
+        k0_norm = np.sqrt(np.sum(k0 * k0, axis=(-2, -1)))
+    if not np.isfinite(k0_norm).all():  # again in units of a power of four, where it overflowed
+        u = _unit(np.max(np.abs(k0), axis=(-2, -1), keepdims=True))
+        scaled = u[..., 0, 0] * np.sqrt(np.sum((k0 / u) ** 2, axis=(-2, -1)))
+        k0_norm = np.where(np.isfinite(k0_norm), k0_norm, scaled)
     return CorrectedShapeData(k=k, k0=k0, alpha=alpha,
                               k0_norm=float(k0_norm) if k0_norm.ndim == 0 else k0_norm)
 

@@ -43,10 +43,8 @@ __all__ = [
     "FoliationConstants",
     "VerticalBound",
     "foliation_constants",
-    "leaf_equation",
     "leaf_label",
     "leaf_label_grid",
-    "point_on_leaf",
     "calibration_field",
     "calibration_divergence",
     "label_floor",
@@ -107,21 +105,6 @@ def foliation_constants(spec: SphereSpec) -> FoliationConstants:
     d = _divide(1.0, 12.0 * e * math.pi**2 * R5 * (4.0 * R * k * k + f0 * f0))
     _require_finite((c, d), spec.params, "a deficit constant", R=R)
     return FoliationConstants(k=k, C=c, D=d)
-
-
-def leaf_equation(cyl: CylinderSpec, r: float, t: float, lam: float) -> float:
-    """F(r, t, lam) whose zero in lam > R labels the leaf through (r, t).
-
-    Positive as lam -> R+ (value f(r;R) - t), negative as lam -> infinity
-    (value t_cut - t), and strictly decreasing in lam.
-    """
-    if not (0.0 <= r < cyl.r_cut):
-        raise DomainError(f"need 0 <= r < r_cut = {cyl.r_cut}, got {r!r}")
-    if not (cyl.t_cut < t < float(profile_height(cyl.spec, r))):
-        raise DomainError(f"t = {t!r} outside (t_cut, f(r; R))")
-    if not lam > cyl.R:
-        raise DomainError(f"need lam > R = {cyl.R}, got {lam!r}")
-    return point_on_leaf(cyl, r, lam).t - t
 
 
 def _chord_at(cyl: CylinderSpec, r: np.ndarray, lam):
@@ -255,21 +238,6 @@ def leaf_label(cyl: CylinderSpec, point: Point) -> float:
     if not cyl.contains(r, point.t):
         raise DomainError(f"point (r, t) = ({r}, {point.t}) is outside the half-cylinder")
     return float(_labels(cyl, np.array([r]), np.array([point.t]))[0])
-
-
-def point_on_leaf(cyl: CylinderSpec, r: float, lam: float) -> Point:
-    """A point of the leaf with label lam on the vertical line at radius r;
-    NumericsError where its height is not finite, as where lam^2 overflows."""
-    if not (0.0 <= r < cyl.r_cut):
-        raise DomainError(f"need 0 <= r < r_cut, got {r!r}")
-    params = cyl.params
-    if lam > cyl.R:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = float(_f(params, r, lam) - _f(params, cyl.r_cut, lam) + cyl.t_cut)
-        _require_finite(t, params, "the leaf lam = {!r} at r = {!r}", lam, r, R=cyl.R)
-    else:
-        t = float(_f(params, r, cyl.R)) + (cyl.R - lam)
-    return Point(r, 0.0, t)
 
 
 def _field(cyl: CylinderSpec, x, y, t, above=None):

@@ -30,7 +30,7 @@ import numpy as np
 # `isoperimetry` is, as `perfbench/tracing.py` needs of the modules it traces
 from . import meridians  # noqa: F401
 from ._numerics import _MAX_SAMPLES, _gauss_legendre, _pow, _power, _quad, _require_finite
-from .ambient import ModelParams, Point, _Record
+from .ambient import Point, _Record
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
@@ -38,7 +38,6 @@ from .sphere import (SphereSpec, _f, _f_r, _pieces, _Stack, profile_height, sphe
                      sphere_volume)
 
 __all__ = [
-    "graph_area",
     "subriemannian_hemisphere_area",
     "RadialBump",
     "Competitor",
@@ -56,59 +55,7 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------- graph area
-
-
-def graph_area(
-    params: ModelParams,
-    radius: float,
-    slope=None,
-    gradient=None,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> float:
-    """Riemannian area of a t-graph over a disk.
-
-    Radial fast path (`slope` = callable f'(r), vectorized): integrates
-    (2 pi / eps) sqrt(eps^6 + f'^2 + sigma^2 r^2) r dr with the substitution
-    r = radius * sin(phi), which removes the square-root rim singularity of
-    the sphere profile.  General path (`gradient` = callable
-    (x, y) -> (f_x, f_y) on scalars): 2D quadrature of
-    (1/eps) sqrt(eps^6 + |grad f|^2 + sigma^2 |z|^2 + 2 sigma (x f_y - y f_x))
-    in polar coordinates about `center`, which includes the rotational
-    cross term that vanishes for radial graphs: `_quad` in the polar radius
-    of the ring integrals, each of them one interval of a batched `_quad`
-    in the angle over [0, 2 pi].
-    """
-    if (slope is None) == (gradient is None):
-        raise ContractError("provide exactly one of slope= or gradient=")
-    e, s = params.epsilon, params.sigma
-    e6 = _power(e, 6, params, "eps^6")  # eps above about 1.4e51 raises
-    rad = float(radius)
-    if slope is not None:
-
-        def integrand(phi):
-            r = rad * np.sin(phi)
-            fp = np.asarray(slope(r), dtype=float)
-            return np.sqrt(e6 + fp * fp + s * s * r * r) * r * rad * np.cos(phi)
-
-        return (2.0 * math.pi / e) * _quad(integrand, 0.0, 0.5 * math.pi, "radial graph area")
-
-    cx, cy = center
-    grad = np.frompyfunc(gradient, 2, 2)
-
-    def ring(rho):
-        def density(ang, row):
-            rr = rho[row, None]
-            xs, ys = cx + rr * np.cos(ang), cy + rr * np.sin(ang)
-            fx, fy = (np.asarray(g, dtype=float) for g in grad(xs, ys))
-            val = (e6 + fx * fx + fy * fy + s * s * (xs * xs + ys * ys)
-                   + 2.0 * s * (xs * fy - ys * fx))
-            return np.sqrt(val) * rr
-
-        n = rho.size
-        return _quad(density, np.zeros(n), np.full(n, 2.0 * math.pi), "graph-area ring")
-
-    return _quad(ring, 0.0, rad, "2D graph area") / e
+# ------------------------------------------------------------- hemisphere area
 
 
 def subriemannian_hemisphere_area(sigma: float, R: float) -> float:

@@ -18,11 +18,9 @@ Runge-Kutta as its independent oracle.  Both evaluate the field through the one 
 sphere is a circle and phi is the polar angle: the integrator retracts each step onto the
 sphere there.
 
-Two limit fields are provided: the Euclidean meridian field (sigma -> 0
-at eps = 1) and the horizontal field tangent to the sub-Riemannian limit
-sphere (eps -> 0 at fixed sigma, after scaling by eps), the latter
-satisfying the characteristic horizontal-geodesic equation
-nabla_M M = (2/R) J(M).
+The limit field is the horizontal field tangent to the sub-Riemannian limit
+sphere (eps -> 0 at fixed sigma, after scaling by eps), which satisfies the
+characteristic horizontal-geodesic equation nabla_M M = (2/R) J(M).
 """
 
 from __future__ import annotations
@@ -31,13 +29,12 @@ import math
 
 import numpy as np
 
-from ._numerics import _MAX_SAMPLES, _divide, _require_finite
+from ._numerics import _MAX_SAMPLES, _require_finite
 from .ambient import ModelParams, Point, TangentVector, _Record, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
     _TINY,
     SphereSpec,
-    _ell,
     _f,
     _leaf,
     _mass,
@@ -51,13 +48,10 @@ from .sphere import (
 
 __all__ = [
     "MeridianCurve",
-    "normal_derivatives",
-    "normal_acceleration",
     "meridian_field",
     "meridian_curve",
     "integrate_meridian",
     "meridian_geodesic_residual",
-    "euclidean_meridian_field",
     "pansu_meridian_field",
     "pansu_geodesic_residual",
 ]
@@ -79,50 +73,6 @@ class MeridianCurve(_Record):
 def _require_off_axis(point: Point) -> None:
     if point.r == 0.0:
         raise DomainError("operation undefined on the center axis z = 0")
-
-
-def _leaf_terms(params: ModelParams, point: Point) -> tuple[float, float, float, float]:
-    """R, p signed by the hemisphere, ell(p) and m(r) of the leaf through the point (`_leaf`)."""
-    R, g, m = _leaf(params, point.r, point.t)
-    p = float(np.sign(point.t)) * g * _divide(params.sigma, m)
-    return R, p, _ell(p), m
-
-
-def normal_derivatives(params: ModelParams, point: Point) -> tuple[float, float]:
-    """Derivatives along the foliation normal of the leaf radius R and of p.
-
-    N R = ell(p) / eps and, by N p = R D + p N R / R with D = N(p/R) of
-    `normal_acceleration`, N p = (p ell - (sigma r/m(r))^2 (ell arctan p + p)) / (eps R),
-    which is 0 on the equatorial plane t = 0, where p vanishes identically along the
-    normal direction; NumericsError where either is not finite.
-    """
-    if point.r == 0.0 and point.t == 0.0:
-        raise DomainError("normal derivatives are undefined at the origin")
-    e = params.epsilon
-    R, p, ell, m = _leaf_terms(params, point)
-    c = _divide(params.sigma * point.r, m)  # 0/0 on the axis only where eps^3 underflows
-    npv = _divide(p * ell - c * c * (ell * math.atan(p) + p), e * R)  # R = 0 where it underflows
-    return _require_finite((ell / e, npv), params, "the normal derivatives at {}", point)
-
-
-def normal_acceleration(params: ModelParams, point: Point) -> TangentVector:
-    """nabla_N N: how far the normal lines are from ambient geodesics.
-
-    Closed form D * [(y + x Phi) X - (x - y Phi) Y + (eps^3/sigma) T], Phi = -m(r)^2 p/(sigma r)^2
-    and D = N(p/R) = -c^2 k/eps, c = sigma r/m(r), k = (ell arctan p + p)/R^2 (m(R)^2 - ell m(r)^2
-    = m(r)^2 (ell p arctan p + p^2)), with sigma^2 cancelled: X, Y = (x p - c^2 y, y p + c^2 x)
-    k/eps, over eps last, and D eps^3/sigma = -c r k eps^2/m(r).  Identically zero on the
-    equatorial plane and in the Euclidean degeneration sigma = 0; NumericsError where not finite.
-    """
-    _require_off_axis(point)
-    e, s, r = params.epsilon, params.sigma, point.r
-    if point.t == 0.0 or s == 0.0:
-        return TangentVector(0.0, 0.0, 0.0)
-    R, p, ell, m = _leaf_terms(params, point)
-    k, c = (ell * math.atan(p) + p) / (R * R), s * r * (inv_m := _divide(1.0, m))
-    x, y = point.x, point.y
-    n = ((x * p - c * c * y) * k / e, (y * p + c * c * x) * k / e, -c * r * k * e * (e * inv_m))
-    return TangentVector(*_require_finite(n, params, "the normal acceleration at {}", point))
 
 
 def _meridian(params: ModelParams, x, y, r, t, R, g, m):
@@ -346,19 +296,6 @@ def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
 
 
 # ------------------------------------------------------------- limit fields
-
-
-def euclidean_meridian_field(point: Point) -> TangentVector:
-    """Meridian field of the round-sphere foliation (sigma -> 0, eps = 1).
-
-    Components (x lam, y lam, -r/R) on (d_x, d_y, d_t) with
-    lam = t / (r R) and R = sqrt(r^2 + t^2); azimuthal part is zero and
-    the field is tangent to the Euclidean sphere through the point.
-    """
-    _require_off_axis(point)
-    R = math.hypot(point.r, point.t)
-    lam = point.t / (point.r * R)
-    return TangentVector(point.x * lam, point.y * lam, -point.r / R)
 
 
 def _pansu_field(sigma: float, x, y, t) -> np.ndarray:

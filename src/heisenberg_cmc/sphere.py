@@ -53,7 +53,6 @@ __all__ = [
     "profile_height_R",
     "profile_quantities",
     "radius_field",
-    "sphere_through",
     "outer_normal",
     "foliation_normal",
     "sphere_area",
@@ -386,11 +385,6 @@ def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
     R_t = _divide(math.copysign(g, t), R * _kernel(g, m, s, p)[1]) if t != 0.0 else 0.0
     _require_finite((R_r, R_t), params, "the radius field at (r, t) = ({!r}, {!r})", r, t)
     return RadiusField(value=R, R_r=R_r, R_t=R_t)
-
-
-def sphere_through(params: ModelParams, point: Point) -> SphereSpec:
-    """The member of the family passing through `point` (not the origin)."""
-    return SphereSpec(params, radius_field(params, point.r, point.t).value)
 
 
 # ------------------------------------------------------------------- normals

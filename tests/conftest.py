@@ -43,6 +43,13 @@ def table_curvature_operator(params, u, v, w):
             - table_connect(params.tau, bracket, w))
 
 
+def leaf_equation(cyl, r, t, lam):
+    """F(r, t, lam) = f(r; lam) - f(r_cut; lam) + t_cut - t, whose root lam > R labels the point
+    (r, t) below the graph: the oracle of `foliation._residual`.  At t = 0 it is the height of
+    the leaf lam over the radius r."""
+    return float(_f(cyl.params, r, lam) - _f(cyl.params, cyl.r_cut, lam) + cyl.t_cut - t)
+
+
 def sphere_point(spec, rng, lo=0.02, hi=0.98, hemisphere=None):
     """Random point on the sphere with radius fraction in (lo, hi)."""
     r = rng.uniform(lo, hi) * spec.R

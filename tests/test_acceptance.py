@@ -20,6 +20,7 @@ from heisenberg_cmc import (
     outer_normal,
     pansu_profile,
     profile_height,
+    sphere_area,
     vertical_component,
 )
 from heisenberg_cmc.curvature import (
@@ -35,11 +36,9 @@ from heisenberg_cmc.foliation import (
     foliation_constants,
     leaf_label,
     leaf_label_grid,
-    point_on_leaf,
 )
 from heisenberg_cmc.isoperimetry import (
     deficit_report,
-    graph_area,
     jacobi_residual,
     make_competitor,
     subriemannian_hemisphere_area,
@@ -49,9 +48,9 @@ from heisenberg_cmc.meridians import (
     meridian_geodesic_residual,
     pansu_geodesic_residual,
 )
-from heisenberg_cmc.sphere import _f, _f_r
+from heisenberg_cmc.sphere import _f
 
-from conftest import GRID, _jacobi_residual_mesh, sphere_point
+from conftest import GRID, _jacobi_residual_mesh, leaf_equation, sphere_point
 
 BASIS = (TangentVector(1, 0, 0), TangentVector(0, 1, 0), TangentVector(0, 0, 1))
 
@@ -225,10 +224,10 @@ def test_criterion_07_calibration_foliation():
     for _ in range(40):
         lam = rng.uniform(1.0001, 5.0)
         r = rng.uniform(0.0, cyl.r_cut * 0.999)
-        q = point_on_leaf(cyl, r, lam)
-        if q.t <= cyl.t_cut:
+        t = leaf_equation(cyl, r, 0.0, lam)  # the height of the leaf lam at r
+        if t <= cyl.t_cut:
             continue
-        worst_rt = max(worst_rt, abs(leaf_label(cyl, q) - lam))
+        worst_rt = max(worst_rt, abs(leaf_label(cyl, Point(r, 0.0, t)) - lam))
 
     worst_vn = 0.0
     for _ in range(30):
@@ -322,8 +321,7 @@ def test_criterion_10_subriemannian_area_limit():
     target = subriemannian_hemisphere_area(sigma, R)
     dists = []
     for eps in (0.5, 0.25, 0.125):
-        params = ModelParams(eps, sigma)
-        area = graph_area(params, R, slope=lambda r: _f_r(params, r, R))
+        area = sphere_area(SphereSpec(ModelParams(eps, sigma), R)) / 2.0
         dists.append(abs(eps * area - target))
     ok = dists[0] / dists[1] >= 2.0 and dists[1] / dists[2] >= 2.0
     report(10, "sub-Riemannian area limit", ok,

@@ -148,6 +148,20 @@ def test_verify_perturbation_that_is_not_finite_is_bad_input(tmp_path, value):
         assert res.stderr == f"error: perturb_h must be a finite number, got {value}\n"
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["one sphere", "grid"])
+def test_verify_perturbation_whose_square_overflows_fails_the_check(grid):
+    """A finite --perturb-h past about 1.3e154 squares past the floats in the trace-free norm:
+    the check measures |k0| = 1e200/sqrt(2) all the same and fails (exit 1) with no warning,
+    where it exited 3 after a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("verify", *grid, "--perturb-h", "1e200", "--json", "-")
+    assert (res.returncode, res.stderr) == (1, "")
+    checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks["traceless_correction"]["measured"] == 7.071067811865475e199
+    assert [name for name, c in checks.items() if not c["passed"]] == ["traceless_correction"]
+
+
 @pytest.mark.parametrize("eps", ["1e-45", "1e-60"])
 def test_verify_where_the_second_fundamental_form_overflows_exits_3(eps):
     """tau rho^2 overflows in the closed-form h at these eps: a typed numeric

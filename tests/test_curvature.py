@@ -296,6 +296,18 @@ def test_corrected_shape_where_tau_squared_overflows():
     assert math.isfinite(data.k0_norm)
 
 
+def test_trace_free_norm_whose_square_overflows_is_taken_in_units_of_a_power_of_four():
+    """|k0| of h = [[1e200, 0], [0, 0]] is 1e200/sqrt(2), though its entries square past the
+    floats: that point's norm is taken again in units of a power of four, with no warning, and a
+    point whose squares are finite keeps the bits of the plain norm."""
+    h = np.array([[[1e200, 0.0], [0.0, 0.0]], [[0.3, 0.1], [0.1, -0.2]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = assemble_corrected_shape(1.0, 0.0, h, np.zeros(2))
+    assert data.k0_norm[0] == 7.071067811865475e199
+    assert data.k0_norm[1] == np.sqrt(np.sum(data.k0[1] * data.k0[1]))
+
+
 @pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT)
 def test_frame_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error(spec, frac):
     """Where m(r) = eps^3 is below the normal floats the frame's ratios of masses have lost their

@@ -28,17 +28,16 @@ from heisenberg_cmc.foliation import (
     calibration_divergence,
     calibration_field,
     foliation_constants,
-    leaf_equation,
     leaf_label,
     leaf_label_grid,
-    point_on_leaf,
     vertical_label_bound,
 )
 from heisenberg_cmc import cli, foliation
 from heisenberg_cmc.foliation import _leaf_terms
-from heisenberg_cmc.sphere import _f, _mass, _profile
+from heisenberg_cmc.sphere import _f, _height, _mass, _profile
 
-from conftest import GRID, SINGLE, counting_newton_passes, mp_profile, table_curvature_operator
+from conftest import (GRID, SINGLE, counting_newton_passes, leaf_equation, mp_profile,
+                      table_curvature_operator)
 
 
 @pytest.fixture
@@ -87,6 +86,7 @@ def test_scaled_constants_have_subriemannian_limits():
 
 
 def test_leaf_equation_sign_limits(spec, cyl):
+    """F from `sphere._f` falls from f(r; R) - t > 0 to t_cut - t < 0: `_label_below`'s bracket."""
     r, t = 0.3, 1.1
     f_here = float(profile_height(spec, r))
     assert cyl.t_cut < t < f_here
@@ -106,21 +106,11 @@ def test_leaf_equation_decreasing_in_label(cyl, rng):
         assert slope < 0.0
 
 
-def test_leaf_equation_domain(cyl):
-    with pytest.raises(DomainError):
-        leaf_equation(cyl, cyl.r_cut + 0.01, 1.1, 1.5)
-    with pytest.raises(DomainError):
-        leaf_equation(cyl, 0.3, 0.5, 1.5)  # t below the cut
-    with pytest.raises(DomainError):
-        leaf_equation(cyl, 0.3, 1.1, 0.9)  # label not above R
-
-
 @pytest.mark.parametrize("lam", [1.0, 0.8, 0.3])
 def test_point_on_leaf_at_or_above_the_graph_is_its_vertical_translate(spec, cyl, lam):
     """A label lam <= R is the graph shifted up by R - lam, t = f(r; R) + (R - lam), which
     leaf_label labels lam again."""
-    q = point_on_leaf(cyl, 0.4, lam)
-    assert q.t == float(profile_height(spec, 0.4)) + (spec.R - lam)
+    q = Point(0.4, 0.0, float(profile_height(spec, 0.4)) + (spec.R - lam))
     assert leaf_label(cyl, q) == pytest.approx(lam, abs=1e-14)
 
 
@@ -130,12 +120,9 @@ def test_point_on_leaf_at_or_above_the_graph_is_its_vertical_translate(spec, cyl
     (lambda cyl: calibration_field(cyl, Point(0.3, 0.0, cyl.t_cut - 0.1)),
      "outside the half-cylinder"),
     (lambda cyl: calibration_field(cyl, Point(1.2, 0.0, 0.5)), "outside the half-cylinder"),
-    (lambda cyl: point_on_leaf(cyl, cyl.r_cut, 1.5), "need 0 <= r < r_cut"),
-    (lambda cyl: point_on_leaf(cyl, 0.9, 0.8), "need 0 <= r < r_cut"),
     (lambda cyl: vertical_label_bound(cyl, -0.1, 0.0), "need 0 <= r < r_cut"),
 ], ids=["leaf_label below the cut", "leaf_label off the disk", "calibration_field below the cut",
-        "calibration_field off the disk", "point_on_leaf at r_cut", "point_on_leaf past r_cut",
-        "vertical_label_bound at r < 0"])
+        "calibration_field off the disk", "vertical_label_bound at r < 0"])
 def test_cylinder_calls_outside_their_domain_raise(cyl, call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -157,10 +144,10 @@ def test_label_roundtrip_on_inside_leaves(cyl, rng):
     for _ in range(40):
         lam = rng.uniform(1.0001, 5.0)
         r = rng.uniform(0.0, cyl.r_cut * 0.999)
-        q = point_on_leaf(cyl, r, lam)
-        if q.t <= cyl.t_cut:
+        t = leaf_equation(cyl, r, 0.0, lam)  # the height of the leaf lam at r
+        if t <= cyl.t_cut:
             continue
-        worst = max(worst, abs(leaf_label(cyl, q) - lam))
+        worst = max(worst, abs(leaf_label(cyl, Point(r, 0.0, t)) - lam))
     assert worst <= 1e-10
 
 
@@ -196,7 +183,7 @@ _ULP = np.finfo(float).eps
 
 
 def _brentq_label(cyl, r, t):
-    """Root of `leaf_equation` by scipy's brentq; the float after R when F
+    """Root of the leaf equation by scipy's brentq; the float after R when F
     has already changed sign there."""
     lo = float(np.nextafter(cyl.R, np.inf))
     if leaf_equation(cyl, r, t, lo) <= 0.0:
@@ -318,6 +305,20 @@ def test_calibration_guard_on_the_columns_ends_matches_the_full_solve(spec):
     assert _outcome(foliation._check_calibration, spec) == want
     for members in ([spec, *GRID[:2]], [GRID[0], spec, GRID[1]], [*GRID[:4], spec]):
         assert _outcome(foliation._check_calibration, cli._Stack(members=members)) == want
+
+
+def test_a_value_lost_to_the_floats_over_a_stack_names_its_own_sphere():
+    """Over a `_Stack` the NumericsError names eps, sigma and R of the sphere of the first
+    element that is not finite, where it printed the stack's columns."""
+    members = [SphereSpec(ModelParams(e, 1.0), 1.0) for e in (1.0, 1.52e103)]
+    with pytest.raises(NumericsError, match=r"^eps\^3 is not finite with eps = 1\.52e\+103, "
+                                            r"sigma = 1\.0$"):
+        foliation._check_calibration(cli._Stack(members=members))
+    stack = cli._Stack(members=[SphereSpec(ModelParams(e, 1.0), R)
+                                for e, R in ((1.0, 1.0), (5e102, 2.0), (1.0, 3.0))])
+    with pytest.raises(NumericsError, match=r"^the profile height is not finite with eps = 5e\+102, "
+                                            r"sigma = 1\.0, R = 2\.0$"):
+        _height(stack, np.full((3, 4), 0.5))
 
 
 def test_points_whose_depth_rounds_to_0_below_the_graph_are_left_to_the_solve():
@@ -683,20 +684,6 @@ def test_labels_whose_square_overflows_raise():
         assert leaf_label(cyl, Point(0.5, 0.0, 1e-100)) == pytest.approx(0.75 * slope / 2e-100, rel=1e-14)
 
 
-def test_leaf_heights_whose_square_overflows_raise():
-    """point_on_leaf and leaf_equation on a leaf whose lam^2 overflows: NumericsError
-    naming the point and the sphere, with no RuntimeWarning, where both gave NaN."""
-    cyl = CylinderSpec(SphereSpec(ModelParams(1e-3, 1), 1), 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match=r"^the leaf lam = 1e\+160 at r = 0\.5 is not finite "
-                                                r"with eps = 0\.001, sigma = 1\.0, R = 1\.0$"):
-            point_on_leaf(cyl, 0.5, 1e160)
-        with pytest.raises(NumericsError, match=r"^the leaf lam = 1e\+200 at r = 0\.5 is not finite "
-                                                r"with eps = 0\.001, sigma = 1\.0, R = 1\.0$"):
-            leaf_equation(cyl, 0.5, 1e-3, 1e200)
-
-
 def _mp_label(cyl, r, t, guess):
     """50-digit root of the leaf equation in lam, from a bracket of +-1e-6 around `guess`."""
     e, s = cyl.params.epsilon, cyl.params.sigma
@@ -792,10 +779,10 @@ def test_chord_at_a_label_matches_50_digits(R):
 @pytest.mark.parametrize("eps, sigma", [(1.0, 1.0), (0.3, -2.0), (1.0, 0.0), (50.0, 1e-9)])
 def test_chord_residual_matches_leaf_equation(eps, sigma):
     """The label solve's residual, taken from the chord y = s_r - s_cut, is
-    `leaf_equation` up to rounding, and its F_lam = -lam y dF/dy / (s_r s_cut)
+    the leaf equation up to rounding, and its F_lam = -lam y dF/dy / (s_r s_cut)
     is f_R(r; lam) - f_R(r_cut; lam).  delta = 0 and r -> r_cut take s_cut and
     the chord toward 0; tau = 0 takes p into the series branch of atanc.  The
-    rounding allowed includes that of leaf_equation's own lam^2 - rho^2, which
+    rounding allowed includes that of the leaf equation's own lam^2 - rho^2, which
     moves f(rho; lam) by about f ulp lam^2 / s_rho^2."""
     params = ModelParams(eps, sigma)
     for R, delta in [(0.5, 0.0), (1.0, 0.3), (2.0, 0.0), (7.0, 3.5)]:
@@ -842,11 +829,6 @@ def test_inside_leaves_are_translated_graphs_with_cmc(cyl, rng):
         )
         target = 1.0 / (params.epsilon * lam)
         assert np.max(np.abs(h_fd - target) / target) <= 1e-6
-        # and the leaf really is that graph shifted down
-        r0 = 0.3 * cyl.r_cut
-        q = point_on_leaf(cyl, r0, lam)
-        shift = float(_f(params, cyl.r_cut, lam)) - cyl.t_cut
-        assert q.t == pytest.approx(float(_f(params, r0, lam)) - shift, rel=1e-12)
 
 
 def test_calibration_field_is_unit_and_matches_normal(cyl, rng, spec):

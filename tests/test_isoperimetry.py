@@ -28,7 +28,6 @@ from heisenberg_cmc.isoperimetry import (
     calibration_gain,
     deficit_report,
     deficit_reports,
-    graph_area,
     jacobi_potential,
     jacobi_residual,
     make_competitor,
@@ -40,7 +39,7 @@ from heisenberg_cmc.isoperimetry import (
 )
 from heisenberg_cmc._numerics import _quad
 from heisenberg_cmc.curvature import second_fundamental_form
-from heisenberg_cmc.sphere import _f_r, _pieces, graph_mean_curvature_fd
+from heisenberg_cmc.sphere import _pieces, graph_mean_curvature_fd
 
 from conftest import SINGLE, _jacobi_residual_mesh, sphere_point
 
@@ -50,69 +49,11 @@ def cyl(spec):
     return CylinderSpec(spec, 0.3)
 
 
-# ----------------------------------------------------------------- graph area
-
-
-def test_radial_graph_area_matches_hemisphere(params, spec):
-    area = graph_area(params, spec.R, slope=lambda r: _f_r(params, r, spec.R))
-    assert area == pytest.approx(0.5 * sphere_area(spec), rel=1e-8)
+# ------------------------------------------------------------- hemisphere area
 
 
 def test_euclidean_hemisphere_area():
-    params = ModelParams(1.0, 1e-9)
-    area = graph_area(params, 1.0, slope=lambda r: _f_r(params, r, 1.0))
-    assert abs(area - 2.0 * math.pi) <= 1e-4
-
-
-def test_graph_area_needs_exactly_one_input(params):
-    with pytest.raises(ContractError):
-        graph_area(params, 1.0)
-    with pytest.raises(ContractError):
-        graph_area(params, 1.0, slope=lambda r: r, gradient=lambda x, y: (x, y))
-
-
-def test_cross_term_via_left_translation_invariance(params):
-    """Left translations are isometries; they turn a radial cap into a
-    non-radial graph whose area must not change.  This exercises the
-    rotational cross term of the 2D integrand."""
-    sg = params.sigma
-    R = 1.0
-
-    def grad0(x, y):
-        r = math.hypot(x, y)
-        if r == 0.0:
-            return (0.0, 0.0)
-        fr = float(_f_r(params, r, R))
-        return (fr * x / r, fr * y / r)
-
-    area0 = graph_area(params, 0.35, gradient=grad0)
-    a, b = 0.3, -0.2
-
-    def grad_translated(X, Y):
-        x, y = X - a, Y - b
-        fx, fy = grad0(x, y)
-        return (fx + sg * b, fy - sg * a)
-
-    area1 = graph_area(params, 0.35, gradient=grad_translated, center=(a, b))
-    assert area1 == pytest.approx(area0, rel=1e-9)
-
-
-def test_radial_2d_paths_agree(params):
-    def grad0(x, y):
-        r = math.hypot(x, y)
-        if r == 0.0:
-            return (0.0, 0.0)
-        fr = float(_f_r(params, r, 1.0))
-        return (fr * x / r, fr * y / r)
-
-    a_radial = graph_area(params, 0.6, slope=lambda r: _f_r(params, r, 1.0))
-    a_2d = graph_area(params, 0.6, gradient=grad0)
-    assert a_2d == pytest.approx(a_radial, rel=1e-13)
-
-
-def test_2d_graph_area_of_a_non_finite_gradient_raises(params):
-    with pytest.raises(NumericsError, match="not finite"):
-        graph_area(params, 0.6, gradient=lambda x, y: (math.nan, 0.0))
+    assert abs(sphere_area(SphereSpec(ModelParams(1.0, 1e-9), 1.0)) / 2.0 - 2.0 * math.pi) <= 1e-4
 
 
 def test_float_powers_past_the_largest_float_raise_numerics_error():
@@ -122,8 +63,6 @@ def test_float_powers_past_the_largest_float_raise_numerics_error():
     huge = ModelParams(1e60, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match=r"^eps\^6 is not finite with eps = 1e\+60, sigma = 1\.0$"):
-            graph_area(huge, 1.0, slope=lambda r: -r)
         with pytest.raises(NumericsError, match=r"^eps\^6 is not finite with eps = 1e\+60, sigma = 1\.0$"):
             graph_mean_curvature_fd(huge, lambda x: -x * x, np.array([0.5]), 1e-3)
         with pytest.raises(NumericsError, match=r"^a deficit constant is not finite with eps = 1\.0, "
@@ -137,8 +76,7 @@ def test_scaled_area_converges_to_subriemannian_integral():
     assert target == pytest.approx(math.pi**2 * sigma * R**3 / 2.0, rel=1e-12)
     dists = []
     for eps in (0.5, 0.25, 0.125):
-        params = ModelParams(eps, sigma)
-        area = graph_area(params, R, slope=lambda r: _f_r(params, r, R))
+        area = sphere_area(SphereSpec(ModelParams(eps, sigma), R)) / 2.0
         dists.append(abs(eps * area - target))
     assert dists[0] > dists[1] > dists[2]
     assert dists[0] / dists[1] >= 2.0 and dists[1] / dists[2] >= 2.0

@@ -12,6 +12,7 @@ from heisenberg_cmc import (
     NumericsError,
     Point,
     SphereSpec,
+    TangentVector,
     foliation_normal,
     meridians,
     profile_height,
@@ -25,17 +26,14 @@ from heisenberg_cmc.meridians import (
     _geodesic_residual,
     _meridian,
     _rk4_velocity,
-    euclidean_meridian_field,
     integrate_meridian,
     meridian_field,
     meridian_curve,
     meridian_geodesic_residual,
-    normal_acceleration,
-    normal_derivatives,
     pansu_geodesic_residual,
     pansu_meridian_field,
 )
-from heisenberg_cmc.sphere import _leaf, _normal_components, _pieces, _radius_of
+from heisenberg_cmc.sphere import _normal_components, _pieces, _radius_of
 
 from conftest import SUBNORMAL_FLAT
 
@@ -47,99 +45,22 @@ def random_point(rng, r_range=(0.15, 1.8), t_range=(0.15, 1.5)):
     return Point(r * math.cos(th), r * math.sin(th), t)
 
 
-def leaf_p(params, pt):
-    """The signed tilt parameter of the leaf through pt (for the oracle)."""
-    r = math.hypot(pt[0], pt[1])
-    R = float(_leaf(params, r, pt[2])[0])
-    return float(np.sign(pt[2])) * float(_pieces(params, r, R)[2])
+def fd_normal_acceleration(params, q, h=1e-6):
+    """nabla_N N at q: the central difference of the foliation normal along itself plus the
+    connection term Gamma(N, N)."""
+    n = foliation_normal(params, q)
+    step = h * vector_to_coordinates(params, q, n)
+    n_plus, n_minus = (foliation_normal(params, Point.from_array(q.as_array() + d)).as_array()
+                       for d in (step, -step))
+    conv = np.einsum("i,j,ijk->k", n.as_array(), n.as_array(), christoffel_frame(params))
+    return TangentVector.from_array((n_plus - n_minus) / (2 * h) + conv)
 
 
-def test_normal_radius_derivative_at_equator(params):
-    nr, npv = normal_derivatives(params, Point(0.7, 0.0, 0.0))
-    assert nr == pytest.approx(1.0 / params.epsilon, rel=1e-14)
-    assert npv == 0.0
-
-
-def test_normal_derivatives_match_finite_differences(params, rng):
-    h = 1e-5
-    for _ in range(25):
-        q = random_point(rng)
-        nr, npv = normal_derivatives(params, q)
-        ncoords = vector_to_coordinates(params, q, foliation_normal(params, q))
-        pa = q.as_array()
-
-        def r_of(pt):
-            return float(_leaf(params, math.hypot(pt[0], pt[1]), pt[2])[0])
-
-        fd_r = (r_of(pa + h * ncoords) - r_of(pa - h * ncoords)) / (2 * h)
-        fd_p = (leaf_p(params, pa + h * ncoords) - leaf_p(params, pa - h * ncoords)) / (2 * h)
-        assert nr == pytest.approx(fd_r, rel=1e-6)
-        assert npv == pytest.approx(fd_p, rel=1e-6, abs=1e-9)
-
-
-def test_normal_derivatives_reject_origin(params):
-    with pytest.raises(DomainError):
-        normal_derivatives(params, Point(0.0, 0.0, 0.0))
-
-
-def test_normal_acceleration_vanishes_on_equatorial_plane(params):
-    assert normal_acceleration(params, Point(0.8, -0.1, 0.0)).norm() == 0.0
-
-
-def test_normal_acceleration_is_tangent(params, rng):
-    for _ in range(30):
-        q = random_point(rng)
-        dnn = normal_acceleration(params, q)
-        n = foliation_normal(params, q)
-        assert abs(dnn.dot(n)) <= 1e-10 * max(1.0, dnn.norm())
-
-
-def test_normal_acceleration_matches_fd_covariant_derivative(params, rng):
-    gamma = christoffel_frame(params)
-    h = 1e-6
-    for _ in range(25):
-        q = random_point(rng)
-        dnn = normal_acceleration(params, q).as_array()
-        n = foliation_normal(params, q)
-        ncoords = vector_to_coordinates(params, q, n)
-        pa = q.as_array()
-        n_plus = foliation_normal(params, Point.from_array(pa + h * ncoords)).as_array()
-        n_minus = foliation_normal(params, Point.from_array(pa - h * ncoords)).as_array()
-        fd = (n_plus - n_minus) / (2 * h) + np.einsum(
-            "i,j,ijk->k", n.as_array(), n.as_array(), gamma
-        )
-        assert np.linalg.norm(fd - dnn) <= 1e-5 * max(np.linalg.norm(dnn), 1e-3)
-
-
-def test_normal_acceleration_rejects_axis(params):
-    with pytest.raises(DomainError):
-        normal_acceleration(params, Point(0.0, 0.0, 1.0))
-
-
-@pytest.mark.parametrize("eps, sigma, x, y, t", [
-    (1.0, 1e-300, 0.3, 0.0, 0.2),  # (sigma r)^2 underflows to 0: ZeroDivisionError
-    (1e-56, 1e-163, 0.3, 0.0, 0.2),  # and eps m(r)^2 too
-    (1.0, 1e-150, 0.3, 0.1, 0.2),
-    (0.5, -2.0, 0.2, -0.3, -0.4),
-    (1e100, 1.0, 0.3, 0.0, 0.2),  # m(r)^2 overflows, where Phi was inf * 0 = NaN
-    (1e-300, 1.0, 1e-5, 0.0, 1e-10),  # D Phi = p k/eps overflowed before it met x
-])
-def test_normal_acceleration_matches_the_50_digit_closed_form(eps, sigma, x, y, t):
-    """D [(y + x Phi) X - (x - y Phi) Y + (eps^3/sigma) T], Phi = -m^2 p/(sigma r)^2 and
-    D = -sigma^2 r^2 (ell arctan p + p)/(eps R^2 m^2) in 50 digits from the leaf's R, p, ell and
-    m(r), to 1e-14 of each component or the least float, with no warning."""
-    params, point = ModelParams(eps, sigma), Point(x, y, t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = normal_acceleration(params, point).as_array()
-    with mpmath.workdps(50):
-        R, p, ell, m = (mpmath.mpf(v) for v in meridians._leaf_terms(params, point))
-        e, s, r = mpmath.mpf(eps), mpmath.mpf(sigma), mpmath.hypot(x, y)
-        d = -s * s * r * r * (ell * mpmath.atan(p) + p) / (e * R * R * m * m)
-        phi = -(m * m * p) / (s * r) ** 2
-        want = (d * (y + x * phi), -d * (x - y * phi), d * e**3 / s)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-14 * abs(w) + 5e-324
+def euclidean_meridian_field(q):
+    """The round-sphere foliation's meridian field (sigma -> 0, eps = 1): (x lam, y lam, -r/R)
+    with lam = t/(r R), R = sqrt(r^2 + t^2)."""
+    R = math.hypot(q.r, q.t)
+    return TangentVector(q.x * q.t / (q.r * R), q.y * q.t / (q.r * R), -q.r / R)
 
 
 def test_meridian_field_unit_and_tangent(params, rng):
@@ -155,7 +76,7 @@ def test_meridian_field_matches_normalized_acceleration(params, rng):
     for _ in range(50):
         q = random_point(rng)
         m = meridian_field(params, q)
-        dnn = normal_acceleration(params, q)
+        dnn = fd_normal_acceleration(params, q)
         if dnn.norm() < 1e-10:
             continue
         ref = (float(np.sign(q.t)) / dnn.norm()) * dnn
@@ -172,7 +93,6 @@ def test_foliation_fields_consistency(params, rng):
     q = random_point(rng)
     n = foliation_normal(params, q)
     assert n.dot(meridian_field(params, q)) == pytest.approx(0.0, abs=1e-10)
-    assert normal_acceleration(params, q).dot(n) == pytest.approx(0.0, abs=1e-10)
 
 
 def figure1_spec():
@@ -526,27 +446,22 @@ def test_euclidean_field_meridian_plane_and_tangency(rng):
 
 
 def mp_leaf_fields(eps, sigma, x, y, t):
-    """50-digit foliation normal, meridian field, normal derivatives, normal acceleration and
-    Pansu field (at |sigma|) at (x, y, t), from g = sqrt(R^2 - r^2) solved in g itself, where
-    f = [m(R)^2 arctan(p) + m(r)^2 p]/(2 sigma), p = sigma g/m(r), and Pansu's profile is
-    (sigma/2)[R^2 arctan(g/r) + r g]: the closed forms of the docstrings, in mpmath."""
+    """50-digit foliation normal, meridian field and Pansu field (at |sigma|) at (x, y, t), from
+    g = sqrt(R^2 - r^2) solved in g itself, where f = [m(R)^2 arctan(p) + m(r)^2 p]/(2 sigma),
+    p = sigma g/m(r), and Pansu's profile is (sigma/2)[R^2 arctan(g/r) + r g]: the closed forms
+    of the docstrings, in mpmath."""
     e, s, x, y, t = (mpmath.mpf(v) for v in (eps, sigma, x, y, t))
     r, a, sg = mpmath.sqrt(x * x + y * y), abs(s), mpmath.sign(t)
     m = mpmath.sqrt(e**6 + s * s * r * r)
     f = lambda g: ((e**6 + a * a * (r * r + g * g)) * mpmath.atan(a * g / m) + m * a * g) / (2 * a)
     g = mpmath.findroot(lambda g: f(g) - abs(t), abs(t) / m)
-    R, p, c = mpmath.sqrt(r * r + g * g), sg * s * g / m, s * r / m
-    ell, atan_p = 1 / (1 + p * mpmath.atan(p)), mpmath.atan(p)
+    R, p = mpmath.sqrt(r * r + g * g), sg * s * g / m
     lam, mu, nu = sg * g / (r * R), s * r / (R * m), e**3 * r / (R * m)
-    d = -s * s * r * r * (ell * atan_p + p) / (e * R * R * m * m)
-    phi = -(m * m * p) / (s * r) ** 2
     gb = mpmath.findroot(lambda g: a / 2 * ((r * r + g * g) * mpmath.atan(g / r) + r * g) - abs(t),
                          mpmath.sqrt(abs(t) / a))
     Rb = mpmath.sqrt(r * r + gb * gb)
     return (((x + y * p) / R, (y - x * p) / R, sg * e**3 * g / (m * R)),
             (x * lam - y * mu, y * lam + x * mu, -nu),
-            (ell / e, (p * ell - c * c * (ell * atan_p + p)) / (e * R)),
-            (d * (y + x * phi), -d * (x - y * phi), d * e**3 / s),
             (x * sg * gb / (r * Rb) - y / Rb, y * sg * gb / (r * Rb) + x / Rb, 0))
 
 
@@ -558,10 +473,9 @@ def test_fields_near_the_equator_plane_match_50_digit_leaves(eps, sigma, t):
     (0.6, 0.8, 0) at |t| = 1e-9.  Each nonzero component is within 1e-14 relative."""
     params, point = ModelParams(eps, sigma), Point(0.42, 0.56, t)
     got = (foliation_normal(params, point).as_array(), meridian_field(params, point).as_array(),
-           normal_derivatives(params, point), normal_acceleration(params, point).as_array(),
            pansu_meridian_field(abs(sigma), point).as_array())
     with mpmath.workdps(50):
-        for name, values, exact in zip(("normal", "field", "derivatives", "acceleration", "pansu"),
+        for name, values, exact in zip(("normal", "field", "pansu"),
                                        got, mp_leaf_fields(eps, sigma, *point.as_array())):
             for value, want in zip(values, exact):
                 if want == 0:
