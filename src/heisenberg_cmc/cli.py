@@ -6,7 +6,7 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     verify    invariant suite with a machine-readable pass/fail report; the
               curvature checks run once over a `sphere._Stack` of the spheres (27
               with --grid), the calibration check (`foliation._check_calibration`) by a
-              bound on each label, 6 cylinders a call
+              bound on each depth group, 27 cylinders a call
     meridian  sample a pole-to-pole geodesic in closed form, export polyline
     isoperim  random volume-preserving competitor suite
 

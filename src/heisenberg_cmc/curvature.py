@@ -130,7 +130,9 @@ def _shape(spec: SphereSpec, r):
         h = np.stack((np.stack((H * (1.0 + 2.0 * rho * rho) / den, off), axis=-1),
                       np.stack((off, H / den), axis=-1)), axis=-2)
         spread = (rho * rho / den) * _each(math.hypot, H, tau)
-    _require_finite(np.append(h, spread), params, "the second fundamental form", R=spec.R)
+    lead = np.shape(spread)[:1]  # a stack's axis stays, so that the message names its sphere
+    both = np.concatenate((h.reshape(*lead, -1), np.reshape(spread, (*lead, -1))), axis=-1)
+    _require_finite(both, params, "the second fundamental form", R=spec.R)
     return h, H + spread, H - spread
 
 

@@ -358,27 +358,42 @@ def _floor(spec: SphereSpec, delta: float, depth, k: float, f0: float):
 
 def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     """`verify`'s calibration check: the worst shortfall of 1 - R/label below the label floor on an
-    n x n grid under the sphere in each cylinder of a SphereSpec or of each `_Stack` member, each
-    cylinder's grid reduced and then Python's max in cylinder order.  One `_height` pass over the
-    radii of every cylinder, 0 first, and r_cut gives f(r; R), f(0; R) and t_cut.  Then 6 cylinders
-    a block: r (cylinders, n, 1) against (cylinders, n, n) heights and R, eps, sigma, r_cut, t_cut
-    as a `_Stack`'s (cylinders, 1, 1) columns (one sphere's floats), so a block's arrays stay under
-    glibc's 128 KiB mmap threshold.  A column's heights fall with depth, so the guard on normal
-    heights reads its ends.  A point whose label bound (`_label_bound`) clears its floor by its
-    allowance has a slack >= 0 and the depth-0 slack is 0, so only the others are solved, in one
-    `_labels` call over a flat subset."""
+    n x n grid under the sphere in each cylinder of a SphereSpec or of each `_Stack` member, the
+    rows of a radius column at depths frac_j (f(r; R) - t_cut), j < n.  One `_height` pass over the
+    radii of every cylinder, 0 first, and r_cut gives f(r; R), f(0; R) and t_cut.  Then 27
+    cylinders a block: r (cylinders, n, 1) and R, eps, sigma, r_cut, t_cut as a `_Stack`'s
+    (cylinders, 1, 1) columns (one sphere's floats), so that a block's (cylinders, n, groups)
+    arrays stay under glibc's 128 KiB mmap threshold.  A column's heights fall with depth, so the
+    guard on normal heights reads its ends.
+
+    Each column's rows fall in depth groups s..e, e = min(3s // 2, n - 1), rows 0 and 1 alone.  A
+    group is certified where the label bound (`_label_bound`) at its shallowest row s clears the
+    floor at its deepest row e by the allowance at s.  Then each of its rows has a slack >= 0 and
+    cannot be the worst: the label grows with depth, as F falls in lam and in t; `_floor` grows
+    with depth under rounding too, its operations being monotone; and the allowance covers the
+    bound at s, whatever floor is subtracted from it.  The group's slack is row s's against the
+    floor at e, so the depth-0 group keeps its slack of exactly 0.  Why 1.5: at delta = 0 the
+    floor is quadratic in the depth and 1 - R/label is at least 2.37 floors on the check's grids,
+    so the test holds while e/s < sqrt(2.37).  The rows of the other groups are bounded point by
+    point, and the points that their bound does not settle are solved, in one `_labels` call over a
+    flat subset."""
     members, worst, fracs = getattr(spheres, "members", [spheres]), [], np.linspace(0.0, 0.999, n)
+    starts = [0]
+    while (s := 3 * starts[-1] // 2 + 1) < n:
+        starts.append(s)
+    ends = [min(3 * s // 2, n - 1) for s in starts]
     cuts = [(spec, float(delta)) for spec in members for delta in deltas if delta < spec.R]
     cyls = _Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1))
     cyls.r_cut = np.reshape([spec.R - delta for spec, delta in cuts], (-1, 1, 1))
     r_all = np.linspace(0.0, 0.995 * cyls.r_cut[:, 0, 0], n, axis=-1)[..., None]
     f_all = _height(cyls, np.concatenate((r_all, cyls.r_cut), axis=1))
-    for lo in range(0, len(cuts), 6):
-        hi = lo + 6
+    for lo in range(0, len(cuts), 27):
+        hi = lo + 27
         block = _Stack(members=cyls.members[lo:hi], shape=(-1, 1, 1), r_cut=cyls.r_cut[lo:hi])
         rs, f_rs, block.t_cut = r_all[lo:hi], f_all[lo:hi, :n], f_all[lo:hi, n:]
-        ts, floors = f_rs - (depths := fracs * (f_rs - block.t_cut)), []
-        normal = np.minimum(ts[..., 0], ts[..., -1]).min(axis=1) >= np.finfo(float).tiny
+        ts, depths = f_rs - fracs[starts] * (span := f_rs - block.t_cut), fracs[ends] * span
+        deepest, floors = f_rs[..., 0] - depths[..., -1], []
+        normal = np.minimum(ts[..., 0], deepest).min(axis=1) >= np.finfo(float).tiny
         for (spec, delta), ok, depth, f in zip(cuts[lo:hi], normal, depths, f_rs):
             if not ok:  # f is subnormal, a height rounds onto t_cut
                 p = spec.params
@@ -387,10 +402,20 @@ def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
             floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
         lam, allowance = _label_bound(block, rs, ts, f_rs)
         slack = np.subtract(1.0, slack := np.divide(block.R, lam), out=slack)
-        slack -= (floors := np.array(floors))
+        slack -= np.array(floors)
         if (open_ := ~(slack >= allowance)).any():  # NaN decides nothing
-            cyl, r, t = _points(block, rs, ts, open_)
-            slack[open_] = (1.0 - cyl.R / _labels(cyl, r, t)) - floors[open_]
+            rows = np.repeat(open_, np.diff([*starts, n]), axis=-1)  # the open groups' rows
+            depths = fracs * span
+            floor = np.array([_floor(spec, delta, d, *_k_f0(spec, float(f[0, 0])))
+                              for (spec, delta), d, f in zip(cuts[lo:hi], depths, f_rs)])[rows]
+            cyl, r, t = _points(block, rs, f_rs - depths, rows)
+            lam, allowance = _label_bound(cyl, r, t, np.broadcast_to(f_rs, rows.shape)[rows])
+            each = (1.0 - cyl.R / lam) - floor
+            if (unsettled := ~(each >= allowance)).any():
+                cyl, r, t = _points(cyl, r, t, unsettled)
+                each[unsettled] = (1.0 - cyl.R / _labels(cyl, r, t)) - floor[unsettled]
+            worst.append(float(-each.min()))
+            slack[open_] = np.inf
         worst += (-slack.min(axis=(1, 2))).tolist()
     return max(worst)
 

@@ -213,9 +213,9 @@ def _check_profile_domain(R: float, r, *, closed: bool) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     # the largest float where R (1 + 1e-12) overflows, or R is NaN (min keeps its first argument)
     hi = min(_FLOAT_MAX, R * (1.0 + _DOMAIN_RTOL) if closed else R * (1.0 - 1e-15))
-    if not ((r >= 0.0) & (r <= hi)).all():  # one mask: NaN and +-inf fail both ways
-        kind = "[0, R]" if closed else "[0, R)"
-        raise DomainError(f"radius must lie in {kind} with R = {R}, got {r!r}")
+    if not (ok := (r >= 0.0) & (r <= hi)).all():  # one mask: NaN and +-inf fail both ways
+        kind, first = "[0, R]" if closed else "[0, R)", float(r.flat[np.argmin(ok)])
+        raise DomainError(f"radius must lie in {kind} with R = {R}, got {first!r}")
     return r
 
 

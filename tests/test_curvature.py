@@ -16,7 +16,9 @@ from heisenberg_cmc import (
     profile_height,
     vertical_component,
 )
+from heisenberg_cmc import cli
 from heisenberg_cmc.curvature import (
+    _shape,
     assemble_corrected_shape,
     corrected_shape,
     principal_angle,
@@ -282,6 +284,19 @@ def test_second_fundamental_form_that_overflows_raises_typed(eps):
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="second fundamental form is not finite"):
             second_fundamental_form(spec, q)
+
+
+def test_second_fundamental_form_over_a_stack_names_its_sphere():
+    """`verify`'s curvature checks over a `_Stack` whose members at eps = 1e-45 and 1e-60 overflow
+    name the first of them, where they printed the stack's eps, sigma and R columns; one sphere's
+    message is unchanged."""
+    stack = cli._Stack(members=[SphereSpec(ModelParams(e, 1.0), 1.0) for e in (1.0, 1e-45, 1e-60)])
+    message = r"^the second fundamental form is not finite with eps = {}, sigma = 1\.0, R = 1\.0$"
+    with pytest.raises(NumericsError, match=message.format(r"1e-45")):
+        cli._check_k0(stack, np.random.default_rng(0), 0.0)
+    for r in (0.5, np.array([0.1, 0.5]), np.array([[0.1], [0.5]])):
+        with pytest.raises(NumericsError, match=message.format(r"1e-60")):
+            _shape(SphereSpec(ModelParams(1e-60, 1.0), 1.0), r)
 
 
 def test_corrected_shape_where_tau_squared_overflows():

@@ -423,33 +423,36 @@ def _column_call(spec):
 
 def _flat(cyl, r, t):
     """The same points as 1-d arrays, with r, r_cut and t_cut repeated per point (`np.repeat`)."""
-    c, n, _ = t.shape
-    cuts = {k: np.repeat(np.ravel(getattr(cyl, k)), n * n) for k in ("r_cut", "t_cut")}
-    return SimpleNamespace(params=cyl.params, R=cyl.R, **cuts), np.repeat(r, n), t.ravel()
+    c, n, g = t.shape
+    cuts = {k: np.repeat(np.ravel(getattr(cyl, k)), n * g) for k in ("r_cut", "t_cut")}
+    return SimpleNamespace(params=cyl.params, R=cyl.R, **cuts), np.repeat(r, g), t.ravel()
 
 
 @pytest.mark.parametrize("specs", [GRID, STRESS, SINGLE], ids=["grid", "stress", "single"])
 def test_labels_on_radius_columns_equal_the_flat_layout(specs):
     """`verify`'s calibration check makes one `_label_bound` call a sphere, with r of shape
-    (cylinders, n, 1) and r_cut, t_cut (cylinders, 1, 1) against (cylinders, n, n) heights, so
-    that f(r; R), m and D'(y_max) are worked out once a radius.  The bound and its allowance are
-    those of the flat layout with one r per point, bit for bit, and so are the labels of `_labels`
-    on the same columns, on the 27 spheres of `verify --grid`, the stress grid and the single
-    specs; the check solves none.  The grid, from one profile pass over both cylinders, is each
-    cylinder's own, bit for bit."""
+    (cylinders, n, 1) and r_cut, t_cut (cylinders, 1, 1) against (cylinders, n, 8) heights, the
+    shallowest rows 0, 1, 2, 4, 7, 11, 17 and 26 of the column's 8 depth groups, so that f(r; R), m
+    and D'(y_max) are worked out once a radius.  The bound and its allowance are those of the flat
+    layout with one r per point, bit for bit, and so are the labels of `_labels` on the same
+    columns, on the 27 spheres of `verify --grid`, the stress grid and the single specs; the check
+    solves none.  The grid, from one profile pass over both cylinders, is each cylinder's own rows,
+    bit for bit."""
+    starts = [0, 1, 2, 4, 7, 11, 17, 26]
     for spec in specs:
         (cyl, r, t, f_r, bound), solved = _column_call(spec)
         c = 1 + (0.3 < spec.R)
-        assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 40)
+        assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 8)
         assert np.shape(cyl.r_cut) == np.shape(cyl.t_cut) == (c, 1, 1)
         for k, delta in enumerate((0.0, 0.3)[:c]):
             one = CylinderSpec(spec, delta)
             rs = np.linspace(0.0, one.r_cut * 0.995, 40)
             f = profile_height(spec, rs)[:, None]
             assert r[k, :, 0].tobytes() == rs.tobytes() and f_r[k].tobytes() == f.tobytes()
-            assert t[k].tobytes() == (f - np.linspace(0.0, 0.999, 40) * (f - one.t_cut)).tobytes()
+            rows = f - np.linspace(0.0, 0.999, 40) * (f - one.t_cut)
+            assert t[k].tobytes() == rows[:, starts].tobytes()
         flat = _flat(cyl, r, t)
-        for got, want in zip(bound, foliation._label_bound(*flat, np.repeat(f_r, 40))):
+        for got, want in zip(bound, foliation._label_bound(*flat, np.repeat(f_r, 8))):
             assert got.tobytes() == want.tobytes(), spec
         assert foliation._labels(cyl, r, t).tobytes() == foliation._labels(*flat).tobytes(), spec
         assert solved == 0
@@ -466,7 +469,7 @@ def test_points_outside_the_cylinder_raise_alike_in_both_layouts():
             with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
                 foliation._labels(*args)
     bad = t.copy()
-    bad[1, 5, 9] = cyl.t_cut[1, 0, 0]
+    bad[1, 5, 7] = cyl.t_cut[1, 0, 0]
     for args in ((cyl, r, bad), _flat(cyl, r, bad)):
         with pytest.raises(DomainError, match="points must lie inside the half-cylinder"):
             foliation._labels(*args)
@@ -476,25 +479,27 @@ def _stacks(specs, size):
     return [cli._Stack(members=specs[i:i + size]) for i in range(0, len(specs), size)]
 
 
-@pytest.mark.parametrize("specs, size", [(GRID, 27), (STRESS, 7), (SINGLE, 4)],
-                         ids=["grid", "stress", "single"])
-def test_stacked_calibration_check_equals_the_per_sphere_loop(specs, size):
-    """Over a `_Stack` the check bounds 6 cylinders a `_label_bound` call, R, eps, sigma, r_cut and
-    t_cut as (cylinders, 1, 1) columns against (cylinders, n, n) heights, and reports what the
+@pytest.mark.parametrize("specs, size, calls, parts", [
+    (GRID, 27, 2, 1), (GRID, 14, 3, 1), (STRESS, 25, 14, 7), (SINGLE, 4, 3, 0)],
+    ids=["grid", "grid-by-14", "stress", "single"])
+def test_stacked_calibration_check_equals_the_per_sphere_loop(specs, size, calls, parts):
+    """Over a `_Stack` the check bounds 27 cylinders a `_label_bound` call, R, eps, sigma, r_cut
+    and t_cut as (cylinders, 1, 1) columns against (cylinders, n, 8) heights, and reports what the
     loop of one-sphere checks over its members reports, repr for repr, so the sign of a zero
-    shortfall too: the 27 `--grid` spheres as one stack in 9 calls; the stress grid in stacks of
-    7, whose blocks mix members of 1 and 2 cylinders and part some member's two; the single specs
-    in stacks of 4, which end in a block of one sphere.  No point goes to the label solve.  One
+    shortfall too: the 27 `--grid` spheres as one stack in 2 calls, which part the 14th sphere's
+    two cylinders; the `--grid` spheres in stacks of 14, the first of which ends in a block of one
+    sphere; the stress grid in stacks of 25, whose blocks mix members of 1 and 2 cylinders and part
+    one member's two; the single specs in stacks of 4.  No point goes to the label solve.  One
     sphere keeps its floats."""
-    total, parted = 0, 0
+    total, parted, made = 0, 0, 0
     for stack in _stacks(specs, size):
-        value, calls, solved = _bound_calls(stack)
+        value, bound_calls, solved = _bound_calls(stack)
         cuts = [spec for spec in stack.members for delta in (0.0, 0.3) if delta < spec.R]
-        blocks = [cuts[i:i + 6] for i in range(0, len(cuts), 6)]
-        assert len(calls) == len(blocks)
-        for (cyl, r, t, _, bound), block in zip(calls, blocks):
+        blocks = [cuts[i:i + 27] for i in range(0, len(cuts), 27)]
+        assert len(bound_calls) == len(blocks)
+        for (cyl, r, t, _, bound), block in zip(bound_calls, blocks):
             c, one = len(block), all(spec is block[0] for spec in block)
-            assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 40)
+            assert r.shape == (c, 40, 1) and t.shape == bound[0].shape == bound[1].shape == (c, 40, 8)
             cols = (cyl.R, cyl.params.epsilon, cyl.params.sigma) if not one else ()
             assert all(np.shape(v) == (c, 1, 1) for v in cols + (cyl.r_cut, cyl.t_cut))
             if one:
@@ -502,8 +507,8 @@ def test_stacked_calibration_check_equals_the_per_sphere_loop(specs, size):
         parted += sum(a[-1] is b[0] for a, b in zip(blocks, blocks[1:]))
         each = (foliation._check_calibration(spec) for spec in stack.members)
         assert repr(value) == repr(max(each))
-        total += solved
-    assert total == 0 and (parted > 0) == (specs is STRESS)
+        total, made = total + solved, made + len(bound_calls)
+    assert total == 0 and (made, parted) == (calls, parts)
     assert len(_bound_calls(GRID[13])[1]) == 1
 
 
@@ -521,9 +526,11 @@ def _bound_against_the_full_solve():
     delta in {0, 1e-3 R, 0.3 R}, the label bound and its allowance (`foliation._label_bound`) set
     against the full solve (`leaf_label_grid`): (spec, points below the graph, points the bound
     decides whose full-solve slack is below 0 or NaN, the largest excess of the bound over the
-    label in units of the solve's stopping tolerance, and at sigma = 0 the largest gap between
-    their 1 - R/label in units of the allowance plus 8 ulp)."""
-    rows = []
+    label in units of the solve's stopping tolerance, at sigma = 0 the largest gap between their
+    1 - R/label in units of the allowance plus 8 ulp, the depth groups of the check that the
+    bound certifies with a row whose full-solve slack is below 0 or NaN, and the groups it leaves
+    open)."""
+    rows, starts, ends = [], [0, 1, 2, 4, 7, 11, 17, 26], [0, 1, 3, 6, 10, 16, 25, 39]
     for spec in GRID + STRESS + _log_uniform_specs(210, 38):
         R = spec.R
         for cyl in (CylinderSpec(spec, delta) for delta in (0.0, 1e-3 * R, 0.3 * R)):
@@ -536,6 +543,11 @@ def _bound_against_the_full_solve():
             floor = foliation.label_floor(cyl, depth.ravel())
             decided = (1.0 - R / bound) - floor >= allowance
             unsound = decided & ~((1.0 - R / label) - floor >= 0.0)
+            # a group: the bound at its shallowest row against the floor at its deepest
+            grid = [v.reshape(40, 40) for v in ((1.0 - R / bound), floor, allowance)]
+            certified = grid[0][:, starts] - grid[1][:, ends] >= grid[2][:, starts]
+            full = ((1.0 - R / label) - floor).reshape(40, 40)
+            sound = np.minimum.reduceat(full, starts, axis=1) >= 0.0
             below = np.repeat(f, 40) - t > 0.0
             r, t, bound, label, allowance = (v[below] for v in (r, t, bound, label, allowance))
             # the solve stops where |F| <= 16 ulp of its terms (`_residual`), which moves the label
@@ -550,7 +562,8 @@ def _bound_against_the_full_solve():
             gap = np.abs(R / bound - R / label) / (allowance + 8.0 * _ULP)
             rows.append((spec, int(below.sum()), int(unsound.sum()),
                          float(np.max((bound - label) / tol)),
-                         float(np.max(gap)) if spec.params.sigma == 0.0 else 0.0))
+                         float(np.max(gap)) if spec.params.sigma == 0.0 else 0.0,
+                         int((certified & ~sound).sum()), int((~certified).sum())))
     return rows
 
 
@@ -562,6 +575,46 @@ def test_label_bound_decides_only_points_whose_full_solve_slack_holds():
     assert len(rows) == 3 * (len(GRID) + len(STRESS) + 210)
     assert sum(row[1] for row in rows) == 1_928_160
     assert [row[0] for row in rows if row[2]] == []
+
+
+def test_depth_groups_certify_only_rows_whose_full_solve_slack_holds():
+    """The check's depth groups (`foliation._check_calibration`) are sound: on the specs of
+    test_label_bound_decides_only_points_whose_full_solve_slack_holds, each of the 395,520 groups
+    that the bound at its shallowest row certifies against the floor at its deepest has a
+    full-solve slack >= 0 on every row, and the `--grid` and stress spheres leave no group open."""
+    rows = _bound_against_the_full_solve()
+    assert sum(row[5] for row in rows) == 0
+    assert sum(row[6] for row in rows[:3 * (len(GRID) + len(STRESS))]) == 0
+    assert 8 * 40 * len(rows) == 395_520
+
+
+def test_depth_groups_left_open_go_to_the_per_point_bound(monkeypatch):
+    """Negative control: with the floor raised 1.5-fold, the `--grid` spheres as one stack leave
+    groups open, whose rows the per-point bound settles, and the check still reports -0.0; raised
+    2.5-fold, rows go on to the label solve, and the check reports the full solve's shortfall,
+    repr for repr."""
+    floor, label_bound, stack = foliation._floor, foliation._label_bound, cli._Stack(members=GRID)
+    for factor in (1.5, 2.5):
+        shapes = []
+
+        def recording(cyl, r, t, f):
+            shapes.append(t.shape)
+            return label_bound(cyl, r, t, f)
+
+        def raised(cyl, depth):
+            return factor * foliation.label_floor(cyl, depth)
+
+        monkeypatch.setattr(foliation, "_floor", lambda *a: factor * floor(*a))
+        monkeypatch.setattr(foliation, "_label_bound", recording)
+        value = foliation._check_calibration(stack)
+        assert shapes[::2] == [(27, 40, 8)] * 2 and all(len(s) == 1 for s in shapes[1::2])
+        if factor == 1.5:
+            assert repr(value) == "-0.0" and len(shapes) == 4
+        else:
+            monkeypatch.setattr(foliation, "_label_bound", label_bound)
+            monkeypatch.setattr(foliation, "_floor", floor)
+            want = max(_full_solve_calibration(spec, floor=raised) for spec in GRID)
+            assert want > 1e-12 and repr(value) == repr(want)
 
 
 def test_label_bound_is_at_most_the_label_within_the_solves_tolerance():

@@ -31,7 +31,7 @@ from heisenberg_cmc import (
     sphere_area,
     sphere_volume,
 )
-from heisenberg_cmc import sphere
+from heisenberg_cmc import cli, sphere
 from heisenberg_cmc.sphere import _f
 
 from conftest import GRID
@@ -91,7 +91,8 @@ def test_profile_domain_is_one_mask_for_three_conditions(R, closed):
     """The one mask of `_check_profile_domain` raises where r < 0, r > R (1 + 1e-12) (R (1 - 1e-15)
     on [0, R)) or r is not finite, with the same message, for floats and arrays, NaN and
     +-inf included, also where R (1 + 1e-12) overflows and where R is negative or NaN, which
-    `euclidean_profile` and `pansu_profile` admit."""
+    `euclidean_profile` and `pansu_profile` admit.  The message names a float by its repr and an
+    array by its first radius out of range."""
     hi = R * (1.0 + 1e-12) if closed else R * (1.0 - 1e-15)
     values = [0.0, -0.0, 0.5 * R, R, hi, float(np.nextafter(hi, np.inf)), -1e-300, -abs(R),
               sys.float_info.max, math.nan, math.inf, -math.inf]
@@ -101,9 +102,36 @@ def test_profile_domain_is_one_mask_for_three_conditions(R, closed):
         if np.any(a < 0.0) or np.any(a > hi) or not np.all(np.isfinite(a)):
             with pytest.raises(DomainError) as err:
                 sphere._check_profile_domain(R, r, closed=closed)
-            assert str(err.value) == f"radius must lie in {kind} with R = {R}, got {a!r}"
+            first = next(v for v in map(float, np.ravel(a))
+                         if v < 0.0 or v > hi or not math.isfinite(v))
+            assert str(err.value) == f"radius must lie in {kind} with R = {R}, got {first!r}"
         else:
             assert np.array_equal(sphere._check_profile_domain(R, r, closed=closed), a)
+
+
+_UNIT = SphereSpec(ModelParams(1.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("call, kind", [
+    (lambda: profile_height(_UNIT, 1.5), "[0, R]"),
+    (lambda: profile_height_r(_UNIT, 1.5), "[0, R)"),
+    (lambda: profile_height_R(_UNIT, 1.5), "[0, R)"),
+    (lambda: profile_quantities(_UNIT, 1.5), "[0, R]"),
+    (lambda: profile_height(_UNIT, np.array([0.5, 1.5, 2.0])), "[0, R]"),
+    (None, "[0, R]")],
+    ids=["profile_height", "profile_height_r", "profile_height_R", "profile_quantities",
+         "array", "meridian --start-radius-frac"])
+def test_radius_outside_the_domain_is_named_by_its_repr(call, kind, capsys):
+    """A radius r = 1.5 at R = 1 is named "1.5", as a float or as the first radius out of range
+    of an array, where the message printed numpy's array(1.5); the CLI exits 2 with it."""
+    want = f"radius must lie in {kind} with R = 1.0, got 1.5"
+    if call is None:
+        assert cli.main(["meridian", "--start-radius-frac", "1.5"]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {want}\n"
+    else:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == want
 
 
 def test_slope_at_center_and_sign(spec):
