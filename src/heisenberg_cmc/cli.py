@@ -7,7 +7,8 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
               curvature checks run once over a `sphere._Stack` of the spheres (27
               with --grid), the calibration check (`foliation._check_calibration`) by a
               bound on each depth group, 27 cylinders a call
-    meridian  sample a pole-to-pole geodesic in closed form, export polyline
+    meridian  sample a pole-to-pole geodesic and its check curve in one closed-form pass,
+              export polyline
     isoperim  random volume-preserving competitor suite
 
 A cold call loads numpy, argparse, json and the profile layer (ambient, sphere); each subcommand
@@ -15,11 +16,11 @@ imports the rest where it runs: `curvature` for `sphere --curvature-out`, `merid
 `meridian`, and `isoperimetry` (with `curvature`, `foliation` and `meridians`) for `verify` and
 `isoperim`.
 
-Floats are written with repr (shortest round-trip decimal), so outputs
-are bit-stable for a fixed seed and configuration.  Options may also be
-given in a flat key-value config file (`--config`); command-line flags
-win over the file, the file wins over defaults.  Exit codes: 0 ok,
-1 check failed, 2 bad input, 3 numeric failure.
+Each float is written once by repr (shortest round-trip decimal), into row strings (`_rows`)
+that all files of a table share, so outputs are bit-stable for a fixed seed and configuration.
+Options may also be given in a flat key-value config file (`--config`); command-line flags win
+over the file, the file wins over defaults.  Exit codes: 0 ok, 1 check failed, 2 bad input (an
+unwritable output path too), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -59,37 +60,37 @@ EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _cells(table: np.ndarray) -> np.ndarray:
-    """The repr of each float of a 2-D table, made once, as an object array of its shape."""
-    return np.array(list(map(repr, table.ravel().tolist())), dtype=object).reshape(table.shape)
+def _rows(*columns) -> list[str]:
+    """The rows of 1-D or 2-D float columns as "a,b,c" strings, one repr a float (no ',' or ' ')."""
+    table = np.column_stack(columns)
+    cells, k = map(repr, table.ravel().tolist()), table.shape[1]
+    return list(cells if k == 1 else map(",".join, zip(*[cells] * k)))
 
 
-def _write_csv(path: str, header: list[str], cells: np.ndarray) -> None:
-    """The header and the table of `_cells` as the csv module writes them: CRLF lines, reprs."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write((",".join(["%s"] * len(header)) + "\r\n") * len(cells) % tuple(cells.ravel()))
+def _write(path: str, text: str) -> None:
+    """The text's bytes at path; DomainError naming the path where it cannot be written."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
-def _json_rows(cells: np.ndarray) -> str:
-    """A 2-D array of float strings as json.dumps writes the list of its rows."""
-    n, k = cells.shape
-    row = "[" + ", ".join(["%s"] * k) + "]"
-    return "[" + (", ".join([row] * n) % tuple(cells.ravel())) + "]"
+def _write_csv(path: str, header: list[str], *parts: list[str]) -> None:
+    """The header and the `_rows` lists side by side, as the csv module writes them."""
+    _write(path, "\r\n".join([",".join(header), *map(",".join, zip(*parts)), ""]))
 
 
 def _write_curve(prefix: str, curve) -> None:
-    """<prefix>.csv, .obj and .json of a `MeridianCurve` from one repr per float; for finite floats
-    the bytes are those the csv module and json.dumps would write."""
-    cells = _cells(np.column_stack((curve.s, curve.points, curve.velocities)))
-    _write_csv(prefix + ".csv", ["s", "x", "y", "t", "vX", "vY", "vT"], cells)
-    with open(prefix + ".obj", "w") as fh:
-        fh.write("v %s %s %s\n" * len(cells) % tuple(cells[:, 1:4].ravel()))
-        fh.write("l " + " ".join(map(str, range(1, len(cells) + 1))) + "\n")
-    with open(prefix + ".json", "w") as fh:
-        fh.write('{"R": %s, "s": [%s], "points": %s, "velocities": %s}\n' % (
-            json.dumps(curve.R), ", ".join(cells[:, 0]), _json_rows(cells[:, 1:4]),
-            _json_rows(cells[:, 4:])))
+    """<prefix>.csv, .obj and .json of a `MeridianCurve` (2 samples or more), one repr a float; for
+    finite floats the bytes are those the csv module and json.dumps would write."""
+    s, p, v = _rows(curve.s), _rows(curve.points), _rows(curve.velocities)
+    _write_csv(prefix + ".csv", ["s", "x", "y", "t", "vX", "vY", "vT"], s, p, v)
+    _write(prefix + ".obj", ("v " + "\nv ".join(p) + "\nl ").replace(",", " ")
+           + " ".join(map(str, range(1, len(p) + 1))) + "\n")
+    _write(prefix + ".json", '{"R": %s, "s": [%s], "points": %s, "velocities": %s}\n' % (
+        repr(curve.R), ", ".join(s),
+        *(("[[" + "],[".join(rows) + "]]").replace(",", ", ") for rows in (p, v))))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -168,31 +169,31 @@ def cmd_sphere(args: argparse.Namespace) -> int:
     # open grid: the radial derivative diverges at the rim r = R
     rs = spec.R * np.arange(n) / n
     f = profile_height(spec, rs)
-    lead = functools.cache(lambda: _cells(np.column_stack((rs, f))))  # r and f, repr'd once
+    lead = functools.cache(lambda: (_rows(rs), _rows(f)))  # r and f, repr'd once
     tables = []  # every table is built before any is written, so a failure writes no file
     if args.out:
-        tables.append((args.out, ["r", "f", "f_r", "f_R"], lead(), np.column_stack(
-            (profile_height_r(spec, rs), profile_height_R(spec, rs)))))
+        tables.append((args.out, ["r", "f", "f_r", "f_R"], *lead(), _rows(
+            profile_height_r(spec, rs), profile_height_R(spec, rs))))
     if args.limits_out:
-        tables.append((args.limits_out, ["r", "f", "euclidean", "pansu"], lead(), np.column_stack(
-            (euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs)))))
+        tables.append((args.limits_out, ["r", "f", "euclidean", "pansu"], *lead(), _rows(
+            euclidean_profile(spec.R, rs), pansu_profile(abs(args.sigma), spec.R, rs))))
     if args.curvature_out:
         from .curvature import _frame_coefficients, _shape, assemble_corrected_shape
 
         h, kappa1, kappa2 = _shape(spec, rs)
         c = _frame_coefficients(spec, rs, f)[2]
         k0 = assemble_corrected_shape(spec.H, summary["tau"], h, c)
-        tables.append((args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"], lead()[:, :1],
-                       np.column_stack((kappa1, kappa2, k0.k0_norm))))
+        tables.append((args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"], lead()[0],
+                       _rows(kappa1, kappa2, k0.k0_norm)))
     if args.sweep_out:
         r_lo = args.sweep_min if args.sweep_min is not None else 0.5 * spec.R
         r_hi = args.sweep_max if args.sweep_max is not None else 2.0 * spec.R
         radii = np.linspace(r_lo, r_hi, sweep_n)
         sweep = [SphereSpec(spec.params, float(R)) for R in radii]
         tables.append((args.sweep_out, ["R", "area", "volume"],
-                       np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep])))
-    for path, header, *parts in tables:  # the cells of r and f, then of the table's own rows
-        _write_csv(path, header, np.hstack([_cells(p) if p.dtype != object else p for p in parts]))
+                       _rows(np.array([(s.R, sphere_area(s), sphere_volume(s)) for s in sweep]))))
+    for table in tables:
+        _write_csv(*table)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -325,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                     (1.0 - cyl.R / u) - label_floor(cyl, depth)))
             fol_rows.append(rows[ok])
         _write_csv(args.foliation_out, ["delta", "r", "t", "u", "half_div_V", "bound_slack"],
-                   _cells(np.concatenate(fol_rows)))
+                   _rows(np.concatenate(fol_rows)))
         # grid points whose stencil meets the sphere or leaves the cylinder have no row
         report["foliation_rows"] = {"kept": sum(map(len, fol_rows)), "grid": 2 * r.size}
 
@@ -333,8 +334,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json == "-" or args.json is None:
         print(text)
     else:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.json, text + "\n")
         for c in checks:
             status = "pass" if c["passed"] else "FAIL"
             print(f"{status}  {c['name']}: {c['measured']:.3e} (tol {c['tolerance']:.0e})")
@@ -348,37 +348,39 @@ _CHECK_SAMPLES = 512
 
 
 def cmd_meridian(args: argparse.Namespace) -> int:
-    from .meridians import _geodesic_residual, _pansu_field, meridian_curve
+    from .meridians import _curves, _geodesic_residual, _pansu_field
 
     if args.figure1:
         args.epsilon, args.sigma, args.R = 0.5, 0.5, 2.0
     _resolve(args, {"epsilon": 1.0, "sigma": 1.0, "R": 1.0,
                     "start_radius_frac": 0.02, "step_frac": 5e-4})
     spec = _spec_from(args)
-    R = spec.R
+    params, R = spec.params, spec.R
     r0 = float(args.start_radius_frac) * R
     start = Point(r0, 0.0, float(profile_height(spec, r0)))
-    curve = meridian_curve(spec, start, float(args.step_frac) * R)
+    # the checks' own curve, from the same pass: they do not depend on --step-frac
+    curve, check = _curves(spec, start, [float(args.step_frac) * R,
+                                         math.pi * params.epsilon * R / _CHECK_SAMPLES])
 
     x, y, t = curve.points.T
     drift = float(np.max(np.abs(np.abs(t) - profile_height(spec, np.minimum(_radius_of(x, y), R)))))
+    _require_finite(drift, params, "the leaf drift", R=R)
 
-    # the checks run on their own curve, so they do not depend on --step-frac; the polar
-    # frame coefficients degenerate at the poles, so both skip r < 0.1 R
-    check = meridian_curve(spec, start, math.pi * spec.params.epsilon * R / _CHECK_SAMPLES)
+    # the polar frame coefficients degenerate at the poles, so both checks skip r < 0.1 R
     rs = _radius_of(check.points[:, 0], check.points[:, 1])
-    off_poles = rs >= 0.1 * R
-    resid = _geodesic_residual(spec, check.points[off_poles], check.velocities[off_poles])
+    off = rs >= 0.1 * R
+    resid = _geodesic_residual(spec, check.points[off], check.velocities[off], rs[off])
     resid = float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
+    _require_finite(resid, params, "the geodesic residual", R=R)
     # the sub-Riemannian limit sphere exists for sigma > 0 only
     dev = None
-    if spec.params.sigma > 0.0:
+    if params.sigma > 0.0:
         keep = (0.1 * R < rs) & (rs < 0.95 * R)
-        bar = _pansu_field(spec.params.sigma, *check.points[keep].T)
-        scaled = check.velocities[keep] * np.array([1.0, 1.0, spec.params.epsilon**3])
+        bar = _pansu_field(params.sigma, *check.points[keep].T, rs[keep])
+        scaled = check.velocities[keep] * np.array([1.0, 1.0, params.epsilon**3])
         with np.errstate(over="ignore"):  # eps^3 v_T squares past the largest float at huge eps
             dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))
-        _require_finite(dev, spec.params, "the Pansu deviation", R=R)
+        _require_finite(dev, params, "the Pansu deviation", R=R)
 
     if args.out_prefix:
         _write_curve(args.out_prefix, curve)
@@ -424,7 +426,7 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
 
     if args.out_prefix:
         _write_csv(args.out_prefix + ".csv", ["index", "symdiff", "deficit", "bound", "slack"],
-                   _cells(np.array(rows, dtype=float)))
+                   _rows(np.array(rows, dtype=float)))
     report = {
         "params": {"epsilon": args.epsilon, "sigma": args.sigma, "R": args.R},
         "delta": float(args.delta),

@@ -25,6 +25,7 @@ characteristic horizontal-geodesic equation nabla_M M = (2/R) J(M).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,8 @@ from .sphere import (
     _TINY,
     SphereSpec,
     _f,
+    _gap,
+    _kernel,
     _leaf,
     _mass,
     _normal_components,
@@ -100,10 +103,10 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
 # ------------------------------------------------------------- closed form
 
 
-def _check_meridian_input(spec: SphereSpec, start: Point, **lengths) -> None:
-    """DomainError unless each length given is positive and finite and the
+def _check_meridian_input(spec: SphereSpec, start: Point, lengths) -> None:
+    """DomainError unless each (name, length) given is positive and finite and the
     start is off the poles; ContractError unless the start is on the sphere."""
-    for name, value in lengths.items():
+    for name, value in lengths:
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
     _on_sphere_or_raise(spec, start)
@@ -111,13 +114,13 @@ def _check_meridian_input(spec: SphereSpec, start: Point, **lengths) -> None:
         raise DomainError("start must be off the poles")
 
 
-def _curve(params: ModelParams, R: float, points: np.ndarray, r, step: float) -> MeridianCurve:
-    """The curve through `points` (n, 3) at radii r, `step` apart: velocities are the meridian
-    field there (NumericsError where m(r) or R m(r) is below the normal floats, as for
-    `meridian_field`), and one exact south-pole sample is appended one step after the last."""
+def _curve(params: ModelParams, R: float, points: np.ndarray, r, g, m, step) -> MeridianCurve:
+    """The curve through `points` (n, 3) at radii r, with g and m(r) there, `step` apart: velocities
+    are the meridian field there, and one exact south-pole sample is appended one step after the
+    last.  NumericsError where m(r), R m(r) or r R is below the normal floats: the field's g/(r R)
+    has lost its digits, as has the residual's R/r^2 at r >= 0.1 R once a sample nears a pole."""
     x, y, t = points.T
-    g, m, _ = _pieces(params, r, R)
-    if not np.all(np.minimum(m, R * m) >= _TINY):  # eps^3 subnormal at sigma = 0: digits lost
+    if not np.all(np.minimum(np.minimum(m, R * m), r * R) >= _TINY):
         _require_finite(math.nan, params, "the meridian field", R=R)
     vels = np.column_stack(_meridian(params, x, y, r, t, R, g, m))
     points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
@@ -133,6 +136,35 @@ def _chart(params: ModelParams, R: float, r: float, t: float) -> tuple[float, fl
     return math.atan2(r, u), math.hypot(r, u)
 
 
+def _curves(spec: SphereSpec, start: Point, steps) -> list[MeridianCurve]:
+    """`meridian_curve` at each of `steps`, in one closed-form pass over the concatenated phi
+    grids; a numpy ufunc's value does not depend on an element's position, so each curve has the
+    bits of its own call."""
+    params, R = spec.params, spec.R
+    _check_meridian_input(spec, start, [("step", step) for step in steps])
+    phi0 = _chart(params, R, start.r, start.t)[0]
+    grids = []
+    for step in steps:
+        dphi = step / (params.epsilon * R)
+        n = int((math.pi - phi0) / dphi) + 1
+        if n > _MAX_SAMPLES:  # before np.arange allocates
+            raise DomainError(f"step = {step!r} asks for {n:.3g} samples, more than an array holds")
+        phi = phi0 + dphi * np.arange(n)
+        grids.append(phi[phi < math.pi])
+    phi = np.concatenate(grids)
+    c, r = R * np.cos(phi), R * np.sin(phi)
+    g, m, p = _pieces(params, r, R)
+    # t = f(r) at the rounded r, not R cos(phi) f/sqrt(R^2 - r^2): the two agree to
+    # rounding, but near the rim, where f is steep, only f(r) keeps |t| = f(r)
+    t = np.sign(c) * (g * _kernel(g, m, params.sigma, p)[0])
+    twist = np.arctan2(m, abs(params.sigma) * c)
+    theta = math.atan2(start.y, start.x) + math.copysign(1.0, params.sigma) * (twist - twist[0])
+    points = np.column_stack((r * np.cos(theta), r * np.sin(theta), t))
+    ends = [0, *itertools.accumulate(map(len, grids))]
+    return [_curve(params, R, points[a:b], r[a:b], g[a:b], m[a:b], step)
+            for a, b, step in zip(ends, ends[1:], steps)]
+
+
 def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve:
     """The meridian through `start`, sampled in closed form every `step` of arclength.
 
@@ -145,23 +177,7 @@ def meridian_curve(spec: SphereSpec, start: Point, step: float) -> MeridianCurve
     2 arctan(sigma R/eps^3).  The velocities are the meridian field at the samples,
     and one exact south-pole sample is appended one step after the last.
     """
-    params, R = spec.params, spec.R
-    _check_meridian_input(spec, start, step=step)
-    phi0 = _chart(params, R, start.r, start.t)[0]
-    dphi = step / (params.epsilon * R)
-    n = int((math.pi - phi0) / dphi) + 1
-    if n > _MAX_SAMPLES:  # before np.arange allocates
-        raise DomainError(f"step = {step!r} asks for {n:.3g} samples, more than an array holds")
-    phi = phi0 + dphi * np.arange(n)
-    phi = phi[phi < math.pi]
-    c, r = R * np.cos(phi), R * np.sin(phi)
-    # t = f(r) at the rounded r, not R cos(phi) f/sqrt(R^2 - r^2): the two agree to
-    # rounding, but near the rim, where f is steep, only f(r) keeps |t| = f(r)
-    t = np.sign(c) * _f(params, r, R)
-    twist = np.arctan2(_mass(params, r), abs(params.sigma) * c)
-    theta = math.atan2(start.y, start.x) + math.copysign(1.0, params.sigma) * (twist - twist[0])
-    points = np.column_stack((r * np.cos(theta), r * np.sin(theta), t))
-    return _curve(params, R, points, r, step)
+    return _curves(spec, start, [step])[0]
 
 
 # ------------------------------------------------------------- integration
@@ -174,7 +190,7 @@ def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     x, y, t = q.tolist()
     r = abs(complex(x, y))
     g, m, _ = _pieces(params, r, R)
-    if min(m, R * m) < _TINY:  # `_curve`'s rule, before any step; NaN is left to the step guard
+    if min(m, R * m, r * R) < _TINY:  # `_curve`'s rule, before any step; NaN is the step guard's
         _require_finite(math.nan, params, "the meridian field", R=R)
     m_x, m_y, _ = _meridian(params, x, y, r, t, R, g, m)
     e = params.epsilon
@@ -205,7 +221,8 @@ def integrate_meridian(
     default 2 pi eps R, twice the pole-to-pole length), raise NumericsError.
     """
     params, R = spec.params, spec.R
-    _check_meridian_input(spec, start, step=step, max_len=max_len, pole_radius=pole_radius)
+    _check_meridian_input(spec, start, [("step", step), ("max_len", max_len),
+                                        ("pole_radius", pole_radius)])
     e = params.epsilon
     h = step if step is not None else math.pi * e * R / 4096.0
     # the radial approach speed near the poles is 1/eps, so the capture
@@ -241,13 +258,15 @@ def integrate_meridian(
                                 f"{max_len!r} at eps = {e!r}, step = {h!r}")
 
     points = np.array(pts)
-    return _curve(params, R, points, _radius_of(points[:, 0], points[:, 1]), h)
+    r = _radius_of(points[:, 0], points[:, 1])
+    return _curve(params, R, points, r, *_pieces(params, r, R)[:2], h)
 
 
-def _geodesic_residual(spec: SphereSpec, points: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """eps R (nabla_M M + (H / w^2) N) in closed form at (k, 3) sphere points off the axis, where
-    the meridian field is `velocities` (k, 3); the stencil `meridian_geodesic_residual` is its
-    oracle.  In phi (r = R sin phi): r' = sgn(t) g, theta' = sigma r/m, lam' = -R/r^2, and
+def _geodesic_residual(spec: SphereSpec, points: np.ndarray, velocities: np.ndarray,
+                       r: np.ndarray) -> np.ndarray:
+    """eps R (nabla_M M + (H / w^2) N) in closed form at (k, 3) sphere points off the axis, of radii
+    r, where the meridian field is `velocities` (k, 3); the stencil `meridian_geodesic_residual` is
+    its oracle.  In phi (r = R sin phi): r' = sgn(t) g, theta' = sigma r/m, lam' = -R/r^2, and
     c = r/(R m) = mu/sigma = nu/eps^3 has c' = (eps^3/m)^2 r'/(R m).  eps R Gamma(v, v) =
     2 theta' (v_Y, -v_X, 0) and eps R H/w^2 = (eps^3/m)^2, so the residual is, with each term in
     (eps^3, sigma) and of size 1 off the poles, (r'/r) (v_X, v_Y, 0) + theta' (v_Y, -v_X, 0) +
@@ -255,8 +274,7 @@ def _geodesic_residual(spec: SphereSpec, points: np.ndarray, velocities: np.ndar
     """
     params, R, e = spec.params, spec.R, spec.params.epsilon
     x, y, t = points.T
-    r = _radius_of(x, y)
-    g, m, _ = _pieces(params, r, R)
+    g, m = _gap(r, R), _mass(params, r)
     k2, dr = (e * e * e / m) ** 2, np.sign(t) * g
     a, dtheta, dlam, dc = dr / r, params.sigma * r / m, -R / (r * r), k2 * dr / (R * m)
     vx, vy, dmu = velocities[:, 0], velocities[:, 1], params.sigma * dc
@@ -298,10 +316,9 @@ def meridian_geodesic_residual(spec: SphereSpec, curve: MeridianCurve,
 # ------------------------------------------------------------- limit fields
 
 
-def _pansu_field(sigma: float, x, y, t) -> np.ndarray:
-    """Array core of pansu_meridian_field: coefficients (..., 3) at points off the axis."""
-    x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, t)))
-    r = _radius_of(x, y)
+def _pansu_field(sigma: float, x, y, t, r) -> np.ndarray:
+    """Array core of pansu_meridian_field: coefficients (..., 3) at points off the axis, r = |z|."""
+    x, y, t, r = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, t, r)))
     if np.any(r == 0.0):
         raise DomainError("operation undefined on the center axis z = 0")
     R, g = _pansu_leaf(sigma, r, t)
@@ -317,7 +334,8 @@ def pansu_meridian_field(sigma: float, point: Point) -> TangentVector:
     Coefficients are on the eps-independent horizontal frame
     (eps X, eps Y); the vertical coefficient is exactly zero.
     """
-    return TangentVector.from_array(_pansu_field(sigma, point.x, point.y, point.t))
+    return TangentVector.from_array(
+        _pansu_field(sigma, point.x, point.y, point.t, _radius_of(point.x, point.y)))
 
 
 def pansu_geodesic_residual(sigma: float, R: float, r: float, theta: float = 0.7) -> float:

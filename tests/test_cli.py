@@ -424,6 +424,48 @@ def test_meridian_where_eps3_is_subnormal_at_sigma_0_exits_3():
                           "sigma = 0.0, R = 1.0\n")
 
 
+@pytest.mark.parametrize("sigma, R", [("-1", "1e-153"), ("-1", "1e-156"), ("-1", "1e-200"),
+                                      ("1", "1e-200"), ("0", "1e-200")])
+def test_meridian_where_r_R_is_below_the_normal_floats_exits_3(tmp_path, sigma, R):
+    """Where r R leaves the normal floats, the field's g/(r R) and the residual's R/r^2 lose their
+    digits: the residual read 2e-15 at R = 1e-153 and 1.6e-9 at 1e-156, and at R = 1e-200 it was
+    NaN (not JSON) after four warnings, with inf and NaN velocities in every file (the Pansu
+    deviation's error at sigma > 0).  Now the field's typed error, with no warning and no file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--sigma", sigma, "--R", R, "--out-prefix", str(tmp_path / "m"))
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: the meridian field is not finite with eps = 1.0, "
+                          f"sigma = {float(sigma)!r}, R = {float(R)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("R", ["1e-100", "1e-140"])
+def test_meridian_on_a_tiny_sphere_whose_r_R_is_normal_runs_under_warnings_as_errors(R):
+    """Where r R stays in the normal floats the rule does not fire: exit 0, and eps R times the
+    residual is scale-free, so it stays at rounding."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--sigma", "-1", "--R", R)
+    assert res.returncode == 0, res.stderr
+    summary = json.loads(res.stdout)
+    assert summary["max_leaf_drift"] <= 1e-12 * float(R)
+    assert 0.0 <= summary["geodesic_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [[], ["--figure1"], ["--epsilon", "0.02"],
+                                  ["--epsilon", "0.7", "--sigma", "-1.3", "--R", "1.1"]])
+def test_meridian_checks_do_not_depend_on_step_frac(argv):
+    """geodesic_residual and pansu_deviation come from the check curve of the same pass, whose
+    step is pi eps R / 512 whatever --step-frac asks of the output curve."""
+    reports = [json.loads(run_cli("meridian", *argv, "--step-frac", frac).stdout)
+               for frac in ("5e-4", "1e-2", "0.37", "100")]
+    assert reports[0]["samples"] > reports[1]["samples"] > reports[-1]["samples"] == 2
+    for key in ("geodesic_residual", "pansu_deviation"):
+        assert len({repr(rep[key]) for rep in reports}) == 1, key
+
+
 @pytest.mark.parametrize("eps, R", [("1e-160", "1e-160"), ("1e-80", "1e160")])
 def test_verify_whose_cmc_stencil_leaves_the_floats_exits_3(eps, R):
     """The CMC stencil warned of overflows before the typed error, and so died under -W error:
@@ -439,50 +481,62 @@ def test_verify_whose_cmc_stencil_leaves_the_floats_exits_3(eps, R):
 
 
 def test_curve_files_have_the_bytes_of_csv_and_json_writers(tmp_path):
-    """One repr per float makes the three files; the CSV and the JSON sidecar
-    are what csv.writer and json.dumps write for the same floats."""
+    """One repr per float makes the row strings of s, points and velocities, and the three files
+    are joins of them; the CSV and the JSON sidecar are what csv.writer and json.dumps write for
+    the same floats, for a 2-sample curve (the start and the pole) too."""
     import csv
     from heisenberg_cmc.meridians import MeridianCurve
 
     values = np.array([-0.0, 5e-324, 1e300, 2.0, -1.5e-7, 0.1, 1 / 3, -2.2250738585072014e-308,
                        1.7976931348623157e308, 123456789.0, 1e16, 1e-5, 3.0, -7.25])
-    table = np.resize(values, (6, 7))
-    curve = MeridianCurve(R=2.0, s=table[:, 0], points=table[:, 1:4], velocities=table[:, 4:])
-    cli._write_curve(str(tmp_path / "m"), curve)
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "x", "y", "t", "vX", "vY", "vT"])
-        writer.writerows(table.tolist())
-    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    sidecar = json.dumps({"R": 2.0, "s": curve.s.tolist(), "points": curve.points.tolist(),
-                          "velocities": curve.velocities.tolist()}) + "\n"
-    assert (tmp_path / "m.json").read_text() == sidecar
-    obj = "".join(f"v {x!r} {y!r} {t!r}\n" for x, y, t in curve.points.tolist()) + "l 1 2 3 4 5 6\n"
-    assert (tmp_path / "m.obj").read_text() == obj
+    for rows in (6, 2):
+        table = np.resize(values, (rows, 7))
+        curve = MeridianCurve(R=2.0, s=table[:, 0], points=table[:, 1:4], velocities=table[:, 4:])
+        cli._write_curve(str(tmp_path / "m"), curve)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["s", "x", "y", "t", "vX", "vY", "vT"])
+            writer.writerows(table.tolist())
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        sidecar = json.dumps({"R": 2.0, "s": curve.s.tolist(), "points": curve.points.tolist(),
+                              "velocities": curve.velocities.tolist()}) + "\n"
+        assert (tmp_path / "m.json").read_text() == sidecar
+        obj = "".join(f"v {x!r} {y!r} {t!r}\n" for x, y, t in curve.points.tolist())
+        obj += "l " + " ".join(map(str, range(1, rows + 1))) + "\n"
+        assert (tmp_path / "m.obj").read_text() == obj
+    # the exponent forms of repr carry no ',' or ' ' for the joins to split on
+    assert cli._rows(np.array([[1e16, 5e-324, -1.5e-7]])) == ["1e+16,5e-324,-1.5e-07"]
 
 
 @pytest.mark.parametrize("rows", [0, 1, 5])
 def test_csv_files_have_the_bytes_of_csv_writer(tmp_path, rows):
     """The one CSV writer of the CLI writes what csv.writer writes: CRLF lines, floats by repr,
-    non-finite floats and empty tables included."""
+    non-finite floats, exponent forms and empty tables included, whether a table's row strings
+    come from one `_rows` pass or from several put side by side."""
     import csv
 
-    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1,
+              1e16, -1.5e-7, 1e-5, 123456789.0]
     table = np.resize(np.array(values), (rows, 4))
     header = ["a", "b", "c", "d"]
-    cli._write_csv(str(tmp_path / "t.csv"), header, cli._cells(table))
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(table.tolist())
+    cli._write_csv(str(tmp_path / "t.csv"), header, cli._rows(table))
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    cli._write_csv(str(tmp_path / "t.csv"), header, cli._rows(table[:, 0]),
+                   cli._rows(table[:, 1], table[:, 2]), cli._rows(table[:, 3:]))
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("tables", [("out", "limits-out", "curvature-out", "sweep-out"),
                                     ("curvature-out",), ("limits-out", "sweep-out")])
 def test_sphere_tables_have_the_bytes_of_one_cells_pass_a_table(tmp_path, tables):
-    """`sphere` makes the cells of r and f once for all its tables; each CSV has the bytes of its
-    own table put through one `_cells` pass, whichever tables are asked for."""
+    """`sphere` makes the row strings of r and f once for all its tables; each CSV has the bytes
+    csv.writer writes for its own table, whichever tables are asked for."""
+    import csv
+
     from heisenberg_cmc import (euclidean_profile, pansu_profile, profile_height_R,
                                 profile_height_r, sphere_area, sphere_volume)
     from heisenberg_cmc.curvature import _frame_coefficients, _shape
@@ -509,9 +563,31 @@ def test_sphere_tables_have_the_bytes_of_one_cells_pass_a_table(tmp_path, tables
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(tables)
     for name in tables:
         header, rows = want[name]
-        cli._write_csv(str(tmp_path / "ref.csv"), header, cli._cells(rows))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows.tolist())
         assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
         (tmp_path / "ref.csv").unlink()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["meridian", "--out-prefix", "{d}/m"], "{d}/m.csv"),
+    (["sphere", "--R", "1", "--out", "{d}/s.csv"], "{d}/s.csv"),
+    (["verify", "--json", "{d}/r.json"], "{d}/r.json"),
+    (["verify", "--foliation-out", "{d}/f.csv"], "{d}/f.csv"),
+    (["isoperim", "--n", "2", "--out-prefix", "{d}/i"], "{d}/i.csv"),
+], ids=["meridian-out-prefix", "sphere-out", "verify-json", "verify-foliation-out",
+        "isoperim-out-prefix"])
+def test_output_path_that_cannot_be_opened_exits_2(tmp_path, argv, path):
+    """An output path in a directory that does not exist raised FileNotFoundError, a traceback
+    and exit 1 ("check failed"); it is bad input, named with its reason, and no file is made."""
+    d = tmp_path / "missing"
+    res = run_cli(*(a.format(d=d) for a in argv))
+    assert res.returncode == cli.EXIT_BAD_INPUT
+    assert res.stdout == ""
+    assert res.stderr == f"error: cannot write {path.format(d=d)!r}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_meridian_whose_pansu_deviation_overflows_exits_3():

@@ -1,6 +1,8 @@
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -196,7 +198,8 @@ def stencil_and_closed_form_acceleration(spec, curve):
     x, y, t = curve.points[i].T
     g, m, _ = _pieces(params, _radius_of(x, y), R)
     normal_term = (e * e * e / m)[:, None] ** 2 * _normal_components(params, x, y, t, R, g, m)
-    closed = (_geodesic_residual(spec, curve.points[i], v[i]) - normal_term) / (e * R)
+    closed = _geodesic_residual(spec, curve.points[i], v[i], _radius_of(x, y))
+    closed = (closed - normal_term) / (e * R)
     return dict(zip(i.tolist(), np.linalg.norm(stencil - closed, axis=1).tolist()))
 
 
@@ -219,7 +222,7 @@ def test_closed_form_geodesic_residual_meets_its_stencil_oracle_at_fourth_order(
     assert 15.0 <= min(ratios) and max(ratios) <= 17.0
     r = _radius_of(fine.points[:, 0], fine.points[:, 1])
     keep = r >= 0.1 * R
-    resid = _geodesic_residual(spec, fine.points[keep], fine.velocities[keep])
+    resid = _geodesic_residual(spec, fine.points[keep], fine.velocities[keep], r[keep])
     assert np.max(np.linalg.norm(resid, axis=1)) <= 1e-12
 
 
@@ -234,8 +237,10 @@ def test_closed_form_geodesic_residual_is_rounding_sized_for_every_eps():
             for sigma in (1.0, -2.0, 0.3):
                 spec = SphereSpec(ModelParams(float(eps), sigma), 1.0)
                 curve = meridian_curve(spec, start_point(spec), math.pi * eps / 512)
-                keep = _radius_of(curve.points[:, 0], curve.points[:, 1]) >= 0.1
-                resid = _geodesic_residual(spec, curve.points[keep], curve.velocities[keep])
+                r = _radius_of(curve.points[:, 0], curve.points[:, 1])
+                keep = r >= 0.1
+                resid = _geodesic_residual(spec, curve.points[keep], curve.velocities[keep],
+                                           r[keep])
                 worst = max(worst, float(np.max(np.linalg.norm(resid, axis=1))))
     assert worst <= 1e-12
 
@@ -309,6 +314,50 @@ def test_closed_form_meridian_is_the_limit_of_rk4_at_fourth_order(eps, sigma, R)
         errors.append(np.max(np.abs(exact.points[north] - rk4.points[north])))
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all((3.7 <= orders) & (orders <= 4.3)), orders
+
+
+def benchmark_meridian_pool():
+    """(eps, sigma, R) of each point of the benchmark's meridian pool."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [point[1:] for point in workloads.meridian_pool()]
+
+
+def assert_same_curves(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.R == b.R
+        for name in ("s", "points", "velocities"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def test_one_pass_curves_are_separate_meridian_curve_calls_bit_for_bit(rng):
+    """`meridians._curves` samples several steps from one start in one pass over the concatenated
+    phi grids, as `meridian` takes its output and check curves; each curve has the bits of its own
+    `meridian_curve` call: at the benchmark's pool points at its step and the CLI's default, and
+    at random specs with sigma < 0, sigma = 0, eps = 1e-6 and a step so long that the curve is
+    the start and the pole."""
+    cases = [(spec, frac) for spec in (SphereSpec(ModelParams(*p[:2]), p[2])
+                                       for p in benchmark_meridian_pool())
+             for frac in (1e-2, 5e-4)]
+    for k in range(40):
+        eps, size, R = np.exp(rng.uniform(-3.0, 3.0, 3))
+        sigma = (-1.0, 0.0, 1.0)[k % 3] * size
+        cases.append((SphereSpec(ModelParams(1e-6 if k % 10 == 9 else eps, sigma), R),
+                      float(np.exp(rng.uniform(-8.0, 2.0)))))
+    cases.append((SphereSpec(ModelParams(0.5, -1.0), 2.0), 100.0))
+    lengths = set()
+    for spec, frac in cases:
+        start = start_point(spec, frac=float(rng.uniform(0.01, 0.9)))
+        steps = [frac * spec.R, math.pi * spec.params.epsilon * spec.R / 512]
+        curves = meridians._curves(spec, start, steps)
+        assert_same_curves(curves, [meridian_curve(spec, start, step) for step in steps])
+        assert_same_curves(meridians._curves(spec, start, steps[::-1]), curves[::-1])
+        lengths.add(len(curves[0]))
+    assert 2 in lengths and max(lengths) > 1000
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-3])
@@ -656,6 +705,21 @@ def test_integrated_meridian_where_eps3_is_subnormal_at_sigma_0_raises_numerics_
         with pytest.raises(NumericsError, match=r"^the meridian field is not finite with eps = "
                                                 f"{spec.params.epsilon!r}, sigma = 0.0, R = "):
             integrate_meridian(spec, start_point(spec, frac))
+
+
+@pytest.mark.parametrize("R", [1e-153, 1e-200])
+def test_meridians_where_r_R_is_below_the_normal_floats_raise_numerics_error(R):
+    """The field's g/(r R) has lost its digits where r R leaves the normal floats: the closed
+    form and the RK4 stages raise the field's NumericsError, with no warning before it (RK4
+    warned of a division by zero at R = 1e-200)."""
+    spec = SphereSpec(ModelParams(1.0, -1.0), R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sample in (lambda: meridian_curve(spec, start_point(spec), 5e-4 * R),
+                       lambda: integrate_meridian(spec, start_point(spec))):
+            with pytest.raises(NumericsError, match=r"^the meridian field is not finite with "
+                                                    rf"eps = 1\.0, sigma = -1\.0, R = {R!r}$"):
+                sample()
 
 
 def test_geodesic_residual_stencil_needs_6_samples():
