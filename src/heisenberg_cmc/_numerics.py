@@ -148,8 +148,8 @@ def _quad(fun, a, b, what: str):
     passes when its 128- and 64-node values differ by at most
     _QUAD_RTOL * S times its share of its interval, S the 128-node integral
     of |fun| over the whole interval; a panel that fails is halved.  Smooth
-    integrands pass on [a, b] itself.  NumericsError when the integrand is
-    not finite or an interval spends more than _QUAD_MAX_PANELS panels.
+    integrands pass on [a, b] itself.  NumericsError when the integrand or S
+    is not finite or an interval spends more than _QUAD_MAX_PANELS panels.
     """
     x64, w64 = _gauss_legendre(64)
     x128, w128 = _gauss_legendre(128)
@@ -166,13 +166,17 @@ def _quad(fun, a, b, what: str):
         half = 0.5 * (hi - lo)
         mid = lo + half
         x = mid[:, None] + half[:, None] * nodes
-        vals = np.asarray(fun(x, owner) if batched else fun(x.ravel()), dtype=float).reshape(x.shape)
+        with np.errstate(all="ignore"):  # a value or sum past the floats raises below
+            vals = fun(x, owner) if batched else fun(x.ravel())
+            vals = np.asarray(vals, dtype=float).reshape(x.shape)
+            fine = half * (vals[:, 64:] @ w128)
+            coarse = half * (vals[:, :64] @ w64)
+            if scale is None:  # the first pass has one panel per interval, in order
+                scale = half * (np.abs(vals[:, 64:]) @ w128)
         if not np.all(np.isfinite(vals)):
             raise NumericsError(f"integrand for {what} is not finite")
-        fine = half * (vals[:, 64:] @ w128)
-        coarse = half * (vals[:, :64] @ w64)
-        if scale is None:  # the first pass has one panel per interval, in order
-            scale = half * (np.abs(vals[:, 64:]) @ w128)
+        if not np.all(np.isfinite(scale)):  # the integral of |f|, at least that of f
+            raise NumericsError(f"integral for {what} is not finite")
         ok = np.abs(fine - coarse) <= _QUAD_RTOL * scale[owner] * (hi - lo) / length[owner]
         total += np.bincount(owner[ok], weights=fine[ok], minlength=k)
         if ok.all():

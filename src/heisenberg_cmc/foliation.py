@@ -88,11 +88,9 @@ class VerticalBound(_Record):
     __slots__ = ("label", "deficit", "floor", "satisfied")
 
 
-def _k_f0(spec: SphereSpec, f0: float | None = None) -> tuple[float, float]:
-    """k = m(R) sqrt(R) = eps^3 w(R) sqrt(R) and f(0; R), which build every deficit constant; a
-    caller that holds f(0; R) passes it as `f0`."""
-    k = _mass(spec.params, spec.R) * math.sqrt(spec.R)
-    return k, float(profile_height(spec, 0.0)) if f0 is None else f0
+def _k_f0(spec: SphereSpec) -> tuple[float, float]:
+    """k = m(R) sqrt(R) = eps^3 w(R) sqrt(R) and f(0; R), which build every deficit constant."""
+    return _mass(spec.params, spec.R) * math.sqrt(spec.R), float(profile_height(spec, 0.0))
 
 
 def foliation_constants(spec: SphereSpec) -> FoliationConstants:
@@ -339,21 +337,22 @@ def label_floor(cyl: CylinderSpec, depth):
     delta > 0, sqrt(delta) * depth / (R k + f(0;R)).  NumericsError where it is not finite, as
     where f(0;R) underflows to 0.
     """
-    return _floor(cyl.spec, cyl.delta, depth, *_k_f0(cyl.spec))
+    floor = _floor(cyl, np.asarray(depth, dtype=float), *_k_f0(cyl.spec))
+    return floor if np.ndim(depth) else float(floor)
 
 
-def _floor(spec: SphereSpec, delta: float, depth, k: float, f0: float):
-    """`label_floor` of the cylinder (spec, delta) from the sphere's k and f(0; R) (`_k_f0`),
-    which a caller may hold."""
+def _floor(cyl, depth: np.ndarray, k, f0):
+    """`label_floor` of cylinders from their spheres' k and f(0; R) (`_k_f0`): floats, or a block's
+    (cylinders, 1, 1) columns with delta = 0 and delta > 0 mixed, each on its own branch."""
     # depth, R and f(0;R) in units of u, k in its square root; the quadratic floor's u is f(0;R),
     # so that its terms stay near 1 (R m(R) <= (1 + 4/pi) f0) where eps^3 = 1e-240 at sigma = 0
-    u = _unit(f0 if delta == 0.0 else spec.R)
-    d, R, k, f0 = depth / u, spec.R / u, k / math.sqrt(u), f0 / u
-    if delta == 0.0:
-        floor = _divide(d * d, 4.0 * R * k**2 + f0 * f0)
-    else:
-        floor = _divide(math.sqrt(delta / u) * d, R * k + f0 / math.sqrt(u))
-    return _require_finite(floor, spec.params, "the label floor", R=spec.R)
+    quad = cyl.delta == 0.0
+    u = _unit(np.where(quad, f0, cyl.R))
+    d, R, k, f0 = depth / u, cyl.R / u, k / (root := np.sqrt(u)), f0 / u
+    with np.errstate(all="ignore"):  # a branch that a column does not take may overflow
+        den = np.where(quad, 4.0 * R * (k * k) + f0 * f0, R * k + f0 / root)
+        floor = d * np.where(quad, d, np.sqrt(cyl.delta / u)) / den
+    return _require_finite(floor, cyl.params, "the label floor", R=cyl.R)
 
 
 def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
@@ -361,10 +360,11 @@ def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     n x n grid under the sphere in each cylinder of a SphereSpec or of each `_Stack` member, the
     rows of a radius column at depths frac_j (f(r; R) - t_cut), j < n.  One `_height` pass over the
     radii of every cylinder, 0 first, and r_cut gives f(r; R), f(0; R) and t_cut.  Then 27
-    cylinders a block: r (cylinders, n, 1) and R, eps, sigma, r_cut, t_cut as a `_Stack`'s
-    (cylinders, 1, 1) columns (one sphere's floats), so that a block's (cylinders, n, groups)
-    arrays stay under glibc's 128 KiB mmap threshold.  A column's heights fall with depth, so the
-    guard on normal heights reads its ends.
+    cylinders a block: r (cylinders, n, 1) and R, eps, sigma, delta, r_cut, t_cut as a `_Stack`'s
+    (cylinders, 1, 1) columns (one sphere's floats), with k from one `_mass` call and the floor from
+    one `_floor` call a block.  The blocks keep peak RSS down: one block of all 54 `--grid`
+    cylinders ran `verify --grid` no slower and raised its peak RSS by 0.4 to 0.5 MB.  A column's
+    heights fall with depth, so the guard on normal heights reads its ends.
 
     Each column's rows fall in depth groups s..e, e = min(3s // 2, n - 1), rows 0 and 1 alone.  A
     group is certified where the label bound (`_label_bound`) at its shallowest row s clears the
@@ -374,47 +374,36 @@ def _check_calibration(spheres, deltas=(0.0, 0.3), n: int = 40) -> float:
     bound at s, whatever floor is subtracted from it.  The group's slack is row s's against the
     floor at e, so the depth-0 group keeps its slack of exactly 0.  Why 1.5: at delta = 0 the
     floor is quadratic in the depth and 1 - R/label is at least 2.37 floors on the check's grids,
-    so the test holds while e/s < sqrt(2.37).  The rows of the other groups are bounded point by
-    point, and the points that their bound does not settle are solved, in one `_labels` call over a
-    flat subset."""
+    so the test holds while e/s < sqrt(2.37).  The rows of a group left open, which no grid of
+    `verify` has, are solved in one `_labels` call over a flat subset."""
     members, worst, fracs = getattr(spheres, "members", [spheres]), [], np.linspace(0.0, 0.999, n)
     starts = [0]
     while (s := 3 * starts[-1] // 2 + 1) < n:
         starts.append(s)
     ends = [min(3 * s // 2, n - 1) for s in starts]
-    cuts = [(spec, float(delta)) for spec in members for delta in deltas if delta < spec.R]
-    cyls = _Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1))
-    cyls.r_cut = np.reshape([spec.R - delta for spec, delta in cuts], (-1, 1, 1))
+    specs, cuts = zip(*[(spec, float(d)) for spec in members for d in deltas if d < spec.R])
+    cyls = _Stack(members=specs, shape=(-1, 1, 1), delta=np.reshape(cuts, (-1, 1, 1)))
+    cyls.r_cut = cyls.R - cyls.delta
     r_all = np.linspace(0.0, 0.995 * cyls.r_cut[:, 0, 0], n, axis=-1)[..., None]
     f_all = _height(cyls, np.concatenate((r_all, cyls.r_cut), axis=1))
-    for lo in range(0, len(cuts), 27):
-        hi = lo + 27
-        block = _Stack(members=cyls.members[lo:hi], shape=(-1, 1, 1), r_cut=cyls.r_cut[lo:hi])
-        rs, f_rs, block.t_cut = r_all[lo:hi], f_all[lo:hi, :n], f_all[lo:hi, n:]
+    for b in (slice(lo, lo + 27) for lo in range(0, len(specs), 27)):
+        block = _Stack(members=specs[b], shape=(-1, 1, 1), delta=cyls.delta[b], r_cut=cyls.r_cut[b])
+        rs, f_rs, block.t_cut = r_all[b], f_all[b, :n], f_all[b, n:]
         ts, depths = f_rs - fracs[starts] * (span := f_rs - block.t_cut), fracs[ends] * span
-        deepest, floors = f_rs[..., 0] - depths[..., -1], []
-        normal = np.minimum(ts[..., 0], deepest).min(axis=1) >= np.finfo(float).tiny
-        for (spec, delta), ok, depth, f in zip(cuts[lo:hi], normal, depths, f_rs):
-            if not ok:  # f is subnormal, a height rounds onto t_cut
-                p = spec.params
-                raise NumericsError(f"the calibration grid's heights are not normal floats with "
-                                    f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
-            floors.append(_floor(spec, delta, depth, *_k_f0(spec, float(f[0, 0]))))
+        low = np.minimum(ts[..., 0], f_rs[..., 0] - depths[..., -1]).min(axis=1)
+        if not (normal := low >= np.finfo(float).tiny).all():  # f subnormal, t rounds onto t_cut
+            p, R = (spec := block.members[int(np.argmin(normal))]).params, spec.R
+            raise NumericsError(f"the calibration grid's heights are not normal floats with "
+                                f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {R!r}")
+        k, f0 = _mass(block.params, block.R) * np.sqrt(block.R), f_rs[:, :1]
         lam, allowance = _label_bound(block, rs, ts, f_rs)
         slack = np.subtract(1.0, slack := np.divide(block.R, lam), out=slack)
-        slack -= np.array(floors)
+        slack -= _floor(block, depths, k, f0)
         if (open_ := ~(slack >= allowance)).any():  # NaN decides nothing
             rows = np.repeat(open_, np.diff([*starts, n]), axis=-1)  # the open groups' rows
-            depths = fracs * span
-            floor = np.array([_floor(spec, delta, d, *_k_f0(spec, float(f[0, 0])))
-                              for (spec, delta), d, f in zip(cuts[lo:hi], depths, f_rs)])[rows]
+            floor = _floor(block, depths := fracs * span, k, f0)[rows]
             cyl, r, t = _points(block, rs, f_rs - depths, rows)
-            lam, allowance = _label_bound(cyl, r, t, np.broadcast_to(f_rs, rows.shape)[rows])
-            each = (1.0 - cyl.R / lam) - floor
-            if (unsettled := ~(each >= allowance)).any():
-                cyl, r, t = _points(cyl, r, t, unsettled)
-                each[unsettled] = (1.0 - cyl.R / _labels(cyl, r, t)) - floor[unsettled]
-            worst.append(float(-each.min()))
+            worst.append(float(-((1.0 - cyl.R / _labels(cyl, r, t)) - floor).min()))
             slack[open_] = np.inf
         worst += (-slack.min(axis=(1, 2))).tolist()
     return max(worst)

@@ -29,7 +29,8 @@ import numpy as np
 # not used here: imported with this module, it keeps every module of the package loaded once
 # `isoperimetry` is, as `perfbench/tracing.py` needs of the modules it traces
 from . import meridians  # noqa: F401
-from ._numerics import _MAX_SAMPLES, _gauss_legendre, _pow, _power, _quad, _require_finite
+from ._numerics import (_MAX_SAMPLES, _gauss_legendre, _pow, _power, _quad, _require_finite,
+                        _unit)
 from .ambient import Point, _Record
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
@@ -184,8 +185,9 @@ def make_competitors(
     else:
         amp_add = np.full(n, float(amplitude))
     # a bump's radial mass is centre * width * (the integral of the bump over
-    # -1 < s < 1), since the bump is even in s, so the masses need no quadrature
-    amp_sub = amp_add * (c1 * w1) / (c2 * w2)
+    # -1 < s < 1), since the bump is even in s, so the masses need no quadrature; in units of
+    # _unit(r_cut) (exact) they neither overflow at R = 1e200 nor vanish at R = 1e-200
+    amp_sub = amp_add * ((c1 / (v := _unit(rc))) * (w1 / v)) / ((c2 / v) * (w2 / v))
     if (over := amp_sub > head - 0.1 * head).any():
         i = over.argmax()  # the first
         raise DomainError(
@@ -247,7 +249,8 @@ def deficit_reports(comps) -> list[DeficitReport]:
         num = 2.0 * fr * dfr + dfr * dfr
         return num / (np.sqrt(wt2) + np.sqrt(w2)) * r
 
-    excess = (2.0 * math.pi / e) * _over_bumps(comps, excess_integrand, "area excess")
+    with np.errstate(over="ignore"):  # past the floats at eps = 1e-300, where sphere_area raises
+        excess = (2.0 * math.pi / e) * _over_bumps(comps, excess_integrand, "area excess")
     symdiff = 2.0 * math.pi * _over_bumps(
         comps, lambda r, amp, bump, width: np.abs(amp * bump[0]) * r, "symmetric difference")
     consts = foliation_constants(spec)

@@ -104,8 +104,11 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
 
 
 def _check_meridian_input(spec: SphereSpec, start: Point, lengths) -> None:
-    """DomainError unless each (name, length) given is positive and finite and the
-    start is off the poles; ContractError unless the start is on the sphere."""
+    """NumericsError where eps R underflows to 0, before a step divides by it; DomainError unless
+    each (name, length) given is positive and finite and the start is off the poles;
+    ContractError unless the start is on the sphere."""
+    if spec.params.epsilon * spec.R == 0.0:  # dphi/ds = 1/(eps R)
+        _require_finite(math.inf, spec.params, "1/(eps R)", R=spec.R)
     for name, value in lengths:
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -410,6 +411,37 @@ def test_float_power_past_the_largest_float_exits_3(argv, message):
     assert res.returncode == cli.EXIT_NUMERIC
     assert res.stdout == ""
     assert res.stderr == f"numeric failure: {message}\n"
+
+
+def test_meridian_where_eps_R_underflows_exits_3():
+    """eps R = 1e-325 underflows to 0: the typed error of `meridian_curve`, with no warning, and
+    not a bad-input exit naming the check step pi eps R/512 = 0.0, which the user never gave."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--epsilon", "1e-300", "--R", "1e-25")
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: 1/(eps R) is not finite with eps = 1e-300, "
+                          "sigma = 1.0, R = 1e-25\n")
+
+
+def test_isoperim_over_eps_and_R_from_1e_300_to_1e300_exits_cleanly():
+    """isoperim at sigma = 1, delta = 0.3 R and n = 2 over eps and R each in 11 decades from
+    1e-300 to 1e300: every run exits 0, 1, 2 or 3 with no warning, which would raise here, and no
+    removing amplitude is inf, as amp_add c1 w1 / (c2 w2) would be at R >= 1e100 (and 0/0 at
+    R <= 1e-200) but for the bump masses in units of a power of four next to r_cut."""
+    values = ["1e-300", "1e-200", "1e-160", "1e-100", "1e-20", "1", "1e20", "1e100", "1e150",
+              "1e200", "1e300"]
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, R in itertools.product(values, values):
+            res = run_cli("isoperim", "--epsilon", eps, "--sigma", "1", "--R", R,
+                          "--delta", repr(0.3 * float(R)), "--n", "2")
+            assert res.returncode in (0, 1, 2, 3), (eps, R)
+            assert "amplitude inf" not in res.stderr, (eps, R)
+            codes.append(res.returncode)
+    assert len(codes) == 121 and codes.count(0) == 6
 
 
 def test_meridian_where_eps3_is_subnormal_at_sigma_0_exits_3():

@@ -588,33 +588,73 @@ def test_depth_groups_certify_only_rows_whose_full_solve_slack_holds():
     assert 8 * 40 * len(rows) == 395_520
 
 
-def test_depth_groups_left_open_go_to_the_per_point_bound(monkeypatch):
-    """Negative control: with the floor raised 1.5-fold, the `--grid` spheres as one stack leave
-    groups open, whose rows the per-point bound settles, and the check still reports -0.0; raised
-    2.5-fold, rows go on to the label solve, and the check reports the full solve's shortfall,
-    repr for repr."""
-    floor, label_bound, stack = foliation._floor, foliation._label_bound, cli._Stack(members=GRID)
+def test_depth_groups_left_open_go_to_one_label_solve(monkeypatch):
+    """Negative control: with the floor raised 1.5- or 2.5-fold, the `--grid` spheres as one stack
+    leave groups open in both blocks.  Each block makes its one `_label_bound` call on the group
+    starts and none per point, one `_floor` call on the group ends and one on every row, and one
+    `_labels` call on the open groups' rows.  Raised 1.5-fold the check still reports -0.0; raised
+    2.5-fold it reports the full solve's shortfall, repr for repr."""
+    floor, label_bound, labels = foliation._floor, foliation._label_bound, foliation._labels
+    stack = cli._Stack(members=GRID)
     for factor in (1.5, 2.5):
-        shapes = []
-
-        def recording(cyl, r, t, f):
-            shapes.append(t.shape)
-            return label_bound(cyl, r, t, f)
+        bounds, floors, solves = [], [], []
 
         def raised(cyl, depth):
             return factor * foliation.label_floor(cyl, depth)
 
-        monkeypatch.setattr(foliation, "_floor", lambda *a: factor * floor(*a))
-        monkeypatch.setattr(foliation, "_label_bound", recording)
-        value = foliation._check_calibration(stack)
-        assert shapes[::2] == [(27, 40, 8)] * 2 and all(len(s) == 1 for s in shapes[1::2])
+        def raised_floor(cyl, depth, k, f0):
+            floors.append(depth.shape)
+            return factor * floor(cyl, depth, k, f0)
+
+        def bounding(cyl, r, t, f):
+            bounds.append(t.shape)
+            return label_bound(cyl, r, t, f)
+
+        def solving(cyl, r, t):
+            solves.append(t.shape)
+            return labels(cyl, r, t)
+
+        with monkeypatch.context() as m:
+            m.setattr(foliation, "_floor", raised_floor)
+            m.setattr(foliation, "_label_bound", bounding)
+            m.setattr(foliation, "_labels", solving)
+            value = foliation._check_calibration(stack)
+        assert bounds == [(27, 40, 8)] * 2 and floors == [(27, 40, 8), (27, 40, 40)] * 2
+        assert len(solves) == 2 and all(len(shape) == 1 for shape in solves)
         if factor == 1.5:
-            assert repr(value) == "-0.0" and len(shapes) == 4
+            assert repr(value) == "-0.0"
         else:
-            monkeypatch.setattr(foliation, "_label_bound", label_bound)
-            monkeypatch.setattr(foliation, "_floor", floor)
             want = max(_full_solve_calibration(spec, floor=raised) for spec in GRID)
             assert want > 1e-12 and repr(value) == repr(want)
+
+
+# a sphere at sigma = 0 whose k and f(0; R) are about eps^3 = 1e-240
+TINY_EPS_CUBED = SphereSpec(ModelParams(1e-80, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("specs", [GRID, STRESS, SINGLE, [TINY_EPS_CUBED, *GRID[:3]]],
+                         ids=["grid", "stress", "single", "tiny-eps-cubed"])
+def test_one_floor_call_over_a_block_equals_label_floor_per_cylinder(specs):
+    """One `_floor` call over a block's (cylinders, 1, 1) columns, delta = 0, 1e-3 R and 0.3 R
+    mixed and k from one `_mass` call, as the calibration check makes it, gives each cylinder the
+    floors of its own `label_floor`, bit for bit, on the `--grid` spheres, the stress grid, the
+    single specs (one sphere a block, whose columns are floats) and where eps^3 = 1e-240.
+    `label_floor` of a float depth is a Python float, that of a one-element array's element."""
+    blocks = [[(spec, frac * spec.R) for spec in specs for frac in (0.0, 1e-3, 0.3)]]
+    if specs is SINGLE:
+        blocks = [[(spec, frac * spec.R) for frac in (0.0, 1e-3, 0.3)] for spec in specs]
+    fracs = np.linspace(0.0, 0.999, 40)[:, None] * np.linspace(0.5, 1.0, 8)
+    for cuts in blocks:
+        block = cli._Stack(members=[spec for spec, _ in cuts], shape=(-1, 1, 1),
+                           delta=np.reshape([delta for _, delta in cuts], (-1, 1, 1)))
+        f0 = _height(block, np.zeros((len(cuts), 1, 1)))
+        depth = fracs * f0
+        got = foliation._floor(block, depth, _mass(block.params, block.R) * np.sqrt(block.R), f0)
+        for (spec, delta), each, d in zip(cuts, got, depth):
+            cyl = CylinderSpec(spec, delta)
+            assert each.tobytes() == foliation.label_floor(cyl, d).tobytes(), (spec, delta)
+            one = foliation.label_floor(cyl, float(d[20, 3]))
+            assert type(one) is float and one == float(foliation.label_floor(cyl, d[20:21, 3])[0])
 
 
 def test_label_bound_is_at_most_the_label_within_the_solves_tolerance():

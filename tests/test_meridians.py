@@ -722,6 +722,21 @@ def test_meridians_where_r_R_is_below_the_normal_floats_raise_numerics_error(R):
                 sample()
 
 
+def test_meridians_where_eps_R_underflows_raise_numerics_error():
+    """Where eps R underflows to 0, dphi/ds = 1/(eps R) is not a float: the closed form and the
+    integrator, at its default step and at a given one, raise a NumericsError naming eps, sigma
+    and R before any step divides by it, with no warning and no ZeroDivisionError."""
+    spec = SphereSpec(ModelParams(1e-300, 1.0), 1e-25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sample in (lambda: meridian_curve(spec, start_point(spec), 5e-29),
+                       lambda: integrate_meridian(spec, start_point(spec)),
+                       lambda: integrate_meridian(spec, start_point(spec), step=5e-29)):
+            with pytest.raises(NumericsError, match=r"^1/\(eps R\) is not finite with "
+                                                    r"eps = 1e-300, sigma = 1\.0, R = 1e-25$"):
+                sample()
+
+
 def test_geodesic_residual_stencil_needs_6_samples():
     """A step of a quarter of the pole-to-pole length gives 5 samples, one short of the stencil."""
     spec = figure1_spec()
