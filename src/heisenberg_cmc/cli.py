@@ -38,10 +38,12 @@ from .ambient import ModelParams, Point, _curvature_operator
 from .errors import ContractError, DomainError, NumericsError
 from .sphere import (
     SphereSpec,
+    _check_profile_domain,
     _f,
     _height,
     _normal_components,
     _pieces,
+    _profile,
     _radius_of,
     _Stack,
     euclidean_profile,
@@ -357,10 +359,12 @@ def cmd_meridian(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     params, R = spec.params, spec.R
     r0 = float(args.start_radius_frac) * R
-    start = Point(r0, 0.0, float(profile_height(spec, r0)))
+    _check_profile_domain(R, r0, closed=True)
+    g, fos, _ = _profile(params, r0, R)  # one pass for the start's height and its chart
+    start = Point(r0, 0.0, _require_finite(g * fos, params, "the profile height", R=R))
     # the checks' own curve, from the same pass: they do not depend on --step-frac
     curve, check = _curves(spec, start, [float(args.step_frac) * R,
-                                         math.pi * params.epsilon * R / _CHECK_SAMPLES])
+                                         math.pi * params.epsilon * R / _CHECK_SAMPLES], fos)
 
     x, y, t = curve.points.T
     drift = float(np.max(np.abs(np.abs(t) - profile_height(spec, np.minimum(_radius_of(x, y), R)))))

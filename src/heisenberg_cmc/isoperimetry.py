@@ -35,7 +35,7 @@ from .ambient import Point, _Record
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
-from .sphere import (SphereSpec, _f, _f_r, _pieces, _Stack, profile_height, sphere_area,
+from .sphere import (_TINY, SphereSpec, _f, _f_r, _pieces, _Stack, profile_height, sphere_area,
                      sphere_volume)
 
 __all__ = [
@@ -166,7 +166,8 @@ def make_competitors(
     The draws per competitor, in order, are the two centres, the two
     widths, the swap and the amplitude, so n draws here equal n calls of
     `make_competitor`.  Raises DomainError when an amplitude would push the
-    graph out of the cylinder.
+    graph out of the cylinder, and NumericsError where the heights at the
+    bump supports, and so the head room, are not normal floats.
     """
     if cyl.spec != spec:
         raise ContractError("cylinder was built for a different sphere")
@@ -179,7 +180,12 @@ def make_competitors(
     c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
 
     # head room: how far the graph may move down before leaving the cylinder
-    head = np.asarray(profile_height(spec, np.minimum(c2 + w2, rc))) - cyl.t_cut
+    f = np.asarray(profile_height(spec, np.minimum(c2 + w2, rc)))
+    if not np.min(f, initial=_TINY) >= _TINY:  # subnormal or 0: the room has lost its digits
+        p = spec.params
+        raise NumericsError(f"the competitors' heights are not normal floats with "
+                            f"eps = {p.epsilon!r}, sigma = {p.sigma!r}, R = {spec.R!r}")
+    head = f - cyl.t_cut
     if amplitude is None:
         amp_add = u[:, 5] * np.maximum(head, 0.1 * spec.R)
     else:

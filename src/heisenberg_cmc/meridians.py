@@ -103,16 +103,17 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
 # ------------------------------------------------------------- closed form
 
 
-def _check_meridian_input(spec: SphereSpec, start: Point, lengths) -> None:
+def _check_meridian_input(spec: SphereSpec, start: Point, lengths, on_sphere: bool = False) -> None:
     """NumericsError where eps R underflows to 0, before a step divides by it; DomainError unless
     each (name, length) given is positive and finite and the start is off the poles;
-    ContractError unless the start is on the sphere."""
+    ContractError unless the start is on the sphere, checked unless `on_sphere` says it is."""
     if spec.params.epsilon * spec.R == 0.0:  # dphi/ds = 1/(eps R)
         _require_finite(math.inf, spec.params, "1/(eps R)", R=spec.R)
     for name, value in lengths:
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    _on_sphere_or_raise(spec, start)
+    if not on_sphere:
+        _on_sphere_or_raise(spec, start)
     if start.r <= 1e-6 * spec.R:
         raise DomainError("start must be off the poles")
 
@@ -131,21 +132,22 @@ def _curve(params: ModelParams, R: float, points: np.ndarray, r, g, m, step) -> 
     return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
 
 
-def _chart(params: ModelParams, R: float, r: float, t: float) -> tuple[float, float]:
+def _chart(params: ModelParams, R: float, r: float, t: float, fos=None) -> tuple[float, float]:
     """Polar angle and radius of (r, t) in the chart (r, t / fos(min(r, R))),
     fos = f / sqrt(R^2 - r^2), in which the sphere R is the circle of radius R
-    and the meridian angle phi (r = R sin(phi)) is the polar angle."""
-    u = t / float(_profile(params, min(r, R), R)[1])
+    and the meridian angle phi (r = R sin(phi)) is the polar angle; `fos` if the caller has it."""
+    u = t / (float(_profile(params, min(r, R), R)[1]) if fos is None else fos)
     return math.atan2(r, u), math.hypot(r, u)
 
 
-def _curves(spec: SphereSpec, start: Point, steps) -> list[MeridianCurve]:
+def _curves(spec: SphereSpec, start: Point, steps, fos=None) -> list[MeridianCurve]:
     """`meridian_curve` at each of `steps`, in one closed-form pass over the concatenated phi
     grids; a numpy ufunc's value does not depend on an element's position, so each curve has the
-    bits of its own call."""
+    bits of its own call.  `fos` is `_chart`'s fos at a start whose t the caller made g fos, on
+    the sphere by construction, so that neither the on-sphere check nor the chart redoes it."""
     params, R = spec.params, spec.R
-    _check_meridian_input(spec, start, [("step", step) for step in steps])
-    phi0 = _chart(params, R, start.r, start.t)[0]
+    _check_meridian_input(spec, start, [("step", step) for step in steps], fos is not None)
+    phi0 = _chart(params, R, start.r, start.t, fos)[0]
     grids = []
     for step in steps:
         dphi = step / (params.epsilon * R)

@@ -169,8 +169,8 @@ def _atanc(p, atan_p=None):
     return out
 
 
-def _ell(p):
-    return 1.0 / (1.0 + p * _arctan(p))
+def _ell(p, atan_p=None):
+    return 1.0 / (1.0 + p * (_arctan(p) if atan_p is None else atan_p))
 
 
 def _gap(r, R):
@@ -187,9 +187,10 @@ def _pieces(params: ModelParams, r, R):
     return g, m, g * _divide(params.sigma, m)
 
 
-def _kernel(g, m, s, q):
-    """F/g and F'(g) of the profile formula F(g; m, s, q) (module docstring)."""
-    a = _arctan(q)
+def _kernel(g, m, s, q, atan_q=None):
+    """F/g and F'(g) of the profile formula F(g; m, s, q) (module docstring); `atan_q` is
+    arctan(q) when the caller has it already."""
+    a = _arctan(q) if atan_q is None else atan_q
     sga = s * g * a
     return 0.5 * (m * (1.0 + _atanc(q, a)) + sga), m + sga
 
@@ -326,6 +327,9 @@ def _start(a, b):
     return lo * (rho if rho < 1.0 else 1.0)
 
 
+_kept = (None, None)  # the last single-point root of `_gap_solve`, keyed by its (m, s, |t|)
+
+
 def _gap_solve(m, s: float, t, what: str):
     """g >= 0 with F(g; m, s, s g/m) = |t| (module docstring), broadcasting m and t.
 
@@ -336,12 +340,15 @@ def _gap_solve(m, s: float, t, what: str):
     (Pansu's axis) or near the least float gives q = inf: arctan(inf) = pi/2 (a float m = 0
     divides by `_divide`).  Where 4|t|/(pi s) is not a normal float, b is sqrt(|t|) sqrt(4/(pi s)).
     One point (neither m nor t an array) stays on Python floats, start and residual, which
-    overflow without a warning, and `_newton` solves it on them.
+    overflow without a warning, and `_newton` solves it on them.  Its last root is kept in `_kept`
+    by (m, s, |t|), and returned for that key at m != 0; arrays and errors never touch it.
     """
     def residual(g):
         f_over_g, dF = _kernel(g, m, s, s * g / m if divides else _divide(s * g, m))
         return g * f_over_g - t, dF, False
 
+    global _kept
+    key = None  # a single point's (m, s, |t|)
     divides = True  # arrays divide by 0 under the Newton core's errstate, floats only by numpy's
     if isinstance(m, np.ndarray) or isinstance(t, np.ndarray):
         m, t = np.broadcast_arrays(np.asarray(m, dtype=float), np.abs(t, dtype=float))
@@ -353,12 +360,18 @@ def _gap_solve(m, s: float, t, what: str):
                 g = _start(g, np.where(normal, np.sqrt(b), np.sqrt(t) * math.sqrt(4.0 / c)))
     else:
         m, s, t = float(m), float(s), abs(float(t))
+        kept, root = _kept  # one read of one tuple: a key and its root
+        if kept == (key := (m, s, t)) and m:  # -0.0 == 0.0, yet their solves differ
+            return root
         divides = m != 0.0
         g = t / m if divides else math.inf
         if s > 0.0:
             b = 4.0 * t / (c := math.pi * s)
             g = _start(g, math.sqrt(b) if _TINY <= b < math.inf else math.sqrt(t) * math.sqrt(4.0 / c))
-    return _newton(residual, g, 0.0, g, t == 0.0, what)
+    root = _newton(residual, g, 0.0, g, t == 0.0, what)
+    if key:
+        _kept = key, root
+    return root
 
 
 def _leaf(params: ModelParams, r, t):
@@ -380,9 +393,9 @@ def radius_field(params: ModelParams, r: float, t: float) -> RadiusField:
     _check_point(r, t, "the radius field")
     R, g, m = _leaf(params, r, t)
     s = abs(params.sigma)
-    p = _divide(s * g, m)
-    R_r = _divide(r * _ell(p), R)  # R is 0 where it underflows next to the origin
-    R_t = _divide(math.copysign(g, t), R * _kernel(g, m, s, p)[1]) if t != 0.0 else 0.0
+    a = _arctan(p := _divide(s * g, m))  # once, for ell(p) and F'
+    R_r = _divide(r * _ell(p, a), R)  # R is 0 where it underflows next to the origin
+    R_t = _divide(math.copysign(g, t), R * _kernel(g, m, s, p, a)[1]) if t != 0.0 else 0.0
     _require_finite((R_r, R_t), params, "the radius field at (r, t) = ({!r}, {!r})", r, t)
     return RadiusField(value=R, R_r=R_r, R_t=R_t)
 

@@ -429,9 +429,13 @@ def test_isoperim_over_eps_and_R_from_1e_300_to_1e300_exits_cleanly():
     """isoperim at sigma = 1, delta = 0.3 R and n = 2 over eps and R each in 11 decades from
     1e-300 to 1e300: every run exits 0, 1, 2 or 3 with no warning, which would raise here, and no
     removing amplitude is inf, as amp_add c1 w1 / (c2 w2) would be at R >= 1e100 (and 0/0 at
-    R <= 1e-200) but for the bump masses in units of a power of four next to r_cut."""
+    R <= 1e-200) but for the bump masses in units of a power of four next to r_cut.  The 13 specs
+    where f(0; R) is 0 or subnormal (R <= 1e-160 at eps <= 1e-100, and eps = 1e-20 at R = 1e-300)
+    exit 3 with the competitors' typed error, where they read a head room of 0 or a subnormal
+    and exited 2 as bad input."""
     values = ["1e-300", "1e-200", "1e-160", "1e-100", "1e-20", "1", "1e20", "1e100", "1e150",
               "1e200", "1e300"]
+    underflowed = {(eps, R) for eps in values[:4] for R in values[:3]} | {("1e-20", "1e-300")}
     codes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -440,6 +444,11 @@ def test_isoperim_over_eps_and_R_from_1e_300_to_1e300_exits_cleanly():
                           "--delta", repr(0.3 * float(R)), "--n", "2")
             assert res.returncode in (0, 1, 2, 3), (eps, R)
             assert "amplitude inf" not in res.stderr, (eps, R)
+            if (eps, R) in underflowed:
+                assert res.returncode == cli.EXIT_NUMERIC, (eps, R)
+                assert res.stderr == (f"numeric failure: the competitors' heights are not normal "
+                                      f"floats with eps = {float(eps)!r}, sigma = 1.0, "
+                                      f"R = {float(R)!r}\n")
             codes.append(res.returncode)
     assert len(codes) == 121 and codes.count(0) == 6
 

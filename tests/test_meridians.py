@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from heisenberg_cmc import (
+    ContractError,
     DomainError,
     ModelParams,
     NumericsError,
@@ -22,6 +23,7 @@ from heisenberg_cmc import (
     vector_to_coordinates,
     vertical_component,
 )
+from heisenberg_cmc import cli
 from heisenberg_cmc.ambient import christoffel_frame
 from heisenberg_cmc.meridians import (
     MeridianCurve,
@@ -35,7 +37,7 @@ from heisenberg_cmc.meridians import (
     pansu_geodesic_residual,
     pansu_meridian_field,
 )
-from heisenberg_cmc.sphere import _normal_components, _pieces, _radius_of
+from heisenberg_cmc.sphere import _normal_components, _pieces, _profile, _radius_of
 
 from conftest import SUBNORMAL_FLAT
 
@@ -744,3 +746,25 @@ def test_geodesic_residual_stencil_needs_6_samples():
     assert len(curve) == 5
     with pytest.raises(DomainError, match="curve too short for the residual stencil"):
         meridian_geodesic_residual(spec, curve)
+
+
+@pytest.mark.parametrize("eps, sigma, R, frac", [(0.5, 0.5, 2.0, 0.02), (1e-5, 1.0, 1.0, 0.3),
+                                                 (1.0, -2.0, 1e-3, 0.9), (2.0, 0.0, 1e3, 1.0)])
+def test_a_start_from_one_profile_pass_gives_meridian_curves_bits(eps, sigma, R, frac, capsys):
+    """`meridian` builds its start from one `_profile` pass, whose f/g also serves the chart, and
+    which is on the sphere by construction: the curve is meridian_curve's from the same start,
+    checked and charted anew, bit for bit.  meridian_curve still rejects a start off the sphere,
+    and the CLI a start radius fraction outside [0, 1]."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    r0 = frac * R
+    g, fos, _ = _profile(spec.params, r0, R)
+    start = Point(r0, 0.0, g * fos)
+    assert start.t == profile_height(spec, r0)
+    built = meridians._curves(spec, start, [1e-3 * R], fos)[0]
+    checked = meridian_curve(spec, start, 1e-3 * R)
+    for name in ("s", "points", "velocities"):
+        assert np.array_equal(getattr(built, name), getattr(checked, name))
+    with pytest.raises(ContractError, match="off the sphere"):
+        meridian_curve(spec, Point(r0, 0.0, 2.0 * start.t + 1.0), 1e-3 * R)
+    assert cli.main(["meridian", "--start-radius-frac", "-0.1"]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: radius must lie in [0, R] with R = 1.0, got -0.1\n"

@@ -10,6 +10,8 @@ values, their float types and the errors they raise; and the typed errors
 and starts where w(r) or the start's quotient overflows."""
 
 import math
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -17,11 +19,13 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from heisenberg_cmc import (DomainError, ModelParams, Point, SphereSpec,
+from heisenberg_cmc import (DomainError, ModelParams, NumericsError, Point, SphereSpec,
                             foliation_normal, pansu_profile, pansu_radius, profile_quantities,
                             radius_field, sphere)
+from heisenberg_cmc import _numerics
+from heisenberg_cmc.meridians import meridian_field
 from heisenberg_cmc.sphere import (_f, _f_r, _kernel, _leaf, _normal_components,
                                    profile_height_R)
 
@@ -83,6 +87,7 @@ def test_radius_solve_over_the_domain(eps, size, sign, R0, u, side):
     params = ModelParams(eps, sign * size)
     r = u * R0
     t = side * float(_f(params, r, R0))
+    sphere._kept = (None, None)  # an earlier example's root would run no pass
     passes, starts = [], []
     with counting_newton_passes(sphere, "radius solve", passes, starts):
         field = radius_field(params, r, t)
@@ -292,6 +297,7 @@ def test_pansu_radius_over_the_domain(sigma, R0, side, u):
     in as many passes, and both start at one float, just above the 50-digit root."""
     r = u * R0
     t = side * pansu_profile(sigma, R0, r)
+    sphere._kept = (None, None)  # an earlier example's root would run no pass
     passes, starts = [], []
     with counting_newton_passes(sphere, "pansu radius solve", passes, starts):
         R = pansu_radius(sigma, r, t)
@@ -405,9 +411,11 @@ def test_starts_at_the_extreme_points(solve, sigma, r, t):
 def test_the_sub_riemannian_ladder_takes_two_passes():
     """Every radius solve and Pansu radius solve on a grid like the benchmark's limit ladder
     (eps = 1 to 1e-6, sigma in [0.25, 4], R in [0.5, 4], r/R in [0.02, 0.98], both
-    hemispheres) takes 2 Newton passes, on one point and on arrays alike."""
+    hemispheres) takes 2 Newton passes, on one point and on arrays alike.  A single-point
+    pansu_radius right after radius_field at its point runs none, and reuses the kept root,
+    exactly where m(r) rounds to sigma r, so that the two solve one equation."""
     rng = np.random.default_rng(30)
-    passes = []
+    passes, reused, limit = [], [], []
     for eps in 10.0 ** -np.arange(7):
         for sigma, R in zip(np.geomspace(0.25, 4.0, 5), np.geomspace(0.5, 4.0, 5)[::-1]):
             params = ModelParams(eps, sigma)
@@ -417,7 +425,147 @@ def test_the_sub_riemannian_ladder_takes_two_passes():
                     counting_newton_passes(sphere, "pansu radius solve", passes):
                 for ri, ti in zip(r.tolist(), t.tolist()):
                     radius_field(params, ri, ti)
+                    solved = len(passes)
                     pansu_radius(sigma, ri, ti)
+                    reused.append(len(passes) == solved)
+                    limit.append(sphere._mass(params, ri) == sigma * ri)
                 _leaf(params, r, t)
                 pansu_radius(sigma, r, t)
-    assert len(passes) == 7 * 5 * 10 and set(passes) == {2}
+    assert len(passes) + sum(reused) == 7 * 5 * 10 and set(passes) == {2}
+    assert reused == limit and any(limit) and not all(limit)
+
+
+# ------------------------------------------------------------ the kept root
+
+
+def outcome(call):
+    """repr of a call's value, or its error's type and message."""
+    try:
+        return repr(call())
+    except Exception as exc:  # the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def fresh(call):
+    """outcome(call) with the kept root emptied, which is put back after."""
+    kept, sphere._kept = sphere._kept, (None, None)
+    try:
+        return outcome(call)
+    finally:
+        sphere._kept = kept
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(eps=log_uniform | st.sampled_from([2e-108, 1e-120]),  # eps^3 subnormal, and 0
+       size=log_uniform, sign=st.sampled_from([1.0, -1.0, 0.0]), R0=log_uniform,
+       u=st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0), side=st.sampled_from([1.0, -1.0]),
+       zero=st.sampled_from([None, 0.0, -0.0]), theta=st.sampled_from([0.0]) | st.floats(0.0, 6.3),
+       order=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+# m(r) = 0.0 for radius_field, m = -0.0 for pansu_radius: equal keys, apart solves
+@example(eps=1e-120, size=1.0, sign=1.0, R0=1.0, u=-0.0, side=1.0, zero=None, theta=0.0,
+         order=[0, 2])
+def test_single_point_calls_in_any_order_equal_a_fresh_solve(eps, size, sign, R0, u, side, zero,
+                                                             theta, order):
+    """radius_field, foliation_normal, pansu_radius and meridian_field at one point, called in any
+    order and with repeats, give repr for repr what each gives with the kept root emptied, errors
+    included: t = +-0.0, r = 0 (Pansu's axis, m = 0), sigma = 0 and eps^3 subnormal or 0."""
+    params = ModelParams(eps, sign * size)
+    r = u * R0
+    t = side * float(_f(params, r, R0)) if zero is None else zero
+    point = Point(r * math.cos(theta), r * math.sin(theta), t)
+    calls = (lambda: radius_field(params, r, t), lambda: foliation_normal(params, point),
+             lambda: pansu_radius(size, r, t), lambda: meridian_field(params, point))
+    sphere._kept = (None, None)
+    for i in order:
+        assert outcome(calls[i]) == fresh(calls[i])
+
+
+def test_a_kept_root_runs_no_newton_pass():
+    """After radius_field at (r, t), foliation_normal at Point(r, 0, t) solves nothing, nor does
+    pansu_radius where m(r) rounds to sigma r (eps = 1e-5); at eps = 1 its equation is not the
+    leaf's, and it takes its 2 passes."""
+    r, sigma, R = 0.6, 1.3, 0.9
+    for eps, pansu in ((1e-5, 0), (1.0, 2)):
+        params = ModelParams(eps, sigma)
+        t = float(_f(params, r, R))
+        radius_field(params, r, t)
+        normal, limit = [], []
+        with counting_newton_passes(sphere, "radius solve", normal), \
+                counting_newton_passes(sphere, "pansu radius solve", limit):
+            foliation_normal(params, Point(r, 0.0, t))
+            pansu_radius(sigma, r, t)
+        assert normal == [] and limit == ([] if pansu == 0 else [pansu])
+
+
+def test_a_solve_that_raises_leaves_the_kept_root_and_raises_again():
+    """A solve cut to one Newton pass raises; the kept root stays the last good one, and the same
+    call raises again rather than return a root kept for it.  With its passes back it solves."""
+    params = ModelParams(1e-3, 1.3)
+    field = radius_field(params, 0.3, 0.2)
+    kept = sphere._kept
+    with mock.patch.object(_numerics, "_NEWTON_PASSES", 1):
+        for _ in range(2):
+            with pytest.raises(NumericsError, match="radius solve did not converge"):
+                radius_field(params, 0.4, 0.2)
+            assert sphere._kept is kept
+    assert repr(radius_field(params, 0.4, 0.2)) == fresh(lambda: radius_field(params, 0.4, 0.2))
+    assert fresh(lambda: radius_field(params, 0.3, 0.2)) == repr(field)
+
+
+def test_array_solves_neither_read_nor_write_the_kept_root():
+    """A kept root planted under the key of an array's point is not returned for it, and the
+    array solve leaves the entry as it was."""
+    params = ModelParams(1e-3, 1.3)
+    r, t = np.array([0.3]), np.array([0.2])
+    want = _leaf(params, r, t)
+    key = (sphere._mass(params, 0.3), 1.3, 0.2)
+    sphere._kept = planted = (key, -1.0)
+    got = _leaf(params, r, t)
+    assert sphere._kept is planted
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and got[1][0] > 0.0
+    sphere._kept = (None, None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(eps=log_uniform, size=log_uniform, sign=st.sampled_from([1.0, -1.0, 0.0]),
+       R0=log_uniform, u=st.floats(0.0, 1.0), side=st.sampled_from([1.0, -1.0, 0.0]))
+def test_radius_field_with_one_arctan_is_bit_identical(eps, size, sign, R0, u, side):
+    """radius_field takes arctan(p) once for ell(p) and F'; letting each take its own, as they
+    do when given none, changes no bit of the field."""
+    params = ModelParams(eps, sign * size)
+    r = u * R0
+    t = side * float(_f(params, r, R0)) if r or side else 1.0
+    ell, kernel = sphere._ell, sphere._kernel
+    shared = outcome(lambda: radius_field(params, r, t))
+    with mock.patch.object(sphere, "_ell", lambda p, atan_p=None: ell(p)), \
+            mock.patch.object(sphere, "_kernel", lambda g, m, s, q, atan_q=None: kernel(g, m, s, q)):
+        assert fresh(lambda: radius_field(params, r, t)) == shared
+
+
+def test_threads_that_share_the_kept_root_each_get_their_own_root():
+    """Four threads, more than a CI runner's cores, solve one point each over and over while the
+    interpreter switches threads every microsecond: a thread that read a key next to another
+    point's root would return that point's radius."""
+    params = ModelParams(1e-3, 1.3)
+    points = [(0.1 * k, 0.2) for k in range(1, 5)]
+    want = [fresh(lambda r=r, t=t: radius_field(params, r, t)) for r, t in points]
+    wrong, start = [], threading.Barrier(4, timeout=60.0)
+
+    def solve(k):
+        start.wait()  # all four run at once
+        for _ in range(2000):
+            if repr(radius_field(params, *points[k])) != want[k]:
+                wrong.append(k)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and wrong == []

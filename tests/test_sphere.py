@@ -264,7 +264,7 @@ def test_radius_field_of_a_non_finite_point_raises(params, r, t):
 
 
 def test_radius_field_raises_where_its_partials_are_not_finite(params):
-    with mock.patch.object(sphere, "_ell", lambda p: math.inf):
+    with mock.patch.object(sphere, "_ell", lambda p, atan_p=None: math.inf):
         with pytest.raises(NumericsError, match=r"radius field at \(r, t\) = \(0\.3, 0\.2\)"):
             radius_field(params, 0.3, 0.2)
 
