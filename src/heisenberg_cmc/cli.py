@@ -5,8 +5,9 @@ Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
     sphere    profile table, area/volume, limit-profile comparison
     verify    invariant suite with a machine-readable pass/fail report; the
               curvature checks run once over a `sphere._Stack` of the spheres (27
-              with --grid), the calibration check (`foliation._check_calibration`) by a
-              bound on each depth group, 27 cylinders a call
+              with --grid), the three sampled ones on one draw sequence and one profile,
+              shape and frame pass (`_check_curvature`), the calibration check
+              (`foliation._check_calibration`) by a bound on each depth group, 27 cylinders a call
     meridian  sample a pole-to-pole geodesic and its check curve in one closed-form pass,
               export polyline
     isoperim  random volume-preserving competitor suite
@@ -203,18 +204,6 @@ def cmd_sphere(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 
-def _sample_sphere_points(spheres, rng: np.random.Generator, n: int, extra=()):
-    """x, y, r, t of n points on each of the k spheres of a `_Stack` of columns, each (k, n), or of
-    n points on one sphere, then one such array per (low, high) in `extra`; each row draws the
-    radius fraction, the angle, the hemisphere and then the extras, one uniform each, as one draw
-    at a time would."""
-    lows, highs = zip((0.02, 0.98), (0.0, 2.0 * math.pi), (0.0, 1.0), *extra)
-    u = rng.uniform(lows, highs, size=np.shape(spheres.R)[:1] + (n, len(lows)))  # k of (k, 1)
-    r = u[..., 0] * spheres.R
-    t = np.where(u[..., 2] < 0.5, 1.0, -1.0) * _height(spheres, r)  # r lies in [0, R]
-    return r * np.cos(u[..., 1]), r * np.sin(u[..., 1]), r, t, np.moveaxis(u[..., 3:], -1, 0)
-
-
 def _check_cmc(spheres, rng: np.random.Generator, n: int = 30) -> float:
     rs = rng.uniform(0.05, 0.9, size=np.shape(spheres.R)[:1] + (n,)) * spheres.R
     h_fd = graph_mean_curvature_fd(  # the stencil stays inside (0, R): no domain check
@@ -223,37 +212,41 @@ def _check_cmc(spheres, rng: np.random.Generator, n: int = 30) -> float:
     return float(np.max(np.abs(h_fd - spheres.H) / spheres.H))
 
 
-def _check_k0(spheres, rng: np.random.Generator, perturb: float, n: int = 40) -> float:
-    from .curvature import _frame_coefficients, _shape, assemble_corrected_shape
+def _check_curvature(spheres, rng: np.random.Generator, perturb: float, n: int = 40):
+    """The traceless_correction, principal_directions and curvature_identity measures, each over n
+    points a sphere.  Each check draws its points' uniforms (k, n, 3), then (k, n, 3), then
+    (k, n, 5), as one point at a time would draw them: the radius fraction, the angle, the
+    hemisphere, then the identity's psi and scale^2.  One `_height` pass serves the first and third
+    checks' points, one `_shape` pass the first two's radii and one `_frame_coefficients` pass the
+    first and third's, each sliced back to its check; a ufunc gives an element the same bits
+    wherever it sits, so each measure is that of its own pass."""
+    from .curvature import (_frame_coefficients, _frame_vectors, _shape,
+                             assemble_corrected_shape, principal_angle)
 
-    _, _, r, t, _ = _sample_sphere_points(spheres, rng, n)
-    h = _shape(spheres, r)[0]
-    h[..., 0, 0] += perturb
-    c = _frame_coefficients(spheres, r, t)[2]
-    return float(np.max(assemble_corrected_shape(spheres.H, spheres.params.tau, h, c).k0_norm))
-
-
-def _check_principal(spheres, rng: np.random.Generator, n: int = 40) -> float:
-    from .curvature import _shape, principal_angle
-
-    _, _, r, _, _ = _sample_sphere_points(spheres, rng, n)
-    h, kappa1, kappa2 = _shape(spheres, r)
-    beta = _each(principal_angle, spheres.H, spheres.params.tau)
+    params, R, tau = spheres.params, spheres.R, spheres.params.tau
+    lows, highs = zip((0.02, 0.98), (0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, 2.0 * math.pi),
+                      (0.5, 2.0))
+    size = np.shape(R)[:1] + (n,)  # k of a stack's (k, 1) columns
+    uk, up, ui = (rng.uniform(lows[:j], highs[:j], size=size + (j,)) for j in (3, 3, 5))
+    # principal, k0, identity radii: the shape pass takes the first 2n, height and frame the last 2n
+    r = np.concatenate((up[..., 0], uk[..., 0], ui[..., 0]), axis=-1) * R
+    side = np.concatenate((uk[..., 2], ui[..., 2]), axis=-1)
+    t = np.where(side < 0.5, 1.0, -1.0) * _height(spheres, r[..., n:])  # r lies in [0, R]
+    h, kappa1, kappa2 = _shape(spheres, r[..., :2 * n])
+    a, b, c, p = _frame_coefficients(spheres, r[..., n:], t)
+    hk = h[..., n:, :, :]
+    hk[..., 0, 0] += perturb
+    k0 = assemble_corrected_shape(spheres.H, tau, hk, c[..., :n]).k0_norm
+    beta = _each(principal_angle, spheres.H, tau)
     cs, sn = _each(math.cos, beta), _each(math.sin, beta)
     k = np.stack((np.stack((cs, -sn), axis=-1), np.stack((sn, cs), axis=-1)), axis=-2)
     # column j of k is the j-th principal direction
-    res = h @ k - k * np.stack((kappa1, kappa2), axis=-1)[..., None, :]
-    return float(np.max(np.abs(res)))
-
-
-def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) -> float:
-    from .curvature import _frame_coefficients, _frame_vectors
-
-    params, tau = spheres.params, spheres.params.tau
-    x, y, r, t, (psi, scale2) = _sample_sphere_points(
-        spheres, rng, n, ((0.0, 2.0 * math.pi), (0.5, 2.0)))
-    x1, x2 = _frame_vectors(x, y, *_frame_coefficients(spheres, r, t))
-    nvec = _normal_components(params, x, y, t, spheres.R, *_pieces(params, r, spheres.R)[:2])
+    kappa = np.stack((kappa1[..., :n], kappa2[..., :n]), axis=-1)[..., None, :]
+    principal = np.abs(h[..., :n, :, :] @ k - k * kappa)
+    ri, ti = r[..., 2 * n:], t[..., n:]
+    x, y, psi, scale2 = ri * np.cos(ui[..., 1]), ri * np.sin(ui[..., 1]), ui[..., 3], ui[..., 4]
+    x1, x2 = _frame_vectors(x, y, a[..., n:], b[..., n:], c[..., n:], p[..., n:])
+    nvec = _normal_components(params, x, y, ti, R, *_pieces(params, ri, R)[:2])
     scale, cs, sn = np.sqrt(scale2)[..., None], np.cos(psi)[..., None], np.sin(psi)[..., None]
     v1 = scale * (cs * x1 + sn * x2)
     v2 = scale * (-sn * x1 + cs * x2)
@@ -263,7 +256,7 @@ def _check_curvature_identity(spheres, rng: np.random.Generator, n: int = 40) ->
     lhs = np.sum(_curvature_operator(_Stack(tau=tau), v2, v1, nvec) * v2, axis=-1)
     rhs = 4.0 * tau * tau * energy * v1[..., 2] * nvec[..., 2]
     den = np.maximum(np.abs(rhs), 0.01 * (1.0 / w / w + tau * tau) * energy)
-    return float(np.max(np.abs(lhs - rhs) / den))
+    return float(np.max(k0)), float(np.max(principal)), float(np.max(np.abs(lhs - rhs) / den))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -297,9 +290,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     run("cmc_constancy", _check_cmc(spheres, rng), 1e-6)
-    run("traceless_correction", _check_k0(spheres, rng, float(args.perturb_h)), 1e-10)
-    run("principal_directions", _check_principal(spheres, rng), 1e-12)
-    run("curvature_identity", _check_curvature_identity(spheres, rng), 1e-10)
+    k0, principal, identity = _check_curvature(spheres, rng, float(args.perturb_h))
+    run("traceless_correction", k0, 1e-10)
+    run("principal_directions", principal, 1e-12)
+    run("curvature_identity", identity, 1e-10)
     run("calibration_bounds", _check_calibration(spheres), 1e-12)
     # L g in closed form on the meridian chart, so the residual is rounding.  One spec runs
     # every formula of it, so the grid's 27 are not swept; 'y' is -i times the 'x' mode and

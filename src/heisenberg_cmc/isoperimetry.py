@@ -35,8 +35,8 @@ from .ambient import Point, _Record
 from .curvature import _shape
 from .errors import ContractError, DomainError, NumericsError
 from .foliation import CylinderSpec, foliation_constants, leaf_label_grid
-from .sphere import (_TINY, SphereSpec, _f, _f_r, _pieces, _Stack, profile_height, sphere_area,
-                     sphere_volume)
+from .sphere import (_TINY, SphereSpec, _check_profile_domain, _f, _f_r, _kernel, _pieces, _Stack,
+                     profile_height, sphere_area, sphere_volume)
 
 __all__ = [
     "subriemannian_hemisphere_area",
@@ -375,15 +375,27 @@ def jacobi_potential(spec: SphereSpec, r):
 
     |h|^2 from the closed-form second fundamental form; the Ricci term is
     -2 tau^2 + 4 tau^2 <N, T>^2 (cross-checked against the curvature
-    contraction in the tests).  NumericsError where it is not finite, as
-    where tau^2 overflows at tiny eps and R, or where the profile does.
+    contraction in the tests).  DomainError unless r lies in [0, R];
+    NumericsError where it is not finite, as where tau^2 overflows at tiny
+    eps and R, or where the profile does.
     """
+    return _potential(spec, _check_profile_domain(spec.R, r, closed=True))[0]
+
+
+def _potential(spec: SphereSpec, r):
+    """`jacobi_potential` at radii r in [0, R], and the g and m(r) of its one `_pieces` pass, from
+    which <N, T> = sgn(f) g (eps^3/m)/R is `normal_component`'s 't' on the upper graph.  Errors come
+    in this order: `_shape`'s, the profile height's (`_height`'s message), then the potential's."""
     params, h = spec.params, _shape(spec, r)[0]
-    theta_n = normal_component(spec, "t", (r, 0.0, profile_height(spec, r)))  # <N, T>
+    with np.errstate(over="ignore"):
+        g, m, p = _pieces(params, r, spec.R)
+        f = g * _kernel(g, m, params.sigma, p)[0]
+    sg = np.sign(_require_finite(f, params, "the profile height", R=spec.R))
+    theta_n = sg * g * (params.epsilon**3 / m) / spec.R  # <N, T>
     tau2 = _power(params.tau, 2, params, "the Jacobi potential", R=spec.R)
     with np.errstate(over="ignore", invalid="ignore"):
         potential = np.sum(h * h, axis=(-2, -1)) + (4.0 * theta_n * theta_n - 2.0) * tau2
-    return _require_finite(potential, params, "the Jacobi potential", R=spec.R)
+    return _require_finite(potential, params, "the Jacobi potential", R=spec.R), g, m
 
 
 def jacobi_residual(
@@ -411,13 +423,13 @@ def jacobi_residual(
 
 
 def _jacobi_maxima(spec: SphereSpec, n: int, band: float = 0.05) -> tuple[float, float]:
-    """(max |L_0 g_t|, max |L_1 G|) of `jacobi_residual`, from one `jacobi_potential`; NaN with no
-    warning where a term overflows, for the reader's `_require_finite` ('t' at eps = 1e-80)."""
+    """(max |L_0 g_t|, max |L_1 G|) of `jacobi_residual`, from one potential (`_potential`, whose
+    one `_pieces` pass gives <N, T> and the chart's g and m); NaN with no warning where a term
+    overflows, for the reader's `_require_finite` ('t' at eps = 1e-80)."""
     params, R = spec.params, spec.R
     h = R / n
     r = np.arange(band * R, min(R * (1.0 - band) + 0.5 * h, R), h)
-    potential = jacobi_potential(spec, r)
-    g, m, _ = _pieces(params, r, R)
+    potential, g, m = _potential(spec, r)
     with np.errstate(over="ignore", invalid="ignore"):
         modes = _jacobi_modes(params.epsilon, params.sigma, R, r, g, m, potential)
         return tuple(float(np.max(np.abs(res))) for res in modes)

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._numerics import _MAX_SAMPLES, _require_finite
+from ._numerics import _MAX_SAMPLES, _divide, _require_finite
 from .ambient import ModelParams, Point, TangentVector, _Record, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
@@ -81,8 +81,11 @@ def _require_off_axis(point: Point) -> None:
 def _meridian(params: ModelParams, x, y, r, t, R, g, m):
     """M's frame coefficients (x lam - y mu, y lam + x mu, -nu) at points (x, y, t) of radius r on
     the leaf R, g, m(r), broadcasting; c = r/(R m) = mu/sigma = nu/eps^3 is finite at sigma = 0."""
+    # one point is signed on Python floats, as `_normal_components` signs it, so that g/(r R)
+    # overflows without a warning (a float64 warns) and the caller's typed error comes first
+    sg = np.sign(t) if isinstance(t, np.ndarray) else 1.0 if t > 0.0 else -1.0 if t < 0.0 else t - t
     e, c = params.epsilon, r / (R * m)
-    lam, mu = np.sign(t) * g / (r * R), params.sigma * c
+    lam, mu = _divide(sg * g, r * R), params.sigma * c
     return x * lam - y * mu, y * lam + x * mu, -(e * e * e * c)
 
 
@@ -147,6 +150,9 @@ def _curves(spec: SphereSpec, start: Point, steps, fos=None) -> list[MeridianCur
     the sphere by construction, so that neither the on-sphere check nor the chart redoes it."""
     params, R = spec.params, spec.R
     _check_meridian_input(spec, start, [("step", step) for step in steps], fos is not None)
+    m0 = _mass(params, start.r)
+    if min(m0, R * m0, start.r * R) < _TINY:  # `_curve`'s rule, before the chart divides by fos
+        _require_finite(math.nan, params, "the meridian field", R=R)
     phi0 = _chart(params, R, start.r, start.t, fos)[0]
     grids = []
     for step in steps:

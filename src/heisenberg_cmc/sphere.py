@@ -512,7 +512,7 @@ def _pansu_leaf(sigma: float, r, t):
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     _check_point(r, t, "pansu_radius")
-    g = _gap_solve(sigma * r, sigma, t, "pansu radius solve")
+    g = _gap_solve(sigma * r + 0.0, sigma, t, "pansu radius solve")  # m = -0.0 would make q -inf
     return _hypot(r, g), g
 
 

@@ -13,6 +13,7 @@ import pytest
 from heisenberg_cmc import (
     DomainError,
     ModelParams,
+    NumericsError,
     Point,
     SphereSpec,
     cli,
@@ -202,21 +203,31 @@ def test_verify_whose_calibration_heights_are_subnormal_exits_3():
 
 
 @pytest.mark.parametrize("eps, R", [(1.0, 1e-200), (1.0, 1e-300), (1e-40, 1.0)])
-def test_curvature_identity_at_tiny_R_or_eps_is_rounding(eps, R):
+def test_curvature_identity_at_tiny_R_or_eps_is_rounding(eps, R, monkeypatch):
     """The check measured NaN, which verify recorded as a failed check: at tiny R, r R
     underflowed to 0 in the frame coefficient b, so X2 was infinite; at eps = 1e-40, tau^2 =
-    1e320 overflowed in the curvature."""
+    1e320 overflowed in the curvature.  The identity reads no h, and at eps = 1e-40 the shape
+    pass that the other two checks share raises (verify exits 3 there), so a stand-in of zeros
+    takes its place."""
+    from heisenberg_cmc import curvature
+
     spec = SphereSpec(ModelParams(eps, 1.0), R)
+    if eps == 1e-40:
+        with pytest.raises(NumericsError, match="^the second fundamental form is not finite"):
+            cli._check_curvature(spec, np.random.default_rng(12345), 0.0)
+        monkeypatch.setattr(curvature, "_shape", lambda spec, r: (
+            np.zeros(np.shape(r) + (2, 2)), np.zeros(np.shape(r)), np.zeros(np.shape(r))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        measured = cli._check_curvature_identity(spec, np.random.default_rng(12345))
+        measured = cli._check_curvature(spec, np.random.default_rng(12345), 0.0)[2]
     assert measured <= 1e-13
 
 
 @pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["single", "grid"])
 def test_verify_whose_measure_is_not_finite_exits_3(monkeypatch, grid):
     """A check that measures NaN is a numeric failure naming the check, not a failed check."""
-    monkeypatch.setattr(cli, "_check_principal", lambda spheres, rng: math.nan)
+    monkeypatch.setattr(cli, "_check_curvature",
+                        lambda spheres, rng, perturb: (0.0, math.nan, 0.0))
     res = run_cli("verify", *grid, "--json", "-")
     assert res.returncode == cli.EXIT_NUMERIC
     assert res.stdout == ""
@@ -463,6 +474,20 @@ def test_meridian_where_eps3_is_subnormal_at_sigma_0_exits_3():
     assert res.stdout == ""
     assert res.stderr == ("numeric failure: the meridian field is not finite with eps = 2e-108, "
                           "sigma = 0.0, R = 1.0\n")
+
+
+@pytest.mark.parametrize("frac", ["0.02", "0.999999"])
+def test_meridian_from_an_underflowed_start_exits_3(frac):
+    """m(r0) underflows to 0, so the start's fos is 0: the meridian field's typed error, where the
+    chart's t / fos was an untyped ZeroDivisionError (exit 1), with no warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--epsilon", "1e-120", "--sigma", "1e-300", "--R", "1e-200",
+                      "--start-radius-frac", frac)
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == ("numeric failure: the meridian field is not finite with eps = 1e-120, "
+                          "sigma = 1e-300, R = 1e-200\n")
 
 
 @pytest.mark.parametrize("sigma, R", [("-1", "1e-153"), ("-1", "1e-156"), ("-1", "1e-200"),
@@ -837,45 +862,119 @@ def _scalar_curvature_identity(spec, rng, n=40):
 
 @pytest.mark.parametrize("eps, sigma, R", REFERENCE_SPECS)
 @pytest.mark.parametrize("seed", [1, 2024, 987654321])
-@pytest.mark.parametrize("batched, scalar", [
-    (lambda sp, rng: cli._check_k0(sp, rng, 0.0), lambda sp, rng: _scalar_k0(sp, rng, 0.0)),
-    (lambda sp, rng: cli._check_k0(sp, rng, 1e-3), lambda sp, rng: _scalar_k0(sp, rng, 1e-3)),
-    (cli._check_principal, _scalar_principal),
-    (cli._check_curvature_identity, _scalar_curvature_identity),
-], ids=["k0", "k0_perturbed", "principal", "curvature_identity"])
-def test_batched_check_matches_scalar_loop(eps, sigma, R, seed, batched, scalar):
+@pytest.mark.parametrize("perturb, which", [(0.0, 0), (1e-3, 0), (0.0, 1), (0.0, 2)],
+                         ids=["k0", "k0_perturbed", "principal", "curvature_identity"])
+def test_batched_check_matches_scalar_loop(eps, sigma, R, seed, perturb, which):
+    """`_check_curvature`'s three measures are the three scalar loops run in turn on one
+    generator, and the two generators end in the same state."""
     spec = SphereSpec(ModelParams(eps, sigma), R)
     rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert batched(spec, rng_b) == pytest.approx(scalar(spec, rng_s), abs=1e-13)
+    batched = cli._check_curvature(spec, rng_b, perturb)
+    scalar = (_scalar_k0(spec, rng_s, perturb), _scalar_principal(spec, rng_s),
+              _scalar_curvature_identity(spec, rng_s))
+    assert batched[which] == pytest.approx(scalar[which], abs=1e-13)
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
     assert rng_b.uniform() == rng_s.uniform()
+
+
+class _Recording:
+    """A generator's uniform draws, kept in the order they were made."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def uniform(self, *args, **kwargs):
+        self.draws.append(self.rng.uniform(*args, **kwargs))
+        return self.draws[-1]
+
+
+class _Replay:
+    """Serves the given arrays, in turn, as the uniform draws of one sphere."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, low, high, size):
+        out = next(self.draws)
+        assert out.shape == size
+        return out
 
 
 @pytest.mark.parametrize("seed", [1, 2024, 987654321])
 def test_stacked_checks_are_the_max_of_one_sphere_checks(seed):
     """`verify --grid` runs each curvature check once over the stack of its 27 spheres: each
-    value is the max of the one-sphere calls bit for bit, and the stream ends where theirs does."""
-    checks = [cli._check_cmc, lambda sp, rng: cli._check_k0(sp, rng, 0.0),
-              lambda sp, rng: cli._check_k0(sp, rng, 1e-3), cli._check_principal,
-              cli._check_curvature_identity]
+    value is the max of the one-sphere calls on the same points bit for bit, and the stack draws
+    (27, 40, 3), (27, 40, 3) and (27, 40, 5) uniforms, each check's in turn."""
     stack = cli._Stack(members=GRID)
     rng_k, rng_1 = np.random.default_rng(seed), np.random.default_rng(seed)
-    for check in checks:
-        assert check(stack, rng_k).hex() == max(check(spec, rng_1) for spec in GRID).hex()
+    cmc = max(cli._check_cmc(spec, rng_1) for spec in GRID)
+    assert cli._check_cmc(stack, rng_k).hex() == cmc.hex()
     assert rng_k.bit_generator.state == rng_1.bit_generator.state
+    for perturb in (0.0, 1e-3):
+        rec = _Recording(rng_k)
+        stacked = cli._check_curvature(stack, rec, perturb)
+        assert [d.shape for d in rec.draws] == [(27, 40, 3), (27, 40, 3), (27, 40, 5)]
+        ones = [cli._check_curvature(spec, _Replay(d[j] for d in rec.draws), perturb)
+                for j, spec in enumerate(GRID)]
+        for i, value in enumerate(stacked):
+            assert value.hex() == max(one[i] for one in ones).hex()
 
 
 @pytest.mark.parametrize("seed", [1, 2024, 987654321])
-def test_sampled_points_follow_the_scalar_stream(seed):
+def test_sampled_points_follow_the_scalar_stream(seed, monkeypatch):
+    """The k0 and identity points that `_check_curvature` passes to its one height pass, and the
+    identity's (x, y, t) and psi, scale^2, are those of one point at a time: 40 k0 points, 40
+    principal points and 40 identity points, each with its psi and scale^2."""
     spec = SphereSpec(ModelParams(0.5, 2.0), 1.0)
-    rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
-    x, y, r, t, (psi, scale2) = cli._sample_sphere_points(
-        spec, rng_b, 40, ((0.0, 2.0 * math.pi), (0.5, 2.0)))
+    seen = {}
+
+    def keep(name, fun):
+        def wrapped(*args):
+            seen[name] = args
+            return fun(*args)
+        monkeypatch.setattr(cli, name, wrapped)
+
+    keep("_height", cli._height)
+    keep("_normal_components", cli._normal_components)
+    rec, rng_s = _Recording(np.random.default_rng(seed)), np.random.default_rng(seed)
+    cli._check_curvature(spec, rec, 0.0)
+    radii = seen["_height"][1]
+    x, y, t = seen["_normal_components"][1:4]
+    k0 = [sphere_point(spec, rng_s) for _ in range(40)]
+    principal = [sphere_point(spec, rng_s) for _ in range(40)]
+    assert [q.r for q in principal] == pytest.approx(rec.draws[1][:, 0] * spec.R, rel=1e-15)
     for i in range(40):
+        assert radii[i] == pytest.approx(k0[i].r, rel=1e-15)
         q = sphere_point(spec, rng_s)
         assert (x[i], y[i], t[i]) == pytest.approx((q.x, q.y, q.t), rel=0.0, abs=1e-15)
-        assert r[i] == pytest.approx(q.r, rel=1e-15)
-        assert (psi[i], scale2[i]) == (rng_s.uniform(0.0, 2.0 * math.pi), rng_s.uniform(0.5, 2.0))
-    assert rng_b.uniform() == rng_s.uniform()
+        assert radii[40 + i] == pytest.approx(q.r, rel=1e-15)
+        assert (rec.draws[2][i, 3], rec.draws[2][i, 4]) == (rng_s.uniform(0.0, 2.0 * math.pi),
+                                                            rng_s.uniform(0.5, 2.0))
+    assert rec.rng.uniform() == rng_s.uniform()
+
+
+def test_verify_makes_each_per_point_pass_once(monkeypatch):
+    """One `verify` job, one spec or the grid: the three sampled curvature checks share one
+    `_height`, one `_shape` and one `_frame_coefficients` pass, and the Jacobi check takes <N, T>
+    from its one `_pieces` pass, with no `profile_height` call; the calibration check makes the
+    other `_height` call and the Jacobi potential the other `_shape` call.  Every module's
+    binding of each name is counted, so a call through any of them shows."""
+    from heisenberg_cmc import curvature, foliation, isoperimetry, meridians, sphere
+
+    names = ("_height", "_shape", "_frame_coefficients", "_pieces", "profile_height")
+    calls = []
+    for module in (sphere, curvature, foliation, isoperimetry, meridians, cli):
+        for name in names:
+            if hasattr(module, name):
+                fun = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _f=fun, _n=name: (calls.append(_n), _f(*a))[1])
+    for grid in ([], ["--grid"]):
+        calls.clear()
+        res = run_cli("verify", *grid, "--json", "-")
+        assert res.returncode == 0, res.stderr
+        assert {name: calls.count(name) for name in names} == {
+            "_height": 2, "_shape": 2, "_frame_coefficients": 1, "_pieces": 6, "profile_height": 0}
 
 
 def _scalar_foliation_rows(spec, delta):

@@ -293,7 +293,7 @@ def test_second_fundamental_form_over_a_stack_names_its_sphere():
     stack = cli._Stack(members=[SphereSpec(ModelParams(e, 1.0), 1.0) for e in (1.0, 1e-45, 1e-60)])
     message = r"^the second fundamental form is not finite with eps = {}, sigma = 1\.0, R = 1\.0$"
     with pytest.raises(NumericsError, match=message.format(r"1e-45")):
-        cli._check_k0(stack, np.random.default_rng(0), 0.0)
+        cli._check_curvature(stack, np.random.default_rng(0), 0.0)
     for r in (0.5, np.array([0.1, 0.5]), np.array([[0.1], [0.5]])):
         with pytest.raises(NumericsError, match=message.format(r"1e-60")):
             _shape(SphereSpec(ModelParams(1e-60, 1.0), 1.0), r)

@@ -402,17 +402,34 @@ def test_jacobi_residual_outside_its_band_and_mesh_raises_domain_error(spec, ban
 def test_jacobi_pair_is_both_residuals_from_one_potential(spec):
     """`verify`'s one Jacobi pass gives (max |L_0 g_t|, max |L_1 G|): jacobi_residual's 't' and
     'x' values, bit for bit, from one potential."""
-    calls = []
+    calls, potential = [], isoperimetry._potential
 
     def counting(spec, r):
         calls.append(r.size)
-        return jacobi_potential(spec, r)
+        return potential(spec, r)
 
-    with mock.patch.object(isoperimetry, "jacobi_potential", counting):
+    with mock.patch.object(isoperimetry, "_potential", counting):
         pair = _jacobi_maxima(spec, n=400)
     assert len(calls) == 1
     assert tuple(map(repr, pair)) == (repr(jacobi_residual(spec, "t", n=400)),
                                       repr(jacobi_residual(spec, "x", n=400)))
+
+
+@pytest.mark.parametrize("eps, r, got", [
+    (1.0, -0.1, "-0.1"), (1.0, 1.5, "1.5"), (1.0, math.nan, "nan"),
+    (1.0, np.array([0.5, 1.5]), "1.5"),
+    (1e-60, 2.0, "2.0"),  # where the second fundamental form overflows too
+])
+def test_jacobi_potential_outside_the_sphere_is_a_domain_error(eps, r, got):
+    """The public potential checks its radii before it runs the one-pass core: outside [0, R]
+    (NaN too) a DomainError naming the first such radius, before any NumericsError of the
+    curvature."""
+    spec = SphereSpec(ModelParams(eps, 1.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^radius must lie in \[0, R\] with R = 1\.0, "
+                                              rf"got {got}$"):
+            jacobi_potential(spec, r)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])

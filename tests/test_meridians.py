@@ -685,6 +685,21 @@ def test_meridian_field_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error
             meridian_field(spec.params, point)
 
 
+@pytest.mark.parametrize("params, point", [
+    (ModelParams(0.010708805112782058, 7.997579454770231e-05),
+     Point(-2e-323, -6e-323, -0.011242671881641998)),  # g/(r R) overflows
+    (ModelParams(1.0, 1.0), Point(1e-200, 0.0, 0.0)),  # r R underflows to 0
+])
+def test_meridian_field_where_r_R_leaves_the_floats_raises_only_its_typed_error(params, point):
+    """One point is signed on Python floats: where g/(r R) overflows at a subnormal |z|, or r R
+    is 0, the field raises its NumericsError with no warning before it (numpy's float64 warned
+    "overflow encountered in scalar divide", which won under warnings as errors)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"^the meridian field at Point\(x="):
+            meridian_field(params, point)
+
+
 @pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT)
 def test_meridian_curve_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error(spec, frac):
     """The curve's velocities are the meridian field's closed form, so they keep its rule: where
@@ -695,6 +710,18 @@ def test_meridian_curve_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error
         with pytest.raises(NumericsError, match=r"^the meridian field is not finite with eps = "
                                                 f"{spec.params.epsilon!r}, sigma = 0.0, R = "):
             meridian_curve(spec, start, 5e-4 * spec.R)
+
+
+@pytest.mark.parametrize("frac", [0.02, 0.999999])
+def test_meridian_curve_from_an_underflowed_start_raises_numerics_error(frac):
+    """Where m(r0) underflows to 0, the start's fos is 0 and the chart divided t by it (a
+    ZeroDivisionError): `_curve`'s rule on m, R m and r R runs at the start first."""
+    spec = SphereSpec(ModelParams(1e-120, 1e-300), 1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"^the meridian field is not finite with eps = "
+                                                r"1e-120, sigma = 1e-300, R = 1e-200$"):
+            meridian_curve(spec, start_point(spec, frac), 5e-4 * spec.R)
 
 
 @pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT + [(SUBNORMAL_FLAT[0][0], 0.02)])

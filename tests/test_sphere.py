@@ -421,6 +421,18 @@ def test_numpy_scalar_parameters_are_floats():
         assert value.hex() == fun(plain).hex()
 
 
+def test_pansu_radius_at_negative_zero_is_that_at_zero():
+    """r = -0.0 passes the domain check, and m = sigma r = -0.0 made q = -inf, so the solve did not
+    converge: -0.0 is 0.0, as a float and inside an array, repr for repr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(pansu_radius(1.0, -0.0, 0.5)) == repr(pansu_radius(1.0, 0.0, 0.5))
+        assert repr(pansu_radius(1.0, 0.0, 0.5)) == "0.7978845608028653"
+        got = pansu_radius(1.0, np.array([-0.0, 0.3, -0.0]), np.array([0.5, 0.5, 2.0]))
+        want = pansu_radius(1.0, np.array([0.0, 0.3, 0.0]), np.array([0.5, 0.5, 2.0]))
+    assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
+
+
 def test_area_volume_euclidean_limit():
     spec = SphereSpec(ModelParams(1.0, 1e-8), 1.0)
     assert abs(sphere_area(spec) - 4.0 * math.pi) <= 1e-4
