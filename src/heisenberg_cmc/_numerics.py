@@ -140,23 +140,18 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _quad(fun, a, b, what: str):
     """Integrals of the vectorized `fun` over intervals [a, b] by 128-node Gauss-Legendre.
 
-    `a` and `b` are floats, and the result is a float, or 1-d arrays of k
-    intervals, and the result is the k integrals.  For floats `fun(x)` gets
-    the nodes as a 1-d array; for arrays `fun(x, owner)` gets the node
-    block x, one row of 64 + 128 nodes per panel, and the index of each
-    row's interval.  Each interval is integrated as if alone.  A panel
-    passes when its 128- and 64-node values differ by at most
-    _QUAD_RTOL * S times its share of its interval, S the 128-node integral
-    of |fun| over the whole interval; a panel that fails is halved.  Smooth
-    integrands pass on [a, b] itself.  NumericsError when the integrand or S
-    is not finite or an interval spends more than _QUAD_MAX_PANELS panels.
+    `a` and `b` are 1-d arrays of k intervals, and the result is the k integrals.  `fun(x, owner)`
+    gets the node block x, one row of 64 + 128 nodes per panel, and the index of each row's
+    interval.  Each interval is integrated as if alone.  A panel passes when its 128- and 64-node
+    values differ by at most _QUAD_RTOL * S times its share of its interval, S the 128-node
+    integral of |fun| over the whole interval; a panel that fails is halved.  Smooth integrands
+    pass on [a, b] itself.  NumericsError when the integrand or S is not finite or an interval
+    spends more than _QUAD_MAX_PANELS panels.
     """
     x64, w64 = _gauss_legendre(64)
     x128, w128 = _gauss_legendre(128)
     nodes = np.concatenate((x64, x128))
-    batched = np.ndim(a) > 0
-    lo = np.array(a, dtype=float, ndmin=1)
-    hi = np.array(b, dtype=float, ndmin=1)
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     k = lo.size
     length = hi - lo
     owner = np.arange(k)
@@ -167,8 +162,7 @@ def _quad(fun, a, b, what: str):
         mid = lo + half
         x = mid[:, None] + half[:, None] * nodes
         with np.errstate(all="ignore"):  # a value or sum past the floats raises below
-            vals = fun(x, owner) if batched else fun(x.ravel())
-            vals = np.asarray(vals, dtype=float).reshape(x.shape)
+            vals = np.asarray(fun(x, owner), dtype=float).reshape(x.shape)
             fine = half * (vals[:, 64:] @ w128)
             coarse = half * (vals[:, :64] @ w64)
             if scale is None:  # the first pass has one panel per interval, in order
@@ -187,4 +181,4 @@ def _quad(fun, a, b, what: str):
         spent += np.bincount(owner, minlength=k)
         if (most := int(spent.max())) > _QUAD_MAX_PANELS:
             raise NumericsError(f"quadrature for {what} did not converge in {most} panels")
-    return total if batched else float(total[0])
+    return total

@@ -39,12 +39,10 @@ from .ambient import ModelParams, Point, _curvature_operator
 from .errors import ContractError, DomainError, NumericsError
 from .sphere import (
     SphereSpec,
-    _check_profile_domain,
     _f,
     _height,
     _normal_components,
     _pieces,
-    _profile,
     _radius_of,
     _Stack,
     euclidean_profile,
@@ -189,6 +187,9 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         tables.append((args.curvature_out, ["r", "kappa1", "kappa2", "k0_norm"], lead()[0],
                        _rows(kappa1, kappa2, k0.k0_norm)))
     if args.sweep_out:
+        for name, bound in (("--sweep-min", args.sweep_min), ("--sweep-max", args.sweep_max)):
+            if bound is not None and not math.isfinite(bound):  # before linspace makes NaN radii
+                raise DomainError(f"{name} must be a finite number, got {bound!r}")
         r_lo = args.sweep_min if args.sweep_min is not None else 0.5 * spec.R
         r_hi = args.sweep_max if args.sweep_max is not None else 2.0 * spec.R
         radii = np.linspace(r_lo, r_hi, sweep_n)
@@ -220,8 +221,7 @@ def _check_curvature(spheres, rng: np.random.Generator, perturb: float, n: int =
     checks' points, one `_shape` pass the first two's radii and one `_frame_coefficients` pass the
     first and third's, each sliced back to its check; a ufunc gives an element the same bits
     wherever it sits, so each measure is that of its own pass."""
-    from .curvature import (_frame_coefficients, _frame_vectors, _shape,
-                             assemble_corrected_shape, principal_angle)
+    from .curvature import _frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape
 
     params, R, tau = spheres.params, spheres.R, spheres.params.tau
     lows, highs = zip((0.02, 0.98), (0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, 2.0 * math.pi),
@@ -236,8 +236,8 @@ def _check_curvature(spheres, rng: np.random.Generator, perturb: float, n: int =
     a, b, c, p = _frame_coefficients(spheres, r[..., n:], t)
     hk = h[..., n:, :, :]
     hk[..., 0, 0] += perturb
-    k0 = assemble_corrected_shape(spheres.H, tau, hk, c[..., :n]).k0_norm
-    beta = _each(principal_angle, spheres.H, tau)
+    shape = assemble_corrected_shape(spheres.H, tau, hk, c[..., :n])
+    k0, beta = shape.k0_norm, shape.alpha
     cs, sn = _each(math.cos, beta), _each(math.sin, beta)
     k = np.stack((np.stack((cs, -sn), axis=-1), np.stack((sn, cs), axis=-1)), axis=-2)
     # column j of k is the j-th principal direction
@@ -353,12 +353,10 @@ def cmd_meridian(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     params, R = spec.params, spec.R
     r0 = float(args.start_radius_frac) * R
-    _check_profile_domain(R, r0, closed=True)
-    g, fos, _ = _profile(params, r0, R)  # one pass for the start's height and its chart
-    start = Point(r0, 0.0, _require_finite(g * fos, params, "the profile height", R=R))
+    start = Point(r0, 0.0, profile_height(spec, r0))
     # the checks' own curve, from the same pass: they do not depend on --step-frac
     curve, check = _curves(spec, start, [float(args.step_frac) * R,
-                                         math.pi * params.epsilon * R / _CHECK_SAMPLES], fos)
+                                         math.pi * params.epsilon * R / _CHECK_SAMPLES])
 
     x, y, t = curve.points.T
     drift = float(np.max(np.abs(np.abs(t) - profile_height(spec, np.minimum(_radius_of(x, y), R)))))
@@ -374,7 +372,8 @@ def cmd_meridian(args: argparse.Namespace) -> int:
     dev = None
     if params.sigma > 0.0:
         keep = (0.1 * R < rs) & (rs < 0.95 * R)
-        bar = _pansu_field(params.sigma, *check.points[keep].T, rs[keep])
+        with np.errstate(invalid="ignore"):  # g/(r R) is inf/inf at subnormal sigma
+            bar = _pansu_field(params.sigma, *check.points[keep].T, rs[keep])
         scaled = check.velocities[keep] * np.array([1.0, 1.0, params.epsilon**3])
         with np.errstate(over="ignore"):  # eps^3 v_T squares past the largest float at huge eps
             dev = float(np.max(np.linalg.norm(scaled - bar, axis=1), initial=0.0))

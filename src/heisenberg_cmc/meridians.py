@@ -106,17 +106,19 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
 # ------------------------------------------------------------- closed form
 
 
-def _check_meridian_input(spec: SphereSpec, start: Point, lengths, on_sphere: bool = False) -> None:
-    """NumericsError where eps R underflows to 0, before a step divides by it; DomainError unless
-    each (name, length) given is positive and finite and the start is off the poles;
-    ContractError unless the start is on the sphere, checked unless `on_sphere` says it is."""
-    if spec.params.epsilon * spec.R == 0.0:  # dphi/ds = 1/(eps R)
+def _check_meridian_input(spec: SphereSpec, start: Point, lengths) -> None:
+    """NumericsError where eps R underflows to 0 or a step's dphi = step/(eps R) is not finite,
+    before a step divides by it; DomainError unless each (name, length) given is positive and
+    finite and the start is off the poles; ContractError unless the start is on the sphere."""
+    e_R = spec.params.epsilon * spec.R
+    if e_R == 0.0:  # dphi/ds = 1/(eps R)
         _require_finite(math.inf, spec.params, "1/(eps R)", R=spec.R)
     for name, value in lengths:
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    if not on_sphere:
-        _on_sphere_or_raise(spec, start)
+        if name == "step" and value is not None and not math.isfinite(value / e_R):
+            _require_finite(math.inf, spec.params, "1/(eps R)", R=spec.R)  # eps R subnormal
+    _on_sphere_or_raise(spec, start)
     if start.r <= 1e-6 * spec.R:
         raise DomainError("start must be off the poles")
 
@@ -135,39 +137,41 @@ def _curve(params: ModelParams, R: float, points: np.ndarray, r, g, m, step) -> 
     return MeridianCurve(R=R, s=step * np.arange(len(points)), points=points, velocities=vels)
 
 
-def _chart(params: ModelParams, R: float, r: float, t: float, fos=None) -> tuple[float, float]:
+def _chart(params: ModelParams, R: float, r: float, t: float) -> tuple[float, float]:
     """Polar angle and radius of (r, t) in the chart (r, t / fos(min(r, R))),
     fos = f / sqrt(R^2 - r^2), in which the sphere R is the circle of radius R
-    and the meridian angle phi (r = R sin(phi)) is the polar angle; `fos` if the caller has it."""
-    u = t / (float(_profile(params, min(r, R), R)[1]) if fos is None else fos)
+    and the meridian angle phi (r = R sin(phi)) is the polar angle."""
+    u = t / float(_profile(params, min(r, R), R)[1])
     return math.atan2(r, u), math.hypot(r, u)
 
 
-def _curves(spec: SphereSpec, start: Point, steps, fos=None) -> list[MeridianCurve]:
-    """`meridian_curve` at each of `steps`, in one closed-form pass over the concatenated phi
-    grids; a numpy ufunc's value does not depend on an element's position, so each curve has the
-    bits of its own call.  `fos` is `_chart`'s fos at a start whose t the caller made g fos, on
-    the sphere by construction, so that neither the on-sphere check nor the chart redoes it."""
+def _curves(spec: SphereSpec, start: Point, steps) -> list[MeridianCurve]:
+    """`meridian_curve` at each of `steps` from the one start, checked and charted once, in one
+    closed-form pass over the concatenated phi grids; a numpy ufunc's value does not depend on an
+    element's position, so each curve has the bits of its own call."""
     params, R = spec.params, spec.R
-    _check_meridian_input(spec, start, [("step", step) for step in steps], fos is not None)
+    _check_meridian_input(spec, start, [("step", step) for step in steps])
     m0 = _mass(params, start.r)
     if min(m0, R * m0, start.r * R) < _TINY:  # `_curve`'s rule, before the chart divides by fos
         _require_finite(math.nan, params, "the meridian field", R=R)
-    phi0 = _chart(params, R, start.r, start.t, fos)[0]
+    phi0 = _chart(params, R, start.r, start.t)[0]
     grids = []
     for step in steps:
         dphi = step / (params.epsilon * R)
-        n = int((math.pi - phi0) / dphi) + 1
-        if n > _MAX_SAMPLES:  # before np.arange allocates
+        count = (math.pi - phi0) / dphi  # inf where dphi is subnormal
+        if not count < _MAX_SAMPLES:  # before int() and np.arange
+            n = int(count) + 1 if math.isfinite(count) else count
             raise DomainError(f"step = {step!r} asks for {n:.3g} samples, more than an array holds")
-        phi = phi0 + dphi * np.arange(n)
+        phi = phi0 + dphi * np.arange(int(count) + 1)
         grids.append(phi[phi < math.pi])
     phi = np.concatenate(grids)
     c, r = R * np.cos(phi), R * np.sin(phi)
     g, m, p = _pieces(params, r, R)
     # t = f(r) at the rounded r, not R cos(phi) f/sqrt(R^2 - r^2): the two agree to
     # rounding, but near the rim, where f is steep, only f(r) keeps |t| = f(r)
-    t = np.sign(c) * (g * _kernel(g, m, params.sigma, p)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # f past the floats raises, as in `_height`
+        t = np.sign(c) * (g * _kernel(g, m, params.sigma, p)[0])
+    _require_finite(t, params, "the profile height", R=R)
     twist = np.arctan2(m, abs(params.sigma) * c)
     theta = math.atan2(start.y, start.x) + math.copysign(1.0, params.sigma) * (twist - twist[0])
     points = np.column_stack((r * np.cos(theta), r * np.sin(theta), t))

@@ -326,6 +326,19 @@ def test_sphere_bad_count_writes_no_csv(tmp_path, count):
     assert not out.exists() and not sweep.exists()
 
 
+@pytest.mark.parametrize("option, value", [("--sweep-min", "inf"), ("--sweep-max", "inf"),
+                                           ("--sweep-max", "nan")])
+def test_sphere_sweep_bound_that_is_not_finite_is_bad_input(tmp_path, option, value):
+    """An infinite bound warned inside np.linspace, then blamed its NaN radius as a bad R."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("sphere", "--R", "1", option, value, "--sweep-out", str(tmp_path / "s.csv"))
+    assert res.returncode == cli.EXIT_BAD_INPUT
+    assert res.stdout == ""
+    assert res.stderr == f"error: {option} must be a finite number, got {float(value)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parser_is_shared_without_leaking_options(tmp_path):
     grid, plain = tmp_path / "grid.json", tmp_path / "plain.json"
     assert cli.main(["verify", "--grid", "--json", str(grid)]) == cli.EXIT_OK
@@ -397,10 +410,12 @@ def test_meridian_at_tiny_eps_runs_under_warnings_as_errors(eps):
     (["--epsilon", "1e100"], "0.0005", "6.24e+103"),
     (["--epsilon", "1e20", "--step-frac", "1"], "1.0", "3.12e+20"),
     (["--epsilon", "1e6"], "0.0005", "6.24e+09"),  # 50 GB, which numpy's allocator was asked for
+    (["--step-frac", "1e-320"], "1e-320", "inf"),
 ])
 def test_meridian_step_that_asks_for_more_samples_than_an_array_holds_exits_2(argv, step, count):
     """Past `meridians._MAX_SAMPLES` (2**21), before anything is allocated: np.arange raised an
-    untyped ValueError at the first two counts, and the third asked numpy for 50 GB."""
+    untyped ValueError at the first two counts, the third asked numpy for 50 GB, and int() of the
+    fourth, infinite count raised an untyped OverflowError."""
     res = run_cli("meridian", *argv)
     assert res.returncode == cli.EXIT_BAD_INPUT
     assert res.stdout == ""
@@ -434,6 +449,36 @@ def test_meridian_where_eps_R_underflows_exits_3():
     assert res.stdout == ""
     assert res.stderr == ("numeric failure: 1/(eps R) is not finite with eps = 1e-300, "
                           "sigma = 1.0, R = 1e-25\n")
+
+
+@pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
+def test_meridian_where_eps_R_is_subnormal_exits_3(eps):
+    """step/(eps R) = inf: at 1e-320 the grid phi0 + inf * 0 was NaN and empty, an untyped
+    IndexError; at 5e-324 the check step pi eps R/512 = 0.0, which the user never gave, was
+    blamed as bad input.  Now the output step's typed 1/(eps R) error, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--epsilon", eps)
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == (f"numeric failure: 1/(eps R) is not finite with eps = {float(eps)!r}, "
+                          "sigma = 1.0, R = 1.0\n")
+
+
+@pytest.mark.parametrize("sigma, message", [
+    # the limit leaf's g/(r R) is inf/inf at subnormal sigma: it warned of an invalid divide
+    ("1e-320", "the Pansu deviation"), ("5e-324", "the Pansu deviation"),
+    # f past the floats near the poles: the curve's profile pass warned of an overflow in add
+    ("1e308", "the profile height"),
+])
+def test_meridian_raises_its_typed_error_with_no_warning_first(sigma, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", "--sigma", sigma)
+    assert res.returncode == cli.EXIT_NUMERIC
+    assert res.stdout == ""
+    assert res.stderr == (f"numeric failure: {message} is not finite with eps = 1.0, "
+                          f"sigma = {float(sigma)!r}, R = 1.0\n")
 
 
 def test_isoperim_over_eps_and_R_from_1e_300_to_1e300_exits_cleanly():
@@ -975,6 +1020,50 @@ def test_verify_makes_each_per_point_pass_once(monkeypatch):
         assert res.returncode == 0, res.stderr
         assert {name: calls.count(name) for name in names} == {
             "_height": 2, "_shape": 2, "_frame_coefficients": 1, "_pieces": 6, "profile_height": 0}
+
+
+def test_verify_takes_one_principal_angle_a_sphere(monkeypatch):
+    """The principal directions check takes its angle from the corrected shape's alpha."""
+    from heisenberg_cmc import curvature
+
+    calls, angle = [], curvature.principal_angle
+    monkeypatch.setattr(curvature, "principal_angle",
+                        lambda H, tau: calls.append(H) or angle(H, tau))
+    for grid, spheres in (([], 1), (["--grid"], 27)):
+        calls.clear()
+        assert run_cli("verify", *grid, "--json", "-").returncode == 0
+        assert len(calls) == spheres
+
+
+# verify's default spec, five beside it and six at small eps or extreme R, which stress its checks
+FORMER_FAILURES = ["", "--epsilon 0.7", "--epsilon 0.3", "--sigma 4", "--R 0.5", "--sigma 0.25",
+                   "--epsilon 0.01", "--epsilon 1e-5", "--R 1e-200", "--epsilon 1e-40 --R 1e-200",
+                   "--epsilon 1e-160 --R 1e-160", "--epsilon 1e-80 --R 1e160"]
+
+
+def test_verify_at_former_failures_keeps_the_exit_contract():
+    """With warnings as errors, each spec exits 0 or 1 with a JSON report whose every measure is
+    finite, or 3 with one `numeric failure` line and no report.  Six pass every check, the two
+    at eps = 0.01 and 1e-5 fail the traceless, principal and Jacobi checks, and four exit 3."""
+    def not_finite(name):
+        raise AssertionError(f"the report holds {name}")
+
+    codes = []
+    for spec in FORMER_FAILURES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_cli("verify", *spec.split(), "--json", "-")
+        if res.returncode == cli.EXIT_NUMERIC:
+            assert res.stdout == ""
+            assert res.stderr.startswith("numeric failure: ") and res.stderr.count("\n") == 1
+        else:
+            assert res.returncode in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED), (spec, res.stderr)
+            assert res.stderr == ""
+            checks = json.loads(res.stdout, parse_constant=not_finite)["checks"]
+            assert all(math.isfinite(c["measured"]) for c in checks)
+            assert (res.returncode == cli.EXIT_OK) == all(c["passed"] for c in checks)
+        codes.append(res.returncode)
+    assert codes == [0] * 6 + [1] * 2 + [3] * 4
 
 
 def _scalar_foliation_rows(spec, delta):

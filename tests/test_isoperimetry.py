@@ -87,11 +87,12 @@ def test_scaled_area_converges_to_subriemannian_integral():
 def test_subriemannian_hemisphere_area_matches_quadrature(sigma, R):
     """The closed form pi^2 sigma R^3 / 2 against the quadrature of its density
     sigma r^2 sqrt(r^2 + R^2 cos^2 phi) on r = R sin(phi)."""
-    def density(phi):
+    def density(phi, _):
         r = R * np.sin(phi)
         return sigma * r * r * np.sqrt(r * r + (R * np.cos(phi)) ** 2)
 
-    oracle = 2.0 * math.pi * _quad(density, 0.0, 0.5 * math.pi, "sub-Riemannian area")
+    oracle = 2.0 * math.pi * _quad(density, np.array([0.0]), np.array([0.5 * math.pi]),
+                                   "sub-Riemannian area")[0]
     assert subriemannian_hemisphere_area(sigma, R) == pytest.approx(oracle, rel=1e-12)
 
 

@@ -766,6 +766,18 @@ def test_meridians_where_eps_R_underflows_raise_numerics_error():
                 sample()
 
 
+def test_meridian_curve_whose_profile_passes_the_floats_raises_numerics_error():
+    """f(r) overflows next to the poles at sigma = 1e308: the profile height's typed error, where
+    the curve's profile pass warned and returned inf heights."""
+    spec = SphereSpec(ModelParams(1.0, 1e308), 1.0)
+    start = Point(0.02, 0.0, profile_height(spec, 0.02))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"^the profile height is not finite with "
+                                                r"eps = 1\.0, sigma = 1e\+308, R = 1\.0$"):
+            meridian_curve(spec, start, 5e-4)
+
+
 def test_geodesic_residual_stencil_needs_6_samples():
     """A step of a quarter of the pole-to-pole length gives 5 samples, one short of the stencil."""
     spec = figure1_spec()
@@ -778,16 +790,16 @@ def test_geodesic_residual_stencil_needs_6_samples():
 @pytest.mark.parametrize("eps, sigma, R, frac", [(0.5, 0.5, 2.0, 0.02), (1e-5, 1.0, 1.0, 0.3),
                                                  (1.0, -2.0, 1e-3, 0.9), (2.0, 0.0, 1e3, 1.0)])
 def test_a_start_from_one_profile_pass_gives_meridian_curves_bits(eps, sigma, R, frac, capsys):
-    """`meridian` builds its start from one `_profile` pass, whose f/g also serves the chart, and
-    which is on the sphere by construction: the curve is meridian_curve's from the same start,
-    checked and charted anew, bit for bit.  meridian_curve still rejects a start off the sphere,
-    and the CLI a start radius fraction outside [0, 1]."""
+    """`meridian` builds its start as any caller does, from `profile_height`, which is one
+    `_profile` pass: with the checks' own step beside it, the curve is meridian_curve's from the
+    same start, bit for bit.  meridian_curve still rejects a start off the sphere, and the CLI a
+    start radius fraction outside [0, 1]."""
     spec = SphereSpec(ModelParams(eps, sigma), R)
     r0 = frac * R
     g, fos, _ = _profile(spec.params, r0, R)
-    start = Point(r0, 0.0, g * fos)
-    assert start.t == profile_height(spec, r0)
-    built = meridians._curves(spec, start, [1e-3 * R], fos)[0]
+    start = Point(r0, 0.0, profile_height(spec, r0))
+    assert start.t == g * fos
+    built = meridians._curves(spec, start, [1e-3 * R, math.pi * eps * R / 512])[0]
     checked = meridian_curve(spec, start, 1e-3 * R)
     for name in ("s", "points", "velocities"):
         assert np.array_equal(getattr(built, name), getattr(checked, name))

@@ -76,6 +76,9 @@ def closed_form_specs():
     return specs
 
 
+QUARTER = np.array([0.0]), np.array([0.5 * math.pi])  # phi's one interval, r = R sin(phi)
+
+
 def quad_area(spec):
     """The area integral: (1/eps) sqrt(eps^6 + f_r^2 + sigma^2 r^2) over the disk, by the
     package's quadrature.  The square-root rim singularity of f_r is removed exactly by
@@ -84,24 +87,24 @@ def quad_area(spec):
     e, s = spec.params.epsilon, spec.params.sigma
     R = spec.R
 
-    def integrand(phi):
+    def integrand(phi, _):
         r = R * np.sin(phi)
         w2 = 1.0 + (spec.params.tau * e * r) ** 2
         c2 = (R * np.cos(phi)) ** 2
         return r * np.sqrt(e**6 * c2 + e**6 * r * r * w2 + s * s * r * r * c2)
 
-    return (4.0 * math.pi / e) * _quad(integrand, 0.0, 0.5 * math.pi, "sphere area")
+    return (4.0 * math.pi / e) * _quad(integrand, *QUARTER, "sphere area")[0]
 
 
 def quad_volume(spec):
     """The volume integral 4 pi int_0^R f r dr at r = R sin(phi), by the package's quadrature."""
     R = spec.R
 
-    def integrand(phi):
+    def integrand(phi, _):
         r = R * np.sin(phi)
         return _f(spec.params, r, R) * r * R * np.cos(phi)
 
-    return 4.0 * math.pi * _quad(integrand, 0.0, 0.5 * math.pi, "sphere volume")
+    return 4.0 * math.pi * _quad(integrand, *QUARTER, "sphere volume")[0]
 
 
 def test_sphere_area_matches_closed_form():
@@ -169,24 +172,25 @@ def test_sphere_volume_matches_scipy_quad():
 
 
 def test_quad_halves_panels_across_a_kink():
-    assert _quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "kink") == pytest.approx(0.29, rel=1e-13)
+    kink = _quad(lambda x, _: np.abs(x - 0.3), np.zeros(1), np.ones(1), "kink")
+    assert kink == pytest.approx([0.29], rel=1e-13)
 
 
 @pytest.mark.parametrize("fun", [
-    lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)),  # integrable, but no panel size resolves it
-    lambda x: np.where(x > 0.3, np.nan, 1.0),
+    lambda x, _: 1.0 / np.sqrt(np.abs(x - 0.3)),  # integrable, but no panel size resolves it
+    lambda x, _: np.where(x > 0.3, np.nan, 1.0),
 ])
 def test_quad_raises_where_it_cannot_certify(fun):
     with pytest.raises(NumericsError):
-        _quad(fun, 0.0, 1.0, "test integrand")
+        _quad(fun, np.zeros(1), np.ones(1), "test integrand")
 
 
 # ------------------------------------------------------- batched quadrature
 
 
 def _single_interval_quad(fun, a, b, what):
-    """The one-interval quadrature before intervals were batched, kept as the
-    bitwise reference of the k = 1 path."""
+    """The one-interval quadrature of fun(x) on floats a and b before intervals were batched,
+    kept as the bitwise reference of a one-element batch."""
     x64, w64 = _gauss_legendre(64)
     x128, w128 = _gauss_legendre(128)
     nodes = np.concatenate((x64, x128))
@@ -233,8 +237,8 @@ def test_batched_quad_equals_the_single_interval_quad():
     a, b, one, batch = _family(30)
     got = _quad(batch, a, b, "family")
     for i in range(len(a)):
-        alone = _quad(one(i), a[i], b[i], "one")
-        scale = _quad(lambda x: np.abs(one(i)(x)), a[i], b[i], "scale")
+        alone = _single_interval_quad(one(i), a[i], b[i], "one")
+        scale = _single_interval_quad(lambda x: np.abs(one(i)(x)), a[i], b[i], "scale")
         assert abs(got[i] - alone) <= 1e-15 * scale
 
 
@@ -254,7 +258,7 @@ def test_a_kinked_interval_halves_alone():
     assert sum(map(len, seen)) == 2 + 33
     smooth = _quad(lambda x, row: np.exp(x) * np.sin(3.0 * x), a[[0, 2]], b[[0, 2]], "smooth")
     for i, j in ((0, 0), (2, 1)):
-        alone = _quad(lambda x: np.exp(x) * np.sin(3.0 * x), a[i], b[i], "alone")
+        alone = _single_interval_quad(lambda x: np.exp(x) * np.sin(3.0 * x), a[i], b[i], "alone")
         assert abs(got[i] - smooth[j]) <= 1e-15 * abs(alone)
         assert abs(got[i] - alone) <= 1e-15 * abs(alone)
 
@@ -287,11 +291,11 @@ def test_no_intervals_give_no_integrals():
 def test_one_interval_is_bit_identical_to_the_single_interval_quad(monkeypatch, eps, sigma, R):
     spec = SphereSpec(ModelParams(eps, sigma), R)
     area, volume = quad_area(spec), quad_volume(spec)
-    kink = _quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "kink")
-    batched = _quad(lambda x, row: np.abs(x - 0.3), np.array([0.0]), np.array([1.0]), "kink")
-    monkeypatch.setitem(globals(), "_quad", _single_interval_quad)
+    kink = _quad(lambda x, row: np.abs(x - 0.3), np.array([0.0]), np.array([1.0]), "kink")
+    monkeypatch.setitem(globals(), "_quad", lambda fun, a, b, what: [
+        _single_interval_quad(lambda x: fun(x, None), a[0], b[0], what)])
     assert area == quad_area(spec) and volume == quad_volume(spec)
-    assert kink == batched[0] == _single_interval_quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "k")
+    assert kink[0] == _single_interval_quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, "k")
 
 
 @pytest.mark.parametrize("eps,sigma,R,frac", [
