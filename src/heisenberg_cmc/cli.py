@@ -296,9 +296,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run("curvature_identity", identity, 1e-10)
     run("calibration_bounds", _check_calibration(spheres), 1e-12)
     # L g in closed form on the meridian chart, so the residual is rounding.  One spec runs
-    # every formula of it, so the grid's 27 are not swept; 'y' is -i times the 'x' mode and
-    # has the same maximum.  Both modes come from one potential, the 'x' maximum first
-    t_max, x_max = _jacobi_maxima(_spec_from(args), n=400)
+    # every formula of it, so the grid's 27 are not swept: the stack's middle member, (1, 1, 1)
+    # on the grid; 'y' is -i times the 'x' mode and has the same maximum.  Both modes come from
+    # one potential, the 'x' maximum first
+    t_max, x_max = _jacobi_maxima(specs[len(specs) // 2], n=400)
     run("jacobi_residual", max(x_max, t_max), 1e-3)
 
     report = {

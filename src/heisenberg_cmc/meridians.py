@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._numerics import _MAX_SAMPLES, _divide, _require_finite
+from ._numerics import _MAX_SAMPLES, _divide, _require_finite, _unit
 from .ambient import ModelParams, Point, TangentVector, _Record, christoffel_frame
 from .errors import DomainError, NumericsError
 from .sphere import (
@@ -80,12 +80,13 @@ def _require_off_axis(point: Point) -> None:
 
 def _meridian(params: ModelParams, x, y, r, t, R, g, m):
     """M's frame coefficients (x lam - y mu, y lam + x mu, -nu) at points (x, y, t) of radius r on
-    the leaf R, g, m(r), broadcasting; c = r/(R m) = mu/sigma = nu/eps^3 is finite at sigma = 0."""
+    the leaf R, g, m(r), broadcasting; c = r/(R m) = mu/sigma = nu/eps^3 is finite at sigma = 0.
+    lam = g/(r R) takes r R, which overflows at R = 1e155, in units of R (`_unit`)."""
     # one point is signed on Python floats, as `_normal_components` signs it, so that g/(r R)
     # overflows without a warning (a float64 warns) and the caller's typed error comes first
     sg = np.sign(t) if isinstance(t, np.ndarray) else 1.0 if t > 0.0 else -1.0 if t < 0.0 else t - t
-    e, c = params.epsilon, r / (R * m)
-    lam, mu = _divide(sg * g, r * R), params.sigma * c
+    e, c, u = params.epsilon, r / (R * m), _unit(R)
+    lam, mu = _divide(sg * (g / u), (r / u) * (R / u)) / u, params.sigma * c
     return x * lam - y * mu, y * lam + x * mu, -(e * e * e * c)
 
 
@@ -97,9 +98,10 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     """
     _require_off_axis(point)
     R, g, m = _leaf(params, point.r, point.t)
-    # m(r) or R m(r) below the normal floats (eps^3 subnormal at sigma = 0) has lost its digits
-    v = (_meridian(params, point.x, point.y, point.r, point.t, R, g, m) if min(m, R * m) >= _TINY
-         else (math.nan,) * 3)
+    # m(r) or R m(r) below the normal floats (eps^3 subnormal at sigma = 0) has lost its digits,
+    # and an r R that underflows to 0 raises, as a curve's does
+    v = (_meridian(params, point.x, point.y, point.r, point.t, R, g, m)
+         if min(m, R * m) >= _TINY and point.r * R else (math.nan,) * 3)
     return TangentVector.from_array(_require_finite(v, params, "the meridian field at {}", point))
 
 
@@ -126,10 +128,13 @@ def _check_meridian_input(spec: SphereSpec, start: Point, lengths) -> None:
 def _curve(params: ModelParams, R: float, points: np.ndarray, r, g, m, step) -> MeridianCurve:
     """The curve through `points` (n, 3) at radii r, with g and m(r) there, `step` apart: velocities
     are the meridian field there, and one exact south-pole sample is appended one step after the
-    last.  NumericsError where m(r), R m(r) or r R is below the normal floats: the field's g/(r R)
-    has lost its digits, as has the residual's R/r^2 at r >= 0.1 R once a sample nears a pole."""
+    last.  NumericsError where m(r), R m(r) or r R is below the normal floats (m(r) and R m(r)
+    have lost their digits there); an r R past the largest float passes, as the field and the
+    residual take r R and r^2 in units of R."""
     x, y, t = points.T
-    if not np.all(np.minimum(np.minimum(m, R * m), r * R) >= _TINY):
+    with np.errstate(over="ignore"):
+        tiny = not np.all(np.minimum(np.minimum(m, R * m), r * R) >= _TINY)
+    if tiny:
         _require_finite(math.nan, params, "the meridian field", R=R)
     vels = np.column_stack(_meridian(params, x, y, r, t, R, g, m))
     points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
@@ -281,7 +286,8 @@ def _geodesic_residual(spec: SphereSpec, points: np.ndarray, velocities: np.ndar
                        r: np.ndarray) -> np.ndarray:
     """eps R (nabla_M M + (H / w^2) N) in closed form at (k, 3) sphere points off the axis, of radii
     r, where the meridian field is `velocities` (k, 3); the stencil `meridian_geodesic_residual` is
-    its oracle.  In phi (r = R sin phi): r' = sgn(t) g, theta' = sigma r/m, lam' = -R/r^2, and
+    its oracle.  In phi (r = R sin phi): r' = sgn(t) g, theta' = sigma r/m, lam' = -R/r^2 (r^2 in
+    units of R, `_unit`, as it overflows at R = 1e155), and
     c = r/(R m) = mu/sigma = nu/eps^3 has c' = (eps^3/m)^2 r'/(R m).  eps R Gamma(v, v) =
     2 theta' (v_Y, -v_X, 0) and eps R H/w^2 = (eps^3/m)^2, so the residual is, with each term in
     (eps^3, sigma) and of size 1 off the poles, (r'/r) (v_X, v_Y, 0) + theta' (v_Y, -v_X, 0) +
@@ -289,9 +295,10 @@ def _geodesic_residual(spec: SphereSpec, points: np.ndarray, velocities: np.ndar
     """
     params, R, e = spec.params, spec.R, spec.params.epsilon
     x, y, t = points.T
-    g, m = _gap(r, R), _mass(params, r)
+    g, m, u = _gap(r, R), _mass(params, r), _unit(R)
     k2, dr = (e * e * e / m) ** 2, np.sign(t) * g
-    a, dtheta, dlam, dc = dr / r, params.sigma * r / m, -R / (r * r), k2 * dr / (R * m)
+    a, dtheta, dc = dr / r, params.sigma * r / m, k2 * dr / (R * m)
+    dlam = -(R / u) / ((r / u) * (r / u)) / u
     vx, vy, dmu = velocities[:, 0], velocities[:, 1], params.sigma * dc
     dv = np.column_stack((a * vx + dtheta * vy + x * dlam - y * dmu,
                           a * vy - dtheta * vx + y * dlam + x * dmu, -e * e * e * dc))
@@ -337,7 +344,8 @@ def _pansu_field(sigma: float, x, y, t, r) -> np.ndarray:
     if np.any(r == 0.0):
         raise DomainError("operation undefined on the center axis z = 0")
     R, g = _pansu_leaf(sigma, r, t)
-    lam = np.sign(t) * g / (r * R)
+    u = _unit(R)  # r R in units of R, as in `_meridian`
+    lam = np.sign(t) * (g / u) / ((r / u) * (R / u)) / u
     mu = 1.0 / R
     return np.stack([x * lam - y * mu, y * lam + x * mu, np.zeros_like(lam)], axis=-1)
 

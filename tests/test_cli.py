@@ -150,6 +150,19 @@ def test_verify_perturbation_that_is_not_finite_is_bad_input(tmp_path, value):
         assert res.stderr == f"error: perturb_h must be a finite number, got {value}\n"
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_verify_grid_does_not_apply_the_one_sphere_options(tmp_path, via_config):
+    """`--epsilon`, `--sigma` and `--R` do not apply under `--grid`: its Jacobi check ran on the
+    sphere they gave, (0.01, 1, 1), which the grid does not list, and failed at 12.0 with exit 1.
+    It runs on the stack's middle member, (1, 1, 1), so the report is the plain grid's."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = 0.01\n")
+    given = ["--config", str(cfg)] if via_config else ["--epsilon", "0.01"]
+    res = run_cli("verify", "--grid", *given, "--seed", "7", "--json", "-")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == run_cli("verify", "--grid", "--seed", "7", "--json", "-").stdout
+
+
 @pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["one sphere", "grid"])
 def test_verify_perturbation_whose_square_overflows_fails_the_check(grid):
     """A finite --perturb-h past about 1.3e154 squares past the floats in the trace-free norm:
@@ -563,6 +576,24 @@ def test_meridian_on_a_tiny_sphere_whose_r_R_is_normal_runs_under_warnings_as_er
     summary = json.loads(res.stdout)
     assert summary["max_leaf_drift"] <= 1e-12 * float(R)
     assert 0.0 <= summary["geodesic_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", ["0", "1e-300"])
+@pytest.mark.parametrize("R", ["1.4e154", "1e200", "1e300"])
+def test_meridian_where_r_R_passes_the_largest_float_runs_under_warnings_as_errors(
+        tmp_path, sigma, R):
+    """Where r R overflows, the field's lam = g/(r R) rounded to 0 and the residual's R/r^2 to -0:
+    `geodesic_residual` read 9.65 at R = 1e155 and 0.99999 from R = 1e160, after three overflow
+    warnings.  Both take r R and r^2 in units of R, so the residual stays at rounding."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("meridian", f"--sigma={sigma}", "--R", R, "--out-prefix", str(tmp_path / "m"))
+    assert res.returncode == 0, res.stderr
+    summary = json.loads(res.stdout)
+    assert all(math.isfinite(v) for v in summary.values() if isinstance(v, float))
+    assert 0.0 <= summary["geodesic_residual"] <= 1e-12
+    curve = json.loads((tmp_path / "m.json").read_text())
+    assert np.isfinite(curve["points"]).all() and np.isfinite(curve["velocities"]).all()
 
 
 @pytest.mark.parametrize("argv", [[], ["--figure1"], ["--epsilon", "0.02"],

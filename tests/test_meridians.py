@@ -700,6 +700,19 @@ def test_meridian_field_where_r_R_leaves_the_floats_raises_only_its_typed_error(
             meridian_field(params, point)
 
 
+@pytest.mark.parametrize("R", [1e-160, 1e200, 1e300])
+def test_meridian_field_where_r_R_leaves_the_normal_floats_is_scale_free_at_sigma_0(R):
+    """At sigma = 0 the field at r = R/2 is (sqrt(3)/2, 0, -1/2) at every R.  Where r R passed the
+    largest float, lam = g/(r R) rounded to 0 and the field read (0, 0, -1/2) with no error; where
+    r R was subnormal (R = 1e-160) it read 0.866035.  It takes r R in units of R."""
+    params = ModelParams(1.0, 0.0)
+    point = Point(0.5 * R, 0.0, float(profile_height(SphereSpec(params, R), 0.5 * R)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = meridian_field(params, point).as_array()
+    assert np.allclose(v, [math.sqrt(0.75), 0.0, -0.5], rtol=0.0, atol=4e-16)
+
+
 @pytest.mark.parametrize("spec, frac", SUBNORMAL_FLAT)
 def test_meridian_curve_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error(spec, frac):
     """The curve's velocities are the meridian field's closed form, so they keep its rule: where
