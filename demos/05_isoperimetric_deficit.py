@@ -33,7 +33,7 @@ comp = make_competitor(spec, cyl, np.random.default_rng(3), amplitude=0.03)
 rep = deficit_report(comp)
 mc = symdiff_monte_carlo(comp)
 print(f"\nMonte-Carlo check of one symmetric difference: "
-      f"{mc:.6e} vs quadrature {rep.symdiff:.6e}")
+      f"{mc:.6e} vs closed form {rep.symdiff:.6e}")
 
 gain, chain = calibration_gain(comp)
 print(f"calibration chain: excess {rep.deficit:.6e} >= (2/eps R) * gain = {chain:.6e} "

@@ -142,11 +142,12 @@ def _quad(fun, a, b, what: str):
 
     `a` and `b` are 1-d arrays of k intervals, and the result is the k integrals.  `fun(x, owner)`
     gets the node block x, one row of 64 + 128 nodes per panel, and the index of each row's
-    interval.  Each interval is integrated as if alone.  A panel passes when its 128- and 64-node
-    values differ by at most _QUAD_RTOL * S times its share of its interval, S the 128-node
-    integral of |fun| over the whole interval; a panel that fails is halved.  Smooth integrands
-    pass on [a, b] itself.  NumericsError when the integrand or S is not finite or an interval
-    spends more than _QUAD_MAX_PANELS panels.
+    interval.  A panel passes when its 128- and 64-node values differ by at most _QUAD_RTOL * S
+    times its share of its interval, S the 128-node integral of |fun| over the whole interval; a
+    panel that fails is halved.  Smooth integrands pass on [a, b] itself.  The node sums are BLAS
+    row products (`@`), whose last bit can depend on how many rows share a pass, so an integral
+    equals its value alone to rounding, not bit for bit.  NumericsError when the integrand or S is
+    not finite or an interval spends more than _QUAD_MAX_PANELS panels.
     """
     x64, w64 = _gauss_legendre(64)
     x128, w128 = _gauss_legendre(128)

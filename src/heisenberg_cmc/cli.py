@@ -420,7 +420,8 @@ def cmd_isoperim(args: argparse.Namespace) -> int:
     defs = [rep.deficit for rep in reports[n:]]
     if not all(0.0 < d < math.inf for d in defs):  # the excess is lost to rounding at large eps
         raise NumericsError(f"a fit deficit is not positive and finite at eps = {args.epsilon!r}")
-    exponent = float(np.polyfit(np.log(scales), np.log(defs), 1)[0])
+    x = np.log(scales) - np.mean(np.log(scales))  # the least-squares slope through the centred x
+    exponent = float(np.sum(x * np.log(defs)) / np.sum(x * x))
 
     if args.out_prefix:
         _write_csv(args.out_prefix + ".csv", ["index", "symdiff", "deficit", "bound", "slack"],

@@ -87,6 +87,9 @@ def _bump(r, center, width):
     return np.where(inside, np.exp(1.0 - 1.0 / q), 0.0), s, q
 
 
+_MASS = 1.2069003224378763  # the bump's integral over -1 < s < 1: c w _MASS is its radial mass
+
+
 def _bump_slope(val, s, q, width):
     """d/dr of the bump from the parts `_bump` returns."""
     return val * (-2.0 * s / (q * q)) / width
@@ -128,18 +131,22 @@ class Competitor(_Record):
                           self.sub, factor * self.amp_sub)
 
 
-def _over_bumps(comps: list[Competitor], integrand, what: str) -> np.ndarray:
-    """Per-competitor sums of the integrals of `integrand(r, amp, bump, width)`
-    over the two bump supports, for a whole suite in one batched quadrature.
+def _bumps(comps: list[Competitor]) -> np.ndarray:
+    """A suite's bumps as rows (3, 2n) of centres, widths and signed amplitudes, added first."""
+    rows = [(c.add.center, c.sub.center, c.add.width, c.sub.width, c.amp_add, -c.amp_sub)
+            for c in comps]
+    return np.array(rows).reshape(-1, 3, 2).transpose(1, 0, 2).reshape(3, -1)
 
-    The supports are stacked, the added then the removed bump of each
-    competitor; `bump` is `_bump` of the node row's own bump, `width` its
-    width and `amp` its signed amplitude.  The bumps of a competitor are
-    disjoint, so on each support the height change is amp * bump[0].
+
+def _over_bumps(bumps: np.ndarray, integrand, what: str) -> np.ndarray:
+    """Per-competitor sums of the integrals of `integrand(r, amp, bump, width)` over the two
+    supports of `_bumps`, for a whole suite in one batched quadrature.
+
+    `bump` is `_bump` of the node row's own bump, `width` its width and `amp`
+    its signed amplitude.  The bumps of a competitor are disjoint, so on each
+    support the height change is amp * bump[0].
     """
-    center = np.array([(c.add.center, c.sub.center) for c in comps]).ravel()
-    width = np.array([(c.add.width, c.sub.width) for c in comps]).ravel()
-    amp = np.array([(c.amp_add, -c.amp_sub) for c in comps]).ravel()
+    center, width, amp = bumps
 
     def fun(x, row):
         w = width[row, None]
@@ -190,9 +197,8 @@ def make_competitors(
         amp_add = u[:, 5] * np.maximum(head, 0.1 * spec.R)
     else:
         amp_add = np.full(n, float(amplitude))
-    # a bump's radial mass is centre * width * (the integral of the bump over
-    # -1 < s < 1), since the bump is even in s, so the masses need no quadrature; in units of
-    # _unit(r_cut) (exact) they neither overflow at R = 1e200 nor vanish at R = 1e-200
+    # a bump's radial mass is centre * width * _MASS, as the bump is even in s; in units of
+    # _unit(r_cut) (exact) the masses neither overflow at R = 1e200 nor vanish at R = 1e-200
     amp_sub = amp_add * ((c1 / (v := _unit(rc))) * (w1 / v)) / ((c2 / v) * (w2 / v))
     if (over := amp_sub > head - 0.1 * head).any():
         i = over.argmax()  # the first
@@ -204,7 +210,7 @@ def make_competitors(
     rows = zip(c1.tolist(), w1.tolist(), amp_add.tolist(), c2.tolist(), w2.tolist(), amp_sub.tolist())
     comps = [Competitor(spec, cyl, RadialBump(ca, wa), aa, RadialBump(cs, ws), a_s)
              for ca, wa, aa, cs, ws, a_s in rows]
-    dv = 2.0 * math.pi * _over_bumps(comps, lambda r, amp, bump, w: amp * bump[0] * r,
+    dv = 2.0 * math.pi * _over_bumps(_bumps(comps), lambda r, amp, bump, w: amp * bump[0] * r,
                                      "volume change")
     if (lost := np.abs(dv) > 1e-10 * sphere_volume(spec)).any():
         raise NumericsError(f"volume compensation failed: residual {dv[lost.argmax()]:.3e}")
@@ -234,8 +240,8 @@ def deficit_reports(comps) -> list[DeficitReport]:
     The area excess is the area difference of the perturbed and unperturbed
     upper graphs, written as a stabilized difference of the two integrands
     so that it stays accurate for tiny amplitudes (quadratic in the
-    amplitude).  Each quantity is one batched quadrature over the stacked
-    bump supports of the suite.
+    amplitude), by one batched quadrature over the stacked bump supports of the suite.  The
+    symmetric difference is closed-form, 2 pi _MASS |amp| c w summed over the disjoint bumps.
     """
     comps = list(comps)
     if not comps:
@@ -255,10 +261,10 @@ def deficit_reports(comps) -> list[DeficitReport]:
         num = 2.0 * fr * dfr + dfr * dfr
         return num / (np.sqrt(wt2) + np.sqrt(w2)) * r
 
+    center, width, amp = bumps = _bumps(comps)
     with np.errstate(over="ignore"):  # past the floats at eps = 1e-300, where sphere_area raises
-        excess = (2.0 * math.pi / e) * _over_bumps(comps, excess_integrand, "area excess")
-    symdiff = 2.0 * math.pi * _over_bumps(
-        comps, lambda r, amp, bump, width: np.abs(amp * bump[0]) * r, "symmetric difference")
+        excess = (2.0 * math.pi / e) * _over_bumps(bumps, excess_integrand, "area excess")
+    symdiff = (2.0 * math.pi * _MASS) * (np.abs(amp) * center * width).reshape(-1, 2).sum(axis=1)
     consts = foliation_constants(spec)
     a_r = sphere_area(spec)
     reports = []
@@ -279,7 +285,7 @@ def deficit_report(comp: Competitor) -> DeficitReport:
 
 def symdiff_monte_carlo(comp: Competitor, n: int = 1_000_000, seed: int = 20240501) -> float:
     """Monte-Carlo volume of the symmetric difference, the oracle for the
-    quadrature value: rejection sampling in the bounding box of the
+    closed-form value: rejection sampling in the bounding box of the
     perturbed region."""
     params = comp.spec.params
     R = comp.spec.R

@@ -128,13 +128,10 @@ def _check_meridian_input(spec: SphereSpec, start: Point, lengths) -> None:
 def _curve(params: ModelParams, R: float, points: np.ndarray, r, g, m, step) -> MeridianCurve:
     """The curve through `points` (n, 3) at radii r, with g and m(r) there, `step` apart: velocities
     are the meridian field there, and one exact south-pole sample is appended one step after the
-    last.  NumericsError where m(r), R m(r) or r R is below the normal floats (m(r) and R m(r)
-    have lost their digits there); an r R past the largest float passes, as the field and the
-    residual take r R and r^2 in units of R."""
+    last.  NumericsError where m(r) or R m(r) is below the normal floats, which have lost their
+    digits there; r R may leave the floats, as the field and the residual take it in units of R."""
     x, y, t = points.T
-    with np.errstate(over="ignore"):
-        tiny = not np.all(np.minimum(np.minimum(m, R * m), r * R) >= _TINY)
-    if tiny:
+    if not np.all(np.minimum(m, R * m) >= _TINY):
         _require_finite(math.nan, params, "the meridian field", R=R)
     vels = np.column_stack(_meridian(params, x, y, r, t, R, g, m))
     points = np.vstack([points, [0.0, 0.0, -float(_f(params, 0.0, R))]])
@@ -157,7 +154,7 @@ def _curves(spec: SphereSpec, start: Point, steps) -> list[MeridianCurve]:
     params, R = spec.params, spec.R
     _check_meridian_input(spec, start, [("step", step) for step in steps])
     m0 = _mass(params, start.r)
-    if min(m0, R * m0, start.r * R) < _TINY:  # `_curve`'s rule, before the chart divides by fos
+    if min(m0, R * m0) < _TINY:  # `_curve`'s rule, before the chart divides by fos
         _require_finite(math.nan, params, "the meridian field", R=R)
     phi0 = _chart(params, R, start.r, start.t)[0]
     grids = []
@@ -210,7 +207,7 @@ def _rk4_velocity(params: ModelParams, R: float, q: np.ndarray) -> np.ndarray:
     x, y, t = q.tolist()
     r = abs(complex(x, y))
     g, m, _ = _pieces(params, r, R)
-    if min(m, R * m, r * R) < _TINY:  # `_curve`'s rule, before any step; NaN is the step guard's
+    if min(m, R * m) < _TINY:  # `_curve`'s rule, before any step; NaN is the step guard's
         _require_finite(math.nan, params, "the meridian field", R=R)
     m_x, m_y, _ = _meridian(params, x, y, r, t, R, g, m)
     e = params.epsilon

@@ -11,8 +11,9 @@ of two source trees, diffed, show each call whose bytes differ:
     PYTHONPATH=src python tests/parity.py > head.txt
     diff base.txt head.txt
 
-The corpus is the runs whose hashes CI reports, `verify --grid` at seeds 0 to 9 and `verify` on
-a 175-sphere stress grid.  Not a test module: `tests/test_cli.py` runs it.
+The corpus is the runs whose hashes CI reports, `verify --grid` at seeds 0 to 9, `verify` on
+a 175-sphere stress grid and `isoperim` on a 121-spec grid of eps and R.  Not a test module:
+`tests/test_parity.py` runs it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import pathlib
 import tempfile
 
 from heisenberg_cmc import cli
+
+_DECADES = ("1e-300", "1e-200", "1e-160", "1e-100", "1e-20", "1", "1e20", "1e100", "1e150",
+            "1e200", "1e300")
 
 # fixed seeds and specs, so a change of any byte shows as a changed hash between runs
 CORPUS = [
@@ -45,6 +49,10 @@ CORPUS = [
       for e in ("1e-6", "1e-3", "0.01", "0.1", "1", "10", "1e3")
       for s in ("-4", "0", "0.25", "1", "4")
       for R in ("1e-3", "0.1", "1", "10", "1e3")),
+    # isoperim over eps and R in 11 decades each, its error paths (exit 1, 2 and 3)
+    *(["isoperim", "--epsilon", e, "--sigma", "1", "--R", R, "--delta", repr(0.3 * float(R)),
+       "--n", "2"]
+      for e in _DECADES for R in _DECADES),
 ]
 
 

@@ -184,6 +184,38 @@ def test_deficit_scales_quadratically(spec, cyl):
     assert abs(exponent - 2.0) <= 0.1
 
 
+# the four specs (eps, sigma, R, delta / R) of the benchmark's isoperim workload
+WORKLOAD_SPECS = [(1.0, 1.0, 1.0, 0.0), (0.7, 1.5, 1.5, 0.3), (1.5, 0.5, 0.8, 0.0),
+                  (1.2, 2.5, 0.6, 0.3)]
+
+
+def test_bump_mass_is_the_bump_integral_to_50_digits():
+    """_MASS is the integral of exp(1 - 1/(1 - s^2)) over -1 < s < 1, correctly rounded."""
+    with mpmath.workdps(50):
+        mass = mpmath.quad(lambda s: mpmath.exp(1 - 1 / (1 - s * s)), [-1, 0, 1])
+    assert isoperimetry._MASS == float(mass)
+
+
+@pytest.mark.parametrize("eps,sigma,R,frac", WORKLOAD_SPECS)
+def test_closed_form_symdiff_matches_50_digits_and_the_quadrature(eps, sigma, R, frac):
+    """On 50 competitors a spec, the closed-form symmetric difference 2 pi _MASS (|a| c w summed
+    over the two bumps) is within 2 ulp of its 50-digit value from the same floats, and within
+    1e-13 of the batched quadrature of |height change| r that it replaced."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    comps = make_competitors(spec, CylinderSpec(spec, frac * R), np.random.default_rng(50), 50)
+    got = [rep.symdiff for rep in deficit_reports(comps)]
+    with mpmath.workdps(50):
+        mass = mpmath.quad(lambda s: mpmath.exp(1 - 1 / (1 - s * s)), [-1, 0, 1])
+        for sd, c in zip(got, comps):
+            want = 2 * mpmath.pi * mass * sum(abs(mpmath.mpf(a)) * mpmath.mpf(b.center) * b.width
+                                              for a, b in ((c.amp_add, c.add), (c.amp_sub, c.sub)))
+            assert abs(sd - want) <= 2 * math.ulp(float(want))
+    oracle = 2.0 * math.pi * isoperimetry._over_bumps(
+        isoperimetry._bumps(comps), lambda r, amp, bump, width: np.abs(amp * bump[0]) * r,
+        "symmetric difference")
+    assert np.all(np.abs(np.array(got) - oracle) <= 1e-13 * oracle)
+
+
 # ------------------------------------------------------- competitor suites
 
 SUITE_SPECS = [(1.0, 1.0, 1.0, 0.3), (1.0, 1.0, 1.0, 0.0), (0.7, 1.5, 1.5, 0.45),
@@ -235,6 +267,17 @@ def test_suite_reports_equal_single_reports(eps, sigma, R, delta, n):
         for field in ("area_sphere", "area_competitor", "symdiff", "deficit", "bound", "slack"):
             g, w = getattr(got, field), getattr(want, field)
             assert abs(g - w) <= 1e-13 * abs(w), field
+
+
+@pytest.mark.parametrize("eps,sigma,R,delta", SUITE_SPECS)
+def test_single_report_symdiff_is_its_suite_row_bit_for_bit(eps, sigma, R, delta):
+    """The closed form takes no batched sum, so one competitor's symmetric difference has the
+    bits of its row in a suite (the quadrature's differed in the last bit)."""
+    spec = SphereSpec(ModelParams(eps, sigma), R)
+    comps = make_competitors(spec, CylinderSpec(spec, delta), np.random.default_rng(5), 40)
+    comps += [comps[0].scaled(s) for s in (1e-2, 1e-3)]
+    assert [rep.symdiff for rep in deficit_reports(comps)] == [
+        deficit_report(c).symdiff for c in comps]
 
 
 def test_suite_rejects_an_oversized_amplitude_with_the_single_message(spec, cyl):
