@@ -73,6 +73,14 @@ def _pow(x: float, k: int) -> float:
         return math.inf
 
 
+def _ldexp(x: float, n: int) -> float:
+    """x 2^n of a Python float, +-inf where it overflows (math.ldexp raises OverflowError there)."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _power(x, k: int, params, what: str, R=None):
     """x**k of a float, or sphere by sphere on a stack (`_each`), through `_require_finite`."""
     return _require_finite(_each(lambda v: _pow(v, k), x), params, what, R=R)
@@ -172,7 +180,7 @@ def _quad(fun, a, b, what: str):
             raise NumericsError(f"integrand for {what} is not finite")
         if not np.all(np.isfinite(scale)):  # the integral of |f|, at least that of f
             raise NumericsError(f"integral for {what} is not finite")
-        ok = np.abs(fine - coarse) <= _QUAD_RTOL * scale[owner] * (hi - lo) / length[owner]
+        ok = np.abs(fine - coarse) <= _QUAD_RTOL * scale[owner] * ((hi - lo) / length[owner])
         total += np.bincount(owner[ok], weights=fine[ok], minlength=k)
         if ok.all():
             break

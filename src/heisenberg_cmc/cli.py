@@ -3,11 +3,11 @@
 Subcommands expose the library with reproducible CSV/JSON/OBJ outputs:
 
     sphere    profile table, area/volume, limit-profile comparison
-    verify    invariant suite with a machine-readable pass/fail report; the
-              curvature checks run once over a `sphere._Stack` of the spheres (27
-              with --grid), the three sampled ones on one draw sequence and one profile,
-              shape and frame pass (`_check_curvature`), the calibration check
-              (`foliation._check_calibration`) by a bound on each depth group, 27 cylinders a call
+    verify    invariant suite with a machine-readable pass/fail report: one table of checks
+              (`_CHECKS`, a name and a bound each) fed in turn by `curvature._check_cmc`,
+              `_check_curvature` (three sampled checks on one draw sequence) and
+              `foliation._check_calibration` over a `sphere._Stack` of the spheres (27 with
+              --grid), then `isoperimetry._jacobi_maxima` on the stack's middle sphere
     meridian  sample a pole-to-pole geodesic and its check curve in one closed-form pass,
               export polyline
     isoperim  random volume-preserving competitor suite
@@ -34,26 +34,11 @@ import sys
 
 import numpy as np
 
-from ._numerics import _MAX_SAMPLES, _each, _require_finite, _unit
-from .ambient import ModelParams, Point, _curvature_operator
+from ._numerics import _MAX_SAMPLES, _require_finite
+from .ambient import ModelParams, Point
 from .errors import ContractError, DomainError, NumericsError
-from .sphere import (
-    SphereSpec,
-    _f,
-    _height,
-    _normal_components,
-    _pieces,
-    _radius_of,
-    _Stack,
-    euclidean_profile,
-    graph_mean_curvature_fd,
-    pansu_profile,
-    profile_height,
-    profile_height_R,
-    profile_height_r,
-    sphere_area,
-    sphere_volume,
-)
+from .sphere import (SphereSpec, _radius_of, _Stack, euclidean_profile, pansu_profile,
+                     profile_height, profile_height_R, profile_height_r, sphere_area, sphere_volume)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -205,61 +190,16 @@ def cmd_sphere(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 
-def _check_cmc(spheres, rng: np.random.Generator, n: int = 30) -> float:
-    rs = rng.uniform(0.05, 0.9, size=np.shape(spheres.R)[:1] + (n,)) * spheres.R
-    h_fd = graph_mean_curvature_fd(  # the stencil stays inside (0, R): no domain check
-        spheres.params, lambda x: _f(spheres.params, x.reshape((16,) + rs.shape), spheres.R),
-        rs, 1e-3 * spheres.R)
-    return float(np.max(np.abs(h_fd - spheres.H) / spheres.H))
-
-
-def _check_curvature(spheres, rng: np.random.Generator, perturb: float, n: int = 40):
-    """The traceless_correction, principal_directions and curvature_identity measures, each over n
-    points a sphere.  Each check draws its points' uniforms (k, n, 3), then (k, n, 3), then
-    (k, n, 5), as one point at a time would draw them: the radius fraction, the angle, the
-    hemisphere, then the identity's psi and scale^2.  One `_height` pass serves the first and third
-    checks' points, one `_shape` pass the first two's radii and one `_frame_coefficients` pass the
-    first and third's, each sliced back to its check; a ufunc gives an element the same bits
-    wherever it sits, so each measure is that of its own pass."""
-    from .curvature import _frame_coefficients, _frame_vectors, _shape, assemble_corrected_shape
-
-    params, R, tau = spheres.params, spheres.R, spheres.params.tau
-    lows, highs = zip((0.02, 0.98), (0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, 2.0 * math.pi),
-                      (0.5, 2.0))
-    size = np.shape(R)[:1] + (n,)  # k of a stack's (k, 1) columns
-    uk, up, ui = (rng.uniform(lows[:j], highs[:j], size=size + (j,)) for j in (3, 3, 5))
-    # principal, k0, identity radii: the shape pass takes the first 2n, height and frame the last 2n
-    r = np.concatenate((up[..., 0], uk[..., 0], ui[..., 0]), axis=-1) * R
-    side = np.concatenate((uk[..., 2], ui[..., 2]), axis=-1)
-    t = np.where(side < 0.5, 1.0, -1.0) * _height(spheres, r[..., n:])  # r lies in [0, R]
-    h, kappa1, kappa2 = _shape(spheres, r[..., :2 * n])
-    a, b, c, p = _frame_coefficients(spheres, r[..., n:], t)
-    hk = h[..., n:, :, :]
-    hk[..., 0, 0] += perturb
-    shape = assemble_corrected_shape(spheres.H, tau, hk, c[..., :n])
-    k0, beta = shape.k0_norm, shape.alpha
-    cs, sn = _each(math.cos, beta), _each(math.sin, beta)
-    k = np.stack((np.stack((cs, -sn), axis=-1), np.stack((sn, cs), axis=-1)), axis=-2)
-    # column j of k is the j-th principal direction
-    kappa = np.stack((kappa1[..., :n], kappa2[..., :n]), axis=-1)[..., None, :]
-    principal = np.abs(h[..., :n, :, :] @ k - k * kappa)
-    ri, ti = r[..., 2 * n:], t[..., n:]
-    x, y, psi, scale2 = ri * np.cos(ui[..., 1]), ri * np.sin(ui[..., 1]), ui[..., 3], ui[..., 4]
-    x1, x2 = _frame_vectors(x, y, a[..., n:], b[..., n:], c[..., n:], p[..., n:])
-    nvec = _normal_components(params, x, y, ti, R, *_pieces(params, ri, R)[:2])
-    scale, cs, sn = np.sqrt(scale2)[..., None], np.cos(psi)[..., None], np.sin(psi)[..., None]
-    v1 = scale * (cs * x1 + sn * x2)
-    v2 = scale * (-sn * x1 + cs * x2)
-    energy = scale[..., 0] * scale[..., 0]
-    # R(u, v)w is quadratic in tau: tau in units of a power of four keeps tau^2 finite, bit for bit
-    tau = tau / (w := _unit(np.maximum(np.abs(tau), 1.0)))
-    lhs = np.sum(_curvature_operator(_Stack(tau=tau), v2, v1, nvec) * v2, axis=-1)
-    rhs = 4.0 * tau * tau * energy * v1[..., 2] * nvec[..., 2]
-    den = np.maximum(np.abs(rhs), 0.01 * (1.0 / w / w + tau * tau) * energy)
-    return float(np.max(k0)), float(np.max(principal)), float(np.max(np.abs(lhs - rhs) / den))
+# verify's checks in report order, a name and a bound each: the measures of `curvature._check_cmc`,
+# the three of `curvature._check_curvature`, then `foliation._check_calibration` and the larger
+# Jacobi maximum of `isoperimetry._jacobi_maxima`
+_CHECKS = (("cmc_constancy", 1e-6), ("traceless_correction", 1e-10),
+           ("principal_directions", 1e-12), ("curvature_identity", 1e-10),
+           ("calibration_bounds", 1e-12), ("jacobi_residual", 1e-3))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .curvature import _check_cmc, _check_curvature
     from .foliation import CylinderSpec, _check_calibration, _divergence, label_floor
     from .isoperimetry import _jacobi_maxima
 
@@ -281,26 +221,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the curvature checks run once over the stack of spheres, k draws in one (one sphere's stack
     # is its floats)
     spheres = _Stack(members=specs)
-    checks = []
 
-    def run(name: str, measured: float, tol: float) -> None:
-        _require_finite(measured, spheres.params, "the {} check's measure", name, R=spheres.R)
-        checks.append(
-            {"name": name, "measured": measured, "tolerance": tol, "passed": bool(measured <= tol)}
-        )
+    def measures():  # a kernel at a time, so that each measure is checked before the next runs
+        yield _check_cmc(spheres, rng)
+        yield from _check_curvature(spheres, rng, float(args.perturb_h))
+        yield _check_calibration(spheres)
+        # L g in closed form on the meridian chart, so the residual is rounding, on the stack's
+        # middle member only ((1, 1, 1) on the grid), as one spec runs every formula of it; 'y' is
+        # -i times the 'x' mode, with the same maximum, and both come from one potential, 'x' first
+        t_max, x_max = _jacobi_maxima(specs[len(specs) // 2], n=400)
+        yield max(x_max, t_max)
 
-    run("cmc_constancy", _check_cmc(spheres, rng), 1e-6)
-    k0, principal, identity = _check_curvature(spheres, rng, float(args.perturb_h))
-    run("traceless_correction", k0, 1e-10)
-    run("principal_directions", principal, 1e-12)
-    run("curvature_identity", identity, 1e-10)
-    run("calibration_bounds", _check_calibration(spheres), 1e-12)
-    # L g in closed form on the meridian chart, so the residual is rounding.  One spec runs
-    # every formula of it, so the grid's 27 are not swept: the stack's middle member, (1, 1, 1)
-    # on the grid; 'y' is -i times the 'x' mode and has the same maximum.  Both modes come from
-    # one potential, the 'x' maximum first
-    t_max, x_max = _jacobi_maxima(specs[len(specs) // 2], n=400)
-    run("jacobi_residual", max(x_max, t_max), 1e-3)
+    checks = [{"name": name, "measured": _require_finite(
+        measured, spheres.params, "the {} check's measure", name, R=spheres.R),
+        "tolerance": tol, "passed": bool(measured <= tol)}
+        for (name, tol), measured in zip(_CHECKS, measures())]
 
     report = {
         "grid": bool(args.grid),

@@ -27,10 +27,11 @@ import math
 import numpy as np
 
 from ._numerics import _each, _require_finite, _unit
-from .ambient import Point, TangentVector, _Record, christoffel_frame, vector_to_coordinates
+from .ambient import (Point, TangentVector, _curvature_operator, _Record, christoffel_frame,
+                      vector_to_coordinates)
 from .errors import ContractError, DomainError
-from .sphere import (_TINY, SphereSpec, _mass, _on_sphere_or_raise, _pieces, foliation_normal,
-                     outer_normal)
+from .sphere import (_TINY, SphereSpec, _f, _height, _mass, _normal_components, _on_sphere_or_raise,
+                     _pieces, _Stack, foliation_normal, graph_mean_curvature_fd, outer_normal)
 
 __all__ = [
     "TangentFrame",
@@ -221,3 +222,58 @@ def corrected_shape(spec: SphereSpec, point: Point) -> CorrectedShapeData:
     """The corrected operator at a non-pole sphere point (trace-free part ~ 0)."""
     frame = tangent_frame(spec, point)
     return assemble_corrected_shape(spec.H, spec.params.tau, _shape(spec, point.r)[0], frame.c)
+
+
+# ----------------------------------------------------------- verify's checks
+
+
+def _check_cmc(spheres, rng: np.random.Generator, n: int = 30) -> float:
+    rs = rng.uniform(0.05, 0.9, size=np.shape(spheres.R)[:1] + (n,)) * spheres.R
+    h_fd = graph_mean_curvature_fd(  # the stencil stays inside (0, R): no domain check
+        spheres.params, lambda x: _f(spheres.params, x.reshape((16,) + rs.shape), spheres.R),
+        rs, 1e-3 * spheres.R)
+    return float(np.max(np.abs(h_fd - spheres.H) / spheres.H))
+
+
+def _check_curvature(spheres, rng: np.random.Generator, perturb: float, n: int = 40):
+    """The traceless_correction, principal_directions and curvature_identity measures, each over n
+    points a sphere.  Each check draws its points' uniforms (k, n, 3), then (k, n, 3), then
+    (k, n, 5), as one point at a time would draw them: the radius fraction, the angle, the
+    hemisphere, then the identity's psi and scale^2.  One `_height` pass serves the first and third
+    checks' points, one `_shape` pass the first two's radii and one `_frame_coefficients` pass the
+    first and third's, each sliced back to its check; a ufunc gives an element the same bits
+    wherever it sits, so each measure is that of its own pass."""
+    params, R, tau = spheres.params, spheres.R, spheres.params.tau
+    lows, highs = zip((0.02, 0.98), (0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, 2.0 * math.pi),
+                      (0.5, 2.0))
+    size = np.shape(R)[:1] + (n,)  # k of a stack's (k, 1) columns
+    uk, up, ui = (rng.uniform(lows[:j], highs[:j], size=size + (j,)) for j in (3, 3, 5))
+    # principal, k0, identity radii: the shape pass takes the first 2n, height and frame the last 2n
+    r = np.concatenate((up[..., 0], uk[..., 0], ui[..., 0]), axis=-1) * R
+    side = np.concatenate((uk[..., 2], ui[..., 2]), axis=-1)
+    t = np.where(side < 0.5, 1.0, -1.0) * _height(spheres, r[..., n:])  # r lies in [0, R]
+    h, kappa1, kappa2 = _shape(spheres, r[..., :2 * n])
+    a, b, c, p = _frame_coefficients(spheres, r[..., n:], t)
+    hk = h[..., n:, :, :]
+    hk[..., 0, 0] += perturb
+    shape = assemble_corrected_shape(spheres.H, tau, hk, c[..., :n])
+    k0, beta = shape.k0_norm, shape.alpha
+    cs, sn = _each(math.cos, beta), _each(math.sin, beta)
+    k = np.stack((np.stack((cs, -sn), axis=-1), np.stack((sn, cs), axis=-1)), axis=-2)
+    # column j of k is the j-th principal direction
+    kappa = np.stack((kappa1[..., :n], kappa2[..., :n]), axis=-1)[..., None, :]
+    principal = np.abs(h[..., :n, :, :] @ k - k * kappa)
+    ri, ti = r[..., 2 * n:], t[..., n:]
+    x, y, psi, scale2 = ri * np.cos(ui[..., 1]), ri * np.sin(ui[..., 1]), ui[..., 3], ui[..., 4]
+    x1, x2 = _frame_vectors(x, y, a[..., n:], b[..., n:], c[..., n:], p[..., n:])
+    nvec = _normal_components(params, x, y, ti, R, *_pieces(params, ri, R)[:2])
+    scale, cs, sn = np.sqrt(scale2)[..., None], np.cos(psi)[..., None], np.sin(psi)[..., None]
+    v1 = scale * (cs * x1 + sn * x2)
+    v2 = scale * (-sn * x1 + cs * x2)
+    energy = scale[..., 0] * scale[..., 0]
+    # R(u, v)w is quadratic in tau: tau in units of a power of four keeps tau^2 finite, bit for bit
+    tau = tau / (w := _unit(np.maximum(np.abs(tau), 1.0)))
+    lhs = np.sum(_curvature_operator(_Stack(tau=tau), v2, v1, nvec) * v2, axis=-1)
+    rhs = 4.0 * tau * tau * energy * v1[..., 2] * nvec[..., 2]
+    den = np.maximum(np.abs(rhs), 0.01 * (1.0 / w / w + tau * tau) * energy)
+    return float(np.max(k0)), float(np.max(principal)), float(np.max(np.abs(lhs - rhs) / den))

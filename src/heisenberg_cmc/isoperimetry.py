@@ -270,9 +270,10 @@ def deficit_reports(comps) -> list[DeficitReport]:
     reports = []
     for ex, sd in zip(excess.tolist(), symdiff.tolist()):
         if cyl.delta == 0.0:  # the quadratic bound (`label_floor`)
-            bound = consts.D * sd**3
+            bound = consts.D * _pow(sd, 3)
         else:
-            bound = math.sqrt(cyl.delta) * consts.C * sd**2
+            bound = math.sqrt(cyl.delta) * consts.C * _pow(sd, 2)
+        _require_finite(bound, params, "a deficit bound", R=R)
         reports.append(DeficitReport(a_r, a_r + ex, sd, ex, bound, ex - bound))
     return reports
 

@@ -98,10 +98,9 @@ def meridian_field(params: ModelParams, point: Point) -> TangentVector:
     """
     _require_off_axis(point)
     R, g, m = _leaf(params, point.r, point.t)
-    # m(r) or R m(r) below the normal floats (eps^3 subnormal at sigma = 0) has lost its digits,
-    # and an r R that underflows to 0 raises, as a curve's does
+    # m(r) or R m(r) below the normal floats (eps^3 subnormal at sigma = 0) has lost its digits
     v = (_meridian(params, point.x, point.y, point.r, point.t, R, g, m)
-         if min(m, R * m) >= _TINY and point.r * R else (math.nan,) * 3)
+         if min(m, R * m) >= _TINY else (math.nan,) * 3)
     return TangentVector.from_array(_require_finite(v, params, "the meridian field at {}", point))
 
 

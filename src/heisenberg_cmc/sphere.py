@@ -11,7 +11,7 @@ m and p do not: this layer takes (eps^3, sigma) alone.  The family foliates R^3 
 origin, which defines the radius field R(r, t) and the outward foliation normal used throughout
 the package.  With b = sigma R/eps^3, the area is 2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps)
 arctan b] and the volume 2 pi eps^3 R^3 J(|b|), J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b -
-1/b^3)/8, or its series below |b| = 0.1.
+1/b^3)/8, or its series below |b| = 0.1, each on a normal form of the sphere (`_normal_form`).
 
 The profile formula: in g, f and Pansu's sub-Riemannian profile (sigma/2)[R^2 acos(r/R) + r g]
 are one function, evaluated by `_kernel` alone,
@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numerics import _divide, _newton, _power, _require_finite
+from ._numerics import _divide, _ldexp, _newton, _power, _require_finite
 from .ambient import ModelParams, Point, TangentVector, _Record, _set
 from .errors import ContractError, DomainError
 
@@ -463,23 +463,34 @@ def foliation_normal(params: ModelParams, point: Point) -> TangentVector:
 # ------------------------------------------------------------- area / volume
 
 
+def _normal_form(spec: SphereSpec):
+    """The sphere's image under an isometry and the homothety by 2^-k, which keep b = sigma R/eps^3:
+    its eps, sigma and R, eps and R in [0.5, 1), then k and d.  Powers of two are exact, so where
+    no value leaves the normal floats a formula has the sphere's bits there.  d > 0 where b passes
+    2^898: sigma's image is 2^-d times its own, as area and volume are linear in sigma there."""
+    (e, i), (R, j), (m, n) = map(math.frexp, (spec.params.epsilon, spec.R, spec.params.sigma))
+    d = max(0, n + j - 3 * i - 900) if m else 0
+    return e, math.ldexp(m, n + j - 3 * i - d), R, i + j, d
+
+
 def sphere_area(spec: SphereSpec) -> float:
     """Riemannian area of the full sphere, 2 pi R^2 [eps^2 (1 + atanc b) + (sigma R/eps) arctan b]
-    with b = sigma R/eps^3 (2 pi eps^2 R^2 [1 + w(R)^2 atanc b]); NumericsError where not finite."""
-    e, s, R = spec.params.epsilon, spec.params.sigma, spec.R
-    b = _divide(s * R, e * e * e)
+    with b = sigma R/eps^3 (2 pi eps^2 R^2 [1 + w(R)^2 atanc b]), on the sphere's normal form
+    (`_normal_form`), so that no intermediate leaves the floats; NumericsError where not finite."""
+    e, s, R, k, d = _normal_form(spec)
+    b = s * R / (e * e * e)
     a = _arctan(b)
     area = 2.0 * math.pi * R * R * (e * e * (1.0 + _atanc(b, a)) + s * R / e * a)
-    return _require_finite(area, spec.params, "the area", R=R)
+    return _require_finite(_ldexp(area, 2 * k + d), spec.params, "the area", R=spec.R)
 
 
 def sphere_volume(spec: SphereSpec) -> float:
     """Lebesgue volume enclosed by the sphere, 2 pi eps^3 R^3 J(|b|), b = sigma R/eps^3, with
     J(b) = 3/8 + 1/(8 b^2) + arctan(b) (3b + 2/b - 1/b^3)/8, and below |b| = 0.1 (where that
-    cancels, by up to 6e-13 near b = 0.01) its even series through b^16 (`_J_SERIES`); above,
-    2 pi |sigma| R^4 J(|b|)/|b|, finite at b = inf.  NumericsError where it is not finite."""
-    e, s, R = spec.params.epsilon, spec.params.sigma, spec.R
-    b = abs(_divide(s * R, e * e * e))
+    cancels, by up to 6e-13 near b = 0.01) its even series through b^16 (`_J_SERIES`); above, 2 pi
+    |sigma| R^4 J(|b|)/|b|; on the normal form, as the area.  NumericsError where not finite."""
+    e, s, R, k, d = _normal_form(spec)
+    b = abs(s * R / (e * e * e))
     J, b2 = 0.0, b * b
     if b < 0.1:
         for c in _J_SERIES:
@@ -488,7 +499,7 @@ def sphere_volume(spec: SphereSpec) -> float:
     else:
         J_b = (3.0 / b + 1.0 / (b2 * b) + _arctan(b) * (3.0 + (2.0 - 1.0 / b2) / b2)) / 8.0
         volume = 2.0 * math.pi * abs(s) * R * R * R * R * J_b
-    return _require_finite(volume, spec.params, "the volume", R=R)
+    return _require_finite(_ldexp(volume, 3 * k + d), spec.params, "the volume", R=spec.R)
 
 
 # ------------------------------------------------------------ limit profiles

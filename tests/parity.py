@@ -12,8 +12,8 @@ of two source trees, diffed, show each call whose bytes differ:
     diff base.txt head.txt
 
 The corpus is the runs whose hashes CI reports, `verify --grid` at seeds 0 to 9, `verify` on
-a 175-sphere stress grid and `isoperim` on a 121-spec grid of eps and R.  Not a test module:
-`tests/test_parity.py` runs it.
+a 175-sphere stress grid, `isoperim` on a 121-spec grid of eps and R and three calls past the
+floats.  Not a test module: `tests/test_parity.py` runs it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ CORPUS = [
     *(["isoperim", "--epsilon", e, "--sigma", "1", "--R", R, "--delta", repr(0.3 * float(R)),
        "--n", "2"]
       for e in _DECADES for R in _DECADES),
+    # past the floats: R^2 was subnormal in the area; sd^3 overflowed in a deficit bound, and at
+    # R = 1e100 the quadrature's pass test overflowed
+    ["sphere", "--epsilon", "1e100", "--sigma", "0", "--R", "1e-160"],
+    ["isoperim", "--epsilon", "1e-160", "--sigma=1e100", "--R", "1e3", "--delta", "0", "--n", "3",
+     "--seed", "5"],
+    ["isoperim", "--epsilon", "1", "--sigma=0", "--R", "1e100", "--delta", "0", "--n", "3",
+     "--seed", "5"],
 ]
 
 

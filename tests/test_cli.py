@@ -19,13 +19,14 @@ from heisenberg_cmc import (
     Point,
     SphereSpec,
     cli,
+    curvature,
     curvature_operator,
     outer_normal,
     profile_height,
     vertical_component,
 )
-from heisenberg_cmc.curvature import (assemble_corrected_shape, second_fundamental_form,
-                                      tangent_frame)
+from heisenberg_cmc.curvature import (_check_cmc, _check_curvature, assemble_corrected_shape,
+                                      second_fundamental_form, tangent_frame)
 from heisenberg_cmc.foliation import CylinderSpec, calibration_divergence, vertical_label_bound
 
 from conftest import GRID, sphere_point
@@ -229,19 +230,19 @@ def test_curvature_identity_at_tiny_R_or_eps_is_rounding(eps, R, monkeypatch):
     spec = SphereSpec(ModelParams(eps, 1.0), R)
     if eps == 1e-40:
         with pytest.raises(NumericsError, match="^the second fundamental form is not finite"):
-            cli._check_curvature(spec, np.random.default_rng(12345), 0.0)
+            _check_curvature(spec, np.random.default_rng(12345), 0.0)
         monkeypatch.setattr(curvature, "_shape", lambda spec, r: (
             np.zeros(np.shape(r) + (2, 2)), np.zeros(np.shape(r)), np.zeros(np.shape(r))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        measured = cli._check_curvature(spec, np.random.default_rng(12345), 0.0)[2]
+        measured = _check_curvature(spec, np.random.default_rng(12345), 0.0)[2]
     assert measured <= 1e-13
 
 
 @pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["single", "grid"])
 def test_verify_whose_measure_is_not_finite_exits_3(monkeypatch, grid):
     """A check that measures NaN is a numeric failure naming the check, not a failed check."""
-    monkeypatch.setattr(cli, "_check_curvature",
+    monkeypatch.setattr(curvature, "_check_curvature",
                         lambda spheres, rng, perturb: (0.0, math.nan, 0.0))
     res = run_cli("verify", *grid, "--json", "-")
     assert res.returncode == cli.EXIT_NUMERIC
@@ -263,6 +264,28 @@ def test_profile_overflow_exits_3(command):
     assert res.stdout == ""
     assert res.stderr == ("numeric failure: the profile height is not finite with eps = 5e+102, "
                           "sigma = 1.0, R = 1.0\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    # delta = 0: the quadratic bound's sd^3
+    (("--epsilon", "1e-160", "--sigma=1e100", "--R", "1e3", "--delta", "0"),
+     "a deficit bound is not finite with eps = 1e-160, sigma = 1e+100, R = 1000.0"),
+    # delta > 0: sd^2
+    (("--epsilon", "1", "--sigma=1", "--R", "1e40", "--delta", "3e39"),
+     "a deficit bound is not finite with eps = 1.0, sigma = 1.0, R = 1e+40"),
+    # R = 1e100: _quad's pass test formed the tolerance times the panel's width, which overflowed
+    # ("overflow encountered in multiply"); it takes the panel's share of its interval first
+    (("--epsilon", "1", "--sigma=0", "--R", "1e100", "--delta", "0"),
+     "a deficit constant is not finite with eps = 1.0, sigma = 0.0, R = 1e+100"),
+], ids=["cube", "square", "quad"])
+def test_isoperim_past_the_floats_exits_3_with_no_warning(spec, message):
+    """A deficit bound whose symmetric difference's cube or square overflows was a Python float
+    power, which ended in an untyped OverflowError traceback; each is typed now."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_cli("isoperim", *spec, "--n", "3", "--seed", "5")
+    assert (res.returncode, res.stdout) == (cli.EXIT_NUMERIC, "")
+    assert res.stderr == f"numeric failure: {message}\n"
 
 
 def test_sphere_whose_curvature_overflows_writes_no_file(tmp_path):
@@ -975,7 +998,7 @@ def test_batched_check_matches_scalar_loop(eps, sigma, R, seed, perturb, which):
     generator, and the two generators end in the same state."""
     spec = SphereSpec(ModelParams(eps, sigma), R)
     rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
-    batched = cli._check_curvature(spec, rng_b, perturb)
+    batched = _check_curvature(spec, rng_b, perturb)
     scalar = (_scalar_k0(spec, rng_s, perturb), _scalar_principal(spec, rng_s),
               _scalar_curvature_identity(spec, rng_s))
     assert batched[which] == pytest.approx(scalar[which], abs=1e-13)
@@ -1013,14 +1036,14 @@ def test_stacked_checks_are_the_max_of_one_sphere_checks(seed):
     (27, 40, 3), (27, 40, 3) and (27, 40, 5) uniforms, each check's in turn."""
     stack = cli._Stack(members=GRID)
     rng_k, rng_1 = np.random.default_rng(seed), np.random.default_rng(seed)
-    cmc = max(cli._check_cmc(spec, rng_1) for spec in GRID)
-    assert cli._check_cmc(stack, rng_k).hex() == cmc.hex()
+    cmc = max(_check_cmc(spec, rng_1) for spec in GRID)
+    assert _check_cmc(stack, rng_k).hex() == cmc.hex()
     assert rng_k.bit_generator.state == rng_1.bit_generator.state
     for perturb in (0.0, 1e-3):
         rec = _Recording(rng_k)
-        stacked = cli._check_curvature(stack, rec, perturb)
+        stacked = _check_curvature(stack, rec, perturb)
         assert [d.shape for d in rec.draws] == [(27, 40, 3), (27, 40, 3), (27, 40, 5)]
-        ones = [cli._check_curvature(spec, _Replay(d[j] for d in rec.draws), perturb)
+        ones = [_check_curvature(spec, _Replay(d[j] for d in rec.draws), perturb)
                 for j, spec in enumerate(GRID)]
         for i, value in enumerate(stacked):
             assert value.hex() == max(one[i] for one in ones).hex()
@@ -1038,12 +1061,12 @@ def test_sampled_points_follow_the_scalar_stream(seed, monkeypatch):
         def wrapped(*args):
             seen[name] = args
             return fun(*args)
-        monkeypatch.setattr(cli, name, wrapped)
+        monkeypatch.setattr(curvature, name, wrapped)
 
-    keep("_height", cli._height)
-    keep("_normal_components", cli._normal_components)
+    keep("_height", curvature._height)
+    keep("_normal_components", curvature._normal_components)
     rec, rng_s = _Recording(np.random.default_rng(seed)), np.random.default_rng(seed)
-    cli._check_curvature(spec, rec, 0.0)
+    _check_curvature(spec, rec, 0.0)
     radii = seen["_height"][1]
     x, y, t = seen["_normal_components"][1:4]
     k0 = [sphere_point(spec, rng_s) for _ in range(40)]

@@ -32,7 +32,7 @@ from heisenberg_cmc.foliation import (
     leaf_label_grid,
     vertical_label_bound,
 )
-from heisenberg_cmc import cli, foliation
+from heisenberg_cmc import cli, curvature, foliation
 from heisenberg_cmc.foliation import _leaf_terms
 from heisenberg_cmc.sphere import _f, _height, _mass, _profile
 
@@ -689,7 +689,7 @@ def test_verify_grid_report_equals_the_per_sphere_oracle(seed, monkeypatch):
     got = report()
     monkeypatch.setattr(foliation, "_check_calibration",
                         lambda spheres: max(map(_full_solve_grid, spheres.members)))
-    monkeypatch.setattr(cli, "_curvature_operator", table_curvature_operator)
+    monkeypatch.setattr(curvature, "_curvature_operator", table_curvature_operator)
     assert got == report()
     assert json.loads(got[1])["n_specs"] == 27
 

@@ -685,17 +685,22 @@ def test_meridian_field_where_eps3_is_subnormal_at_sigma_0_raises_numerics_error
             meridian_field(spec.params, point)
 
 
-@pytest.mark.parametrize("params, point", [
+@pytest.mark.parametrize("params, point, want", [
     (ModelParams(0.010708805112782058, 7.997579454770231e-05),
-     Point(-2e-323, -6e-323, -0.011242671881641998)),  # g/(r R) overflows
-    (ModelParams(1.0, 1.0), Point(1e-200, 0.0, 0.0)),  # r R underflows to 0
+     Point(-2e-323, -6e-323, -0.011242671881641998), None),  # g/(r R) overflows
+    (ModelParams(1.0, 1.0), Point(1e-200, 0.0, 0.0), (0.0, 1e-200, -1.0)),  # r R underflows to 0
 ])
-def test_meridian_field_where_r_R_leaves_the_floats_raises_only_its_typed_error(params, point):
-    """One point is signed on Python floats: where g/(r R) overflows at a subnormal |z|, or r R
-    is 0, the field raises its NumericsError with no warning before it (numpy's float64 warned
-    "overflow encountered in scalar divide", which won under warnings as errors)."""
+def test_meridian_field_where_r_R_leaves_the_floats_raises_only_its_typed_error(params, point,
+                                                                                 want):
+    """One point is signed on Python floats: where g/(r R) overflows at a subnormal |z|, the field
+    raises its NumericsError with no warning before it (numpy's float64 warned "overflow
+    encountered in scalar divide", which won under warnings as errors).  Where r R underflows to
+    0 the field is its closed form, which takes r R in units of R, with no warning (it raised)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if want is not None:
+            assert meridian_field(params, point).as_array().tolist() == list(want)
+            return
         with pytest.raises(NumericsError, match=r"^the meridian field at Point\(x="):
             meridian_field(params, point)
 

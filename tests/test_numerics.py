@@ -171,6 +171,16 @@ def test_sphere_volume_matches_scipy_quad():
         assert sphere_volume(spec) == pytest.approx(4.0 * math.pi * val, rel=1e-12, abs=0.0)
 
 
+def test_quad_pass_test_takes_the_panels_share_first():
+    """The tolerance is _QUAD_RTOL S times the panel's share of its interval; formed as
+    _QUAD_RTOL S (hi - lo) first, it overflowed, with a warning, where S and the width are both
+    past 1e154, though the integral is finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = _quad(lambda x, _: np.full(x.shape, 1e100), np.zeros(1), np.array([1e200]), "wide")
+    assert total[0] == pytest.approx(1e300, rel=1e-14)
+
+
 def test_quad_halves_panels_across_a_kink():
     kink = _quad(lambda x, _: np.abs(x - 0.3), np.zeros(1), np.ones(1), "kink")
     assert kink == pytest.approx([0.29], rel=1e-13)

@@ -43,7 +43,7 @@ def test_the_corpus_writes_a_fresh_interpreters_bytes_after_a_warm_up():
     finally:
         fresh.kill()
     assert (fresh.returncode, err) == (0, "")
-    assert len(warm) == len(parity.CORPUS) == 314
+    assert len(warm) == len(parity.CORPUS) == 317
     assert warm == out.splitlines()
     assert again == out.splitlines()
 

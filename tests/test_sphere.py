@@ -439,6 +439,58 @@ def test_area_volume_euclidean_limit():
     assert abs(sphere_volume(spec) - 4.0 * math.pi / 3.0) <= 1e-4
 
 
+def _mp_area_volume(eps, sigma, R):
+    """The area 2 pi (eps R)^2 [1 + arctan(b)/b + b arctan b] and the volume 2 pi (eps R)^3 J(|b|),
+    b = sigma R/eps^3, in 50-digit mpmath, whose exponents do not overflow.  J(b) = 3/8 + 1/(8 b^2)
+    + arctan(b) (3b + 2/b - 1/b^3)/8 cancels to 2/3 + O(b^2): it takes three more digits a digit
+    of 1/|b|, and below |b| = 1e-10 it is 2/3, within 1e-20."""
+    with mpmath.workdps(50):
+        e, s, R = mpmath.mpf(eps), mpmath.mpf(sigma), mpmath.mpf(R)
+        b = s * R / e**3
+        area = 2 * mpmath.pi * (e * R) ** 2 * (
+            2 if b == 0 else 1 + mpmath.atan(b) / b + b * mpmath.atan(b))
+        b = abs(b)
+        J = mpmath.mpf(2) / 3
+        if b >= mpmath.mpf("1e-10"):
+            with mpmath.workdps(50 + 3 * max(0, int(-mpmath.log10(b)) + 1)):
+                J = (mpmath.mpf(3) / 8 + 1 / (8 * b * b)
+                     + mpmath.atan(b) * (3 * b + 2 / b - 1 / b**3) / 8)
+        return area, 2 * mpmath.pi * (e * R) ** 3 * J
+
+
+def test_area_and_volume_over_the_whole_domain():
+    """1,000 seeded draws of eps and R log-uniform in [1e-300, 1e300], sigma in {0, 1, -4,
+    1e-300, 1e100}: where the true area or volume is a normal float each is within 1e-14 of it,
+    with no warning, and NumericsError only where it is not (past the largest float it must
+    raise; below the normal floats it may, or it is within rounding of the subnormals).  R^2 and
+    b = sigma R/eps^3 left the floats: the area was 0.0 at (2e96, 0, 2.06e-176), 1e-5 off where
+    R^2 was subnormal, and both raised where eps^3 underflowed at sigma = 0 (0/0)."""
+    rng = np.random.default_rng(3)
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    normal = [0, 0]
+    for k in range(1000):
+        eps, R = (float(x) for x in 10.0 ** rng.uniform(-300.0, 300.0, 2))
+        sigma = (0.0, 1.0, -4.0, 1e-300, 1e100)[k % 5]
+        spec = SphereSpec(ModelParams(eps, sigma), R)
+        for i, (fun, true) in enumerate(zip((sphere_area, sphere_volume),
+                                            _mp_area_volume(eps, sigma, R))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got = fun(spec)
+                except NumericsError:
+                    got = None
+            where = (fun.__name__, eps, sigma, R)
+            if tiny <= true <= huge:
+                normal[i] += 1
+                assert got is not None and abs(got - true) <= 1e-14 * true, where
+            elif true > huge:
+                assert got is None, where
+            else:
+                assert got is None or abs(got - true) <= 1e-14 * true + 2.0**-1074, where
+    assert min(normal) >= 250
+
+
 @pytest.mark.parametrize("eps", [1e-10, 1e-20, 1e-40, 1e-60, 1e-76])
 def test_area_and_volume_tend_to_pansu_sphere(eps):
     """The sub-Riemannian limit: eps A/2 -> pi^2 |sigma| R^3/2 and V -> 3 pi^2 |sigma| R^4/8,
